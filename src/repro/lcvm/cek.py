@@ -35,6 +35,7 @@ is an already-computed runtime value.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from sys import intern
@@ -1051,6 +1052,9 @@ _COMPILED_CACHE: "OrderedDict[int, Tuple[s.Expr, CompiledNode, List[CompiledNode
 _COMPILED_CACHE_CAPACITY = 512
 _compiled_hits = 0
 _compiled_misses = 0
+#: Serializes the memo and ``_CURRENT_TABLE``: threads of one process (such
+#: as in-process network endpoints) compile concurrently.
+_COMPILE_LOCK = threading.RLock()
 
 
 def compile_node(expr: s.Expr) -> CompiledNode:
@@ -1064,33 +1068,35 @@ def compile_node(expr: s.Expr) -> CompiledNode:
     """
     global _compiled_hits, _compiled_misses, _CURRENT_TABLE
     key = id(expr)
-    entry = _COMPILED_CACHE.get(key)
-    if entry is not None and entry[0] is expr:
-        _compiled_hits += 1
+    with _COMPILE_LOCK:
+        entry = _COMPILED_CACHE.get(key)
+        if entry is not None and entry[0] is expr:
+            _compiled_hits += 1
+            _COMPILED_CACHE.move_to_end(key)
+            return entry[1]
+        _CURRENT_TABLE = table = []
+        try:
+            node = _compile(expr)
+        finally:
+            _CURRENT_TABLE = None
+        # Every node knows the root it was compiled under: ``(node.root,
+        # node.index)`` is its process-portable address, resolvable anywhere
+        # by recompiling the root (the walk is deterministic, so indexes agree).
+        for compiled in table:
+            compiled.root = expr
+        _compiled_misses += 1
+        _COMPILED_CACHE[key] = (expr, node, table)
         _COMPILED_CACHE.move_to_end(key)
-        return entry[1]
-    _CURRENT_TABLE = table = []
-    try:
-        node = _compile(expr)
-    finally:
-        _CURRENT_TABLE = None
-    # Every node knows the root it was compiled under: ``(node.root,
-    # node.index)`` is its process-portable address, resolvable anywhere by
-    # recompiling the root (the walk is deterministic, so indexes agree).
-    for compiled in table:
-        compiled.root = expr
-    _compiled_misses += 1
-    _COMPILED_CACHE[key] = (expr, node, table)
-    _COMPILED_CACHE.move_to_end(key)
-    while len(_COMPILED_CACHE) > _COMPILED_CACHE_CAPACITY:
-        _COMPILED_CACHE.popitem(last=False)
-    return node
+        while len(_COMPILED_CACHE) > _COMPILED_CACHE_CAPACITY:
+            _COMPILED_CACHE.popitem(last=False)
+        return node
 
 
 def compiled_table(expr: s.Expr) -> List[CompiledNode]:
     """The node table of ``expr``'s compile (compiling it on a memo miss)."""
-    compile_node(expr)
-    return _COMPILED_CACHE[id(expr)][2]
+    with _COMPILE_LOCK:
+        compile_node(expr)
+        return _COMPILED_CACHE[id(expr)][2]
 
 
 def compiled_cache_stats() -> dict:

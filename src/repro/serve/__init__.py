@@ -26,6 +26,9 @@ multi-tenant service front:
   isolation upgraded to mid-run *migration*: workers stream slice-boundary
   checkpoints, so requests in flight on a crashed shard resume on a
   surviving one;
+* :class:`~repro.serve.dispatch.Dispatcher` — the placement, admission,
+  shared-store, and recovery logic the pool and the network router both
+  run, each over its own narrow :class:`~repro.serve.dispatch.Transport`;
 * :class:`~repro.serve.checkpoint.Checkpoint` / ``CheckpointStore`` — a
   paused request reified as versioned plain data (machine snapshot plus
   routing context), movable across processes and — via the store's atomic
@@ -43,7 +46,7 @@ multi-tenant service front:
   recovery path deterministically in tests and ``bench_serving.py --chaos``;
 * :mod:`~repro.serve.net` / :mod:`~repro.serve.wire` /
   :mod:`~repro.serve.ring` — the network tier: a length-prefixed, versioned
-  framed wire protocol carrying the pool's worker conversation over TCP, a
+  framed wire protocol carrying the workers' conversation over TCP, a
   consistent-hash ring with virtual nodes for placement
   (:class:`~repro.serve.ring.HashRing`), and the router/worker/client trio
   (:class:`~repro.serve.net.NetRouter` /

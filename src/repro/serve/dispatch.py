@@ -1,0 +1,741 @@
+"""The transport-agnostic dispatcher behind the worker pool and the network router.
+
+Serving compiled target code across processes is one job whatever carries
+the bytes, so :class:`Dispatcher` does it once over a narrow
+:class:`Transport`: :class:`~repro.serve.pool.WorkerPool` (pipes to spawned
+processes) and :class:`~repro.serve.net.NetRouter` (framed TCP) are thin
+front ends that supply one.  The dispatcher owns:
+
+* **Admission** — the batch cutoff and per-member queue limits, shedding
+  a deterministic tail as ``rejected_overload``.
+* **Placement** — consistent-hash ring order with per-member circuit-breaker
+  quarantine and load-aware top-k choice (:meth:`Dispatcher._place`).
+* **The shared artifact store** — first publisher wins, and each artifact
+  is shipped to a member once, never back to its publisher.
+* **Recovery** — migrate a crashed member's streamed checkpoints, then
+  redispatch the rest from scratch under each request's ``retry_budget``
+  (:meth:`Dispatcher._recover`).
+
+The worker side of the protocol lives here too: :func:`handle_work` serves
+one work tuple on a member's scheduler, for pipe workers and network
+endpoints alike.
+"""
+
+from __future__ import annotations
+
+import pickle
+import random
+import time
+from collections import OrderedDict
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Set, Tuple
+
+from repro.serve.reliability import (
+    AdmissionController,
+    BreakerPolicy,
+    CircuitBreaker,
+    DispatchPolicy,
+    RetryPolicy,
+)
+from repro.serve.request import Request, Response
+from repro.serve.ring import DEFAULT_VIRTUAL_NODES, HashRing
+from repro.serve.scheduler import Scheduler, StoreKey
+from repro.serve.wire import ConnectionDropped
+
+__all__ = ["POLICY_COUNTERS", "STORE_COUNTERS", "Dispatcher", "Transport", "handle_work", "weight"]
+
+#: Index-tagged requests: ``(batch index, request)``.
+Entries = List[Tuple[int, Request]]
+#: The last streamed checkpoint payload per coalesced group of batch indices.
+Checkpoints = Dict[Tuple[int, ...], bytes]
+#: Shared-store counters, then recovery and placement counters.
+STORE_COUNTERS = ("hits", "cross_worker_hits", "misses", "publishes", "unpicklable")
+POLICY_COUNTERS = ("migrations", "retries", "redispatches", "reroutes", "diverted")
+
+
+# -- the worker side ----------------------------------------------------------
+
+
+def handle_work(
+    scheduler: Scheduler,
+    member: int,
+    message: Tuple[Any, ...],
+    connection: Any = None,
+    abandon_on_drop: bool = False,
+) -> Tuple[Any, ...]:
+    """Serve one work tuple on a member's scheduler; returns the terminal reply.
+
+    ``("serve", entries, warm, known, sequential, batched, checkpoint_every)``
+    serves index-tagged requests after importing the ``warm`` store
+    artifacts (``known`` lists the keys the store already holds, so they are
+    never re-published) and replies ``("ok", results, publishes)``;
+    ``("resume", items)`` resumes a crashed member's streamed checkpoints and
+    replies ``("resumed", results, failures)``.  Slice-boundary checkpoints
+    stream over ``connection`` while a batch runs.  Any exception becomes an
+    ``("error", message)`` reply — a batch bug must not kill the worker —
+    except a :class:`~repro.serve.wire.ConnectionDropped` when
+    ``abandon_on_drop`` is set: a network endpoint re-raises it to abandon
+    the connection, while a pipe worker reports it like any other error.
+    """
+    try:
+        if message[0] == "resume":
+            return _resume_shard(scheduler, member, message[1])
+        if message[0] == "serve":
+            return _serve_shard(scheduler, member, message, connection)
+        return ("error", f"unknown work tag {message[0]!r}")
+    except Exception as error:  # noqa: BLE001 — a batch bug must not kill the worker
+        if abandon_on_drop and isinstance(error, ConnectionDropped):
+            raise
+        return ("error", f"{type(error).__name__}: {error}")
+
+
+def _serve_shard(
+    scheduler: Scheduler, shard: int, message: Tuple[Any, ...], connection: Any
+) -> Tuple[Any, ...]:
+    """Serve one shard batch and report responses plus publishable artifacts."""
+    _tag, entries, warm, known, sequential, batched, checkpoint_every = message
+    imported: Set[StoreKey] = set()
+    for store_key, payload in warm:
+        try:
+            unit = pickle.loads(payload)
+        except Exception:  # a stale/foreign payload falls back to compilation
+            continue
+        if scheduler.import_cache_entry(store_key, unit):
+            imported.add(store_key)
+
+    requests = [request for _index, request in entries]
+    keys = [scheduler.pipeline_key(request) for request in requests]
+    if checkpoint_every is not None and connection is not None and not sequential:
+        responses = _serve_streaming(
+            scheduler, entries, requests, batched, checkpoint_every, connection
+        )
+    elif batched:
+        responses = scheduler.serve_batched(requests, sequential=sequential)
+    else:
+        responses = scheduler.serve(requests, sequential=sequential)
+
+    publishes: List[Tuple[StoreKey, Optional[bytes]]] = []
+    # Keys the store already holds must not be re-exported, re-pickled, or
+    # re-flagged as published — the parent would only discard them.
+    already_published: Set[StoreKey] = set(known)
+    for response, store_key in zip(responses, keys):
+        response.shard = shard
+        if store_key is None:
+            continue
+        if store_key in imported:
+            response.shared_cache_hit = True
+        elif response.error is None and store_key not in already_published:
+            unit = scheduler.export_cache_entry(store_key)
+            if unit is None:
+                continue
+            already_published.add(store_key)
+            try:
+                shared: Optional[bytes] = pickle.dumps(unit)
+            except Exception:  # unpicklable artifact: others recompile from source
+                shared = None
+            publishes.append((store_key, shared))
+            response.published = shared is not None
+    results = [(index, response) for (index, _request), response in zip(entries, responses)]
+    return ("ok", results, publishes)
+
+
+def _serve_streaming(
+    scheduler: Scheduler,
+    entries: Sequence[Tuple[int, Request]],
+    requests: Sequence[Request],
+    batched: bool,
+    checkpoint_every: int,
+    connection: Any,
+) -> List[Response]:
+    """Serve one shard batch, streaming slice-boundary checkpoints upstream.
+
+    The production worker path: requests coalesce exactly as in
+    :meth:`~repro.serve.scheduler.Scheduler.serve_batched`, but the
+    representatives run through
+    :meth:`~repro.serve.scheduler.Scheduler.serve_preempting` (no ceiling)
+    so every snapshot-capable execution's paused state reaches the parent as
+    ``("checkpoint", covered, payload)`` events while the batch is still in
+    flight — ``covered`` listing the original batch indices of the whole
+    coalesced group.  If this worker then dies mid-batch, the parent holds
+    each in-flight request's last slice boundary and can resume it on a
+    surviving shard.  The machines are deterministic, so outcomes are
+    identical to the non-streaming path; a checkpoint that fails to pickle —
+    or is suppressed by an injected ``checkpoint.pickle`` fault — is simply
+    not streamed (those requests fall back to retry-from-scratch or
+    whole-shard failure semantics, never to a wrong resume).
+    """
+    groups: "OrderedDict[Any, List[int]]" = OrderedDict()
+    for position, request in enumerate(requests):
+        key = scheduler.batch_key(request) if batched else None
+        groups.setdefault(("solo", position) if key is None else key, []).append(position)
+    member_lists = list(groups.values())
+    representatives = [requests[members[0]] for members in member_lists]
+    original = [index for index, _request in entries]
+    plan = getattr(scheduler, "fault_plan", None)
+
+    def stream(representative_index: int, checkpoint: Any) -> None:
+        covered = [original[member] for member in member_lists[representative_index]]
+        if plan is not None and plan.fire(
+            "checkpoint.pickle", request_id=checkpoint.request.request_id
+        ):
+            return  # injected serialization failure: this boundary is lost
+        try:
+            payload = pickle.dumps(checkpoint)
+        except Exception:  # unpicklable snapshot: skip, never stream junk
+            return
+        connection.send(("checkpoint", covered, payload))
+        if plan is not None and plan.fire(
+            "net.drop", request_id=checkpoint.request.request_id, slices=checkpoint.slices
+        ):
+            # The connection dies *after* this boundary's checkpoint frame is
+            # on the wire: the parent/router holds exactly the state it needs
+            # to migrate this group.  On a network worker the exception
+            # abandons the connection abruptly (the router sees EOF); on a
+            # pipe worker it degrades to a whole-batch error reply.
+            raise ConnectionDropped("injected net.drop fault")
+
+    served = scheduler.serve_preempting(
+        representatives, checkpoint_every=checkpoint_every, on_checkpoint=stream
+    )
+    responses: List[Optional[Response]] = [None] * len(requests)
+    for members, response in zip(member_lists, served):
+        response.coalesced = len(members)
+        responses[members[0]] = response
+        for member in members[1:]:
+            responses[member] = replace(response, request=requests[member])
+    return responses  # type: ignore[return-value]
+
+
+def _resume_shard(
+    scheduler: Scheduler, shard: int, items: Sequence[Tuple[List[int], bytes]]
+) -> Tuple[Any, ...]:
+    """Resume checkpoints streamed by a crashed shard; report their outcomes.
+
+    ``items`` pairs each coalesced group's original batch indices with its
+    last streamed checkpoint payload.  Every checkpoint restores through the
+    scheduler's registered snapshot restorer — recompiling machine artifacts
+    locally — and runs to completion; outcomes are observably identical to
+    the crashed worker having finished.  A payload that fails to decode or
+    restore fails only its own group, reported in ``failures``.
+
+    Migrated responses keep *cumulative* slice accounting: the checkpoint's
+    pre-crash slices are folded into ``response.slices``, so the
+    bounded-latency invariant (``steps ≤ slices × slice_steps``) holds for
+    the whole run, not just the post-restore tail.
+    """
+    covered_groups: List[List[int]] = []
+    checkpoints: List[Any] = []
+    failures: List[Tuple[List[int], str]] = []
+    for covered, payload in items:
+        try:
+            checkpoint = pickle.loads(payload)
+        except Exception as error:
+            failures.append((list(covered), f"{type(error).__name__}: {error}"))
+            continue
+        covered_groups.append(list(covered))
+        checkpoints.append(checkpoint)
+    responses = scheduler.resume(checkpoints)
+    results: List[Tuple[List[int], Response]] = []
+    for covered, checkpoint, response in zip(covered_groups, checkpoints, responses):
+        response.shard = shard
+        response.coalesced = len(covered)
+        response.slices += checkpoint.slices
+        if response.error is not None:
+            failures.append((covered, response.error))
+            continue
+        results.append((covered, response))
+    return ("resumed", results, failures)
+
+
+# -- the parent side ----------------------------------------------------------
+
+
+def weight(request: Request, slice_steps: int) -> int:
+    """The load a queued request contributes for placement purposes.
+
+    Without a hint every request weighs 1 (pure queue depth).  With
+    :attr:`~repro.serve.request.Request.cost_hint` set (typically the
+    analysis tier's ``estimated_steps``, fed back from an analyze-only
+    response), the weight grows with the number of scheduler slices the run
+    is expected to occupy, capped so one huge estimate cannot starve a
+    member of all traffic.  Deterministic: same batch + same hints → same
+    placement.
+    """
+    if request.cost_hint is None or request.cost_hint <= 0:
+        return 1
+    return 1 + min(8, request.cost_hint // max(1, slice_steps))
+
+
+@dataclass
+class _StoreEntry:
+    """One shared-store artifact: the pickled unit plus its publisher."""
+
+    payload: bytes
+    publisher: int
+
+
+class Transport(Protocol):
+    """What the :class:`Dispatcher` needs from the thing that moves the bytes.
+
+    Members are ``int`` ids on the dispatcher's ring.  :meth:`exchange` runs
+    one work tuple per listed member, concurrently where it can, and returns
+    one outcome per pair: ``("reply", reply, checkpoints)`` or ``("crashed",
+    checkpoints)``, with whatever checkpoints the member streamed before the
+    end.  Transport failures never escape as exceptions.
+    """
+
+    def alive(self, member: int) -> bool:
+        """Is the member's process running / its connection open?"""
+
+    def load(self, member: int) -> int:
+        """The member's own reported queue depth (0 when it reports none)."""
+
+    def exchange(self, work: Sequence[Tuple[int, Tuple[Any, ...]]]) -> List[Tuple[Any, ...]]:
+        """Run every ``(member, work tuple)`` pair; one outcome per pair."""
+
+    def teardown(self, member: int) -> None:
+        """Release a crashed member; the next exchange respawns/redials it."""
+
+
+class Dispatcher:
+    """Admission, placement, the shared store, and recovery over a transport.
+
+    ``router`` is an in-process scheduler used only for placement and store
+    keys.  A request its member failed gets ``error="{label} {member}:
+    {message}"``, with ``lost`` as the message once a crash exhausts its
+    retry budget.  With no members, :meth:`run_batch` hands the admitted
+    requests to ``fallback``.  Synchronous: callers serialize batches.
+    """
+
+    def __init__(
+        self,
+        transport: Transport,
+        router: Scheduler,
+        slice_steps: int,
+        label: str,
+        lost: str,
+        batched: bool = True,
+        checkpoint_every: Optional[int] = 1,
+        placement: Optional[DispatchPolicy] = None,
+        virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
+        retry_policy: Optional[RetryPolicy] = None,
+        retry_seed: int = 0,
+        breaker_policy: Optional[BreakerPolicy] = None,
+        admission: Optional[AdmissionController] = None,
+        clock: Callable[[], float] = time.monotonic,
+        sleeper: Callable[[float], None] = time.sleep,
+        fallback: Optional[Callable[[List[Request]], List[Response]]] = None,
+    ) -> None:
+        self.transport = transport
+        self.router = router
+        self.slice_steps = slice_steps
+        self.label = label
+        self.lost = lost
+        self.batched = batched
+        self.checkpoint_every = checkpoint_every
+        self.placement = placement or DispatchPolicy(top_k=1, balance_load=False)
+        self.retry_policy = retry_policy or RetryPolicy()
+        self.ring: HashRing[int] = HashRing(virtual_nodes=virtual_nodes)
+        self.breakers: Dict[int, CircuitBreaker] = {}
+        self.admission = admission or AdmissionController()
+        self.store: Dict[StoreKey, _StoreEntry] = {}
+        #: Keys whose artifact failed to pickle: workers are told not to try
+        #: exporting them again, and each counts once in ``unpicklable``.
+        self.unpicklable: Set[StoreKey] = set()
+        self.stats = dict.fromkeys(STORE_COUNTERS + POLICY_COUNTERS, 0)
+        self._breaker_policy = breaker_policy or BreakerPolicy()
+        self._clock = clock
+        self._retry_rng = random.Random(retry_seed)
+        self._sleeper = sleeper
+        self._fallback = fallback
+        #: Artifacts already shipped to a member are not re-sent every batch;
+        #: a crash forgets the member's deliveries, so its respawn or
+        #: reconnect is re-warmed.  (A member that *evicted* a delivered entry
+        #: simply recompiles — correct, one redundant compile.)
+        self._delivered: Set[Tuple[int, StoreKey]] = set()
+        #: Members sent work since they last crashed: one found dead here at
+        #: the next dispatch died while idle.
+        self._up: Set[int] = set()
+
+    # -- membership -----------------------------------------------------------
+
+    def add_member(self, member: int) -> None:
+        self.ring.add(member)
+        self.breakers[member] = CircuitBreaker(self._breaker_policy, self._clock)
+
+    def remove_member(self, member: int) -> None:
+        self.ring.remove(member)
+        self.breakers.pop(member, None)
+        self._forget(member)
+
+    def crashed(self, member: int) -> None:
+        """Account one member failure: breaker, deliveries, transport teardown."""
+        self.breakers[member].record_failure()
+        self._forget(member)
+        self.transport.teardown(member)
+
+    def _forget(self, member: int) -> None:
+        self._up.discard(member)
+        self._delivered = {entry for entry in self._delivered if entry[0] != member}
+
+    # -- serving --------------------------------------------------------------
+
+    def run_batch(self, requests: Sequence[Request], sequential: bool = False) -> List[Response]:
+        """Place, dispatch, collect, and recover one batch; request order kept.
+
+        Every member's share goes out in one :meth:`Transport.exchange`;
+        crashed shares recover only after all replies are in, so a recovery
+        exchange never interleaves with a pending reply.
+        """
+        responses: List[Optional[Response]] = [None] * len(requests)
+        admitted = self.admission.batch_cutoff(len(requests))
+        for index in range(admitted, len(requests)):
+            responses[index] = self._shed(requests[index])
+        if not len(self.ring) and self._fallback is not None:
+            responses[:admitted] = self._fallback(list(requests[:admitted]))
+            return responses  # type: ignore[return-value]
+
+        queues: Dict[int, Entries] = {}
+        rerouted: Dict[int, int] = {}
+        loads: Dict[int, int] = {}
+        for index, request in enumerate(requests[:admitted]):
+            order = self.ring.candidates(self.router.placement_key(request))
+            member, rerouted_from = self._place(order, loads)
+            queue = queues.setdefault(member, [])
+            if not self.admission.admit_to_shard(len(queue)):
+                responses[index] = self._shed(request)
+                continue
+            if rerouted_from is not None:
+                rerouted[index] = rerouted_from
+            queue.append((index, request))
+            loads[member] = loads.get(member, 0) + weight(request, self.slice_steps)
+
+        groups = [(member, queues[member]) for member in sorted(queues)]
+        for member, entries, checkpoints in self._serve(responses, groups, sequential, None):
+            self._recover(responses, member, entries, checkpoints, {})
+        for index, home in rerouted.items():
+            response = responses[index]
+            if response is not None and response.rerouted_from is None:
+                response.rerouted_from = home
+        return responses  # type: ignore[return-value]
+
+    def _shed(self, request: Request) -> Response:
+        self.admission.count_shed()
+        return Response(request=request, rejected_overload=True)
+
+    def _fail(
+        self, responses: List[Optional[Response]], member: int, entries: Entries, message: str
+    ) -> None:
+        for index, request in entries:
+            responses[index] = Response(
+                request=request, shard=member, error=f"{self.label} {member}: {message}"
+            )
+
+    def _place(self, order: Sequence[int], loads: Dict[int, int]) -> Tuple[int, Optional[int]]:
+        """Quarantine- and load-aware placement: ``(member, rerouted_from)``.
+
+        ``order`` is the request's ring preference order (home first, then
+        the members that would inherit its key).  A healthy home serves its
+        own traffic; with ``balance_load`` on, the least-loaded of the first
+        ``top_k`` admitted candidates serves instead, ties broken toward the
+        home end of the order (``diverted`` counts these load moves).  When
+        the whole head of the order is breaker-quarantined, the request
+        re-places on the nearest admitted member further along the ring —
+        half-open members admit their bounded probe dispatches here, which
+        is what re-trials a quarantined member (``reroutes`` counts these,
+        ``rerouted_from`` names the home).  If *every* member is quarantined
+        the home serves anyway: quarantine is load steering, not an outage
+        amplifier.
+        """
+        home = order[0]
+        if len(order) == 1:
+            return home, None
+        k = self.placement.top_k if self.placement.balance_load else 1
+        admitted = [member for member in order[:k] if self.breakers[member].allow()]
+        if not admitted:
+            for member in order[k:]:
+                if self.breakers[member].allow():
+                    self.stats["reroutes"] += 1
+                    return member, home
+            return home, None
+        if len(admitted) == 1:
+            chosen = admitted[0]
+        else:
+            chosen = min(
+                admitted,
+                key=lambda member: (
+                    self.transport.load(member) + loads.get(member, 0),
+                    order.index(member),
+                ),
+            )
+        if chosen == home:
+            return home, None
+        if home not in admitted:  # quarantined home inside the balanced head
+            self.stats["reroutes"] += 1
+            return chosen, home
+        self.stats["diverted"] += 1
+        return chosen, None
+
+    def _settle(self, members: Sequence[int]) -> None:
+        """Crash-account members that died while idle, before anything is
+        computed for them — so a respawn is re-warmed in the same batch."""
+        for member in members:
+            if member in self._up and not self.transport.alive(member):
+                self.crashed(member)
+            self._up.add(member)
+
+    def _serve(
+        self,
+        responses: List[Optional[Response]],
+        groups: List[Tuple[int, Entries]],
+        sequential: bool,
+        attempts: Optional[Dict[int, int]],
+    ) -> List[Tuple[int, Entries, Checkpoints]]:
+        """Dispatch ``serve`` work to each member, record the replies, and
+        return the ``(member, entries, checkpoints)`` shares that crashed.
+        ``attempts`` (redispatches only) sets each response's dispatch count.
+        """
+        self._settle([member for member, _entries in groups])
+        keymap: Dict[int, StoreKey] = {}
+        work: List[Tuple[int, Tuple[Any, ...]]] = []
+        for member, entries in groups:
+            warm, known = self._warm_entries(member, entries, keymap)
+            self._delivered.update((member, store_key) for store_key, _payload in warm)
+            job = ("serve", entries, warm, known, sequential, self.batched, self.checkpoint_every)
+            work.append((member, job))
+        crashed: List[Tuple[int, Entries, Checkpoints]] = []
+        for (member, entries), outcome in zip(groups, self.transport.exchange(work)):
+            if outcome[0] == "crashed":
+                self.crashed(member)
+                crashed.append((member, entries, outcome[1]))
+                continue
+            reply = outcome[1]
+            if reply[0] == "error":
+                self._fail(responses, member, entries, reply[1])
+                continue
+            _tag, results, publishes = reply
+            self._absorb(member, publishes)
+            self.breakers[member].record_success()
+            for index, response in results:
+                if attempts is not None:
+                    response.attempts = 1 + attempts.get(index, 0)
+                self._account(response, member, keymap.get(index))
+                responses[index] = response
+        return crashed
+
+    # -- crash recovery: migration, then redispatch ----------------------------
+
+    def _recovery_target(self, crashed: int) -> int:
+        """The member recovery work lands on, off the crashed one when possible.
+
+        In order: a live, breaker-admitted member; any live member; any
+        admitted member (a respawn or redial); else the crashed member's
+        ring-order successor — the crashed member itself when it is the only
+        one, a fresh process or connection restoring from plain data.
+        """
+        members = self.ring.nodes()
+        others = [member for member in members if member != crashed]
+        for member in others:
+            if self.transport.alive(member) and self.breakers[member].allow():
+                return member
+        for member in others:
+            if self.transport.alive(member):
+                return member
+        for member in others:
+            if self.breakers[member].allow():
+                return member
+        return members[(members.index(crashed) + 1) % len(members)]
+
+    def _backoff(self, wave: int) -> None:
+        if wave > 1:
+            self._sleeper(self.retry_policy.delay_seconds(wave - 1, self._retry_rng))
+
+    def _recover(
+        self,
+        responses: List[Optional[Response]],
+        crashed: int,
+        entries: Entries,
+        checkpoints: Checkpoints,
+        attempts: Dict[int, int],
+    ) -> None:
+        """Spend each crashed request's retry budget: migrate, then redispatch.
+
+        ``checkpoints`` holds the last snapshot streamed per coalesced group
+        before the crash; ``attempts`` the recovery attempts consumed per
+        batch index, shared across recursive recoveries so a request never
+        exceeds its :attr:`~repro.serve.request.Request.retry_budget`
+        however many members die under it.
+
+        Phase 1 resumes every checkpointed group with budget left on
+        :meth:`_recovery_target` (``migrated_from`` records the crash); a
+        target that dies mid-resume is crash-accounted and the groups retry
+        while their budgets last.  Phase 2 re-serves everything still
+        unresolved (no checkpoint, restore failure, budget spent in phase 1)
+        from scratch, one backoff-spaced wave per attempt, accounted like a
+        first dispatch; a target that dies too recurses with whatever *it*
+        streamed, so partial progress is never thrown away.
+        """
+        requests: Dict[int, Request] = dict(entries)
+
+        def budget(index: int) -> int:
+            return requests[index].retry_budget - attempts.get(index, 0)
+
+        def spend(indices: Sequence[int]) -> None:
+            for index in indices:
+                attempts[index] = attempts.get(index, 0) + 1
+
+        # -- phase 1: resume streamed checkpoints on a surviving member -------
+        eligible = [
+            (covered, payload)
+            for covered, payload in checkpoints.items()
+            if all(index in requests for index in covered) and budget(covered[0]) >= 1
+        ]
+        while eligible:
+            for covered, _payload in eligible:
+                spend(covered)
+            self.stats["retries"] += len(eligible)
+            self._backoff(max(attempts[covered[0]] for covered, _payload in eligible))
+            target = self._recovery_target(crashed)
+            self._settle([target])
+            resume = ("resume", [(list(covered), payload) for covered, payload in eligible])
+            (outcome,) = self.transport.exchange([(target, resume)])
+            if outcome[0] == "crashed":
+                self.crashed(target)
+                eligible = [group for group in eligible if budget(group[0][0]) >= 1]
+                continue
+            reply = outcome[1]
+            if reply[0] != "resumed":
+                break  # a batch-level resume bug: fall through to redispatch
+            self.breakers[target].record_success()
+            for covered, response in reply[1]:
+                response.migrated_from = crashed
+                response.attempts = 1 + attempts.get(covered[0], 0)
+                for index in covered:
+                    if index == covered[0]:
+                        responses[index] = response
+                    else:
+                        responses[index] = replace(response, request=requests[index])
+                self.stats["migrations"] += 1
+            break  # groups that failed to restore stay unresolved for phase 2
+
+        # -- phase 2: redispatch everything still unresolved from scratch -----
+        pending = [(index, request) for index, request in entries if responses[index] is None]
+        while pending:
+            retryable = [(index, request) for index, request in pending if budget(index) >= 1]
+            if not retryable:
+                break
+            spend([index for index, _request in retryable])
+            self.stats["retries"] += len(retryable)
+            self.stats["redispatches"] += len(retryable)
+            self._backoff(max(attempts[index] for index, _request in retryable))
+            target = self._recovery_target(crashed)
+            failed = self._serve(responses, [(target, retryable)], False, attempts)
+            if failed:
+                # The redispatch target died too: recurse with whatever it
+                # streamed, so its partial progress is not thrown away.
+                self._recover(responses, target, retryable, failed[0][2], attempts)
+                break
+            pending = [(index, request) for index, request in pending if responses[index] is None]
+
+        # -- exhausted budgets end in a structured crash error ----------------
+        remaining = [(index, request) for index, request in entries if responses[index] is None]
+        if remaining:
+            self._fail(responses, crashed, remaining, self.lost)
+
+    # -- the shared store -----------------------------------------------------
+
+    def _warm_entries(
+        self, member: int, entries: Entries, keymap: Dict[int, StoreKey]
+    ) -> Tuple[List[Tuple[StoreKey, bytes]], List[StoreKey]]:
+        """``(warm, known)`` for one member's dispatch, store misses counted.
+
+        ``warm`` carries the payloads the member is missing; artifacts it
+        already received (or published) are not re-shipped.  ``known`` lists
+        every store-resident key the dispatch touches — payload or not — so
+        the member never re-publishes an artifact the store already holds.
+        A lookup that finds nothing counts as one miss per unique key per
+        dispatch.
+        """
+        warm: List[Tuple[StoreKey, bytes]] = []
+        known: List[StoreKey] = []
+        seen: Set[StoreKey] = set()
+        for index, request in entries:
+            store_key = self.router.pipeline_key(request)
+            if store_key is None:
+                continue
+            keymap[index] = store_key
+            if store_key in seen:
+                continue
+            seen.add(store_key)
+            entry = self.store.get(store_key)
+            if entry is None:
+                if store_key in self.unpicklable:
+                    # Known-unshareable: the member recompiles from source and
+                    # must not waste a failing export/pickle attempt on it.
+                    known.append(store_key)
+                else:
+                    self.stats["misses"] += 1
+                continue
+            known.append(store_key)
+            if (member, store_key) not in self._delivered:
+                warm.append((store_key, entry.payload))
+        return warm, known
+
+    def _absorb(self, member: int, publishes: Sequence[Tuple[StoreKey, Optional[bytes]]]) -> None:
+        for store_key, payload in publishes:
+            if payload is not None:
+                self.publish(store_key, payload, member)
+            elif store_key not in self.unpicklable:
+                self.unpicklable.add(store_key)
+                self.stats["unpicklable"] += 1
+
+    def publish(self, store_key: StoreKey, payload: bytes, publisher: int) -> bool:
+        """Offer an artifact to the store; False if the key is already held
+        (first publisher wins).  The publisher compiled it itself, so the
+        payload is never shipped back to it."""
+        if store_key in self.store:
+            return False
+        self.store[store_key] = _StoreEntry(payload, publisher)
+        self._delivered.add((publisher, store_key))
+        self.stats["publishes"] += 1
+        return True
+
+    def _account(self, response: Response, member: int, store_key: Optional[StoreKey]) -> None:
+        """Store-hit accounting for one reply: a member whose publish the
+        store discarded (another published the key first, or the pickle
+        failed) did not publish; a hit on another member's artifact is a
+        cross-worker hit."""
+        entry = self.store.get(store_key) if store_key is not None else None
+        if response.published:
+            response.published = entry is not None and entry.publisher == member
+        if response.shared_cache_hit:
+            self.stats["hits"] += 1
+            if entry is not None and entry.publisher != member:
+                self.stats["cross_worker_hits"] += 1
+
+    # -- stats ----------------------------------------------------------------
+
+    def cache_stats(self) -> Dict[str, int]:
+        """Store entries, every counter, and the admission shed count.
+
+        ``hits`` counts requests whose compile was served by an artifact from
+        the shared store (``cross_worker_hits``: published by a *different*
+        member than the one serving — the pure cross-process wins);
+        ``misses`` counts unique store lookups that found nothing,
+        ``publishes`` artifacts accepted into the store, ``unpicklable``
+        publish attempts dropped because the artifact would not pickle,
+        ``migrations`` coalesced request groups resumed elsewhere from a
+        crashed member's streamed checkpoints, ``retries`` recovery attempts
+        consumed (``redispatches``: the from-scratch subset), ``reroutes``
+        placements moved off quarantined members, ``diverted`` placements
+        moved to a less-loaded ring candidate, and ``shed`` requests
+        rejected by admission control.
+        """
+        return {"entries": len(self.store), **self.stats, "shed": self.admission.shed_count}
+
+    def health_stats(self) -> Dict[str, Any]:
+        """Admission limits plus the recovery and placement counters."""
+        return {
+            "admission": self.admission.stats(),
+            **{key: self.stats[key] for key in POLICY_COUNTERS},
+        }

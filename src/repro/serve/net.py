@@ -9,32 +9,22 @@ machines.  Three pieces, one wire format (:mod:`repro.serve.wire`):
   the exact worker protocol the pool's pipe workers speak — ``("serve",
   ...)`` / ``("resume", ...)`` work tuples in ``REQUEST`` frames,
   slice-boundary ``CHECKPOINT`` frames streamed while a batch runs, one
-  terminal ``RESPONSE`` — by running the pool's own battle-tested shard
-  helpers (:func:`~repro.serve.pool._serve_shard` /
-  :func:`~repro.serve.pool._resume_shard`) over a
+  terminal ``RESPONSE`` — by running the shared worker-side handler
+  (:func:`~repro.serve.dispatch.handle_work`) over a
   :class:`~repro.serve.wire.FrameConnection`.  Blocking sockets are a
   deliberate choice here: ``sendall`` puts every checkpoint frame on the
   wire *before* the next slice runs, so the router holds each in-flight
   request's last boundary even if this worker dies abruptly mid-batch.
 
-* :class:`NetRouter` — the asyncio-streams front end.  Placement is a
-  consistent-hash ring over endpoint ids (:mod:`repro.serve.ring`) layered
-  with load-aware dispatch per the
-  :class:`~repro.serve.reliability.DispatchPolicy`: least-loaded among the
-  top-k ring candidates, fed by router-tracked inflight counts plus
-  heartbeat-reported queue depths, with ``Request.affinity`` demoted to a
-  locality hint (it picks the candidate *set*, not the final endpoint).
-  Workers join and leave at runtime (``add_worker`` / ``remove_worker``)
-  and only the ring arcs they own move.  The pool's reliability policy
-  carries over the wire: per-endpoint circuit breakers (a dead connection
-  is a breaker failure ⇒ quarantine), per-attempt frame deadlines
+* :class:`NetRouter` — the asyncio-streams front end: the framed-TCP
+  transport of the :class:`~repro.serve.dispatch.Dispatcher` the pool also
+  runs, so placement, the artifact store, and recovery off dropped
+  connections are the pool's.  The router adds what only the network has:
+  workers join and leave at runtime (``add_worker`` / ``remove_worker``,
+  moving only the ring arcs they own), per-attempt frame deadlines
   (``attempt_timeout_seconds`` turns a slow link into a structured drop),
-  and two-phase crash recovery — resume the victim's streamed checkpoints
-  on a surviving endpoint (*migration*), then redispatch the rest from
-  scratch, all bounded by each request's ``retry_budget``.  The shared
-  artifact store lives here too, warming every endpoint's pipeline LRU and
-  answering ``FETCH``/``PUBLISH`` frames from clients, so new fleet members
-  skip compilation.  With no endpoints registered the router serves batches
+  heartbeat-reported queue depths, and ``FETCH``/``PUBLISH`` store access
+  for clients.  With no endpoints registered the router serves batches
   locally on its own scheduler — a router is never less capable than the
   single-process tier it fronts.
 
@@ -43,47 +33,33 @@ machines.  Three pieces, one wire format (:mod:`repro.serve.wire`):
   exchange, artifact-store access, stats.
 
 Determinism: placement is pure sha256 ring math; load-aware choice uses
-only router-tracked queue depths built while the batch is being placed (and
-idle-time heartbeat reports), so the same batch against the same fleet
-places the same way every run — which is what lets
-``bench_serving.py --check --net`` gate net results == the sequential
-baseline, and ``--net --chaos`` gate recovery under injected ``net.drop`` /
-``net.slow`` faults (:mod:`repro.serve.faults`).
+only load built while the batch is being placed (and idle-time heartbeat
+reports), so the same batch against the same fleet places the same way
+every run — which is what lets ``bench_serving.py --check --net`` gate net
+results == the sequential baseline, and ``--net --chaos`` gate recovery
+under injected ``net.drop`` / ``net.slow`` faults (:mod:`repro.serve.faults`).
 """
 
 from __future__ import annotations
 
 import asyncio
-import random
 import socket
 import threading
 import time
-from dataclasses import replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.serve.dispatch import POLICY_COUNTERS, STORE_COUNTERS, Dispatcher, handle_work
 from repro.serve.faults import FaultPlan
-from repro.serve.pool import (
-    _resume_shard,
-    _serve_shard,
-    _StoreEntry,
-    default_scheduler_factory,
-)
-from repro.serve.reliability import (
-    AdmissionController,
-    BreakerPolicy,
-    CircuitBreaker,
-    DispatchPolicy,
-    RetryPolicy,
-)
+from repro.serve.pool import default_scheduler_factory
+from repro.serve.reliability import AdmissionController, BreakerPolicy, DispatchPolicy, RetryPolicy
 from repro.serve.request import Request, Response
-from repro.serve.ring import DEFAULT_VIRTUAL_NODES, HashRing
+from repro.serve.ring import DEFAULT_VIRTUAL_NODES
 from repro.serve.scheduler import Scheduler, StoreKey
 from repro.serve.wire import (
     BYE,
     CHECKPOINT,
     ERROR,
     FETCH,
-    FRAME_NAMES,
     HEARTBEAT,
     HELLO,
     PUBLISH,
@@ -95,9 +71,12 @@ from repro.serve.wire import (
     ConnectionDropped,
     FrameConnection,
     ProtocolError,
+    expect_frame,
+    hello_rejection,
     read_frame,
     recv_frame,
     send_frame,
+    unexpected_frame,
     write_frame,
 )
 
@@ -252,26 +231,9 @@ class NetWorker:
     def _serve_connection(self, sock: socket.socket, scheduler: Scheduler) -> None:
         try:
             frame_type, body = recv_frame(sock)
-            if frame_type != HELLO:
-                send_frame(
-                    sock,
-                    ERROR,
-                    {"code": "protocol", "message": "first frame must be HELLO"},
-                )
-                return
-            version = body.get("version") if isinstance(body, dict) else None
-            if version != WIRE_VERSION:
-                send_frame(
-                    sock,
-                    ERROR,
-                    {
-                        "code": "version",
-                        "message": (
-                            f"endpoint {self.endpoint_id} speaks wire version "
-                            f"{WIRE_VERSION}, peer offered {version!r}"
-                        ),
-                    },
-                )
+            rejection = hello_rejection(frame_type, body, f"endpoint {self.endpoint_id}")
+            if rejection is not None:
+                send_frame(sock, ERROR, rejection)
                 return
             send_frame(
                 sock,
@@ -291,14 +253,7 @@ class NetWorker:
                     send_frame(sock, frame_type, self._load_stats())
                     continue
                 if frame_type != REQUEST:
-                    send_frame(
-                        sock,
-                        ERROR,
-                        {
-                            "code": "protocol",
-                            "message": f"unexpected {FRAME_NAMES.get(frame_type, frame_type)}",
-                        },
-                    )
+                    send_frame(sock, ERROR, unexpected_frame(frame_type))
                     return
                 self._handle_work(body, scheduler, connection)
         except ConnectionDropped:
@@ -313,33 +268,14 @@ class NetWorker:
             return
 
     def _handle_work(self, message: tuple, scheduler: Scheduler, connection: FrameConnection) -> None:
-        tag = message[0]
+        self._inflight = len(message[1]) if message[0] in ("serve", "resume") else 0
         try:
-            if tag == "resume":
-                self._inflight = len(message[1])
-                reply = _resume_shard(scheduler, self.endpoint_id, message[1])
-            elif tag == "serve":
-                _tag, entries, warm, known, sequential, batched, checkpoint_every = message
-                self._inflight = len(entries)
-                reply = _serve_shard(
-                    scheduler,
-                    self.endpoint_id,
-                    entries,
-                    warm,
-                    known,
-                    sequential,
-                    batched,
-                    checkpoint_every,
-                    connection,
-                )
-            else:
-                reply = ("error", f"unknown work tag {tag!r}")
-        except ConnectionDropped:
+            # An injected net.drop / a vanished router abandons the connection.
+            reply = handle_work(
+                scheduler, self.endpoint_id, message, connection, abandon_on_drop=True
+            )
+        finally:
             self._inflight = 0
-            raise  # injected net.drop / router gone: abandon the connection
-        except Exception as error:  # noqa: BLE001 — a batch bug must not kill the worker
-            reply = ("error", f"{type(error).__name__}: {error}")
-        self._inflight = 0
         plan = getattr(scheduler, "fault_plan", None)
         if plan is not None:
             slow = plan.fire("net.slow")
@@ -364,33 +300,26 @@ class _Endpoint:
         "port",
         "reader",
         "writer",
-        "breaker",
         "inflight",
         "queue_depth",
         "served",
         "dispatches",
-        "delivered",
     )
 
-    def __init__(self, endpoint_id: int, host: str, port: int, breaker: CircuitBreaker):
+    def __init__(self, endpoint_id: int, host: str, port: int):
         self.endpoint_id = endpoint_id
         self.host = host
         self.port = port
         self.reader = None
         self.writer = None
-        self.breaker = breaker
-        #: Requests this router has in flight on the endpoint right now —
-        #: the primary load signal for least-loaded dispatch.
+        #: Requests this router has in flight on the endpoint right now.
         self.inflight = 0
         #: The endpoint's own last heartbeat-reported queue depth (work this
-        #: router does not know about: other routers, local submissions).
+        #: router does not know about: other routers, local submissions) —
+        #: the load its transport reports to placement.
         self.queue_depth = 0
         self.served = 0
         self.dispatches = 0
-        #: Store keys already shipped to this endpoint (cleared on drop —
-        #: after a reconnect the worker's cache state is unknown, so the
-        #: router conservatively re-ships).
-        self.delivered: Set[StoreKey] = set()
 
 
 class _AttemptTimeout(Exception):
@@ -403,11 +332,12 @@ class NetRouter:
     Runs its asyncio machinery on a dedicated daemon thread so the public
     surface stays synchronous (``start`` / ``add_worker`` / ``run_batch`` /
     ``stats`` / ``stop``) and composes with the rest of the repo's blocking
-    test and bench code.  See the module docstring for the architecture;
-    constructor knobs mirror :class:`~repro.serve.pool.WorkerPool` where
-    the concept carries over (retry/breaker/admission policy, checkpoint
-    cadence, scheduler factory) and add the network-tier
-    :class:`~repro.serve.reliability.DispatchPolicy` plus ring geometry.
+    test and bench code.  The router is the framed-TCP transport of a
+    :class:`~repro.serve.dispatch.Dispatcher`: a batch runs the dispatcher
+    on an executor thread under ``_dispatch_lock``, and each exchange hops
+    back onto the router loop to drive every endpoint concurrently.
+    Constructor knobs match the pool's where the concept carries over and
+    add the network-tier :class:`~repro.serve.reliability.DispatchPolicy`.
     """
 
     def __init__(
@@ -428,36 +358,27 @@ class NetRouter:
         clock: Callable[[], float] = time.monotonic,
     ):
         self.slice_steps = slice_steps
-        self.batched = batched
-        self.checkpoint_every = checkpoint_every
         self.dispatch = dispatch or DispatchPolicy()
-        self.retry_policy = retry_policy or RetryPolicy()
-        self._retry_rng = random.Random(retry_seed)
-        self._breaker_policy = breaker_policy or BreakerPolicy()
-        self._clock = clock
-        self._admission = AdmissionController(
-            max_batch=max_batch, max_inflight=max_inflight_per_endpoint
-        )
         self._scheduler = scheduler_factory(slice_steps)
-        self._ring: HashRing[int] = HashRing(virtual_nodes=virtual_nodes)
         self._endpoints: Dict[int, _Endpoint] = {}
-        self._store: Dict[StoreKey, _StoreEntry] = {}
-        self._unpicklable: Set[StoreKey] = set()
-        self._stats = {
-            "hits": 0,
-            "cross_worker_hits": 0,
-            "misses": 0,
-            "publishes": 0,
-            "unpicklable": 0,
-            "drops": 0,
-            "timeouts": 0,
-            "migrations": 0,
-            "retries": 0,
-            "redispatches": 0,
-            "reroutes": 0,
-            "diverted": 0,
-            "served_locally": 0,
-        }
+        self._counters = {"drops": 0, "timeouts": 0, "served_locally": 0}
+        self._dispatcher = Dispatcher(
+            self,
+            self._scheduler,
+            slice_steps,
+            label="endpoint",
+            lost="connection lost while serving the batch",
+            batched=batched,
+            checkpoint_every=checkpoint_every,
+            placement=self.dispatch,
+            virtual_nodes=virtual_nodes,
+            retry_policy=retry_policy,
+            retry_seed=retry_seed,
+            breaker_policy=breaker_policy,
+            admission=AdmissionController(max_batch, max_inflight_per_endpoint),
+            clock=clock,
+            fallback=self._serve_local,
+        )
         self._host = host
         self._requested_port = port
         self._port: Optional[int] = None
@@ -565,29 +486,31 @@ class NetRouter:
         return sorted(self._endpoints)
 
     async def _add_worker(self, host: str, port: int) -> int:
-        for endpoint in self._endpoints.values():
-            if (endpoint.host, endpoint.port) == (host, port):
-                # Checked before dialing: a registered worker's only
-                # conversation slot is busy serving us, so a duplicate dial
-                # would wait forever for its WELCOME.
-                raise ValueError(
-                    f"endpoint {endpoint.endpoint_id} already serves {host}:{port}"
-                )
-        probe = _Endpoint(-1, host, port, CircuitBreaker(self._breaker_policy, self._clock))
-        await self._ensure_connection(probe)
-        endpoint_id = probe.endpoint_id
-        if endpoint_id in self._endpoints:
-            await self._close_endpoint(probe, farewell=True)
-            raise ValueError(f"endpoint {endpoint_id} is already registered")
-        self._endpoints[endpoint_id] = probe
-        self._ring.add(endpoint_id)
-        return endpoint_id
+        async with self._dispatch_lock:
+            for endpoint in self._endpoints.values():
+                if (endpoint.host, endpoint.port) == (host, port):
+                    # Checked before dialing: a registered worker's only
+                    # conversation slot is busy serving us, so a duplicate dial
+                    # would wait forever for its WELCOME.
+                    raise ValueError(
+                        f"endpoint {endpoint.endpoint_id} already serves {host}:{port}"
+                    )
+            probe = _Endpoint(-1, host, port)
+            await self._ensure_connection(probe)
+            endpoint_id = probe.endpoint_id
+            if endpoint_id in self._endpoints:
+                await self._close_endpoint(probe, farewell=True)
+                raise ValueError(f"endpoint {endpoint_id} is already registered")
+            self._endpoints[endpoint_id] = probe
+            self._dispatcher.add_member(endpoint_id)
+            return endpoint_id
 
     async def _remove_worker(self, endpoint_id: int) -> None:
-        endpoint = self._endpoints.pop(endpoint_id, None)
-        self._ring.remove(endpoint_id)
-        if endpoint is not None:
-            await self._close_endpoint(endpoint, farewell=True)
+        async with self._dispatch_lock:
+            endpoint = self._endpoints.pop(endpoint_id, None)
+            self._dispatcher.remove_member(endpoint_id)
+            if endpoint is not None:
+                await self._close_endpoint(endpoint, farewell=True)
 
     async def _close_endpoint(self, endpoint: _Endpoint, farewell: bool = False) -> None:
         if endpoint.writer is None:
@@ -612,13 +535,8 @@ class NetRouter:
         reader, writer = await asyncio.open_connection(endpoint.host, endpoint.port)
         try:
             await write_frame(writer, HELLO, {"version": WIRE_VERSION, "role": "router"})
-            frame_type, body = await self._timed_read(reader)
-            if frame_type == ERROR:
-                raise ProtocolError(
-                    f"endpoint {endpoint.host}:{endpoint.port} rejected us: "
-                    f"{body.get('code')}: {body.get('message')}"
-                )
-            if frame_type != WELCOME or body.get("version") != WIRE_VERSION:
+            body = expect_frame(await self._timed_read(reader), WELCOME)
+            if body.get("version") != WIRE_VERSION:
                 raise ProtocolError(
                     f"endpoint {endpoint.host}:{endpoint.port} sent a bad WELCOME"
                 )
@@ -641,65 +559,65 @@ class NetRouter:
         except asyncio.TimeoutError as error:
             raise _AttemptTimeout() from error
 
-    def _drop(self, endpoint: _Endpoint, timed_out: bool = False) -> None:
-        """Account one dead/abandoned worker connection: breaker + reconnect."""
-        self._stats["drops"] += 1
-        if timed_out:
-            self._stats["timeouts"] += 1
-        endpoint.breaker.record_failure()
-        if endpoint.writer is not None:
-            try:
-                endpoint.writer.close()
-            except Exception:  # noqa: BLE001
-                pass
-        endpoint.reader = endpoint.writer = None
-        endpoint.delivered.clear()
-
     async def _exchange(self, endpoint: _Endpoint, work: tuple):
         """One work round-trip: send, drain checkpoints, terminal reply.
 
-        Returns ``("reply", reply_tuple, checkpoints)`` or ``("crashed",
-        checkpoints)`` — where ``checkpoints`` maps covered index tuples to
-        the *last* streamed checkpoint payload per group, exactly the shape
-        :meth:`_recover` consumes.  Every failure mode (dial refused, EOF
-        mid-stream, per-attempt deadline, protocol garbage) lands in
-        ``"crashed"`` after breaker accounting; callers never see transport
-        exceptions.
+        Returns a :class:`~repro.serve.dispatch.Transport` outcome.  Every
+        failure mode (dial refused, EOF mid-stream, per-attempt deadline,
+        protocol garbage) lands in ``"crashed"``; the dispatcher then
+        accounts the drop through :meth:`teardown`.
         """
         checkpoints: Dict[Tuple[int, ...], bytes] = {}
+        endpoint.inflight = len(work[1])
         try:
             reader, writer = await self._ensure_connection(endpoint)
-        except (ConnectionDropped, ProtocolError, OSError):
-            self._drop(endpoint)
-            return ("crashed", checkpoints)
-        except _AttemptTimeout:
-            self._drop(endpoint, timed_out=True)
-            return ("crashed", checkpoints)
-        endpoint.dispatches += 1
-        try:
+            endpoint.dispatches += 1
             await write_frame(writer, REQUEST, work)
-        except ConnectionDropped:
-            self._drop(endpoint)
-            return ("crashed", checkpoints)
-        while True:
-            try:
+            while True:
                 frame_type, body = await self._timed_read(reader)
-            except (ConnectionDropped, ProtocolError):
-                self._drop(endpoint)
-                return ("crashed", checkpoints)
-            except _AttemptTimeout:
-                self._drop(endpoint, timed_out=True)
-                return ("crashed", checkpoints)
-            if frame_type == CHECKPOINT:
+                if frame_type != CHECKPOINT:
+                    break
                 covered, payload = body
                 checkpoints[tuple(covered)] = payload
-                continue
-            if frame_type == RESPONSE:
-                return ("reply", body, checkpoints)
-            self._drop(endpoint)
+        except _AttemptTimeout:
+            self._counters["timeouts"] += 1
             return ("crashed", checkpoints)
+        except (ConnectionDropped, ProtocolError, OSError):
+            return ("crashed", checkpoints)
+        finally:
+            endpoint.inflight = 0
+        if frame_type != RESPONSE:
+            return ("crashed", checkpoints)
+        if body[0] in ("ok", "resumed"):
+            endpoint.served += len(body[1])
+        return ("reply", body, checkpoints)
 
-    # -- placement -------------------------------------------------------------
+    # -- the framed-TCP transport ----------------------------------------------
+
+    def alive(self, endpoint_id: int) -> bool:
+        return self._endpoints[endpoint_id].writer is not None
+
+    def load(self, endpoint_id: int) -> int:
+        return self._endpoints[endpoint_id].queue_depth
+
+    def exchange(self, work):
+        """Drive every endpoint's exchange concurrently on the router loop."""
+        return self._call(self._gather(work))
+
+    async def _gather(self, work):
+        endpoints = self._endpoints
+        return await asyncio.gather(*(self._exchange(endpoints[eid], job) for eid, job in work))
+
+    def teardown(self, endpoint_id: int) -> None:
+        """Count one dead/abandoned connection and close it; the next
+        exchange redials."""
+        self._counters["drops"] += 1
+        endpoint = self._endpoints.get(endpoint_id)
+        if endpoint is not None and endpoint.writer is not None:
+            self._loop.call_soon_threadsafe(endpoint.writer.close)
+            endpoint.reader = endpoint.writer = None
+
+    # -- placement and dispatch --------------------------------------------------
 
     def endpoint_for(self, request: Request) -> int:
         """Pure ring placement preview (no load, no quarantine, no dispatch)."""
@@ -707,45 +625,7 @@ class NetRouter:
         return self._call(self._preview(key))
 
     async def _preview(self, key: str) -> int:
-        return self._ring.node_for(key)
-
-    def _load(self, endpoint_id: int) -> int:
-        endpoint = self._endpoints[endpoint_id]
-        return endpoint.inflight + endpoint.queue_depth
-
-    def _place(self, request: Request) -> Tuple[int, Optional[int]]:
-        """``(endpoint_id, rerouted_from)`` for one request.
-
-        Mirrors :meth:`WorkerPool._place` over ring candidates: breaker-
-        quarantined endpoints are skipped (``rerouted_from`` names a home
-        that was), and with ``balance_load`` the least-loaded of the first
-        ``top_k`` admitted candidates wins, ties toward the home end.
-        """
-        order = self._ring.candidates(self._scheduler.placement_key(request))
-        home = order[0]
-        if len(order) == 1:
-            return home, None
-        k = self.dispatch.top_k if self.dispatch.balance_load else 1
-        admitted = [eid for eid in order[:k] if self._endpoints[eid].breaker.allow()]
-        if not admitted:
-            for eid in order[k:]:
-                if self._endpoints[eid].breaker.allow():
-                    self._stats["reroutes"] += 1
-                    return eid, home
-            return home, None
-        if len(admitted) == 1:
-            chosen = admitted[0]
-        else:
-            chosen = min(admitted, key=lambda eid: (self._load(eid), order.index(eid)))
-        if chosen == home:
-            return home, None
-        if home not in admitted:
-            self._stats["reroutes"] += 1
-            return chosen, home
-        self._stats["diverted"] += 1
-        return chosen, None
-
-    # -- dispatch --------------------------------------------------------------
+        return self._dispatcher.ring.node_for(key)
 
     def run_batch(self, requests: Sequence[Request]) -> List[Response]:
         """Serve a batch through the fleet; responses in request order."""
@@ -755,287 +635,17 @@ class NetRouter:
         """The differential baseline: the router's own scheduler, no network."""
         return self._scheduler.serve_sequential(requests)
 
-    def _reject_overload(self, request: Request) -> Response:
-        self._admission.count_shed()
-        return Response(request=request, rejected_overload=True)
-
-    def _fail_group(self, responses, endpoint_id: int, entries, message: str) -> None:
-        for index, request in entries:
-            failed = Response(request=request)
-            failed.shard = endpoint_id
-            failed.error = f"endpoint {endpoint_id}: {message}"
-            responses[index] = failed
-
-    async def _serve_local(self, responses, entries) -> None:
-        """No endpoints registered: the router's scheduler serves directly.
-
-        Runs on an executor thread — the scheduler's driver owns its own
-        event loop and must not nest inside the router's.
-        """
-        requests = [request for _index, request in entries]
-        self._stats["served_locally"] += len(requests)
-        loop = asyncio.get_event_loop()
-        served = await loop.run_in_executor(None, lambda: self._scheduler.serve(requests))
-        for (index, _request), response in zip(entries, served):
-            responses[index] = response
-
     async def _dispatch(self, requests: List[Request]) -> List[Response]:
+        """Run the dispatcher off-loop: its exchanges and recovery backoff
+        block, and its transport calls back into this loop."""
         async with self._dispatch_lock:
-            responses: List[Optional[Response]] = [None] * len(requests)
-            admitted = self._admission.batch_cutoff(len(requests))
-            for index in range(admitted, len(requests)):
-                responses[index] = self._reject_overload(requests[index])
-            head = list(enumerate(requests[:admitted]))
-            if not self._endpoints:
-                await self._serve_local(responses, head)
-                return responses  # type: ignore[return-value]
+            loop = asyncio.get_event_loop()
+            return await loop.run_in_executor(None, self._dispatcher.run_batch, requests)
 
-            groups: Dict[int, List[Tuple[int, Request]]] = {}
-            rerouted: Dict[int, int] = {}
-            for index, request in head:
-                endpoint_id, rerouted_from = self._place(request)
-                queue = groups.setdefault(endpoint_id, [])
-                if not self._admission.admit_to_shard(len(queue)):
-                    responses[index] = self._reject_overload(request)
-                    continue
-                if rerouted_from is not None:
-                    rerouted[index] = rerouted_from
-                queue.append((index, request))
-                self._endpoints[endpoint_id].inflight += 1
-
-            keymap: Dict[int, StoreKey] = {}
-            ordered = sorted(groups)
-            tasks = []
-            for endpoint_id in ordered:
-                endpoint = self._endpoints[endpoint_id]
-                entries = groups[endpoint_id]
-                warm, known = self._warm_entries(endpoint, entries, keymap)
-                endpoint.delivered.update(store_key for store_key, _payload in warm)
-                work = (
-                    "serve",
-                    entries,
-                    warm,
-                    known,
-                    False,
-                    self.batched,
-                    self.checkpoint_every,
-                )
-                tasks.append(asyncio.ensure_future(self._exchange(endpoint, work)))
-            outcomes = await asyncio.gather(*tasks)
-
-            crashed: List[Tuple[int, List[Tuple[int, Request]], Dict[Tuple[int, ...], bytes]]] = []
-            for endpoint_id, outcome in zip(ordered, outcomes):
-                endpoint = self._endpoints.get(endpoint_id)
-                entries = groups[endpoint_id]
-                if endpoint is not None:
-                    endpoint.inflight = max(0, endpoint.inflight - len(entries))
-                if outcome[0] == "crashed":
-                    crashed.append((endpoint_id, entries, outcome[1]))
-                    continue
-                reply = outcome[1]
-                if reply[0] == "error":
-                    self._fail_group(responses, endpoint_id, entries, reply[1])
-                    continue
-                _tag, results, publishes = reply
-                self._absorb(endpoint_id, publishes)
-                if endpoint is not None:
-                    endpoint.breaker.record_success()
-                    endpoint.served += len(results)
-                for index, response in results:
-                    self._account_store_hit(response, endpoint_id, keymap.get(index))
-                    responses[index] = response
-            for endpoint_id, entries, checkpoints in crashed:
-                await self._recover(responses, endpoint_id, entries, checkpoints, {})
-            for index, home in rerouted.items():
-                response = responses[index]
-                if response is not None and response.rerouted_from is None:
-                    response.rerouted_from = home
-            return responses  # type: ignore[return-value]
-
-    def _account_store_hit(
-        self, response: Response, endpoint_id: int, store_key: Optional[StoreKey]
-    ) -> None:
-        if response.published:
-            entry = self._store.get(store_key) if store_key is not None else None
-            response.published = entry is not None and entry.publisher == endpoint_id
-        if response.shared_cache_hit:
-            self._stats["hits"] += 1
-            entry = self._store.get(store_key) if store_key is not None else None
-            if entry is not None and entry.publisher != endpoint_id:
-                self._stats["cross_worker_hits"] += 1
-
-    # -- crash recovery: migration, then redispatch ----------------------------
-
-    def _recovery_target(self, crashed_id: int) -> Optional[int]:
-        """The endpoint recovery work lands on: a connected, breaker-admitted
-        survivor when one exists, else any other endpoint (a fresh dial),
-        else the crashed endpoint itself — a reconnect is the network analog
-        of the pool's respawn."""
-        others = [eid for eid in sorted(self._endpoints) if eid != crashed_id]
-        for eid in others:
-            endpoint = self._endpoints[eid]
-            if endpoint.writer is not None and endpoint.breaker.allow():
-                return eid
-        for eid in others:
-            if self._endpoints[eid].breaker.allow():
-                return eid
-        if others:
-            return others[0]
-        return crashed_id if crashed_id in self._endpoints else None
-
-    async def _recover(
-        self,
-        responses,
-        crashed_id: int,
-        entries: Sequence[Tuple[int, Request]],
-        checkpoints: Dict[Tuple[int, ...], bytes],
-        attempts: Dict[int, int],
-    ) -> None:
-        """The pool's two-phase recovery, over the wire.
-
-        Phase 1 resumes the crashed dispatch's streamed checkpoints on a
-        surviving endpoint (*migration*; cumulative slice accounting and
-        ``migrated_from`` exactly as in-process).  Phase 2 redispatches
-        everything still unresolved from scratch, one backoff-spaced wave
-        per attempt; a redispatch target that drops recurses with whatever
-        *it* streamed.  Both phases spend the per-request ``retry_budget``
-        through the shared ``attempts`` map; exhausted budgets keep the
-        whole-group failure semantics (a structured ``error``).
-        """
-        requests: Dict[int, Request] = dict(entries)
-
-        def budget(index: int) -> int:
-            return requests[index].retry_budget - attempts.get(index, 0)
-
-        # -- phase 1: resume streamed checkpoints elsewhere --------------------
-        eligible = [
-            (tuple(covered), payload)
-            for covered, payload in checkpoints.items()
-            if all(index in requests for index in covered) and budget(covered[0]) >= 1
-        ]
-        while eligible:
-            for covered, _payload in eligible:
-                for index in covered:
-                    attempts[index] = attempts.get(index, 0) + 1
-            self._stats["retries"] += len(eligible)
-            wave = max(attempts[covered[0]] for covered, _payload in eligible)
-            if wave > 1:
-                await asyncio.sleep(self.retry_policy.delay_seconds(wave - 1, self._retry_rng))
-            target = self._recovery_target(crashed_id)
-            if target is None:
-                break
-            endpoint = self._endpoints[target]
-            outcome = await self._exchange(
-                endpoint, ("resume", [(list(c), p) for c, p in eligible])
-            )
-            if outcome[0] == "crashed":
-                eligible = [(c, p) for c, p in eligible if budget(c[0]) >= 1]
-                continue
-            reply = outcome[1]
-            if reply[0] != "resumed":
-                break  # a batch-level resume bug: fall through to redispatch
-            _tag, results, _failures = reply
-            endpoint.breaker.record_success()
-            endpoint.served += len(results)
-            for covered, response in results:
-                response.migrated_from = crashed_id
-                response.attempts = 1 + attempts.get(covered[0], 0)
-                for index in covered:
-                    if index == covered[0]:
-                        responses[index] = response
-                    else:
-                        responses[index] = replace(response, request=requests[index])
-                self._stats["migrations"] += 1
-            break  # groups that failed to restore stay unresolved for phase 2
-
-        # -- phase 2: redispatch everything still unresolved from scratch ------
-        pending = [(index, request) for index, request in entries if responses[index] is None]
-        while pending:
-            retryable = [(index, request) for index, request in pending if budget(index) >= 1]
-            if not retryable:
-                break
-            for index, _request in retryable:
-                attempts[index] = attempts.get(index, 0) + 1
-            self._stats["retries"] += len(retryable)
-            self._stats["redispatches"] += len(retryable)
-            wave = max(attempts[index] for index, _request in retryable)
-            if wave > 1:
-                await asyncio.sleep(self.retry_policy.delay_seconds(wave - 1, self._retry_rng))
-            target = self._recovery_target(crashed_id)
-            if target is None:
-                break
-            endpoint = self._endpoints[target]
-            keymap: Dict[int, StoreKey] = {}
-            warm, known = self._warm_entries(endpoint, retryable, keymap)
-            endpoint.delivered.update(store_key for store_key, _payload in warm)
-            outcome = await self._exchange(
-                endpoint,
-                ("serve", retryable, warm, known, False, self.batched, self.checkpoint_every),
-            )
-            if outcome[0] == "crashed":
-                # The redispatch target dropped too: recurse with whatever it
-                # streamed, so its partial progress is not thrown away.
-                await self._recover(responses, target, retryable, outcome[1], attempts)
-                return
-            reply = outcome[1]
-            if reply[0] == "error":
-                self._fail_group(responses, target, retryable, reply[1])
-                return
-            _tag, results, publishes = reply
-            self._absorb(target, publishes)
-            endpoint.breaker.record_success()
-            endpoint.served += len(results)
-            for index, response in results:
-                response.attempts = 1 + attempts.get(index, 0)
-                self._account_store_hit(response, target, keymap.get(index))
-                responses[index] = response
-            pending = [(index, request) for index, request in pending if responses[index] is None]
-
-        # -- exhausted budgets keep the whole-group failure semantics ----------
-        remaining = [(index, request) for index, request in entries if responses[index] is None]
-        if remaining:
-            self._fail_group(
-                responses, crashed_id, remaining, "connection lost while serving the batch"
-            )
-
-    # -- the shared artifact store ---------------------------------------------
-
-    def _warm_entries(self, endpoint: _Endpoint, entries, keymap: Dict[int, StoreKey]):
-        """``(warm, known)`` for one endpoint dispatch; mirrors the pool."""
-        warm: List[Tuple[StoreKey, bytes]] = []
-        known: List[StoreKey] = []
-        seen: Set[StoreKey] = set()
-        for index, request in entries:
-            store_key = self._scheduler.pipeline_key(request)
-            if store_key is None:
-                continue
-            keymap[index] = store_key
-            if store_key in seen:
-                continue
-            seen.add(store_key)
-            entry = self._store.get(store_key)
-            if entry is None:
-                if store_key in self._unpicklable:
-                    known.append(store_key)
-                else:
-                    self._stats["misses"] += 1
-                continue
-            known.append(store_key)
-            if store_key not in endpoint.delivered:
-                warm.append((store_key, entry.payload))
-        return warm, known
-
-    def _absorb(self, endpoint_id: int, publishes) -> None:
-        for store_key, payload in publishes:
-            if payload is None:
-                if store_key not in self._unpicklable:
-                    self._unpicklable.add(store_key)
-                    self._stats["unpicklable"] += 1
-                continue
-            if store_key in self._store:
-                continue  # first publisher wins
-            self._store[store_key] = _StoreEntry(payload, endpoint_id)
-            self._stats["publishes"] += 1
+    def _serve_local(self, requests: List[Request]) -> List[Response]:
+        """No endpoints registered: the router's scheduler serves directly."""
+        self._counters["served_locally"] += len(requests)
+        return self._scheduler.serve(requests)
 
     # -- heartbeats ------------------------------------------------------------
 
@@ -1057,24 +667,20 @@ class NetRouter:
                 endpoint = self._endpoints[endpoint_id]
                 if endpoint.writer is None:
                     continue  # not connected: nothing to probe
+                alive[endpoint_id] = False
                 try:
                     await write_frame(endpoint.writer, HEARTBEAT, {"role": "router"})
                     frame_type, body = await self._timed_read(endpoint.reader)
-                except (ConnectionDropped, ProtocolError):
-                    self._drop(endpoint)
-                    alive[endpoint_id] = False
-                    continue
+                    alive[endpoint_id] = frame_type == HEARTBEAT and isinstance(body, dict)
                 except _AttemptTimeout:
-                    self._drop(endpoint, timed_out=True)
-                    alive[endpoint_id] = False
-                    continue
-                if frame_type == HEARTBEAT and isinstance(body, dict):
+                    self._counters["timeouts"] += 1
+                except (ConnectionDropped, ProtocolError):
+                    pass
+                if alive[endpoint_id]:
                     endpoint.queue_depth = body.get("queue_depth", 0)
                     endpoint.served = body.get("served", endpoint.served)
-                    alive[endpoint_id] = True
                 else:
-                    self._drop(endpoint)
-                    alive[endpoint_id] = False
+                    self._dispatcher.crashed(endpoint_id)
             return alive
 
     async def _heartbeat_loop(self) -> None:
@@ -1109,12 +715,14 @@ class NetRouter:
         }
 
     async def _snapshot(self) -> Dict[str, Any]:
+        dispatcher = self._dispatcher
+        counters = dispatcher.cache_stats()
         return {
             "endpoints": {
                 endpoint_id: {
                     "address": f"{endpoint.host}:{endpoint.port}",
                     "connected": endpoint.writer is not None,
-                    "breaker": endpoint.breaker.stats(),
+                    "breaker": dispatcher.breakers[endpoint_id].stats(),
                     "inflight": endpoint.inflight,
                     "queue_depth": endpoint.queue_depth,
                     "served": endpoint.served,
@@ -1123,59 +731,25 @@ class NetRouter:
                 for endpoint_id, endpoint in sorted(self._endpoints.items())
             },
             "ring": {
-                "virtual_nodes": self._ring.virtual_nodes,
-                "members": self._ring.nodes(),
+                "virtual_nodes": dispatcher.ring.virtual_nodes,
+                "members": dispatcher.ring.nodes(),
             },
             "placement": {
                 "top_k": self.dispatch.top_k,
                 "balance_load": self.dispatch.balance_load,
                 "attempt_timeout_seconds": self.dispatch.attempt_timeout_seconds,
             },
-            "store": {
-                "entries": len(self._store),
-                "hits": self._stats["hits"],
-                "cross_worker_hits": self._stats["cross_worker_hits"],
-                "misses": self._stats["misses"],
-                "publishes": self._stats["publishes"],
-                "unpicklable": self._stats["unpicklable"],
-            },
-            "counters": {
-                key: self._stats[key]
-                for key in (
-                    "drops",
-                    "timeouts",
-                    "migrations",
-                    "retries",
-                    "redispatches",
-                    "reroutes",
-                    "diverted",
-                    "served_locally",
-                )
-            },
-            "admission": self._admission.stats(),
+            "store": {key: counters[key] for key in ("entries",) + STORE_COUNTERS},
+            "counters": {**self._counters, **{key: counters[key] for key in POLICY_COUNTERS}},
+            "admission": dispatcher.admission.stats(),
         }
 
     async def _handle_client(self, reader, writer) -> None:
         try:
             frame_type, body = await read_frame(reader)
-            if frame_type != HELLO:
-                await write_frame(
-                    writer, ERROR, {"code": "protocol", "message": "first frame must be HELLO"}
-                )
-                return
-            version = body.get("version") if isinstance(body, dict) else None
-            if version != WIRE_VERSION:
-                await write_frame(
-                    writer,
-                    ERROR,
-                    {
-                        "code": "version",
-                        "message": (
-                            f"router speaks wire version {WIRE_VERSION}, "
-                            f"peer offered {version!r}"
-                        ),
-                    },
-                )
+            rejection = hello_rejection(frame_type, body, "router")
+            if rejection is not None:
+                await write_frame(writer, ERROR, rejection)
                 return
             await write_frame(
                 writer, WELCOME, {"version": WIRE_VERSION, "endpoint": "router", "stats": {}}
@@ -1194,27 +768,19 @@ class NetRouter:
                         writer, HEARTBEAT, {"role": "router", "endpoints": len(self._endpoints)}
                     )
                 elif frame_type == FETCH:
-                    entry = self._store.get(body)
+                    entry = self._dispatcher.store.get(body)
                     await write_frame(
                         writer, PUBLISH, (body, entry.payload if entry is not None else None)
                     )
                 elif frame_type == PUBLISH:
                     store_key, payload = body
-                    stored = False
-                    if payload is not None and store_key not in self._store:
-                        self._store[store_key] = _StoreEntry(payload, EXTERNAL_PUBLISHER)
-                        self._stats["publishes"] += 1
-                        stored = True
+                    async with self._dispatch_lock:  # a batch may be absorbing publishes
+                        stored = payload is not None and self._dispatcher.publish(
+                            store_key, payload, EXTERNAL_PUBLISHER
+                        )
                     await write_frame(writer, PUBLISH, (store_key, stored))
                 else:
-                    await write_frame(
-                        writer,
-                        ERROR,
-                        {
-                            "code": "protocol",
-                            "message": f"unexpected {FRAME_NAMES.get(frame_type, frame_type)}",
-                        },
-                    )
+                    await write_frame(writer, ERROR, unexpected_frame(frame_type))
                     return
         except (ConnectionDropped, ProtocolError):
             return
@@ -1249,13 +815,7 @@ class NetClient:
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         try:
             send_frame(self._sock, HELLO, {"version": version, "role": "client"})
-            frame_type, body = recv_frame(self._sock)
-            if frame_type == ERROR:
-                raise ProtocolError(f"{body.get('code')}: {body.get('message')}")
-            if frame_type != WELCOME:
-                raise ProtocolError(
-                    f"expected WELCOME, got {FRAME_NAMES.get(frame_type, frame_type)}"
-                )
+            expect_frame(recv_frame(self._sock), WELCOME)
         except BaseException:
             self._sock.close()
             raise
@@ -1280,14 +840,7 @@ class NetClient:
 
     def _roundtrip(self, frame_type: int, body: Any, expected: int) -> Any:
         send_frame(self._sock, frame_type, body)
-        got, reply = recv_frame(self._sock)
-        if got == ERROR:
-            raise ProtocolError(f"{reply.get('code')}: {reply.get('message')}")
-        if got != expected:
-            raise ProtocolError(
-                f"expected {FRAME_NAMES[expected]}, got {FRAME_NAMES.get(got, got)}"
-            )
-        return reply
+        return expect_frame(recv_frame(self._sock), expected)
 
     def run_batch(self, requests: Sequence[Request]) -> List[Response]:
         """Serve a batch through the router; responses in request order."""

@@ -8,67 +8,17 @@ backend heaps and pipeline LRUs confined to that process.  The
 each running its own ``Scheduler`` + ``StepSlicedDriver`` loop, and keeps
 the hot-program pipeline cache *shared* between them.
 
-Three mechanisms, all deterministic and all accounted per request:
-
-* **Sharding** — each request lands on a consistent-hash ring over the
-  worker indices (:mod:`repro.serve.ring`: sha256 virtual nodes,
-  process-stable unlike built-in ``hash``), keyed by the routed ``(system,
-  language, source)`` triple, so repeat submissions of a program return to
-  the same, already-warm worker — and a changed worker count remaps only
-  the keys the new/removed worker touches.  ``request.affinity`` overrides
-  the key per request to pin related requests together or spread a hot
-  program deliberately; with the ``balance_load``/``top_k`` knobs on, the
-  least-loaded of a request's first ``top_k`` ring candidates serves it
-  instead (the network router's default — see :mod:`repro.serve.net`).
-* **Cross-process pipeline-cache sharing** — when a worker's compile is an
-  LRU miss, it *publishes* the pickled
-  :class:`~repro.core.language.CompiledUnit` back to a parent-owned store
-  keyed by ``(system, language, source, frozen typecheck kwargs)``; at every
-  dispatch the parent sends each shard the stored artifacts its batch needs,
-  and the worker imports them into its frontend LRUs
-  (:meth:`~repro.core.language.LanguageFrontend.import_cache_entry`), so a
-  program compiled on one worker warms all of them.  An artifact that fails
-  to pickle (third-party compilers may close over functions) is simply not
-  published — other workers fall back to compiling from source, never to a
-  wrong artifact.  Hits, cross-worker hits, misses, publishes, and
-  unpicklable publishes are counted in :meth:`WorkerPool.cache_stats` and
-  surfaced per request on the :class:`~repro.serve.request.Response`
-  (``shared_cache_hit`` / ``published`` / ``shard``).
-* **Batched boundary crossings** — inside each shard the worker serves its
-  slice of the batch with :meth:`~repro.serve.scheduler.Scheduler.serve_batched`,
-  so identical requests (same program, typecheck environments, backend, and
-  fuel) share one VM instance and pay the pipeline/start/run cost once;
-  ``response.coalesced`` preserves the per-request accounting.
-
-Crash isolation — and the failure *policy* above it: while a batch runs,
-each worker streams every in-flight request's slice-boundary checkpoint (a
-reified machine-state snapshot, see :mod:`repro.serve.checkpoint`) to the
-parent at the ``checkpoint_every`` cadence.  A worker that dies mid-batch
-triggers :meth:`WorkerPool._recover`, which spends each affected request's
-:attr:`~repro.serve.request.Request.retry_budget` in two phases: first
-resuming the last streamed checkpoint on a surviving shard (*migration* —
-``migrated_from`` records the crash), then — for requests with no usable
-checkpoint, or whose migration target also died — redispatching from
-scratch, with exponential backoff + seeded jitter between waves
-(:class:`~repro.serve.reliability.RetryPolicy`).  Only requests whose
-budget runs out keep the old whole-shard failure (``error`` naming the
-crash); ``response.attempts`` counts every dispatch either way.
-
-Worker health is tracked per shard by a
-:class:`~repro.serve.reliability.CircuitBreaker` over a sliding crash
-window: a crash-looping shard's breaker *opens* and new traffic for it is
-deterministically re-placed on the nearest healthy shard
-(``response.rerouted_from`` names the quarantined home) instead of
-respawning forever; after the cooldown the breaker goes *half-open* and the
-next dispatch is a probe that respawns the worker — success closes the
-breaker, failure re-quarantines.  ``max_batch`` / ``max_inflight_per_shard``
-bound admission: overflow requests are shed with structured
-``rejected_overload`` responses (always the deterministic tail) rather than
-degrading the whole batch.  :meth:`WorkerPool.health_stats` exposes every
-breaker state, transition history, and shed/retry counter; a
+The pool is the pipe transport of :class:`~repro.serve.dispatch.Dispatcher`:
+it spawns the workers, sends every shard its work before draining any
+reply (so shards run in parallel), and reaps and respawns dead workers.
+The dispatcher shards over a consistent-hash ring of the worker indices,
+so repeat submissions of a program return to the same warm worker, shares
+compiled artifacts between workers through a parent-owned store, and
+recovers a crashed shard's requests from the checkpoints its worker
+streamed.  Inside each worker, identical requests coalesce onto one VM
+instance (``response.coalesced``).  A
 :class:`~repro.serve.faults.FaultPlan` handed to the pool rides into every
-worker (bound to its shard) so all of the above is exercised
-deterministically by the chaos harness.
+worker, bound to its shard, for the chaos harness.
 
 Workers are spawned with the ``spawn`` start method (no inherited state, the
 portable choice), which requires ``scheduler_factory`` to be an importable
@@ -79,25 +29,16 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
-import pickle
-import random
 import time
-from collections import OrderedDict
-from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.serve.dispatch import Dispatcher, handle_work
 from repro.serve.faults import FaultPlan
-from repro.serve.reliability import (
-    AdmissionController,
-    BreakerPolicy,
-    CircuitBreaker,
-    RetryPolicy,
-)
+from repro.serve.reliability import AdmissionController, BreakerPolicy, DispatchPolicy, RetryPolicy
 from repro.serve.request import Request, Response
 from repro.serve.ring import DEFAULT_VIRTUAL_NODES, HashRing
-from repro.serve.scheduler import Scheduler, StoreKey, make_default_scheduler
-from repro.serve.wire import ConnectionDropped
+from repro.serve.scheduler import Scheduler, make_default_scheduler
 
 __all__ = ["WorkerPool", "default_scheduler_factory", "shard_of", "static_shard_of"]
 
@@ -108,14 +49,12 @@ def default_scheduler_factory(slice_steps: int) -> Scheduler:
 
 
 def _shard_key(request: Request, router: Optional[Scheduler] = None) -> str:
+    """The router's :meth:`~repro.serve.scheduler.Scheduler.placement_key`;
+    without a router, the raw ``system`` spelling is hashed as-is."""
+    if router is not None:
+        return router.placement_key(request)
     if request.affinity is not None:
         return request.affinity
-    if router is not None:
-        # Hash the *routed* system, not the raw field: a request that spells
-        # the system explicitly and one that routes there implicitly are the
-        # same program and must land on the same warm worker.  Unroutable
-        # requests keep the raw spelling (they fail identically anywhere).
-        return router.placement_key(request)
     return "\x00".join((request.system or "", request.language, request.source))
 
 
@@ -160,19 +99,14 @@ def static_shard_of(request: Request, workers: int, router: Optional[Scheduler] 
 
 
 def _worker_main(connection, slice_steps: int, scheduler_factory, shard: int, fault_plan=None) -> None:
-    """One worker process: serve shard batches until told to stop.
+    """One worker process: serve work tuples until told to stop.
 
-    Messages in: ``("serve", entries, warm, known, sequential, batched,
-    checkpoint_every)`` with ``entries`` index-tagged requests, ``warm`` the
-    shared-store artifacts this batch can use, and ``known`` the store keys
-    the parent already holds (so the worker never re-publishes them);
-    ``("resume", items)`` with pickled checkpoints another shard streamed
-    before crashing; ``("stop",)`` exits the loop.  Messages out: while a
-    batch runs, zero or more ``("checkpoint", indices, payload)`` events
-    (one per slice-boundary snapshot), then the terminal ``("ok", results,
-    publishes)`` / ``("resumed", results, failures)`` / ``("error",
-    message)`` — an exception escaping one batch fails that batch, not the
-    worker.
+    Each message is a :func:`~repro.serve.dispatch.handle_work` work tuple
+    (``("serve", ...)`` or ``("resume", ...)``); while it runs, zero or more
+    ``("checkpoint", indices, payload)`` events stream back, then its
+    terminal reply.  ``("stop",)`` exits the loop.  An exception escaping
+    one batch — an injected ``net.drop`` included — becomes an ``("error",
+    message)`` reply that fails that batch, not the worker.
 
     ``fault_plan`` is this worker's copy of the pool's
     :class:`~repro.serve.faults.FaultPlan`, bound to ``shard`` so
@@ -185,198 +119,10 @@ def _worker_main(connection, slice_steps: int, scheduler_factory, shard: int, fa
         message = connection.recv()
         if message[0] == "stop":
             break
-        if message[0] == "resume":
-            _tag, items = message
-            try:
-                reply = _resume_shard(scheduler, shard, items)
-            except Exception as error:  # noqa: BLE001 — a batch bug must not kill the worker
-                connection.send(("error", f"{type(error).__name__}: {error}"))
-                continue
-            connection.send(reply)
-            continue
-        _tag, entries, warm, known, sequential, batched, checkpoint_every = message
-        try:
-            reply = _serve_shard(
-                scheduler, shard, entries, warm, known, sequential, batched, checkpoint_every, connection
-            )
-        except Exception as error:  # noqa: BLE001 — a batch bug must not kill the worker
-            connection.send(("error", f"{type(error).__name__}: {error}"))
-            continue
-        connection.send(reply)
-
-
-def _serve_shard(
-    scheduler: Scheduler,
-    shard: int,
-    entries: Sequence[Tuple[int, Request]],
-    warm: Sequence[Tuple[StoreKey, bytes]],
-    known: Sequence[StoreKey],
-    sequential: bool,
-    batched: bool,
-    checkpoint_every: Optional[int],
-    connection=None,
-) -> tuple:
-    """Serve one shard batch and report responses plus publishable artifacts."""
-    imported: Set[StoreKey] = set()
-    for store_key, payload in warm:
-        try:
-            unit = pickle.loads(payload)
-        except Exception:  # a stale/foreign payload falls back to compilation
-            continue
-        if scheduler.import_cache_entry(store_key, unit):
-            imported.add(store_key)
-
-    requests = [request for _index, request in entries]
-    keys = [scheduler.pipeline_key(request) for request in requests]
-    if checkpoint_every is not None and connection is not None and not sequential:
-        responses = _serve_streaming(
-            scheduler, entries, requests, batched, checkpoint_every, connection
-        )
-    elif batched:
-        responses = scheduler.serve_batched(requests, sequential=sequential)
-    else:
-        responses = scheduler.serve(requests, sequential=sequential)
-
-    publishes: List[Tuple[StoreKey, Optional[bytes]]] = []
-    # Keys the store already holds must not be re-exported, re-pickled, or
-    # re-flagged as published — the parent would only discard them.
-    already_published: Set[StoreKey] = set(known)
-    for response, store_key in zip(responses, keys):
-        response.shard = shard
-        if store_key is None:
-            continue
-        if store_key in imported:
-            response.shared_cache_hit = True
-        elif response.error is None and store_key not in already_published:
-            unit = scheduler.export_cache_entry(store_key)
-            if unit is None:
-                continue
-            already_published.add(store_key)
-            try:
-                payload = pickle.dumps(unit)
-            except Exception:  # unpicklable artifact: others recompile from source
-                payload = None
-            publishes.append((store_key, payload))
-            response.published = payload is not None
-    results = [(index, response) for (index, _request), response in zip(entries, responses)]
-    return ("ok", results, publishes)
-
-
-def _serve_streaming(
-    scheduler: Scheduler,
-    entries: Sequence[Tuple[int, Request]],
-    requests: Sequence[Request],
-    batched: bool,
-    checkpoint_every: int,
-    connection,
-) -> List[Response]:
-    """Serve one shard batch, streaming slice-boundary checkpoints upstream.
-
-    The production worker path: requests coalesce exactly as in
-    :meth:`~repro.serve.scheduler.Scheduler.serve_batched`, but the
-    representatives run through
-    :meth:`~repro.serve.scheduler.Scheduler.serve_preempting` (no ceiling)
-    so every snapshot-capable execution's paused state reaches the parent as
-    ``("checkpoint", covered, payload)`` events while the batch is still in
-    flight — ``covered`` listing the original batch indices of the whole
-    coalesced group.  If this worker then dies mid-batch, the parent holds
-    each in-flight request's last slice boundary and can resume it on a
-    surviving shard.  The machines are deterministic, so outcomes are
-    identical to the non-streaming path; a checkpoint that fails to pickle —
-    or is suppressed by an injected ``checkpoint.pickle`` fault — is simply
-    not streamed (those requests fall back to retry-from-scratch or
-    whole-shard failure semantics, never to a wrong resume).
-    """
-    groups: "OrderedDict[Any, List[int]]" = OrderedDict()
-    for position, request in enumerate(requests):
-        key = scheduler.batch_key(request) if batched else None
-        groups.setdefault(("solo", position) if key is None else key, []).append(position)
-    member_lists = list(groups.values())
-    representatives = [requests[members[0]] for members in member_lists]
-    original = [index for index, _request in entries]
-    plan = getattr(scheduler, "fault_plan", None)
-
-    def stream(representative_index: int, checkpoint) -> None:
-        covered = [original[member] for member in member_lists[representative_index]]
-        if plan is not None and plan.fire(
-            "checkpoint.pickle", request_id=checkpoint.request.request_id
-        ):
-            return  # injected serialization failure: this boundary is lost
-        try:
-            payload = pickle.dumps(checkpoint)
-        except Exception:  # unpicklable snapshot: skip, never stream junk
-            return
-        connection.send(("checkpoint", covered, payload))
-        if plan is not None and plan.fire(
-            "net.drop", request_id=checkpoint.request.request_id, slices=checkpoint.slices
-        ):
-            # The connection dies *after* this boundary's checkpoint frame is
-            # on the wire: the parent/router holds exactly the state it needs
-            # to migrate this group.  On a network worker the exception
-            # abandons the connection abruptly (the router sees EOF); on a
-            # pipe worker it degrades to a whole-batch error reply.
-            raise ConnectionDropped("injected net.drop fault")
-
-    served = scheduler.serve_preempting(
-        representatives, checkpoint_every=checkpoint_every, on_checkpoint=stream
-    )
-    responses: List[Optional[Response]] = [None] * len(requests)
-    for members, response in zip(member_lists, served):
-        response.coalesced = len(members)
-        responses[members[0]] = response
-        for member in members[1:]:
-            responses[member] = replace(response, request=requests[member])
-    return responses  # type: ignore[return-value]
-
-
-def _resume_shard(scheduler: Scheduler, shard: int, items: Sequence[Tuple[List[int], bytes]]) -> tuple:
-    """Resume checkpoints streamed by a crashed shard; report their outcomes.
-
-    ``items`` pairs each coalesced group's original batch indices with its
-    last streamed checkpoint payload.  Every checkpoint restores through the
-    scheduler's registered snapshot restorer — recompiling machine artifacts
-    locally — and runs to completion; outcomes are observably identical to
-    the crashed worker having finished.  A payload that fails to decode or
-    restore fails only its own group, reported in ``failures``.
-
-    Migrated responses keep *cumulative* slice accounting: the checkpoint's
-    pre-crash slices are folded into ``response.slices``, so the
-    bounded-latency invariant (``steps ≤ slices × slice_steps``) holds for
-    the whole run, not just the post-restore tail.
-    """
-    covered_groups: List[List[int]] = []
-    checkpoints = []
-    failures: List[Tuple[List[int], str]] = []
-    for covered, payload in items:
-        try:
-            checkpoint = pickle.loads(payload)
-        except Exception as error:
-            failures.append((list(covered), f"{type(error).__name__}: {error}"))
-            continue
-        covered_groups.append(list(covered))
-        checkpoints.append(checkpoint)
-    responses = scheduler.resume(checkpoints)
-    results: List[Tuple[List[int], Response]] = []
-    for covered, checkpoint, response in zip(covered_groups, checkpoints, responses):
-        response.shard = shard
-        response.coalesced = len(covered)
-        response.slices += checkpoint.slices
-        if response.error is not None:
-            failures.append((covered, response.error))
-            continue
-        results.append((covered, response))
-    return ("resumed", results, failures)
+        connection.send(handle_work(scheduler, shard, message, connection))
 
 
 # -- the parent side ----------------------------------------------------------
-
-
-@dataclass
-class _StoreEntry:
-    """One shared-store artifact: the pickled unit plus its publisher shard."""
-
-    payload: bytes
-    publisher: int
 
 
 class _Worker:
@@ -401,11 +147,17 @@ class WorkerPool:
     are respawned transparently if they crash.  Use as a context manager or
     call :meth:`close`.
 
-    Reliability knobs (all deterministic under injection):
+    Knobs (all deterministic under injection):
 
+    * ``top_k`` / ``balance_load`` — with ``balance_load`` on, a request may
+      land on the least-loaded of its first ``top_k`` ring candidates.  Off
+      by default: the pool's differential gates pin pure consistent hashing.
+    * ``checkpoint_every`` — slice-boundary cadence at which workers stream
+      each in-flight request's checkpoint (the migration safety net);
+      ``None`` disables streaming, leaving from-scratch redispatch.
     * ``retry_policy`` / ``retry_seed`` — backoff schedule and jitter seed
-      for crash recovery (see :meth:`_recover`); ``sleeper`` replaces
-      :func:`time.sleep` in tests so backoff costs no wall clock.
+      for crash recovery; ``sleeper`` replaces :func:`time.sleep` in tests
+      so backoff costs no wall clock.
     * ``breaker_policy`` / ``clock`` — per-shard circuit-breaker tuning and
       time source (fake time makes quarantine transitions deterministic).
     * ``max_batch`` / ``max_inflight_per_shard`` — admission limits; the
@@ -437,67 +189,36 @@ class WorkerPool:
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {top_k}")
         if checkpoint_every is not None and checkpoint_every < 1:
             raise ValueError(f"checkpoint_every must be >= 1 or None, got {checkpoint_every}")
         self.workers = workers
         self.slice_steps = slice_steps
-        self.batched = batched
-        #: Consistent-hash placement ring over the shard indices; the same
-        #: structure the network router uses over endpoint ids, so placement
-        #: math is shared and tested once (see :mod:`repro.serve.ring`).
-        self._ring: HashRing[int] = HashRing(range(workers), virtual_nodes=virtual_nodes)
-        #: Load-aware dispatch knobs: with ``balance_load`` on, a request may
-        #: land on the least-loaded (shallowest batch queue) of its first
-        #: ``top_k`` ring candidates instead of strictly its home shard.
-        #: Off by default in-process — the pool's differential gates pin pure
-        #: consistent hashing; the network router defaults it on.
-        self.top_k = top_k
-        self.balance_load = balance_load
-        #: Slice-boundary cadence at which workers stream each in-flight
-        #: request's checkpoint to the parent (the migration safety net);
-        #: ``None`` disables streaming — a crashed request then recovers by
-        #: from-scratch redispatch (or fails, at ``retry_budget=0``).
-        self.checkpoint_every = checkpoint_every
-        self.retry_policy = retry_policy or RetryPolicy()
         self.fault_plan = fault_plan
-        self._retry_rng = random.Random(retry_seed)
-        self._sleeper = sleeper
-        self._breakers = [
-            CircuitBreaker(breaker_policy or BreakerPolicy(), clock) for _ in range(workers)
-        ]
-        self._admission = AdmissionController(
-            max_batch=max_batch, max_inflight=max_inflight_per_shard
-        )
         self._factory = scheduler_factory
         self._context = multiprocessing.get_context(start_method)
         self._router = scheduler_factory(slice_steps)
         self._pool: List[Optional[_Worker]] = [None] * workers
-        self._store: Dict[StoreKey, _StoreEntry] = {}
-        #: Artifacts already shipped to a shard are not re-sent every batch;
-        #: a respawned worker starts cold, so its deliveries are forgotten on
-        #: crash.  (A worker that *evicted* a delivered entry from its LRU
-        #: simply recompiles — correct, one redundant compile.)
-        self._delivered: Set[Tuple[int, StoreKey]] = set()
-        #: Keys whose artifact failed to pickle are remembered so workers are
-        #: told not to try exporting them again batch after batch; each
-        #: distinct unpicklable artifact counts once in ``unpicklable``.
-        self._unpicklable: Set[StoreKey] = set()
-        self._stats = {
-            "hits": 0,
-            "cross_worker_hits": 0,
-            "misses": 0,
-            "publishes": 0,
-            "unpicklable": 0,
-            "worker_crashes": 0,
-            "migrations": 0,
-            "retries": 0,
-            "redispatches": 0,
-            "reroutes": 0,
-            "diverted": 0,
-        }
+        self._crashes = 0
         self._closed = False
+        self._dispatcher = Dispatcher(
+            self,
+            self._router,
+            slice_steps,
+            label="shard",
+            lost="worker crashed while serving the batch",
+            batched=batched,
+            checkpoint_every=checkpoint_every,
+            placement=DispatchPolicy(top_k=top_k, balance_load=balance_load),
+            virtual_nodes=virtual_nodes,
+            retry_policy=retry_policy,
+            retry_seed=retry_seed,
+            breaker_policy=breaker_policy,
+            admission=AdmissionController(max_batch, max_inflight_per_shard),
+            clock=clock,
+            sleeper=sleeper,
+        )
+        for shard in range(workers):
+            self._dispatcher.add_member(shard)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -546,15 +267,10 @@ class WorkerPool:
             self._reap(worker.process)
 
     def _worker(self, shard: int) -> _Worker:
+        """The shard's live worker, spawned on first use or after a crash."""
         if self._closed:
             raise RuntimeError("WorkerPool is closed")
         worker = self._pool[shard]
-        if worker is not None and not worker.process.is_alive():
-            # Died between batches (OOM kill, segfault): same bookkeeping as a
-            # mid-batch crash — close the stale pipe, count it, and forget the
-            # shard's deliveries so the respawn is re-warmed from the store.
-            self._crash(shard)
-            worker = None
         if worker is None:
             parent_end, child_end = self._context.Pipe()
             process = self._context.Process(
@@ -568,161 +284,33 @@ class WorkerPool:
             self._pool[shard] = worker
         return worker
 
-    def _crash(self, shard: int) -> None:
-        self._stats["worker_crashes"] += 1
-        self._breakers[shard].record_failure()
+    # -- the pipe transport ----------------------------------------------------
+
+    def alive(self, shard: int) -> bool:
         worker = self._pool[shard]
-        if worker is not None:
-            worker.connection.close()
-            if worker.process.is_alive():
-                worker.process.terminate()
-            self._reap(worker.process)
-        self._pool[shard] = None  # next use respawns, re-warmed from the store
-        self._delivered = {entry for entry in self._delivered if entry[0] != shard}
+        return worker is not None and worker.process.is_alive()
 
-    # -- sharding / placement --------------------------------------------------
+    def load(self, shard: int) -> int:
+        return 0  # pipe workers report no queue of their own
 
-    def shard_of(self, request: Request) -> int:
-        """The worker index ``request`` is routed to (deterministic)."""
-        return self._ring.node_for(_shard_key(request, self._router))
+    def exchange(self, work):
+        """Send every shard its work first, then drain each shard's stream.
 
-    def _weight(self, request: Request) -> int:
-        """The load a queued request contributes for placement purposes.
-
-        Without a hint every request weighs 1 (pure queue depth — the old
-        behaviour).  With :attr:`~repro.serve.request.Request.cost_hint` set
-        (typically the analysis tier's ``estimated_steps``, fed back from an
-        analyze-only response), the weight grows with the number of scheduler
-        slices the run is expected to occupy, capped so one huge estimate
-        cannot starve a shard of all traffic.  Deterministic by construction:
-        same batch + same hints → same placement.
+        Sending everything before reading anything lets the shards execute
+        in parallel.  A shard's stream is zero or more in-flight checkpoint
+        events (each superseding the last for its group), then the terminal
+        reply.  Messages a worker wrote before dying stay readable after its
+        death, so the checkpoints that make a crashed request migratable
+        survive the crash itself.
         """
-        if request.cost_hint is None or request.cost_hint <= 0:
-            return 1
-        return 1 + min(8, request.cost_hint // max(1, self.slice_steps))
-
-    def _place(
-        self, order: Sequence[int], depths: Optional[Dict[int, int]] = None
-    ) -> Tuple[int, Optional[int]]:
-        """Quarantine- and load-aware placement: ``(shard, rerouted_from)``.
-
-        ``order`` is the request's consistent-hash ring preference order
-        (home first, then the shards that would inherit its key).  A healthy
-        home serves its own traffic; with ``balance_load`` on, the
-        least-loaded (shallowest ``depths`` queue) of the first ``top_k``
-        admitted candidates serves instead, ties broken toward the home end
-        of the order (``diverted`` counts load moves; they are not
-        quarantine reroutes).  When the whole head of the order is
-        breaker-quarantined, the request re-places on the nearest admitted
-        shard further along the ring — half-open shards admit their bounded
-        probe dispatches here, which is exactly what respawns and re-trials
-        a quarantined worker (``reroutes`` counts these,
-        ``response.rerouted_from`` names the home).  If *every* shard is
-        quarantined the home serves anyway: quarantine is load steering,
-        not an outage amplifier.
-        """
-        home = order[0]
-        if self.workers == 1:
-            return home, None
-        k = self.top_k if self.balance_load else 1
-        admitted = [shard for shard in order[:k] if self._breakers[shard].allow()]
-        if not admitted:
-            for shard in order[k:]:
-                if self._breakers[shard].allow():
-                    self._stats["reroutes"] += 1
-                    return shard, home
-            return home, None
-        if len(admitted) == 1:
-            chosen = admitted[0]
-        else:
-            load = depths or {}
-            chosen = min(admitted, key=lambda shard: (load.get(shard, 0), order.index(shard)))
-        if chosen == home:
-            return home, None
-        if home not in admitted:  # quarantined home inside the balanced head
-            self._stats["reroutes"] += 1
-            return chosen, home
-        self._stats["diverted"] += 1
-        return chosen, None
-
-    # -- serving --------------------------------------------------------------
-
-    def run_batch(self, requests: Sequence[Request], sequential_shards: bool = False) -> List[Response]:
-        """Shard a batch across the workers; responses in request order.
-
-        Every shard's slice is dispatched before any reply is collected, so
-        the shards execute in parallel across processes.  Within a shard the
-        worker interleaves its requests on one loop (or serves them
-        sequentially with ``sequential_shards=True`` — the per-shard
-        differential baseline) and coalesces identical requests onto one VM
-        instance when the pool was built with ``batched=True``.
-
-        The failure policy wraps all of it: requests beyond ``max_batch`` /
-        ``max_inflight_per_shard`` are shed up front (``rejected_overload``,
-        deterministic tail), traffic for quarantined shards re-places onto
-        healthy ones (``rerouted_from``), and a worker that crashes mid-batch
-        touches only its own shard — whose requests then spend their
-        ``retry_budget`` on checkpoint migration and from-scratch
-        redispatch (see :meth:`_recover`) before any of them fails with an
-        ``error`` naming the crash.
-        """
-        responses: List[Optional[Response]] = [None] * len(requests)
-        admitted = self._admission.batch_cutoff(len(requests))
-        for index in range(admitted, len(requests)):
-            responses[index] = self._reject_overload(requests[index])
-
-        shards: Dict[int, List[Tuple[int, Request]]] = {}
-        rerouted: Dict[int, int] = {}
-        # Load-aware placement weighs each queued request by its cost hint
-        # (see :meth:`_weight`), so an expensive run loads its shard more
-        # than a cheap one and the balancer spreads estimated *work*, not
-        # just request counts.  Admission stays count-based.
-        loads: Dict[int, int] = {}
-        for index, request in enumerate(requests[:admitted]):
-            order = self._ring.candidates(_shard_key(request, self._router))
-            shard, rerouted_from = self._place(order, loads)
-            queue = shards.setdefault(shard, [])
-            if not self._admission.admit_to_shard(len(queue)):
-                responses[index] = self._reject_overload(request)
-                continue
-            if rerouted_from is not None:
-                rerouted[index] = rerouted_from
-            queue.append((index, request))
-            loads[shard] = loads.get(shard, 0) + self._weight(request)
-
-        # Crashed dispatches are deferred past the collection loop: the
-        # recovery target may still be serving its own slice of this batch,
-        # and a recovery exchange sent mid-collection would interleave with
-        # its pending reply.
-        crashed: List[Tuple[int, List[Tuple[int, Request]], Dict[Tuple[int, ...], bytes]]] = []
-        keymap: Dict[int, StoreKey] = {}
-        dispatched: Dict[int, List[Tuple[int, Request]]] = {}
-        for shard in sorted(shards):
-            entries = shards[shard]
-            # Obtain the worker first: if the previous incarnation died at
-            # idle, the respawn bookkeeping (forgetting the shard's
-            # deliveries) must run before the warm set is computed, so the
-            # fresh worker is re-warmed from the store in this very batch.
-            worker = self._worker(shard)
-            warm, known = self._warm_entries(shard, entries, keymap)
+        for shard, message in work:
+            connection = self._worker(shard).connection
             try:
-                worker.connection.send(
-                    ("serve", entries, warm, known, sequential_shards, self.batched, self.checkpoint_every)
-                )
+                connection.send(message)
             except (BrokenPipeError, OSError):
-                self._crash(shard)
-                crashed.append((shard, entries, {}))
-                continue
-            self._delivered.update((shard, store_key) for store_key, _payload in warm)
-            dispatched[shard] = entries
-
-        for shard in sorted(dispatched):
-            entries = dispatched[shard]
-            # Drain the shard's event stream: zero or more in-flight
-            # checkpoint events (each superseding the last for its group),
-            # then the terminal reply.  Messages a worker wrote before dying
-            # stay readable after its death, so the checkpoints that make a
-            # crashed request migratable survive the crash itself.
+                pass  # the worker's end is gone: the drain below reads EOF
+        outcomes = []
+        for shard, _message in work:
             checkpoints: Dict[Tuple[int, ...], bytes] = {}
             try:
                 while True:
@@ -732,35 +320,41 @@ class WorkerPool:
                     _tag, covered, payload = reply
                     checkpoints[tuple(covered)] = payload
             except (EOFError, OSError):
-                self._crash(shard)
-                crashed.append((shard, entries, checkpoints))
+                outcomes.append(("crashed", checkpoints))
                 continue
-            if reply[0] == "error":
-                self._fail_shard(responses, shard, entries, reply[1])
-                continue
-            _tag, results, publishes = reply
-            self._absorb(shard, publishes)
-            self._breakers[shard].record_success()
-            for index, response in results:
-                if response.published:
-                    # First publisher wins: a shard whose publish the store
-                    # discarded (another shard published the same key earlier
-                    # in this batch, or the pickle failed) did not publish.
-                    entry = self._store.get(keymap.get(index))
-                    response.published = entry is not None and entry.publisher == shard
-                if response.shared_cache_hit:
-                    self._stats["hits"] += 1
-                    entry = self._store.get(keymap.get(index))
-                    if entry is not None and entry.publisher != shard:
-                        self._stats["cross_worker_hits"] += 1
-                responses[index] = response
-        for shard, entries, checkpoints in crashed:
-            self._recover(responses, shard, entries, checkpoints, {})
-        for index, home in rerouted.items():
-            response = responses[index]
-            if response is not None and response.rerouted_from is None:
-                response.rerouted_from = home
-        return responses  # type: ignore[return-value]
+            outcomes.append(("reply", reply, checkpoints))
+        return outcomes
+
+    def teardown(self, shard: int) -> None:
+        """Count the crash and reap the worker; the next use respawns it."""
+        self._crashes += 1
+        worker = self._pool[shard]
+        if worker is not None:
+            worker.connection.close()
+            if worker.process.is_alive():
+                worker.process.terminate()
+            self._reap(worker.process)
+        self._pool[shard] = None
+
+    # -- serving --------------------------------------------------------------
+
+    def shard_of(self, request: Request) -> int:
+        """The worker index ``request`` is routed to (deterministic)."""
+        return self._dispatcher.ring.node_for(_shard_key(request, self._router))
+
+    def run_batch(self, requests: Sequence[Request], sequential_shards: bool = False) -> List[Response]:
+        """Shard a batch across the workers; responses in request order.
+
+        The shards execute in parallel across processes.  Within a shard the
+        worker interleaves its requests on one loop (or serves them
+        sequentially with ``sequential_shards=True`` — the per-shard
+        differential baseline) and coalesces identical requests onto one VM
+        instance when the pool was built with ``batched=True``.  Shedding,
+        quarantine reroutes, and crash recovery are
+        :meth:`~repro.serve.dispatch.Dispatcher.run_batch`'s: a worker that
+        crashes mid-batch touches only its own shard's requests.
+        """
+        return self._dispatcher.run_batch(requests, sequential=sequential_shards)
 
     def run_sequential(self, requests: Sequence[Request]) -> List[Response]:
         """The single-process differential baseline: the parent's own
@@ -768,243 +362,12 @@ class WorkerPool:
         cache sharing, no coalescing."""
         return self._router.serve_sequential(requests)
 
-    def _reject_overload(self, request: Request) -> Response:
-        self._admission.count_shed()
-        return Response(request=request, rejected_overload=True)
-
-    def _fail_shard(self, responses, shard: int, entries, message: str) -> None:
-        for index, request in entries:
-            failed = Response(request=request)
-            failed.shard = shard
-            failed.error = f"shard {shard}: {message}"
-            responses[index] = failed
-
-    # -- crash recovery: migration, then redispatch ----------------------------
-
-    def _recovery_target(self, crashed: int) -> int:
-        """The shard recovery work is placed on: a live, breaker-admitted
-        worker off the crashed shard when one exists, else any live worker,
-        else a fresh respawn of the neighbouring shard (which, in a
-        single-worker pool, is the crashed shard itself — still a fresh
-        process restoring from plain data)."""
-        for shard, worker in enumerate(self._pool):
-            if shard == crashed or worker is None or not worker.process.is_alive():
-                continue
-            if self._breakers[shard].allow():
-                return shard
-        for shard, worker in enumerate(self._pool):
-            if shard != crashed and worker is not None and worker.process.is_alive():
-                return shard
-        return (crashed + 1) % self.workers
-
-    def _recover(
-        self,
-        responses,
-        crashed: int,
-        entries: Sequence[Tuple[int, Request]],
-        checkpoints: Dict[Tuple[int, ...], bytes],
-        attempts: Dict[int, int],
-    ) -> None:
-        """Spend each crashed request's retry budget: migrate, then redispatch.
-
-        ``entries`` are the crashed dispatch's requests, ``checkpoints`` the
-        last slice-boundary snapshot streamed per coalesced group before the
-        crash, and ``attempts`` the recovery attempts already consumed per
-        batch index (shared across recursive recoveries, so a request can
-        never exceed its own :attr:`~repro.serve.request.Request.retry_budget`
-        however many workers die under it).
-
-        Phase 1 — *migration*: every checkpointed group with budget left is
-        resumed on :meth:`_recovery_target`; outcomes are identical to the
-        crashed worker having finished (``migrated_from`` records the crash,
-        ``attempts`` the total dispatches).  A target that dies mid-resume is
-        itself crash-accounted and the surviving groups retry (with backoff)
-        while their budgets last.
-
-        Phase 2 — *redispatch*: everything still unresolved (no streamed
-        checkpoint, restore failure, migration budget exhausted mid-phase) is
-        re-served from scratch, one backoff-spaced wave per attempt.  A
-        redispatch target that dies recurses into :meth:`_recover` with
-        whatever checkpoints *it* streamed — partial progress is never
-        thrown away while budget remains.
-
-        Requests whose budget runs out fail with the classic whole-shard
-        crash ``error``; backoff delays come from :attr:`retry_policy` with
-        the pool's seeded jitter RNG (deterministic chaos runs) through the
-        injectable ``sleeper``.
-        """
-        requests: Dict[int, Request] = dict(entries)
-
-        def budget(index: int) -> int:
-            return requests[index].retry_budget - attempts.get(index, 0)
-
-        # -- phase 1: resume streamed checkpoints on a surviving shard --------
-        eligible = [
-            (tuple(covered), payload)
-            for covered, payload in checkpoints.items()
-            if all(index in requests for index in covered) and budget(covered[0]) >= 1
-        ]
-        while eligible:
-            for covered, _payload in eligible:
-                for index in covered:
-                    attempts[index] = attempts.get(index, 0) + 1
-            self._stats["retries"] += len(eligible)
-            wave = max(attempts[covered[0]] for covered, _payload in eligible)
-            if wave > 1:
-                self._sleeper(self.retry_policy.delay_seconds(wave - 1, self._retry_rng))
-            target = self._recovery_target(crashed)
-            try:
-                worker = self._worker(target)
-                worker.connection.send(("resume", [(list(c), p) for c, p in eligible]))
-                while True:
-                    reply = worker.connection.recv()
-                    if reply[0] != "checkpoint":  # resume streams no checkpoints today
-                        break
-            except (BrokenPipeError, EOFError, OSError):
-                self._crash(target)
-                eligible = [(c, p) for c, p in eligible if budget(c[0]) >= 1]
-                continue
-            if reply[0] != "resumed":
-                break  # a batch-level resume bug: fall through to redispatch
-            _tag, results, _failures = reply
-            self._breakers[target].record_success()
-            for covered, response in results:
-                response.migrated_from = crashed
-                response.attempts = 1 + attempts.get(covered[0], 0)
-                for index in covered:
-                    if index == covered[0]:
-                        responses[index] = response
-                    else:
-                        responses[index] = replace(response, request=requests[index])
-                self._stats["migrations"] += 1
-            break  # groups that failed to restore stay unresolved for phase 2
-
-        # -- phase 2: redispatch everything still unresolved from scratch -----
-        pending = [(index, request) for index, request in entries if responses[index] is None]
-        while pending:
-            retryable = [(index, request) for index, request in pending if budget(index) >= 1]
-            if not retryable:
-                break
-            for index, _request in retryable:
-                attempts[index] = attempts.get(index, 0) + 1
-            self._stats["retries"] += len(retryable)
-            self._stats["redispatches"] += len(retryable)
-            wave = max(attempts[index] for index, _request in retryable)
-            if wave > 1:
-                self._sleeper(self.retry_policy.delay_seconds(wave - 1, self._retry_rng))
-            target = self._recovery_target(crashed)
-            streamed: Dict[Tuple[int, ...], bytes] = {}
-            try:
-                worker = self._worker(target)
-                warm, known = self._warm_entries(target, retryable, {})
-                worker.connection.send(
-                    ("serve", retryable, warm, known, False, self.batched, self.checkpoint_every)
-                )
-                self._delivered.update((target, store_key) for store_key, _payload in warm)
-                while True:
-                    reply = worker.connection.recv()
-                    if reply[0] != "checkpoint":
-                        break
-                    _tag, covered, payload = reply
-                    streamed[tuple(covered)] = payload
-            except (BrokenPipeError, EOFError, OSError):
-                self._crash(target)
-                # The redispatch target died too: recurse with whatever it
-                # streamed, so its partial progress is not thrown away.
-                self._recover(responses, target, retryable, streamed, attempts)
-                return
-            if reply[0] == "error":
-                self._fail_shard(responses, target, retryable, reply[1])
-                return
-            _tag, results, publishes = reply
-            self._absorb(target, publishes)
-            self._breakers[target].record_success()
-            for index, response in results:
-                response.attempts = 1 + attempts.get(index, 0)
-                responses[index] = response
-            pending = [(index, request) for index, request in pending if responses[index] is None]
-
-        # -- exhausted budgets keep the whole-shard crash semantics ------------
-        remaining = [(index, request) for index, request in entries if responses[index] is None]
-        if remaining:
-            self._fail_shard(
-                responses, crashed, remaining, "worker crashed while serving the batch"
-            )
-
-    # -- the shared store -----------------------------------------------------
-
-    def _warm_entries(self, shard: int, entries, keymap: Dict[int, StoreKey]):
-        """``(warm, known)`` for one shard batch, store misses counted.
-
-        ``warm`` carries the payloads the worker is missing; artifacts the
-        shard already received are not re-shipped (the worker holds them in
-        its LRUs).  ``known`` lists every store-resident key the batch
-        touches — payload or not — so the worker never re-publishes an
-        artifact the store already holds.  A store lookup that finds nothing
-        counts as one miss per unique key per batch.
-        """
-        warm: List[Tuple[StoreKey, bytes]] = []
-        known: List[StoreKey] = []
-        seen: Set[StoreKey] = set()
-        for index, request in entries:
-            store_key = self._router.pipeline_key(request)
-            if store_key is None:
-                continue
-            keymap[index] = store_key
-            if store_key in seen:
-                continue
-            seen.add(store_key)
-            entry = self._store.get(store_key)
-            if entry is None:
-                if store_key in self._unpicklable:
-                    # Known-unshareable: the worker recompiles from source and
-                    # must not waste a failing export/pickle attempt on it.
-                    known.append(store_key)
-                else:
-                    self._stats["misses"] += 1
-                continue
-            known.append(store_key)
-            if (shard, store_key) not in self._delivered:
-                warm.append((store_key, entry.payload))
-        return warm, known
-
-    def _absorb(self, shard: int, publishes) -> None:
-        for store_key, payload in publishes:
-            if payload is None:
-                if store_key not in self._unpicklable:
-                    self._unpicklable.add(store_key)
-                    self._stats["unpicklable"] += 1
-                continue
-            if store_key in self._store:
-                continue  # first publisher wins; racing workers agree anyway
-            self._store[store_key] = _StoreEntry(payload, shard)
-            # The publisher compiled it itself; never ship the payload back.
-            self._delivered.add((shard, store_key))
-            self._stats["publishes"] += 1
-
     def cache_stats(self) -> Dict[str, int]:
-        """Shared pipeline-cache counters, pool-wide.
-
-        ``hits`` counts requests whose compile was served by an artifact from
-        the shared store (``cross_worker_hits``: published by a *different*
-        worker than the one serving — the pure cross-process wins);
-        ``misses`` counts unique store lookups that found nothing,
-        ``publishes`` artifacts accepted into the store, ``unpicklable``
-        publish attempts dropped because the artifact would not pickle,
-        ``worker_crashes`` shard failures that triggered a respawn or
-        quarantine, ``migrations`` coalesced request groups resumed on
-        another shard from a crashed worker's streamed checkpoints,
-        ``retries`` recovery attempts consumed (``redispatches``: the
-        from-scratch subset), ``reroutes`` placements moved off quarantined
-        shards, ``diverted`` placements moved to a less-loaded ring
-        candidate by load-aware dispatch, and ``shed`` requests rejected by
-        admission control.
-        """
-        return {
-            "entries": len(self._store),
-            **self._stats,
-            "shed": self._admission.shed_count,
-        }
+        """Shared pipeline-cache counters, pool-wide: the dispatcher's
+        (:meth:`~repro.serve.dispatch.Dispatcher.cache_stats`) plus
+        ``worker_crashes``, shard failures that triggered a respawn or
+        quarantine."""
+        return {**self._dispatcher.cache_stats(), "worker_crashes": self._crashes}
 
     def health_stats(self) -> Dict[str, Any]:
         """The pool's reliability picture: breakers, admission, counters.
@@ -1018,13 +381,8 @@ class WorkerPool:
         """
         return {
             "shards": {
-                shard: breaker.stats() for shard, breaker in enumerate(self._breakers)
+                shard: breaker.stats() for shard, breaker in self._dispatcher.breakers.items()
             },
-            "admission": self._admission.stats(),
-            "worker_crashes": self._stats["worker_crashes"],
-            "migrations": self._stats["migrations"],
-            "retries": self._stats["retries"],
-            "redispatches": self._stats["redispatches"],
-            "reroutes": self._stats["reroutes"],
-            "diverted": self._stats["diverted"],
+            "worker_crashes": self._crashes,
+            **self._dispatcher.health_stats(),
         }

@@ -5,9 +5,10 @@ router — is one *frame*: a fixed 5-byte header (4-byte big-endian body
 length + 1-byte frame type) followed by a pickled body.  Length-prefixing
 makes framing trivial over both blocking sockets (workers) and asyncio
 streams (the router); pickle is the payload codec because every value that
-crosses the wire is already a picklable serving-layer object — this is
-exactly the bytes the :class:`~repro.serve.pool.WorkerPool` has moved over
-``multiprocessing`` pipes since PR 5, lifted onto TCP.
+crosses the wire is already a picklable serving-layer object — the same
+work and reply tuples the :class:`~repro.serve.dispatch.Dispatcher`
+exchanges with pool workers over ``multiprocessing`` pipes, lifted onto
+TCP.
 
 Frame catalog (full spec with per-type body schemas in
 ``docs/networking.md``):
@@ -21,7 +22,7 @@ frame           type  body / purpose
                       side's half of version negotiation
 ``ERROR``       0x03  ``{"code", "message"}`` — structured rejection (e.g.
                       version mismatch); the connection closes after it
-``REQUEST``     0x04  a pool work message: ``("serve", ...)`` /
+``REQUEST``     0x04  a work message: ``("serve", ...)`` /
                       ``("resume", ...)`` on router→worker hops, a list of
                       :class:`~repro.serve.request.Request` on client→router
 ``RESPONSE``    0x05  the terminal reply to a ``REQUEST``
@@ -56,7 +57,7 @@ from __future__ import annotations
 import pickle
 import socket
 import struct
-from typing import TYPE_CHECKING, Any, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.core.errors import ReproError
 
@@ -87,6 +88,9 @@ __all__ = [
     "recv_frame",
     "read_frame",
     "write_frame",
+    "expect_frame",
+    "hello_rejection",
+    "unexpected_frame",
     "FrameConnection",
 ]
 
@@ -244,22 +248,56 @@ async def write_frame(writer: "asyncio.StreamWriter", frame_type: int, body: Any
         raise ConnectionDropped(f"peer gone while sending: {error}") from error
 
 
+def hello_rejection(frame_type: int, body: Any, speaker: str) -> Optional[Dict[str, str]]:
+    """The ``ERROR`` body refusing a peer's opening frame, or ``None`` to
+    welcome it: the first frame must be ``HELLO`` offering
+    :data:`WIRE_VERSION`.  ``speaker`` names this side in a version refusal."""
+    if frame_type != HELLO:
+        return {"code": "protocol", "message": "first frame must be HELLO"}
+    version = body.get("version") if isinstance(body, dict) else None
+    if version != WIRE_VERSION:
+        return {
+            "code": "version",
+            "message": f"{speaker} speaks wire version {WIRE_VERSION}, peer offered {version!r}",
+        }
+    return None
+
+
+def expect_frame(frame: Tuple[int, Any], expected: int) -> Any:
+    """The body of ``frame`` if it has type ``expected``; the peer's
+    structured ``ERROR`` or any other frame raises :class:`ProtocolError`."""
+    frame_type, body = frame
+    if frame_type == ERROR:
+        raise ProtocolError(f"{body.get('code')}: {body.get('message')}")
+    if frame_type != expected:
+        raise ProtocolError(
+            f"expected {FRAME_NAMES[expected]}, got {FRAME_NAMES.get(frame_type, frame_type)}"
+        )
+    return body
+
+
+def unexpected_frame(frame_type: int) -> Dict[str, str]:
+    """The ``ERROR`` body for a frame this side does not accept here."""
+    return {"code": "protocol", "message": f"unexpected {FRAME_NAMES.get(frame_type, frame_type)}"}
+
+
 # -- the pipe-shaped adapter ---------------------------------------------------
 
 
 class FrameConnection:
     """A blocking socket wearing the worker pipe's ``send``/``recv`` surface.
 
-    The pool's worker helpers (:func:`~repro.serve.pool._serve_shard` and
-    friends) talk to the parent through ``connection.send(message_tuple)`` /
-    ``connection.recv()`` — the ``multiprocessing.Pipe`` surface.  This
-    adapter maps those same message tuples onto wire frames, so the exact
-    battle-tested shard-serving code runs unchanged inside a network worker:
+    The shared worker-side handler
+    (:func:`~repro.serve.dispatch.handle_work`) streams to its parent
+    through ``connection.send(message_tuple)`` — the ``multiprocessing.Pipe``
+    surface.  This adapter maps those same message tuples onto wire frames,
+    so the pipe workers' shard-serving code runs unchanged inside a network
+    worker:
     ``("checkpoint", covered, payload)`` becomes a ``CHECKPOINT`` frame with
     body ``(covered, payload)``; every terminal reply tuple (``("ok", ...)``
     / ``("resumed", ...)`` / ``("error", ...)``) becomes a ``RESPONSE``
     frame carrying the tuple verbatim; inbound ``REQUEST`` bodies are
-    already pool work tuples and pass straight through.
+    already work tuples and pass straight through.
     """
 
     __slots__ = ("sock",)

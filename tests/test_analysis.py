@@ -63,6 +63,7 @@ from repro.lcvm.syntax import (
     Var,
 )
 from repro.serve import Request, make_default_scheduler
+from repro.serve.dispatch import weight
 from repro.serve.pool import WorkerPool
 from repro.stacklang import cek as stack_cek
 from repro.stacklang.syntax import Add, Idx, Push, program
@@ -482,11 +483,11 @@ def test_cost_hint_weighs_load_aware_placement():
     try:
         cheap = Request(language="RefLL", source="(+ 1 1)")
         costly = Request(language="RefLL", source="(+ 1 1)", cost_hint=64 * 64)
-        assert pool._weight(cheap) == 1
-        assert pool._weight(costly) == 1 + min(8, (64 * 64) // 64)
-        assert pool._weight(Request(language="RefLL", source="1", cost_hint=0)) == 1
+        assert weight(cheap, pool.slice_steps) == 1
+        assert weight(costly, pool.slice_steps) == 1 + min(8, (64 * 64) // 64)
+        assert weight(Request(language="RefLL", source="1", cost_hint=0), pool.slice_steps) == 1
         # Deterministic: same hint, same weight, same placement inputs.
-        assert pool._weight(costly) == pool._weight(costly)
+        assert weight(costly, pool.slice_steps) == weight(costly, pool.slice_steps)
     finally:
         pool.close()
 

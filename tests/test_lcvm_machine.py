@@ -1,5 +1,8 @@
 """Tests for the LCVM machine (Fig. 6 + Fig. 12), heap, GC, and big-step evaluator."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -398,3 +401,42 @@ def test_cek_step_count_is_linear_not_quadratic():
     assert small.value == Int(100) and large.value == Int(200)
     # Linear growth: doubling the program roughly doubles the steps.
     assert large.steps <= 2 * small.steps + 10
+
+
+# -- compiled CEK: concurrent compiles -----------------------------------------
+
+
+def test_compiled_cek_compiles_safely_from_concurrent_threads():
+    # In-process network endpoints serve from threads that share the compiled
+    # memo: every compile must keep its own node table, whatever interleaves.
+    def program(seed):
+        expr = Var("x")
+        for depth in range(12):
+            expr = Let("x", BinOp("+", Int(seed + depth), Var("x")), expr)
+        return Let("x", Int(seed), expr)
+
+    failures = []
+
+    def compile_many(thread):
+        try:
+            for round_ in range(150):
+                expr = program(1000 * thread + round_)
+                node = cek.compile_node(expr)
+                table = cek.compiled_table(expr)
+                assert table[node.index] is node
+                assert all(entry.root is expr for entry in table)
+        except Exception as error:  # surfaced by the assertion below
+            failures.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=compile_many, args=(index,)) for index in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []

@@ -29,6 +29,8 @@ pool's shard helpers, so process isolation composes unchanged.
 import pickle
 import socket
 import struct
+import sys
+import threading
 
 import pytest
 
@@ -389,6 +391,48 @@ def test_slow_link_times_out_and_recovers():
         _shutdown(router, workers)
 
 
+def test_concurrent_batches_run_one_at_a_time_on_the_dispatcher():
+    # Clients and the synchronous facade submit at once; the router runs each
+    # batch's dispatcher on an executor thread under its dispatch lock, so
+    # every answer matches the baseline and each program publishes once.
+    router, workers = _fleet(worker_count=2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        requests = _mixed_requests()
+        baseline = router.run_sequential(requests)
+        expected = [_observable(response) for response in baseline]
+        mismatches = []
+
+        def submit(over_the_wire):
+            try:
+                if over_the_wire:
+                    with NetClient(*router.address) as client:
+                        batches = [client.run_batch(requests) for _ in range(3)]
+                else:
+                    batches = [router.run_batch(requests) for _ in range(3)]
+                for served in batches:
+                    if [_observable(response) for response in served] != expected:
+                        mismatches.append(served)
+            except Exception as error:  # surfaced by the assertion below
+                mismatches.append(error)
+
+        threads = [threading.Thread(target=submit, args=(index % 2 == 0,)) for index in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+        scheduler = make_default_scheduler(slice_steps=SLICE_STEPS)
+        compiled = {scheduler.pipeline_key(r.request) for r in baseline if r.error is None}
+        stats = router.cache_stats()
+        assert stats["publishes"] == stats["entries"] == len(compiled - {None})
+    finally:
+        sys.setswitchinterval(interval)
+        _shutdown(router, workers)
+
+
 def test_retry_budget_zero_fails_structurally_on_drop():
     plan = FaultPlan([Fault(site="net.drop", request_id="lone", at_slice=1, times=1, shard=0)])
     router, workers = _fleet(
@@ -459,6 +503,39 @@ def test_cross_endpoint_cache_warming():
         assert router.cache_stats()["hits"] >= 1
     finally:
         _shutdown(router, workers)
+
+
+def test_publisher_is_never_shipped_its_own_artifact():
+    imports = []
+
+    def recording_factory(slice_steps):
+        scheduler = make_default_scheduler(slice_steps=slice_steps)
+        import_cache_entry = scheduler.import_cache_entry
+
+        def record(store_key, unit):
+            imports.append(store_key)
+            return import_cache_entry(store_key, unit)
+
+        scheduler.import_cache_entry = record
+        return scheduler
+
+    worker = NetWorker(endpoint_id=0, slice_steps=SLICE_STEPS, scheduler_factory=recording_factory)
+    worker.start()
+    router = NetRouter(slice_steps=SLICE_STEPS)
+    router.start()
+    router.add_worker(worker.address)
+    try:
+        program = Request(language="RefLL", source=nested_refll_boundary(3), request_id="own")
+        first = router.run_batch([program])[0]
+        assert first.published and first.shard == 0
+        second = router.run_batch([program])[0]
+        assert second.error is None and not second.shared_cache_hit
+        # The endpoint compiled the artifact itself: the router never ships
+        # the payload back for it to unpickle and discard.
+        assert imports == []
+        assert router.cache_stats()["publishes"] == 1
+    finally:
+        _shutdown(router, [worker])
 
 
 def test_client_fetch_and_publish():

@@ -294,6 +294,39 @@ def test_pool_redispatches_crashed_requests_within_budget():
         assert stats["migrations"] == 0
 
 
+_CRASH_VICTIM_FIRST_SLICE = FaultPlan(
+    faults=(Fault(site="worker.crash", shard=0, request_id="victim", at_slice=1, times=1),)
+)
+
+
+def test_pool_redispatch_counts_shared_store_hits():
+    # Shard 0 publishes the program; a later crash there redispatches a
+    # request for it to shard 1, which is warmed from the shared store.  The
+    # redispatch is accounted like a first dispatch: one hit, cross-worker.
+    source = nested_refll_boundary(4)
+    with WorkerPool(
+        workers=2,
+        slice_steps=16,
+        checkpoint_every=None,
+        fault_plan=_CRASH_VICTIM_FIRST_SLICE,
+        sleeper=lambda _seconds: None,
+    ) as pool:
+        key = _affinity_for_shard(pool, 0, source=source)
+        first = pool.run_batch(
+            [Request(language="RefLL", source=source, affinity=key, request_id="first")]
+        )[0]
+        assert first.published and first.shard == 0
+        victim = pool.run_batch(
+            [Request(language="RefLL", source=source, affinity=key, request_id="victim")]
+        )[0]
+        assert victim.error is None and victim.result.ok
+        assert victim.shard == 1 and victim.attempts == 2
+        assert victim.shared_cache_hit and not victim.published
+        stats = pool.cache_stats()
+        assert stats["redispatches"] == 1
+        assert stats["hits"] == 1 and stats["cross_worker_hits"] == 1
+
+
 _CRASH_SECOND_SLICE = FaultPlan(
     faults=(Fault(site="worker.crash", shard=0, at_slice=2, times=1),)
 )
