@@ -5,10 +5,10 @@ systems — compiled fast-path requests next to oracle-backed differential
 requests, plus a deliberately fuel-starved one — and measures:
 
 * **sequential**: each request driven to completion before the next starts
-  (single-program latency × N, the baseline the async driver must not blow
+  (single-program latency × N, the baseline the slice loop must not blow
   up), and
-* **interleaved**: the whole batch step-sliced round-robin on one asyncio
-  event loop by the :class:`~repro.serve.scheduler.Scheduler`.
+* **interleaved**: the whole batch step-sliced round-robin in one slice
+  loop by the :class:`~repro.serve.scheduler.Scheduler`.
 
 A second, *oracle-heavy* batch drives deep requests through the resumable
 oracle backends (both substitution machines, the iterative big-step
@@ -23,7 +23,7 @@ A third, *checkpoint* section measures the snapshot machinery: per-backend
 snapshot/restore overhead (time and pickled size) for every
 snapshot-capable backend in all three systems, and a preempt → resume
 differential — a mixed batch stopped at a slice ceiling by
-``serve_preempting`` and continued by ``resume`` must land on exactly the
+``serve(..., max_slices=...)`` and continued by ``resume`` must land on exactly the
 uninterrupted sequential outcomes (results, failures, and total step
 counts).  With ``--pool`` it also demonstrates mid-run **migration**: a
 batch pinned to a shard whose worker dies mid-run must finish on a
@@ -1013,7 +1013,7 @@ def _collect_overload_report(requests, baseline) -> dict:
 def _collect_store_fault_report() -> dict:
     """Checkpoint-store faults: write failure, tampered read, a torn file."""
     scheduler = make_default_scheduler(slice_steps=CHAOS_SLICE_STEPS)
-    paused = scheduler.serve_preempting(
+    paused = scheduler.serve(
         [Request(language="RefLL", source=_nested_refll_boundary(DEEP), request_id="durable")],
         max_slices=1,
     )[0]
@@ -1124,7 +1124,7 @@ def collect_checkpoint_report() -> dict:
     }
     preempt_scheduler = make_default_scheduler(slice_steps=PREEMPT_SLICE_STEPS)
     start = time.perf_counter()
-    served = preempt_scheduler.serve_preempting(make_requests(), max_slices=PREEMPT_MAX_SLICES)
+    served = preempt_scheduler.serve(make_requests(), max_slices=PREEMPT_MAX_SLICES)
     preempted = [response for response in served if response.preempted]
     resumed = (
         preempt_scheduler.resume([response.checkpoint for response in preempted])
@@ -1193,7 +1193,7 @@ def make_qos_requests():
     """The mixed-tenant batch: one request per (case, priority class).
 
     Classes are interleaved case-by-case (not block-by-block) so no class
-    gets a positional head start on the event loop.
+    gets a positional head start in the slice loop.
     """
     requests = []
     for index, (system, language, source, fuel) in enumerate(_qos_case_pool()):

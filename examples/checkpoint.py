@@ -42,7 +42,7 @@ def run_and_die(directory: str) -> None:
     """Phase 1 (child process): preempt mid-run, persist, die uncleanly."""
     scheduler = make_default_scheduler(slice_steps=SLICE_STEPS)
     store = CheckpointStore(directory)
-    responses = scheduler.serve_preempting(make_requests(), max_slices=MAX_SLICES)
+    responses = scheduler.serve(make_requests(), max_slices=MAX_SLICES)
     for response in responses:
         if not response.preempted:
             continue

@@ -1,4 +1,4 @@
-"""Request-serving layer: per-request backends and fuel on one shared loop.
+"""Request-serving layer: per-request backends and fuel on one shared slice loop.
 
 This package turns the single-program execution substrate into a
 multi-tenant service front:
@@ -6,18 +6,20 @@ multi-tenant service front:
 * :class:`~repro.serve.request.Request` / ``Response`` — one submission with
   its own language, backend choice, fuel budget, and typecheck environments,
   answered with per-request accounting (steps, slices, timings, cache hits);
-* :class:`~repro.serve.driver.StepSlicedDriver` — the async interleaving
-  driver: every admitted program becomes a resumable execution (every
+* :class:`~repro.serve.driver.StepSlicedDriver` — the synchronous slice
+  loop: every admitted program becomes a resumable execution (every
   registered backend is ``step_n``-capable — the substitution oracles and
-  the big-step evaluator included) and many of them advance on one asyncio
-  event loop — round-robin by default, or weighted by the request's QoS
+  the big-step evaluator included) and one ``run_batch`` advances many of
+  them in weighted round-robin turns — each weighted by the request's QoS
   ``priority`` class (``PRIORITY_WEIGHTS``) so high-priority tenants get
   more consecutive slices per turn under contention — none exceeding
   ``slice_steps`` transitions per slice;
 * :class:`~repro.serve.scheduler.Scheduler` — admission, language routing
-  across the three case-study systems, batch serving (interleaved,
-  sequential, or batched — identical requests coalesced onto one VM
-  instance), and cross-request pipeline-cache warming;
+  across the three case-study systems, one ``serve`` for every batch shape
+  (interleaved or sequential, optionally coalescing identical requests onto
+  one VM instance, preempting at a slice ceiling, or streaming
+  slice-boundary checkpoints), ``resume`` for checkpointed runs, and
+  cross-request pipeline-cache warming;
 * :class:`~repro.serve.pool.WorkerPool` — the multi-*process* layer:
   request batches sharded across N worker processes (deterministic
   program-hash placement, per-request ``affinity`` override), with a
@@ -33,7 +35,8 @@ multi-tenant service front:
   paused request reified as versioned plain data (machine snapshot plus
   routing context), movable across processes and — via the store's atomic
   on-disk pickles — across process restarts; the substrate for the
-  scheduler's ``serve_preempting`` / ``resume`` and the pool's migration.
+  scheduler's preemption (``serve(..., max_slices=...)``) and ``resume``,
+  and for the pool's migration.
   The store is hardened (structured :class:`CheckpointCorrupt` instead of
   raw pickle errors) and garbage-collected (age + size eviction);
 * :mod:`~repro.serve.reliability` / :mod:`~repro.serve.faults` — the failure

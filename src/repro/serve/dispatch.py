@@ -26,7 +26,6 @@ from __future__ import annotations
 import pickle
 import random
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Set, Tuple
 
@@ -92,7 +91,17 @@ def handle_work(
 def _serve_shard(
     scheduler: Scheduler, shard: int, message: Tuple[Any, ...], connection: Any
 ) -> Tuple[Any, ...]:
-    """Serve one shard batch and report responses plus publishable artifacts."""
+    """Serve one shard batch and report responses plus publishable artifacts.
+
+    With a cadence and a connection, every snapshot-capable run streams its
+    slice-boundary checkpoints upstream as ``("checkpoint", covered,
+    payload)``, ``covered`` listing the original batch indices of the whole
+    coalesced group.  If this worker then dies mid-batch, the parent resumes
+    each in-flight group from its last boundary on a surviving member.  A
+    checkpoint that fails to pickle — or is suppressed by an injected
+    ``checkpoint.pickle`` fault — is simply not streamed: its requests fall
+    back to retry-from-scratch, never to a wrong resume.
+    """
     _tag, entries, warm, known, sequential, batched, checkpoint_every = message
     imported: Set[StoreKey] = set()
     for store_key, payload in warm:
@@ -105,14 +114,37 @@ def _serve_shard(
 
     requests = [request for _index, request in entries]
     keys = [scheduler.pipeline_key(request) for request in requests]
-    if checkpoint_every is not None and connection is not None and not sequential:
-        responses = _serve_streaming(
-            scheduler, entries, requests, batched, checkpoint_every, connection
-        )
-    elif batched:
-        responses = scheduler.serve_batched(requests, sequential=sequential)
-    else:
-        responses = scheduler.serve(requests, sequential=sequential)
+    plan = scheduler.fault_plan
+
+    def stream(positions: List[int], checkpoint: Any) -> None:
+        if plan is not None and plan.fire(
+            "checkpoint.pickle", request_id=checkpoint.request.request_id
+        ):
+            return  # injected serialization failure: this boundary is lost
+        try:
+            payload = pickle.dumps(checkpoint)
+        except Exception:  # unpicklable snapshot: skip, never stream junk
+            return
+        covered = [entries[position][0] for position in positions]
+        connection.send(("checkpoint", covered, payload))
+        if plan is not None and plan.fire(
+            "net.drop", request_id=checkpoint.request.request_id, slices=checkpoint.slices
+        ):
+            # The connection dies *after* this boundary's checkpoint frame is
+            # on the wire: the parent/router holds exactly the state it needs
+            # to migrate this group.  On a network worker the exception
+            # abandons the connection abruptly (the router sees EOF); on a
+            # pipe worker it degrades to a whole-batch error reply.
+            raise ConnectionDropped("injected net.drop fault")
+
+    streaming = checkpoint_every is not None and connection is not None
+    responses = scheduler.serve(
+        requests,
+        sequential=sequential,
+        batched=batched,
+        checkpoint_every=checkpoint_every or 1,
+        on_checkpoint=stream if streaming else None,
+    )
 
     publishes: List[Tuple[StoreKey, Optional[bytes]]] = []
     # Keys the store already holds must not be re-exported, re-pickled, or
@@ -137,73 +169,6 @@ def _serve_shard(
             response.published = shared is not None
     results = [(index, response) for (index, _request), response in zip(entries, responses)]
     return ("ok", results, publishes)
-
-
-def _serve_streaming(
-    scheduler: Scheduler,
-    entries: Sequence[Tuple[int, Request]],
-    requests: Sequence[Request],
-    batched: bool,
-    checkpoint_every: int,
-    connection: Any,
-) -> List[Response]:
-    """Serve one shard batch, streaming slice-boundary checkpoints upstream.
-
-    The production worker path: requests coalesce exactly as in
-    :meth:`~repro.serve.scheduler.Scheduler.serve_batched`, but the
-    representatives run through
-    :meth:`~repro.serve.scheduler.Scheduler.serve_preempting` (no ceiling)
-    so every snapshot-capable execution's paused state reaches the parent as
-    ``("checkpoint", covered, payload)`` events while the batch is still in
-    flight — ``covered`` listing the original batch indices of the whole
-    coalesced group.  If this worker then dies mid-batch, the parent holds
-    each in-flight request's last slice boundary and can resume it on a
-    surviving shard.  The machines are deterministic, so outcomes are
-    identical to the non-streaming path; a checkpoint that fails to pickle —
-    or is suppressed by an injected ``checkpoint.pickle`` fault — is simply
-    not streamed (those requests fall back to retry-from-scratch or
-    whole-shard failure semantics, never to a wrong resume).
-    """
-    groups: "OrderedDict[Any, List[int]]" = OrderedDict()
-    for position, request in enumerate(requests):
-        key = scheduler.batch_key(request) if batched else None
-        groups.setdefault(("solo", position) if key is None else key, []).append(position)
-    member_lists = list(groups.values())
-    representatives = [requests[members[0]] for members in member_lists]
-    original = [index for index, _request in entries]
-    plan = getattr(scheduler, "fault_plan", None)
-
-    def stream(representative_index: int, checkpoint: Any) -> None:
-        covered = [original[member] for member in member_lists[representative_index]]
-        if plan is not None and plan.fire(
-            "checkpoint.pickle", request_id=checkpoint.request.request_id
-        ):
-            return  # injected serialization failure: this boundary is lost
-        try:
-            payload = pickle.dumps(checkpoint)
-        except Exception:  # unpicklable snapshot: skip, never stream junk
-            return
-        connection.send(("checkpoint", covered, payload))
-        if plan is not None and plan.fire(
-            "net.drop", request_id=checkpoint.request.request_id, slices=checkpoint.slices
-        ):
-            # The connection dies *after* this boundary's checkpoint frame is
-            # on the wire: the parent/router holds exactly the state it needs
-            # to migrate this group.  On a network worker the exception
-            # abandons the connection abruptly (the router sees EOF); on a
-            # pipe worker it degrades to a whole-batch error reply.
-            raise ConnectionDropped("injected net.drop fault")
-
-    served = scheduler.serve_preempting(
-        representatives, checkpoint_every=checkpoint_every, on_checkpoint=stream
-    )
-    responses: List[Optional[Response]] = [None] * len(requests)
-    for members, response in zip(member_lists, served):
-        response.coalesced = len(members)
-        responses[members[0]] = response
-        for member in members[1:]:
-            responses[member] = replace(response, request=requests[member])
-    return responses  # type: ignore[return-value]
 
 
 def _resume_shard(

@@ -1,13 +1,12 @@
-"""The async interleaving driver: many machines, one event loop.
+"""The slice loop: many machines advanced in bounded turns on one thread.
 
 Every admitted program arrives as a *resumable execution* — an object with
 ``step_n(limit)`` returning the final result once the machine halts or
 ``None`` while it still has work and fuel.  The driver grants each execution
-at most ``slice_steps`` machine transitions per turn and then yields the
-event loop (``await asyncio.sleep(0)``), so N concurrent programs advance
-round-robin on a single OS thread with no shared machine state.  Fuel stays
-per-execution: a request that exhausts its own budget fails alone, in its
-own slice, without disturbing its neighbours.
+at most ``slice_steps`` machine transitions per slice and moves on, so N
+concurrent programs advance in turns on a single OS thread with no shared
+machine state.  Fuel stays per-execution: a request that exhausts its own
+budget fails alone, in its own slice, without disturbing its neighbours.
 
 The module's contract is the bounded-latency invariant: for every driven
 execution, ``steps ≤ slices × slice_steps`` — a backend can never advance
@@ -17,53 +16,44 @@ neighbours do.  The serving tests assert the inequality per response and
 completion inside one slice (the old ``BlockingExecution`` behaviour)
 violates it on any deep program.
 
-Round-robin is the *uniform* special case of weighted scheduling: the async
-entry points accept per-execution integer ``weights``, and each event-loop
-turn grants an execution up to ``weight`` consecutive slices before
-yielding.  The serving layer maps :attr:`repro.serve.request.Request.priority`
-classes onto these weights (high = 8, standard = 2, best-effort = 1), which
-is what ``bench_serving.py --qos`` gates: under contention, high-priority
-p99 latency strictly beats best-effort — with identical results to
-sequential execution, because weights shape latency, never outcomes.
+There is one entry point, :meth:`StepSlicedDriver.run_batch`, a weighted
+round-robin loop.  Each turn grants an execution up to its integer
+``weight`` consecutive slices; the serving layer maps
+:attr:`repro.serve.request.Request.priority` classes onto these weights
+(high = 8, standard = 2, best-effort = 1), which is what
+``bench_serving.py --qos`` gates: under contention, high-priority p99
+latency strictly beats best-effort — with identical results to sequential
+execution, because weights shape latency, never outcomes.  The other
+orders are special cases of the same loop:
 
-Deadlines ride on the same invariant: every entry point accepts an optional
-per-execution ``deadline`` (seconds of run time, measured from that
-execution's first slice), checked after every slice — which the bounded
-latency makes both cheap (one clock read per slice) and precise (at most one
-slice of overshoot).  An expired execution stops at the boundary with a
-:class:`~repro.serve.reliability.DeadlineExceeded` result instead of running
-to completion; in :meth:`StepSlicedDriver.run_checkpointed` the checkpoint
-hook fires one final time at that boundary, so the stopped state is exactly
-reifiable.  The clock is injectable (default :func:`time.perf_counter`) so
-tests drive deadlines with fake time.
+* ``sequential=True`` is an unbounded weight: each execution runs to
+  completion before the next starts (the differential twin CI's
+  ``bench_serving.py --check`` compares against);
+* ``schedule`` is a caller-chosen prefix of single-slice grants before the
+  weighted turns begin; the hypothesis tests drive it with arbitrary
+  interleavings to prove results are independent of scheduling;
+* ``on_checkpoint(index, slices)`` fires at slice boundaries, where paused
+  machine state is reifiable as a snapshot — for every execution before any
+  slice runs (``slices == 0``), then after every ``checkpoint_every``
+  slices; it is the substrate for checkpoint streaming and mid-run
+  migration;
+* ``max_slices`` preempts: an execution still running after that many
+  slices stops at the boundary with ``result=None``.
 
-Five entry points:
-
-* :meth:`StepSlicedDriver.run_batch` — the production path: one fresh
-  asyncio event loop interleaving every execution concurrently.  Safe to
-  call from synchronous code *and* from code already running inside an
-  event loop (an async caller, a notebook): when a loop is already running,
-  the batch runs on a dedicated loop in a helper thread instead of raising
-  ``asyncio.run``'s ``RuntimeError``;
-* :meth:`StepSlicedDriver.run_batch_async` — the same interleaving as an
-  awaitable, for callers that want the batch on *their* event loop;
-* :meth:`StepSlicedDriver.run_sequential` — the differential twin: the same
-  slicing, one execution at a time (CI's ``bench_serving.py --check``
-  requires the two to produce identical outcomes);
-* :meth:`StepSlicedDriver.run_schedule` — a deterministic, caller-chosen
-  stepping order; the hypothesis tests drive it with arbitrary interleavings
-  to prove results are independent of scheduling;
-* :meth:`StepSlicedDriver.run_checkpointed` — synchronous round-robin with a
-  hook at slice boundaries (where paused machine state is reifiable as a
-  snapshot) and an optional ``max_slices`` preemption ceiling; the substrate
-  for checkpoint streaming, preemption, and mid-run migration.
+Deadlines ride on the same invariant: an optional per-execution
+``deadline`` (seconds of run time, measured from that execution's first
+slice) is checked after every slice — which the bounded latency makes both
+cheap (one clock read per slice) and precise (at most one slice of
+overshoot).  An expired execution stops at the boundary with a
+:class:`~repro.serve.reliability.DeadlineExceeded` result, so its stopped
+state is exactly reifiable.  The clock is injectable (default
+:func:`time.perf_counter`) so tests drive deadlines with fake time.
 """
 
 from __future__ import annotations
 
-import asyncio
+import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, List, NamedTuple, Optional, Sequence
 
 from repro.serve.reliability import DeadlineExceeded
@@ -111,228 +101,75 @@ class StepSlicedDriver:
         self.slice_steps = slice_steps
         self.clock = clock
 
-    def _expired(self, deadline: Optional[float], elapsed: float) -> Optional[DeadlineExceeded]:
-        if deadline is not None and elapsed >= deadline:
-            return DeadlineExceeded(deadline, elapsed)
-        return None
-
-    # -- async interleaving ---------------------------------------------------
-
-    async def drive(
-        self, execution: Any, deadline: Optional[float] = None, weight: int = 1
-    ) -> DrivenResult:
-        """Advance one execution to completion, yielding between turns.
-
-        ``weight`` is the QoS knob: each event-loop turn grants up to
-        ``weight`` consecutive ``slice_steps``-bounded slices before
-        yielding, so under contention a weight-8 execution advances eight
-        slices for every one a weight-1 neighbour gets.  The default of 1 is
-        exactly the original round-robin.  The bounded-latency invariant is
-        unchanged — ``slices`` counts every ``step_n`` call, so
-        ``steps ≤ slices × slice_steps`` holds for any weight — and weights
-        never change outcomes, only latency distribution.
-        """
-        if weight < 1:
-            raise ValueError(f"weight must be >= 1, got {weight}")
-        slice_steps = self.slice_steps
-        slices = 0
-        start = self.clock()
-        while True:
-            for _ in range(weight):
-                result = execution.step_n(slice_steps)
-                slices += 1
-                elapsed = self.clock() - start
-                if result is not None:
-                    return DrivenResult(result, slices, elapsed)
-                expired = self._expired(deadline, elapsed)
-                if expired is not None:
-                    return DrivenResult(expired, slices, elapsed)
-            await asyncio.sleep(0)
-
-    async def run_batch_async(
-        self,
-        executions: Sequence[Any],
-        deadlines: Optional[Sequence[Optional[float]]] = None,
-        weights: Optional[Sequence[int]] = None,
-    ) -> List[DrivenResult]:
-        """Interleave all executions on the *caller's* event loop; results in order."""
-        per_execution = _deadline_list(deadlines, len(executions))
-        per_weight = _weight_list(weights, len(executions))
-        return list(
-            await asyncio.gather(
-                *(
-                    self.drive(execution, deadline, weight)
-                    for execution, deadline, weight in zip(executions, per_execution, per_weight)
-                )
-            )
-        )
-
     def run_batch(
         self,
         executions: Sequence[Any],
         deadlines: Optional[Sequence[Optional[float]]] = None,
         weights: Optional[Sequence[int]] = None,
-    ) -> List[DrivenResult]:
-        """Interleave all executions on one fresh event loop; results in order.
-
-        Callable from anywhere: plain synchronous code gets ``asyncio.run``
-        on a fresh loop; a caller that is *already* inside a running event
-        loop (driving a batch from a coroutine, a notebook cell) gets the
-        batch on a dedicated loop in a helper thread — ``asyncio.run`` would
-        raise ``RuntimeError`` there, and nesting on the caller's loop would
-        block it.  Async callers that want the batch interleaved with their
-        own tasks should ``await run_batch_async`` instead.
-        """
-        try:
-            asyncio.get_running_loop()
-        except RuntimeError:
-            return asyncio.run(self.run_batch_async(executions, deadlines, weights))
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            return pool.submit(
-                asyncio.run, self.run_batch_async(executions, deadlines, weights)
-            ).result()
-
-    # -- sequential / deterministic stepping ----------------------------------
-
-    def run_sequential(
-        self,
-        executions: Sequence[Any],
-        deadlines: Optional[Sequence[Optional[float]]] = None,
-    ) -> List[DrivenResult]:
-        """Drive each execution to completion before starting the next."""
-        per_execution = _deadline_list(deadlines, len(executions))
-        driven = []
-        for execution, deadline in zip(executions, per_execution):
-            slices = 0
-            start = self.clock()
-            result = None
-            while result is None:
-                result = execution.step_n(self.slice_steps)
-                slices += 1
-                if result is None:
-                    result = self._expired(deadline, self.clock() - start)
-            driven.append(DrivenResult(result, slices, self.clock() - start))
-        return driven
-
-    def run_schedule(
-        self,
-        executions: Sequence[Any],
-        schedule: Sequence[int],
-        deadlines: Optional[Sequence[Optional[float]]] = None,
-    ) -> List[DrivenResult]:
-        """Step executions in an explicit order, then finish round-robin.
-
-        ``schedule`` is a sequence of indices into ``executions``; each entry
-        grants that execution one slice (entries for already-finished
-        executions are no-ops).  Once the schedule is exhausted, remaining
-        executions finish round-robin.  Results come back in input order —
-        and must equal :meth:`run_sequential`'s for any schedule, which is
-        exactly the property the hypothesis tests check.
-        """
-        if not executions:
-            return []
-        count = len(executions)
-        per_execution = _deadline_list(deadlines, count)
-        results: List[Any] = [None] * count
-        slices = [0] * count
-        started = [0.0] * count
-        elapsed = [0.0] * count
-
-        def grant(index: int) -> None:
-            if results[index] is not None:
-                return
-            if slices[index] == 0:
-                started[index] = self.clock()
-            outcome = executions[index].step_n(self.slice_steps)
-            slices[index] += 1
-            if outcome is None:
-                outcome = self._expired(per_execution[index], self.clock() - started[index])
-            if outcome is not None:
-                results[index] = outcome
-                elapsed[index] = self.clock() - started[index]
-
-        for index in schedule:
-            grant(index % count)
-        while any(result is None for result in results):
-            for index in range(count):
-                grant(index)
-        return [DrivenResult(results[i], slices[i], elapsed[i]) for i in range(count)]
-
-    # -- checkpointing / preemption -------------------------------------------
-
-    def run_checkpointed(
-        self,
-        executions: Sequence[Any],
+        sequential: bool = False,
+        schedule: Sequence[int] = (),
         on_checkpoint: Optional[Callable[[int, int], None]] = None,
         checkpoint_every: int = 1,
         max_slices: Optional[int] = None,
-        deadlines: Optional[Sequence[Optional[float]]] = None,
     ) -> List[DrivenResult]:
-        """Round-robin stepping with slice-boundary checkpoint hooks.
+        """Drive every execution until it halts or stops; results in input order.
 
-        ``on_checkpoint(index, slices)`` fires for every execution *before*
-        its first slice (``slices == 0``) and again after every
-        ``checkpoint_every`` further slices — always at a slice boundary, so
-        the caller can reify that execution's paused machine state.  Results
-        come back in input order, exactly equal to :meth:`run_sequential`'s
-        (the machines are deterministic and slicing is observation-free).
-
-        ``max_slices`` preempts: an execution still running after that many
-        slices is stopped at the boundary — its ``on_checkpoint`` is invoked
-        one final time there (whatever the cadence), so the last checkpoint
-        *is* the preempted state, and its :class:`DrivenResult` carries
-        ``result=None``.  ``None`` means never preempt.
-
-        A per-execution deadline stops an execution the same way — at the
-        boundary, with one final checkpoint hook — but its result is a
-        :class:`~repro.serve.reliability.DeadlineExceeded` rather than
-        ``None``, so callers can tell policy expiry from preemption.
+        ``schedule`` entries are indices (taken modulo the batch size), each
+        granting that execution one slice — a no-op once it has stopped —
+        before the weighted turns begin.  A stopped execution's
+        :class:`DrivenResult` carries ``result=None`` when ``max_slices``
+        preempted it and a :class:`DeadlineExceeded` when its deadline did.
+        Results equal the sequential order's for any weights, schedule and
+        hooks: the machines are deterministic and slicing is
+        observation-free.
         """
         if checkpoint_every < 1:
             raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
         if max_slices is not None and max_slices < 1:
             raise ValueError(f"max_slices must be >= 1, got {max_slices}")
         count = len(executions)
-        per_execution = _deadline_list(deadlines, count)
+        if not count:
+            return []
+        per_deadline = _deadline_list(deadlines, count)
+        per_weight = [sys.maxsize] * count if sequential else _weight_list(weights, count)
+        slice_steps = self.slice_steps
+        clock = self.clock
         results: List[Any] = [None] * count
         slices = [0] * count
         started = [0.0] * count
         elapsed = [0.0] * count
-        finished = [False] * count  # halted *or* preempted *or* expired
-        notified = [-1] * count  # slice count of the last checkpoint hook
+        stopped = [False] * count
 
-        def checkpoint(index: int) -> None:
-            if on_checkpoint is not None and notified[index] != slices[index]:
-                notified[index] = slices[index]
-                on_checkpoint(index, slices[index])
-
-        for index in range(count):
-            started[index] = self.clock()
-            checkpoint(index)
-        while not all(finished):
-            for index in range(count):
-                if finished[index]:
-                    continue
-                outcome = executions[index].step_n(self.slice_steps)
+        def grant(index: int, turns: int) -> None:
+            execution = executions[index]
+            deadline = per_deadline[index]
+            if not slices[index]:
+                started[index] = clock()
+            for _ in range(turns):
+                outcome = execution.step_n(slice_steps)
                 slices[index] += 1
-                if outcome is not None:
-                    results[index] = outcome
-                    elapsed[index] = self.clock() - started[index]
-                    finished[index] = True
-                    continue
-                if slices[index] % checkpoint_every == 0:
-                    checkpoint(index)
-                expired = self._expired(
-                    per_execution[index], self.clock() - started[index]
-                )
-                if expired is not None:
-                    checkpoint(index)  # the stopped state, whatever the cadence
-                    results[index] = expired
-                    elapsed[index] = self.clock() - started[index]
-                    finished[index] = True
-                    continue
-                if max_slices is not None and slices[index] >= max_slices:
-                    checkpoint(index)  # no-op when the cadence just fired
-                    elapsed[index] = self.clock() - started[index]
-                    finished[index] = True
+                spent = clock() - started[index]
+                if outcome is None:
+                    if on_checkpoint is not None and slices[index] % checkpoint_every == 0:
+                        on_checkpoint(index, slices[index])
+                    if deadline is not None and spent >= deadline:
+                        outcome = DeadlineExceeded(deadline, spent)
+                    elif max_slices is None or slices[index] < max_slices:
+                        continue
+                results[index] = outcome
+                elapsed[index] = spent
+                stopped[index] = True
+                return
+
+        if on_checkpoint is not None:
+            for index in range(count):
+                on_checkpoint(index, 0)
+        for index in schedule:
+            if not stopped[index % count]:
+                grant(index % count, 1)
+        live = [index for index in range(count) if not stopped[index]]
+        while live:
+            for index in live:
+                grant(index, per_weight[index])
+            live = [index for index in live if not stopped[index]]
         return [DrivenResult(results[i], slices[i], elapsed[i]) for i in range(count)]

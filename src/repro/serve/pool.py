@@ -1,8 +1,8 @@
 """Multi-process serving: a sharded worker pool with cross-process cache sharing.
 
 One :class:`~repro.serve.scheduler.Scheduler` interleaves many resumable
-executions on one asyncio loop — but on one OS process, behind the GIL, with
-backend heaps and pipeline LRUs confined to that process.  The
+executions in one synchronous slice loop — but on one OS process, behind
+the GIL, with backend heaps and pipeline LRUs confined to that process.  The
 :class:`WorkerPool` is the scale-out layer above it: it shards
 :class:`~repro.serve.request.Request` batches across N worker processes,
 each running its own ``Scheduler`` + ``StepSlicedDriver`` loop, and keeps

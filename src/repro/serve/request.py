@@ -54,7 +54,7 @@ DEFAULT_FUEL = 100_000
 
 #: The named priority classes and their scheduling weights: how many
 #: consecutive machine-transition slices the driver grants a request per
-#: event-loop turn.  ``high`` tenants advance 8 slices for every 1 a
+#: round-robin turn.  ``high`` tenants advance 8 slices for every 1 a
 #: ``best-effort`` tenant gets under contention; uniform weights degenerate
 #: to the original round-robin, so a batch that never sets ``priority``
 #: schedules exactly as before.
@@ -140,7 +140,7 @@ class Request:
     #: The request's QoS class — ``"high"`` | ``"standard"`` |
     #: ``"best-effort"`` (see :data:`PRIORITY_WEIGHTS`) or a raw positive
     #: integer weight.  Under contention the driver grants each execution
-    #: ``priority_weight`` consecutive slices per event-loop turn, so a high
+    #: ``priority_weight`` consecutive slices per round-robin turn, so a high
     #: tenant's p99 stays low while best-effort work soaks up the remainder.
     #: Priority shapes *latency*, never results: the bounded-latency
     #: invariant still holds per slice and interleaved results must equal
@@ -200,8 +200,8 @@ class Response:
     #: responses share the representative run's result and accounting.
     coalesced: int = 1
     #: True when the request was stopped at a slice boundary before it
-    #: finished (:meth:`~repro.serve.scheduler.Scheduler.serve_preempting`'s
-    #: ``max_slices`` ceiling).  ``result`` is then ``None`` and — for
+    #: finished (the ``max_slices`` ceiling of
+    #: :meth:`~repro.serve.scheduler.Scheduler.serve`).  ``result`` is then ``None`` and — for
     #: snapshot-capable backends — ``checkpoint`` holds the paused state.
     preempted: bool = False
     #: The :class:`~repro.serve.checkpoint.Checkpoint` reified at the last

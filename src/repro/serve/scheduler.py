@@ -9,10 +9,14 @@ via ``request.system`` when a language is served by more than one system
 ``serve`` admits a batch: every request is compiled through its frontend's
 memoized pipeline (timed, with cache-hit accounting), started as a resumable
 execution under *its own* backend choice and fuel budget, and the whole
-batch is interleaved on one asyncio event loop by the
-:class:`~repro.serve.driver.StepSlicedDriver`.  ``serve_sequential`` is the
-differential twin — same pipeline, one program at a time — and CI's
-``bench_serving.py --check`` requires the two to produce identical outcomes.
+batch is driven by the synchronous slice loop of
+:class:`~repro.serve.driver.StepSlicedDriver` — interleaved by priority
+weight, or one at a time with ``sequential=True``, the differential twin
+CI's ``bench_serving.py --check`` compares against.  The same call coalesces
+identical requests (``batched``), preempts at a slice ceiling
+(``max_slices``), and streams slice-boundary checkpoints
+(``on_checkpoint``); :meth:`Scheduler.resume` continues checkpointed runs
+through the same drive step.
 
 Per-request failures are isolated by construction: frontend errors (parse,
 typecheck, convertibility, routing, unknown backend) land in that request's
@@ -33,10 +37,10 @@ hot-program list through the pipelines ahead of traffic, so the first real
 request for a hot program hits the LRU instead of re-running
 parse → typecheck → compile.
 
-Batched boundary crossings: :meth:`Scheduler.serve_batched` coalesces
+Batched boundary crossings: ``serve(..., batched=True)`` coalesces
 requests that agree on system, program, typecheck environments, backend,
 and fuel onto one VM instance per group — the built-in machines are
-deterministic, so outcomes equal :meth:`Scheduler.serve`'s while duplicates
+deterministic, so outcomes equal the uncoalesced run's while duplicates
 skip the pipeline, start, and run cost.
 
 Cross-process sharing hooks: :meth:`Scheduler.pipeline_key` /
@@ -53,7 +57,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import ReproError
 from repro.core.interop import InteropSystem
@@ -98,7 +102,7 @@ class _GuardedExecution:
     """Per-request crash isolation for the run phase.
 
     A backend that raises mid-run (an engine bug, a crash in a third-party
-    backend) must fail *its own* request, not unwind the driver's event loop
+    backend) must fail *its own* request, not unwind the driver's slice loop
     and lose the whole batch — the same isolation :meth:`Scheduler.prepare`
     gives frontend errors.  The guard turns any ``Exception`` into a
     :class:`_RunFailure` outcome that :meth:`Scheduler.serve` surfaces as
@@ -265,47 +269,69 @@ class Scheduler:
 
     # -- serving --------------------------------------------------------------
 
-    def serve(self, requests: Sequence[Request], sequential: bool = False) -> List[Response]:
+    def serve(
+        self,
+        requests: Sequence[Request],
+        sequential: bool = False,
+        batched: bool = False,
+        max_slices: Optional[int] = None,
+        checkpoint_every: int = 1,
+        on_checkpoint: Optional[Callable[[List[int], Checkpoint], None]] = None,
+    ) -> List[Response]:
         """Admit a batch and run it; responses come back in request order.
 
-        The default interleaves every admitted execution on one event loop;
-        ``sequential=True`` drives them one at a time instead (the
-        differential baseline).  Either way each request runs under its own
-        backend and fuel budget.
+        The default interleaves every admitted execution, each request
+        weighted by its ``priority`` class; ``sequential=True`` drives them
+        one at a time instead (the differential baseline).  Either way each
+        request runs under its own backend and fuel budget.
+
+        ``batched=True`` coalesces requests that agree on system, program,
+        typecheck environments, backend, and fuel (:meth:`batch_key`): one
+        *representative* per group is compiled, started, and driven, and the
+        other members receive a copy of its response, with ``coalesced``
+        recording the group size on every member.  Built-in backends are
+        deterministic machines, so outcomes are identical to the uncoalesced
+        run; what the batch saves is the duplicates' pipeline, start, and
+        run cost.
+
+        ``on_checkpoint(indices, checkpoint)`` observes each snapshot-capable
+        run's paused state as a :class:`~repro.serve.checkpoint.Checkpoint`
+        before its first slice and then every ``checkpoint_every`` slices;
+        ``indices`` are the positions in ``requests`` that share the run.
+        Stream it to another process, persist it, or ignore it.
+
+        With ``max_slices`` set, a request still running at that ceiling is
+        *preempted*: its response carries ``preempted=True``, ``result=None``
+        and — for snapshot-capable backends — ``checkpoint`` holding exactly
+        the stopped state, ready for :meth:`resume` later or elsewhere.  A
+        deadline-stopped request carries its checkpoint the same way.
         """
-        prepared, runnable, executions, deadlines, weights = self._admit(requests)
-        if sequential:
-            driven = self.driver.run_sequential(executions, deadlines)
-        else:
-            driven = self.driver.run_batch(executions, deadlines, weights)
-        responses = self._collect(prepared, runnable, driven)
-        self._attach_deadline_checkpoints(runnable, driven)
-        return responses
+        groups: "OrderedDict[Any, List[int]]" = OrderedDict()
+        for index, request in enumerate(requests):
+            key = self.batch_key(request) if batched else None
+            groups.setdefault(("solo", index) if key is None else key, []).append(index)
+        members = list(groups.values())
+        prepared = self._admit([requests[group[0]] for group in members])
+        hook = None
+        if on_checkpoint is not None:
+            def hook(position: int, checkpoint: Checkpoint) -> None:
+                on_checkpoint(members[position], checkpoint)
+        self._drive(prepared, sequential, max_slices, checkpoint_every, hook)
+        responses: List[Optional[Response]] = [None] * len(requests)
+        for group, entry in zip(members, prepared):
+            response = entry.response
+            response.coalesced = len(group)
+            responses[group[0]] = response
+            for member in group[1:]:
+                responses[member] = replace(response, request=requests[member])
+        return responses  # type: ignore[return-value]
 
-    async def serve_async(self, requests: Sequence[Request]) -> List[Response]:
-        """Admit a batch and interleave it on the *caller's* event loop.
+    def serve_sequential(self, requests: Sequence[Request]) -> List[Response]:
+        return self.serve(requests, sequential=True)
 
-        Same outcomes as :meth:`serve`, but awaitable — an async caller's own
-        tasks keep running between slices instead of blocking behind the
-        batch (``serve`` from inside a coroutine falls back to a helper
-        thread, which isolates rather than shares the loop).
-        """
-        prepared, runnable, executions, deadlines, weights = self._admit(requests)
-        driven = await self.driver.run_batch_async(executions, deadlines, weights)
-        responses = self._collect(prepared, runnable, driven)
-        self._attach_deadline_checkpoints(runnable, driven)
-        return responses
-
-    def _admit(self, requests: Sequence[Request]):
-        """Prepare a batch; ``runnable``/``executions``/``deadlines``/
-        ``weights`` align.
-
-        Requests past the ``max_inflight`` admission limit are shed with
-        ``rejected_overload`` (never prepared, never run).  The fault plan,
-        when set, instruments each admitted execution *inside* the crash
-        guard, so injected worker faults fire at slice boundaries while
-        ``entry.execution`` stays the raw execution for snapshotting.
-        """
+    def _admit(self, requests: Sequence[Request]) -> List[PreparedRequest]:
+        """Prepare a batch, shedding requests past the ``max_inflight``
+        admission limit with ``rejected_overload`` (never prepared, never run)."""
         prepared = []
         admitted = 0
         for request in requests:
@@ -318,31 +344,70 @@ class Scheduler:
             if entry.execution is not None:
                 admitted += 1
             prepared.append(entry)
-        runnable = [entry for entry in prepared if entry.execution is not None]
+        return prepared
+
+    def _drive(
+        self,
+        prepared: Sequence[PreparedRequest],
+        sequential: bool,
+        max_slices: Optional[int] = None,
+        checkpoint_every: int = 1,
+        on_checkpoint: Optional[Callable[[int, Checkpoint], None]] = None,
+    ) -> None:
+        """Run every started entry of ``prepared`` and fill in its response.
+
+        The fault plan, when set, instruments each execution *inside* the
+        crash guard, so injected worker faults fire at slice boundaries
+        while ``entry.execution`` stays the raw execution for snapshotting.
+        ``on_checkpoint(position, checkpoint)`` indexes ``prepared``.  A
+        preempted or deadline-stopped run is paused at its last boundary, so
+        its checkpoint is reified once, here, after the run.
+        """
+        runnable = [
+            (position, entry) for position, entry in enumerate(prepared) if entry.execution is not None
+        ]
         executions = []
-        for entry in runnable:
+        weights = []
+        for _position, entry in runnable:
+            request = entry.response.request
             execution = entry.execution
             if self.fault_plan is not None:
-                execution = self.fault_plan.instrument(
-                    execution, request_id=entry.response.request.request_id
-                )
+                execution = self.fault_plan.instrument(execution, request_id=request.request_id)
             executions.append(_GuardedExecution(execution))
-        deadlines = [entry.response.request.deadline_seconds for entry in runnable]
-        weights = [entry.response.request.priority_weight for entry in runnable]
-        return prepared, runnable, executions, deadlines, weights
-
-    @staticmethod
-    def _collect(prepared, runnable, driven) -> List[Response]:
-        for entry, outcome in zip(runnable, driven):
+            try:  # a foreign checkpoint may carry a priority this build rejects
+                weights.append(request.priority_weight)
+            except ValueError:
+                weights.append(1)
+        hook = None
+        if on_checkpoint is not None:
+            def hook(index: int, slices: int) -> None:
+                position, entry = runnable[index]
+                checkpoint = self._reify_checkpoint(entry, slices)
+                if checkpoint is not None:
+                    on_checkpoint(position, checkpoint)
+        driven = self.driver.run_batch(
+            executions,
+            [entry.response.request.deadline_seconds for _position, entry in runnable],
+            weights,
+            sequential=sequential,
+            on_checkpoint=hook,
+            checkpoint_every=checkpoint_every,
+            max_slices=max_slices,
+        )
+        for (_position, entry), outcome in zip(runnable, driven):
+            response = entry.response
             if isinstance(outcome.result, _RunFailure):
-                entry.response.error = outcome.result.message
+                response.error = outcome.result.message
             elif isinstance(outcome.result, DeadlineExceeded):
-                entry.response.deadline_exceeded = True
+                response.deadline_exceeded = True
+            elif outcome.result is None:
+                response.preempted = True
             else:
-                entry.response.result = outcome.result
-            entry.response.slices = outcome.slices
-            entry.response.run_seconds = outcome.seconds
-        return [entry.response for entry in prepared]
+                response.result = outcome.result
+            response.slices = outcome.slices
+            response.run_seconds = outcome.seconds
+            if response.deadline_exceeded or response.preempted:
+                response.checkpoint = self._reify_checkpoint(entry, outcome.slices)
 
     def _reify_checkpoint(self, entry: PreparedRequest, slices: int) -> Optional[Checkpoint]:
         """The entry's paused state as a checkpoint, or ``None`` when the
@@ -362,80 +427,7 @@ class Scheduler:
             slices=slices,
         )
 
-    def _attach_deadline_checkpoints(self, runnable, driven) -> None:
-        """Give every deadline-stopped response its resumable checkpoint.
-
-        The driver stops expired executions at a slice boundary, so the
-        paused state is exactly reifiable here — a caller that wants to
-        grant more time feeds the checkpoint to :meth:`resume` instead of
-        re-running the work.  Backends without snapshots simply carry no
-        checkpoint (the flag still reports the expiry).
-        """
-        for entry, outcome in zip(runnable, driven):
-            if entry.response.deadline_exceeded and entry.response.checkpoint is None:
-                entry.response.checkpoint = self._reify_checkpoint(entry, outcome.slices)
-
-    def serve_sequential(self, requests: Sequence[Request]) -> List[Response]:
-        return self.serve(requests, sequential=True)
-
-    # -- checkpointing / preemption / resume ----------------------------------
-
-    def serve_preempting(
-        self,
-        requests: Sequence[Request],
-        max_slices: Optional[int] = None,
-        checkpoint_every: int = 1,
-        on_checkpoint: Optional[Any] = None,
-    ) -> List[Response]:
-        """Serve a batch with slice-boundary checkpoints and an optional ceiling.
-
-        Admission is identical to :meth:`serve`; the batch then advances
-        round-robin, and at every slice boundary (before the first slice,
-        then every ``checkpoint_every`` slices) each snapshot-capable
-        execution's paused state is reified into a
-        :class:`~repro.serve.checkpoint.Checkpoint`.  ``on_checkpoint(index,
-        checkpoint)`` — ``index`` into ``requests`` — observes each one as it
-        is taken: stream it to another process, persist it through a
-        :class:`~repro.serve.checkpoint.CheckpointStore`, or ignore it.
-
-        With ``max_slices`` set, a request still running at that ceiling is
-        *preempted*: its response carries ``preempted=True``, ``result=None``
-        and — for snapshot-capable backends — ``checkpoint`` holding exactly
-        the stopped state, ready for :meth:`resume` later or elsewhere.
-        Outcomes of requests that finish are identical to :meth:`serve`'s
-        (the machines are deterministic; snapshots copy state out without
-        touching it).  Backends without snapshots run and preempt normally
-        but yield no checkpoint.
-        """
-        prepared, runnable, executions, deadlines, _weights = self._admit(requests)
-        indices = {id(entry): index for index, entry in enumerate(prepared)}
-
-        def hook(runnable_index: int, slices: int) -> None:
-            entry = runnable[runnable_index]
-            checkpoint = self._reify_checkpoint(entry, slices)
-            if checkpoint is None:
-                return
-            entry.response.checkpoint = checkpoint
-            if on_checkpoint is not None:
-                on_checkpoint(indices[id(entry)], entry.response.checkpoint)
-
-        driven = self.driver.run_checkpointed(
-            executions,
-            on_checkpoint=hook,
-            checkpoint_every=checkpoint_every,
-            max_slices=max_slices,
-            deadlines=deadlines,
-        )
-        responses = self._collect(prepared, runnable, driven)
-        for entry, outcome in zip(runnable, driven):
-            if entry.response.deadline_exceeded:
-                continue  # the final hook's checkpoint is the stopped state
-            if outcome.result is None and entry.response.error is None:
-                entry.response.preempted = True
-            else:
-                # Finished (or failed): the trailing checkpoint is stale.
-                entry.response.checkpoint = None
-        return responses
+    # -- checkpoint restore / resume ------------------------------------------
 
     def restore_execution(self, checkpoint: Checkpoint):
         """Rebuild a checkpoint's paused execution via its system's restorer."""
@@ -485,29 +477,8 @@ class Scheduler:
                 prepared.append(PreparedRequest(response))
                 continue
             prepared.append(PreparedRequest(response, execution))
-        runnable = [entry for entry in prepared if entry.execution is not None]
-        executions = []
-        for entry in runnable:
-            execution = entry.execution
-            if self.fault_plan is not None:
-                execution = self.fault_plan.instrument(
-                    execution, request_id=entry.response.request.request_id
-                )
-            executions.append(_GuardedExecution(execution))
-        deadlines = [entry.response.request.deadline_seconds for entry in runnable]
-        weights = []
-        for entry in runnable:
-            try:  # a foreign checkpoint may carry a priority this build rejects
-                weights.append(entry.response.request.priority_weight)
-            except ValueError:
-                weights.append(1)
-        if sequential:
-            driven = self.driver.run_sequential(executions, deadlines)
-        else:
-            driven = self.driver.run_batch(executions, deadlines, weights)
-        responses = self._collect(prepared, runnable, driven)
-        self._attach_deadline_checkpoints(runnable, driven)
-        return responses
+        self._drive(prepared, sequential)
+        return [entry.response for entry in prepared]
 
     def resume_stored(
         self, store: CheckpointStore, sequential: bool = False, gc: bool = True
@@ -567,36 +538,6 @@ class Scheduler:
         if backend not in system.target.executions:
             return None
         return ((system_name, key), backend, request.fuel)
-
-    def serve_batched(self, requests: Sequence[Request], sequential: bool = False) -> List[Response]:
-        """Serve a batch, running identical requests on one VM instance each.
-
-        Requests that agree on system, program, typecheck environments,
-        backend, and fuel are grouped; one *representative* per group is
-        compiled, started, and driven (interleaved with every other group's
-        representative, or sequentially when ``sequential=True``), and the
-        other members receive a copy of its response — same result object,
-        same step/slice/timing accounting, with ``response.coalesced``
-        recording the group size on every member.  Built-in backends are
-        deterministic machines, so the observable outcomes are identical to
-        :meth:`serve`; what the batch saves is the pipeline, start, and run
-        cost of the duplicates.  Requests with no coalescing key (unroutable,
-        uncacheable typecheck kwargs, factoryless backend) run alone,
-        exactly as under :meth:`serve`.
-        """
-        groups: "OrderedDict[Any, List[int]]" = OrderedDict()
-        for index, request in enumerate(requests):
-            key = self.batch_key(request)
-            groups.setdefault(("solo", index) if key is None else key, []).append(index)
-        representatives = [requests[members[0]] for members in groups.values()]
-        served = self.serve(representatives, sequential=sequential)
-        responses: List[Optional[Response]] = [None] * len(requests)
-        for members, response in zip(groups.values(), served):
-            response.coalesced = len(members)
-            responses[members[0]] = response
-            for member in members[1:]:
-                responses[member] = replace(response, request=requests[member])
-        return responses  # type: ignore[return-value]
 
     # -- cross-process cache sharing ------------------------------------------
 

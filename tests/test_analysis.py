@@ -459,7 +459,7 @@ def test_analyze_only_never_coalesces_and_frontend_errors_stay_structured():
     scheduler = make_default_scheduler(slice_steps=16)
     good = Request(language="RefLL", source="(+ 1 1)", analyze_only=True)
     assert scheduler.batch_key(good) is None
-    responses = scheduler.serve_batched([good, good])
+    responses = scheduler.serve([good, good], batched=True)
     assert all(response.report is not None for response in responses)
     bad = scheduler.submit(
         Request(language="MiniML", system="affine", source="(boundary int (ref 1))", analyze_only=True)

@@ -14,7 +14,9 @@ so each recovery path is pinned exactly:
   is reported queue depth plus the batch's cost-hint-weighted load;
 * **admission** — the batch tail and per-member overflow are shed;
 * **idle death** — a member found dead before dispatch is crash-accounted
-  before its warm set is computed, so its replacement is re-warmed.
+  before its warm set is computed, so its replacement is re-warmed;
+* **the worker side** — :func:`handle_work` streams checkpoints in the
+  order its priority-weighted slice loop reaches their boundaries.
 """
 
 from repro.serve import (
@@ -25,7 +27,7 @@ from repro.serve import (
     Response,
     make_default_scheduler,
 )
-from repro.serve.dispatch import Dispatcher
+from repro.serve.dispatch import Dispatcher, handle_work
 from repro.util.workloads import nested_refll_boundary
 
 SLICE_STEPS = 16
@@ -253,3 +255,29 @@ def test_admission_sheds_the_tail_and_member_overflow():
     assert [response.rejected_overload for response in responses] == [False, True, False, True]
     assert [response.shard for response in responses] == [0, None, 1, None]
     assert dispatcher.cache_stats()["shed"] == 2
+
+
+# -- the worker side ----------------------------------------------------------
+
+
+class RecordingConnection:
+    def __init__(self):
+        self.frames = []
+
+    def send(self, frame):
+        self.frames.append(frame)
+
+
+def test_streaming_worker_honours_request_priority():
+    low = Request(
+        language="RefLL", source=nested_refll_boundary(12), priority="best-effort", request_id="low"
+    )
+    high = Request(language="RefLL", source=nested_refll_boundary(13), priority="high", request_id="high")
+    connection = RecordingConnection()
+    work = ("serve", [(0, low), (1, high)], [], [], False, True, 1)
+    reply = handle_work(make_default_scheduler(slice_steps=4), 0, work, connection)
+    assert reply[0] == "ok"
+    order = [covered for tag, covered, _payload in connection.frames if tag == "checkpoint"]
+    # Both slice-0 checkpoints, then one best-effort turn of 1 slice and one
+    # high-priority turn of 8.
+    assert order[:11] == [[0], [1], [0]] + [[1]] * 8

@@ -266,7 +266,7 @@ def test_serve_batched_coalesces_identical_requests():
         Request(language="RefLL", source=source, backend="substitution", request_id="oracle"),
         Request(language="RefLL", source=source, fuel=5, request_id="starved"),
     ]
-    batched = scheduler.serve_batched(requests)
+    batched = scheduler.serve(requests, batched=True)
     sequential = make_default_scheduler(slice_steps=128).serve_sequential(requests)
     assert [_observable(r) for r in batched] == [_observable(r) for r in sequential]
     assert [r.coalesced for r in batched] == [3, 3, 3, 1, 1]

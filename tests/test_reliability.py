@@ -200,12 +200,12 @@ class _NeverDone:
 def test_driver_returns_structured_deadline_exceeded_at_the_boundary():
     clock = FakeClock(tick=1.0)  # one second per clock read
     driver = StepSlicedDriver(slice_steps=4, clock=clock)
-    driven = driver.run_sequential([_NeverDone()], deadlines=[2.0])[0]
+    driven = driver.run_batch([_NeverDone()], deadlines=[2.0], sequential=True)[0]
     assert isinstance(driven.result, DeadlineExceeded)
     assert driven.result.elapsed_seconds >= driven.result.deadline_seconds
     assert driven.slices >= 1  # stopped at a boundary, not mid-slice
     with pytest.raises(ValueError):
-        driver.run_sequential([_NeverDone()], deadlines=[])  # length mismatch
+        driver.run_batch([_NeverDone()], deadlines=[], sequential=True)  # length mismatch
 
 
 def test_deadline_exceeded_response_carries_a_resumable_checkpoint():
@@ -247,7 +247,7 @@ def test_deadline_applies_per_attempt_through_preempting_and_resume():
         slice_steps=8, driver=StepSlicedDriver(8, clock=clock)
     )
     request = Request(language="RefLL", source=source, deadline_seconds=1.0)
-    response = scheduler.serve_preempting([request], checkpoint_every=1)[0]
+    response = scheduler.serve([request], checkpoint_every=1)[0]
     assert response.deadline_exceeded
     assert not response.preempted  # policy expiry, not a preemption ceiling
     assert response.checkpoint is not None
@@ -607,7 +607,7 @@ def test_store_gc_evicts_by_age_then_bounds_by_size(tmp_path):
 def test_resume_stored_completes_consumes_and_gcs(tmp_path):
     source = nested_refll_boundary(5)
     scheduler = make_default_scheduler(slice_steps=16)
-    paused = scheduler.serve_preempting(
+    paused = scheduler.serve(
         [Request(language="RefLL", source=source, request_id="durable")], max_slices=1
     )[0]
     assert paused.preempted and paused.checkpoint is not None

@@ -539,45 +539,6 @@ def test_run_batch_works_from_inside_a_running_event_loop():
     assert [_observe(response) for response in responses] == expected
 
 
-def test_serve_async_interleaves_on_the_callers_loop():
-    scheduler = make_default_scheduler(slice_steps=32)
-    requests = [
-        Request(language="RefLL", source=_nested_refll_boundary(3), request_id="a"),
-        Request(
-            language="MiniML",
-            system="affine",
-            source=_nested_ml_affi_boundary(3),
-            backend="bigstep",
-            request_id="b",
-        ),
-    ]
-    expected = [_observe(response) for response in scheduler.serve(requests)]
-
-    async def _serve():
-        ticks = 0
-
-        async def _heartbeat():
-            nonlocal ticks
-            try:
-                while True:
-                    ticks += 1
-                    await asyncio.sleep(0)
-            except asyncio.CancelledError:
-                pass
-
-        beat = asyncio.ensure_future(_heartbeat())
-        responses = await scheduler.serve_async(requests)
-        beat.cancel()
-        await beat
-        return responses, ticks
-
-    responses, ticks = asyncio.run(_serve())
-    assert [_observe(response) for response in responses] == expected
-    # The caller's own task kept running between slices: shared loop, not a
-    # blocking call.
-    assert ticks > 1
-
-
 def test_blocking_execution_shim_still_serves_factoryless_backends():
     """Third-party backends without an execution factory keep working.
 
@@ -682,12 +643,22 @@ def test_warm_cache_rejects_malformed_hot_entries():
 @given(
     schedule=st.lists(st.integers(0, len(REQUESTS) - 1), max_size=80),
     slice_steps=st.integers(1, 64),
+    weights=st.lists(st.integers(1, 8), min_size=len(REQUESTS), max_size=len(REQUESTS)),
+    checkpoint_every=st.integers(1, 5),
 )
-def test_interleaving_order_independence(schedule, slice_steps):
+def test_interleaving_order_independence(schedule, slice_steps, weights, checkpoint_every):
     prepared = [SCHEDULER.prepare(request) for request in REQUESTS]
     executions = [entry.execution for entry in prepared]
     assert all(execution is not None for execution in executions)
     driver = StepSlicedDriver(slice_steps=slice_steps)
-    driven = driver.run_schedule(executions, schedule)
+    hooks = []
+    driven = driver.run_batch(
+        executions,
+        weights=weights,
+        schedule=schedule,
+        on_checkpoint=lambda index, slices: hooks.append(slices),
+        checkpoint_every=checkpoint_every,
+    )
     observed = [(True, _observe_result(outcome.result)) for outcome in driven]
     assert observed == EXPECTED
+    assert all(slices % checkpoint_every == 0 for slices in hooks if slices)

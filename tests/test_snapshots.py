@@ -420,7 +420,7 @@ def test_preempt_persist_restart_resume_round_trip(tmp_path):
         response.request.request_id: response
         for response in scheduler.serve_sequential(_preempt_requests())
     }
-    served = scheduler.serve_preempting(_preempt_requests(), max_slices=2)
+    served = scheduler.serve(_preempt_requests(), max_slices=2)
     preempted = [response for response in served if response.preempted]
     assert preempted, "ceiling too low to preempt anything"
     store = CheckpointStore(str(tmp_path))
