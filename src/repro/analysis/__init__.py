@@ -1,25 +1,28 @@
-"""The unified per-node static-analysis framework (run at pipeline time).
+"""The unified per-node static-analysis framework (run on demand).
 
-One entry point, :func:`analyze_unit`, runs every analysis over a freshly
-compiled :class:`~repro.core.language.CompiledUnit` and returns an
+One entry point, :func:`analyze_unit`, runs every analysis over a compiled
+:class:`~repro.core.language.CompiledUnit` and returns an
 :class:`AnalysisReport` of plain data:
 
 * crossing-site enumeration (:mod:`repro.analysis.crossings`) joined with
-  the boundary hooks' typecheck records, so each site carries its type pair
-  and — when glue pre-resolution is on — the convertibility rule that was
-  statically baked into the compiled handler;
+  the boundary records the unit's own typecheck wrote, so each site carries
+  its type pair and — when glue pre-resolution is on — the convertibility
+  rule that was statically baked into the compiled handler;
 * effect/purity facts and node counts (:mod:`repro.analysis.effects`);
-* the StackLang stack-effect/arity verifier
-  (:mod:`repro.analysis.stack_effects`), whose definite-underflow findings
-  abort the pipeline with a structured :class:`StaticVerificationError`
-  instead of letting the machine crash at runtime;
+* the StackLang stack-effect/arity verifier's findings
+  (:mod:`repro.analysis.stack_effects`);
 * the LCVM optimizer's projected node count (:mod:`repro.analysis.optimize`)
   — the same transform the ``cek-opt`` backend executes.
 
-The systems install :func:`make_analyzer` closures as their frontends'
-``analyze`` hooks, so reports ride the pipeline LRU and the cross-process
-artifact store for free, and the serving layer's ``analyze_only`` mode is a
-cache lookup plus ``report.to_dict()``.
+:func:`make_analyzer` returns two frontend hooks.  The verifier is the one
+check that can reject a program: the systems register it as ``verify`` on
+their StackLang frontends, so every pipeline still aborts on definite
+underflow with a structured :class:`StaticVerificationError` instead of
+letting the machine crash at runtime.  The analyzer is registered as
+``analyze``; the pipeline defers it to the first read of
+``CompiledUnit.analysis``, so the report is built only for its readers (the
+serving layer's ``analyze_only`` mode and ``tools/analyze.py``) and for
+units pickled into the cross-process artifact store.
 """
 
 from __future__ import annotations
@@ -78,11 +81,13 @@ def analyze_unit(
     boundary_types: Optional[Mapping[int, Any]] = None,
     resolved_rules: Optional[Mapping[int, str]] = None,
 ) -> AnalysisReport:
-    """Analyze one compiled unit; raises on fatal verification findings.
+    """Analyze one compiled unit; never raises on verification findings.
 
     ``target`` is ``"stacklang"`` or ``"lcvm"``; ``languages`` is the
-    system's ``(language_a, language_b)`` name pair.  The maps come from the
-    system's boundary hooks (both keyed by ``id(boundary)``).
+    system's ``(language_a, language_b)`` name pair.  The maps are the
+    unit's boundary records (both keyed by ``id(boundary)``).  StackLang
+    verifier findings land in ``verified``/``errors``/``warnings``; the
+    pipeline's ``verify`` hook is what rejects a program.
     """
     sites = enumerate_crossings(
         unit.term,
@@ -92,17 +97,16 @@ def analyze_unit(
         resolved_rules=resolved_rules,
     )
     effects, node_count = summarize(target, unit.target_code)
+    errors: Tuple[StackIssue, ...] = ()
+    warnings: Tuple[StackIssue, ...] = ()
     if target == "stacklang":
         verification = verify_program(unit.target_code)
-        if not verification.ok:
-            raise StaticVerificationError(verification.errors)
+        errors, warnings = verification.errors, verification.warnings
         # StackLang's cek-opt is a length-preserving superinstruction fusion,
         # so the static node count is unchanged (only dispatches shrink).
         optimized_count = node_count
-        warnings = verification.warnings
     else:
         optimized_count = lcvm_node_count(optimize(unit.target_code))
-        warnings = ()
     return AnalysisReport(
         language=unit.language,
         target=target,
@@ -110,27 +114,32 @@ def analyze_unit(
         crossings=sites,
         effects=effects,
         estimated_steps=node_count + CROSSING_STEP_COST * len(sites),
-        verified=True,
-        errors=(),
+        verified=not errors,
+        errors=errors,
         warnings=warnings,
         optimized_node_count=optimized_count,
     )
 
 
-def make_analyzer(
-    target: str,
-    languages: Tuple[str, str],
-    boundary_types: Mapping[int, Any],
-    resolved_rules: Mapping[int, str],
-) -> Callable[[Any], AnalysisReport]:
-    """An ``analyze`` hook for a :class:`LanguageFrontend`.
+def _verify_stacklang(unit: Any) -> None:
+    require_verified(unit.target_code)
 
-    The returned closure captures the hooks' *live* record maps, so analysis
-    sees exactly the boundary types and pre-resolved rules the typechecker
-    just recorded for the unit being analyzed.
+
+def make_analyzer(
+    target: str, languages: Tuple[str, str]
+) -> Tuple[Callable[[Any], AnalysisReport], Optional[Callable[[Any], None]]]:
+    """The ``(analyze, verify)`` hooks for a system's frontends.
+
+    ``analyze`` reads the unit's own boundary records (``unit.records``, a
+    ``(boundary_types, resolved_rules)`` pair the pipeline took from the
+    hooks), so a report built long after the pipeline still sees exactly
+    what that unit's typecheck recorded.  ``verify`` raises
+    :class:`StaticVerificationError` on definite StackLang underflow; LCVM
+    programs are tree-structured and always verify, so it is ``None`` there.
     """
 
     def analyze(unit: Any) -> AnalysisReport:
+        boundary_types, resolved_rules = unit.records or (None, None)
         return analyze_unit(
             unit,
             target=target,
@@ -139,4 +148,4 @@ def make_analyzer(
             resolved_rules=resolved_rules,
         )
 
-    return analyze
+    return analyze, (_verify_stacklang if target == "stacklang" else None)

@@ -8,15 +8,17 @@ importing any of their syntaxes.  The walk recurses through plain dataclass
 nodes and tuples, flipping the host language each time it passes through a
 boundary, and joins each site against the typechecker's records:
 
-* ``boundary_types`` (kept by every hooks object, keyed by ``id(boundary)``)
-  supplies the foreign type the embedded term was checked at;
-* ``resolved_rules`` (kept by the pre-resolving hooks) supplies the name of
-  the convertibility rule whose glue was statically baked into the compiled
-  handler for that site.
+* ``boundary_types`` (written by every hooks object, keyed by
+  ``id(boundary)``) supplies the foreign type the embedded term was checked
+  at;
+* ``resolved_rules`` (written by the pre-resolving hooks) supplies the name
+  of the convertibility rule whose glue was statically baked into the
+  compiled handler for that site.
 
-Because the pipeline analyzes *after* typechecking, both maps are populated
-for every reachable boundary; the ``"?"`` fallback only appears when the
-walk is used standalone on an unchecked term.
+Each pipeline takes the records its own typecheck wrote and keeps them on
+the unit until its report is built, so both maps are populated for every
+reachable boundary; the ``"?"`` fallback only appears when the walk is used
+standalone on an unchecked term.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ target machine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, NamedTuple, Optional
 
 from repro.core.convertibility import ConvertibilityRelation
 from repro.core.errors import ReproError
@@ -42,6 +42,37 @@ class RunResult:
         if self.ok:
             return f"value {self.value} (in {self.steps} steps)"
         return f"failure {self.failure} (after {self.steps} steps)"
+
+
+class BoundaryRecords(NamedTuple):
+    """What one pipeline's typecheck recorded, keyed by ``id(boundary)``."""
+
+    #: The foreign type each embedded term was checked at.
+    types: Dict[int, Any]
+    #: The convertibility rule behind each pre-resolved site.
+    rules: Dict[int, str]
+
+
+class BoundaryRecorder:
+    """The record maps every system's boundary hooks share, and their reset.
+
+    Typechecking a boundary writes its foreign type (and, when glue is
+    pre-resolved, its oriented glue and rule) under ``id(boundary)``;
+    compiling it pops the glue.  The frontends call :meth:`take_records`
+    at the end of every pipeline, rejected ones included, so no pipeline's
+    records stay behind: they live exactly as long as the unit they
+    describe, and an id a later program reuses never meets a stale entry.
+    """
+
+    boundary_types: Dict[int, Any]
+    resolved_glue: Dict[int, Callable]
+    resolved_rules: Dict[int, str]
+
+    def take_records(self) -> BoundaryRecords:
+        records = BoundaryRecords(self.boundary_types, self.resolved_rules)
+        self.boundary_types, self.resolved_rules = {}, {}
+        self.resolved_glue.clear()
+        return records
 
 
 @dataclass

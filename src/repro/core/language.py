@@ -120,13 +120,21 @@ class LanguageFrontend:
     parse_type: ParseFn
     typecheck: TypecheckFn
     compile: CompileFn
-    #: Optional static-analysis pass run once per pipeline execution, after
-    #: compile: ``analyze(unit) -> report`` attaches its (picklable) result to
-    #: ``CompiledUnit.analysis``, so the report rides the pipeline LRU and the
-    #: cross-process artifact store exactly like the compiled code it
-    #: describes.  An analyzer that raises fails the pipeline — analysis
-    #: errors are frontend errors, surfaced the same way typecheck errors are.
+    #: Optional target-level check run on every pipeline, right after
+    #: compile: ``verify(unit)`` raises to reject the program (a structured
+    #: frontend error, surfaced the same way typecheck errors are).
+    verify: Optional[Callable[["CompiledUnit"], None]] = None
+    #: Optional static-analysis pass, run on demand: the pipeline hands the
+    #: hook to the unit, and the first read of ``CompiledUnit.analysis``
+    #: calls ``analyze(unit) -> report`` and caches the (picklable) result on
+    #: the unit.  A unit is analyzed before it is pickled, so the report
+    #: rides the cross-process artifact store, wire frames and checkpoints
+    #: with the compiled code it describes.
     analyze: Optional[Callable[["CompiledUnit"], Any]] = None
+    #: Optional ``take_records() -> records``: hands over, and forgets, what
+    #: the boundary hooks recorded while this pipeline typechecked and
+    #: compiled.  The unit keeps the records as the input of its report.
+    take_records: Optional[Callable[[], Any]] = None
     cache_enabled: bool = True
     cache_capacity: int = 256
     cache_hits: int = 0
@@ -202,12 +210,24 @@ class LanguageFrontend:
         return True
 
     def _run_pipeline(self, source: str, **typecheck_kwargs: Any) -> "CompiledUnit":
-        term = self.parse_expr(source)
-        inferred = self.typecheck(term, **typecheck_kwargs)
-        compiled = self.compile(term)
-        unit = CompiledUnit(language=self.name, term=term, type=inferred, target_code=compiled)
-        if self.analyze is not None:
-            unit.analysis = self.analyze(unit)
+        try:
+            term = self.parse_expr(source)
+            inferred = self.typecheck(term, **typecheck_kwargs)
+            compiled = self.compile(term)
+        finally:
+            # Taken even when a stage raises, so a rejected program leaves
+            # nothing behind in the hooks' shared maps.
+            records = self.take_records() if self.take_records is not None else None
+        unit = CompiledUnit(
+            language=self.name,
+            term=term,
+            type=inferred,
+            target_code=compiled,
+            records=records,
+            analyze=self.analyze,
+        )
+        if self.verify is not None:
+            self.verify(unit)
         return unit
 
     def clear_cache(self) -> None:
@@ -452,15 +472,35 @@ class TargetBackend:
 class CompiledUnit:
     """The result of pushing one source term through a frontend.
 
-    ``analysis`` holds the frontend's static-analysis report when the
-    frontend registered an analyzer (``None`` otherwise).  It is plain data
-    (see :mod:`repro.analysis.report`), so a unit exported through the
-    cross-process cache hooks carries its analysis with it — pool and net
-    workers never re-analyze a program another process already analyzed.
+    ``analysis`` is the frontend's static-analysis report when the frontend
+    registered an analyzer (``None`` otherwise).  It is built on its first
+    read, from the pending ``analyze`` hook and the boundary ``records`` the
+    pipeline took; both are dropped once the report is cached, so a program
+    that only runs never pays for it.  The report is plain data (see
+    :mod:`repro.analysis.report`), and pickling a unit builds it first, so a
+    unit exported through the cross-process cache hooks carries its analysis
+    with it and an unpickled unit holds no hook.
     """
 
     language: str
     term: Any
     type: Any
     target_code: Any
-    analysis: Any = None
+    #: The boundary records the pending analysis reads (``None`` once built).
+    records: Any = field(default=None, repr=False, compare=False)
+    #: The frontend's ``analyze`` hook until the report's first read.
+    analyze: Optional[Callable[["CompiledUnit"], Any]] = field(default=None, repr=False, compare=False)
+    _analysis: Any = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def analysis(self) -> Any:
+        if self.analyze is not None:
+            self._analysis = self.analyze(self)
+            self.analyze = None
+            self.records = None
+        return self._analysis
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The hook and the id-keyed records mean nothing outside this
+        # process, so the report is built before the unit leaves it.
+        return {**self.__dict__, "_analysis": self.analysis, "analyze": None, "records": None}

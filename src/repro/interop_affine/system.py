@@ -27,7 +27,7 @@ from repro.affi import types as affi_types
 from repro.affi.types import Mode
 from repro.core.convertibility import ConvertibilityRelation
 from repro.core.errors import ConvertibilityError, LinearityError
-from repro.core.interop import InteropSystem
+from repro.core.interop import BoundaryRecorder, BoundaryRecords, InteropSystem
 from repro.core.language import LanguageFrontend
 from repro.interop_affine.conversions import LANGUAGE_A, LANGUAGE_B, make_convertibility
 from repro.lcvm.backends import make_lcvm_backend
@@ -39,7 +39,7 @@ from repro.miniml import types as ml_types
 
 
 @dataclass
-class AffineBoundaryHooks:
+class AffineBoundaryHooks(BoundaryRecorder):
     """Mutually recursive typecheck/compile hooks for Affi and MiniML."""
 
     relation: ConvertibilityRelation
@@ -51,6 +51,13 @@ class AffineBoundaryHooks:
     preresolve: bool = True
     resolved_glue: Dict[int, Callable] = field(default_factory=dict)
     resolved_rules: Dict[int, str] = field(default_factory=dict)
+
+    def take_records(self) -> BoundaryRecords:
+        # The compiler has consumed the Affi annotations by the time a
+        # pipeline hands its records over, so they go with them.
+        self.annotations.variable_resolutions.clear()
+        self.annotations.application_modes.clear()
+        return super().take_records()
 
     # -- typechecking ---------------------------------------------------------
 
@@ -111,7 +118,7 @@ class AffineBoundaryHooks:
         compiled = affi_compiler.compile_expr(
             boundary.foreign_term, annotations=self.annotations, boundary_hook=self.affi_compile_boundary
         )
-        glue = self.resolved_glue.get(id(boundary))
+        glue = self.resolved_glue.pop(id(boundary), None)
         if glue is not None:
             self.relation.count_preresolved()
             return glue(compiled)
@@ -127,7 +134,7 @@ class AffineBoundaryHooks:
 
     def affi_compile_boundary(self, boundary: affi_syntax.Boundary):
         compiled = ml_compiler.compile_expr(boundary.foreign_term, boundary_hook=self.ml_compile_boundary)
-        glue = self.resolved_glue.get(id(boundary))
+        glue = self.resolved_glue.pop(id(boundary), None)
         if glue is not None:
             self.relation.count_preresolved()
             return glue(compiled)
@@ -148,12 +155,7 @@ def make_system(
     """
     relation = relation or make_convertibility()
     hooks = AffineBoundaryHooks(relation, preresolve=preresolve)
-    analyzer = analysis.make_analyzer(
-        target="lcvm",
-        languages=(LANGUAGE_A, LANGUAGE_B),
-        boundary_types=hooks.boundary_types,
-        resolved_rules=hooks.resolved_rules,
-    )
+    analyze, _ = analysis.make_analyzer("lcvm", (LANGUAGE_A, LANGUAGE_B))
 
     # Mutually recursive boundary parsers: an Affi boundary embeds a MiniML
     # term whose own boundaries embed Affi terms, and so on.
@@ -178,7 +180,8 @@ def make_system(
         compile=lambda term: affi_compiler.compile_expr(
             term, annotations=hooks.annotations, boundary_hook=hooks.affi_compile_boundary
         ),
-        analyze=analyzer,
+        analyze=analyze,
+        take_records=hooks.take_records,
     )
     ml_frontend = LanguageFrontend(
         name=LANGUAGE_B,
@@ -192,7 +195,8 @@ def make_system(
             boundary_hook=hooks.ml_boundary_type,
         ),
         compile=lambda term: ml_compiler.compile_expr(term, boundary_hook=hooks.ml_compile_boundary),
-        analyze=analyzer,
+        analyze=analyze,
+        take_records=hooks.take_records,
     )
     # All four LCVM evaluator backends; the compiled-dispatch CEK machine is
     # the default, with the substitution machine (and the interpreted CEK

@@ -8,7 +8,7 @@ from typing import Callable, Dict, Optional
 from repro import analysis
 from repro.core.convertibility import ConvertibilityRelation
 from repro.core.errors import ConvertibilityError
-from repro.core.interop import InteropSystem
+from repro.core.interop import BoundaryRecorder, InteropSystem
 from repro.core.language import LanguageFrontend
 from repro.interop_l3.conversions import LANGUAGE_A, LANGUAGE_B, make_convertibility
 from repro.lcvm.backends import make_lcvm_backend
@@ -25,7 +25,7 @@ from repro.miniml import types as ml_types
 
 
 @dataclass
-class L3BoundaryHooks:
+class L3BoundaryHooks(BoundaryRecorder):
     """Mutually recursive typecheck/compile hooks for MiniML and L3."""
 
     relation: ConvertibilityRelation
@@ -83,7 +83,7 @@ class L3BoundaryHooks:
 
     def ml_compile_boundary(self, boundary: ml_syntax.Boundary):
         compiled = l3_compiler.compile_expr(boundary.foreign_term, boundary_hook=self.l3_compile_boundary)
-        glue = self.resolved_glue.get(id(boundary))
+        glue = self.resolved_glue.pop(id(boundary), None)
         if glue is not None:
             self.relation.count_preresolved()
             return glue(compiled)
@@ -97,7 +97,7 @@ class L3BoundaryHooks:
 
     def l3_compile_boundary(self, boundary: l3_syntax.Boundary):
         compiled = ml_compiler.compile_expr(boundary.foreign_term, boundary_hook=self.ml_compile_boundary)
-        glue = self.resolved_glue.get(id(boundary))
+        glue = self.resolved_glue.pop(id(boundary), None)
         if glue is not None:
             self.relation.count_preresolved()
             return glue(compiled)
@@ -118,12 +118,7 @@ def make_system(
     """
     relation = relation or make_convertibility()
     hooks = L3BoundaryHooks(relation, preresolve=preresolve)
-    analyzer = analysis.make_analyzer(
-        target="lcvm",
-        languages=(LANGUAGE_A, LANGUAGE_B),
-        boundary_types=hooks.boundary_types,
-        resolved_rules=hooks.resolved_rules,
-    )
+    analyze, _ = analysis.make_analyzer("lcvm", (LANGUAGE_A, LANGUAGE_B))
 
     def _parse_l3_inside_ml(sexpr):
         return l3_parser.parse_expr_sexpr(sexpr, _parse_ml_inside_l3)
@@ -143,7 +138,8 @@ def make_system(
             boundary_hook=hooks.ml_boundary_type,
         ),
         compile=lambda term: ml_compiler.compile_expr(term, boundary_hook=hooks.ml_compile_boundary),
-        analyze=analyzer,
+        analyze=analyze,
+        take_records=hooks.take_records,
     )
     l3_frontend = LanguageFrontend(
         name=LANGUAGE_B,
@@ -158,7 +154,8 @@ def make_system(
             boundary_hook=hooks.l3_boundary_type,
         ),
         compile=lambda term: l3_compiler.compile_expr(term, boundary_hook=hooks.l3_compile_boundary),
-        analyze=analyzer,
+        analyze=analyze,
+        take_records=hooks.take_records,
     )
     # All four LCVM evaluator backends; the compiled-dispatch CEK machine is
     # the default, with the substitution machine (and the interpreted CEK

@@ -20,7 +20,7 @@ from typing import Callable, Dict, Optional
 from repro import analysis
 from repro.core.convertibility import ConvertibilityRelation
 from repro.core.errors import ConvertibilityError
-from repro.core.interop import InteropSystem, RunResult
+from repro.core.interop import BoundaryRecorder, InteropSystem, RunResult
 from repro.core.language import LanguageFrontend, ResumableExecution, TargetBackend
 from repro.interop_refs.conversions import LANGUAGE_A, LANGUAGE_B, make_convertibility
 from repro.refhl import compiler as hl_compiler
@@ -39,15 +39,17 @@ from repro.stacklang.machine import Status
 
 
 @dataclass
-class BoundaryHooks:
+class BoundaryHooks(BoundaryRecorder):
     """Mutually recursive typecheck/compile hooks for the two languages.
 
     With ``preresolve`` on (the default), typechecking a boundary — which
     already derives the conversion to validate ``τ ∼ τ̄`` — also *captures*
     the correctly oriented glue closure, keyed by the boundary node.  The
-    compile hooks then bake that closure straight into the compiled handler
-    with **zero** dynamic relation lookups; the relation's ``preresolved``
-    counter (vs. ``hits``/``misses``) makes the elimination measurable.
+    compile hooks then pop that closure and bake it straight into the
+    compiled handler with **zero** dynamic relation lookups; the relation's
+    ``preresolved`` counter (vs. ``hits``/``misses``) makes the elimination
+    measurable.  Each pipeline takes the remaining records with
+    :meth:`~repro.core.interop.BoundaryRecorder.take_records`.
     """
 
     relation: ConvertibilityRelation
@@ -109,7 +111,7 @@ class BoundaryHooks:
 
     def refhl_compile_boundary(self, boundary: hl_syntax.Boundary):
         compiled = ll_compiler.compile_expr(boundary.foreign_term, boundary_hook=self.refll_compile_boundary)
-        glue = self.resolved_glue.get(id(boundary))
+        glue = self.resolved_glue.pop(id(boundary), None)
         if glue is not None:
             self.relation.count_preresolved()
             return glue(compiled)
@@ -122,7 +124,7 @@ class BoundaryHooks:
 
     def refll_compile_boundary(self, boundary: ll_syntax.Boundary):
         compiled = hl_compiler.compile_expr(boundary.foreign_term, boundary_hook=self.refhl_compile_boundary)
-        glue = self.resolved_glue.get(id(boundary))
+        glue = self.resolved_glue.pop(id(boundary), None)
         if glue is not None:
             self.relation.count_preresolved()
             return glue(compiled)
@@ -213,12 +215,7 @@ def make_system(
     """
     relation = relation or make_convertibility()
     hooks = BoundaryHooks(relation, preresolve=preresolve)
-    analyzer = analysis.make_analyzer(
-        target="stacklang",
-        languages=(LANGUAGE_A, LANGUAGE_B),
-        boundary_types=hooks.boundary_types,
-        resolved_rules=hooks.resolved_rules,
-    )
+    analyze, verify = analysis.make_analyzer("stacklang", (LANGUAGE_A, LANGUAGE_B))
 
     refhl_frontend = LanguageFrontend(
         name=LANGUAGE_A,
@@ -228,7 +225,9 @@ def make_system(
             term, env=env, foreign_env=foreign_env, boundary_hook=hooks.refhl_boundary_type
         ),
         compile=lambda term: hl_compiler.compile_expr(term, boundary_hook=hooks.refhl_compile_boundary),
-        analyze=analyzer,
+        verify=verify,
+        analyze=analyze,
+        take_records=hooks.take_records,
     )
     refll_frontend = LanguageFrontend(
         name=LANGUAGE_B,
@@ -238,7 +237,9 @@ def make_system(
             term, env=env, foreign_env=foreign_env, boundary_hook=hooks.refll_boundary_type
         ),
         compile=lambda term: ll_compiler.compile_expr(term, boundary_hook=hooks.refll_compile_boundary),
-        analyze=analyzer,
+        verify=verify,
+        analyze=analyze,
+        take_records=hooks.take_records,
     )
     # StackLang has four evaluator backends (there is no separate big-step
     # engine for a stack language); the pc-threaded compiled machine is the

@@ -124,9 +124,10 @@ class Request:
     #: default of 1 preserves the pool's one-migration-attempt behaviour;
     #: 0 pins the old whole-shard-failure semantics.
     retry_budget: int = 1
-    #: Run the frontend pipeline (parse → typecheck → compile → analyze) and
-    #: return the static-analysis report on ``Response.report`` *without ever
-    #: starting an execution*.  Analyze-only requests do not count against
+    #: Run the frontend pipeline (parse → typecheck → compile → verify) and
+    #: return the unit's static-analysis report (built on its first read) on
+    #: ``Response.report`` *without ever starting an execution*.
+    #: Analyze-only requests do not count against
     #: the scheduler's ``max_inflight`` admission limit (there is nothing in
     #: flight) and never coalesce (there is no VM instance to share).
     analyze_only: bool = False

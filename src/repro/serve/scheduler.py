@@ -240,9 +240,9 @@ class Scheduler:
         response.cache_hit = frontend.cache_hits > hits_before
         response.cache_stats = frontend.cache_stats()
         if request.analyze_only:
-            # The report was computed once per pipeline execution and rides
-            # the LRU with the compiled code — an analyze-only request for a
-            # cached program touches no frontend stage at all.
+            # The unit builds its report on this first read and caches it,
+            # riding the LRU with the compiled code — a repeated analyze-only
+            # request for a cached program touches no frontend stage at all.
             analysis = getattr(unit, "analysis", None)
             if analysis is None:
                 response.error = (

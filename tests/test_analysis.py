@@ -62,7 +62,7 @@ from repro.lcvm.syntax import (
     Pair,
     Var,
 )
-from repro.serve import Request, make_default_scheduler
+from repro.serve import Request, Scheduler, StepSlicedDriver, make_default_scheduler
 from repro.serve.dispatch import weight
 from repro.serve.pool import WorkerPool
 from repro.stacklang import cek as stack_cek
@@ -476,6 +476,96 @@ def test_analysis_rides_the_cross_process_artifact_hooks():
     assert unit is not None and unit.analysis is not None
     clone = pickle.loads(pickle.dumps(unit))  # what the pool actually ships
     assert clone.analysis.to_dict() == unit.analysis.to_dict()
+
+
+def test_analysis_rides_the_artifact_hooks_when_pickled_before_its_first_read():
+    scheduler = make_default_scheduler(slice_steps=16)
+    request = Request(language="RefLL", source=nested_refll_boundary(2))
+    scheduler.systems["refs"].compile_source("RefLL", request.source)
+    unit = scheduler.export_cache_entry(scheduler.pipeline_key(request))
+    assert unit is not None and unit.analyze is not None  # not analyzed yet
+    clone = pickle.loads(pickle.dumps(unit))  # what the pool actually ships
+    assert clone.analyze is None and clone.records is None
+    assert unit.analyze is None  # pickling built and cached the report
+    report = clone.analysis.to_dict()
+    assert report == unit.analysis.to_dict()
+    assert report["crossing_count"] == 4
+    assert all(site["foreign_type"] != "?" and site["rule"] for site in report["crossings"])
+
+
+_TARGETS = {"refs": "stacklang", "affine": "lcvm", "l3": "lcvm"}
+
+
+@pytest.mark.parametrize("system_name", sorted(_FACTORIES))
+@pytest.mark.parametrize("depth", [1, 3, 6])
+def test_lazy_report_equals_the_eager_one(system_name, depth):
+    """A report built long after its pipeline, once 300 other programs have
+    churned through the boundary hooks, equals one built right away."""
+    generator, language, per_depth = _WORKLOADS[system_name]
+    system = _FACTORIES[system_name]()
+    unit = system.compile_source(language, generator(depth))
+    eager = analysis.analyze_unit(
+        unit,
+        target=_TARGETS[system_name],
+        languages=(system.language_a.name, system.language_b.name),
+        boundary_types=unit.records.types,
+        resolved_rules=unit.records.rules,
+    ).to_dict()
+    for index in range(300):
+        system.compile_source(language, f"(+ {index} {generator(1 + index % 4)})")
+    lazy = unit.analysis.to_dict()
+    assert lazy == eager
+    assert lazy["crossing_count"] == depth * per_depth
+    assert all(site["foreign_type"] != "?" and site["rule"] for site in lazy["crossings"])
+
+
+def test_analysis_runs_only_on_demand():
+    scheduler = make_default_scheduler(slice_steps=16)
+    system = scheduler.systems["affine"]
+    calls = []
+    for frontend in (system.language_a, system.language_b):
+        frontend.analyze = lambda unit, hook=frontend.analyze: calls.append(unit) or hook(unit)
+    sources = [f"(+ {index} {nested_ml_affi_boundary(2)})" for index in range(10)]
+    responses = scheduler.serve(
+        [Request(language="MiniML", system="affine", source=source) for source in sources]
+    )
+    assert all(response.result is not None and not response.cache_hit for response in responses)
+    assert len(calls) == 0
+    request = Request(language="MiniML", system="affine", source=sources[0], analyze_only=True)
+    first = scheduler.submit(request)
+    assert first.report is not None and first.report["crossing_count"] == 4
+    assert len(calls) == 1
+    second = scheduler.submit(request)
+    assert second.report == first.report
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("system_name", sorted(_FACTORIES))
+def test_boundary_record_maps_stay_bounded_under_cold_traffic(system_name):
+    """Serving many distinct programs through a small LRU leaves no boundary
+    records behind: each pipeline takes what its own typecheck wrote."""
+    generator, language, per_depth = _WORKLOADS[system_name]
+    system = _FACTORIES[system_name]()
+    for frontend in (system.language_a, system.language_b):
+        frontend.cache_capacity = 8
+    hooks = system.frontend(language).take_records.__self__
+    scheduler = Scheduler({system_name: system}, driver=StepSlicedDriver(512))
+    tail = generator(1)
+    largest = 0
+    for start in range(0, 2000, 250):
+        responses = scheduler.serve(
+            [
+                Request(language=language, system=system_name, source=f"(+ {index} {tail})")
+                for index in range(start, start + 250)
+            ]
+        )
+        assert all(response.error is None for response in responses)
+        maps = [hooks.boundary_types, hooks.resolved_glue, hooks.resolved_rules]
+        if system_name == "affine":
+            maps += [hooks.annotations.variable_resolutions, hooks.annotations.application_modes]
+        largest = max([largest] + [len(records) for records in maps])
+    assert system.frontend(language).cache_stats()["entries"] <= 8
+    assert largest <= per_depth  # at most one program's worth, never growing
 
 
 def test_cost_hint_weighs_load_aware_placement():

@@ -8,8 +8,9 @@ Usage:
     PYTHONPATH=src python tools/analyze.py --check-corpus
 
 The single-program modes push the source through the system's memoized
-pipeline (parse → typecheck → compile → analyze) and print the attached
-:class:`repro.analysis.AnalysisReport` — human-readable by default,
+pipeline (parse → typecheck → compile → verify) and print the unit's
+:class:`repro.analysis.AnalysisReport`, built on that first read —
+human-readable by default,
 ``--json`` for the plain-dict form the serving layer's ``analyze_only``
 responses carry.  A program the frontend rejects (parse, typecheck,
 convertibility, or static-verification error) exits 1 with the structured
