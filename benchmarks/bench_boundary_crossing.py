@@ -4,21 +4,23 @@ Measures the full pipeline cost (parse + typecheck + compile + run) of a
 program that stays within one language against the same computation that
 crosses the language boundary repeatedly, for each of the §3, §4, and §5
 systems; then compares the evaluator backends (``substitution`` reference
-machine vs ``bigstep`` vs ``cek`` vs ``cek-compiled``) on deep-crossing
+machine vs ``cek-compiled``, plus ``cek-opt`` on LCVM) on deep-crossing
 workloads, and measures what the pipeline cache buys on repeated submissions
 of the same program.
 
 Besides the pytest-benchmark entry points, the module is runnable as a
 script: it times every registered backend on the deep-crossing workloads,
 writes machine-readable ``BENCH_boundary_crossing.json`` (per-backend
-timings plus speedup ratios) so the perf trajectory is tracked across PRs,
-and with ``--check`` exits non-zero if ``cek-compiled`` regresses below the
-interpreted ``cek`` backend on any workload, if the optimizing ``cek-opt``
-backend fails to improve on ``cek-compiled`` on at least one deep-crossing
-workload, or if the glue pre-resolution counters show the compile phase
-still performing per-crossing dynamic convertibility lookups:
+timings plus speedup ratios, and the glue pre-resolution counters) so the
+perf trajectory is tracked across PRs, and with ``--check`` exits non-zero if
+the optimizing ``cek-opt`` backend is faster than ``cek-compiled`` on none of
+the deep-crossing workloads that register it:
 
     PYTHONPATH=src python benchmarks/bench_boundary_crossing.py --check
+
+The glue pre-resolution counters are a correctness property, not a timing,
+so their gate lives in the tier-1 suite, at this benchmark's depth of 40
+(``tests/test_analysis.py::test_preresolution_eliminates_compile_phase_lookups``).
 
 Trajectory note (step-count-sensitive): the ``substitution`` timings in this
 benchmark improved by a constant factor when the reference machine stopped
@@ -186,10 +188,9 @@ def collect_json_report() -> dict:
             "speedup_vs_substitution": {
                 backend: substitution_time / timings[backend] for backend in backends
             },
-            "compiled_vs_cek": timings["cek"] / timings["cek-compiled"],
-            "opt_vs_cek": timings["cek"] / timings["cek-opt"],
-            "opt_vs_compiled": timings["cek-compiled"] / timings["cek-opt"],
         }
+        if "cek-opt" in timings:
+            workloads[name]["opt_vs_compiled"] = timings["cek-compiled"] / timings["cek-opt"]
     return {
         "benchmark": "boundary_crossing",
         "fuel": RUN_FUEL,
@@ -240,51 +241,27 @@ def main(argv) -> int:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
-    failed = []
     opt_improved = []
     for name, workload in sorted(report["workloads"].items()):
         ratios = workload["speedup_vs_substitution"]
         summary = ", ".join(f"{backend} {ratio:.1f}x" for backend, ratio in sorted(ratios.items()))
-        print(
-            f"{name}: vs substitution: {summary}; compiled vs cek "
-            f"{workload['compiled_vs_cek']:.2f}x; opt vs cek {workload['opt_vs_cek']:.2f}x"
-        )
-        if workload["compiled_vs_cek"] < 1.0:
-            failed.append(name)
-        if workload["opt_vs_cek"] > workload["compiled_vs_cek"]:
+        opt = workload.get("opt_vs_compiled")
+        print(f"{name}: vs substitution: {summary}" + ("" if opt is None else f"; opt vs compiled {opt:.2f}x"))
+        if opt is not None and opt > 1.0:
             opt_improved.append(name)
-    glue_failed = []
     for name, section in sorted(report["glue_preresolution"].items()):
         on, off = section["on"], section["off"]
         print(
             f"{name}: glue pre-resolution on: {on['compile_lookups']} compile-phase lookups, "
             f"{on['preresolved']} preresolved; off: {off['compile_lookups']} lookups"
         )
-        # The pre-resolution contract: the compile phase performs *zero*
-        # dynamic relation lookups (every crossing consumes its baked glue
-        # closure), while the dynamic baseline pays one lookup per crossing.
-        if on["compile_lookups"] != 0 or on["preresolved"] == 0 or off["compile_lookups"] == 0:
-            glue_failed.append(name)
     print(f"wrote {output}")
-    if check:
-        if failed:
-            print(
-                "REGRESSION: cek-compiled slower than interpreted cek on: " + ", ".join(failed),
-                file=sys.stderr,
-            )
-            return 1
-        if not opt_improved:
-            print(
-                "REGRESSION: cek-opt improves over cek-compiled on no deep-crossing workload",
-                file=sys.stderr,
-            )
-            return 1
-        if glue_failed:
-            print(
-                "REGRESSION: glue pre-resolution counters wrong on: " + ", ".join(glue_failed),
-                file=sys.stderr,
-            )
-            return 1
+    if check and not opt_improved:
+        print(
+            "REGRESSION: cek-opt improves over cek-compiled on no deep-crossing workload",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

@@ -1,10 +1,10 @@
 """E14 — the LCVM memory substrate: GC'd vs manual allocation, and the
-substitution-machine vs environment-evaluator ablation.
+substitution-machine vs compiled-CEK ablation.
 
 §5's design hinges on both memory disciplines coexisting in one heap.  This
 harness measures allocation-heavy workloads under each discipline and the
 cost of explicit ``callgc`` collections, plus the interpreter-design ablation
-(small-step substitution machine vs the big-step environment evaluator).
+(small-step substitution machine vs the compiled CEK machine).
 """
 
 import pytest
@@ -19,9 +19,8 @@ from repro.lcvm import (
     Let,
     NewRef,
     Var,
-    evaluate,
     run,
-    run_cek,
+    run_cek_compiled,
 )
 
 CELLS = 30
@@ -64,34 +63,24 @@ def test_manual_allocation_and_free(benchmark):
     benchmark.extra_info["steps"] = result.steps
 
 
-@pytest.mark.parametrize("engine", ["smallstep", "bigstep", "cek"])
+@pytest.mark.parametrize("engine", ["smallstep", "cek-compiled"])
 def test_interpreter_ablation(benchmark, engine):
-    """Ablation: substitution reference machine vs the environment engines."""
+    """Ablation: substitution reference machine vs the compiled CEK machine."""
     program = _gc_allocation_workload(CELLS)
-    if engine == "smallstep":
-        result = benchmark(lambda: run(program, fuel=1_000_000))
-        assert result.value == Int(0)
-    elif engine == "cek":
-        result = benchmark(lambda: run_cek(program, fuel=1_000_000))
-        assert result.value == Int(0)
-    else:
-        result = benchmark(lambda: evaluate(program, fuel=1_000_000))
-        assert result.ok
+    machine = run if engine == "smallstep" else run_cek_compiled
+    result = benchmark(lambda: machine(program, fuel=1_000_000))
+    assert result.value == Int(0)
 
 
 def test_arithmetic_ablation(benchmark):
-    """Pure computation (no heap): the evaluators should agree and all scale."""
+    """Pure computation (no heap): the machines should agree and both scale."""
     expression = Int(1)
     for index in range(200):
         expression = BinOp("+", expression, Int(index))
 
     def measure():
-        small = run(expression, fuel=1_000_000)
-        big = evaluate(expression, fuel=1_000_000)
-        fast = run_cek(expression, fuel=1_000_000)
-        return small, big, fast
+        return run(expression, fuel=1_000_000), run_cek_compiled(expression, fuel=1_000_000)
 
-    small, big, fast = benchmark(measure)
+    small, fast = benchmark(measure)
     assert small.value == Int(sum(range(200)) + 1)
-    assert big.value.value == sum(range(200)) + 1
     assert fast.value == small.value

@@ -11,8 +11,7 @@ requests, plus a deliberately fuel-starved one — and measures:
   loop by the :class:`~repro.serve.scheduler.Scheduler`.
 
 A second, *oracle-heavy* batch drives deep requests through the resumable
-oracle backends (both substitution machines, the iterative big-step
-evaluator, the interpreted CEK/segment machines) and gates the
+oracle backends (the StackLang and LCVM substitution machines) and gates the
 bounded-latency guarantee: no backend may advance more than ``slice_steps``
 machine transitions per scheduler turn, so every response must satisfy
 ``steps ≤ slices × slice_steps`` (within a small tolerance).  A
@@ -159,9 +158,10 @@ CHAOS_SEED = 20260808
 #: the deadline verdict is deterministic despite real clocks in the workers.
 CHAOS_DEADLINE_SECONDS = 0.05
 CHAOS_SLOW_SECONDS = 0.3
-#: Overload subsection: admit this many of the 12 mixed requests; the tail
-#: must be shed with structured ``rejected_overload`` responses.
-CHAOS_MAX_BATCH = 8
+#: Overload subsection: admit this many of the 10 mixed requests; the tail
+#: (the four l3/starved requests) must be shed with structured
+#: ``rejected_overload`` responses.
+CHAOS_MAX_BATCH = 6
 #: Network section (``--net``): fleet sizes and gates.  The join probe maps
 #: this many distinct affinity keys before and after a third endpoint joins;
 #: consistent hashing must move a *nonzero, bounded* fraction of them
@@ -204,7 +204,7 @@ QOS_REPEATS = 3
 
 
 def make_requests(deep: int = DEEP, shallow: int = SHALLOW):
-    """A mixed batch: 3 systems, 4 backends, 12 requests, one fuel-starved."""
+    """A mixed batch: 3 systems, 2 backends, 10 requests, one fuel-starved."""
     return [
         Request(language="RefLL", source=_nested_refll_boundary(deep), request_id="refs-deep"),
         Request(language="RefLL", source=_nested_refll_boundary(shallow), request_id="refs-shallow"),
@@ -213,9 +213,6 @@ def make_requests(deep: int = DEEP, shallow: int = SHALLOW):
             source=_nested_refll_boundary(shallow),
             backend="substitution",
             request_id="refs-oracle",
-        ),
-        Request(
-            language="RefLL", source=_nested_refll_boundary(shallow), backend="cek", request_id="refs-segment"
         ),
         Request(
             language="MiniML",
@@ -229,13 +226,6 @@ def make_requests(deep: int = DEEP, shallow: int = SHALLOW):
             source=_nested_ml_affi_boundary(shallow),
             backend="substitution",
             request_id="affine-oracle",
-        ),
-        Request(
-            language="MiniML",
-            system="affine",
-            source=_nested_ml_affi_boundary(shallow),
-            backend="bigstep",
-            request_id="affine-bigstep",
         ),
         Request(language="Affi", source="(if (boundary bool 7) 1 2)", request_id="affi-small"),
         Request(
@@ -262,7 +252,7 @@ def make_requests(deep: int = DEEP, shallow: int = SHALLOW):
 
 
 def make_oracle_requests(deep: int = ORACLE_DEEP):
-    """An oracle-heavy batch: every resumable oracle backend, driven deep."""
+    """An oracle-heavy batch: the resumable oracle backends, driven deep."""
     return [
         Request(
             language="RefLL",
@@ -271,31 +261,11 @@ def make_oracle_requests(deep: int = ORACLE_DEEP):
             request_id="oracle-refs-substitution",
         ),
         Request(
-            language="RefLL",
-            source=_nested_refll_boundary(deep),
-            backend="cek",
-            request_id="oracle-refs-segment",
-        ),
-        Request(
             language="MiniML",
             system="l3",
             source=_nested_ml_l3_boundary(deep // 2),
             backend="substitution",
             request_id="oracle-l3-substitution",
-        ),
-        Request(
-            language="MiniML",
-            system="l3",
-            source=_nested_ml_l3_boundary(deep // 2),
-            backend="bigstep",
-            request_id="oracle-l3-bigstep",
-        ),
-        Request(
-            language="MiniML",
-            system="l3",
-            source=_nested_ml_l3_boundary(deep // 2),
-            backend="cek",
-            request_id="oracle-l3-cek",
         ),
         # A compiled fast-path neighbour: its latency must not depend on the
         # deep oracles sharing the loop.

@@ -18,7 +18,7 @@ import os
 import tempfile
 
 from repro.serve import CheckpointStore, Request, make_default_scheduler
-from repro.util.workloads import nested_ml_affi_boundary, nested_refll_boundary
+from repro.util.workloads import nested_ml_l3_boundary, nested_refll_boundary
 
 #: Small slices and a low ceiling so the deep requests are stopped mid-run.
 SLICE_STEPS = 8
@@ -30,10 +30,10 @@ def make_requests():
         Request(language="RefLL", source=nested_refll_boundary(8), request_id="refs-deep"),
         Request(
             language="MiniML",
-            system="affine",
-            source=nested_ml_affi_boundary(8),
-            backend="bigstep",
-            request_id="affine-bigstep",
+            system="l3",
+            source=nested_ml_l3_boundary(4),
+            backend="substitution",
+            request_id="l3-oracle",
         ),
     ]
 

@@ -102,8 +102,7 @@ def analyze_unit(
     if target == "stacklang":
         verification = verify_program(unit.target_code)
         errors, warnings = verification.errors, verification.warnings
-        # StackLang's cek-opt is a length-preserving superinstruction fusion,
-        # so the static node count is unchanged (only dispatches shrink).
+        # StackLang has no optimizing backend: nothing rewrites the code.
         optimized_count = node_count
     else:
         optimized_count = lcvm_node_count(optimize(unit.target_code))

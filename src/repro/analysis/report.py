@@ -124,7 +124,8 @@ class AnalysisReport:
     warnings: Tuple[StackIssue, ...] = ()
     #: Node count after the ``cek-opt`` optimization pipeline (constant
     #: folding, dead-binding elimination) — ``node_count`` minus this is the
-    #: statically provable work reduction.
+    #: statically provable work reduction (none on StackLang, which has no
+    #: optimizing backend).
     optimized_node_count: int = 0
 
     @property

@@ -13,9 +13,10 @@ Two performance layers live here because every case study needs them:
   keyed on ``(language, source, typecheck arguments)``, so repeated boundary
   crossings (and repeated benchmark iterations) do not re-run the frontend;
 * :class:`TargetBackend` is a *registry* of named evaluators for one target
-  language (``substitution`` | ``bigstep`` | ``cek``), with a selectable
-  default, so callers can trade the paper-faithful reference machine for the
-  fast CEK substrate — or run several backends for differential testing.
+  language (``substitution`` | ``cek-compiled`` | ``cek-opt``), with a
+  selectable default, so callers can trade the paper-faithful reference
+  machine for the fast CEK substrate — or run several backends for
+  differential testing.
 """
 
 from __future__ import annotations
@@ -331,9 +332,10 @@ class ResumableExecution:
 class TargetBackend:
     """A target language together with its registry of evaluator backends.
 
-    The common shape is three backends per target: ``substitution`` (the
-    paper-faithful reference machine), ``bigstep`` (environment-based
-    recursive evaluator), and ``cek`` (the fast production machine).  ``run``
+    The common shape is one reference and one fast engine per target:
+    ``substitution`` (the paper-faithful reference machine) and
+    ``cek-compiled`` (the fast production machine), plus ``cek-opt`` on LCVM
+    (the fast machine over statically optimized code).  ``run``
     remains the default-backend runner for backward compatibility, so
     ``backend.run(code, fuel=...)`` keeps working.
 

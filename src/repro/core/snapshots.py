@@ -14,7 +14,10 @@ convention, ends in the backend name it is registered under — e.g.
 ``"lcvm/cek-compiled"`` restores through the lcvm registry's
 ``"cek-compiled"`` backend.  :func:`snapshot_backend_name` relies on that
 convention so a :meth:`repro.core.language.TargetBackend.restore` call can
-route a bare snapshot without being told the backend.
+route a bare snapshot without being told the backend.  A kind whose backend
+is not registered — such as one written by a removed machine
+(``lcvm/bigstep``, ``lcvm/cek``, ``stacklang/cek``, ``stacklang/cek-opt``) —
+routes nowhere and is refused with a :class:`~repro.core.errors.ReproError`.
 
 Two copy disciplines, both built on one pickle round-trip
 (:func:`plain_copy`):
@@ -26,8 +29,7 @@ Two copy disciplines, both built on one pickle round-trip
 
 A single ``pickle.dumps`` of the whole state dict preserves the object
 graph's internal sharing (a subtree reachable twice stays one object after
-the round-trip), which the id-keyed analyses (big-step's ``_analyze`` memo,
-the compiled-CEK node tables) rely on.
+the round-trip), which the id-keyed compiled-CEK node tables rely on.
 """
 
 from __future__ import annotations

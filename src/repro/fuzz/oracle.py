@@ -7,8 +7,8 @@ comparison discipline of) the repo's hand-written differential gates:
    ``compile_source`` raise exactly the tagged structured error class;
    everything else must compile.
 2. **Cross-backend observables** — the compiled program runs on *every*
-   backend in the target registry (``substitution``/``bigstep``/``cek``/
-   ``cek-compiled``/``cek-opt``); values and failure codes must match the
+   backend in the target registry (``substitution``/``cek-compiled``, plus
+   ``cek-opt`` on LCVM); values and failure codes must match the
    substitution oracle.  Divergent cases must exhaust fuel on every backend.
    Step counts are deliberately *not* compared across backends — fuel
    granularity is a per-backend notion (a compiled dispatch transition is
@@ -18,16 +18,13 @@ comparison discipline of) the repo's hand-written differential gates:
    seeded-random slice boundary, restored, and driven to completion; the
    restored run's ``(value, failure, steps)`` must equal the uninterrupted
    run of the *same* backend exactly.  This is where step counts *are*
-   compared: restore must not leak or invent fuel.
+   compared: restore must not leak or invent fuel.  A sliced or restored
+   run that raises is a ``crash`` disagreement, not a raw exception.
 4. **Raw post-``callgc`` heaps** — at the machine level, below the
-   ``RunResult`` normalization.  The GC-precise engines (substitution
-   reference, iterative big-step, compiled dispatch, and the optimizer's
-   output, which is raw-heap-preserving) are compared address-for-address:
-   exact cells, exact collection counts, exact reclaim counts.  The
-   interpreted CEK machine roots lexically (never collecting *more* than
-   the oracle), so it is compared through the canonical address-insensitive
-   observation instead.  StackLang has no such split: all four engines
-   produce raw-comparable heaps.
+   ``RunResult`` normalization.  The compiled machine and the optimizer's
+   output (which is raw-heap-preserving) are compared with the substitution
+   reference address-for-address: exact cells, exact collection counts,
+   exact reclaim counts on LCVM, and the exact final heap on StackLang.
 
 Any deviation becomes a :class:`Disagreement` — the currency the shrinker
 minimizes and the corpus persists.
@@ -35,12 +32,10 @@ minimizes and the corpus persists.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-from repro.core.errors import OutOfFuelError
 from repro.fuzz.generator import FuzzCase
 
 OUT_OF_FUEL = "out_of_fuel"
@@ -77,53 +72,6 @@ class Disagreement:
 def _observable(result) -> Tuple[str, str]:
     """The cross-backend comparable part of a ``RunResult``."""
     return (str(result.value), str(result.failure))
-
-
-# ---------------------------------------------------------------------------
-# Address-insensitive LCVM heap observation (mirrors the agreement tests)
-# ---------------------------------------------------------------------------
-
-
-def _canon(expr, mapping, pending):
-    from repro.lcvm.syntax import Loc
-
-    if isinstance(expr, Loc):
-        if expr.address not in mapping:
-            mapping[expr.address] = len(mapping)
-            pending.append(expr.address)
-        return Loc(mapping[expr.address])
-    if not dataclasses.is_dataclass(expr):
-        return expr
-    replacements = {}
-    for fld in dataclasses.fields(expr):
-        child = getattr(expr, fld.name)
-        replacements[fld.name] = _canon(child, mapping, pending) if dataclasses.is_dataclass(child) else child
-    return type(expr)(**replacements)
-
-
-def lcvm_observation(value, heap):
-    """Canonically-renamed result value plus the heap fragment it reaches."""
-    from repro.lcvm.syntax import mentioned_locations
-
-    mapping, pending = {}, []
-    canon_value = _canon(value, mapping, pending)
-    cells = []
-    index = 0
-    while index < len(pending):
-        cell = heap.cells.get(pending[index])
-        index += 1
-        if cell is None:
-            cells.append("dangling")
-        else:
-            cells.append((cell.kind.value, _canon(cell.value, mapping, pending)))
-    normalized = heap.copy()
-    normalized.collect(roots=mentioned_locations(value))
-    return (
-        canon_value,
-        tuple(cells),
-        len(normalized.gc_fragment()),
-        len(normalized.manual_fragment()),
-    )
 
 
 class DifferentialOracle:
@@ -209,20 +157,14 @@ class DifferentialOracle:
         boundary = self.rng.randint(1, 3)
         for backend in sorted(system.target.restores):
             straight = outcomes[backend]
-            execution = system.start_compiled(code, fuel=case.fuel, backend=backend)
-            result = None
-            for _ in range(boundary):
-                result = execution.step_n(slice_width)
-                if result is not None:
-                    break
-            if result is None and execution.can_snapshot():
-                snapshot = execution.snapshot()
-                execution = system.restore_execution(snapshot, backend=backend)
-            # Drive (the restored execution) to completion.
-            budget = case.fuel // slice_width + 4
-            while result is None and budget > 0:
-                result = execution.step_n(slice_width)
-                budget -= 1
+            try:
+                result = self._run_with_restore(case, system, code, backend, slice_width, boundary)
+            except Exception as error:
+                return Disagreement(
+                    case,
+                    "crash",
+                    {"backend": backend, "raised": type(error).__name__, "message": str(error)},
+                )
             if result is None:
                 return Disagreement(
                     case, "snapshot", {"backend": backend, "problem": "sliced run never completed"}
@@ -243,6 +185,25 @@ class DifferentialOracle:
                 )
         return None
 
+    @staticmethod
+    def _run_with_restore(case: FuzzCase, system, code, backend: str, slice_width: int, boundary: int):
+        """Run sliced, snapshot and restore after ``boundary`` slices, then finish."""
+        execution = system.start_compiled(code, fuel=case.fuel, backend=backend)
+        result = None
+        for _ in range(boundary):
+            result = execution.step_n(slice_width)
+            if result is not None:
+                break
+        if result is None and execution.can_snapshot():
+            snapshot = execution.snapshot()
+            execution = system.restore_execution(snapshot, backend=backend)
+        # Drive (the restored execution) to completion.
+        budget = case.fuel // slice_width + 4
+        while result is None and budget > 0:
+            result = execution.step_n(slice_width)
+            budget -= 1
+        return result
+
     # -- axis 4: raw post-callgc heaps -----------------------------------------
 
     def _check_raw_heaps(self, case: FuzzCase, code) -> Optional[Disagreement]:
@@ -253,36 +214,27 @@ class DifferentialOracle:
         return self._check_lcvm_heaps(case, code)
 
     def _check_stacklang_heaps(self, case: FuzzCase, code) -> Optional[Disagreement]:
-        """All four StackLang engines produce raw-comparable final heaps."""
+        """The compiled StackLang machine's final heap equals the oracle's."""
         from repro.stacklang import cek as stack_cek
         from repro.stacklang import machine as stack_machine
 
         def view(result):
             return (result.status.value, str(result.value), result.failure_code, dict(result.heap))
 
-        reference = stack_machine.run(code, fuel=case.fuel)
-        expected = view(reference)
-        engines: Dict[str, Callable[..., Any]] = {
-            "cek": stack_cek.run,
-            "cek-compiled": stack_cek.run_compiled,
-            "cek-opt": stack_cek.run_optimized,
-        }
-        for name, engine in engines.items():
-            got = view(engine(code, fuel=case.fuel))
-            if got != expected:
-                return Disagreement(
-                    case, "heap", {"engine": name, "got": str(got), "expected": str(expected)}
-                )
+        expected = view(stack_machine.run(code, fuel=case.fuel))
+        got = view(stack_cek.run_compiled(code, fuel=case.fuel))
+        if got != expected:
+            return Disagreement(
+                case, "heap", {"engine": "cek-compiled", "got": str(got), "expected": str(expected)}
+            )
         return None
 
     def _check_lcvm_heaps(self, case: FuzzCase, code) -> Optional[Disagreement]:
-        """GC-precise engines raw, interpreted CEK through the observation."""
+        """Compiled and optimized LCVM runs match the oracle's raw heap."""
         from repro.analysis import optimize
-        from repro.lcvm import cek, evaluate
+        from repro.lcvm import cek
         from repro.lcvm import machine as lcvm_machine
-        from repro.lcvm.heap import HeapCell
         from repro.lcvm.machine import Status
-        from repro.lcvm.values import reify
 
         reference = lcvm_machine.run(code, fuel=case.fuel)
         if reference.status is Status.OUT_OF_FUEL:
@@ -298,27 +250,5 @@ class DifferentialOracle:
             if raw != raw_expected:
                 return Disagreement(
                     case, "heap", {"engine": name, "got": str(raw), "expected": str(raw_expected)}
-                )
-
-        try:
-            big = evaluate(code, fuel=case.fuel)
-        except OutOfFuelError:
-            return Disagreement(case, "heap", {"engine": "bigstep", "got": OUT_OF_FUEL})
-        big_cells = {
-            address: HeapCell(reify(cell.value), cell.kind) for address, cell in big.heap.cells.items()
-        }
-        raw = (big_cells, big.collections, big.reclaimed)
-        if raw != raw_expected:
-            return Disagreement(
-                case, "heap", {"engine": "bigstep", "got": str(raw), "expected": str(raw_expected)}
-            )
-
-        if reference.status is Status.VALUE:
-            interp = cek.run(code, fuel=case.fuel)
-            expected_view = lcvm_observation(reference.value, reference.heap)
-            got_view = lcvm_observation(interp.value, interp.heap)
-            if got_view != expected_view:
-                return Disagreement(
-                    case, "heap", {"engine": "cek", "got": str(got_view), "expected": str(expected_view)}
                 )
         return None

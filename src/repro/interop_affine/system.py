@@ -198,10 +198,10 @@ def make_system(
         analyze=analyze,
         take_records=hooks.take_records,
     )
-    # All four LCVM evaluator backends; the compiled-dispatch CEK machine is
-    # the default, with the substitution machine (and the interpreted CEK
-    # machine) available as differential-testing oracles.  The registry also
-    # carries the compiled machine's resumable-execution factory, so the
+    # The three LCVM backends; the compiled-dispatch CEK machine is the
+    # default, the substitution machine is the differential-testing oracle,
+    # and ``cek-opt`` runs the compiled machine over statically optimized
+    # code.  Every backend registers a resumable-execution factory, so the
     # serving layer can step-slice per-request runs of this system.
     backend = make_lcvm_backend(name="LCVM", default="cek-compiled")
 

@@ -27,14 +27,11 @@ from typing import Dict
 from repro.stacklang.machine import MachineResult, run
 from repro.stacklang.macros import drop, dup, swap
 from repro.stacklang.syntax import (
-    Add,
     Alloc,
     Arr,
     Call,
     Idx,
-    If0,
     Lam,
-    Less,
     Num,
     Program,
     Push,
@@ -179,103 +176,3 @@ def build_write_workloads(count: int, initial: Value = Num(1)) -> Dict[str, Stra
             "proxy", program(reference, share_proxy(), repeated_writes_proxy(count))
         ),
     }
-
-
-# ---------------------------------------------------------------------------
-# Fused superinstruction fragments (the cek-opt backend's five hot pairs)
-# ---------------------------------------------------------------------------
-#
-# The optimized StackLang backend fuses five consecutive-op pairs into
-# superinstructions (``push_const+add``, ``push_const+less``,
-# ``push_const+if0``, ``push_var+if0``, ``push_var+call``).  Each fragment
-# below compiles to exactly one such pair and preserves the composition
-# invariant "a ``Num`` on top of the stack in, a ``Num`` on top out", so the
-# differential agreement tests can chain them arbitrarily and compare the
-# fused machine against every other backend on the same observables.
-
-
-def fused_const_add(number: int) -> Program:
-    """``push n; add`` — the constant-add pair."""
-    return program(Push(Num(number)), Add())
-
-
-def fused_const_less(number: int) -> Program:
-    """``push n; less?`` — the constant-compare pair (pushes 0 or 1)."""
-    return program(Push(Num(number)), Less())
-
-
-def fused_const_branch(number: int, then_number: int, else_number: int) -> Program:
-    """``push n; if0`` — the statically-decided branch pair."""
-    return program(
-        Push(Num(number)),
-        If0((Push(Num(then_number)),), (Push(Num(else_number)),)),
-    )
-
-
-def fused_var_branch(then_number: int, else_number: int) -> Program:
-    """``push x; if0`` — branch on the incoming top-of-stack number."""
-    body = program(
-        Push(Var("fz")),
-        If0((Push(Num(then_number)),), (Push(Num(else_number)),)),
-    )
-    return (Lam(("fz",), body),)
-
-
-def fused_var_call(body_number: int) -> Program:
-    """``push x; call`` — bind a thunk, then look it up and apply it."""
-    thunk = Thunk((Push(Num(body_number)),))
-    return program(Push(thunk), Lam(("ft",), program(Push(Var("ft")), Call())))
-
-
-def fused_alloc_read() -> Program:
-    """Heap ballast: allocate the incoming number, read it straight back.
-
-    Not itself a fused pair — it gives fused-fragment programs a non-empty
-    heap so the differential comparison has raw heap contents to check.
-    """
-    return program(Alloc(), Read())
-
-
-def canonical_fused_program() -> Program:
-    """One deterministic program exercising all five fused pair kinds.
-
-    Evaluates to ``Num(7)`` with a single heap cell holding ``Num(7)`` on
-    every backend; compiling it with fusion forms at least five
-    superinstructions (one per pair kind).
-    """
-    return program(
-        Push(Num(4)),
-        fused_const_add(3),  # 4 -> 7
-        fused_const_less(5),  # 5 < 7 -> 0
-        fused_const_branch(0, 8, 9),  # static 0 -> then -> 8
-        fused_var_branch(1, 2),  # 8 != 0 -> else -> 2
-        fused_var_call(7),  # thunk pushes 7
-        fused_alloc_read(),  # alloc 7, read it back
-    )
-
-
-def fused_pair_programs(max_fragments: int = 5):
-    """Hypothesis strategy: random chains of fused-pair fragments.
-
-    Every generated program starts from a pushed constant and composes
-    ``Num``-preserving fragments, so it runs to a value on every backend
-    (no failures, no divergence) while forcing the fused machine through
-    each superinstruction's fast path.  Hypothesis is imported lazily so the
-    benchmark harness can import this module without it installed.
-    """
-    from hypothesis import strategies as st
-
-    numbers = st.integers(min_value=-8, max_value=8)
-    fragments = st.one_of(
-        st.builds(fused_const_add, numbers),
-        st.builds(fused_const_less, numbers),
-        st.builds(fused_const_branch, numbers, numbers, numbers),
-        st.builds(fused_var_branch, numbers, numbers),
-        st.builds(fused_var_call, numbers),
-        st.builds(fused_alloc_read),
-    )
-    return st.builds(
-        lambda seed, chain: program(Push(Num(seed)), *chain),
-        numbers,
-        st.lists(fragments, min_size=1, max_size=max_fragments),
-    )

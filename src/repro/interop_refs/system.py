@@ -149,19 +149,9 @@ def _run_stacklang(compiled, fuel: int = 100_000) -> RunResult:
     return _stacklang_result(stack_machine.run(compiled, fuel=fuel))
 
 
-def _run_stacklang_cek(compiled, fuel: int = 100_000) -> RunResult:
-    """The environment/closure segment machine (second oracle)."""
-    return _stacklang_result(stack_cek.run(compiled, fuel=fuel))
-
-
 def _run_stacklang_compiled(compiled, fuel: int = 100_000) -> RunResult:
     """The pc-threaded compiled machine (the fast default)."""
     return _stacklang_result(stack_cek.run_compiled(compiled, fuel=fuel))
-
-
-def _run_stacklang_opt(compiled, fuel: int = 100_000) -> RunResult:
-    """The pc-threaded machine over superinstruction-fused code (``cek-opt``)."""
-    return _stacklang_result(stack_cek.run_optimized(compiled, fuel=fuel))
 
 
 def _start_stacklang(compiled, fuel: int = 100_000) -> ResumableExecution:
@@ -169,19 +159,9 @@ def _start_stacklang(compiled, fuel: int = 100_000) -> ResumableExecution:
     return ResumableExecution(stack_machine.SubstitutionExecution(compiled, fuel=fuel), _stacklang_result)
 
 
-def _start_stacklang_cek(compiled, fuel: int = 100_000) -> ResumableExecution:
-    """Start a resumable segment-machine execution (second oracle, sliced)."""
-    return ResumableExecution(stack_cek.SegmentExecution(compiled, fuel=fuel), _stacklang_result)
-
-
 def _start_stacklang_compiled(compiled, fuel: int = 100_000) -> ResumableExecution:
     """Start a resumable pc-threaded execution (RunResult-normalized slices)."""
     return ResumableExecution(stack_cek.CompiledExecution(compiled, fuel=fuel), _stacklang_result)
-
-
-def _start_stacklang_opt(compiled, fuel: int = 100_000) -> ResumableExecution:
-    """Start a resumable fused-superinstruction execution."""
-    return ResumableExecution(stack_cek.OptimizedExecution(compiled, fuel=fuel), _stacklang_result)
 
 
 def _restore_stacklang(snapshot: dict) -> ResumableExecution:
@@ -189,19 +169,9 @@ def _restore_stacklang(snapshot: dict) -> ResumableExecution:
     return ResumableExecution(stack_machine.SubstitutionExecution.from_snapshot(snapshot), _stacklang_result)
 
 
-def _restore_stacklang_cek(snapshot: dict) -> ResumableExecution:
-    """Rebuild a paused segment-machine execution from a snapshot."""
-    return ResumableExecution(stack_cek.SegmentExecution.from_snapshot(snapshot), _stacklang_result)
-
-
 def _restore_stacklang_compiled(snapshot: dict) -> ResumableExecution:
     """Rebuild a paused pc-threaded execution, recompiling the op array."""
     return ResumableExecution(stack_cek.CompiledExecution.from_snapshot(snapshot), _stacklang_result)
-
-
-def _restore_stacklang_opt(snapshot: dict) -> ResumableExecution:
-    """Rebuild a paused fused execution, re-fusing the op array."""
-    return ResumableExecution(stack_cek.OptimizedExecution.from_snapshot(snapshot), _stacklang_result)
 
 
 def make_system(
@@ -241,33 +211,25 @@ def make_system(
         analyze=analyze,
         take_records=hooks.take_records,
     )
-    # StackLang has four evaluator backends (there is no separate big-step
-    # engine for a stack language); the pc-threaded compiled machine is the
-    # default, with the substitution machine and the segment machine kept as
-    # differential-testing oracles and the superinstruction-fused machine
-    # (`cek-opt`) as the analysis-driven fast path.  Every backend registers a
-    # resumable-execution factory, so the serving layer step-slices the
-    # oracles with the same bounded per-turn latency as the compiled machine.
+    # StackLang has two evaluator backends: the pc-threaded compiled machine
+    # is the default, and the substitution machine is the differential-testing
+    # oracle.  Both register a resumable-execution factory, so the serving
+    # layer step-slices the oracle with the same bounded per-turn latency as
+    # the compiled machine.
     backend = TargetBackend(
         name="StackLang",
         backends={
             "substitution": _run_stacklang,
-            "cek": _run_stacklang_cek,
             "cek-compiled": _run_stacklang_compiled,
-            "cek-opt": _run_stacklang_opt,
         },
         default_backend="cek-compiled",
         executions={
             "substitution": _start_stacklang,
-            "cek": _start_stacklang_cek,
             "cek-compiled": _start_stacklang_compiled,
-            "cek-opt": _start_stacklang_opt,
         },
         restores={
             "substitution": _restore_stacklang,
-            "cek": _restore_stacklang_cek,
             "cek-compiled": _restore_stacklang_compiled,
-            "cek-opt": _restore_stacklang_opt,
         },
     )
 

@@ -1,15 +1,11 @@
 """The LCVM evaluator backends, packaged for the interop framework.
 
 Both LCVM-targeting case studies (§4 affine, §5 L3/memory) run compiled
-programs through one of five observably-equivalent engines:
+programs through one of three observably-equivalent engines:
 
 * ``substitution`` — the paper-faithful small-step reference machine
   (:mod:`repro.lcvm.machine`); quadratic, kept as the differential-testing
-  oracle;
-* ``bigstep`` — the iterative environment-based big-step evaluator
-  (:mod:`repro.lcvm.bigstep`), GC-precise like the oracle;
-* ``cek`` — the interpreted CEK machine (:mod:`repro.lcvm.cek`); kept as a
-  second oracle for the compiled machine;
+  oracle that every other backend is compared against;
 * ``cek-compiled`` — the compiled-dispatch CEK machine with pruned
   environments (:func:`repro.lcvm.cek.run_compiled`); the default;
 * ``cek-opt`` — the same machine over code first rewritten by the static
@@ -21,8 +17,8 @@ Each wrapper normalizes the engine's native result into the framework's
 syntax), so callers observe identical values and error codes regardless of
 the backend that produced them.
 
-Every backend also registers a *resumable execution* factory: all four
-machines support ``step_n(limit)`` bounded slicing, so the serving layer can
+Every backend also registers a *resumable execution* factory: both machines
+support ``step_n(limit)`` bounded slicing, so the serving layer can
 interleave an oracle-backed differential request next to compiled fast-path
 requests with the same bounded per-turn latency for each.
 
@@ -46,10 +42,9 @@ observably identically, raw post-GC heap included.
 
 from __future__ import annotations
 
-from repro.core.errors import OutOfFuelError
 from repro.core.interop import RunResult
 from repro.core.language import ResumableExecution, TargetBackend
-from repro.lcvm import bigstep, cek
+from repro.lcvm import cek
 from repro.lcvm import machine as lcvm_machine
 from repro.lcvm.machine import Status
 
@@ -61,32 +56,9 @@ def _normalize(result) -> RunResult:
     return RunResult(failure=result.failure_code or result.status.value, steps=result.steps)
 
 
-def _normalize_bigstep(result: bigstep.EvalResult) -> RunResult:
-    """Rewrite a big-step ``EvalResult`` into the framework's result shape."""
-    if result.out_of_fuel:
-        return RunResult(failure=Status.OUT_OF_FUEL.value, steps=result.steps)
-    if result.ok:
-        return RunResult(value=result.reified_value(), steps=result.steps)
-    return RunResult(failure=result.failure, steps=result.steps)
-
-
 def run_substitution(compiled, fuel: int = 100_000) -> RunResult:
     """Run on the substitution-based reference machine (Fig. 6 / Fig. 12)."""
     return _normalize(lcvm_machine.run(compiled, fuel=fuel))
-
-
-def run_bigstep(compiled, fuel: int = 100_000) -> RunResult:
-    """Run on the iterative environment-based big-step evaluator."""
-    try:
-        result = bigstep.evaluate(compiled, fuel=fuel)
-    except OutOfFuelError:
-        return RunResult(failure=Status.OUT_OF_FUEL.value, steps=fuel)
-    return _normalize_bigstep(result)
-
-
-def run_cek(compiled, fuel: int = 100_000) -> RunResult:
-    """Run on the interpreted CEK machine."""
-    return _normalize(cek.run(compiled, fuel=fuel))
 
 
 def run_cek_compiled(compiled, fuel: int = 100_000) -> RunResult:
@@ -112,20 +84,6 @@ def run_cek_opt(compiled, fuel: int = 100_000) -> RunResult:
 def start_substitution(compiled, fuel: int = 100_000) -> ResumableExecution:
     """Start a resumable substitution-machine execution (oracle, sliced)."""
     return ResumableExecution(lcvm_machine.SubstitutionExecution(compiled, fuel=fuel), _normalize)
-
-
-def start_bigstep(compiled, fuel: int = 100_000) -> ResumableExecution:
-    """Start a resumable big-step execution (iterative machine, sliced).
-
-    Fuel exhaustion is reported as an ``out_of_fuel`` result, matching the
-    one-shot wrapper's normalization of :class:`OutOfFuelError`.
-    """
-    return ResumableExecution(bigstep.BigStepExecution(compiled, fuel=fuel), _normalize_bigstep)
-
-
-def start_cek(compiled, fuel: int = 100_000) -> ResumableExecution:
-    """Start a resumable interpreted-CEK execution."""
-    return ResumableExecution(cek.InterpretedExecution(compiled, fuel=fuel), _normalize)
 
 
 def start_cek_compiled(compiled, fuel: int = 100_000) -> ResumableExecution:
@@ -156,16 +114,6 @@ def restore_substitution(snapshot: dict) -> ResumableExecution:
     return ResumableExecution(lcvm_machine.SubstitutionExecution.from_snapshot(snapshot), _normalize)
 
 
-def restore_bigstep(snapshot: dict) -> ResumableExecution:
-    """Rebuild a paused big-step execution from a snapshot."""
-    return ResumableExecution(bigstep.BigStepExecution.from_snapshot(snapshot), _normalize_bigstep)
-
-
-def restore_cek(snapshot: dict) -> ResumableExecution:
-    """Rebuild a paused interpreted-CEK execution from a snapshot."""
-    return ResumableExecution(cek.InterpretedExecution.from_snapshot(snapshot), _normalize)
-
-
 def restore_cek_compiled(snapshot: dict) -> ResumableExecution:
     """Rebuild a paused compiled-CEK execution, recompiling the handler graph."""
     return ResumableExecution(cek.CompiledExecution.from_snapshot(snapshot), _normalize)
@@ -183,23 +131,17 @@ def make_lcvm_backend(name: str = "LCVM", default: str = "cek-compiled") -> Targ
         name=name,
         backends={
             "substitution": run_substitution,
-            "bigstep": run_bigstep,
-            "cek": run_cek,
             "cek-compiled": run_cek_compiled,
             "cek-opt": run_cek_opt,
         },
         default_backend=default,
         executions={
             "substitution": start_substitution,
-            "bigstep": start_bigstep,
-            "cek": start_cek,
             "cek-compiled": start_cek_compiled,
             "cek-opt": start_cek_opt,
         },
         restores={
             "substitution": restore_substitution,
-            "bigstep": restore_bigstep,
-            "cek": restore_cek,
             "cek-compiled": restore_cek_compiled,
             "cek-opt": restore_cek_opt,
         },

@@ -1,12 +1,12 @@
-"""A CEK-style abstract machine for LCVM: the production execution substrate.
+"""A compiled CEK machine for LCVM: the production execution substrate.
 
 The substitution machine (:mod:`repro.lcvm.machine`) re-walks the whole
 program on every step — once to find the redex and once to compute GC roots —
 and every β-reduction copies the function body, so running a program of size
 *n* costs Θ(n²) even before the heap gets involved.  This machine is the
-observably-equivalent fast engine: a classic CEK machine with
+observably-equivalent fast engine: a CEK machine with
 
-* **C**ontrol — the expression (or runtime value) in focus,
+* **C**ontrol — the compiled node (or runtime value) in focus,
 * **E**nvironment — a shared, immutable linked environment giving O(1)
   closure capture and O(1) binding,
 * **K**ontinuation — an explicit stack of defunctionalized frames,
@@ -17,27 +17,22 @@ environment and continuation stack rather than a full-AST walk.
 Observable behaviour matches the reference machine: the same values (runtime
 values are reified back to syntax on exit), the same error codes, the same
 allocator (the shared :class:`~repro.lcvm.heap.Heap`, so freed location names
-are re-used in the same order), and the same GC discipline.  The one
-intentional difference is GC precision on *dead let-bindings*: the
-substitution machine drops a binding the moment the variable no longer
-occurs, while an environment machine keeps it live until its scope ends —
-the environment machine therefore never collects *more* than the reference
-machine, and the differential tests compare heaps after a final
-result-rooted collection, which erases the difference.
+are re-used in the same order), and the same GC discipline — environments
+are pruned to lexically-live bindings, so even the raw post-``callgc`` heaps
+match the substitution machine address for address.
 
-Continuation frames are uniform 5-tuples ``(tag, names, exprs, env, value)``
+Continuation frames are uniform 5-tuples ``(tag, names, nodes, env, value)``
 so the GC root scan can walk every frame without knowing its tag: ``names``
-are binder/operator strings (never traced), ``exprs`` are pending syntax
-expressions (traced via :func:`~repro.lcvm.syntax.mentioned_locations`),
-``env`` is the environment the pending expressions close over, and ``value``
-is an already-computed runtime value.
+are binder/operator strings (never traced), ``nodes`` are pending compiled
+nodes (traced via their precomputed ``mentioned`` sets), ``env`` is the
+environment the pending nodes close over, and ``value`` is an
+already-computed runtime value.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from sys import intern
 from typing import Callable, Iterator, List, Optional, Tuple
 
@@ -62,13 +57,10 @@ from repro.lcvm.values import (
 
 __all__ = [
     "CClosure",
-    "Closure",
     "CompiledExecution",
-    "InterpretedExecution",
     "compile_node",
     "compiled_cache_stats",
     "compiled_table",
-    "run",
     "run_compiled",
 ]
 
@@ -76,33 +68,6 @@ __all__ = [
 #: Environments are immutable cons cells ``(name, value, parent)`` with
 #: ``None`` as the empty environment — extension and capture are O(1).
 Env = Optional[Tuple[str, RuntimeValue, "Env"]]
-
-
-@dataclass(frozen=True)
-class Closure:
-    parameter: str
-    body: s.Expr
-    environment: Env
-
-    def env_bindings(self) -> Iterator[Tuple[str, RuntimeValue]]:
-        cell = self.environment
-        while cell is not None:
-            yield cell[0], cell[1]
-            cell = cell[2]
-
-    def __str__(self) -> str:
-        return f"<closure λ{self.parameter}>"
-
-
-_MISSING = object()
-
-
-def _lookup(env: Env, name: str) -> object:
-    while env is not None:
-        if env[0] == name:
-            return env[1]
-        env = env[2]
-    return _MISSING
 
 
 class _Failure(Exception):
@@ -113,44 +78,6 @@ class _Failure(Exception):
 
 def _type_failure() -> "_Failure":
     return _Failure(ErrorCode.TYPE)
-
-
-# Frame layout: (tag, names, exprs, env, value) — see module docstring.
-Frame = Tuple[str, Tuple[str, ...], Tuple[s.Expr, ...], Env, Optional[RuntimeValue]]
-
-
-def _state_roots(env: Env, kont: List[Frame], mentioned_cache: dict) -> List[int]:
-    """GC roots of the whole machine state (environment + continuation)."""
-    roots: List[int] = []
-    seen_envs: set = set()
-
-    def walk_env(cell: Env) -> None:
-        while cell is not None:
-            marker = id(cell)
-            if marker in seen_envs:
-                return
-            seen_envs.add(marker)
-            roots.extend(locations_of(cell[1]))
-            cell = cell[2]
-
-    def mentioned(expr: s.Expr):
-        # Expressions are immutable and shared with the program tree (kept
-        # alive via the cache entry), so memoizing by identity is sound and
-        # keeps repeated collections from re-walking the same pending code.
-        entry = mentioned_cache.get(id(expr))
-        if entry is None:
-            entry = (expr, mentioned_locations(expr))
-            mentioned_cache[id(expr)] = entry
-        return entry[1]
-
-    walk_env(env)
-    for _tag, _names, exprs, frame_env, value in kont:
-        for expr in exprs:
-            roots.extend(mentioned(expr))
-        walk_env(frame_env)
-        if value is not None:
-            roots.extend(locations_of(value))
-    return roots
 
 
 def _expect_live_loc(heap: Heap, value: RuntimeValue) -> int:
@@ -169,335 +96,11 @@ def _finalize_heap(heap: Heap) -> Heap:
     return heap
 
 
-def run(expr: s.Expr, heap: Optional[Heap] = None, fuel: int = 100_000) -> MachineResult:
-    """Run a closed LCVM expression on the CEK machine.
-
-    Returns the same :class:`~repro.lcvm.machine.MachineResult` shape as the
-    reference machine: ``result.value`` is a syntax value, ``result.heap`` a
-    syntax-valued :class:`~repro.lcvm.heap.Heap` with collection statistics.
-    One maximal slice of :class:`InterpretedExecution`; serving code holding
-    several programs uses the execution object directly and slices the
-    transitions itself.
-    """
-    return InterpretedExecution(expr, heap=heap, fuel=fuel).run()
-
-
-class InterpretedExecution:
-    """A resumable interpreted CEK machine: run in bounded slices.
-
-    The interpreted machine keeps its whole state (control, environment,
-    continuation, heap, step count) on the execution object between
-    ``step_n(limit)`` slices, exactly like :class:`CompiledExecution` does
-    for the compiled-dispatch machine; the observable result is identical to
-    an uninterrupted :func:`run` regardless of how transitions are sliced.
-    """
-
-    __slots__ = ("heap", "fuel", "steps", "result", "_control", "_evaluating", "_env", "_kont", "_mentioned_cache")
-
-    #: The snapshot tag this machine writes and restores (see
-    #: :mod:`repro.core.snapshots` for the format contract).
-    SNAPSHOT_KIND = "lcvm/cek"
-
-    def __init__(self, expr: s.Expr, heap: Optional[Heap] = None, fuel: int = 100_000):
-        if heap is None:
-            heap = Heap(trace=locations_of)
-        else:
-            # A caller-supplied heap is seeded with syntax values (the reference
-            # machine's representation); bring it into runtime-value form.
-            for cell in heap.cells.values():
-                cell.value = inject(cell.value)
-            heap.trace = locations_of
-        self.heap = heap
-        self.fuel = fuel
-        self.steps = 0
-        self.result: Optional[MachineResult] = None
-        self._control: object = expr  # syntax (eval mode) or RuntimeValue (apply mode)
-        self._evaluating = True
-        self._env: Env = None
-        self._kont: List[Frame] = []
-        self._mentioned_cache: dict = {}
-
-    def run(self) -> MachineResult:
-        """Drive the machine to completion in one maximal slice."""
-        result = self.result
-        while result is None:
-            result = self.step_n(max(1, self.fuel))
-        return result
-
-    def snapshot(self) -> dict:
-        """Reify the paused machine as a versioned, process-portable dict.
-
-        Every component of the interpreted machine — syntax control,
-        environment cons cells, continuation frames, the runtime-valued heap
-        — is already plain data, so the state pickles as-is; the copy severs
-        all aliasing with this live execution.
-        """
-        if self.result is not None:
-            raise ValueError("cannot snapshot a finished execution")
-        return make_snapshot(
-            self.SNAPSHOT_KIND,
-            {
-                "fuel": self.fuel,
-                "steps": self.steps,
-                "evaluating": self._evaluating,
-                "control": self._control,
-                "env": self._env,
-                "kont": list(self._kont),
-                "heap": self.heap,
-            },
-        )
-
-    @classmethod
-    def from_snapshot(cls, snapshot: dict) -> "InterpretedExecution":
-        """Rebuild a paused machine from :meth:`snapshot` output.
-
-        The state is copied in again, so one snapshot restores any number of
-        independent executions.  The ``mentioned`` memo is *not* carried: it
-        is keyed by object identity, and ids do not survive the copy — a
-        stale entry could otherwise be revived by id reuse.
-        """
-        state = check_snapshot(snapshot, cls.SNAPSHOT_KIND)
-        execution = cls.__new__(cls)
-        execution.heap = state["heap"]
-        execution.fuel = state["fuel"]
-        execution.steps = state["steps"]
-        execution.result = None
-        execution._control = state["control"]
-        execution._evaluating = state["evaluating"]
-        execution._env = state["env"]
-        execution._kont = list(state["kont"])
-        execution._mentioned_cache = {}
-        return execution
-
-    def step_n(self, limit: int) -> Optional[MachineResult]:
-        """Run at most ``limit`` transitions; the result when halted, else None."""
-        if limit < 1:
-            raise ValueError(f"step_n limit must be >= 1, got {limit}")
-        if self.result is not None:
-            return self.result
-        heap = self.heap
-        control = self._control
-        evaluating = self._evaluating
-        env = self._env
-        kont = self._kont
-        steps = self.steps
-        fuel = self.fuel
-        budget = fuel if fuel - steps <= limit else steps + limit
-        mentioned_cache = self._mentioned_cache
-
-        try:
-            while True:
-                if steps >= budget:
-                    self._control, self._evaluating, self._env, self.steps = control, evaluating, env, steps
-                    if steps < fuel:
-                        return None
-                    leftover = control if evaluating else reify(control)
-                    self.result = MachineResult(
-                        Status.OUT_OF_FUEL, Config(_finalize_heap(heap), leftover), steps
-                    )
-                    return self.result
-                steps += 1
-
-                if evaluating:
-                    e = control
-                    if isinstance(e, s.Int):
-                        control, evaluating = IntV(e.value), False
-                    elif isinstance(e, s.Var):
-                        value = _lookup(env, e.name)
-                        if value is _MISSING:
-                            raise _type_failure()
-                        control, evaluating = value, False
-                    elif isinstance(e, s.Lam):
-                        control, evaluating = Closure(e.parameter, e.body, env), False
-                    elif isinstance(e, s.App):
-                        kont.append(("app-arg", (), (e.argument,), env, None))
-                        control = e.function
-                    elif isinstance(e, s.Let):
-                        kont.append(("let", (e.name,), (e.body,), env, None))
-                        control = e.bound
-                    elif isinstance(e, s.BinOp):
-                        kont.append(("binop-rhs", (e.op,), (e.right,), env, None))
-                        control = e.left
-                    elif isinstance(e, s.If):
-                        kont.append(("if", (), (e.then_branch, e.else_branch), env, None))
-                        control = e.condition
-                    elif isinstance(e, s.Pair):
-                        kont.append(("pair-snd", (), (e.second,), env, None))
-                        control = e.first
-                    elif isinstance(e, s.Fst):
-                        kont.append(("fst", (), (), None, None))
-                        control = e.body
-                    elif isinstance(e, s.Snd):
-                        kont.append(("snd", (), (), None, None))
-                        control = e.body
-                    elif isinstance(e, s.Inl):
-                        kont.append(("inl", (), (), None, None))
-                        control = e.body
-                    elif isinstance(e, s.Inr):
-                        kont.append(("inr", (), (), None, None))
-                        control = e.body
-                    elif isinstance(e, s.Match):
-                        kont.append(
-                            (
-                                "match",
-                                (e.left_name, e.right_name),
-                                (e.left_branch, e.right_branch),
-                                env,
-                                None,
-                            )
-                        )
-                        control = e.scrutinee
-                    elif isinstance(e, s.Unit):
-                        control, evaluating = UnitV(), False
-                    elif isinstance(e, s.Loc):
-                        control, evaluating = LocV(e.address), False
-                    elif isinstance(e, s.NewRef):
-                        kont.append(("ref", (), (), None, None))
-                        control = e.initial
-                    elif isinstance(e, s.Alloc):
-                        kont.append(("alloc", (), (), None, None))
-                        control = e.initial
-                    elif isinstance(e, s.Deref):
-                        kont.append(("deref", (), (), None, None))
-                        control = e.reference
-                    elif isinstance(e, s.Assign):
-                        kont.append(("assign-rhs", (), (e.value,), env, None))
-                        control = e.reference
-                    elif isinstance(e, s.Free):
-                        kont.append(("free", (), (), None, None))
-                        control = e.reference
-                    elif isinstance(e, s.GcMov):
-                        kont.append(("gcmov", (), (), None, None))
-                        control = e.reference
-                    elif isinstance(e, s.CallGc):
-                        heap.collect(roots=_state_roots(env, kont, mentioned_cache))
-                        control, evaluating = UnitV(), False
-                    elif isinstance(e, s.Fail):
-                        raise _Failure(e.code)
-                    else:
-                        # Protect (augmented-semantics-only) and unknown forms are stuck,
-                        # exactly like the reference machine.
-                        raise StuckError(f"no CEK rule for {e!r}")
-                    continue
-
-                # -- apply mode: return `control` (a runtime value) to the continuation
-                if not kont:
-                    self.steps = steps
-                    result_value = reify(control)
-                    self.result = MachineResult(
-                        Status.VALUE, Config(_finalize_heap(heap), result_value), steps
-                    )
-                    return self.result
-
-                tag, names, exprs, frame_env, frame_value = kont.pop()
-                v = control
-
-                if tag == "app-arg":
-                    kont.append(("app-call", (), (), None, v))
-                    control, evaluating, env = exprs[0], True, frame_env
-                elif tag == "app-call":
-                    if not isinstance(frame_value, Closure):
-                        raise _type_failure()
-                    env = (frame_value.parameter, v, frame_value.environment)
-                    control, evaluating = frame_value.body, True
-                elif tag == "let":
-                    env = (names[0], v, frame_env)
-                    control, evaluating = exprs[0], True
-                elif tag == "binop-rhs":
-                    kont.append(("binop-done", names, (), None, v))
-                    control, evaluating, env = exprs[0], True, frame_env
-                elif tag == "binop-done":
-                    if not isinstance(frame_value, IntV) or not isinstance(v, IntV):
-                        raise _type_failure()
-                    op = names[0]
-                    left, right = frame_value.value, v.value
-                    if op == "+":
-                        control = IntV(left + right)
-                    elif op == "-":
-                        control = IntV(left - right)
-                    elif op == "*":
-                        control = IntV(left * right)
-                    elif op == "<":
-                        control = IntV(0 if left < right else 1)
-                    else:
-                        raise _type_failure()
-                elif tag == "if":
-                    if not isinstance(v, IntV):
-                        raise _type_failure()
-                    control = exprs[0] if v.value == 0 else exprs[1]
-                    evaluating, env = True, frame_env
-                elif tag == "pair-snd":
-                    kont.append(("pair-done", (), (), None, v))
-                    control, evaluating, env = exprs[0], True, frame_env
-                elif tag == "pair-done":
-                    control = PairV(frame_value, v)
-                elif tag == "fst":
-                    if not isinstance(v, PairV):
-                        raise _type_failure()
-                    control = v.first
-                elif tag == "snd":
-                    if not isinstance(v, PairV):
-                        raise _type_failure()
-                    control = v.second
-                elif tag == "inl":
-                    control = InlV(v)
-                elif tag == "inr":
-                    control = InrV(v)
-                elif tag == "match":
-                    if isinstance(v, InlV):
-                        env = (names[0], v.body, frame_env)
-                        control = exprs[0]
-                    elif isinstance(v, InrV):
-                        env = (names[1], v.body, frame_env)
-                        control = exprs[1]
-                    else:
-                        raise _type_failure()
-                    evaluating = True
-                elif tag == "ref":
-                    control = LocV(heap.allocate(v, CellKind.GC))
-                elif tag == "alloc":
-                    control = LocV(heap.allocate(v, CellKind.MANUAL))
-                elif tag == "deref":
-                    control = heap.read(_expect_live_loc(heap, v))
-                elif tag == "assign-rhs":
-                    kont.append(("assign-done", (), (), None, v))
-                    control, evaluating, env = exprs[0], True, frame_env
-                elif tag == "assign-done":
-                    heap.write(_expect_live_loc(heap, frame_value), v)
-                    control = UnitV()
-                elif tag == "free":
-                    address = _expect_live_loc(heap, v)
-                    if heap.kind_of(address) is not CellKind.MANUAL:
-                        raise _Failure(ErrorCode.PTR)
-                    heap.free(address)
-                    control = UnitV()
-                elif tag == "gcmov":
-                    address = _expect_live_loc(heap, v)
-                    if heap.kind_of(address) is not CellKind.MANUAL:
-                        raise _Failure(ErrorCode.PTR)
-                    heap.move_to_gc(address)
-                    control = v
-                else:  # pragma: no cover - defensive
-                    raise StuckError(f"unknown continuation frame {tag!r}")
-        except _Failure as failure:
-            self.steps = steps
-            config = Config(_finalize_heap(heap), s.Fail(failure.code), failure.code)
-            self.result = MachineResult(Status.FAIL, config, steps)
-            return self.result
-        except StuckError:
-            self.steps = steps
-            leftover = control if evaluating else reify(control)
-            self.result = MachineResult(Status.STUCK, Config(_finalize_heap(heap), leftover), steps)
-            return self.result
-
-
 # ===========================================================================
-# Compiled-dispatch machine (the ``cek-compiled`` backend)
+# Compiled dispatch (the ``cek-compiled`` backend)
 # ===========================================================================
 #
-# The plain machine above pays an ~20-arm ``isinstance`` ladder on every
-# transition.  The compiled machine removes that interpretive overhead with a
-# one-time AST walk that closure-compiles each syntax node into a handler, so
+# A one-time AST walk closure-compiles each syntax node into a handler, so
 # the steady-state loop is ``control(env, kont, heap)`` — one function call
 # per transition.  Frame application dispatches through a dict keyed on
 # interned frame tags instead of a tag ladder.
@@ -529,8 +132,8 @@ _UNIT_VALUE = UnitV()
 #: and ``expr`` (the original syntax, for stuck/fuel leftovers).
 CompiledNode = Callable[["Env", List["CFrame"], Heap], Tuple[object, bool, "Env"]]
 
-#: Compiled frames mirror the interpreted layout, with compiled nodes in the
-#: ``exprs`` slot: ``(tag, names, nodes, env, value)``.
+#: Compiled frames: ``(tag, names, nodes, env, value)`` (see the module
+#: docstring).
 CFrame = Tuple[str, Tuple[str, ...], Tuple[CompiledNode, ...], "Env", Optional[RuntimeValue]]
 
 
@@ -1420,10 +1023,10 @@ class OptimizedExecution(CompiledExecution):
 def run_compiled(expr: s.Expr, heap: Optional[Heap] = None, fuel: int = 100_000) -> MachineResult:
     """Run a closed LCVM expression on the compiled-dispatch CEK machine.
 
-    Same result shape and observable behaviour as :func:`run`, but with
-    handler dispatch instead of the isinstance ladder and with environments
-    pruned to lexically-live bindings (so raw post-``callgc`` heap fragments
-    match the substitution oracle exactly).  One maximal slice of
+    Returns the same :class:`~repro.lcvm.machine.MachineResult` shape as the
+    reference machine: ``result.value`` is a syntax value, ``result.heap`` a
+    syntax-valued :class:`~repro.lcvm.heap.Heap` whose raw post-``callgc``
+    fragments match the substitution oracle exactly.  One maximal slice of
     :class:`CompiledExecution`; serving code holding several programs uses
     the execution object directly and slices the transitions itself.
     """

@@ -8,9 +8,9 @@ signals conversion failures with ``fail Conv``.
 
 The machine is substitution-based, which keeps the semantics close to the
 paper and makes garbage-collection roots trivial to compute (the locations
-mentioned by the current expression).  A faster environment-based evaluator
-lives in :mod:`repro.lcvm.bigstep` and is compared against this machine in the
-benchmark suite.
+mentioned by the current expression).  The fast compiled CEK machine
+(:mod:`repro.lcvm.cek`) is checked against this machine by the differential
+tests and the fuzz gate.
 """
 
 from __future__ import annotations

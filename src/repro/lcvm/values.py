@@ -1,9 +1,9 @@
-"""Runtime values shared by the environment-based LCVM evaluators.
+"""Runtime values of the environment-based LCVM machine.
 
 The substitution machine (:mod:`repro.lcvm.machine`) represents values as
-syntax — a value *is* the expression it reduced to.  The environment-based
-evaluators (:mod:`repro.lcvm.bigstep` and :mod:`repro.lcvm.cek`) instead use
-runtime values with closures, which is what makes them fast.  This module
+syntax — a value *is* the expression it reduced to.  The compiled CEK
+machine (:mod:`repro.lcvm.cek`) instead uses runtime values with closures,
+which is what makes it fast.  This module
 holds the value representation plus the three bridges between the worlds:
 
 * :func:`locations_of` — the GC trace function for heaps storing runtime
@@ -11,11 +11,11 @@ holds the value representation plus the three bridges between the worlds:
 * :func:`inject` — syntax value → runtime value (for pre-seeded heaps);
 * :func:`reify` — runtime value → syntax value (for observable results).
 
-Closure representations differ between evaluators (the big-step evaluator
-snapshots the environment as a tuple, the CEK machine shares a linked
-environment), so closures are handled structurally: any value with an
-``env_bindings()`` method iterating ``(name, value)`` pairs innermost-first
-is treated as a closure over ``parameter``/``body``.
+Two closure representations exist — the CEK machine's compiled closures over
+a shared linked environment, and the environment-free closures :func:`inject`
+makes for pre-seeded heaps — so closures are handled structurally: any value
+with an ``env_bindings()`` method iterating ``(name, value)`` pairs
+innermost-first is treated as a closure over ``parameter``/``body``.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class InrV:
         return f"(inr {self.body})"
 
 
-#: Closures are evaluator-specific; see the module docstring.
+#: Closures are handled structurally; see the module docstring.
 RuntimeValue = Union[UnitV, IntV, LocV, PairV, InlV, InrV, object]
 
 

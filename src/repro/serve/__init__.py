@@ -8,8 +8,8 @@ multi-tenant service front:
   answered with per-request accounting (steps, slices, timings, cache hits);
 * :class:`~repro.serve.driver.StepSlicedDriver` — the synchronous slice
   loop: every admitted program becomes a resumable execution (every
-  registered backend is ``step_n``-capable — the substitution oracles and
-  the big-step evaluator included) and one ``run_batch`` advances many of
+  registered backend is ``step_n``-capable — the substitution oracles
+  included) and one ``run_batch`` advances many of
   them in weighted round-robin turns — each weighted by the request's QoS
   ``priority`` class (``PRIORITY_WEIGHTS``) so high-priority tenants get
   more consecutive slices per turn under contention — none exceeding

@@ -27,8 +27,8 @@ execution and surfaced as that response's ``error``.  None of them touches
 any other request in the batch.
 
 Bounded per-turn latency: every registered backend in every system — the
-substitution oracles, the iterative big-step evaluator, and both CEK
-lineages — is a genuinely resumable execution, so no request (oracle-backed
+substitution oracles and the compiled CEK machines — is a genuinely
+resumable execution, so no request (oracle-backed
 differential requests included) advances more than the driver's
 ``slice_steps`` machine transitions per scheduler turn.
 

@@ -12,12 +12,13 @@ Four layers of guarantees:
   never rejecting any known-good corpus program (no false positives);
 * **the optimizing backend** — ``cek-opt`` agrees with the substitution
   oracle on values, failures, *and* fuel exhaustion (hypothesis-driven over
-  random programs in all three systems), and the LCVM source-to-source
+  random programs in both LCVM systems), and the LCVM source-to-source
   optimizer is raw-heap-preserving: the optimized program's post-``callgc``
   heap equals the original's address-for-address on the GC-precision suite;
 * **glue pre-resolution + serving** — the compile phase performs zero
   dynamic convertibility lookups when pre-resolution is on (counter
-  differential against the ``preresolve=False`` baseline), ``analyze_only``
+  differential against the ``preresolve=False`` baseline, at the workload
+  depths and at the deep-crossing depth the benchmarks time), ``analyze_only``
   requests return the cached report without starting an execution (and
   without consuming admission slots), and cost hints weigh the pool's
   load-aware placement deterministically.
@@ -65,7 +66,6 @@ from repro.lcvm.syntax import (
 from repro.serve import Request, Scheduler, StepSlicedDriver, make_default_scheduler
 from repro.serve.dispatch import weight
 from repro.serve.pool import WorkerPool
-from repro.stacklang import cek as stack_cek
 from repro.stacklang.syntax import Add, Idx, Push, program
 from repro.util.workloads import (
     nested_ml_affi_boundary,
@@ -226,7 +226,11 @@ def _sources(system_name):
     return st.recursive(leaves, extend, max_leaves=5)
 
 
-@pytest.mark.parametrize("system_name", sorted(_WORKLOADS))
+#: The systems that register ``cek-opt`` (the LCVM targets).
+_OPT_SYSTEMS = ["affine", "l3"]
+
+
+@pytest.mark.parametrize("system_name", _OPT_SYSTEMS)
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_cek_opt_matches_substitution_oracle(system_name, data):
@@ -243,7 +247,7 @@ def test_cek_opt_matches_substitution_oracle(system_name, data):
     assert opt.failure == oracle.failure, source
 
 
-@pytest.mark.parametrize("system_name", sorted(_WORKLOADS))
+@pytest.mark.parametrize("system_name", _OPT_SYSTEMS)
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(fuel=st.integers(min_value=1, max_value=40))
 def test_cek_opt_fuel_exhaustion_is_structured(system_name, fuel):
@@ -260,12 +264,19 @@ def test_cek_opt_fuel_exhaustion_is_structured(system_name, fuel):
         assert (opt.value, opt.failure) == (oracle.value, oracle.failure)
 
 
-def test_cek_opt_registered_in_all_three_systems_without_changing_default():
-    for system in _SYSTEMS.values():
+def test_cek_opt_registered_in_both_lcvm_systems_without_changing_default():
+    for name in _OPT_SYSTEMS:
+        system = _SYSTEMS[name]
         assert "cek-opt" in system.target.backend_names()
         assert "cek-opt" in system.target.executions
         assert "cek-opt" in system.target.restores
         assert system.target.default_backend == "cek-compiled"
+
+
+def test_each_target_keeps_one_reference_and_one_fast_engine():
+    assert _SYSTEMS["refs"].target.backend_names() == ["substitution", "cek-compiled"]
+    for name in _OPT_SYSTEMS:
+        assert _SYSTEMS[name].target.backend_names() == ["substitution", "cek-compiled", "cek-opt"]
 
 
 def test_typecheck_failure_path_is_backend_independent():
@@ -339,31 +350,6 @@ def test_optimizer_declines_open_scrutinee_match_fold():
 
 
 # ---------------------------------------------------------------------------
-# StackLang superinstruction fusion
-# ---------------------------------------------------------------------------
-
-
-def test_fused_compile_is_length_preserving_and_counted():
-    system = _SYSTEMS["refs"]
-    unit = system.compile_source("RefLL", nested_refll_boundary(4))
-    before = stack_cek.fused_cache_stats()["fused_pairs"]
-    plain = stack_cek._compile(unit.target_code)
-    fused = stack_cek._compile_fused(unit.target_code)
-    assert len(plain) == len(fused)
-    assert stack_cek.fused_cache_stats()["fused_pairs"] > before
-
-
-def test_run_optimized_agrees_on_values_and_failures():
-    system = _SYSTEMS["refs"]
-    for source in ["(+ 1 2)", nested_refll_boundary(5), "(! (ref 9))"]:
-        unit = system.compile_source("RefLL", source)
-        base = system.run_compiled(unit.target_code, backend="cek-compiled")
-        opt = system.run_compiled(unit.target_code, backend="cek-opt")
-        assert (opt.value, opt.failure) == (base.value, base.failure)
-        assert opt.steps <= base.steps
-
-
-# ---------------------------------------------------------------------------
 # Glue pre-resolution counters
 # ---------------------------------------------------------------------------
 
@@ -374,10 +360,12 @@ _FACTORIES = {
 }
 
 
+#: 4 is the workload depth; 40 is the deep crossing that
+#: ``benchmarks/bench_boundary_crossing.py`` times its backends at.
+@pytest.mark.parametrize("depth", [4, 40])
 @pytest.mark.parametrize("system_name", sorted(_FACTORIES))
-def test_preresolution_eliminates_compile_phase_lookups(system_name):
+def test_preresolution_eliminates_compile_phase_lookups(system_name, depth):
     generator, language, per_depth = _WORKLOADS[system_name]
-    depth = 4
     source = generator(depth)
 
     def compile_phase_stats(preresolve):

@@ -1,22 +1,18 @@
 """Property-based differential tests across the evaluator backends.
 
-The substitution machine is the paper-faithful oracle; the big-step, CEK,
-and compiled-dispatch engines must be observably equivalent: identical
-values, identical error codes, and identical post-GC heap fragment sizes.
+The substitution machine is the paper-faithful oracle; the compiled engines
+must be observably equivalent: identical values, identical error codes, and
+identical heaps.
 
 Two levels of heap comparison are used:
 
-* the *interpreted* CEK machine (plain ``cek``) roots lexically-live
-  bindings, so mid-run collections can be less eager than the substitution
-  machine's syntactic-liveness collections (never more); its heaps are
-  compared address-insensitively after a final result-rooted collection,
-  which erases that (and only that) difference;
-* the *free-variable-pruning* machines — ``cek-compiled`` and, since its
-  iterative rewrite, ``bigstep`` — restore the oracle's GC precision
-  exactly: their raw post-``callgc`` heaps (exact addresses, exact cells,
-  exact collection statistics) are compared with **no** result-rooted
-  normalization.  (``bigstep`` used to sit in the first camp and needed the
-  normalization crutch; that crutch is deleted.)
+* an address-insensitive observation: the result value plus the heap
+  fragment it reaches, with fragment sizes taken after a result-rooted
+  collection;
+* raw post-``callgc`` heaps: the free-variable-pruning ``cek-compiled``
+  machine restores the oracle's GC precision exactly, so its raw final
+  heaps — exact addresses, exact cells, exact collection statistics — are
+  compared with **no** result-rooted normalization.
 """
 
 import dataclasses
@@ -26,14 +22,14 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import ErrorCode, OutOfFuelError
+from repro.analysis import optimize
+from repro.core.errors import ErrorCode
 from repro.interop_affine import DOUBLE_FORCE_PROGRAM
 from repro.interop_affine import make_system as make_affine_system
 from repro.interop_l3 import make_system as make_l3_system
 from repro.interop_refs import make_system as make_refs_system
-from repro.lcvm import cek, evaluate
+from repro.lcvm import cek
 from repro.lcvm import machine as lcvm_machine
-from repro.lcvm.heap import CellKind, Heap, HeapCell
 from repro.lcvm.machine import Status
 from repro.lcvm.syntax import (
     Alloc,
@@ -61,15 +57,17 @@ from repro.lcvm.syntax import (
     Var,
     mentioned_locations,
 )
-from repro.lcvm.values import reify
-from repro.interop_refs.strategies import canonical_fused_program, fused_pair_programs
 from repro.stacklang import Num as StackNum
 from repro.stacklang import Status as StackStatus
 from repro.stacklang import cek as stack_cek
 from repro.stacklang import machine as stack_machine
+from repro.stacklang.syntax import Add, Call, If0, Less, Push, Read, Thunk, program
+from repro.stacklang.syntax import Alloc as StackAlloc
+from repro.stacklang.syntax import Lam as StackLam
+from repro.stacklang.syntax import Var as StackVar
 
 MACHINE_FUEL = 50_000
-FAST_FUEL = 500_000  # env-based engines take more, finer-grained steps
+FAST_FUEL = 500_000  # the compiled engines take more, finer-grained steps
 
 
 # ---------------------------------------------------------------------------
@@ -173,68 +171,14 @@ def _machine_outcome(result):
     return ("value",) + observation(result.value, result.heap)
 
 
-def _bigstep_outcome(result):
-    syntax_heap = Heap(
-        {address: HeapCell(reify(cell.value), cell.kind) for address, cell in result.heap.cells.items()}
-    )
-    if not result.ok:
-        return ("fail", result.failure, len(syntax_heap.manual_fragment()))
-    return ("value",) + observation(reify(result.value), syntax_heap)
-
-
 @given(program=lcvm_programs())
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_four_lcvm_backends_agree(program):
+def test_lcvm_backends_agree(program):
     reference = lcvm_machine.run(program, fuel=MACHINE_FUEL)
     assume(reference.status is not Status.OUT_OF_FUEL)
-
-    cek_result = cek.run(program, fuel=FAST_FUEL)
-    assume(cek_result.status is not Status.OUT_OF_FUEL)
     compiled_result = cek.run_compiled(program, fuel=FAST_FUEL)
     assume(compiled_result.status is not Status.OUT_OF_FUEL)
-    try:
-        big_result = evaluate(program, fuel=FAST_FUEL)
-    except OutOfFuelError:
-        assume(False)
-
-    expected = _machine_outcome(reference)
-    assert _machine_outcome(cek_result) == expected
-    assert _machine_outcome(compiled_result) == expected
-    assert _bigstep_outcome(big_result) == expected
-
-
-def _bigstep_raw_cells(result):
-    """The big-step heap's cells reified to syntax, for raw comparison."""
-    return {
-        address: HeapCell(reify(cell.value), cell.kind) for address, cell in result.heap.cells.items()
-    }
-
-
-@given(program=lcvm_programs())
-@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_bigstep_matches_oracle_raw_heaps(program):
-    """``bigstep`` vs substitution with NO result-rooted normalization.
-
-    The iterative big-step machine prunes environments to free variables, so
-    its raw final heaps — exact addresses (shared smallest-first allocator),
-    exact cells, exact collection statistics — must equal the oracle's, on
-    success *and* on failure, with no normalizing collection at the end.
-    """
-    reference = lcvm_machine.run(program, fuel=MACHINE_FUEL)
-    assume(reference.status is not Status.OUT_OF_FUEL)
-    try:
-        big = evaluate(program, fuel=FAST_FUEL)
-    except OutOfFuelError:
-        assume(False)
-
-    if reference.status is Status.FAIL:
-        assert big.failure == reference.failure_code
-    else:
-        assert big.ok
-        assert big.reified_value() == reference.value
-    assert _bigstep_raw_cells(big) == reference.heap.cells  # no normalization
-    assert big.collections == reference.heap.collections
-    assert big.reclaimed == reference.heap.reclaimed
+    assert _machine_outcome(compiled_result) == _machine_outcome(reference)
 
 
 @given(program=lcvm_programs())
@@ -362,9 +306,8 @@ _FAILING_LCVM_PROGRAMS = [
 )
 def test_failure_codes_agree_on_all_lcvm_backends(program, code):
     assert lcvm_machine.run(program).failure_code is code
-    assert cek.run(program).failure_code is code
     assert cek.run_compiled(program).failure_code is code
-    assert evaluate(program).failure is code
+    assert cek.run_compiled(optimize(program)).failure_code is code  # cek-opt
 
 
 def test_conv_failure_agrees_across_affine_backends():
@@ -375,20 +318,19 @@ def test_conv_failure_agrees_across_affine_backends():
         assert result.failure is ErrorCode.CONV, backend
 
 
-def test_bigstep_roots_in_flight_temporaries():
-    # Regression: while a pair's second component runs callgc, the already
-    # evaluated first component must stay a GC root — the big-step evaluator
-    # used to sweep it (env-only roots) and then fail Ptr on the Deref.
+def test_compiled_roots_in_flight_temporaries():
+    # While a pair's second component runs callgc, the already evaluated
+    # first component must stay a GC root — sweeping it (env-only roots)
+    # would fail Ptr on the Deref.
     program = Let(
         "p",
         Pair(NewRef(Int(1)), CallGc()),
         Deref(Fst(Var("p"))),
     )
     assert lcvm_machine.run(program).value == Int(1)
-    assert cek.run(program).value == Int(1)
-    big = evaluate(program)
-    assert big.failure is None
-    assert reify(big.value) == Int(1)
+    compiled = cek.run_compiled(program)
+    assert compiled.failure_code is None
+    assert compiled.value == Int(1)
 
 
 # ---------------------------------------------------------------------------
@@ -453,35 +395,27 @@ def test_compiled_machine_collects_dead_lets_like_oracle(program):
 @pytest.mark.parametrize(
     "program", _DEAD_LET_PROGRAMS, ids=[str(p)[:56] for p in _DEAD_LET_PROGRAMS]
 )
-def test_bigstep_collects_dead_lets_like_oracle(program):
-    """Raw post-``callgc`` heaps equal the oracle's — no result-rooted crutch.
-
-    The recursive big-step evaluator kept dead ``let``-bindings alive until
-    their scope ended and its differential tests normalized heaps with a
-    final result-rooted collection; the iterative machine prunes
-    environments to free variables and matches the oracle's raw fragments
-    exactly, so the normalization is gone.
-    """
+def test_cek_opt_collects_dead_lets_like_oracle(program):
+    """The optimizer drops only dead *value* bindings, so the dead ``ref``
+    cells stay allocated and the optimized run's raw heap still equals the
+    oracle's — exact cells, addresses, and GC statistics."""
     reference = lcvm_machine.run(program, fuel=MACHINE_FUEL)
-    big = evaluate(program, fuel=FAST_FUEL)
-    assert big.ok
-    assert big.reified_value() == reference.value
-    assert _bigstep_raw_cells(big) == reference.heap.cells  # no normalization
-    assert big.collections == reference.heap.collections
-    assert big.reclaimed == reference.heap.reclaimed
+    optimized = cek.run_compiled(optimize(program), fuel=FAST_FUEL)
+    assert optimized.status == reference.status
+    assert optimized.value == reference.value
+    assert optimized.heap.cells == reference.heap.cells  # no normalization
+    assert optimized.heap.collections == reference.heap.collections
+    assert optimized.heap.reclaimed == reference.heap.reclaimed
 
 
-def test_compiled_machine_drops_dead_binding_the_interpreted_cek_keeps():
-    # The sharpest contrast: on the canonical dead-let program the compiled
-    # machine reclaims the dead cell mid-run (like the oracle), while the
-    # interpreted CEK machine roots it until its scope ends.
+def test_compiled_machine_drops_dead_binding_mid_run():
+    # On the canonical dead-let program the compiled machine reclaims the
+    # dead cell at callgc, like the oracle, rather than at the end of scope.
     program = _DEAD_LET_PROGRAMS[0]
     compiled = cek.run_compiled(program)
-    interpreted = cek.run(program)
-    assert compiled.value == interpreted.value == Int(1)
+    assert compiled.value == Int(1)
     assert compiled.heap.reclaimed == 1  # `dead` collected at callgc
     assert set(compiled.heap.cells) == {0}  # only `keep`'s cell survives
-    assert interpreted.heap.reclaimed == 0  # lexical scoping kept it alive
 
 
 def test_compiled_backend_registered_and_default_in_all_systems():
@@ -492,64 +426,89 @@ def test_compiled_backend_registered_and_default_in_all_systems():
         assert "substitution" in system.target.backend_names(), factory_name
 
 
-def test_bigstep_drops_dead_binding_the_interpreted_cek_keeps():
-    # The big-step evaluator now sits in the GC-precise camp with the oracle
-    # and the compiled machine: on the canonical dead-let program it reclaims
-    # the dead cell mid-run, while the interpreted CEK machine (lexical
-    # liveness) roots it until its scope ends.
-    program = Let(
-        "keep",
-        NewRef(Int(1)),
-        Let("dead", NewRef(Int(2)), Let("_", CallGc(), Deref(Var("keep")))),
+# ---------------------------------------------------------------------------
+# StackLang: chains of stack fragments agree with the oracle
+# ---------------------------------------------------------------------------
+#
+# Each fragment preserves the invariant "a ``Num`` on top of the stack in, a
+# ``Num`` on top out", so chains compose arbitrarily and always run to a
+# value: constant add/compare, static and dynamic ``if0``, a bound thunk
+# looked up and called, and an alloc/read round trip for heap contents.
+
+
+def _const_add(number):
+    return program(Push(StackNum(number)), Add())
+
+
+def _const_less(number):
+    return program(Push(StackNum(number)), Less())
+
+
+def _const_branch(number, then_number, else_number):
+    return program(
+        Push(StackNum(number)), If0((Push(StackNum(then_number)),), (Push(StackNum(else_number)),))
     )
-    cek_result = cek.run(program)
-    big_result = evaluate(program)
-    assert cek_result.value == Int(1)
-    assert big_result.reified_value() == Int(1)
-    assert cek_result.heap.collections == big_result.collections == 1
-    assert big_result.reclaimed == 1  # `dead` collected at callgc, like the oracle
-    assert set(big_result.heap.cells) == {0}  # only `keep`'s cell survives
-    assert cek_result.heap.reclaimed == 0  # lexical scoping kept it alive
 
 
-# ---------------------------------------------------------------------------
-# StackLang: the fused superinstruction pairs (cek-opt) agree everywhere
-# ---------------------------------------------------------------------------
+def _var_branch(then_number, else_number):
+    body = program(
+        Push(StackVar("fz")), If0((Push(StackNum(then_number)),), (Push(StackNum(else_number)),))
+    )
+    return (StackLam(("fz",), body),)
+
+
+def _var_call(body_number):
+    thunk = Thunk((Push(StackNum(body_number)),))
+    return program(Push(thunk), StackLam(("ft",), program(Push(StackVar("ft")), Call())))
+
+
+def _alloc_read():
+    return program(StackAlloc(), Read())
+
+
+def stack_fragment_chains(max_fragments=5):
+    numbers = st.integers(min_value=-8, max_value=8)
+    fragments = st.one_of(
+        st.builds(_const_add, numbers),
+        st.builds(_const_less, numbers),
+        st.builds(_const_branch, numbers, numbers, numbers),
+        st.builds(_var_branch, numbers, numbers),
+        st.builds(_var_call, numbers),
+        st.builds(_alloc_read),
+    )
+    return st.builds(
+        lambda seed, chain: program(Push(StackNum(seed)), *chain),
+        numbers,
+        st.lists(fragments, min_size=1, max_size=max_fragments),
+    )
 
 
 def _stack_outcome(result):
-    """All four StackLang engines are raw-comparable: status, top value,
-    failure code, and the exact final heap (steps excluded — fuel granularity
-    is backend-specific, and fused pairs burn one step where the unfused
-    machines burn two)."""
+    """Status, top value, failure code, and the exact final heap (steps
+    excluded — fuel granularity is backend-specific)."""
     return (result.status, result.value, result.failure_code, dict(result.heap))
 
 
-@given(fused=fused_pair_programs())
+@given(chain=stack_fragment_chains())
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_stacklang_backends_agree_on_fused_pair_chains(fused):
-    reference = stack_machine.run(fused, fuel=MACHINE_FUEL)
+def test_stacklang_backends_agree_on_fragment_chains(chain):
+    reference = stack_machine.run(chain, fuel=MACHINE_FUEL)
     assert reference.status is not StackStatus.OUT_OF_FUEL
-    expected = _stack_outcome(reference)
-    assert _stack_outcome(stack_cek.run(fused, fuel=FAST_FUEL)) == expected
-    assert _stack_outcome(stack_cek.run_compiled(fused, fuel=FAST_FUEL)) == expected
-    assert _stack_outcome(stack_cek.run_optimized(fused, fuel=FAST_FUEL)) == expected
+    assert _stack_outcome(stack_cek.run_compiled(chain, fuel=FAST_FUEL)) == _stack_outcome(reference)
 
 
-def test_canonical_fused_program_forms_all_five_pair_kinds():
-    before = stack_cek.fused_cache_stats()["fused_pairs"]
-    stack_cek.compile_program_fused(canonical_fused_program())
-    after = stack_cek.fused_cache_stats()["fused_pairs"]
-    assert after - before >= 5  # one superinstruction per pair kind
-
-
-def test_canonical_fused_program_agrees_on_all_four_backends():
-    fused = canonical_fused_program()
-    reference = stack_machine.run(fused, fuel=MACHINE_FUEL)
+def test_canonical_fragment_chain_agrees_on_both_backends():
+    chain = program(
+        Push(StackNum(4)),
+        _const_add(3),  # 4 -> 7
+        _const_less(5),  # 5 < 7 -> 0
+        _const_branch(0, 8, 9),  # static 0 -> then -> 8
+        _var_branch(1, 2),  # 8 != 0 -> else -> 2
+        _var_call(7),  # thunk pushes 7
+        _alloc_read(),  # alloc 7, read it back
+    )
+    reference = stack_machine.run(chain, fuel=MACHINE_FUEL)
     assert reference.status is StackStatus.VALUE
     assert reference.value == StackNum(7)
     assert dict(reference.heap) == {0: StackNum(7)}
-    expected = _stack_outcome(reference)
-    assert _stack_outcome(stack_cek.run(fused, fuel=FAST_FUEL)) == expected
-    assert _stack_outcome(stack_cek.run_compiled(fused, fuel=FAST_FUEL)) == expected
-    assert _stack_outcome(stack_cek.run_optimized(fused, fuel=FAST_FUEL)) == expected
+    assert _stack_outcome(stack_cek.run_compiled(chain, fuel=FAST_FUEL)) == _stack_outcome(reference)

@@ -7,9 +7,8 @@ the assertion robust on slow CI machines.
 
 All three systems are held to the same bar: the LCVM systems (§4 affine,
 §5 L3/memory) through the compiled-dispatch CEK machine, and StackLang (§3
-shared memory) through the pc-threaded machine — the segment machine only
-managed ~3–4× on deep crossings because ``If0`` branch splicing dominates
-that workload, which is exactly what pc-threading removes.
+shared memory) through the pc-threaded machine, whose resolved branch
+targets remove the ``If0`` branch splicing that dominates deep crossings.
 """
 
 import time

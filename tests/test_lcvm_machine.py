@@ -1,4 +1,5 @@
-"""Tests for the LCVM machine (Fig. 6 + Fig. 12), heap, GC, and big-step evaluator."""
+"""Tests for the LCVM machine (Fig. 6 + Fig. 12), heap, GC, and the compiled CEK machine
+(run directly, and over statically optimized code as the ``cek-opt`` backend does)."""
 
 import sys
 import threading
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.analysis import optimize
 from repro.core.errors import ErrorCode, MachineFailure
 from repro.lcvm import (
     HeapCell,
@@ -37,14 +39,12 @@ from repro.lcvm import (
     Status,
     Unit,
     Var,
-    evaluate,
     free_variables,
     is_value,
     let_sequence,
     run,
     substitute,
 )
-from repro.lcvm.bigstep import IntV, PairV, UnitV
 
 
 # -- core evaluation -----------------------------------------------------------
@@ -287,7 +287,7 @@ def test_free_variables():
     assert free_variables(term) == frozenset({"y", "z"})
 
 
-# -- big-step evaluator agrees with the machine -----------------------------------
+# -- the compiled CEK machine agrees with the reference machine -------------------
 
 
 _CLOSED_PROGRAMS = [
@@ -300,37 +300,60 @@ _CLOSED_PROGRAMS = [
 ]
 
 
-@pytest.mark.parametrize("program", _CLOSED_PROGRAMS, ids=[str(p)[:40] for p in _CLOSED_PROGRAMS])
-def test_bigstep_agrees_with_smallstep(program):
-    small = run(program)
-    big = evaluate(program)
-    if small.status is Status.VALUE:
-        assert big.ok
-        assert _runtime_equals(big.value, small.value)
-    else:
-        assert not big.ok
-        assert big.failure == small.failure_code
-
-
-def _runtime_equals(runtime_value, syntax_value):
-    if isinstance(runtime_value, IntV):
-        return syntax_value == Int(runtime_value.value)
-    if isinstance(runtime_value, UnitV):
-        return syntax_value == Unit()
-    if isinstance(runtime_value, PairV):
-        return (
-            isinstance(syntax_value, Pair)
-            and _runtime_equals(runtime_value.first, syntax_value.first)
-            and _runtime_equals(runtime_value.second, syntax_value.second)
-        )
-    return True  # closures/locations: structural comparison is not meaningful
-
-
 @given(st.integers(min_value=-50, max_value=50), st.integers(min_value=-50, max_value=50))
-def test_bigstep_and_smallstep_agree_on_arithmetic(a, b):
+def test_compiled_and_smallstep_agree_on_arithmetic(a, b):
     program = BinOp("+", Int(a), BinOp("*", Int(b), Int(2)))
     assert run(program).value == Int(a + b * 2)
-    assert evaluate(program).value == IntV(a + b * 2)
+    assert cek.run_compiled(program).value == Int(a + b * 2)
+
+
+@pytest.mark.parametrize("program", _CLOSED_PROGRAMS, ids=[str(p)[:40] for p in _CLOSED_PROGRAMS])
+def test_cek_agrees_with_smallstep(program):
+    small = run(program)
+    fast = cek.run_compiled(program)
+    assert fast.status is small.status
+    assert fast.value == small.value
+    assert fast.failure_code == small.failure_code
+    assert len(fast.heap.manual_fragment()) == len(small.heap.manual_fragment())
+
+
+@pytest.mark.parametrize("program", _CLOSED_PROGRAMS, ids=[str(p)[:40] for p in _CLOSED_PROGRAMS])
+def test_cek_opt_agrees_with_smallstep(program):
+    small = run(program)
+    optimized = cek.run_compiled(optimize(program))
+    assert optimized.status is small.status
+    assert optimized.value == small.value
+    assert optimized.failure_code == small.failure_code
+
+
+def test_cek_reifies_closures_with_captured_environment():
+    program = Let("x", Int(5), Lam("y", BinOp("+", Var("x"), Var("y"))))
+    result = cek.run_compiled(program)
+    assert result.value == Lam("y", BinOp("+", Int(5), Var("y")))
+    assert result.value == run(program).value
+
+
+def test_cek_runs_with_preseeded_syntax_heap():
+    heap = Heap()
+    address = heap.allocate(Int(41), CellKind.GC)
+    result = cek.run_compiled(BinOp("+", Deref(Loc(address)), Int(1)), heap=heap)
+    assert result.value == Int(42)
+
+
+def test_cek_step_count_is_linear_not_quadratic():
+    # A right-nested addition of n leaves takes O(n) CEK transitions; the
+    # substitution machine re-walks the spine and needs Ω(n²) work.
+    def nested(n):
+        expression = Int(0)
+        for index in range(n):
+            expression = BinOp("+", Int(1), expression)
+        return expression
+
+    small = cek.run_compiled(nested(100), fuel=1_000_000)
+    large = cek.run_compiled(nested(200), fuel=1_000_000)
+    assert small.value == Int(100) and large.value == Int(200)
+    # Linear growth: doubling the program roughly doubles the steps.
+    assert large.steps <= 2 * small.steps + 10
 
 
 # -- error-code parity: dangling pointers surface Ptr on every backend -------------
@@ -346,9 +369,9 @@ _DANGLING_PROGRAMS = [
 @pytest.mark.parametrize("program", _DANGLING_PROGRAMS, ids=["deref", "assign", "free"])
 def test_dangling_operations_fail_ptr_on_every_backend(program):
     assert run(program).failure_code is ErrorCode.PTR
-    assert cek.run(program).failure_code is ErrorCode.PTR
-    big = evaluate(program)  # must be fail Ptr, never a raw KeyError
-    assert big.failure is ErrorCode.PTR
+    # Must be fail Ptr, never a raw KeyError from the heap.
+    assert cek.run_compiled(program).failure_code is ErrorCode.PTR
+    assert cek.run_compiled(optimize(program)).failure_code is ErrorCode.PTR  # cek-opt
 
 
 def test_binop_failure_in_right_operand_outranks_type_error():
@@ -356,51 +379,8 @@ def test_binop_failure_in_right_operand_outranks_type_error():
     # check; a bad left operand with a failing right operand is Conv, not Type.
     program = BinOp("+", NewRef(Int(0)), Fail(ErrorCode.CONV))
     assert run(program).failure_code is ErrorCode.CONV
-    assert cek.run(program).failure_code is ErrorCode.CONV
-    assert evaluate(program).failure is ErrorCode.CONV
-
-
-# -- the CEK machine agrees with the reference machine ----------------------------
-
-
-@pytest.mark.parametrize("program", _CLOSED_PROGRAMS, ids=[str(p)[:40] for p in _CLOSED_PROGRAMS])
-def test_cek_agrees_with_smallstep(program):
-    small = run(program)
-    fast = cek.run(program)
-    assert fast.status is small.status
-    assert fast.value == small.value
-    assert fast.failure_code == small.failure_code
-    assert len(fast.heap.manual_fragment()) == len(small.heap.manual_fragment())
-
-
-def test_cek_reifies_closures_with_captured_environment():
-    program = Let("x", Int(5), Lam("y", BinOp("+", Var("x"), Var("y"))))
-    result = cek.run(program)
-    assert result.value == Lam("y", BinOp("+", Int(5), Var("y")))
-    assert result.value == run(program).value
-
-
-def test_cek_runs_with_preseeded_syntax_heap():
-    heap = Heap()
-    address = heap.allocate(Int(41), CellKind.GC)
-    result = cek.run(BinOp("+", Deref(Loc(address)), Int(1)), heap=heap)
-    assert result.value == Int(42)
-
-
-def test_cek_step_count_is_linear_not_quadratic():
-    # A right-nested addition of n leaves takes O(n) CEK transitions; the
-    # substitution machine re-walks the spine and needs Ω(n²) work.
-    def nested(n):
-        expression = Int(0)
-        for index in range(n):
-            expression = BinOp("+", Int(1), expression)
-        return expression
-
-    small = cek.run(nested(100), fuel=1_000_000)
-    large = cek.run(nested(200), fuel=1_000_000)
-    assert small.value == Int(100) and large.value == Int(200)
-    # Linear growth: doubling the program roughly doubles the steps.
-    assert large.steps <= 2 * small.steps + 10
+    assert cek.run_compiled(program).failure_code is ErrorCode.CONV
+    assert cek.run_compiled(optimize(program)).failure_code is ErrorCode.CONV  # cek-opt
 
 
 # -- compiled CEK: concurrent compiles -----------------------------------------

@@ -46,14 +46,14 @@ def _observable(response):
 
 
 def _mixed_requests():
-    """Three systems, four backends, duplicates, a starved and two bad requests."""
+    """Three systems, two backends, duplicates, a starved and two bad requests."""
     return [
         Request(language="RefLL", source=nested_refll_boundary(5), request_id="refs-deep"),
         Request(language="RefLL", source=nested_refll_boundary(3), backend="substitution", request_id="refs-oracle"),
-        Request(language="RefLL", source=nested_refll_boundary(3), backend="cek", request_id="refs-segment"),
+        Request(language="RefLL", source=nested_refll_boundary(4), backend="substitution", request_id="refs-oracle-deep"),
         Request(language="MiniML", system="affine", source=nested_ml_affi_boundary(4), request_id="affine-a"),
         Request(language="MiniML", system="affine", source=nested_ml_affi_boundary(4), request_id="affine-dup"),
-        Request(language="MiniML", system="affine", source=nested_ml_affi_boundary(3), backend="bigstep", request_id="affine-bigstep"),
+        Request(language="MiniML", system="affine", source=nested_ml_affi_boundary(3), backend="substitution", request_id="affine-oracle"),
         Request(language="Affi", source="(if (boundary bool 7) 1 2)", request_id="affi-small"),
         Request(language="MiniML", system="l3", source=nested_ml_l3_boundary(4), request_id="l3-deep"),
         Request(language="MiniML", system="l3", source=nested_ml_l3_boundary(3), backend="substitution", request_id="l3-oracle"),

@@ -536,7 +536,7 @@ def _dummy_checkpoint(tag="one"):
     return Checkpoint(
         request=Request(language="RefLL", source="1", request_id=tag),
         system="refs",
-        backend="cek",
+        backend="substitution",
         snapshot={"version": 1, "tag": tag},
     )
 

@@ -3,8 +3,7 @@
 Four layers of guarantees:
 
 * the resumable machines — the compiled CEK and pc-threaded StackLang
-  machines *and* every oracle (both substitution machines, the iterative
-  big-step evaluator, the interpreted CEK) — produce *identical* results
+  machines *and* both substitution oracles — produce *identical* results
   however their transitions are sliced, including fuel exhaustion landing on
   the exact same step;
 * **bounded per-turn latency**: no backend advances more than the driver's
@@ -26,11 +25,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.lcvm import bigstep as lcvm_bigstep
 from repro.lcvm import cek as lcvm_cek
 from repro.lcvm import machine as lcvm_machine
 from repro.lcvm.machine import Status
-from repro.lcvm.syntax import App, Int, Lam, Var
+from repro.lcvm.syntax import App, Lam, Var
 from repro.serve import Request, StepSlicedDriver, make_default_scheduler
 from repro.stacklang import cek as stack_cek
 from repro.stacklang import machine as stack_machine
@@ -47,7 +45,7 @@ from repro.util.workloads import (
 SCHEDULER = make_default_scheduler(slice_steps=16)
 
 
-# A mixed batch: three systems, four backends, two fuel-starved requests,
+# A mixed batch: three systems, two backends, four fuel-starved requests,
 # and a duplicated heap-allocating program (private-heap isolation).
 REQUESTS = [
     Request(language="RefLL", source=_nested_refll_boundary(6), request_id="refs-compiled"),
@@ -57,7 +55,12 @@ REQUESTS = [
         backend="substitution",
         request_id="refs-oracle",
     ),
-    Request(language="RefLL", source=_nested_refll_boundary(4), backend="cek", request_id="refs-segment"),
+    Request(
+        language="RefLL",
+        source=_nested_refll_boundary(5),
+        backend="substitution",
+        request_id="refs-oracle-deep",
+    ),
     Request(
         language="MiniML",
         system="affine",
@@ -75,8 +78,8 @@ REQUESTS = [
         language="MiniML",
         system="affine",
         source=_nested_ml_affi_boundary(4),
-        backend="bigstep",
-        request_id="affine-bigstep",
+        backend="substitution",
+        request_id="affine-oracle-deep",
     ),
     Request(language="Affi", source="(if (boundary bool 7) 1 2)", request_id="affi-compiled"),
     Request(language="MiniML", system="l3", source=_nested_ml_l3_boundary(4), request_id="l3-compiled"),
@@ -92,8 +95,8 @@ REQUESTS = [
         language="MiniML",
         system="l3",
         source=_nested_ml_l3_boundary(3),
-        backend="bigstep",
-        request_id="l3-bigstep",
+        backend="substitution",
+        request_id="l3-oracle-deep",
     ),
     Request(
         language="MiniML",
@@ -116,13 +119,13 @@ REQUESTS = [
         language="MiniML",
         system="affine",
         source=_nested_ml_affi_boundary(5),
-        backend="bigstep",
-        fuel=13,
-        request_id="bigstep-starved",
+        backend="substitution",
+        fuel=3,
+        request_id="affine-oracle-starved",
     ),
 ]
 
-STARVED = {"affine-starved", "refs-starved", "oracle-starved", "bigstep-starved"}
+STARVED = {"affine-starved", "refs-starved", "oracle-starved", "affine-oracle-starved"}
 
 
 def _observe_result(result):
@@ -260,8 +263,8 @@ def test_per_request_accounting():
     assert by_id["refs-compiled"].slices > 1
     assert by_id["affine-compiled"].slices > 1
     assert by_id["refs-oracle"].slices > 1  # substitution oracle, sliced
-    assert by_id["refs-segment"].slices > 1  # interpreted segment machine, sliced
-    assert by_id["l3-bigstep"].slices > 1  # big-step evaluator, sliced
+    assert by_id["refs-oracle-deep"].slices > 1  # substitution oracle, sliced
+    assert by_id["l3-oracle-deep"].slices > 1  # LCVM substitution oracle, sliced
     for response in responses:
         assert response.backend is not None
         assert response.slices >= 1
@@ -371,11 +374,8 @@ def test_backend_crash_is_isolated_to_its_own_request():
 def test_step_n_rejects_non_positive_limits():
     for execution in (
         lcvm_cek.CompiledExecution(_lcvm_code(2)),
-        lcvm_cek.InterpretedExecution(_lcvm_code(2)),
         lcvm_machine.SubstitutionExecution(_lcvm_code(2)),
-        lcvm_bigstep.BigStepExecution(_lcvm_code(2)),
         stack_cek.CompiledExecution(_stacklang_code(2)),
-        stack_cek.SegmentExecution(_stacklang_code(2)),
         stack_machine.SubstitutionExecution(_stacklang_code(2)),
     ):
         with pytest.raises(ValueError):
@@ -404,41 +404,22 @@ def _drive_sliced(execution, slice_steps):
 
 def test_lcvm_oracle_executions_match_their_one_shot_runs():
     code = _lcvm_code(4)
-    cases = [
-        (lambda: lcvm_machine.SubstitutionExecution(code, fuel=100_000), lcvm_machine.run),
-        (lambda: lcvm_cek.InterpretedExecution(code, fuel=100_000), lcvm_cek.run),
-    ]
-    for make_execution, one_shot in cases:
-        full = one_shot(code, fuel=100_000)
-        for slice_steps in (1, 3, 7, 1_000_000):
-            result, slices = _drive_sliced(make_execution(), slice_steps)
-            assert _machine_observe(result) == _machine_observe(full)
-            if slice_steps == 1:
-                assert slices >= full.steps  # genuinely bounded slices
-
-
-def test_bigstep_execution_matches_evaluate_and_is_slice_independent():
-    code = _lcvm_code(4)
-    full = lcvm_bigstep.evaluate(code, fuel=100_000)
+    full = lcvm_machine.run(code, fuel=100_000)
     for slice_steps in (1, 3, 7, 1_000_000):
-        result, _slices = _drive_sliced(lcvm_bigstep.BigStepExecution(code, fuel=100_000), slice_steps)
-        assert result.ok == full.ok
-        assert result.reified_value() == full.reified_value()
-        assert result.steps == full.steps
-        assert result.collections == full.collections
+        execution = lcvm_machine.SubstitutionExecution(code, fuel=100_000)
+        result, slices = _drive_sliced(execution, slice_steps)
+        assert _machine_observe(result) == _machine_observe(full)
+        if slice_steps == 1:
+            assert slices >= full.steps  # genuinely bounded slices
 
 
 def test_stacklang_oracle_executions_match_their_one_shot_runs():
     code = _stacklang_code(4)
-    cases = [
-        (lambda: stack_machine.SubstitutionExecution(code, fuel=100_000), stack_machine.run),
-        (lambda: stack_cek.SegmentExecution(code, fuel=100_000), stack_cek.run),
-    ]
-    for make_execution, one_shot in cases:
-        full = one_shot(code, fuel=100_000)
-        for slice_steps in (1, 5, 1_000_000):
-            result, _slices = _drive_sliced(make_execution(), slice_steps)
-            assert _machine_observe(result) == _machine_observe(full)
+    full = stack_machine.run(code, fuel=100_000)
+    for slice_steps in (1, 5, 1_000_000):
+        execution = stack_machine.SubstitutionExecution(code, fuel=100_000)
+        result, _slices = _drive_sliced(execution, slice_steps)
+        assert _machine_observe(result) == _machine_observe(full)
 
 
 def test_oracle_fuel_exhaustion_is_slice_independent():
@@ -453,45 +434,19 @@ def test_oracle_fuel_exhaustion_is_slice_independent():
     assert str(result.config.expr) == str(full.config.expr)
 
 
-def test_bigstep_no_longer_recurses_past_pythons_limit():
-    """The iterative big-step machine survives depths that killed the old one.
-
-    A 5000-deep application chain needs ~2 Python frames per level under the
-    historical recursive evaluator — far past the interpreter's recursion
-    limit — while the explicit-stack machine evaluates it under an
-    artificially *lowered* limit, interleaved with a compiled neighbour whose
-    result is unaffected.
-    """
-    deep = Int(42)
-    for _ in range(5_000):
-        deep = App(Lam("x", Var("x")), deep)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(500)
-    try:
-        execution = lcvm_bigstep.BigStepExecution(deep, fuel=1_000_000)
-        neighbour = lcvm_cek.CompiledExecution(_lcvm_code(3), fuel=100_000)
-        driver = StepSlicedDriver(slice_steps=64)
-        deep_result, neighbour_result = driver.run_batch([execution, neighbour])
-    finally:
-        sys.setrecursionlimit(limit)
-    assert deep_result.result.ok
-    assert deep_result.result.reified_value() == Int(42)
-    assert deep_result.slices > 100  # bounded slices all the way down
-    assert neighbour_result.result.status is Status.VALUE
-
-
-def test_bigstep_divergence_burns_fuel_not_the_python_stack():
-    # (λx. x x)(λx. x x): the old recursive evaluator grew one Python frame
-    # per β-step and died with RecursionError long before its fuel ran out.
+def test_compiled_divergence_burns_fuel_not_the_python_stack():
+    # (λx. x x)(λx. x x): every β-step of the compiled machine is one
+    # transition on its explicit continuation, never a Python frame, so
+    # divergence ends in fuel exhaustion even under a tiny recursion limit.
     omega = App(Lam("x", App(Var("x"), Var("x"))), Lam("x", App(Var("x"), Var("x"))))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
     try:
-        result, slices = _drive_sliced(lcvm_bigstep.BigStepExecution(omega, fuel=50_000), 256)
+        result, slices = _drive_sliced(lcvm_cek.CompiledExecution(omega, fuel=50_000), 256)
     finally:
         sys.setrecursionlimit(limit)
-    assert result.out_of_fuel
-    assert not result.ok
+    assert result.status is Status.OUT_OF_FUEL
+    assert result.failure_code is None
     assert result.steps == 50_000
     assert slices >= 50_000 // 256
 

@@ -9,18 +9,22 @@ process — must be observably invisible.  Four layers of guarantees:
   all three case-study systems, a run restored from a snapshot taken at
   every slice boundary produces the uninterrupted run's exact result string
   and step count (and the probed execution itself finishes unperturbed —
-  snapshots copy state out without touching it);
+  snapshots copy state out without touching it), both for a run with ample
+  fuel and for one starved a single step short of finishing;
 * **raw post-``callgc`` heaps**: at the LCVM machine level the restored
   run's final heap equals the uninterrupted run's address-for-address —
   exact cells, exact addresses, exact collection statistics, no
   result-rooted normalization — across the GC-precise dead-``let``
-  programs from the backend-agreement suite;
+  programs from the backend-agreement suite; at the StackLang machine level
+  the restored run's value, steps and heap match across pending branches
+  and thunk calls;
 * **process portability**: a snapshot pickled in this process and restored
   in a *fresh spawn-context process* (compiled units rebuilt from scratch —
   nothing shared but the bytes) finishes with the same result, steps, and
   (for the compiled LCVM machine) the same raw heap;
-* **format discipline**: version/kind tampering is refused, finished
-  executions refuse to snapshot, one snapshot restores many independent
+* **format discipline**: version/kind tampering is refused (kinds of removed
+  machines included, and a checkpoint naming one fails alone on resume),
+  finished executions refuse to snapshot, one snapshot restores many independent
   executions, and the scheduler's preempt → ``CheckpointStore`` → restart →
   ``resume`` round trip matches an uninterrupted sequential serve.
 """
@@ -33,19 +37,24 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import optimize
 from repro.core.errors import ReproError
 from repro.core.snapshots import SNAPSHOT_VERSION, snapshot_backend_name
 from repro.interop_affine import make_system as make_affine_system
 from repro.interop_l3 import make_system as make_l3_system
 from repro.interop_refs import make_system as make_refs_system
-from repro.lcvm import bigstep as lcvm_bigstep
 from repro.lcvm import cek as lcvm_cek
 from repro.lcvm import machine as lcvm_machine
-from repro.lcvm.heap import HeapCell
 from repro.lcvm.syntax import App, CallGc, Deref, Inl, Int, Lam, Let, Match, NewRef, Pair, Var
-from repro.lcvm.values import reify
 from repro.serve import Checkpoint, CheckpointStore, Request, make_default_scheduler
 from repro.serve.checkpoint import CHECKPOINT_VERSION
+from repro.stacklang import cek as stack_cek
+from repro.stacklang import machine as stack_machine
+from repro.stacklang.syntax import Add, Call, If0, Num, Push, Read, Thunk
+from repro.stacklang.syntax import Alloc as StackAlloc
+from repro.stacklang.syntax import Lam as StackLam
+from repro.stacklang.syntax import Var as StackVar
+from repro.stacklang.syntax import program as stack_program
 from repro.util.workloads import (
     nested_ml_affi_boundary,
     nested_ml_l3_boundary,
@@ -71,14 +80,6 @@ _WORKLOADS = {
 # warm, like a serving process); every test starts fresh executions.
 _SYSTEMS = {name: build() for name, build in _SYSTEM_BUILDERS.items()}
 
-# Every snapshot-capable backend in every system: the restorer registry *is*
-# the capability list, so a backend gaining snapshots is tested automatically.
-CASES = [
-    pytest.param(system_name, backend, id=f"{system_name}-{backend}")
-    for system_name in sorted(_SYSTEMS)
-    for backend in sorted(_SYSTEMS[system_name].target.restores)
-]
-
 
 @lru_cache(maxsize=None)
 def _target_code(system_name):
@@ -94,12 +95,40 @@ def _finish(execution, slice_steps):
 
 
 @lru_cache(maxsize=None)
-def _baseline(system_name, backend, slice_steps):
+def _baseline(system_name, backend, slice_steps, fuel=FUEL):
     """The uninterrupted run's observables: (result string, step count)."""
     system = _SYSTEMS[system_name]
-    execution = system.start_compiled(_target_code(system_name), fuel=FUEL, backend=backend)
+    execution = system.start_compiled(_target_code(system_name), fuel=fuel, backend=backend)
     result = _finish(execution, slice_steps)
     return str(result), result.steps
+
+
+def _fuel(system_name, backend, starved):
+    """``FUEL``, or one step less than the well-fed run takes."""
+    return _baseline(system_name, backend, 1)[1] - 1 if starved else FUEL
+
+
+# Every snapshot-capable backend in every system: the restorer registry *is*
+# the capability list, so a backend gaining snapshots is tested automatically.
+# Each backend runs the workload with ample fuel (to a value), and again as
+# ``-starved`` with one step less than the run needs, so a restored run must
+# carry its remaining fuel exactly to run out on the last step instead of
+# finishing.  The starved case is left out where the starved run is too short
+# to pause after three steps (``cek-opt`` folds the affine workload to two
+# transitions).
+_BACKENDS = [
+    (system_name, backend)
+    for system_name in sorted(_SYSTEMS)
+    for backend in sorted(_SYSTEMS[system_name].target.restores)
+]
+CASES = [
+    pytest.param(system_name, backend, False, id=f"{system_name}-{backend}")
+    for system_name, backend in _BACKENDS
+] + [
+    pytest.param(system_name, backend, True, id=f"{system_name}-{backend}-starved")
+    for system_name, backend in _BACKENDS
+    if _fuel(system_name, backend, starved=True) > 3
+]
 
 
 def _round_trip(snapshot):
@@ -112,15 +141,18 @@ def _round_trip(snapshot):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("system_name,backend", CASES)
-def test_restore_at_every_slice_boundary_is_invisible(system_name, backend):
+@pytest.mark.parametrize("system_name,backend,starved", CASES)
+def test_restore_at_every_slice_boundary_is_invisible(system_name, backend, starved):
     system = _SYSTEMS[system_name]
     # The optimizing backend folds these arithmetic workloads down to a
     # handful of transitions, so probe it at the finest slice granularity to
     # still cross at least one boundary.
     slice_steps = 1 if backend == "cek-opt" else 3
-    base_str, base_steps = _baseline(system_name, backend, slice_steps)
-    probe = system.start_compiled(_target_code(system_name), fuel=FUEL, backend=backend)
+    fuel = _fuel(system_name, backend, starved)
+    base_str, base_steps = _baseline(system_name, backend, slice_steps, fuel)
+    if starved:
+        assert "out_of_fuel" in base_str
+    probe = system.start_compiled(_target_code(system_name), fuel=fuel, backend=backend)
     boundaries = 0
     while True:
         result = probe.step_n(slice_steps)
@@ -144,7 +176,7 @@ def test_restore_at_every_slice_boundary_is_invisible(system_name, backend):
     assert result.steps == base_steps
 
 
-@pytest.mark.parametrize("system_name,backend", CASES)
+@pytest.mark.parametrize("system_name,backend,starved", CASES)
 @settings(
     max_examples=12,
     deadline=None,
@@ -155,13 +187,14 @@ def test_restore_at_every_slice_boundary_is_invisible(system_name, backend):
     boundary=st.integers(min_value=1, max_value=40),
 )
 def test_restore_at_arbitrary_boundary_matches_uninterrupted(
-    system_name, backend, slice_steps, boundary
+    system_name, backend, starved, slice_steps, boundary
 ):
     """Hypothesis: whatever the slice size and whichever boundary is chosen,
     the restored run and the probed original both match the uninterrupted run."""
     system = _SYSTEMS[system_name]
-    base_str, base_steps = _baseline(system_name, backend, slice_steps)
-    probe = system.start_compiled(_target_code(system_name), fuel=FUEL, backend=backend)
+    fuel = _fuel(system_name, backend, starved)
+    base_str, base_steps = _baseline(system_name, backend, slice_steps, fuel)
+    probe = system.start_compiled(_target_code(system_name), fuel=fuel, backend=backend)
     result = None
     for _ in range(boundary):
         result = probe.step_n(slice_steps)
@@ -219,32 +252,29 @@ _GC_PROGRAMS = [
     ),
 ]
 
+# (machine class, program preparation): ``cek-opt`` runs the optimized
+# program on the compiled machine under its own snapshot kind.
 _LCVM_MACHINES = [
-    pytest.param(lcvm_machine.SubstitutionExecution, id="substitution"),
-    pytest.param(lcvm_bigstep.BigStepExecution, id="bigstep"),
-    pytest.param(lcvm_cek.InterpretedExecution, id="cek"),
-    pytest.param(lcvm_cek.CompiledExecution, id="cek-compiled"),
+    pytest.param(lcvm_machine.SubstitutionExecution, None, id="substitution"),
+    pytest.param(lcvm_cek.CompiledExecution, None, id="cek-compiled"),
+    pytest.param(lcvm_cek.OptimizedExecution, optimize, id="cek-opt"),
 ]
 
 
 def _raw_observables(result):
     """Result value, steps, and the raw heap: exact cells, exact addresses,
     exact collection statistics — no result-rooted normalization."""
-    if isinstance(result, lcvm_bigstep.EvalResult):
-        cells = {
-            address: HeapCell(reify(cell.value), cell.kind)
-            for address, cell in result.heap.cells.items()
-        }
-        return str(result.reified_value()), result.steps, cells, result.collections, result.reclaimed
     heap = result.heap
     return str(result.value), result.steps, dict(heap.cells), heap.collections, heap.reclaimed
 
 
-@pytest.mark.parametrize("machine_class", _LCVM_MACHINES)
+@pytest.mark.parametrize("machine_class,prepare", _LCVM_MACHINES)
 @pytest.mark.parametrize(
     "program", _GC_PROGRAMS, ids=[str(program)[:48] for program in _GC_PROGRAMS]
 )
-def test_lcvm_restore_preserves_raw_postgc_heap(machine_class, program):
+def test_lcvm_restore_preserves_raw_postgc_heap(machine_class, prepare, program):
+    if prepare is not None:
+        program = prepare(program)
     base = _raw_observables(_finish(machine_class(program, fuel=MACHINE_FUEL), 2))
     probe = machine_class(program, fuel=MACHINE_FUEL)
     boundaries = 0
@@ -257,6 +287,47 @@ def test_lcvm_restore_preserves_raw_postgc_heap(machine_class, program):
         assert _raw_observables(_finish(restored, 2)) == base
     assert boundaries >= 1, "program too shallow to cross a slice boundary"
     assert _raw_observables(result) == base
+
+
+# StackLang programs that leave cells on the heap through a pending branch, a
+# bound thunk, and straight-line code.
+_STACK_PROGRAMS = [
+    stack_program(Push(Num(4)), StackAlloc(), Read(), Push(Num(3)), Add()),
+    stack_program(Push(Num(5)), StackAlloc(), Push(Num(0)), If0((Read(),), (Push(Num(1)),))),
+    stack_program(
+        Push(Num(1)),
+        Push(Thunk((Push(Num(7)), StackAlloc(), Read()))),
+        StackLam(("ft",), stack_program(Push(StackVar("ft")), Call())),
+    ),
+]
+
+_STACK_MACHINES = [
+    pytest.param(stack_machine.SubstitutionExecution, id="substitution"),
+    pytest.param(stack_cek.CompiledExecution, id="cek-compiled"),
+]
+
+
+def _stack_observables(result):
+    return result.status, result.value, result.failure_code, result.steps, dict(result.heap)
+
+
+@pytest.mark.parametrize("machine_class", _STACK_MACHINES)
+@pytest.mark.parametrize("program", _STACK_PROGRAMS, ids=["straight", "branch", "thunk"])
+def test_stacklang_restore_preserves_heap_and_frames(machine_class, program):
+    """Every slice boundary of a StackLang machine restores to the same
+    value, steps, and heap — pending branches and thunk calls included."""
+    base = _stack_observables(_finish(machine_class(program, fuel=MACHINE_FUEL), 2))
+    probe = machine_class(program, fuel=MACHINE_FUEL)
+    boundaries = 0
+    while True:
+        result = probe.step_n(2)
+        if result is not None:
+            break
+        boundaries += 1
+        restored = machine_class.from_snapshot(_round_trip(probe.snapshot()))
+        assert _stack_observables(_finish(restored, 2)) == base
+    assert boundaries >= 1, "program too shallow to cross a slice boundary"
+    assert _stack_observables(result) == base
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +377,12 @@ def _run_in_spawned_process(target, args):
     return reply[1:]
 
 
-@pytest.mark.parametrize("system_name,backend", CASES)
-def test_restore_in_fresh_spawned_process(system_name, backend):
+@pytest.mark.parametrize("system_name,backend,starved", CASES)
+def test_restore_in_fresh_spawned_process(system_name, backend, starved):
     system = _SYSTEMS[system_name]
-    base_str, base_steps = _baseline(system_name, backend, 64)
-    probe = system.start_compiled(_target_code(system_name), fuel=FUEL, backend=backend)
+    fuel = _fuel(system_name, backend, starved)
+    base_str, base_steps = _baseline(system_name, backend, 64, fuel)
+    probe = system.start_compiled(_target_code(system_name), fuel=fuel, backend=backend)
     # The optimizing backend folds the workload to a couple of transitions;
     # pause after a single step so there is still mid-run state to snapshot.
     assert probe.step_n(1 if backend == "cek-opt" else 3) is None, (
@@ -372,6 +444,64 @@ def test_version_and_kind_tampering_is_refused():
         system.target.restore(snapshot, backend="no-such-backend")
 
 
+@pytest.mark.parametrize(
+    "system_name,kind",
+    [
+        ("affine", "lcvm/bigstep"),
+        ("affine", "lcvm/cek"),
+        ("l3", "lcvm/bigstep"),
+        ("l3", "lcvm/cek"),
+        ("refs", "stacklang/cek"),
+        ("refs", "stacklang/cek-opt"),
+    ],
+)
+def test_version_and_kind_tampering_refuses_retired_kinds(system_name, kind):
+    # Kinds written by machines this build no longer has name no registered
+    # restorer: routing fails cleanly, never as a raw KeyError.
+    live = _mid_run_snapshot(system_name)
+    with pytest.raises(ReproError):
+        _SYSTEMS[system_name].restore_execution(dict(live, kind=kind))
+
+
+def test_resume_reports_a_retired_backend_checkpoint_and_finishes_the_rest():
+    # A checkpoint saved by an earlier build under the removed big-step
+    # evaluator: its plain-data state, tagged ``lcvm/bigstep``.
+    code = _target_code("affine")
+    retired = Checkpoint(
+        request=Request(
+            language="MiniML", system="affine", source=_WORKLOADS["affine"][1], request_id="retired"
+        ),
+        system="affine",
+        backend="bigstep",
+        snapshot={
+            "version": SNAPSHOT_VERSION,
+            "kind": "lcvm/bigstep",
+            "program": code,
+            "fuel": FUEL,
+            "remaining": FUEL - 3,
+            "work": [],
+            "values": [],
+            "heap": None,
+        },
+        slices=1,
+    )
+    live = Checkpoint(
+        request=Request(language="RefLL", source=_WORKLOADS["refs"][1], request_id="live"),
+        system="refs",
+        backend="cek-compiled",
+        snapshot=_mid_run_snapshot("refs"),
+        slices=1,
+    )
+    responses = make_default_scheduler(slice_steps=8).resume([retired, live])
+    by_id = {response.request.request_id: response for response in responses}
+    assert by_id["retired"].result is None
+    assert by_id["retired"].error.startswith("ReproError: ")
+    assert "bigstep" in by_id["retired"].error
+    base_str, base_steps = _baseline("refs", "cek-compiled", 3)
+    assert by_id["live"].error is None
+    assert (str(by_id["live"].result), by_id["live"].result.steps) == (base_str, base_steps)
+
+
 def test_one_snapshot_restores_many_independent_executions():
     system = _SYSTEMS["affine"]
     base_str, base_steps = _baseline("affine", "cek-compiled", 5)
@@ -408,8 +538,8 @@ def _preempt_requests():
             language="MiniML",
             system="l3",
             source=nested_ml_l3_boundary(4),
-            backend="bigstep",
-            request_id="l3-bigstep",
+            backend="substitution",
+            request_id="l3-oracle",
         ),
     ]
 
