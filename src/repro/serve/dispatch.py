@@ -16,9 +16,11 @@ front ends that supply one.  The dispatcher owns:
   redispatch the rest from scratch under each request's ``retry_budget``
   (:meth:`Dispatcher._recover`).
 
-The worker side of the protocol lives here too: :func:`handle_work` serves
-one work tuple on a member's scheduler, for pipe workers and network
-endpoints alike.
+Both ends of the member protocol live here too, once for both transports:
+:func:`handle_work` serves one work tuple on a member's scheduler (pipe
+workers and network endpoints alike), and :func:`exchange_all` is the
+parent's send-all-then-drain loop over the members' pipes or
+:class:`~repro.serve.wire.FrameConnection` sockets.
 """
 
 from __future__ import annotations
@@ -39,9 +41,17 @@ from repro.serve.reliability import (
 from repro.serve.request import Request, Response
 from repro.serve.ring import DEFAULT_VIRTUAL_NODES, HashRing
 from repro.serve.scheduler import Scheduler, StoreKey
-from repro.serve.wire import ConnectionDropped
+from repro.serve.wire import ConnectionDropped, WireError
 
-__all__ = ["POLICY_COUNTERS", "STORE_COUNTERS", "Dispatcher", "Transport", "handle_work", "weight"]
+__all__ = [
+    "POLICY_COUNTERS",
+    "STORE_COUNTERS",
+    "Dispatcher",
+    "Transport",
+    "exchange_all",
+    "handle_work",
+    "weight",
+]
 
 #: Index-tagged requests: ``(batch index, request)``.
 Entries = List[Tuple[int, Request]]
@@ -213,6 +223,47 @@ def _resume_shard(
 
 
 # -- the parent side ----------------------------------------------------------
+
+
+def exchange_all(work: Sequence[Tuple[Any, Tuple[Any, ...]]]) -> List[Tuple[Any, ...]]:
+    """Send every member its work first, then drain each member's stream.
+
+    ``work`` pairs a member's connection — a worker pipe or a
+    :class:`~repro.serve.wire.FrameConnection`, ``None`` if it could not be
+    reached — with its work tuple.  Sending everything before reading
+    anything lets the members run in parallel; the streams are then drained
+    in order.  A stream is zero or more ``("checkpoint", covered, payload)``
+    events, each superseding the last for its group, then the terminal
+    reply, and becomes one :class:`Transport` outcome.  A failed send or
+    read ends the member in ``("crashed", checkpoints)``: messages a member
+    wrote before dying stay readable after its death, so the checkpoints
+    that make its requests migratable survive the crash itself.
+    """
+    reached: List[Any] = []
+    for connection, message in work:
+        if connection is not None:
+            try:
+                connection.send(message)
+            except (OSError, WireError):
+                connection = None
+        reached.append(connection)
+    return [
+        ("crashed", {}) if connection is None else _drain(connection) for connection in reached
+    ]
+
+
+def _drain(connection: Any) -> Tuple[Any, ...]:
+    """One member's stream, read to its terminal reply, as an outcome."""
+    checkpoints: Checkpoints = {}
+    try:
+        reply = connection.recv()
+        while reply[0] == "checkpoint":
+            _tag, covered, payload = reply
+            checkpoints[tuple(covered)] = payload
+            reply = connection.recv()
+    except (EOFError, OSError, WireError):
+        return ("crashed", checkpoints)
+    return ("reply", reply, checkpoints)
 
 
 def weight(request: Request, slice_steps: int) -> int:

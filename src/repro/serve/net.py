@@ -2,7 +2,8 @@
 
 :class:`~repro.serve.pool.WorkerPool` scales serving across processes on one
 host; this module lifts the same protocol onto TCP so it scales across
-machines.  Three pieces, one wire format (:mod:`repro.serve.wire`):
+machines.  Three pieces, one wire format (:mod:`repro.serve.wire`), one I/O
+model — blocking sockets, one thread per conversation:
 
 * :class:`NetWorker` — one serving endpoint: a blocking-socket server
   wrapping a per-host :class:`~repro.serve.scheduler.Scheduler`.  It speaks
@@ -16,17 +17,18 @@ machines.  Three pieces, one wire format (:mod:`repro.serve.wire`):
   wire *before* the next slice runs, so the router holds each in-flight
   request's last boundary even if this worker dies abruptly mid-batch.
 
-* :class:`NetRouter` — the asyncio-streams front end: the framed-TCP
-  transport of the :class:`~repro.serve.dispatch.Dispatcher` the pool also
-  runs, so placement, the artifact store, and recovery off dropped
-  connections are the pool's.  The router adds what only the network has:
-  workers join and leave at runtime (``add_worker`` / ``remove_worker``,
-  moving only the ring arcs they own), per-attempt frame deadlines
-  (``attempt_timeout_seconds`` turns a slow link into a structured drop),
-  heartbeat-reported queue depths, and ``FETCH``/``PUBLISH`` store access
-  for clients.  With no endpoints registered the router serves batches
-  locally on its own scheduler — a router is never less capable than the
-  single-process tier it fronts.
+* :class:`NetRouter` — the framed-TCP transport of the
+  :class:`~repro.serve.dispatch.Dispatcher` the pool also runs, so
+  placement, the artifact store, recovery off dropped connections and the
+  send-all-then-drain exchange are the pool's, and batches run on the
+  calling thread under one lock.  The router adds what only the network
+  has: workers join and leave at runtime (``add_worker`` /
+  ``remove_worker``, moving only the ring arcs they own), per-attempt
+  deadlines (``attempt_timeout_seconds`` turns a slow link into a
+  structured drop), heartbeat-reported queue depths, and
+  ``FETCH``/``PUBLISH`` store access for clients.  With no endpoints
+  registered the router serves batches locally on its own scheduler — a
+  router is never less capable than the single-process tier it fronts.
 
 * :class:`NetClient` — a small blocking client: ``HELLO``/``WELCOME``
   version negotiation, ``run_batch`` over one ``REQUEST``/``RESPONSE``
@@ -42,13 +44,19 @@ under injected ``net.drop`` / ``net.slow`` faults (:mod:`repro.serve.faults`).
 
 from __future__ import annotations
 
-import asyncio
 import socket
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.serve.dispatch import POLICY_COUNTERS, STORE_COUNTERS, Dispatcher, handle_work
+from repro.serve.dispatch import (
+    POLICY_COUNTERS,
+    STORE_COUNTERS,
+    Dispatcher,
+    exchange_all,
+    handle_work,
+)
 from repro.serve.faults import FaultPlan
 from repro.serve.pool import default_scheduler_factory
 from repro.serve.reliability import AdmissionController, BreakerPolicy, DispatchPolicy, RetryPolicy
@@ -57,7 +65,6 @@ from repro.serve.ring import DEFAULT_VIRTUAL_NODES
 from repro.serve.scheduler import Scheduler, StoreKey
 from repro.serve.wire import (
     BYE,
-    CHECKPOINT,
     ERROR,
     FETCH,
     HEARTBEAT,
@@ -71,13 +78,12 @@ from repro.serve.wire import (
     ConnectionDropped,
     FrameConnection,
     ProtocolError,
+    WireError,
     expect_frame,
     hello_rejection,
-    read_frame,
     recv_frame,
     send_frame,
     unexpected_frame,
-    write_frame,
 )
 
 __all__ = ["NetWorker", "NetRouter", "NetClient"]
@@ -87,10 +93,163 @@ __all__ = ["NetWorker", "NetRouter", "NetClient"]
 EXTERNAL_PUBLISHER = -1
 
 
+def _dial(
+    host: str, port: int, role: str, timeout: Optional[float], version: int = WIRE_VERSION
+) -> Tuple[socket.socket, Dict[str, Any]]:
+    """Connect and negotiate: ``HELLO`` offering ``version``, then the peer's
+    ``WELCOME`` body.  ``timeout`` bounds the connect and every read, and
+    stays set on the returned socket; a refusal raises
+    :class:`~repro.serve.wire.ProtocolError` carrying the peer's reason."""
+    sock = socket.create_connection((host, port), timeout=timeout)
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        send_frame(sock, HELLO, {"version": version, "role": role})
+        welcome = expect_frame(recv_frame(sock), WELCOME)
+        if not isinstance(welcome, dict) or welcome.get("version") != version:
+            raise ProtocolError(f"{host}:{port} sent a bad WELCOME")
+    except BaseException:
+        sock.close()
+        raise
+    return sock, welcome
+
+
+class _Listener:
+    """A framed-TCP server's lifecycle: bind, accept loop, stop.
+
+    Every accepted connection is one conversation: the peer's ``HELLO`` is
+    checked against :data:`~repro.serve.wire.WIRE_VERSION` (a refusal is
+    an ``ERROR`` frame naming ``speaker``), answered with :meth:`_welcome`,
+    and the rest is :meth:`_serve_connection`'s.  Conversations run on the
+    accept thread one at a time, or each on its own thread when
+    ``threaded``.  :meth:`stop` closes the listener and shuts every live
+    conversation down — ``shutdown()`` wakes a ``recv`` blocked on it with
+    EOF, where ``close()`` alone would leave its thread hung.
+    """
+
+    def __init__(self, host: str, port: int, speaker: str, threaded: bool):
+        self._host = host
+        self._port = port
+        self._speaker = speaker
+        self._threaded = threaded
+        self._listener: Optional[socket.socket] = None
+        self._thread: Optional[threading.Thread] = None
+        self._stopping = threading.Event()
+        self._conversations: Set[socket.socket] = set()
+
+    @property
+    def address(self) -> Tuple[str, int]:
+        """``(host, port)`` once listening (port 0 resolves at bind time)."""
+        return (self._host, self._port)
+
+    def _listen(self) -> None:
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind((self._host, self._port))
+            listener.listen(8)
+        except OSError:
+            listener.close()
+            raise
+        # A short accept timeout keeps the loop responsive to stop() without
+        # burning CPU; it never affects an accepted conversation.
+        listener.settimeout(0.2)
+        self._host, self._port = listener.getsockname()
+        self._listener = listener
+        self._stopping.clear()
+
+    def start(self) -> Tuple[str, int]:
+        """Serve on a daemon thread; returns the bound ``(host, port)``."""
+        if self._thread is not None:
+            raise RuntimeError(f"{type(self).__name__} is already running")
+        self._listen()
+        self._thread = threading.Thread(target=self._accept_loop, name=self._speaker, daemon=True)
+        self._thread.start()
+        return self.address
+
+    def serve_forever(self) -> None:
+        """Bind and serve on the calling thread (a server process's main)."""
+        self._listen()
+        self._accept_loop()
+
+    def stop(self) -> None:
+        """Stop accepting, sever every live conversation, join; idempotent."""
+        self._stopping.set()
+        if self._listener is not None:
+            self._listener.close()
+            self._listener = None
+        for sock in self._conversations.copy():
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        if self._thread is not None:
+            self._thread.join(timeout=10)
+            self._thread = None
+
+    def __enter__(self):
+        if self._thread is None:
+            self.start()
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.stop()
+
+    def _accept_loop(self) -> None:
+        listener = self._listener
+        while not self._stopping.is_set():
+            try:
+                sock, _addr = listener.accept()
+            except socket.timeout:
+                continue
+            except OSError:  # listener closed by stop()
+                break
+            sock.settimeout(None)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._threaded:
+                threading.Thread(target=self._converse, args=(sock,), daemon=True).start()
+            else:
+                self._converse(sock)
+
+    def _converse(self, sock: socket.socket) -> None:
+        # Registered before the stop check: stop() sets the flag before it
+        # severs, so a conversation is either severed or never served.
+        self._conversations.add(sock)
+        try:
+            if self._stopping.is_set():
+                return
+            frame_type, body = recv_frame(sock)
+            rejection = hello_rejection(frame_type, body, self._speaker)
+            if rejection is not None:
+                send_frame(sock, ERROR, rejection)
+                return
+            send_frame(sock, WELCOME, {"version": WIRE_VERSION, **self._welcome()})
+            self._serve_connection(sock)
+        except ConnectionDropped:
+            # Peer gone, stop() severed it, or an injected net.drop unwound
+            # a batch: either way the conversation is over.
+            pass
+        except ProtocolError:
+            try:
+                send_frame(sock, ERROR, {"code": "protocol", "message": "malformed frame"})
+            except ConnectionDropped:
+                pass
+        finally:
+            self._conversations.discard(sock)
+            sock.close()
+
+    def _welcome(self) -> Dict[str, Any]:
+        """The ``WELCOME`` body after its ``version``."""
+        raise NotImplementedError
+
+    def _serve_connection(self, sock: socket.socket) -> None:
+        """Serve a welcomed peer's frames until ``BYE`` or a rejection."""
+        raise NotImplementedError
+
+
 # -- the worker endpoint -------------------------------------------------------
 
 
-class NetWorker:
+class NetWorker(_Listener):
     """One network serving endpoint: a scheduler behind a framed TCP server.
 
     ``endpoint_id`` is this worker's identity on the router's ring (and the
@@ -118,106 +277,23 @@ class NetWorker:
         checkpoint_every_default: Optional[int] = 1,
         fault_plan: Optional[FaultPlan] = None,
     ):
+        super().__init__(host, port, f"endpoint {endpoint_id}", threaded=False)
         self.endpoint_id = endpoint_id
         self.slice_steps = slice_steps
         self.fault_plan = fault_plan
         self.checkpoint_every_default = checkpoint_every_default
         self._factory = scheduler_factory
-        self._host = host
-        self._port = port
-        self._listener: Optional[socket.socket] = None
-        self._active: Optional[socket.socket] = None
-        self._thread: Optional[threading.Thread] = None
-        self._stopping = threading.Event()
+        self._scheduler: Optional[Scheduler] = None
         self._served = 0
         self._inflight = 0
 
-    # -- lifecycle ------------------------------------------------------------
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """``(host, port)`` once listening (port 0 resolves at bind time)."""
-        return (self._host, self._port)
-
-    def _listen(self) -> None:
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self._host, self._port))
-        listener.listen(8)
-        # A short accept timeout keeps the loop responsive to stop() without
-        # burning CPU; it never affects an accepted conversation.
-        listener.settimeout(0.2)
-        self._host, self._port = listener.getsockname()
-        self._listener = listener
-
-    def start(self) -> Tuple[str, int]:
-        """Serve on a daemon thread; returns the bound ``(host, port)``."""
-        if self._thread is not None:
-            raise RuntimeError("NetWorker is already running")
-        self._listen()
-        self._thread = threading.Thread(
-            target=self._accept_loop, name=f"net-worker-{self.endpoint_id}", daemon=True
-        )
-        self._thread.start()
-        return self.address
-
-    def serve_forever(self) -> None:
-        """Bind and serve on the calling thread (a worker process's main)."""
-        self._listen()
-        self._accept_loop()
-
-    def stop(self) -> None:
-        """Stop accepting, sever any live conversation, join; idempotent."""
-        self._stopping.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        active = self._active
-        if active is not None:
-            # shutdown() wakes a recv blocked on this conversation with EOF;
-            # close() alone would leave the serving thread hung.
-            try:
-                active.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        if self._thread is not None:
-            self._thread.join(timeout=10)
-            self._thread = None
-
-    def __enter__(self) -> "NetWorker":
-        if self._thread is None:
-            self.start()
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.stop()
-
-    # -- serving --------------------------------------------------------------
-
     def _accept_loop(self) -> None:
-        scheduler = self._factory(self.slice_steps)
+        # Built here, on the serving thread, so start() returns the address
+        # without waiting for it: a fleet's endpoints build in parallel.
+        self._scheduler = self._factory(self.slice_steps)
         if self.fault_plan is not None:
-            scheduler.fault_plan = self.fault_plan.bind(self.endpoint_id)
-        while not self._stopping.is_set():
-            try:
-                sock, _addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:  # listener closed by stop()
-                break
-            sock.settimeout(None)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._active = sock
-            try:
-                self._serve_connection(sock, scheduler)
-            finally:
-                self._active = None
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+            self._scheduler.fault_plan = self.fault_plan.bind(self.endpoint_id)
+        super()._accept_loop()
 
     def _load_stats(self) -> Dict[str, Any]:
         """The heartbeat body: who this is and how loaded it is."""
@@ -228,46 +304,25 @@ class NetWorker:
             "served": self._served,
         }
 
-    def _serve_connection(self, sock: socket.socket, scheduler: Scheduler) -> None:
-        try:
-            frame_type, body = recv_frame(sock)
-            rejection = hello_rejection(frame_type, body, f"endpoint {self.endpoint_id}")
-            if rejection is not None:
-                send_frame(sock, ERROR, rejection)
-                return
-            send_frame(
-                sock,
-                WELCOME,
-                {
-                    "version": WIRE_VERSION,
-                    "endpoint": self.endpoint_id,
-                    "stats": self._load_stats(),
-                },
-            )
-            connection = FrameConnection(sock)
-            while True:
-                frame_type, body = recv_frame(sock)
-                if frame_type == BYE:
-                    return
-                if frame_type in (HEARTBEAT, STATS):
-                    send_frame(sock, frame_type, self._load_stats())
-                    continue
-                if frame_type != REQUEST:
-                    send_frame(sock, ERROR, unexpected_frame(frame_type))
-                    return
-                self._handle_work(body, scheduler, connection)
-        except ConnectionDropped:
-            # Peer gone — or an injected net.drop unwound the batch.  Either
-            # way the conversation is over; the accept loop takes the next.
-            return
-        except ProtocolError:
-            try:
-                send_frame(sock, ERROR, {"code": "protocol", "message": "malformed frame"})
-            except ConnectionDropped:
-                pass
-            return
+    def _welcome(self) -> Dict[str, Any]:
+        return {"endpoint": self.endpoint_id, "stats": self._load_stats()}
 
-    def _handle_work(self, message: tuple, scheduler: Scheduler, connection: FrameConnection) -> None:
+    def _serve_connection(self, sock: socket.socket) -> None:
+        connection = FrameConnection(sock)
+        while True:
+            frame_type, body = recv_frame(sock)
+            if frame_type == BYE:
+                return
+            if frame_type in (HEARTBEAT, STATS):
+                send_frame(sock, frame_type, self._load_stats())
+                continue
+            if frame_type != REQUEST:
+                send_frame(sock, ERROR, unexpected_frame(frame_type))
+                return
+            self._handle_work(body, connection)
+
+    def _handle_work(self, message: tuple, connection: FrameConnection) -> None:
+        scheduler = self._scheduler
         self._inflight = len(message[1]) if message[0] in ("serve", "resume") else 0
         try:
             # An injected net.drop / a vanished router abandons the connection.
@@ -276,7 +331,7 @@ class NetWorker:
             )
         finally:
             self._inflight = 0
-        plan = getattr(scheduler, "fault_plan", None)
+        plan = scheduler.fault_plan
         if plan is not None:
             slow = plan.fire("net.slow")
             if slow is not None:
@@ -291,53 +346,37 @@ class NetWorker:
 # -- the router ----------------------------------------------------------------
 
 
+@dataclass
 class _Endpoint:
     """Router-side state for one worker endpoint."""
 
-    __slots__ = (
-        "endpoint_id",
-        "host",
-        "port",
-        "reader",
-        "writer",
-        "inflight",
-        "queue_depth",
-        "served",
-        "dispatches",
-    )
-
-    def __init__(self, endpoint_id: int, host: str, port: int):
-        self.endpoint_id = endpoint_id
-        self.host = host
-        self.port = port
-        self.reader = None
-        self.writer = None
-        #: Requests this router has in flight on the endpoint right now.
-        self.inflight = 0
-        #: The endpoint's own last heartbeat-reported queue depth (work this
-        #: router does not know about: other routers, local submissions) —
-        #: the load its transport reports to placement.
-        self.queue_depth = 0
-        self.served = 0
-        self.dispatches = 0
+    endpoint_id: int
+    host: str
+    port: int
+    connection: Optional[FrameConnection] = None
+    #: Requests this router has in flight on the endpoint right now.
+    inflight: int = 0
+    #: The endpoint's own last heartbeat-reported queue depth (work this
+    #: router does not know about: other routers, local submissions) —
+    #: the load its transport reports to placement.
+    queue_depth: int = 0
+    served: int = 0
+    dispatches: int = 0
 
 
-class _AttemptTimeout(Exception):
-    """Internal: a frame read exceeded the per-attempt deadline."""
-
-
-class NetRouter:
+class NetRouter(_Listener):
     """The serving fleet's front end: framed TCP in, placed dispatches out.
 
-    Runs its asyncio machinery on a dedicated daemon thread so the public
-    surface stays synchronous (``start`` / ``add_worker`` / ``run_batch`` /
-    ``stats`` / ``stop``) and composes with the rest of the repo's blocking
-    test and bench code.  The router is the framed-TCP transport of a
-    :class:`~repro.serve.dispatch.Dispatcher`: a batch runs the dispatcher
-    on an executor thread under ``_dispatch_lock``, and each exchange hops
-    back onto the router loop to drive every endpoint concurrently.
-    Constructor knobs match the pool's where the concept carries over and
-    add the network-tier :class:`~repro.serve.reliability.DispatchPolicy`.
+    The router is the framed-TCP transport of a
+    :class:`~repro.serve.dispatch.Dispatcher`.  ``run_batch``,
+    ``add_worker``, ``remove_worker``, ``poll_workers`` and client
+    ``PUBLISH`` frames take one lock and run on the calling thread — a
+    client's batch on that client's connection thread — so batches run one
+    at a time.  None of them needs :meth:`start`, which only opens the
+    client-facing listener; :meth:`stop` also says ``BYE`` to every
+    endpoint.  Constructor knobs match the pool's where the concept carries
+    over and add the network-tier
+    :class:`~repro.serve.reliability.DispatchPolicy`.
     """
 
     def __init__(
@@ -357,11 +396,13 @@ class NetRouter:
         max_inflight_per_endpoint: Optional[int] = None,
         clock: Callable[[], float] = time.monotonic,
     ):
+        super().__init__(host, port, "router", threaded=True)
         self.slice_steps = slice_steps
         self.dispatch = dispatch or DispatchPolicy()
         self._scheduler = scheduler_factory(slice_steps)
         self._endpoints: Dict[int, _Endpoint] = {}
         self._counters = {"drops": 0, "timeouts": 0, "served_locally": 0}
+        self._lock = threading.Lock()
         self._dispatcher = Dispatcher(
             self,
             self._scheduler,
@@ -379,92 +420,16 @@ class NetRouter:
             clock=clock,
             fallback=self._serve_local,
         )
-        self._host = host
-        self._requested_port = port
-        self._port: Optional[int] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self._stop_event: Optional[asyncio.Event] = None
-        self._dispatch_lock: Optional[asyncio.Lock] = None
-        self._server = None
-        self._heartbeat_task = None
-
-    # -- lifecycle ------------------------------------------------------------
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The client-facing ``(host, port)`` once started."""
-        return (self._host, self._port)
-
-    def start(self) -> Tuple[str, int]:
-        """Bring the router loop up; returns the bound ``(host, port)``."""
-        if self._thread is not None:
-            raise RuntimeError("NetRouter is already running")
-        self._thread = threading.Thread(target=self._thread_main, name="net-router", daemon=True)
-        self._thread.start()
-        self._started.wait()
-        if self._startup_error is not None:
-            raise RuntimeError(f"router failed to start: {self._startup_error}")
-        return self.address
-
-    def _thread_main(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            loop.run_until_complete(self._main())
-        finally:
-            loop.close()
-
-    async def _main(self) -> None:
-        self._stop_event = asyncio.Event()
-        self._dispatch_lock = asyncio.Lock()
-        try:
-            self._server = await asyncio.start_server(
-                self._handle_client, self._host, self._requested_port
-            )
-        except OSError as error:
-            self._startup_error = error
-            self._started.set()
-            return
-        self._port = self._server.sockets[0].getsockname()[1]
-        if self.dispatch.heartbeat_interval_seconds is not None:
-            self._heartbeat_task = asyncio.ensure_future(self._heartbeat_loop())
-        self._started.set()
-        await self._stop_event.wait()
-        if self._heartbeat_task is not None:
-            self._heartbeat_task.cancel()
-        self._server.close()
-        await self._server.wait_closed()
-        for endpoint in self._endpoints.values():
-            await self._close_endpoint(endpoint, farewell=True)
 
     def stop(self) -> None:
-        """Shut the router down (server, worker connections, loop thread)."""
-        if self._thread is None:
-            return
-        if self._loop is not None and self._stop_event is not None:
-            self._loop.call_soon_threadsafe(self._stop_event.set)
-        self._thread.join(timeout=10)
-        self._thread = None
+        """Shut the router down: the listener, client conversations, and
+        every endpoint connection (``BYE``, then close); idempotent."""
+        super().stop()
+        with self._lock:
+            for endpoint in self._endpoints.values():
+                self._close(endpoint, farewell=True)
 
-    def __enter__(self) -> "NetRouter":
-        if self._thread is None:
-            self.start()
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.stop()
-
-    def _call(self, coro):
-        """Run a coroutine on the router loop from the calling thread."""
-        if self._loop is None:
-            raise RuntimeError("NetRouter is not running (call start())")
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
-
-    # -- membership (sync facade) ----------------------------------------------
+    # -- membership -------------------------------------------------------------
 
     def add_worker(self, address: Tuple[str, int]) -> int:
         """Register a worker endpoint; returns the id it reported in WELCOME.
@@ -473,20 +438,7 @@ class NetRouter:
         every other program keeps its warm home (bench-gated remap bound).
         """
         host, port = address
-        return self._call(self._add_worker(host, port))
-
-    def remove_worker(self, endpoint_id: int) -> None:
-        """Deregister an endpoint; its ring arcs fall to their next owners."""
-        self._call(self._remove_worker(endpoint_id))
-
-    def endpoint_ids(self) -> List[int]:
-        return self._call(self._endpoint_ids())
-
-    async def _endpoint_ids(self) -> List[int]:
-        return sorted(self._endpoints)
-
-    async def _add_worker(self, host: str, port: int) -> int:
-        async with self._dispatch_lock:
+        with self._lock:
             for endpoint in self._endpoints.values():
                 if (endpoint.host, endpoint.port) == (host, port):
                     # Checked before dialing: a registered worker's only
@@ -496,151 +448,105 @@ class NetRouter:
                         f"endpoint {endpoint.endpoint_id} already serves {host}:{port}"
                     )
             probe = _Endpoint(-1, host, port)
-            await self._ensure_connection(probe)
+            self._connect(probe)
             endpoint_id = probe.endpoint_id
             if endpoint_id in self._endpoints:
-                await self._close_endpoint(probe, farewell=True)
+                self._close(probe, farewell=True)
                 raise ValueError(f"endpoint {endpoint_id} is already registered")
             self._endpoints[endpoint_id] = probe
             self._dispatcher.add_member(endpoint_id)
             return endpoint_id
 
-    async def _remove_worker(self, endpoint_id: int) -> None:
-        async with self._dispatch_lock:
+    def remove_worker(self, endpoint_id: int) -> None:
+        """Deregister an endpoint; its ring arcs fall to their next owners."""
+        with self._lock:
             endpoint = self._endpoints.pop(endpoint_id, None)
             self._dispatcher.remove_member(endpoint_id)
             if endpoint is not None:
-                await self._close_endpoint(endpoint, farewell=True)
+                self._close(endpoint, farewell=True)
 
-    async def _close_endpoint(self, endpoint: _Endpoint, farewell: bool = False) -> None:
-        if endpoint.writer is None:
+    def endpoint_ids(self) -> List[int]:
+        return sorted(self._endpoints)
+
+    def _connect(self, endpoint: _Endpoint) -> FrameConnection:
+        """The endpoint's live connection, dialing + handshaking if needed."""
+        if endpoint.connection is None:
+            sock, welcome = _dial(
+                endpoint.host, endpoint.port, "router", self.dispatch.attempt_timeout_seconds
+            )
+            endpoint.endpoint_id = welcome.get("endpoint", endpoint.endpoint_id)
+            endpoint.queue_depth = (welcome.get("stats") or {}).get("queue_depth", 0)
+            endpoint.connection = FrameConnection(sock)
+        return endpoint.connection
+
+    def _close(self, endpoint: _Endpoint, farewell: bool = False) -> None:
+        connection, endpoint.connection = endpoint.connection, None
+        if connection is None:
             return
         if farewell:
             try:
-                await write_frame(endpoint.writer, BYE, None)
+                send_frame(connection.sock, BYE, None)
             except ConnectionDropped:
                 pass
-        try:
-            endpoint.writer.close()
-        except Exception:  # noqa: BLE001 — closing a dead transport is fine
-            pass
-        endpoint.reader = endpoint.writer = None
-
-    # -- worker connections ----------------------------------------------------
-
-    async def _ensure_connection(self, endpoint: _Endpoint):
-        """The endpoint's live connection, dialing + handshaking if needed."""
-        if endpoint.writer is not None:
-            return endpoint.reader, endpoint.writer
-        reader, writer = await asyncio.open_connection(endpoint.host, endpoint.port)
-        try:
-            await write_frame(writer, HELLO, {"version": WIRE_VERSION, "role": "router"})
-            body = expect_frame(await self._timed_read(reader), WELCOME)
-            if body.get("version") != WIRE_VERSION:
-                raise ProtocolError(
-                    f"endpoint {endpoint.host}:{endpoint.port} sent a bad WELCOME"
-                )
-        except (_AttemptTimeout, ConnectionDropped, ProtocolError):
-            writer.close()
-            raise
-        endpoint.endpoint_id = body.get("endpoint", endpoint.endpoint_id)
-        stats = body.get("stats") or {}
-        endpoint.queue_depth = stats.get("queue_depth", 0)
-        endpoint.reader, endpoint.writer = reader, writer
-        return reader, writer
-
-    async def _timed_read(self, reader):
-        """One frame, bounded by the per-attempt deadline when configured."""
-        timeout = self.dispatch.attempt_timeout_seconds
-        if timeout is None:
-            return await read_frame(reader)
-        try:
-            return await asyncio.wait_for(read_frame(reader), timeout)
-        except asyncio.TimeoutError as error:
-            raise _AttemptTimeout() from error
-
-    async def _exchange(self, endpoint: _Endpoint, work: tuple):
-        """One work round-trip: send, drain checkpoints, terminal reply.
-
-        Returns a :class:`~repro.serve.dispatch.Transport` outcome.  Every
-        failure mode (dial refused, EOF mid-stream, per-attempt deadline,
-        protocol garbage) lands in ``"crashed"``; the dispatcher then
-        accounts the drop through :meth:`teardown`.
-        """
-        checkpoints: Dict[Tuple[int, ...], bytes] = {}
-        endpoint.inflight = len(work[1])
-        try:
-            reader, writer = await self._ensure_connection(endpoint)
-            endpoint.dispatches += 1
-            await write_frame(writer, REQUEST, work)
-            while True:
-                frame_type, body = await self._timed_read(reader)
-                if frame_type != CHECKPOINT:
-                    break
-                covered, payload = body
-                checkpoints[tuple(covered)] = payload
-        except _AttemptTimeout:
-            self._counters["timeouts"] += 1
-            return ("crashed", checkpoints)
-        except (ConnectionDropped, ProtocolError, OSError):
-            return ("crashed", checkpoints)
-        finally:
-            endpoint.inflight = 0
-        if frame_type != RESPONSE:
-            return ("crashed", checkpoints)
-        if body[0] in ("ok", "resumed"):
-            endpoint.served += len(body[1])
-        return ("reply", body, checkpoints)
+        connection.sock.close()
 
     # -- the framed-TCP transport ----------------------------------------------
 
     def alive(self, endpoint_id: int) -> bool:
-        return self._endpoints[endpoint_id].writer is not None
+        return self._endpoints[endpoint_id].connection is not None
 
     def load(self, endpoint_id: int) -> int:
         return self._endpoints[endpoint_id].queue_depth
 
     def exchange(self, work):
-        """Drive every endpoint's exchange concurrently on the router loop."""
-        return self._call(self._gather(work))
-
-    async def _gather(self, work):
-        endpoints = self._endpoints
-        return await asyncio.gather(*(self._exchange(endpoints[eid], job) for eid, job in work))
+        """:func:`~repro.serve.dispatch.exchange_all` over the endpoints'
+        connections, redialing dropped ones; a failed dial is a crash."""
+        endpoints = [self._endpoints[endpoint_id] for endpoint_id, _job in work]
+        pairs = []
+        for endpoint, (_endpoint_id, job) in zip(endpoints, work):
+            endpoint.inflight = len(job[1])
+            try:
+                connection: Optional[FrameConnection] = self._connect(endpoint)
+                endpoint.dispatches += 1
+            except (OSError, WireError) as error:
+                connection = None
+                if isinstance(error.__cause__, socket.timeout):  # no WELCOME in time
+                    self._counters["timeouts"] += 1
+            pairs.append((connection, job))
+        try:
+            outcomes = exchange_all(pairs)
+        finally:
+            for endpoint in endpoints:
+                endpoint.inflight = 0
+        for endpoint, outcome in zip(endpoints, outcomes):
+            if outcome[0] == "reply" and outcome[1][0] in ("ok", "resumed"):
+                endpoint.served += len(outcome[1][1])
+        return outcomes
 
     def teardown(self, endpoint_id: int) -> None:
-        """Count one dead/abandoned connection and close it; the next
-        exchange redials."""
+        """Count one dead/abandoned connection — and a timeout, if a read
+        outlasted the deadline — and close it; the next exchange redials."""
         self._counters["drops"] += 1
         endpoint = self._endpoints.get(endpoint_id)
-        if endpoint is not None and endpoint.writer is not None:
-            self._loop.call_soon_threadsafe(endpoint.writer.close)
-            endpoint.reader = endpoint.writer = None
+        if endpoint is not None and endpoint.connection is not None:
+            if endpoint.connection.timed_out:
+                self._counters["timeouts"] += 1
+            self._close(endpoint)
 
     # -- placement and dispatch --------------------------------------------------
 
     def endpoint_for(self, request: Request) -> int:
         """Pure ring placement preview (no load, no quarantine, no dispatch)."""
-        key = self._scheduler.placement_key(request)
-        return self._call(self._preview(key))
-
-    async def _preview(self, key: str) -> int:
-        return self._dispatcher.ring.node_for(key)
+        return self._dispatcher.ring.node_for(self._scheduler.placement_key(request))
 
     def run_batch(self, requests: Sequence[Request]) -> List[Response]:
         """Serve a batch through the fleet; responses in request order."""
-        return self._call(self._dispatch(list(requests)))
+        with self._lock:
+            return self._dispatcher.run_batch(requests)
 
     def run_sequential(self, requests: Sequence[Request]) -> List[Response]:
         """The differential baseline: the router's own scheduler, no network."""
         return self._scheduler.serve_sequential(requests)
-
-    async def _dispatch(self, requests: List[Request]) -> List[Response]:
-        """Run the dispatcher off-loop: its exchanges and recovery backoff
-        block, and its transport calls back into this loop."""
-        async with self._dispatch_lock:
-            loop = asyncio.get_event_loop()
-            return await loop.run_in_executor(None, self._dispatcher.run_batch, requests)
 
     def _serve_local(self, requests: List[Request]) -> List[Response]:
         """No endpoints registered: the router's scheduler serves directly."""
@@ -652,30 +558,23 @@ class NetRouter:
     def poll_workers(self) -> Dict[int, bool]:
         """One synchronous heartbeat sweep: ``{endpoint_id: alive}``.
 
-        Pings every *connected* endpoint (idle ones — never mid-dispatch),
-        refreshes its load report, and counts a dead connection as a breaker
-        failure.  The background sweep (``heartbeat_interval_seconds``) runs
-        exactly this; tests and operators call it directly for a
-        deterministic health probe.
+        Pings every *connected* endpoint between batches, refreshes its load
+        report, and counts a dead connection as a breaker failure — the
+        deterministic health probe operators and tests call directly.
         """
-        return self._call(self._poll_workers())
-
-    async def _poll_workers(self) -> Dict[int, bool]:
-        async with self._dispatch_lock:
+        with self._lock:
             alive: Dict[int, bool] = {}
             for endpoint_id in sorted(self._endpoints):
                 endpoint = self._endpoints[endpoint_id]
-                if endpoint.writer is None:
+                connection = endpoint.connection
+                if connection is None:
                     continue  # not connected: nothing to probe
-                alive[endpoint_id] = False
                 try:
-                    await write_frame(endpoint.writer, HEARTBEAT, {"role": "router"})
-                    frame_type, body = await self._timed_read(endpoint.reader)
-                    alive[endpoint_id] = frame_type == HEARTBEAT and isinstance(body, dict)
-                except _AttemptTimeout:
-                    self._counters["timeouts"] += 1
-                except (ConnectionDropped, ProtocolError):
-                    pass
+                    send_frame(connection.sock, HEARTBEAT, {"role": "router"})
+                    body = expect_frame(connection.read(), HEARTBEAT)
+                except WireError:
+                    body = None
+                alive[endpoint_id] = isinstance(body, dict)
                 if alive[endpoint_id]:
                     endpoint.queue_depth = body.get("queue_depth", 0)
                     endpoint.served = body.get("served", endpoint.served)
@@ -683,20 +582,42 @@ class NetRouter:
                     self._dispatcher.crashed(endpoint_id)
             return alive
 
-    async def _heartbeat_loop(self) -> None:
-        interval = self.dispatch.heartbeat_interval_seconds
-        while True:
-            await asyncio.sleep(interval)
-            try:
-                await self._poll_workers()
-            except Exception:  # noqa: BLE001 — the sweep must never die
-                continue
-
     # -- stats / the client-facing server --------------------------------------
 
     def stats(self) -> Dict[str, Any]:
-        """The full operator snapshot (documented in docs/operations.md)."""
-        return self._call(self._snapshot())
+        """The full operator snapshot (documented in docs/operations.md).
+
+        Takes no lock, so it answers while a batch is in flight."""
+        dispatcher = self._dispatcher
+        counters = dispatcher.cache_stats()
+        breakers = dict(dispatcher.breakers)
+        return {
+            "endpoints": {
+                endpoint_id: {
+                    "address": f"{endpoint.host}:{endpoint.port}",
+                    "connected": endpoint.connection is not None,
+                    "breaker": breakers[endpoint_id].stats(),
+                    "inflight": endpoint.inflight,
+                    "queue_depth": endpoint.queue_depth,
+                    "served": endpoint.served,
+                    "dispatches": endpoint.dispatches,
+                }
+                for endpoint_id, endpoint in sorted(self._endpoints.items())
+                if endpoint_id in breakers  # not a join or leave caught halfway
+            },
+            "ring": {
+                "virtual_nodes": dispatcher.ring.virtual_nodes,
+                "members": dispatcher.ring.nodes(),
+            },
+            "placement": {
+                "top_k": self.dispatch.top_k,
+                "balance_load": self.dispatch.balance_load,
+                "attempt_timeout_seconds": self.dispatch.attempt_timeout_seconds,
+            },
+            "store": {key: counters[key] for key in ("entries",) + STORE_COUNTERS},
+            "counters": {**self._counters, **{key: counters[key] for key in POLICY_COUNTERS}},
+            "admission": dispatcher.admission.stats(),
+        }
 
     def cache_stats(self) -> Dict[str, int]:
         """Shared-store counters, pool-compatible field names."""
@@ -714,81 +635,33 @@ class NetRouter:
             **snapshot["counters"],
         }
 
-    async def _snapshot(self) -> Dict[str, Any]:
-        dispatcher = self._dispatcher
-        counters = dispatcher.cache_stats()
-        return {
-            "endpoints": {
-                endpoint_id: {
-                    "address": f"{endpoint.host}:{endpoint.port}",
-                    "connected": endpoint.writer is not None,
-                    "breaker": dispatcher.breakers[endpoint_id].stats(),
-                    "inflight": endpoint.inflight,
-                    "queue_depth": endpoint.queue_depth,
-                    "served": endpoint.served,
-                    "dispatches": endpoint.dispatches,
-                }
-                for endpoint_id, endpoint in sorted(self._endpoints.items())
-            },
-            "ring": {
-                "virtual_nodes": dispatcher.ring.virtual_nodes,
-                "members": dispatcher.ring.nodes(),
-            },
-            "placement": {
-                "top_k": self.dispatch.top_k,
-                "balance_load": self.dispatch.balance_load,
-                "attempt_timeout_seconds": self.dispatch.attempt_timeout_seconds,
-            },
-            "store": {key: counters[key] for key in ("entries",) + STORE_COUNTERS},
-            "counters": {**self._counters, **{key: counters[key] for key in POLICY_COUNTERS}},
-            "admission": dispatcher.admission.stats(),
-        }
+    def _welcome(self) -> Dict[str, Any]:
+        return {"endpoint": "router", "stats": {}}
 
-    async def _handle_client(self, reader, writer) -> None:
-        try:
-            frame_type, body = await read_frame(reader)
-            rejection = hello_rejection(frame_type, body, "router")
-            if rejection is not None:
-                await write_frame(writer, ERROR, rejection)
+    def _serve_connection(self, sock: socket.socket) -> None:
+        while True:
+            frame_type, body = recv_frame(sock)
+            if frame_type == BYE:
                 return
-            await write_frame(
-                writer, WELCOME, {"version": WIRE_VERSION, "endpoint": "router", "stats": {}}
-            )
-            while True:
-                frame_type, body = await read_frame(reader)
-                if frame_type == BYE:
-                    return
-                if frame_type == REQUEST:
-                    responses = await self._dispatch(list(body))
-                    await write_frame(writer, RESPONSE, responses)
-                elif frame_type == STATS:
-                    await write_frame(writer, STATS, await self._snapshot())
-                elif frame_type == HEARTBEAT:
-                    await write_frame(
-                        writer, HEARTBEAT, {"role": "router", "endpoints": len(self._endpoints)}
+            if frame_type == REQUEST:
+                send_frame(sock, RESPONSE, self.run_batch(list(body)))
+            elif frame_type == STATS:
+                send_frame(sock, STATS, self.stats())
+            elif frame_type == HEARTBEAT:
+                send_frame(sock, HEARTBEAT, {"role": "router", "endpoints": len(self._endpoints)})
+            elif frame_type == FETCH:
+                entry = self._dispatcher.store.get(body)
+                send_frame(sock, PUBLISH, (body, entry.payload if entry is not None else None))
+            elif frame_type == PUBLISH:
+                store_key, payload = body
+                with self._lock:  # a batch may be absorbing publishes
+                    stored = payload is not None and self._dispatcher.publish(
+                        store_key, payload, EXTERNAL_PUBLISHER
                     )
-                elif frame_type == FETCH:
-                    entry = self._dispatcher.store.get(body)
-                    await write_frame(
-                        writer, PUBLISH, (body, entry.payload if entry is not None else None)
-                    )
-                elif frame_type == PUBLISH:
-                    store_key, payload = body
-                    async with self._dispatch_lock:  # a batch may be absorbing publishes
-                        stored = payload is not None and self._dispatcher.publish(
-                            store_key, payload, EXTERNAL_PUBLISHER
-                        )
-                    await write_frame(writer, PUBLISH, (store_key, stored))
-                else:
-                    await write_frame(writer, ERROR, unexpected_frame(frame_type))
-                    return
-        except (ConnectionDropped, ProtocolError):
-            return
-        finally:
-            try:
-                writer.close()
-            except Exception:  # noqa: BLE001
-                pass
+                send_frame(sock, PUBLISH, (store_key, stored))
+            else:
+                send_frame(sock, ERROR, unexpected_frame(frame_type))
+                return
 
 
 # -- the client ----------------------------------------------------------------
@@ -811,14 +684,7 @@ class NetClient:
         version: int = WIRE_VERSION,
         connect_timeout: float = 10.0,
     ):
-        self._sock = socket.create_connection((host, port), timeout=connect_timeout)
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        try:
-            send_frame(self._sock, HELLO, {"version": version, "role": "client"})
-            expect_frame(recv_frame(self._sock), WELCOME)
-        except BaseException:
-            self._sock.close()
-            raise
+        self._sock, _welcome = _dial(host, port, "client", connect_timeout, version)
         # Batches may legitimately run long; only the handshake is timed.
         self._sock.settimeout(None)
 

@@ -9,8 +9,9 @@ each running its own ``Scheduler`` + ``StepSlicedDriver`` loop, and keeps
 the hot-program pipeline cache *shared* between them.
 
 The pool is the pipe transport of :class:`~repro.serve.dispatch.Dispatcher`:
-it spawns the workers, sends every shard its work before draining any
-reply (so shards run in parallel), and reaps and respawns dead workers.
+it spawns the workers, runs the dispatcher's send-all-then-drain exchange
+over their pipes (so shards run in parallel), and reaps and respawns dead
+workers.
 The dispatcher shards over a consistent-hash ring of the worker indices,
 so repeat submissions of a program return to the same warm worker, shares
 compiled artifacts between workers through a parent-owned store, and
@@ -31,9 +32,9 @@ import hashlib
 import multiprocessing
 import time
 from functools import lru_cache
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.serve.dispatch import Dispatcher, handle_work
+from repro.serve.dispatch import Dispatcher, exchange_all, handle_work
 from repro.serve.faults import FaultPlan
 from repro.serve.reliability import AdmissionController, BreakerPolicy, DispatchPolicy, RetryPolicy
 from repro.serve.request import Request, Response
@@ -294,36 +295,8 @@ class WorkerPool:
         return 0  # pipe workers report no queue of their own
 
     def exchange(self, work):
-        """Send every shard its work first, then drain each shard's stream.
-
-        Sending everything before reading anything lets the shards execute
-        in parallel.  A shard's stream is zero or more in-flight checkpoint
-        events (each superseding the last for its group), then the terminal
-        reply.  Messages a worker wrote before dying stay readable after its
-        death, so the checkpoints that make a crashed request migratable
-        survive the crash itself.
-        """
-        for shard, message in work:
-            connection = self._worker(shard).connection
-            try:
-                connection.send(message)
-            except (BrokenPipeError, OSError):
-                pass  # the worker's end is gone: the drain below reads EOF
-        outcomes = []
-        for shard, _message in work:
-            checkpoints: Dict[Tuple[int, ...], bytes] = {}
-            try:
-                while True:
-                    reply = self._pool[shard].connection.recv()
-                    if reply[0] != "checkpoint":
-                        break
-                    _tag, covered, payload = reply
-                    checkpoints[tuple(covered)] = payload
-            except (EOFError, OSError):
-                outcomes.append(("crashed", checkpoints))
-                continue
-            outcomes.append(("reply", reply, checkpoints))
-        return outcomes
+        """:func:`~repro.serve.dispatch.exchange_all` over the shards' pipes."""
+        return exchange_all([(self._worker(shard).connection, message) for shard, message in work])
 
     def teardown(self, shard: int) -> None:
         """Count the crash and reap the worker; the next use respawns it."""

@@ -267,25 +267,17 @@ class DispatchPolicy:
     With ``balance_load`` off (or ``top_k=1``) placement is pure consistent
     hashing, the differential-friendly mode.
 
-    ``attempt_timeout_seconds`` is the per-attempt deadline on every frame
-    read from a worker during a dispatch: a link that stalls longer — slow
-    network, wedged worker — is treated exactly like a dropped connection
-    (breaker failure, checkpoint migration / redispatch against the retry
-    budget) instead of stalling the whole batch.  ``None`` waits forever.
-
-    ``heartbeat_interval_seconds`` enables the router's background heartbeat
-    sweep at that cadence: each connected endpoint is pinged, its load
-    report refreshed, and a dead connection discovered at *idle* (not just
-    mid-dispatch) is counted as a breaker failure — quarantine without
-    waiting for a victim request.  ``None`` disables the sweep (tests drive
-    :meth:`~repro.serve.net.NetRouter.poll_workers` deterministically
-    instead).
+    ``attempt_timeout_seconds`` is the per-attempt deadline: the timeout of
+    every endpoint socket, so no frame read from a worker blocks the router
+    longer.  A link that stalls past it — slow network, wedged worker — is
+    treated exactly like a dropped connection (breaker failure, checkpoint
+    migration / redispatch against the retry budget) instead of stalling
+    the whole batch.  ``None`` waits forever.
     """
 
     top_k: int = 2
     balance_load: bool = True
     attempt_timeout_seconds: Optional[float] = None
-    heartbeat_interval_seconds: Optional[float] = None
 
     def __post_init__(self):
         if self.top_k < 1:
@@ -293,14 +285,6 @@ class DispatchPolicy:
         if self.attempt_timeout_seconds is not None and self.attempt_timeout_seconds <= 0:
             raise ValueError(
                 f"attempt_timeout_seconds must be > 0 or None, got {self.attempt_timeout_seconds}"
-            )
-        if (
-            self.heartbeat_interval_seconds is not None
-            and self.heartbeat_interval_seconds <= 0
-        ):
-            raise ValueError(
-                f"heartbeat_interval_seconds must be > 0 or None, "
-                f"got {self.heartbeat_interval_seconds}"
             )
 
 

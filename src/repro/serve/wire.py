@@ -3,12 +3,11 @@
 Every message on a serving connection — router ⇄ worker and client ⇄
 router — is one *frame*: a fixed 5-byte header (4-byte big-endian body
 length + 1-byte frame type) followed by a pickled body.  Length-prefixing
-makes framing trivial over both blocking sockets (workers) and asyncio
-streams (the router); pickle is the payload codec because every value that
-crosses the wire is already a picklable serving-layer object — the same
-work and reply tuples the :class:`~repro.serve.dispatch.Dispatcher`
-exchanges with pool workers over ``multiprocessing`` pipes, lifted onto
-TCP.
+makes framing trivial over the blocking sockets every side of the tier
+uses; pickle is the payload codec because every value that crosses the
+wire is already a picklable serving-layer object — the same work and
+reply tuples the :class:`~repro.serve.dispatch.Dispatcher` exchanges with
+pool workers over ``multiprocessing`` pipes, lifted onto TCP.
 
 Frame catalog (full spec with per-type body schemas in
 ``docs/networking.md``):
@@ -57,12 +56,9 @@ from __future__ import annotations
 import pickle
 import socket
 import struct
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.errors import ReproError
-
-if TYPE_CHECKING:
-    import asyncio
 
 __all__ = [
     "WIRE_VERSION",
@@ -86,8 +82,6 @@ __all__ = [
     "decode_header",
     "send_frame",
     "recv_frame",
-    "read_frame",
-    "write_frame",
     "expect_frame",
     "hello_rejection",
     "unexpected_frame",
@@ -184,7 +178,7 @@ def _decode_body(frame_type: int, payload: bytes) -> Any:
         ) from error
 
 
-# -- blocking-socket transport (workers, simple clients) -----------------------
+# -- the blocking-socket codec ------------------------------------------------
 
 
 def send_frame(sock: socket.socket, frame_type: int, body: Any) -> None:
@@ -217,35 +211,6 @@ def recv_frame(sock: socket.socket) -> Tuple[int, Any]:
     length, frame_type = decode_header(_recv_exact(sock, _HEADER.size))
     payload = _recv_exact(sock, length) if length else b""
     return frame_type, _decode_body(frame_type, payload)
-
-
-# -- asyncio-streams transport (the router) ------------------------------------
-
-
-async def read_frame(reader: "asyncio.StreamReader") -> Tuple[int, Any]:
-    """Async twin of :func:`recv_frame` over an :class:`asyncio.StreamReader`."""
-    import asyncio
-
-    try:
-        header = await reader.readexactly(_HEADER.size)
-        length, frame_type = decode_header(header)
-        payload = await reader.readexactly(length) if length else b""
-    except asyncio.IncompleteReadError as error:
-        raise ConnectionDropped(
-            f"peer closed mid-frame ({len(error.partial)} bytes partial)"
-        ) from error
-    except (ConnectionResetError, OSError) as error:
-        raise ConnectionDropped(f"peer gone while receiving: {error}") from error
-    return frame_type, _decode_body(frame_type, payload)
-
-
-async def write_frame(writer: "asyncio.StreamWriter", frame_type: int, body: Any) -> None:
-    """Async twin of :func:`send_frame` over an :class:`asyncio.StreamWriter`."""
-    try:
-        writer.write(encode_frame(frame_type, body))
-        await writer.drain()
-    except (BrokenPipeError, ConnectionResetError, OSError) as error:
-        raise ConnectionDropped(f"peer gone while sending: {error}") from error
 
 
 def hello_rejection(frame_type: int, body: Any, speaker: str) -> Optional[Dict[str, str]]:
@@ -287,35 +252,49 @@ def unexpected_frame(frame_type: int) -> Dict[str, str]:
 class FrameConnection:
     """A blocking socket wearing the worker pipe's ``send``/``recv`` surface.
 
-    The shared worker-side handler
-    (:func:`~repro.serve.dispatch.handle_work`) streams to its parent
-    through ``connection.send(message_tuple)`` — the ``multiprocessing.Pipe``
-    surface.  This adapter maps those same message tuples onto wire frames,
-    so the pipe workers' shard-serving code runs unchanged inside a network
-    worker:
-    ``("checkpoint", covered, payload)`` becomes a ``CHECKPOINT`` frame with
-    body ``(covered, payload)``; every terminal reply tuple (``("ok", ...)``
-    / ``("resumed", ...)`` / ``("error", ...)``) becomes a ``RESPONSE``
-    frame carrying the tuple verbatim; inbound ``REQUEST`` bodies are
-    already work tuples and pass straight through.
+    The worker side (:func:`~repro.serve.dispatch.handle_work`) and the
+    parent side (:func:`~repro.serve.dispatch.exchange_all`) of the serving
+    protocol speak ``multiprocessing.Pipe`` message tuples.  This adapter
+    maps them onto wire frames in both directions, so the pool's code runs
+    unchanged over TCP: a ``("serve", ...)`` / ``("resume", ...)`` work
+    tuple travels as a ``REQUEST`` frame; ``("checkpoint", covered,
+    payload)`` as a ``CHECKPOINT`` frame with body ``(covered, payload)``;
+    every terminal reply tuple (``("ok", ...)`` / ``("resumed", ...)`` /
+    ``("error", ...)``) as a ``RESPONSE`` frame carrying the tuple verbatim.
+    :meth:`recv`, the parent's end, turns ``CHECKPOINT`` and ``RESPONSE``
+    frames back into their tuples.
+
+    A read that outlasts the socket's timeout raises
+    :class:`ConnectionDropped` like any other lost peer and sets
+    :attr:`timed_out`, so the owner can tell a deadline from a drop.
     """
 
-    __slots__ = ("sock",)
+    __slots__ = ("sock", "timed_out")
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
+        self.timed_out = False
 
     def send(self, message: Tuple[Any, ...]) -> None:
-        if message[0] == "checkpoint":
-            _tag, covered, payload = message
-            send_frame(self.sock, CHECKPOINT, (covered, payload))
+        tag = message[0]
+        if tag == "checkpoint":
+            send_frame(self.sock, CHECKPOINT, message[1:])
         else:
-            send_frame(self.sock, RESPONSE, message)
+            send_frame(self.sock, REQUEST if tag in ("serve", "resume") else RESPONSE, message)
+
+    def read(self) -> Tuple[int, Any]:
+        """One raw ``(frame_type, body)``; records a timed-out read."""
+        try:
+            return recv_frame(self.sock)
+        except ConnectionDropped as error:
+            self.timed_out = isinstance(error.__cause__, socket.timeout)
+            raise
 
     def recv(self) -> Tuple[Any, ...]:
-        frame_type, body = recv_frame(self.sock)
-        if frame_type != REQUEST:
-            raise ProtocolError(
-                f"expected REQUEST, got {FRAME_NAMES.get(frame_type, frame_type)}"
-            )
-        return body
+        frame_type, body = self.read()
+        if frame_type == CHECKPOINT:
+            covered, payload = body
+            return ("checkpoint", covered, payload)
+        if frame_type == RESPONSE:
+            return body
+        raise ProtocolError(f"unexpected {FRAME_NAMES[frame_type]} in a work exchange")

@@ -18,6 +18,9 @@ What is pinned here:
   breaker accounting); ``net.slow`` plus a per-attempt deadline turns a
   wedged link into the same recovery path; a router with no workers serves
   locally;
+* **listener lifecycle** — ``stop()`` releases a router's endpoint
+  connections (started or not) and severs idle clients; ``start()`` on a
+  held port raises ``OSError`` and leaves the holder serving;
 * **the store as a service** — artifacts published by one endpoint warm
   others (``shared_cache_hit``), and clients can FETCH/PUBLISH directly.
 
@@ -31,6 +34,7 @@ import socket
 import struct
 import sys
 import threading
+import time
 
 import pytest
 
@@ -44,6 +48,7 @@ from repro.serve import (
     NetWorker,
     Request,
     WIRE_VERSION,
+    WireError,
     make_default_scheduler,
 )
 from repro.serve.wire import (
@@ -392,9 +397,10 @@ def test_slow_link_times_out_and_recovers():
 
 
 def test_concurrent_batches_run_one_at_a_time_on_the_dispatcher():
-    # Clients and the synchronous facade submit at once; the router runs each
-    # batch's dispatcher on an executor thread under its dispatch lock, so
-    # every answer matches the baseline and each program publishes once.
+    # Clients and direct callers submit at once; each batch runs on its
+    # caller's thread (a client's on its connection thread) under the
+    # router's lock, so every answer matches the baseline and each program
+    # publishes once.
     router, workers = _fleet(worker_count=2)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -463,6 +469,76 @@ def test_poll_workers_reports_liveness_and_refreshes_load():
         assert router.stats()["counters"]["drops"] >= 1
     finally:
         _shutdown(router, workers)
+
+
+# -- listener lifecycle -------------------------------------------------------
+
+
+def test_stop_releases_the_endpoints_of_a_router_never_started():
+    worker = NetWorker(endpoint_id=0, slice_steps=SLICE_STEPS)
+    worker.start()
+    request = Request(language="Affi", source="(if (boundary bool 7) 1 2)")
+    try:
+        first = NetRouter(slice_steps=SLICE_STEPS)  # membership and batches need no start()
+        first.add_worker(worker.address)
+        assert first.run_batch([request])[0].ok
+        first.stop()
+        # The worker serves one conversation at a time: had `first` kept its
+        # connection, this dial would wait out the deadline for a WELCOME.
+        second = NetRouter(
+            slice_steps=SLICE_STEPS, dispatch=DispatchPolicy(attempt_timeout_seconds=5.0)
+        )
+        try:
+            assert second.add_worker(worker.address) == 0
+            assert second.run_batch([request])[0].ok
+        finally:
+            second.stop()
+    finally:
+        worker.stop()
+
+
+def test_stop_severs_an_idle_client():
+    router = NetRouter(slice_steps=SLICE_STEPS)
+    router.start()
+    client = NetClient(*router.address)
+    try:
+        assert client.heartbeat()["role"] == "router"
+        started = time.monotonic()
+        router.stop()
+        assert time.monotonic() - started < 5
+        errors = []
+
+        def call():
+            try:
+                client.heartbeat()
+            except WireError as error:
+                errors.append(error)
+
+        thread = threading.Thread(target=call, daemon=True)
+        thread.start()
+        thread.join(timeout=5)
+        assert not thread.is_alive(), "a call on a severed connection must not hang"
+        assert len(errors) == 1
+    finally:
+        client.close()
+        router.stop()
+
+
+def test_start_on_a_held_port_raises_oserror_and_the_holder_keeps_serving():
+    holder = NetRouter(slice_steps=SLICE_STEPS)
+    holder.start()
+    rival = NetRouter(slice_steps=SLICE_STEPS, port=holder.address[1])
+    try:
+        with pytest.raises(OSError):
+            rival.start()
+        with NetClient(*holder.address) as client:
+            assert client.heartbeat()["role"] == "router"
+            request = Request(language="Affi", source="(if (boundary bool 7) 1 2)")
+            (response,) = client.run_batch([request])
+            assert response.ok
+    finally:
+        rival.stop()
+        holder.stop()
 
 
 # -- the store as a network service -------------------------------------------
