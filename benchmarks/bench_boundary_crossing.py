@@ -100,7 +100,7 @@ def test_deep_crossing_backend_comparison(benchmark, workload, backend):
     system = factory()
     unit = system.compile_source(language, source)
 
-    result = benchmark(lambda: system.run_compiled(unit.target_code, fuel=RUN_FUEL, backend=backend))
+    result = benchmark(lambda: system.run_unit(unit, fuel=RUN_FUEL, backend=backend))
     assert result.ok, f"{workload}/{backend}: {result}"
     benchmark.extra_info["workload"] = workload
     benchmark.extra_info["backend"] = backend
@@ -165,7 +165,7 @@ def collect_json_report() -> dict:
         unit = system.compile_source(language, source)
         backends = system.target.backend_names()
         results = {
-            backend: system.run_compiled(unit.target_code, fuel=RUN_FUEL, backend=backend)
+            backend: system.run_unit(unit, fuel=RUN_FUEL, backend=backend)
             for backend in backends
         }
         for backend, result in results.items():
@@ -173,9 +173,7 @@ def collect_json_report() -> dict:
             assert result.value == results["substitution"].value, f"{name}/{backend}"
         timings = {
             backend: _best_of(
-                lambda backend=backend: system.run_compiled(
-                    unit.target_code, fuel=RUN_FUEL, backend=backend
-                )
+                lambda backend=backend: system.run_unit(unit, fuel=RUN_FUEL, backend=backend)
             )
             for backend in backends
         }

@@ -1250,7 +1250,7 @@ def collect_json_report() -> dict:
     requests = make_requests()
     scheduler.warm_cache(requests)
 
-    # One untimed pass per mode settles the machine-code memos, then compare
+    # One untimed pass per mode builds the units' machine code, then compare
     # outcomes: interleaving must be observably invisible.
     sequential = scheduler.serve_sequential(requests)
     interleaved = scheduler.serve(requests)

@@ -37,7 +37,7 @@ from repro.analysis.effects import (
     stack_instruction_count,
     summarize,
 )
-from repro.analysis.optimize import optimize, optimize_expr
+from repro.analysis.optimize import optimize
 from repro.analysis.report import AnalysisReport, CrossingSite, EffectSummary, StackIssue
 from repro.analysis.stack_effects import (
     StackVerification,
@@ -68,7 +68,6 @@ __all__ = [
     "stack_instruction_count",
     "summarize",
     "optimize",
-    "optimize_expr",
     "require_verified",
     "verify_program",
 ]

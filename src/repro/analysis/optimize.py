@@ -28,8 +28,6 @@ against the unoptimized backends.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
-
 from repro.lcvm import syntax as lcvm
 
 
@@ -51,35 +49,40 @@ def _is_closed_constant(expr: lcvm.Expr) -> bool:
     return isinstance(expr, (lcvm.Int, lcvm.Unit, lcvm.Loc))
 
 
-def optimize_expr(expr: lcvm.Expr) -> lcvm.Expr:
-    """One bottom-up rewrite pass; returns an equivalent (possibly smaller) term."""
+def optimize(expr: lcvm.Expr) -> lcvm.Expr:
+    """One bottom-up rewrite pass; returns an equivalent (possibly smaller) term.
+
+    A pure function of the syntax: the ``cek-opt`` backend keeps its result
+    with the unit's code (:func:`repro.lcvm.cek.unit_code`), so a cached
+    program is optimized once.
+    """
     if isinstance(expr, (lcvm.Unit, lcvm.Int, lcvm.Loc, lcvm.Var, lcvm.Fail, lcvm.CallGc)):
         return expr
     if isinstance(expr, lcvm.Pair):
-        return lcvm.Pair(optimize_expr(expr.first), optimize_expr(expr.second))
+        return lcvm.Pair(optimize(expr.first), optimize(expr.second))
     if isinstance(expr, lcvm.Fst):
-        body = optimize_expr(expr.body)
+        body = optimize(expr.body)
         if isinstance(body, lcvm.Pair) and lcvm.is_value(body):
             return body.first
         return lcvm.Fst(body)
     if isinstance(expr, lcvm.Snd):
-        body = optimize_expr(expr.body)
+        body = optimize(expr.body)
         if isinstance(body, lcvm.Pair) and lcvm.is_value(body):
             return body.second
         return lcvm.Snd(body)
     if isinstance(expr, lcvm.Inl):
-        return lcvm.Inl(optimize_expr(expr.body))
+        return lcvm.Inl(optimize(expr.body))
     if isinstance(expr, lcvm.Inr):
-        return lcvm.Inr(optimize_expr(expr.body))
+        return lcvm.Inr(optimize(expr.body))
     if isinstance(expr, lcvm.If):
-        condition = optimize_expr(expr.condition)
+        condition = optimize(expr.condition)
         if isinstance(condition, lcvm.Int):
             # `if` takes the first branch exactly when the scrutinee is 0.
             taken = expr.then_branch if condition.value == 0 else expr.else_branch
-            return optimize_expr(taken)
-        return lcvm.If(condition, optimize_expr(expr.then_branch), optimize_expr(expr.else_branch))
+            return optimize(taken)
+        return lcvm.If(condition, optimize(expr.then_branch), optimize(expr.else_branch))
     if isinstance(expr, lcvm.Match):
-        scrutinee = optimize_expr(expr.scrutinee)
+        scrutinee = optimize(expr.scrutinee)
         # Folding substitutes the payload into the branch, so it must be a
         # *closed* value: `substitute` assumes closed substituends (as at
         # runtime), and an open lambda could be captured by a branch binder.
@@ -92,77 +95,44 @@ def optimize_expr(expr: lcvm.Expr) -> lcvm.Expr:
                 name, branch = expr.left_name, expr.left_branch
             else:
                 name, branch = expr.right_name, expr.right_branch
-            return optimize_expr(lcvm.substitute(branch, name, scrutinee.body))
+            return optimize(lcvm.substitute(branch, name, scrutinee.body))
         return lcvm.Match(
             scrutinee,
             expr.left_name,
-            optimize_expr(expr.left_branch),
+            optimize(expr.left_branch),
             expr.right_name,
-            optimize_expr(expr.right_branch),
+            optimize(expr.right_branch),
         )
     if isinstance(expr, lcvm.Let):
-        bound = optimize_expr(expr.bound)
+        bound = optimize(expr.bound)
         if _is_closed_constant(bound):
-            return optimize_expr(lcvm.substitute(expr.body, expr.name, bound))
-        body = optimize_expr(expr.body)
+            return optimize(lcvm.substitute(expr.body, expr.name, bound))
+        body = optimize(expr.body)
         if lcvm.is_value(bound) and expr.name not in lcvm.free_variables(body):
             return body
         return lcvm.Let(expr.name, bound, body)
     if isinstance(expr, lcvm.Lam):
-        return lcvm.Lam(expr.parameter, optimize_expr(expr.body))
+        return lcvm.Lam(expr.parameter, optimize(expr.body))
     if isinstance(expr, lcvm.App):
-        return lcvm.App(optimize_expr(expr.function), optimize_expr(expr.argument))
+        return lcvm.App(optimize(expr.function), optimize(expr.argument))
     if isinstance(expr, lcvm.NewRef):
-        return lcvm.NewRef(optimize_expr(expr.initial))
+        return lcvm.NewRef(optimize(expr.initial))
     if isinstance(expr, lcvm.Deref):
-        return lcvm.Deref(optimize_expr(expr.reference))
+        return lcvm.Deref(optimize(expr.reference))
     if isinstance(expr, lcvm.Assign):
-        return lcvm.Assign(optimize_expr(expr.reference), optimize_expr(expr.value))
+        return lcvm.Assign(optimize(expr.reference), optimize(expr.value))
     if isinstance(expr, lcvm.BinOp):
-        left = optimize_expr(expr.left)
-        right = optimize_expr(expr.right)
+        left = optimize(expr.left)
+        right = optimize(expr.right)
         if isinstance(left, lcvm.Int) and isinstance(right, lcvm.Int):
             return _fold_binop(expr.op, left.value, right.value)
         return lcvm.BinOp(expr.op, left, right)
     if isinstance(expr, lcvm.Alloc):
-        return lcvm.Alloc(optimize_expr(expr.initial))
+        return lcvm.Alloc(optimize(expr.initial))
     if isinstance(expr, lcvm.Free):
-        return lcvm.Free(optimize_expr(expr.reference))
+        return lcvm.Free(optimize(expr.reference))
     if isinstance(expr, lcvm.GcMov):
-        return lcvm.GcMov(optimize_expr(expr.reference))
+        return lcvm.GcMov(optimize(expr.reference))
     if isinstance(expr, lcvm.Protect):
-        return lcvm.Protect(optimize_expr(expr.body), expr.flag)
+        return lcvm.Protect(optimize(expr.body), expr.flag)
     raise TypeError(f"unknown LCVM expression {expr!r}")
-
-
-# Optimized roots, memoized per program *object* exactly like the compiled
-# machine's handler-graph memo: the pipeline LRU keeps compiled roots alive
-# and identical across repeated requests, so id-keying is stable; a small
-# bound keeps abandoned roots from pinning memory.
-_OPTIMIZED: Dict[int, Tuple[lcvm.Expr, lcvm.Expr]] = {}
-_OPTIMIZED_LIMIT = 512
-
-
-def optimize(expr: lcvm.Expr) -> lcvm.Expr:
-    """Memoized entry point for the backends (per-object, like compile memos)."""
-    key = id(expr)
-    cached = _OPTIMIZED.get(key)
-    if cached is not None and cached[0] is expr:
-        return cached[1]
-    optimized = optimize_expr(expr)
-    if len(_OPTIMIZED) >= _OPTIMIZED_LIMIT:
-        _OPTIMIZED.clear()
-    # The original root is retained in the entry so a recycled id() can never
-    # alias a different program.
-    _OPTIMIZED[key] = (expr, optimized)
-    return optimized
-
-
-def clear_memo() -> None:
-    """Drop the optimization memo (tests use this for isolation)."""
-    _OPTIMIZED.clear()
-
-
-def optimized_node_count(expr: Any, node_count: Any) -> int:
-    """Helper for reports: node count of the optimized form of ``expr``."""
-    return int(node_count(optimize(expr)))

@@ -120,9 +120,15 @@ class InteropSystem:
         (``None`` runs the target's default backend, normally ``cek``).
         """
         unit = self.compile_source(language_name, source, **typecheck_kwargs)
-        return self.run_compiled(unit.target_code, fuel=fuel, backend=backend)
+        return self.run_unit(unit, fuel=fuel, backend=backend)
+
+    def run_unit(self, unit: CompiledUnit, fuel: int = 100_000, backend: Optional[str] = None) -> RunResult:
+        """Run a unit to completion; it keeps the machine code the backend builds."""
+        # One slice of ``fuel`` transitions always halts the machine.
+        return self.target.start(unit, backend=backend, fuel=fuel).step_n(max(1, fuel))
 
     def run_compiled(self, target_code: Any, fuel: int = 100_000, backend: Optional[str] = None) -> RunResult:
+        """Run bare target code; machine code is built for this run alone."""
         return self.target.run_with(target_code, backend=backend, fuel=fuel)
 
     # -- resumable executions (the serving layer's entry points) --------------
@@ -143,11 +149,13 @@ class InteropSystem:
         building block the serving layer interleaves on one loop.
         """
         unit = self.compile_source(language_name, source, **typecheck_kwargs)
-        return unit, self.target.start(unit.target_code, backend=backend, fuel=fuel)
+        return unit, self.target.start(unit, backend=backend, fuel=fuel)
 
     def start_compiled(self, target_code: Any, fuel: int = 100_000, backend: Optional[str] = None):
-        """Start a resumable execution of already-compiled code."""
-        return self.target.start(target_code, backend=backend, fuel=fuel)
+        """Start a resumable execution of bare target code; its machine code
+        lives in a unit of its own, as long as the execution."""
+        unit = CompiledUnit(language=self.target.name, term=None, type=None, target_code=target_code)
+        return self.target.start(unit, backend=backend, fuel=fuel)
 
     def restore_execution(self, snapshot: dict, backend: Optional[str] = None):
         """Rebuild a paused resumable execution from a machine-state snapshot.

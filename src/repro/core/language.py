@@ -34,8 +34,9 @@ ParseFn = Callable[[str], Any]
 TypecheckFn = Callable[..., Any]
 CompileFn = Callable[..., Any]
 RunFn = Callable[..., Any]
-#: ``start_fn(target_code, fuel=...) -> execution`` where the execution
-#: exposes ``step_n(limit) -> Optional[result]`` (None while still running).
+#: ``start_fn(unit, fuel=...) -> execution`` where ``unit`` is the
+#: :class:`CompiledUnit` to run and the execution exposes
+#: ``step_n(limit) -> Optional[result]`` (None while still running).
 StartFn = Callable[..., Any]
 #: ``restore_fn(snapshot) -> execution`` rebuilding a paused resumable
 #: execution from a versioned plain-data snapshot (see
@@ -44,6 +45,10 @@ RestoreFn = Callable[[dict], Any]
 
 #: ``(language, source, frozen typecheck kwargs)``.
 CacheKey = Tuple[str, str, tuple]
+
+#: How many units a frontend's pipeline LRU keeps by default — and so, since
+#: a unit's machine code lives as long as the unit, how much code it keeps.
+DEFAULT_CACHE_CAPACITY = 256
 
 
 def pipeline_cache_key(language: str, source: str, typecheck_kwargs: Optional[Dict[str, Any]] = None) -> Optional[CacheKey]:
@@ -137,7 +142,7 @@ class LanguageFrontend:
     #: compiled.  The unit keeps the records as the input of its report.
     take_records: Optional[Callable[[], Any]] = None
     cache_enabled: bool = True
-    cache_capacity: int = 256
+    cache_capacity: int = DEFAULT_CACHE_CAPACITY
     cache_hits: int = 0
     cache_misses: int = 0
     cache_evictions: int = 0
@@ -193,10 +198,10 @@ class LanguageFrontend:
         worker imports ``(key, unit)`` pairs another process compiled and
         published, so its next :meth:`pipeline` call for that key is a hit
         without re-running parse → typecheck → compile.  A key that is
-        already cached is left alone (the resident unit keeps its identity,
-        which the machine-level compiled memos key on) and refreshed in LRU
-        order.  Imports count in ``cache_imports``, not as hits or misses,
-        and evict past ``cache_capacity`` like any other insertion.
+        already cached is left alone (the resident unit keeps the machine
+        code it has already built) and refreshed in LRU order.  Imports
+        count in ``cache_imports``, not as hits or misses, and evict past
+        ``cache_capacity`` like any other insertion.
         """
         if not self.cache_enabled or key is None:
             return False
@@ -429,9 +434,11 @@ class TargetBackend:
         """Run compiled code on a named backend (default backend when None)."""
         return self.backend(backend)(target_code, **kwargs)
 
-    def start(self, target_code: Any, backend: Optional[str] = None, fuel: int = 100_000) -> Any:
-        """Start a resumable execution on a named backend (default when None).
+    def start(self, unit: "CompiledUnit", backend: Optional[str] = None, fuel: int = 100_000) -> Any:
+        """Start a resumable execution of ``unit`` on a named backend (default when None).
 
+        A backend that compiles to machine code builds it on the unit's first
+        start there and keeps it in :attr:`CompiledUnit.machine_code`.
         The returned object exposes ``step_n(limit)``: run at most ``limit``
         machine transitions, returning the backend-normalized result when the
         program halts (including on fuel exhaustion) or ``None`` while it can
@@ -445,8 +452,8 @@ class TargetBackend:
         run_fn = self.backend(resolved)  # raises ReproError for unknown names
         factory = self.executions.get(resolved)
         if factory is not None:
-            return factory(target_code, fuel=fuel)
-        return BlockingExecution(run_fn, target_code, fuel)
+            return factory(unit, fuel=fuel)
+        return BlockingExecution(run_fn, unit.target_code, fuel)
 
     def restore(self, snapshot: dict, backend: Optional[str] = None) -> Any:
         """Rebuild a paused resumable execution from a machine-state snapshot.
@@ -482,6 +489,10 @@ class CompiledUnit:
     :mod:`repro.analysis.report`), and pickling a unit builds it first, so a
     unit exported through the cross-process cache hooks carries its analysis
     with it and an unpickled unit holds no hook.
+
+    ``machine_code`` maps backend names to the machine code built for this
+    unit: process-local, never pickled or compared, it dies with the unit
+    (for a cached unit, when the frontend's LRU evicts it).
     """
 
     language: str
@@ -493,6 +504,7 @@ class CompiledUnit:
     #: The frontend's ``analyze`` hook until the report's first read.
     analyze: Optional[Callable[["CompiledUnit"], Any]] = field(default=None, repr=False, compare=False)
     _analysis: Any = field(default=None, init=False, repr=False, compare=False)
+    machine_code: Optional[Dict[str, Any]] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def analysis(self) -> Any:
@@ -503,6 +515,46 @@ class CompiledUnit:
         return self._analysis
 
     def __getstate__(self) -> Dict[str, Any]:
-        # The hook and the id-keyed records mean nothing outside this
-        # process, so the report is built before the unit leaves it.
-        return {**self.__dict__, "_analysis": self.analysis, "analyze": None, "records": None}
+        # The hook, the id-keyed records and the machine code mean nothing
+        # outside this process: the report is built, the code left behind.
+        return {**self.__dict__, "_analysis": self.analysis, "analyze": None, "records": None, "machine_code": None}
+
+
+class UnitCode:
+    """One machine's view of the code units keep, with the counters behind
+    its ``compiled_cache_stats()``."""
+
+    __slots__ = ("hits", "misses", "live")
+
+    def __init__(self) -> None:
+        self.hits = self.misses = self.live = 0
+
+    def get(self, unit: CompiledUnit, backend: str, build: Callable[[Any], Any]) -> Any:
+        """``unit``'s code for ``backend``: ``build(unit.target_code)``, kept on the unit."""
+        codes = unit.machine_code
+        if codes is None:
+            codes = unit.machine_code = _MachineCode(self)
+        code = codes.get(backend)
+        if code is None:
+            self.misses += 1
+            code = codes[backend] = build(unit.target_code)
+        else:
+            self.hits += 1
+        return code
+
+    def stats(self) -> Dict[str, int]:
+        return {"entries": self.live, "hits": self.hits, "misses": self.misses, "capacity": DEFAULT_CACHE_CAPACITY}
+
+
+class _MachineCode(dict):
+    """A unit's machine code by backend name; counted live while it exists."""
+
+    __slots__ = ("_owner",)
+
+    def __init__(self, owner: UnitCode):
+        super().__init__()
+        self._owner = owner
+        owner.live += 1
+
+    def __del__(self) -> None:
+        self._owner.live -= 1

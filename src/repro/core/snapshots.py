@@ -1,6 +1,6 @@
 """Versioned, process-portable machine-state snapshots.
 
-A snapshot is a plain dict — ``{"version": 1, "kind": "<family>/<backend>",
+A snapshot is a plain dict — ``{"version": 2, "kind": "<family>/<backend>",
 ...state...}`` — holding everything a paused resumable execution needs to
 continue somewhere else: heap cells, environments, continuation/work/value
 stacks, step accounting, and the remaining fuel, all as picklable data.
@@ -29,7 +29,8 @@ Two copy disciplines, both built on one pickle round-trip
 
 A single ``pickle.dumps`` of the whole state dict preserves the object
 graph's internal sharing (a subtree reachable twice stays one object after
-the round-trip), which the id-keyed compiled-CEK node tables rely on.
+the round-trip), so a compiled-CEK restore finds every address into one root
+under that one root object and compiles it once.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Any, Dict
 
 #: Bump when the snapshot state layout changes incompatibly; restores check
 #: it and refuse snapshots written by a different layout.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 def plain_copy(state: Any) -> Any:

@@ -14,6 +14,10 @@ differential oracle compares:
 * **GC-heavy allocation churn** — reference cells allocated, written, read,
   and immediately dropped, so the raw post-``callgc`` heap comparison has
   garbage to disagree about;
+* **frame-rooted cells** — a live cell whose only GC root, at the
+  ``callgc`` before an allocation, is the environment of a continuation
+  frame (``framegc``), so a compiled machine that skips frame environments
+  frees a cell the program still reads;
 * **divergent runs** — closed Landin's-knot programs (a reference cell tied
   back through itself) that loop forever; every backend must report
   ``out_of_fuel`` under the case's deliberately small fuel budget;
@@ -103,6 +107,11 @@ REFS_TEMPLATES = (
     Template("index", "(idx (array {0} {1}) 0)", 2),
 )
 
+#: MiniML compiles ``ref`` to a ``callgc`` followed by the allocation.  When
+#: the inner ``ref`` collects, ``r`` is bound only in the environment of the
+#: frame waiting to add ``(! r)``: the one root keeping its cell alive.
+_FRAME_GC = "(let (r (ref {0})) (+ (! (ref {1})) (! r)))"
+
 #: §4 host language MiniML: crossings into Affi (plain, through a dynamic
 #: affine function, through a tensor destructuring), cells, pairs.
 AFFINE_TEMPLATES = (
@@ -115,6 +124,7 @@ AFFINE_TEMPLATES = (
     Template("apply", "((lam (x int) (+ x x)) {0})", 1),
     Template("pair", "(fst (pair {0} {1}))", 2),
     Template("churn", "(! (ref (! (ref {0}))))", 1),
+    Template("framegc", _FRAME_GC, 2),
 )
 
 #: §5 host language MiniML: crossings that dereference and mutate
@@ -127,6 +137,7 @@ L3_TEMPLATES = (
     Template("refcell", "(let (r (ref {0})) (let (u (set! r {1})) (! r)))", 2),
     Template("pair", "(snd (pair {0} {1}))", 2),
     Template("churn", "(! (ref (! (ref {0}))))", 1),
+    Template("framegc", _FRAME_GC, 2),
 )
 
 TEMPLATES: Dict[str, Tuple[Template, ...]] = {

@@ -154,14 +154,15 @@ def _run_stacklang_compiled(compiled, fuel: int = 100_000) -> RunResult:
     return _stacklang_result(stack_cek.run_compiled(compiled, fuel=fuel))
 
 
-def _start_stacklang(compiled, fuel: int = 100_000) -> ResumableExecution:
+def _start_stacklang(unit, fuel: int = 100_000) -> ResumableExecution:
     """Start a resumable Fig. 2 reference-machine execution (oracle, sliced)."""
-    return ResumableExecution(stack_machine.SubstitutionExecution(compiled, fuel=fuel), _stacklang_result)
+    return ResumableExecution(stack_machine.SubstitutionExecution(unit.target_code, fuel=fuel), _stacklang_result)
 
 
-def _start_stacklang_compiled(compiled, fuel: int = 100_000) -> ResumableExecution:
-    """Start a resumable pc-threaded execution (RunResult-normalized slices)."""
-    return ResumableExecution(stack_cek.CompiledExecution(compiled, fuel=fuel), _stacklang_result)
+def _start_stacklang_compiled(unit, fuel: int = 100_000) -> ResumableExecution:
+    """Start a resumable pc-threaded execution of ``unit``'s kept op array."""
+    execution = stack_cek.CompiledExecution(unit.target_code, fuel=fuel, code=stack_cek.unit_code(unit))
+    return ResumableExecution(execution, _stacklang_result)
 
 
 def _restore_stacklang(snapshot: dict) -> ResumableExecution:

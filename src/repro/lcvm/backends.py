@@ -25,17 +25,17 @@ requests with the same bounded per-turn latency for each.
 Cross-process contract (what the worker pool relies on): the **picklable
 compiled-program handle** for every LCVM backend is the compiled *syntax*
 (``CompiledUnit.target_code`` — plain frozen dataclasses), never the
-machine-level artifacts.  The compiled-dispatch handler graphs that
-``cek-compiled`` builds are process-local closures, memoized per program
-object (:func:`repro.lcvm.cek.compile_node`); a worker that imports a
-pickled unit from another process runs it by rebuilding the handler graph
-locally on first execution — same semantics, one extra compile per process,
-no closure ever crossing a pipe.  Executions *mid-run* cross processes the
+machine-level artifacts.  The code ``cek-compiled`` and ``cek-opt`` build
+is process-local, built on a unit's first start on that backend and kept on
+the unit (:func:`repro.lcvm.cek.unit_code`), so it lives exactly as long as
+the unit — for a cached unit, until the frontend's LRU evicts it.  A pickled
+unit leaves its code behind; the worker that imports it builds the code
+again on its first start.  Executions *mid-run* cross processes the
 same way: every backend registers a snapshot restorer here, and a paused
 execution's ``snapshot()`` reifies heap, environments, continuation, and
 fuel as versioned plain data in which compiled code is referenced by its
-syntax handle ``(root, node index)``.  Restoring recompiles deterministically
-(:func:`repro.lcvm.cek.compiled_table`), so a request can migrate between
+syntax handle ``(root, node index)``.  Restoring compiles each root once,
+deterministically, so a request can migrate between
 workers at any slice boundary — not just batch boundaries — and resume
 observably identically, raw post-GC heap included.
 """
@@ -81,32 +81,38 @@ def run_cek_opt(compiled, fuel: int = 100_000) -> RunResult:
     return _normalize(cek.run_compiled(optimize(compiled), fuel=fuel))
 
 
-def start_substitution(compiled, fuel: int = 100_000) -> ResumableExecution:
+def start_substitution(unit, fuel: int = 100_000) -> ResumableExecution:
     """Start a resumable substitution-machine execution (oracle, sliced)."""
-    return ResumableExecution(lcvm_machine.SubstitutionExecution(compiled, fuel=fuel), _normalize)
+    return ResumableExecution(lcvm_machine.SubstitutionExecution(unit.target_code, fuel=fuel), _normalize)
 
 
-def start_cek_compiled(compiled, fuel: int = 100_000) -> ResumableExecution:
+def start_cek_compiled(unit, fuel: int = 100_000) -> ResumableExecution:
     """Start a resumable compiled-CEK execution (RunResult-normalized slices).
 
     This is the serving layer's entry point: the returned execution carries
     its own heap, continuation, and fuel budget, so many of them interleave
     on one scheduler loop without sharing any state.
     """
-    return ResumableExecution(cek.CompiledExecution(compiled, fuel=fuel), _normalize)
+    code = cek.unit_code(unit, "cek-compiled")
+    return ResumableExecution(cek.CompiledExecution(code.root, fuel=fuel, code=code), _normalize)
 
 
-def start_cek_opt(compiled, fuel: int = 100_000) -> ResumableExecution:
-    """Start a resumable compiled-CEK execution of the optimized program.
-
-    The execution (and therefore its snapshots) carries the *optimized* root
-    as its syntax handle — optimization happens strictly before execution
-    starts, never at restore time — and snapshots are tagged ``cek-opt`` so
-    they route back to this backend's restorer on any worker.
-    """
+def _optimized_code(compiled) -> cek.Code:
     from repro.analysis import optimize
 
-    return ResumableExecution(cek.OptimizedExecution(optimize(compiled), fuel=fuel), _normalize)
+    return cek.Code(optimize(compiled))
+
+
+def start_cek_opt(unit, fuel: int = 100_000) -> ResumableExecution:
+    """Start a resumable compiled-CEK execution of the optimized program.
+
+    The unit keeps the *optimized* root with its code — optimization runs
+    once per unit, strictly before execution starts, never at restore time —
+    and the execution's snapshots carry that root as their syntax handle,
+    tagged ``cek-opt`` so they route back to this backend's restorer.
+    """
+    code = cek.unit_code(unit, "cek-opt", _optimized_code)
+    return ResumableExecution(cek.OptimizedExecution(code.root, fuel=fuel, code=code), _normalize)
 
 
 def restore_substitution(snapshot: dict) -> ResumableExecution:
@@ -115,7 +121,7 @@ def restore_substitution(snapshot: dict) -> ResumableExecution:
 
 
 def restore_cek_compiled(snapshot: dict) -> ResumableExecution:
-    """Rebuild a paused compiled-CEK execution, recompiling the handler graph."""
+    """Rebuild a paused compiled-CEK execution, compiling its roots again."""
     return ResumableExecution(cek.CompiledExecution.from_snapshot(snapshot), _normalize)
 
 

@@ -21,22 +21,22 @@ are re-used in the same order), and the same GC discipline — environments
 are pruned to lexically-live bindings, so even the raw post-``callgc`` heaps
 match the substitution machine address for address.
 
-Continuation frames are uniform 5-tuples ``(tag, names, nodes, env, value)``
-so the GC root scan can walk every frame without knowing its tag: ``names``
-are binder/operator strings (never traced), ``nodes`` are pending compiled
-nodes (traced via their precomputed ``mentioned`` sets), ``env`` is the
-environment the pending nodes close over, and ``value`` is an
-already-computed runtime value.
+Continuation frames are uniform 5-tuples ``(apply, names, site, env, value)``
+so the GC root scan can walk every frame without knowing its kind: ``apply``
+is the handler that resumes the frame, ``names`` are binder/operator strings
+(never traced), ``site`` is the node record that
+pushed the frame — it holds the pending compiled nodes and the locations
+they literally mention — ``env`` is the environment the pending nodes close
+over, and ``value`` is an already-computed runtime value.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from sys import intern
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.core.errors import ErrorCode, StuckError
+from repro.core.language import UnitCode
 from repro.core.snapshots import check_snapshot, make_snapshot
 from repro.lcvm import syntax as s
 from repro.lcvm.heap import CellKind, Heap, HeapCell
@@ -57,11 +57,12 @@ from repro.lcvm.values import (
 
 __all__ = [
     "CClosure",
+    "Code",
     "CompiledExecution",
-    "compile_node",
+    "OptimizedExecution",
     "compiled_cache_stats",
-    "compiled_table",
     "run_compiled",
+    "unit_code",
 ]
 
 
@@ -100,10 +101,12 @@ def _finalize_heap(heap: Heap) -> Heap:
 # Compiled dispatch (the ``cek-compiled`` backend)
 # ===========================================================================
 #
-# A one-time AST walk closure-compiles each syntax node into a handler, so
-# the steady-state loop is ``control(env, kont, heap)`` — one function call
-# per transition.  Frame application dispatches through a dict keyed on
-# interned frame tags instead of a tag ladder.
+# A one-time AST walk compiles each syntax node into a *node record*: a tuple
+# whose first slot is a module-level handler shared by every node of its
+# shape, so the steady-state loop is ``control[0](control, env, kont, heap)``
+# — one call per transition — and a node costs the cyclic GC one tuple, with
+# no per-node function, closure cell or attribute dict.  A frame likewise
+# carries the handler that resumes it, so applying one is ``frame[0](...)``.
 #
 # The same pass computes the free-variable set of every node and uses it to
 # *prune* captured environments to lexically-live bindings:
@@ -115,26 +118,36 @@ def _finalize_heap(heap: Heap) -> Heap:
 # * branch selection (``if`` / ``match``) re-prunes to the chosen branch.
 #
 # This restores the substitution machine's GC precision exactly: a location is
-# a root iff it is (a) literally mentioned by pending code (each compiled node
-# precomputes its ``mentioned`` set; closures carry theirs as
-# ``static_locations``), (b) the value of a variable free in pending code, or
-# (c) inside an already-computed value parked in a frame — which is precisely
-# the set of locations the substitution machine would find mentioned in its
-# (value-substituted) remaining program.  Differential tests can therefore
-# compare *raw* post-``callgc`` heap fragments against the oracle, with no
-# final result-rooted normalization.
+# a root iff it is (a) literally mentioned by pending code (each frame's site
+# record precomputes the locations its pending nodes mention; closures carry
+# their body's as ``static_locations``), (b) the value of a variable free in
+# pending code, or (c) inside an already-computed value parked in a frame —
+# which is precisely the set of locations the substitution machine would find
+# mentioned in its (value-substituted) remaining program.  Differential tests
+# can therefore compare *raw* post-``callgc`` heap fragments against the
+# oracle, with no final result-rooted normalization.
+#
+# Node records are ``(handler, index, pending, *constants)``:
+#
+# * ``handler(node, env, kont, heap) -> (control, evaluating, env)``,
+# * ``index`` is the node's number in its :class:`Code`,
+# * ``pending`` are the locations literally mentioned by the code the node
+#   leaves pending in the frame it pushes (``()`` if it pushes none), and
+# * the constants are the node's children, pruning sets (as tuples, which
+#   the cyclic GC stops tracking) and binders; each handler names its layout.
 
-_EMPTY_FV: frozenset = frozenset()
+_EMPTY: frozenset = frozenset()
 _UNIT_VALUE = UnitV()
 
-#: A compiled node: ``node(env, kont, heap) -> (control, evaluating, env)``
-#: with attributes ``fv`` (free variables), ``mentioned`` (literal locations),
-#: and ``expr`` (the original syntax, for stuck/fuel leftovers).
-CompiledNode = Callable[["Env", List["CFrame"], Heap], Tuple[object, bool, "Env"]]
+#: A compiled node record (see above).
+Node = tuple
 
-#: Compiled frames: ``(tag, names, nodes, env, value)`` (see the module
+#: Compiled frames: ``(apply, names, site, env, value)`` (see the module
 #: docstring).
-CFrame = Tuple[str, Tuple[str, ...], Tuple[CompiledNode, ...], "Env", Optional[RuntimeValue]]
+CFrame = Tuple[str, Tuple[str, ...], Node, "Env", Optional[RuntimeValue]]
+
+#: The site of frames that leave no code pending.
+_NO_SITE: Node = (None, -1, ())
 
 
 class CClosure:
@@ -146,7 +159,7 @@ class CClosure:
         self,
         parameter: str,
         body: s.Expr,
-        node: CompiledNode,
+        node: Node,
         environment: Env,
         needs_param: bool,
         static_locations: Tuple[int, ...],
@@ -168,7 +181,7 @@ class CClosure:
         return f"<closure λ{self.parameter}>"
 
 
-def _prune(env: Env, needed: frozenset) -> Env:
+def _prune(env: Env, needed: Tuple[str, ...]) -> Env:
     """Restrict ``env`` to the innermost binding of each name in ``needed``."""
     if env is None or not needed:
         return None
@@ -188,30 +201,6 @@ def _prune(env: Env, needed: frozenset) -> Env:
     return pruned
 
 
-# -- interned frame tags ------------------------------------------------------
-
-_T_APP_ARG = intern("app-arg")
-_T_APP_CALL = intern("app-call")
-_T_LET = intern("let")
-_T_BINOP_RHS = intern("binop-rhs")
-_T_BINOP_DONE = intern("binop-done")
-_T_IF = intern("if")
-_T_PAIR_SND = intern("pair-snd")
-_T_PAIR_DONE = intern("pair-done")
-_T_FST = intern("fst")
-_T_SND = intern("snd")
-_T_INL = intern("inl")
-_T_INR = intern("inr")
-_T_MATCH = intern("match")
-_T_REF = intern("ref")
-_T_ALLOC = intern("alloc")
-_T_DEREF = intern("deref")
-_T_ASSIGN_RHS = intern("assign-rhs")
-_T_ASSIGN_DONE = intern("assign-done")
-_T_FREE = intern("free")
-_T_GCMOV = intern("gcmov")
-
-
 def _compiled_roots(env: Env, kont: List[CFrame]) -> List[int]:
     """GC roots of the compiled machine state (pruned env + continuation)."""
     roots: List[int] = []
@@ -227,13 +216,70 @@ def _compiled_roots(env: Env, kont: List[CFrame]) -> List[int]:
             cell = cell[2]
 
     walk_env(env)
-    for _tag, _names, nodes, frame_env, value in kont:
-        for node in nodes:
-            roots.extend(node.mentioned)
+    for _apply, _names, site, frame_env, value in kont:
+        roots.extend(site[2])
         walk_env(frame_env)
         if value is not None:
             roots.extend(locations_of(value))
     return roots
+
+
+# -- node handlers ------------------------------------------------------------
+# ``handler(node, env, kont, heap) -> (control, evaluating, env)``
+
+
+def _eval_value(node, env, kont, heap):
+    # (handler, index, (), value)
+    return node[3], False, env
+
+
+def _eval_var(node, env, kont, heap):
+    # (handler, index, (), name)
+    name = node[3]
+    cell = env
+    while cell is not None:
+        if cell[0] == name:
+            return cell[1], False, env
+        cell = cell[2]
+    raise _type_failure()
+
+
+def _eval_lam(node, env, kont, heap):
+    # (handler, index, (), parameter, body syntax, body node, capture,
+    #  needs_param, static_locations)
+    return CClosure(node[3], node[4], node[5], _prune(env, node[6]), node[7], node[8]), False, env
+
+
+def _eval_push(node, env, kont, heap):
+    # (handler, index, pending, first node, frame names, pending node, frame
+    #  keep, frame handler, *shape-specific constants): evaluate the first
+    # node with a frame holding the rest.  ``if`` adds (then keep, else node,
+    # else keep) and ``match`` (left keep, left binder, right node, right
+    # keep, right binder), with the then/left branch in the pending-node slot.
+    kont.append((node[7], node[4], node, _prune(env, node[6]), None))
+    return node[3], True, env
+
+
+def _eval_unary(node, env, kont, heap):
+    # (handler, index, (), child node, frame)
+    kont.append(node[4])
+    return node[3], True, env
+
+
+def _eval_callgc(node, env, kont, heap):
+    # (handler, index, ())
+    heap.collect(roots=_compiled_roots(env, kont))
+    return _UNIT_VALUE, False, env
+
+
+def _eval_fail(node, env, kont, heap):
+    # (handler, index, (), code)
+    raise _Failure(node[3])
+
+
+def _eval_stuck(node, env, kont, heap):
+    # (handler, index, (), syntax)
+    raise StuckError(f"no CEK rule for {node[3]!r}")
 
 
 # -- frame application handlers ----------------------------------------------
@@ -241,27 +287,17 @@ def _compiled_roots(env: Env, kont: List[CFrame]) -> List[int]:
 
 
 def _apply_app_arg(frame, v, env, kont, heap):
-    kont.append((_T_APP_CALL, (), (), None, v))
-    return frame[2][0], True, frame[3]
+    kont.append((_apply_app_call, (), _NO_SITE, None, v))
+    return frame[2][5], True, frame[3]
 
 
 def _apply_app_call(frame, v, env, kont, heap):
     closure = frame[4]
-    if type(closure) is CClosure:
-        if closure.needs_param:
-            return closure.node, True, (closure.parameter, v, closure.environment)
-        return closure.node, True, closure.environment
-    if hasattr(closure, "env_bindings"):
-        # Slow path: a closure injected from a pre-seeded syntax heap.  Its
-        # body is plain syntax; compile it (memoized) and rebuild its
-        # environment as cons cells (outermost first so the innermost binding
-        # ends up at the head).
-        node = compile_node(closure.body)
-        cell: Env = None
-        for name, bound in reversed(list(closure.env_bindings())):
-            cell = (name, bound, cell)
-        return node, True, (closure.parameter, v, cell)
-    raise _type_failure()
+    if type(closure) is not CClosure:
+        raise _type_failure()
+    if closure.needs_param:
+        return closure.node, True, (closure.parameter, v, closure.environment)
+    return closure.node, True, closure.environment
 
 
 def _apply_let(frame, v, env, kont, heap):
@@ -269,12 +305,12 @@ def _apply_let(frame, v, env, kont, heap):
     names = frame[1]
     if names:  # empty names ⇒ dead binding: drop the value immediately
         frame_env = (names[0], v, frame_env)
-    return frame[2][0], True, frame_env
+    return frame[2][5], True, frame_env
 
 
 def _apply_binop_rhs(frame, v, env, kont, heap):
-    kont.append((_T_BINOP_DONE, frame[1], (), None, v))
-    return frame[2][0], True, frame[3]
+    kont.append((_apply_binop_done, frame[1], _NO_SITE, None, v))
+    return frame[2][5], True, frame[3]
 
 
 def _apply_binop_done(frame, v, env, kont, heap):
@@ -297,13 +333,15 @@ def _apply_binop_done(frame, v, env, kont, heap):
 def _apply_if(frame, v, env, kont, heap):
     if type(v) is not IntV:
         raise _type_failure()
-    node = frame[2][0] if v.value == 0 else frame[2][1]
-    return node, True, _prune(frame[3], node.fv)
+    site = frame[2]
+    if v.value == 0:
+        return site[5], True, _prune(frame[3], site[8])
+    return site[9], True, _prune(frame[3], site[10])
 
 
 def _apply_pair_snd(frame, v, env, kont, heap):
-    kont.append((_T_PAIR_DONE, (), (), None, v))
-    return frame[2][0], True, frame[3]
+    kont.append((_apply_pair_done, (), _NO_SITE, None, v))
+    return frame[2][5], True, frame[3]
 
 
 def _apply_pair_done(frame, v, env, kont, heap):
@@ -331,15 +369,15 @@ def _apply_inr(frame, v, env, kont, heap):
 
 
 def _apply_match(frame, v, env, kont, heap):
+    site = frame[2]
     kind = type(v)
     if kind is InlV:
-        node = frame[2][0]
+        node, keep, binder = site[5], site[8], site[9]
     elif kind is InrV:
-        node = frame[2][1]
+        node, keep, binder = site[10], site[11], site[12]
     else:
         raise _type_failure()
-    branch_env = _prune(frame[3], node.branch_keep)
-    binder = node.branch_binder
+    branch_env = _prune(frame[3], keep)
     if binder is not None:
         branch_env = (binder, v.body, branch_env)
     return node, True, branch_env
@@ -358,8 +396,8 @@ def _apply_deref(frame, v, env, kont, heap):
 
 
 def _apply_assign_rhs(frame, v, env, kont, heap):
-    kont.append((_T_ASSIGN_DONE, (), (), None, v))
-    return frame[2][0], True, frame[3]
+    kont.append((_apply_assign_done, (), _NO_SITE, None, v))
+    return frame[2][5], True, frame[3]
 
 
 def _apply_assign_done(frame, v, env, kont, heap):
@@ -383,405 +421,275 @@ def _apply_gcmov(frame, v, env, kont, heap):
     return v, False, env
 
 
-_APPLY = {
-    _T_APP_ARG: _apply_app_arg,
-    _T_APP_CALL: _apply_app_call,
-    _T_LET: _apply_let,
-    _T_BINOP_RHS: _apply_binop_rhs,
-    _T_BINOP_DONE: _apply_binop_done,
-    _T_IF: _apply_if,
-    _T_PAIR_SND: _apply_pair_snd,
-    _T_PAIR_DONE: _apply_pair_done,
-    _T_FST: _apply_fst,
-    _T_SND: _apply_snd,
-    _T_INL: _apply_inl,
-    _T_INR: _apply_inr,
-    _T_MATCH: _apply_match,
-    _T_REF: _apply_ref,
-    _T_ALLOC: _apply_alloc,
-    _T_DEREF: _apply_deref,
-    _T_ASSIGN_RHS: _apply_assign_rhs,
-    _T_ASSIGN_DONE: _apply_assign_done,
-    _T_FREE: _apply_free,
-    _T_GCMOV: _apply_gcmov,
+#: Frames hold the handler that resumes them; snapshots name it by tag.
+_FRAME_TAGS = {
+    _apply_app_arg: "app-arg",
+    _apply_app_call: "app-call",
+    _apply_let: "let",
+    _apply_binop_rhs: "binop-rhs",
+    _apply_binop_done: "binop-done",
+    _apply_if: "if",
+    _apply_pair_snd: "pair-snd",
+    _apply_pair_done: "pair-done",
+    _apply_fst: "fst",
+    _apply_snd: "snd",
+    _apply_inl: "inl",
+    _apply_inr: "inr",
+    _apply_match: "match",
+    _apply_ref: "ref",
+    _apply_alloc: "alloc",
+    _apply_deref: "deref",
+    _apply_assign_rhs: "assign-rhs",
+    _apply_assign_done: "assign-done",
+    _apply_free: "free",
+    _apply_gcmov: "gcmov",
 }
+_FRAME_HANDLERS = {tag: handler for handler, tag in _FRAME_TAGS.items()}
 
 
 # -- the compiler -------------------------------------------------------------
 
-#: The node table of the compile currently in flight.  ``_compile`` is only
-#: ever entered through :func:`compile_node` (which installs a fresh list
-#: around the walk), so every node a compile produces lands in its root's
-#: table, numbered in deterministic post-order.  A node is then addressable
-#: across processes as ``(root syntax, index)`` — the portable reference the
-#: snapshot format uses, resolved on restore by recompiling the root.
-_CURRENT_TABLE: Optional[List[CompiledNode]] = None
+
+class Code:
+    """One root's compiled code: node records plus flat per-node arrays.
+
+    ``nodes[i]`` is node ``i``'s record, ``exprs[i]`` its syntax (for stuck
+    and out-of-fuel leftovers) and ``mentioned[i]`` the locations it
+    literally mentions, numbered in deterministic post-order, so the root's
+    record is last.  A node is addressable across processes as ``(root,
+    index)`` — the portable reference the snapshot format uses, resolved by
+    compiling the root again.  Code holds no reference cycle, so it dies by
+    reference count with its owner (a :class:`~repro.core.language.CompiledUnit`
+    or one execution).
+    """
+
+    __slots__ = ("root", "nodes", "exprs", "mentioned", "__weakref__")
+
+    def __init__(self, root: s.Expr):
+        self.root = root
+        self.nodes: List[Node] = []
+        self.exprs: List[s.Expr] = []
+        self.mentioned: List[Tuple[int, ...]] = []
+        _compile(root, self)
 
 
-def _finish(node: CompiledNode, expr: s.Expr, fv: frozenset, mentioned: frozenset) -> CompiledNode:
-    node.expr = expr
-    node.fv = fv
-    node.mentioned = mentioned
-    table = _CURRENT_TABLE
-    node.index = len(table)
-    table.append(node)
-    return node
+#: Unary forms: the field holding the operand and the frame applied to its value.
+_UNARY = {
+    kind: (operand, (apply, (), _NO_SITE, None, None))
+    for kind, operand, apply in (
+        (s.Fst, "body", _apply_fst),
+        (s.Snd, "body", _apply_snd),
+        (s.Inl, "body", _apply_inl),
+        (s.Inr, "body", _apply_inr),
+        (s.NewRef, "initial", _apply_ref),
+        (s.Alloc, "initial", _apply_alloc),
+        (s.Deref, "reference", _apply_deref),
+        (s.Free, "reference", _apply_free),
+        (s.GcMov, "reference", _apply_gcmov),
+    )
+}
+
+#: A compiled node with its free variables and literally mentioned locations.
+_Compiled = Tuple[Node, frozenset, frozenset]
 
 
-def _unary_apply_node(child: CompiledNode, tag: str, expr: s.Expr) -> CompiledNode:
-    frame: CFrame = (tag, (), (), None, None)
+def _add(
+    code: Code, e: s.Expr, fv: frozenset, mentioned: frozenset, handler: Callable, pending: frozenset, *constants: object
+) -> _Compiled:
+    """Append ``e``'s record to ``code`` under the next post-order index."""
+    node = (handler, len(code.nodes), tuple(pending), *constants)
+    code.nodes.append(node)
+    code.exprs.append(e)
+    code.mentioned.append(tuple(mentioned))
+    return node, fv, mentioned
 
-    def node(env, kont, heap):
-        kont.append(frame)
-        return child, True, env
 
-    return _finish(node, expr, child.fv, child.mentioned)
+def _push(
+    code: Code, e: s.Expr, apply: Callable, first: s.Expr, pending: s.Expr, names: Tuple[str, ...] = (), binder: Optional[str] = None
+) -> _Compiled:
+    """A node evaluating ``first`` under a frame that holds ``pending``."""
+    first_node, first_fv, first_mentioned = _compile(first, code)
+    pending_node, pending_fv, pending_mentioned = _compile(pending, code)
+    if binder is not None:  # ``let``: bind the value only if the body uses it
+        names = (binder,) if binder in pending_fv else ()
+        pending_fv = pending_fv - {binder}
+    fv = first_fv | pending_fv
+    mentioned = first_mentioned | pending_mentioned
+    constants = (first_node, names, pending_node, tuple(pending_fv), apply)
+    return _add(code, e, fv, mentioned, _eval_push, pending_mentioned, *constants)
 
 
-def _compile(e: s.Expr) -> CompiledNode:
-    """Closure-compile one syntax node (children first, sets derived bottom-up)."""
+def _compile(e: s.Expr, code: Code) -> _Compiled:
+    """Compile one syntax node into ``code`` (children first, sets bottom-up)."""
     kind = type(e)
 
     if kind is s.Int:
-        value = IntV(e.value)
-
-        def node(env, kont, heap):
-            return value, False, env
-
-        return _finish(node, e, _EMPTY_FV, _EMPTY_FV)
-
+        return _add(code, e, _EMPTY, _EMPTY, _eval_value, _EMPTY, IntV(e.value))
     if kind is s.Unit:
-
-        def node(env, kont, heap):
-            return _UNIT_VALUE, False, env
-
-        return _finish(node, e, _EMPTY_FV, _EMPTY_FV)
-
+        return _add(code, e, _EMPTY, _EMPTY, _eval_value, _EMPTY, _UNIT_VALUE)
     if kind is s.Loc:
-        value = LocV(e.address)
-
-        def node(env, kont, heap):
-            return value, False, env
-
-        return _finish(node, e, _EMPTY_FV, frozenset((e.address,)))
-
+        return _add(code, e, _EMPTY, frozenset((e.address,)), _eval_value, _EMPTY, LocV(e.address))
     if kind is s.Var:
-        name = e.name
-
-        def node(env, kont, heap):
-            cell = env
-            while cell is not None:
-                if cell[0] == name:
-                    return cell[1], False, env
-                cell = cell[2]
-            raise _type_failure()
-
-        return _finish(node, e, frozenset((name,)), _EMPTY_FV)
+        return _add(code, e, frozenset((e.name,)), _EMPTY, _eval_var, _EMPTY, e.name)
 
     if kind is s.Lam:
-        body = _compile(e.body)
-        parameter = e.parameter
-        capture = body.fv - {parameter}
-        needs_param = parameter in body.fv
-        static_locations = tuple(body.mentioned)
-        body_syntax = e.body
-
-        def node(env, kont, heap):
-            return (
-                CClosure(
-                    parameter,
-                    body_syntax,
-                    body,
-                    _prune(env, capture),
-                    needs_param,
-                    static_locations,
-                ),
-                False,
-                env,
-            )
-
-        return _finish(node, e, capture, body.mentioned)
+        body, body_fv, body_mentioned = _compile(e.body, code)
+        capture = body_fv - {e.parameter}
+        constants = (e.parameter, e.body, body, tuple(capture), e.parameter in body_fv, tuple(body_mentioned))
+        return _add(code, e, capture, body_mentioned, _eval_lam, _EMPTY, *constants)
 
     if kind is s.App:
-        function = _compile(e.function)
-        argument = _compile(e.argument)
-        arg_fv = argument.fv
-        arg_nodes = (argument,)
-
-        def node(env, kont, heap):
-            kont.append((_T_APP_ARG, (), arg_nodes, _prune(env, arg_fv), None))
-            return function, True, env
-
-        return _finish(node, e, function.fv | arg_fv, function.mentioned | argument.mentioned)
-
+        return _push(code, e, _apply_app_arg, e.function, e.argument)
     if kind is s.Let:
-        bound = _compile(e.bound)
-        body = _compile(e.body)
-        names = (e.name,) if e.name in body.fv else ()
-        keep = body.fv - {e.name}
-        body_nodes = (body,)
-
-        def node(env, kont, heap):
-            kont.append((_T_LET, names, body_nodes, _prune(env, keep), None))
-            return bound, True, env
-
-        return _finish(node, e, bound.fv | keep, bound.mentioned | body.mentioned)
-
+        return _push(code, e, _apply_let, e.bound, e.body, binder=e.name)
     if kind is s.BinOp:
-        left = _compile(e.left)
-        right = _compile(e.right)
-        op_names = (intern(e.op),)
-        right_fv = right.fv
-        right_nodes = (right,)
-
-        def node(env, kont, heap):
-            kont.append((_T_BINOP_RHS, op_names, right_nodes, _prune(env, right_fv), None))
-            return left, True, env
-
-        return _finish(node, e, left.fv | right_fv, left.mentioned | right.mentioned)
+        return _push(code, e, _apply_binop_rhs, e.left, e.right, names=(intern(e.op),))
+    if kind is s.Pair:
+        return _push(code, e, _apply_pair_snd, e.first, e.second)
+    if kind is s.Assign:
+        return _push(code, e, _apply_assign_rhs, e.reference, e.value)
 
     if kind is s.If:
-        condition = _compile(e.condition)
-        then_node = _compile(e.then_branch)
-        else_node = _compile(e.else_branch)
-        branch_fv = then_node.fv | else_node.fv
-        branch_nodes = (then_node, else_node)
-
-        def node(env, kont, heap):
-            kont.append((_T_IF, (), branch_nodes, _prune(env, branch_fv), None))
-            return condition, True, env
-
-        return _finish(
-            node,
-            e,
-            condition.fv | branch_fv,
-            condition.mentioned | then_node.mentioned | else_node.mentioned,
-        )
-
-    if kind is s.Pair:
-        first = _compile(e.first)
-        second = _compile(e.second)
-        second_fv = second.fv
-        second_nodes = (second,)
-
-        def node(env, kont, heap):
-            kont.append((_T_PAIR_SND, (), second_nodes, _prune(env, second_fv), None))
-            return first, True, env
-
-        return _finish(node, e, first.fv | second_fv, first.mentioned | second.mentioned)
+        condition, condition_fv, condition_mentioned = _compile(e.condition, code)
+        then, then_fv, then_mentioned = _compile(e.then_branch, code)
+        other, else_fv, else_mentioned = _compile(e.else_branch, code)
+        branch_fv = then_fv | else_fv
+        branch_mentioned = then_mentioned | else_mentioned
+        fv = condition_fv | branch_fv
+        mentioned = condition_mentioned | branch_mentioned
+        constants = (condition, (), then, tuple(branch_fv), _apply_if, tuple(then_fv), other, tuple(else_fv))
+        return _add(code, e, fv, mentioned, _eval_push, branch_mentioned, *constants)
 
     if kind is s.Match:
-        scrutinee = _compile(e.scrutinee)
-        left = _compile(e.left_branch)
-        right = _compile(e.right_branch)
-        left.branch_binder = e.left_name if e.left_name in left.fv else None
-        left.branch_keep = left.fv - {e.left_name}
-        right.branch_binder = e.right_name if e.right_name in right.fv else None
-        right.branch_keep = right.fv - {e.right_name}
-        branch_fv = left.branch_keep | right.branch_keep
-        branch_nodes = (left, right)
-
-        def node(env, kont, heap):
-            kont.append((_T_MATCH, (), branch_nodes, _prune(env, branch_fv), None))
-            return scrutinee, True, env
-
-        return _finish(
-            node,
-            e,
-            scrutinee.fv | branch_fv,
-            scrutinee.mentioned | left.mentioned | right.mentioned,
+        scrutinee, scrutinee_fv, scrutinee_mentioned = _compile(e.scrutinee, code)
+        left, left_fv, left_mentioned = _compile(e.left_branch, code)
+        right, right_fv, right_mentioned = _compile(e.right_branch, code)
+        left_keep = left_fv - {e.left_name}
+        right_keep = right_fv - {e.right_name}
+        branch_fv = left_keep | right_keep
+        branch_mentioned = left_mentioned | right_mentioned
+        fv = scrutinee_fv | branch_fv
+        mentioned = scrutinee_mentioned | branch_mentioned
+        left_binder = e.left_name if e.left_name in left_fv else None
+        right_binder = e.right_name if e.right_name in right_fv else None
+        constants = (
+            scrutinee, (), left, tuple(branch_fv), _apply_match, tuple(left_keep), left_binder,
+            right, tuple(right_keep), right_binder,
         )
+        return _add(code, e, fv, mentioned, _eval_push, branch_mentioned, *constants)
 
-    if kind is s.Assign:
-        reference = _compile(e.reference)
-        value_node = _compile(e.value)
-        value_fv = value_node.fv
-        value_nodes = (value_node,)
-
-        def node(env, kont, heap):
-            kont.append((_T_ASSIGN_RHS, (), value_nodes, _prune(env, value_fv), None))
-            return reference, True, env
-
-        return _finish(node, e, reference.fv | value_fv, reference.mentioned | value_node.mentioned)
-
-    if kind is s.Fst:
-        return _unary_apply_node(_compile(e.body), _T_FST, e)
-    if kind is s.Snd:
-        return _unary_apply_node(_compile(e.body), _T_SND, e)
-    if kind is s.Inl:
-        return _unary_apply_node(_compile(e.body), _T_INL, e)
-    if kind is s.Inr:
-        return _unary_apply_node(_compile(e.body), _T_INR, e)
-    if kind is s.NewRef:
-        return _unary_apply_node(_compile(e.initial), _T_REF, e)
-    if kind is s.Alloc:
-        return _unary_apply_node(_compile(e.initial), _T_ALLOC, e)
-    if kind is s.Deref:
-        return _unary_apply_node(_compile(e.reference), _T_DEREF, e)
-    if kind is s.Free:
-        return _unary_apply_node(_compile(e.reference), _T_FREE, e)
-    if kind is s.GcMov:
-        return _unary_apply_node(_compile(e.reference), _T_GCMOV, e)
+    unary = _UNARY.get(kind)
+    if unary is not None:
+        operand, frame = unary
+        child, fv, mentioned = _compile(getattr(e, operand), code)
+        return _add(code, e, fv, mentioned, _eval_unary, _EMPTY, child, frame)
 
     if kind is s.CallGc:
-
-        def node(env, kont, heap):
-            heap.collect(roots=_compiled_roots(env, kont))
-            return _UNIT_VALUE, False, env
-
-        return _finish(node, e, _EMPTY_FV, _EMPTY_FV)
-
+        return _add(code, e, _EMPTY, _EMPTY, _eval_callgc, _EMPTY)
     if kind is s.Fail:
-        code = e.code
-
-        def node(env, kont, heap):
-            raise _Failure(code)
-
-        return _finish(node, e, _EMPTY_FV, _EMPTY_FV)
+        return _add(code, e, _EMPTY, _EMPTY, _eval_fail, _EMPTY, e.code)
 
     # Protect (augmented-semantics-only) and unknown forms are stuck at
     # runtime, exactly like the reference machine — never at compile time.
-    expr = e
-
-    def node(env, kont, heap):
-        raise StuckError(f"no CEK rule for {expr!r}")
-
-    return _finish(node, e, s.free_variables(e), mentioned_locations(e))
+    return _add(code, e, s.free_variables(e), mentioned_locations(e), _eval_stuck, _EMPTY, e)
 
 
-# -- compiled-program memo ----------------------------------------------------
+# -- code kept by compiled units ----------------------------------------------
 
-_COMPILED_CACHE: "OrderedDict[int, Tuple[s.Expr, CompiledNode, List[CompiledNode]]]" = OrderedDict()
-_COMPILED_CACHE_CAPACITY = 512
-_compiled_hits = 0
-_compiled_misses = 0
-#: Serializes the memo and ``_CURRENT_TABLE``: threads of one process (such
-#: as in-process network endpoints) compile concurrently.
-_COMPILE_LOCK = threading.RLock()
+_UNIT_CODE = UnitCode()
 
 
-def compile_node(expr: s.Expr) -> CompiledNode:
-    """Compile ``expr`` to its handler graph, memoized per compiled unit.
-
-    The memo is keyed on object identity (entries hold the expression, so the
-    key stays valid while cached): the frontend pipeline cache returns the
-    same ``CompiledUnit`` — hence the same ``target_code`` object — for
-    repeated submissions, so its hits line up with ours and a program is
-    compiled exactly once per cache generation.
-    """
-    global _compiled_hits, _compiled_misses, _CURRENT_TABLE
-    key = id(expr)
-    with _COMPILE_LOCK:
-        entry = _COMPILED_CACHE.get(key)
-        if entry is not None and entry[0] is expr:
-            _compiled_hits += 1
-            _COMPILED_CACHE.move_to_end(key)
-            return entry[1]
-        _CURRENT_TABLE = table = []
-        try:
-            node = _compile(expr)
-        finally:
-            _CURRENT_TABLE = None
-        # Every node knows the root it was compiled under: ``(node.root,
-        # node.index)`` is its process-portable address, resolvable anywhere
-        # by recompiling the root (the walk is deterministic, so indexes agree).
-        for compiled in table:
-            compiled.root = expr
-        _compiled_misses += 1
-        _COMPILED_CACHE[key] = (expr, node, table)
-        _COMPILED_CACHE.move_to_end(key)
-        while len(_COMPILED_CACHE) > _COMPILED_CACHE_CAPACITY:
-            _COMPILED_CACHE.popitem(last=False)
-        return node
-
-
-def compiled_table(expr: s.Expr) -> List[CompiledNode]:
-    """The node table of ``expr``'s compile (compiling it on a memo miss)."""
-    with _COMPILE_LOCK:
-        compile_node(expr)
-        return _COMPILED_CACHE[id(expr)][2]
+def unit_code(unit, backend: str, build: Callable[[s.Expr], Code] = Code) -> Code:
+    """``unit``'s code for ``backend``, built by ``build(unit.target_code)``
+    the first time the unit starts there and kept on the unit after that."""
+    return _UNIT_CODE.get(unit, backend, build)
 
 
 def compiled_cache_stats() -> dict:
-    return {
-        "entries": len(_COMPILED_CACHE),
-        "hits": _compiled_hits,
-        "misses": _compiled_misses,
-        "capacity": _COMPILED_CACHE_CAPACITY,
-    }
+    """Counters over the code compiled units keep for this machine.
+
+    ``hits``: a unit's code was already built; ``misses``: a build;
+    ``entries``: live units that hold code; ``capacity``: the pipeline LRU's
+    default capacity, which bounds how long code lives per frontend.
+    """
+    return _UNIT_CODE.stats()
 
 
 # -- snapshot codec for the compiled machine ----------------------------------
 #
-# Compiled nodes are closures and cannot leave the process.  The codec
-# replaces every node with its portable address ``(root syntax, index)`` and
-# every ``CClosure`` with a tagged tuple carrying its body's address plus a
-# frozen environment; everything else in the state (leaf values, env cons
-# cells, frame tuples, heap cells) is plain data already.  Restoring resolves
-# each address by recompiling the root — ``_compile`` is deterministic, so
-# the node at the same index is the same handler — which is exactly the
-# recompile-on-restore contract ``stacklang.cek.CompiledExecution`` pioneered
-# for mid-run pickling.  Both directions memoize by object identity so shared
-# structure (environment tails, values parked in several frames) stays shared
-# and the codec never re-walks it.
+# Node records hold handler functions, so they do not leave the process.  The
+# codec replaces every node with its portable address ``(root syntax,
+# index)`` and every ``CClosure`` with a tagged tuple carrying its body's
+# address plus a frozen environment; everything else in the state (leaf
+# values, env cons cells, frame tuples, heap cells) is plain data already.
+# Restoring resolves each address by compiling its root once — the walk is
+# deterministic, so the node at the same index is the same handler over the
+# same constants — which is exactly the recompile-on-restore contract
+# ``stacklang.cek.CompiledExecution`` pioneered for mid-run pickling.  Both
+# directions memoize by object identity so shared structure (environment
+# tails, values parked in several frames) stays shared and the codec never
+# re-walks it.
+
+#: ``address(node) -> (root, index)`` while freezing.
+Address = Callable[[Node], Tuple[s.Expr, int]]
+#: ``code_of(root) -> Code`` while thawing.
+CodeOf = Callable[[s.Expr], Code]
 
 
-def _freeze_env(cell: Env, memo: dict) -> Env:
+def _freeze_env(cell: Env, memo: dict, address: Address) -> Env:
     frozen_cells: List[Env] = []
     while cell is not None and id(cell) not in memo:
         frozen_cells.append(cell)
         cell = cell[2]
     frozen = None if cell is None else memo[id(cell)]
     for live in reversed(frozen_cells):
-        frozen = (live[0], _freeze_value(live[1], memo), frozen)
+        frozen = (live[0], _freeze_value(live[1], memo, address), frozen)
         memo[id(live)] = frozen
     return frozen
 
 
-def _freeze_value(value: object, memo: dict) -> object:
+def _freeze_value(value: object, memo: dict, address: Address) -> object:
     key = id(value)
     if key in memo:
         return memo[key]
     kind = type(value)
     if kind is CClosure:
-        node = value.node
         frozen = (
             "cclosure",
             value.parameter,
             value.needs_param,
-            node.root,
-            node.index,
-            _freeze_env(value.environment, memo),
+            *address(value.node),
+            _freeze_env(value.environment, memo, address),
         )
     elif kind is PairV:
-        frozen = PairV(_freeze_value(value.first, memo), _freeze_value(value.second, memo))
+        frozen = PairV(_freeze_value(value.first, memo, address), _freeze_value(value.second, memo, address))
     elif kind is InlV:
-        frozen = InlV(_freeze_value(value.body, memo))
+        frozen = InlV(_freeze_value(value.body, memo, address))
     elif kind is InrV:
-        frozen = InrV(_freeze_value(value.body, memo))
+        frozen = InrV(_freeze_value(value.body, memo, address))
     else:
-        # IntV / UnitV / LocV / injected closures: immutable plain data.
+        # IntV / UnitV / LocV: immutable plain data.
         frozen = value
     memo[key] = frozen
     return frozen
 
 
-def _freeze_frame(frame: CFrame, memo: dict) -> tuple:
-    tag, names, nodes, env, value = frame
+def _freeze_frame(frame: CFrame, memo: dict, address: Address) -> tuple:
+    apply, names, site, env, value = frame
     return (
-        tag,
+        _FRAME_TAGS[apply],
         names,
-        tuple((node.root, node.index) for node in nodes),
-        _freeze_env(env, memo),
-        None if value is None else _freeze_value(value, memo),
+        None if site is _NO_SITE else address(site),
+        _freeze_env(env, memo, address),
+        None if value is None else _freeze_value(value, memo, address),
     )
 
 
-def _freeze_heap(heap: Heap, memo: dict) -> dict:
+def _freeze_heap(heap: Heap, memo: dict, address: Address) -> dict:
     return {
         "cells": {
-            address: (_freeze_value(cell.value, memo), cell.kind)
-            for address, cell in heap.cells.items()
+            location: (_freeze_value(cell.value, memo, address), cell.kind)
+            for location, cell in heap.cells.items()
         },
         "collections": heap.collections,
         "reclaimed": heap.reclaimed,
@@ -792,61 +700,61 @@ def _freeze_heap(heap: Heap, memo: dict) -> dict:
     }
 
 
-def _thaw_env(cell: Env, memo: dict) -> Env:
+def _thaw_env(cell: Env, memo: dict, code_of: CodeOf) -> Env:
     thawed_cells: List[Env] = []
     while cell is not None and id(cell) not in memo:
         thawed_cells.append(cell)
         cell = cell[2]
     thawed = None if cell is None else memo[id(cell)]
     for frozen in reversed(thawed_cells):
-        thawed = (frozen[0], _thaw_value(frozen[1], memo), thawed)
+        thawed = (frozen[0], _thaw_value(frozen[1], memo, code_of), thawed)
         memo[id(frozen)] = thawed
     return thawed
 
 
-def _thaw_value(value: object, memo: dict) -> object:
+def _thaw_value(value: object, memo: dict, code_of: CodeOf) -> object:
     key = id(value)
     if key in memo:
         return memo[key]
     kind = type(value)
     if kind is tuple:  # the only tuples in value position are frozen CClosures
         _tag, parameter, needs_param, root, index, environment = value
-        body_node = compiled_table(root)[index]
+        code = code_of(root)
         thawed = CClosure(
             parameter,
-            body_node.expr,
-            body_node,
-            _thaw_env(environment, memo),
+            code.exprs[index],
+            code.nodes[index],
+            _thaw_env(environment, memo, code_of),
             needs_param,
-            tuple(body_node.mentioned),
+            code.mentioned[index],
         )
     elif kind is PairV:
-        thawed = PairV(_thaw_value(value.first, memo), _thaw_value(value.second, memo))
+        thawed = PairV(_thaw_value(value.first, memo, code_of), _thaw_value(value.second, memo, code_of))
     elif kind is InlV:
-        thawed = InlV(_thaw_value(value.body, memo))
+        thawed = InlV(_thaw_value(value.body, memo, code_of))
     elif kind is InrV:
-        thawed = InrV(_thaw_value(value.body, memo))
+        thawed = InrV(_thaw_value(value.body, memo, code_of))
     else:
         thawed = value
     memo[key] = thawed
     return thawed
 
 
-def _thaw_frame(frame: tuple, memo: dict) -> CFrame:
-    tag, names, node_refs, env, value = frame
+def _thaw_frame(frame: tuple, memo: dict, code_of: CodeOf) -> CFrame:
+    tag, names, site, env, value = frame
     return (
-        intern(tag),
+        _FRAME_HANDLERS[tag],
         names,
-        tuple(compiled_table(root)[index] for root, index in node_refs),
-        _thaw_env(env, memo),
-        None if value is None else _thaw_value(value, memo),
+        _NO_SITE if site is None else code_of(site[0]).nodes[site[1]],
+        _thaw_env(env, memo, code_of),
+        None if value is None else _thaw_value(value, memo, code_of),
     )
 
 
-def _thaw_heap(state: dict, memo: dict) -> Heap:
+def _thaw_heap(state: dict, memo: dict, code_of: CodeOf) -> Heap:
     heap = Heap(
         cells={
-            address: HeapCell(_thaw_value(value, memo), cell_kind)
+            address: HeapCell(_thaw_value(value, memo, code_of), cell_kind)
             for address, (value, cell_kind) in state["cells"].items()
         },
         collections=state["collections"],
@@ -870,29 +778,67 @@ class CompiledExecution:
     scheduler can interleave many executions on one loop; the observable
     result is identical to an uninterrupted :func:`run_compiled` regardless
     of how the transitions are sliced.
+
+    ``code`` is ``expr``'s compiled :class:`Code` when the caller keeps it
+    (a unit's, via :func:`unit_code`); otherwise ``expr`` is compiled for
+    this execution alone.
     """
 
-    __slots__ = ("heap", "fuel", "steps", "result", "_control", "_evaluating", "_env", "_kont")
+    __slots__ = ("heap", "fuel", "steps", "result", "_codes", "_control", "_evaluating", "_env", "_kont")
 
     #: The snapshot tag this machine writes and restores (see
     #: :mod:`repro.core.snapshots` for the format contract).
     SNAPSHOT_KIND = "lcvm/cek-compiled"
 
-    def __init__(self, expr: s.Expr, heap: Optional[Heap] = None, fuel: int = 100_000):
+    def __init__(
+        self,
+        expr: s.Expr,
+        heap: Optional[Heap] = None,
+        fuel: int = 100_000,
+        code: Optional[Code] = None,
+    ):
+        if code is None:
+            code = Code(expr)
+        #: Every code this execution's nodes come from, the program's first.
+        self._codes: List[Code] = [code]
         if heap is None:
             heap = Heap(trace=locations_of)
         else:
             for cell in heap.cells.values():
-                cell.value = inject(cell.value)
+                cell.value = inject(cell.value, self._seeded_closure)
             heap.trace = locations_of
         self.heap = heap
         self.fuel = fuel
         self.steps = 0
         self.result: Optional[MachineResult] = None
-        self._control: object = compile_node(expr)
+        self._control: object = code.nodes[-1]
         self._evaluating = True
         self._env: Env = None
         self._kont: List[CFrame] = []
+
+    def _seeded_closure(self, parameter: str, body: s.Expr) -> CClosure:
+        """A pre-seeded heap's closed lambda, its body compiled once here."""
+        code = Code(body)
+        self._codes.append(code)
+        return CClosure(parameter, body, code.nodes[-1], None, True, code.mentioned[-1])
+
+    def _locate(self, node: Node) -> Tuple[Code, int]:
+        index = node[1]
+        for code in self._codes:
+            if index < len(code.nodes) and code.nodes[index] is node:
+                return code, index
+        raise ValueError(f"node {index} belongs to no code of this execution")
+
+    def _address(self, node: Node) -> Tuple[s.Expr, int]:
+        code, index = self._locate(node)
+        return code.root, index
+
+    def _leftover(self, control: object, evaluating: bool) -> s.Expr:
+        """The syntax a halted machine reports: the node's, or the value's."""
+        if evaluating:
+            code, index = self._locate(control)
+            return code.exprs[index]
+        return reify(control)
 
     def step_n(self, limit: int) -> Optional[MachineResult]:
         """Run at most ``limit`` transitions; the result when halted, else None."""
@@ -908,24 +854,23 @@ class CompiledExecution:
         steps = self.steps
         fuel = self.fuel
         budget = fuel if fuel - steps <= limit else steps + limit
-        apply_handlers = _APPLY
         try:
             while True:
                 if steps >= budget:
                     self._control, self._evaluating, self._env, self.steps = control, evaluating, env, steps
                     if steps < fuel:
                         return None
-                    leftover = control.expr if evaluating else reify(control)
+                    leftover = self._leftover(control, evaluating)
                     self.result = MachineResult(
                         Status.OUT_OF_FUEL, Config(_finalize_heap(heap), leftover), steps
                     )
                     return self.result
                 steps += 1
                 if evaluating:
-                    control, evaluating, env = control(env, kont, heap)
+                    control, evaluating, env = control[0](control, env, kont, heap)
                 elif kont:
                     frame = kont.pop()
-                    control, evaluating, env = apply_handlers[frame[0]](frame, control, env, kont, heap)
+                    control, evaluating, env = frame[0](frame, control, env, kont, heap)
                 else:
                     self.steps = steps
                     result_value = reify(control)
@@ -940,7 +885,7 @@ class CompiledExecution:
             return self.result
         except StuckError:
             self.steps = steps
-            leftover = control.expr if evaluating else reify(control)
+            leftover = self._leftover(control, evaluating)
             self.result = MachineResult(Status.STUCK, Config(_finalize_heap(heap), leftover), steps)
             return self.result
 
@@ -954,16 +899,16 @@ class CompiledExecution:
     def snapshot(self) -> dict:
         """Reify the paused machine as a versioned, process-portable dict.
 
-        Compiled handlers never enter the payload: control, frame nodes, and
+        Node records never enter the payload: control, frame sites, and
         closure bodies are stored as ``(root syntax, index)`` addresses and
-        resolved on restore by recompiling the root deterministically.  The
-        heap rides along with its exact allocator state, so a restored run's
-        raw post-``callgc`` heap matches the uninterrupted run
-        address-for-address.
+        resolved on restore by compiling each root once.  The heap rides
+        along with its exact allocator state, so a restored run's raw
+        post-``callgc`` heap matches the uninterrupted run address-for-address.
         """
         if self.result is not None:
             raise ValueError("cannot snapshot a finished execution")
         memo: dict = {}
+        address = self._address
         control = self._control
         return make_snapshot(
             self.SNAPSHOT_KIND,
@@ -972,13 +917,11 @@ class CompiledExecution:
                 "steps": self.steps,
                 "evaluating": self._evaluating,
                 "control": (
-                    (control.root, control.index)
-                    if self._evaluating
-                    else _freeze_value(control, memo)
+                    address(control) if self._evaluating else _freeze_value(control, memo, address)
                 ),
-                "env": _freeze_env(self._env, memo),
-                "kont": [_freeze_frame(frame, memo) for frame in self._kont],
-                "heap": _freeze_heap(self.heap, memo),
+                "env": _freeze_env(self._env, memo, address),
+                "kont": [_freeze_frame(frame, memo, address) for frame in self._kont],
+                "heap": _freeze_heap(self.heap, memo, address),
             },
         )
 
@@ -986,21 +929,32 @@ class CompiledExecution:
     def from_snapshot(cls, snapshot: dict) -> "CompiledExecution":
         """Rebuild a paused machine from :meth:`snapshot` output."""
         state = check_snapshot(snapshot, cls.SNAPSHOT_KIND)
+        codes: List[Code] = []
+
+        def code_of(root: s.Expr) -> Code:
+            for code in codes:
+                if code.root is root:
+                    return code
+            code = Code(root)
+            codes.append(code)
+            return code
+
         memo: dict = {}
         execution = cls.__new__(cls)
-        execution.heap = _thaw_heap(state["heap"], memo)
+        execution._codes = codes
+        execution.heap = _thaw_heap(state["heap"], memo, code_of)
         execution.fuel = state["fuel"]
         execution.steps = state["steps"]
         execution.result = None
         evaluating = state["evaluating"]
         if evaluating:
             root, index = state["control"]
-            execution._control = compiled_table(root)[index]
+            execution._control = code_of(root).nodes[index]
         else:
-            execution._control = _thaw_value(state["control"], memo)
+            execution._control = _thaw_value(state["control"], memo, code_of)
         execution._evaluating = evaluating
-        execution._env = _thaw_env(state["env"], memo)
-        execution._kont = [_thaw_frame(frame, memo) for frame in state["kont"]]
+        execution._env = _thaw_env(state["env"], memo, code_of)
+        execution._kont = [_thaw_frame(frame, memo, code_of) for frame in state["kont"]]
         return execution
 
 
@@ -1026,8 +980,8 @@ def run_compiled(expr: s.Expr, heap: Optional[Heap] = None, fuel: int = 100_000)
     Returns the same :class:`~repro.lcvm.machine.MachineResult` shape as the
     reference machine: ``result.value`` is a syntax value, ``result.heap`` a
     syntax-valued :class:`~repro.lcvm.heap.Heap` whose raw post-``callgc``
-    fragments match the substitution oracle exactly.  One maximal slice of
-    :class:`CompiledExecution`; serving code holding several programs uses
-    the execution object directly and slices the transitions itself.
+    fragments match the substitution oracle exactly.  ``expr`` is compiled
+    for this run alone; serving code runs a unit's kept code through
+    :func:`unit_code` and slices :class:`CompiledExecution` itself.
     """
     return CompiledExecution(expr, heap=heap, fuel=fuel).run()

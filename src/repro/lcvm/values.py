@@ -11,17 +11,17 @@ holds the value representation plus the three bridges between the worlds:
 * :func:`inject` — syntax value → runtime value (for pre-seeded heaps);
 * :func:`reify` — runtime value → syntax value (for observable results).
 
-Two closure representations exist — the CEK machine's compiled closures over
-a shared linked environment, and the environment-free closures :func:`inject`
-makes for pre-seeded heaps — so closures are handled structurally: any value
-with an ``env_bindings()`` method iterating ``(name, value)`` pairs
-innermost-first is treated as a closure over ``parameter``/``body``.
+Closures are the CEK machine's own (:class:`repro.lcvm.cek.CClosure`, which
+:func:`inject` builds through a callback so this module need not import the
+machine), so they are handled structurally: any value with an
+``env_bindings()`` method iterating ``(name, value)`` pairs innermost-first
+is treated as a closure over ``parameter``/``body``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple, Union
+from typing import Callable, List, Union
 
 from repro.lcvm import syntax as s
 
@@ -114,8 +114,12 @@ def locations_of(value: RuntimeValue) -> List[int]:
     return locations
 
 
-def inject(expr: s.Expr) -> RuntimeValue:
-    """Convert a closed syntax *value* into a runtime value."""
+def inject(expr: s.Expr, closure: Callable[[str, s.Expr], RuntimeValue]) -> RuntimeValue:
+    """Convert a closed syntax *value* into a runtime value.
+
+    ``closure(parameter, body)`` builds the runtime closure of a lambda,
+    which is closed, so its environment is empty.
+    """
     if isinstance(expr, s.Unit):
         return UnitV()
     if isinstance(expr, s.Int):
@@ -123,26 +127,14 @@ def inject(expr: s.Expr) -> RuntimeValue:
     if isinstance(expr, s.Loc):
         return LocV(expr.address)
     if isinstance(expr, s.Pair):
-        return PairV(inject(expr.first), inject(expr.second))
+        return PairV(inject(expr.first, closure), inject(expr.second, closure))
     if isinstance(expr, s.Inl):
-        return InlV(inject(expr.body))
+        return InlV(inject(expr.body, closure))
     if isinstance(expr, s.Inr):
-        return InrV(inject(expr.body))
+        return InrV(inject(expr.body, closure))
     if isinstance(expr, s.Lam):
-        return _InjectedClosure(expr.parameter, expr.body)
+        return closure(expr.parameter, expr.body)
     raise TypeError(f"not a closed LCVM value: {expr!r}")
-
-
-@dataclass(frozen=True)
-class _InjectedClosure:
-    """A closure with an empty environment (from a pre-seeded syntax heap)."""
-
-    parameter: str
-    body: s.Expr
-    environment: Tuple = ()
-
-    def env_bindings(self) -> Iterator[Tuple[str, RuntimeValue]]:
-        return iter(())
 
 
 def reify(value: RuntimeValue) -> s.Expr:

@@ -256,9 +256,7 @@ class Scheduler:
             return PreparedRequest(response)
         started = time.perf_counter()
         try:
-            execution = system.start_compiled(
-                unit.target_code, fuel=request.fuel, backend=request.backend
-            )
+            execution = system.target.start(unit, backend=request.backend, fuel=request.fuel)
         except Exception as error:  # unknown backend, execution-factory bug
             response.start_seconds = time.perf_counter() - started
             response.error = f"{type(error).__name__}: {error}"

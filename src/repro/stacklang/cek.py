@@ -18,11 +18,11 @@ reified back to syntax on exit.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import ErrorCode
+from repro.core.language import UnitCode
 from repro.core.snapshots import check_snapshot, make_snapshot
 from repro.stacklang import syntax as s
 from repro.stacklang.machine import Config, FailStack, MachineResult, Status
@@ -34,6 +34,7 @@ __all__ = [
     "compile_program",
     "compiled_cache_stats",
     "run_compiled",
+    "unit_code",
 ]
 
 
@@ -111,7 +112,7 @@ class CThunkV:
         return f"<thunk/{len(self.program)}>"
 
 
-def _prune(env: Env, needed: frozenset) -> Env:
+def _prune(env: Env, needed: Tuple[str, ...]) -> Env:
     """Restrict ``env`` to the innermost binding of each name in ``needed``."""
     if env is None or not needed:
         return None
@@ -239,10 +240,14 @@ def _op_write(pc: int, st: _OpState) -> int:
 
 
 # -- op factories -------------------------------------------------------------
+#
+# An op's constants are default arguments, not closure cells: an op then
+# costs the cyclic GC one function (plus its defaults tuple when that holds
+# a tracked object) for as long as its unit keeps the code.
 
 
 def _make_push_const(value: object) -> Op:
-    def op(pc: int, st: _OpState) -> int:
+    def op(pc: int, st: _OpState, value: object = value) -> int:
         st[_V].append(value)
         return pc
 
@@ -250,7 +255,7 @@ def _make_push_const(value: object) -> Op:
 
 
 def _make_push_var(name: str) -> Op:
-    def op(pc: int, st: _OpState) -> int:
+    def op(pc: int, st: _OpState, name: str = name) -> int:
         cell = st[_ENV]
         while cell is not None:
             if cell[0] == name:
@@ -264,7 +269,7 @@ def _make_push_var(name: str) -> Op:
 
 
 def _make_push_resolved(resolve: Callable[[Env], object]) -> Op:
-    def op(pc: int, st: _OpState) -> int:
+    def op(pc: int, st: _OpState, resolve: Callable[[Env], object] = resolve) -> int:
         st[_V].append(resolve(st[_ENV]))
         return pc
 
@@ -272,7 +277,7 @@ def _make_push_resolved(resolve: Callable[[Env], object]) -> Op:
 
 
 def _make_if0(else_entry: int) -> Op:
-    def op(pc: int, st: _OpState) -> int:
+    def op(pc: int, st: _OpState, else_entry: int = else_entry) -> int:
         values = st[_V]
         if not values or type(values[-1]) is not s.Num:
             st[_FAILURE] = ErrorCode.TYPE
@@ -283,16 +288,14 @@ def _make_if0(else_entry: int) -> Op:
 
 
 def _make_jump(target: int) -> Op:
-    def op(pc: int, st: _OpState) -> int:
+    def op(pc: int, st: _OpState, target: int = target) -> int:
         return target
 
     return op
 
 
 def _make_lam_enter(binders: Tuple[str, ...]) -> Op:
-    count = len(binders)
-
-    def op(pc: int, st: _OpState) -> int:
+    def op(pc: int, st: _OpState, binders: Tuple[str, ...] = binders, count: int = len(binders)) -> int:
         values = st[_V]
         if len(values) < count:
             st[_FAILURE] = ErrorCode.TYPE
@@ -308,7 +311,7 @@ def _make_lam_enter(binders: Tuple[str, ...]) -> Op:
 
 
 def _make_fail(code: ErrorCode) -> Op:
-    def op(pc: int, st: _OpState) -> int:
+    def op(pc: int, st: _OpState, code: ErrorCode = code) -> int:
         st[_FAILURE] = code
         return -1
 
@@ -329,12 +332,9 @@ def _make_stuck() -> Op:
 def _operand_resolver(operand: object, pending: List[Tuple[s.Program, List[int]]]):
     """Pre-resolve a push operand to a closure ``env -> runtime value``."""
     if isinstance(operand, s.Var):
-        name = operand.name
         # The reference machine leaves unbound variables inside arrays untouched
         # (substitution simply does not fire); mirror that.
-        unbound = operand
-
-        def resolve(env: Env) -> object:
+        def resolve(env: Env, name: str = operand.name, unbound: s.Var = operand) -> object:
             cell = env
             while cell is not None:
                 if cell[0] == name:
@@ -346,22 +346,24 @@ def _operand_resolver(operand: object, pending: List[Tuple[s.Program, List[int]]
     if isinstance(operand, s.Thunk):
         entry_cell = [0]
         pending.append((operand.program, entry_cell))
-        capture = s.free_variables(operand.program)
-        program = operand.program
 
-        def resolve(env: Env) -> object:
+        def resolve(
+            env: Env,
+            entry_cell: List[int] = entry_cell,
+            capture: Tuple[str, ...] = tuple(s.free_variables(operand.program)),
+            program: s.Program = operand.program,
+        ) -> object:
             return CThunkV(entry_cell[0], _prune(env, capture), program)
 
         return resolve
     if isinstance(operand, s.Arr):
-        resolvers = [_operand_resolver(item, pending) for item in operand.items]
+        resolvers = tuple(_operand_resolver(item, pending) for item in operand.items)
 
-        def resolve(env: Env) -> object:
+        def resolve(env: Env, resolvers: Tuple[Callable[[Env], object], ...] = resolvers) -> object:
             return ArrV(tuple(r(env) for r in resolvers))
 
         return resolve
-    value = operand
-    return lambda env: value
+    return lambda env, value=operand: value
 
 
 def _env_dependent(operand: object) -> bool:
@@ -423,13 +425,8 @@ def _emit(program: s.Program, ops: List[Op], pending: List[Tuple[s.Program, List
             ops.append(_make_stuck())
 
 
-_COMPILED_CACHE: "OrderedDict[int, Tuple[s.Program, List[Op]]]" = OrderedDict()
-_COMPILED_CACHE_CAPACITY = 512
-_compiled_hits = 0
-_compiled_misses = 0
-
-
-def _compile(program: s.Program) -> List[Op]:
+def compile_program(program: s.Program) -> List[Op]:
+    """Compile ``program`` to a flat op array (deterministic, uncached)."""
     ops: List[Op] = []
     pending: List[Tuple[s.Program, List[int]]] = []
     _emit(tuple(program), ops, pending)
@@ -442,36 +439,23 @@ def _compile(program: s.Program) -> List[Op]:
     return ops
 
 
-def compile_program(program: s.Program) -> List[Op]:
-    """Compile ``program`` to a flat op array, memoized per compiled unit.
+_UNIT_CODE = UnitCode()
 
-    Keyed on object identity (entries retain the program tuple, keeping the
-    key valid while cached), so the frontend pipeline cache's hits line up
-    with ours: a program is compiled once per cache generation.
-    """
-    global _compiled_hits, _compiled_misses
-    key = id(program)
-    entry = _COMPILED_CACHE.get(key)
-    if entry is not None and entry[0] is program:
-        _compiled_hits += 1
-        _COMPILED_CACHE.move_to_end(key)
-        return entry[1]
-    ops = _compile(program)
-    _compiled_misses += 1
-    _COMPILED_CACHE[key] = (program, ops)
-    _COMPILED_CACHE.move_to_end(key)
-    while len(_COMPILED_CACHE) > _COMPILED_CACHE_CAPACITY:
-        _COMPILED_CACHE.popitem(last=False)
-    return ops
+
+def unit_code(unit) -> List[Op]:
+    """``unit``'s op array, compiled the first time the unit starts and kept
+    on the unit after that."""
+    return _UNIT_CODE.get(unit, "cek-compiled", compile_program)
 
 
 def compiled_cache_stats() -> Dict[str, int]:
-    return {
-        "entries": len(_COMPILED_CACHE),
-        "hits": _compiled_hits,
-        "misses": _compiled_misses,
-        "capacity": _COMPILED_CACHE_CAPACITY,
-    }
+    """Counters over the op arrays compiled units keep for this machine.
+
+    ``hits``: a unit's code was already built; ``misses``: a build;
+    ``entries``: live units that hold code; ``capacity``: the pipeline LRU's
+    default capacity, which bounds how long code lives per frontend.
+    """
+    return _UNIT_CODE.stats()
 
 
 class CompiledExecution:
@@ -484,6 +468,10 @@ class CompiledExecution:
     is just ``(pc, op-state, steps)``, so a scheduler can interleave many
     executions on one loop; the observable result is identical to an
     uninterrupted :func:`run_compiled` regardless of slicing.
+
+    ``code`` is ``program``'s op array when the caller keeps it (a unit's,
+    via :func:`unit_code`); otherwise ``program`` is compiled for this
+    execution alone.
 
     Executions are **picklable, mid-run included**: the compiled op array is
     a graph of process-local closures and never crosses a process boundary —
@@ -506,12 +494,10 @@ class CompiledExecution:
         heap: Optional[Dict[int, s.Value]] = None,
         stack: Optional[List[s.Value]] = None,
         fuel: int = 100_000,
+        code: Optional[List[Op]] = None,
     ):
-        # Programs are tuples (repro.stacklang.syntax.Program); only those hit
-        # the id-keyed memo.  Other sequences compile uncached — caching a
-        # per-call ``tuple(...)`` copy would just churn the LRU with dead keys.
         self.program = program if isinstance(program, tuple) else tuple(program)
-        self._code = compile_program(program) if isinstance(program, tuple) else _compile(self.program)
+        self._code = code if code is not None else compile_program(self.program)
         heap_cells: Dict[int, object] = dict(heap or {})
         self._heap_cells = heap_cells
         self._st: _OpState = [
@@ -544,9 +530,7 @@ class CompiledExecution:
 
     def __setstate__(self, state: dict) -> None:
         self.program = state["program"]
-        # Unpickling makes a fresh program tuple whose id can never be looked
-        # up again; compile uncached rather than churn the id-keyed memo.
-        self._code = _compile(self.program)
+        self._code = compile_program(self.program)
         self._st = state["st"]
         self._heap_cells = self._st[_HEAP]  # preserve the __init__ aliasing
         self._pc = state["pc"]
@@ -634,11 +618,12 @@ def run_compiled(
 ) -> MachineResult:
     """Run ``program`` on the pc-threaded machine; mirrors ``machine.run``.
 
-    Observable results (statuses, error codes, stacks, heaps) match the
-    substitution machine; *fuel granularity* does not — synthetic ops
-    (jumps, env-exit brackets, thunk returns, the final halt) each consume a
-    step, so the compiled machine takes more, finer-grained steps than the
-    oracle.  Give it headroom when comparing near the fuel boundary.
+    ``program`` is compiled for this run alone.  Observable results
+    (statuses, error codes, stacks, heaps) match the substitution machine;
+    *fuel granularity* does not — synthetic ops (jumps, env-exit brackets,
+    thunk returns, the final halt) each consume a step, so the compiled
+    machine takes more, finer-grained steps than the oracle.  Give it
+    headroom when comparing near the fuel boundary.
 
     One maximal slice of :class:`CompiledExecution`; serving code holding
     several programs uses the execution object directly and slices the

@@ -28,7 +28,7 @@ from repro.interop_affine import DOUBLE_FORCE_PROGRAM
 from repro.interop_affine import make_system as make_affine_system
 from repro.interop_l3 import make_system as make_l3_system
 from repro.interop_refs import make_system as make_refs_system
-from repro.lcvm import cek
+from repro.lcvm import CellKind, Heap, cek
 from repro.lcvm import machine as lcvm_machine
 from repro.lcvm.machine import Status
 from repro.lcvm.syntax import (
@@ -331,6 +331,24 @@ def test_compiled_roots_in_flight_temporaries():
     compiled = cek.run_compiled(program)
     assert compiled.failure_code is None
     assert compiled.value == Int(1)
+
+
+def test_compiled_roots_locations_pending_code_mentions():
+    # No frontend emits a location literal, so only machine-level programs
+    # reach this root: ℓ0 is live at callgc because the code waiting in the
+    # let frame mentions it, and nothing else does.
+    def seeded():
+        heap = Heap()
+        heap.allocate(Int(5), CellKind.GC)
+        return heap
+
+    program = Let("_", CallGc(), Deref(Loc(0)))
+    oracle = lcvm_machine.run(program, heap=seeded())
+    assert oracle.value == Int(5)
+    compiled = cek.run_compiled(program, heap=seeded())
+    assert compiled.failure_code is None
+    assert compiled.value == Int(5)
+    assert dict(compiled.heap.cells) == dict(oracle.heap.cells)
 
 
 # ---------------------------------------------------------------------------

@@ -76,15 +76,15 @@ def test_compiled_beats_substitution_on_deep_boundary_crossing(factory, language
     unit = system.compile_source(language, builder(depth))
 
     results = {
-        backend: system.run_compiled(unit.target_code, fuel=FUEL, backend=backend)
+        backend: system.run_unit(unit, fuel=FUEL, backend=backend)
         for backend in ("substitution", FAST_BACKEND)
     }
     assert results["substitution"].ok and results[FAST_BACKEND].ok
     assert results["substitution"].value == results[FAST_BACKEND].value
 
     substitution_time, fast_time = _best_alternating(
-        lambda: system.run_compiled(unit.target_code, fuel=FUEL, backend="substitution"),
-        lambda: system.run_compiled(unit.target_code, fuel=FUEL, backend=FAST_BACKEND),
+        lambda: system.run_unit(unit, fuel=FUEL, backend="substitution"),
+        lambda: system.run_unit(unit, fuel=FUEL, backend=FAST_BACKEND),
     )
     speedup = substitution_time / fast_time
     assert speedup >= MIN_SPEEDUP, (

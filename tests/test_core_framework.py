@@ -345,7 +345,7 @@ def test_export_and_import_cache_entries_round_trip():
     assert (stats["imports"], stats["hits"], stats["misses"]) == (1, 1, 0)
 
     # Re-importing an already-resident key is a no-op (the resident unit
-    # keeps its identity, which the machine-level compiled memos key on).
+    # stays, with the machine code it has already built).
     assert not consumer.import_cache_entry(key, producer.pipeline("(x)"))
     assert consumer.cache_stats()["imports"] == 1
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import optimize
 from repro.core.errors import ErrorCode, MachineFailure
+from repro.core.language import CompiledUnit
 from repro.lcvm import (
     HeapCell,
     cek,
@@ -387,24 +388,30 @@ def test_binop_failure_in_right_operand_outranks_type_error():
 
 
 def test_compiled_cek_compiles_safely_from_concurrent_threads():
-    # In-process network endpoints serve from threads that share the compiled
-    # memo: every compile must keep its own node table, whatever interleaves.
+    # In-process network endpoints serve from threads that may compile at
+    # once, and may start the same unit at once: every compile must build
+    # its own complete, self-consistent node table, whatever interleaves.
     def program(seed):
         expr = Var("x")
         for depth in range(12):
             expr = Let("x", BinOp("+", Int(seed + depth), Var("x")), expr)
         return Let("x", Int(seed), expr)
 
+    size = len(cek.Code(program(0)).nodes)
+    shared = CompiledUnit(language="LCVM", term=None, type=None, target_code=program(7))
     failures = []
+
+    def check(code, expr):
+        assert code.root is expr and code.exprs[-1] is expr
+        assert len(code.nodes) == len(code.exprs) == len(code.mentioned) == size
+        assert all(node[1] == index for index, node in enumerate(code.nodes))
 
     def compile_many(thread):
         try:
             for round_ in range(150):
                 expr = program(1000 * thread + round_)
-                node = cek.compile_node(expr)
-                table = cek.compiled_table(expr)
-                assert table[node.index] is node
-                assert all(entry.root is expr for entry in table)
+                check(cek.Code(expr), expr)
+                check(cek.unit_code(shared, "cek-compiled"), shared.target_code)
         except Exception as error:  # surfaced by the assertion below
             failures.append(error)
 
@@ -420,3 +427,43 @@ def test_compiled_cek_compiles_safely_from_concurrent_threads():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
+    code = shared.machine_code["cek-compiled"]
+    assert cek.CompiledExecution(code.root, code=code).run().value == Int(7 * 13 + sum(range(12)))
+
+
+# -- compiled CEK: pre-seeded heaps ---------------------------------------------
+
+
+def _seeded_heap():
+    heap = Heap()
+    heap.allocate(Lam("x", BinOp("+", Var("x"), Deref(Loc(1)))), CellKind.GC)
+    heap.allocate(Int(5), CellKind.GC)
+    return heap
+
+
+def test_seeded_closure_body_compiles_once_per_execution(monkeypatch):
+    compiled = []
+
+    class CountingCode(cek.Code):
+        __slots__ = ()
+
+        def __init__(self, root):
+            compiled.append(root)
+            super().__init__(root)
+
+    monkeypatch.setattr(cek, "Code", CountingCode)
+    call = App(Var("f"), App(Var("f"), App(Var("f"), Int(1))))
+    result = cek.run_compiled(Let("f", Deref(Loc(0)), call), heap=_seeded_heap())
+    assert result.value == Int(16)
+    # The program and the seeded closure's body, once each — not once per call.
+    assert len(compiled) == 2
+
+
+def test_seeded_closure_keeps_the_locations_its_body_mentions():
+    # The oracle's heap holds the lambda as syntax, so after ``f`` is
+    # substituted the remaining program mentions ℓ1 and ``callgc`` keeps it.
+    program = Let("f", Deref(Loc(0)), Let("_", CallGc(), App(Var("f"), Int(1))))
+    oracle = run(program, heap=_seeded_heap())
+    compiled = cek.run_compiled(program, heap=_seeded_heap())
+    assert oracle.value == compiled.value == Int(6)
+    assert dict(compiled.heap.cells) == dict(oracle.heap.cells)
