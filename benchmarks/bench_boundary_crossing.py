@@ -1,20 +1,19 @@
-"""E13 — end-to-end boundary-crossing cost in all three case studies.
+"""E13 — evaluator backends on deep boundary-crossing workloads.
 
-Measures the full pipeline cost (parse + typecheck + compile + run) of a
-program that stays within one language against the same computation that
-crosses the language boundary repeatedly, for each of the §3, §4, and §5
-systems; then compares the evaluator backends (``substitution`` reference
-machine vs ``cek-compiled``, plus ``cek-opt`` on LCVM) on deep-crossing
-workloads, and measures what the pipeline cache buys on repeated submissions
-of the same program.
+Compares the evaluator backends (``substitution`` reference machine vs
+``cek-compiled``, plus ``cek-opt`` on LCVM) on the same compiled
+deep-crossing program in each of the §3, §4, and §5 systems.  The cold and
+warm full pipeline (parse + typecheck + compile + run, with and without the
+pipeline cache) is measured by ``perfbench``'s ``cold-mix`` and
+``warm-loop`` workloads.
 
-Besides the pytest-benchmark entry points, the module is runnable as a
+Besides the pytest-benchmark entry point, the module is runnable as a
 script: it times every registered backend on the deep-crossing workloads,
 writes machine-readable ``BENCH_boundary_crossing.json`` (per-backend
-timings plus speedup ratios, and the glue pre-resolution counters) so the
-perf trajectory is tracked across PRs, and with ``--check`` exits non-zero if
-the optimizing ``cek-opt`` backend is faster than ``cek-compiled`` on none of
-the deep-crossing workloads that register it:
+timings plus speedup ratios) so the perf trajectory is tracked across PRs,
+and with ``--check`` exits non-zero if the optimizing ``cek-opt`` backend is
+faster than ``cek-compiled`` on none of the deep-crossing workloads that
+register it:
 
     PYTHONPATH=src python benchmarks/bench_boundary_crossing.py --check
 
@@ -48,33 +47,8 @@ from repro.util.workloads import (
     nested_refll_boundary as _nested_refll_boundary,
 )
 
-CROSSINGS = 10
 DEEP_CROSSINGS = 40
 RUN_FUEL = 5_000_000
-
-
-@pytest.mark.parametrize(
-    "label,factory,language,source",
-    [
-        ("refs/pure", make_refs_system, "RefLL", "(+ 1 (+ 1 (+ 1 1)))"),
-        ("refs/crossing", make_refs_system, "RefLL", _nested_refll_boundary(CROSSINGS)),
-        ("affine/pure", make_affine_system, "MiniML", "(+ 1 (+ 1 (+ 1 1)))"),
-        ("affine/crossing", make_affine_system, "MiniML", _nested_ml_affi_boundary(CROSSINGS)),
-        ("l3/pure", make_l3_system, "MiniML", "(! (ref 5))"),
-        ("l3/crossing", make_l3_system, "MiniML", "(! (boundary (ref int) (new true)))"),
-    ],
-)
-def test_boundary_crossing_pipeline(benchmark, label, factory, language, source):
-    system = factory()
-
-    def pipeline():
-        return system.run_source(language, source)
-
-    result = benchmark(pipeline)
-    assert result.ok, f"{label}: {result}"
-    benchmark.extra_info["label"] = label
-    benchmark.extra_info["steps"] = result.steps
-    benchmark.extra_info["cache"] = system.cache_stats()
 
 
 # -- backend comparison on deep crossings ------------------------------------------
@@ -105,27 +79,6 @@ def test_deep_crossing_backend_comparison(benchmark, workload, backend):
     benchmark.extra_info["workload"] = workload
     benchmark.extra_info["backend"] = backend
     benchmark.extra_info["steps"] = result.steps
-
-
-# -- pipeline cache ----------------------------------------------------------------
-
-
-@pytest.mark.parametrize("cached", [True, False], ids=["warm-cache", "cold-cache"])
-def test_pipeline_cache_effect(benchmark, cached):
-    """Repeated submissions of one crossing-heavy program, with/without cache."""
-    system = make_affine_system()
-    source = _nested_ml_affi_boundary(CROSSINGS)
-    frontend = system.frontend("MiniML")
-    frontend.cache_enabled = cached
-
-    def resubmit():
-        if not cached:
-            frontend.clear_cache()
-        return system.run_source("MiniML", source)
-
-    result = benchmark(resubmit)
-    assert result.ok
-    benchmark.extra_info["cache"] = system.cache_stats()
 
 
 # -- machine-readable JSON report + regression gate ---------------------------------
@@ -194,39 +147,7 @@ def collect_json_report() -> dict:
         "fuel": RUN_FUEL,
         "repeats": _JSON_REPEATS,
         "workloads": workloads,
-        "glue_preresolution": collect_glue_report(),
     }
-
-
-def collect_glue_report() -> dict:
-    """Convertibility-counter differential: glue pre-resolution on vs off.
-
-    For every deep-crossing workload the program is parsed and typechecked
-    once, the relation's counters are reset, and then *compilation alone*
-    runs — so ``compile_lookups`` counts exactly the per-crossing dynamic
-    relation lookups the compile phase performs.  With pre-resolution on the
-    typechecker already captured each boundary's oriented glue closure, so
-    the compile phase does zero dynamic lookups and ``preresolved`` counts
-    every crossing site instead; with it off, every crossing pays a dynamic
-    ``require`` lookup at compile time (the pre-PR behaviour).
-    """
-    report = {}
-    for name, (factory, language, source) in _DEEP_WORKLOADS.items():
-        section = {}
-        for mode, preresolve in (("on", True), ("off", False)):
-            system = factory(preresolve=preresolve)
-            frontend = system.frontend(language)
-            term = frontend.parse_expr(source)
-            frontend.typecheck(term)
-            system.convertibility.reset_stats()
-            frontend.compile(term)
-            stats = system.convertibility.stats()
-            section[mode] = {
-                "compile_lookups": stats["lookups"],
-                "preresolved": stats["preresolved"],
-            }
-        report[name] = section
-    return report
 
 
 def main(argv) -> int:
@@ -247,12 +168,6 @@ def main(argv) -> int:
         print(f"{name}: vs substitution: {summary}" + ("" if opt is None else f"; opt vs compiled {opt:.2f}x"))
         if opt is not None and opt > 1.0:
             opt_improved.append(name)
-    for name, section in sorted(report["glue_preresolution"].items()):
-        on, off = section["on"], section["off"]
-        print(
-            f"{name}: glue pre-resolution on: {on['compile_lookups']} compile-phase lookups, "
-            f"{on['preresolved']} preresolved; off: {off['compile_lookups']} lookups"
-        )
     print(f"wrote {output}")
     if check and not opt_improved:
         print(

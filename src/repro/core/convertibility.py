@@ -187,8 +187,9 @@ class ConvertibilityRelation:
 
         Called by the boundary hooks when a crossing site's conversion was
         baked in at typecheck time, so compiling the site performed **zero**
-        dynamic :meth:`query` lookups.  The bench gate compares this counter
-        against ``hits``/``misses`` to prove per-crossing lookups are gone.
+        dynamic :meth:`query` lookups.  The tier-1 analysis tests compare
+        this counter against ``lookups`` to prove per-crossing lookups are
+        gone.
         """
         self.preresolved += 1
 

@@ -9,7 +9,7 @@ post-``callgc`` heaps; the shrinker (:mod:`repro.fuzz.shrinker`) greedily
 minimizes any disagreement; and the corpus (:mod:`repro.fuzz.corpus`)
 persists counterexamples and replays them — alongside the promoted legacy
 workloads — forever after.  ``tools/fuzz.py`` is the CLI; the same
-generator feeds the multi-tenant QoS batch in ``bench_serving.py --qos``.
+generator feeds the multi-tenant QoS batch in ``tests/test_fuzz.py``.
 """
 
 from repro.fuzz.corpus import (

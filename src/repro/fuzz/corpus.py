@@ -11,7 +11,7 @@ Two kinds of entries flow through here:
   from :mod:`repro.util.workloads` (the repo's original scenario suite),
   promoted to parametrized corpus entries.  They are replayed by
   ``tools/fuzz.py --replay`` and serve as the known-cost backbone of the
-  ``bench_serving.py --qos`` mixed-tenant batch.
+  QoS mixed-tenant batch in ``tests/test_fuzz.py``.
 
 File naming is content-addressed (``<system>-<sha256 prefix>.json``) so
 re-finding the same minimized program is idempotent.

@@ -46,7 +46,7 @@ multi-tenant service front:
   crash-looping workers (``CircuitBreaker`` / ``BreakerPolicy``),
   deterministic load shedding (``AdmissionController``), and the seeded
   fault-injection harness (``Fault`` / ``FaultPlan``) that exercises every
-  recovery path deterministically in tests and ``bench_serving.py --chaos``;
+  recovery path deterministically in the tier-1 tests;
 * :mod:`~repro.serve.net` / :mod:`~repro.serve.wire` /
   :mod:`~repro.serve.ring` — the network tier: a length-prefixed, versioned
   framed wire protocol carrying the workers' conversation over TCP, a
@@ -64,12 +64,7 @@ from repro.serve.checkpoint import Checkpoint, CheckpointCorrupt, CheckpointStor
 from repro.serve.driver import DrivenResult, StepSlicedDriver
 from repro.serve.faults import FAULT_SITES, Fault, FaultPlan
 from repro.serve.net import NetClient, NetRouter, NetWorker
-from repro.serve.pool import (
-    WorkerPool,
-    default_scheduler_factory,
-    shard_of,
-    static_shard_of,
-)
+from repro.serve.pool import WorkerPool, default_scheduler_factory, shard_of
 from repro.serve.reliability import (
     AdmissionController,
     BreakerPolicy,
@@ -126,5 +121,4 @@ __all__ = [
     "make_default_scheduler",
     "priority_weight",
     "shard_of",
-    "static_shard_of",
 ]

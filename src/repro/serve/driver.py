@@ -11,24 +11,23 @@ budget fails alone, in its own slice, without disturbing its neighbours.
 The module's contract is the bounded-latency invariant: for every driven
 execution, ``steps ≤ slices × slice_steps`` — a backend can never advance
 more machine transitions than the turns it was granted allow, whatever its
-neighbours do.  The serving tests assert the inequality per response and
-``bench_serving.py --check`` gates it in CI; a backend that runs to
-completion inside one slice (the old ``BlockingExecution`` behaviour)
-violates it on any deep program.
+neighbours do.  The serving tests assert the inequality per response; a
+backend that runs to completion inside one slice (the old
+``BlockingExecution`` behaviour) violates it on any deep program.
 
 There is one entry point, :meth:`StepSlicedDriver.run_batch`, a weighted
 round-robin loop.  Each turn grants an execution up to its integer
 ``weight`` consecutive slices; the serving layer maps
 :attr:`repro.serve.request.Request.priority` classes onto these weights
-(high = 8, standard = 2, best-effort = 1), which is what
-``bench_serving.py --qos`` gates: under contention, high-priority p99
-latency strictly beats best-effort — with identical results to sequential
-execution, because weights shape latency, never outcomes.  The other
-orders are special cases of the same loop:
+(high = 8, standard = 2, best-effort = 1), which is what the QoS tests
+check: under contention, high-priority p99 latency clearly beats
+best-effort — with identical results to sequential execution, because
+weights shape latency, never outcomes.  The other orders are special cases
+of the same loop:
 
 * ``sequential=True`` is an unbounded weight: each execution runs to
-  completion before the next starts (the differential twin CI's
-  ``bench_serving.py --check`` compares against);
+  completion before the next starts (the differential twin the serving
+  tests compare against);
 * ``schedule`` is a caller-chosen prefix of single-slice grants before the
   weighted turns begin; the hypothesis tests drive it with arbitrary
   interleavings to prove results are independent of scheduling;

@@ -6,9 +6,9 @@ This module makes every recovery path a *scheduled* event: a
 naming a **site** (where in the stack it fires), an optional target (shard,
 request id, slice number), and a repetition count.  The plan travels with
 the pool into every worker process, so the same plan produces the same
-faults at the same slice boundaries on every run — which is what lets
-``bench_serving.py --chaos`` gate that results under faults equal the
-fault-free differential baseline.
+faults at the same slice boundaries on every run — which is what lets the
+reliability tests require that results under faults equal the fault-free
+differential baseline.
 
 Fault-site catalog (see ``docs/reliability.md`` for the recovery path each
 one exercises):

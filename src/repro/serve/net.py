@@ -37,9 +37,9 @@ model — blocking sockets, one thread per conversation:
 Determinism: placement is pure sha256 ring math; load-aware choice uses
 only load built while the batch is being placed (and idle-time heartbeat
 reports), so the same batch against the same fleet places the same way
-every run — which is what lets ``bench_serving.py --check --net`` gate net
-results == the sequential baseline, and ``--net --chaos`` gate recovery
-under injected ``net.drop`` / ``net.slow`` faults (:mod:`repro.serve.faults`).
+every run — which is what lets the network tests require net results ==
+the sequential baseline, including recovery under injected ``net.drop`` /
+``net.slow`` faults (:mod:`repro.serve.faults`).
 """
 
 from __future__ import annotations
@@ -435,7 +435,7 @@ class NetRouter(_Listener):
         """Register a worker endpoint; returns the id it reported in WELCOME.
 
         Only the ring arcs the new endpoint's virtual nodes own move to it —
-        every other program keeps its warm home (bench-gated remap bound).
+        every other program keeps its warm home (the tested remap bound).
         """
         host, port = address
         with self._lock:

@@ -28,7 +28,6 @@ module-level callable; the default builds the stock three-system scheduler.
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import time
 from functools import lru_cache
@@ -41,7 +40,7 @@ from repro.serve.request import Request, Response
 from repro.serve.ring import DEFAULT_VIRTUAL_NODES, HashRing
 from repro.serve.scheduler import Scheduler, make_default_scheduler
 
-__all__ = ["WorkerPool", "default_scheduler_factory", "shard_of", "static_shard_of"]
+__all__ = ["WorkerPool", "default_scheduler_factory", "shard_of"]
 
 
 def default_scheduler_factory(slice_steps: int) -> Scheduler:
@@ -83,17 +82,6 @@ def shard_of(
     raw ``request.system`` spelling is hashed as-is.
     """
     return _ring_for(workers, virtual_nodes).node_for(_shard_key(request, router))
-
-
-def static_shard_of(request: Request, workers: int, router: Optional[Scheduler] = None) -> int:
-    """The pre-ring placement: ``sha256(placement key) % workers``.
-
-    Kept as the rebalance benchmark's baseline — it is what consistent
-    hashing and load-aware dispatch are measured against (full remap on any
-    fleet-size change; a hot program pinned to exactly one worker).
-    """
-    digest = hashlib.sha256(_shard_key(request, router).encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") % workers
 
 
 # -- the worker side ----------------------------------------------------------

@@ -145,8 +145,8 @@ class Request:
     #: tenant's p99 stays low while best-effort work soaks up the remainder.
     #: Priority shapes *latency*, never results: the bounded-latency
     #: invariant still holds per slice and interleaved results must equal
-    #: sequential ones whatever the weights (gated by
-    #: ``bench_serving.py --check --qos``).
+    #: sequential ones whatever the weights (checked by the QoS tests in
+    #: ``tests/test_fuzz.py``).
     priority: Union[int, str] = DEFAULT_PRIORITY
 
     def label(self) -> str:

@@ -12,7 +12,7 @@ execution under *its own* backend choice and fuel budget, and the whole
 batch is driven by the synchronous slice loop of
 :class:`~repro.serve.driver.StepSlicedDriver` — interleaved by priority
 weight, or one at a time with ``sequential=True``, the differential twin
-CI's ``bench_serving.py --check`` compares against.  The same call coalesces
+the serving tests compare against.  The same call coalesces
 identical requests (``batched``), preempts at a slice ceiling
 (``max_slices``), and streams slice-boundary checkpoints
 (``on_checkpoint``); :meth:`Scheduler.resume` continues checkpointed runs

@@ -12,16 +12,19 @@ Covers the satellite contract for `src/repro/fuzz/`:
   produce identical results on every backend (the regression half of the
   promotion);
 
-plus the serving-side QoS mechanics the same PR added: priority-class →
-weight mapping, weighted slice granting in the driver, and scheduler-level
-outcome invariance under weights.
+plus the serving-side QoS mechanics: priority-class → weight mapping,
+weighted slice granting in the driver, scheduler-level outcome invariance
+under weights, and, on a generated mixed-tenant batch, high-priority p99
+latency well below best-effort p99.
 """
 
+import math
 import random
 
 import pytest
 
 from repro.fuzz import (
+    DIVERGENT_SOURCES,
     DifferentialOracle,
     Disagreement,
     FuzzCase,
@@ -46,6 +49,27 @@ from repro.serve import (
 
 SEED = 20260808
 SAMPLE = 45  # 15 per system: every kind appears at this size
+
+#: The mixed-tenant QoS batch.  A small slice size keeps every tenant mid-run
+#: for many turns, so the weighted driver arbitrates real contention.
+QOS_SLICE_STEPS = 32
+QOS_CLASSES = ("high", "standard", "best-effort")
+#: Generated well-typed programs per class; every class gets the *same*
+#: programs, so class latencies differ only by scheduling weight.
+QOS_GENERATED_PER_CLASS = 8
+QOS_LEGACY_DEPTHS = (12, 24)
+#: One long-running tenant per class: the refs Landin's knot at this fuel is
+#: ~375 slices of ballast.  It dominates each class's p99, and a weight-8
+#: tenant clears it in far fewer scheduler turns than a weight-1 tenant.
+QOS_BALLAST_FUEL = 12_000
+#: Latency passes; each class's p99 is the median across passes, so a single
+#: noisy pass cannot flip the verdict.
+QOS_REPEATS = 3
+#: High-priority p99 must beat best-effort p99 by this factor.  With the
+#: documented weights best-effort p99 is ~1.7x high p99; with equal weights
+#: the two sit within 0.5% of each other (the high knot merely starts first),
+#: so a bare ``<`` would pass with priorities ignored.
+QOS_P99_SEPARATION = 1.25
 
 
 @pytest.fixture(scope="module")
@@ -320,10 +344,8 @@ def test_driver_rejects_bad_weights():
         driver.run_batch([_CountingExecution("x", 1, [])], weights=[1, 2])
 
 
-def test_scheduler_outcomes_are_invariant_under_priorities():
-    scheduler = make_default_scheduler(slice_steps=16)
-    entries = legacy_corpus_entries(depths=(4,))
-    requests = [
+def _legacy_requests():
+    return [
         Request(
             language=entry.language,
             source=entry.source,
@@ -331,14 +353,87 @@ def test_scheduler_outcomes_are_invariant_under_priorities():
             priority=priority,
             request_id=f"{entry.system}-{priority}",
         )
-        for entry in entries
-        for priority in ("high", "standard", "best-effort")
+        for entry in legacy_corpus_entries(depths=(4,))
+        for priority in QOS_CLASSES
     ]
+
+
+def _qos_requests():
+    """One request per (program, priority class), classes alternating.
+
+    The programs are the generator's first ``ok`` cases under the pinned
+    seed, the legacy corpus at two depths, and one divergent knot.  Classes
+    alternate program by program, so no class gets a positional head start
+    in the slice loop.
+    """
+    generator = FuzzGenerator(seed=SEED)
+    cases = []
+    while len(cases) < QOS_GENERATED_PER_CLASS:
+        case = generator.next_case()
+        if case.kind == "ok":
+            cases.append(case)
+    programs = [
+        (case.system, case.language, case.source, case.fuel)
+        for case in cases + legacy_corpus_entries(depths=QOS_LEGACY_DEPTHS)
+    ]
+    knot_language, knot_source = DIVERGENT_SOURCES["refs"]
+    programs.append(("refs", knot_language, knot_source, QOS_BALLAST_FUEL))
+    return [
+        Request(
+            language=language,
+            source=source,
+            system=system,
+            fuel=fuel,
+            priority=priority,
+            request_id=f"qos-{priority}-{index}",
+        )
+        for index, (system, language, source, fuel) in enumerate(programs)
+        for priority in QOS_CLASSES
+    ]
+
+
+@pytest.mark.parametrize(
+    "make_requests,slice_steps",
+    [(_legacy_requests, 16), (_qos_requests, QOS_SLICE_STEPS)],
+    ids=["legacy", "qos"],
+)
+def test_scheduler_outcomes_are_invariant_under_priorities(make_requests, slice_steps):
+    scheduler = make_default_scheduler(slice_steps=slice_steps)
+    requests = make_requests()
     sequential = scheduler.serve_sequential(requests)
     interleaved = scheduler.serve(requests)
     for seq, inter in zip(sequential, interleaved):
         assert (seq.error, str(seq.result)) == (inter.error, str(inter.result))
-        assert inter.steps <= inter.slices * 16  # bounded latency survives weights
+        assert inter.steps <= inter.slices * slice_steps  # bounded latency survives weights
+
+
+def _percentile(values, q):
+    """Nearest-rank percentile of a non-empty sample."""
+    ordered = sorted(values)
+    return ordered[max(0, min(len(ordered) - 1, math.ceil(q / 100.0 * len(ordered)) - 1))]
+
+
+def test_high_priority_p99_beats_best_effort_under_contention():
+    scheduler = make_default_scheduler(slice_steps=QOS_SLICE_STEPS)
+    requests = _qos_requests()
+    scheduler.warm_cache(requests)
+    passes = [scheduler.serve(requests) for _ in range(QOS_REPEATS)]
+
+    def p99(priority):
+        return _percentile(
+            [
+                _percentile(
+                    [r.run_seconds for r in responses if r.request.priority == priority], 99
+                )
+                for responses in passes
+            ],
+            50,
+        )
+
+    high, best_effort = p99("high"), p99("best-effort")
+    assert high * QOS_P99_SEPARATION < best_effort, (
+        f"high p99 {high * 1000:.2f}ms vs best-effort p99 {best_effort * 1000:.2f}ms"
+    )
 
 
 def test_scheduler_rejects_an_unknown_priority_class_per_request():

@@ -12,7 +12,8 @@ What is pinned here:
   locality hint; load-aware dispatch spreads a hot key over its top-k
   candidates;
 * **elastic membership** — workers join and leave at runtime; a join moves
-  only a bounded fraction of placements, all onto the new endpoint;
+  only a bounded fraction of placements, all onto the new endpoint, which
+  warms an already-published program from the store;
 * **reliability over the wire** — an injected ``net.drop`` recovers by
   checkpoint migration onto a surviving endpoint (``migrated_from``,
   breaker accounting); ``net.slow`` plus a per-attempt deadline turns a
@@ -287,6 +288,10 @@ def test_join_remaps_a_bounded_fraction_onto_the_new_endpoint():
             for index in range(64)
         ]
         before = {index: router.endpoint_for(request) for index, request in enumerate(probes)}
+        # A program published before the join, for the joiner to warm from.
+        hot = nested_refll_boundary(6)
+        published = router.run_batch([Request(language="RefLL", source=hot, request_id="hot-seed")])[0]
+        assert published.published
         joiner = NetWorker(endpoint_id=2, slice_steps=SLICE_STEPS)
         joiner.start()
         workers.append(joiner)
@@ -296,6 +301,20 @@ def test_join_remaps_a_bounded_fraction_onto_the_new_endpoint():
         assert moved, "the joiner must take over some placements"
         assert len(moved) / len(probes) <= 0.65, "a join must not reshuffle most keys"
         assert all(after[index] == 2 for index in moved), "keys move only to the joiner"
+        # The joiner imports the published program from the store instead of
+        # recompiling it.
+        pinned = next(
+            request
+            for request in (
+                Request(language="RefLL", source=hot, affinity=f"pin-{attempt}", request_id="hot-join")
+                for attempt in range(256)
+            )
+            if router.endpoint_for(request) == 2
+        )
+        warmed = router.run_batch([pinned])[0]
+        assert warmed.shard == 2
+        assert warmed.shared_cache_hit and not warmed.published
+        assert _observable(warmed) == _observable(published)
         # The grown fleet still serves correctly.
         requests = _mixed_requests()
         baseline = router.run_sequential(requests)

@@ -165,7 +165,7 @@ def test_artifact_published_by_one_worker_warms_the_other():
         assert first.published and not first.shared_cache_hit
         assert second.shared_cache_hit and not second.published
         assert second.cache_hit  # the import satisfied the frontend LRU lookup
-        assert _observable(first) == _observable(second)
+        assert first.ok and _observable(first) == _observable(second)
         stats = pool.cache_stats()
         assert stats["publishes"] >= 1
         assert stats["hits"] >= 1

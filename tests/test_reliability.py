@@ -19,9 +19,15 @@ What is pinned here:
 * **load shedding** — admission limits shed the deterministic *tail* of an
   oversized batch with structured ``rejected_overload`` responses, and
   everything admitted is served normally;
+* **fault composition** — a worker crash, a stall past a deadline and
+  suppressed checkpoints in one mixed batch each take their own recovery
+  path (migration, deadline checkpoint, redispatch), and every response
+  equals the fault-free baseline or is a structured policy response;
 * **store hardening & GC** — corrupt checkpoint files surface as
   :class:`CheckpointCorrupt` (a ``ValueError``) naming the path, never
-  break scanning the healthy rest, and age/size GC evicts oldest-first.
+  break scanning the healthy rest, and age/size GC evicts oldest-first;
+  injected ``store.write`` and ``restore.tamper`` faults raise ``OSError``
+  and :class:`CheckpointCorrupt`.
 
 Worker-pool tests use module-level factories/plans (the spawn start method
 pickles them by reference); breakers live in the parent, so their fake
@@ -31,6 +37,7 @@ clocks can stay local.
 import os
 import pickle
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -49,7 +56,11 @@ from repro.serve import (
     make_default_scheduler,
 )
 from repro.serve.faults import Fault, FaultPlan
-from repro.util.workloads import nested_refll_boundary
+from repro.util.workloads import (
+    nested_ml_affi_boundary,
+    nested_ml_l3_boundary,
+    nested_refll_boundary,
+)
 
 
 class FakeClock:
@@ -527,6 +538,125 @@ def test_pool_deadline_fires_under_an_injected_slow_worker():
         assert resumed[0].error is None
 
 
+# -- pool: three fault kinds in one batch -------------------------------------
+
+#: A small slice size keeps the deep requests running for several slices, so
+#: the injected crash and stall land mid-run, not after the work is done.
+CHAOS_SLICE_STEPS = 32
+CHAOS_SEED = 20260808
+#: The stall is far past the deadline, so the deadline verdict is
+#: deterministic despite real clocks in the workers.
+CHAOS_DEADLINE_SECONDS = 0.05
+CHAOS_SLOW_SECONDS = 0.3
+#: Headroom on the ``steps <= slices x slice_steps`` audit for a backend
+#: whose step accounting is slightly coarser than its slicing.
+SLICE_BUDGET_TOLERANCE = 1.05
+
+
+def _chaos_requests():
+    """Three systems, compiled requests next to oracle ones, one starved of fuel."""
+    deep, shallow = 12, 6
+    refs, affine, l3 = nested_refll_boundary, nested_ml_affi_boundary, nested_ml_l3_boundary
+    return [
+        Request(language="RefLL", source=refs(deep), request_id="refs-deep"),
+        Request(language="RefLL", source=refs(shallow), request_id="refs-shallow"),
+        Request(language="RefLL", source=refs(shallow), backend="substitution", request_id="refs-oracle"),
+        Request(language="MiniML", system="affine", source=affine(deep), request_id="affine-deep"),
+        Request(language="MiniML", system="affine", source=affine(shallow), backend="substitution", request_id="affine-oracle"),
+        Request(language="Affi", source="(if (boundary bool 7) 1 2)", request_id="affi-small"),
+        Request(language="MiniML", system="l3", source=l3(deep), request_id="l3-deep"),
+        Request(language="MiniML", system="l3", source=l3(shallow), backend="substitution", request_id="l3-oracle"),
+        Request(language="MiniML", system="l3", source="(! (boundary (ref int) (new true)))", request_id="l3-small"),
+        Request(language="MiniML", system="affine", source=affine(deep), fuel=7, request_id="affine-starved"),
+    ]
+
+
+def _observable(response):
+    result = response.result
+    return (
+        response.error,
+        None if result is None else str(result.value),
+        None if result is None else str(result.failure),
+        None if result is None else result.steps,
+    )
+
+
+def test_pool_recovers_one_batch_from_a_crash_a_stall_and_lost_checkpoints():
+    """Three fault kinds in one mixed batch, each aimed at a shard, request and slice.
+
+    ``worker.crash`` kills the shard serving ``refs-deep`` when that request
+    finishes its second slice, so it migrates from its streamed checkpoint;
+    ``checkpoint.pickle`` suppresses the checkpoints of ``affine-deep`` on
+    the same shard, so it is redispatched from scratch; ``worker.slow``
+    stalls ``l3-deep`` on the other shard past its deadline, so it comes back
+    as a structured ``deadline_exceeded`` whose checkpoint, resumed, lands on
+    the baseline.  Every other response equals the fault-free baseline.
+    """
+    requests = _chaos_requests()
+    baseline = {
+        response.request.request_id: _observable(response)
+        for response in make_default_scheduler(slice_steps=CHAOS_SLICE_STEPS).serve_sequential(requests)
+    }
+    by_id = {request.request_id: request for request in requests}
+    # Placement only: a pool spawns its workers on the first batch.
+    with WorkerPool(workers=2, slice_steps=CHAOS_SLICE_STEPS) as probe:
+        crash_shard = probe.shard_of(by_id["refs-deep"])
+        other_shard = 1 - crash_shard
+        # The deadline victim sits off the crashing shard, so its expiry
+        # cannot race the crash; the checkpoint-suppressed victim sits on it.
+        slow_key = _affinity_for_shard(probe, other_shard, source=by_id["l3-deep"].source)
+        suppress_key = _affinity_for_shard(probe, crash_shard, source=by_id["affine-deep"].source)
+    batch = [
+        replace(request, affinity=slow_key, deadline_seconds=CHAOS_DEADLINE_SECONDS)
+        if request.request_id == "l3-deep"
+        else replace(request, affinity=suppress_key)
+        if request.request_id == "affine-deep"
+        else request
+        for request in requests
+    ]
+    plan = FaultPlan(
+        seed=CHAOS_SEED,
+        faults=(
+            Fault(site="worker.crash", request_id="refs-deep", shard=crash_shard, at_slice=2),
+            Fault(
+                site="worker.slow",
+                request_id="l3-deep",
+                shard=other_shard,
+                at_slice=1,
+                delay_seconds=CHAOS_SLOW_SECONDS,
+            ),
+            Fault(site="checkpoint.pickle", request_id="affine-deep", shard=crash_shard, times=None),
+        ),
+    )
+    with WorkerPool(workers=2, slice_steps=CHAOS_SLICE_STEPS, fault_plan=plan) as pool:
+        responses = pool.run_batch(batch)
+        stats = pool.cache_stats()
+
+    served = {response.request.request_id: response for response in responses}
+    for request_id, expected in baseline.items():
+        if not served[request_id].policy_stopped:
+            assert _observable(served[request_id]) == expected, request_id
+    # The bounded-latency invariant holds on the cumulative, retry-inclusive
+    # accounting.
+    for response in responses:
+        if response.result is not None:
+            budget = response.slices * CHAOS_SLICE_STEPS * SLICE_BUDGET_TOLERANCE
+            assert response.result.steps <= budget, response.request.request_id
+    assert [request_id for request_id, response in served.items() if response.policy_stopped] == [
+        "l3-deep"
+    ]
+    stalled = served["l3-deep"]
+    assert stalled.deadline_exceeded and stalled.checkpoint is not None
+    # Granting the expired request more time resumes its checkpoint.
+    resumed = make_default_scheduler(slice_steps=CHAOS_SLICE_STEPS).resume([stalled.checkpoint])[0]
+    assert _observable(resumed) == baseline["l3-deep"]
+    assert stats["worker_crashes"] == 1
+    assert stats["migrations"] >= 1 and stats["redispatches"] >= 1
+    migrated, redispatched = served["refs-deep"], served["affine-deep"]
+    assert migrated.resumed and migrated.migrated_from == crash_shard and migrated.attempts == 2
+    assert not redispatched.resumed and redispatched.attempts == 2
+
+
 # -- checkpoint store: hardening & GC -----------------------------------------
 
 
@@ -611,8 +741,15 @@ def test_resume_stored_completes_consumes_and_gcs(tmp_path):
         [Request(language="RefLL", source=source, request_id="durable")], max_slices=1
     )[0]
     assert paused.preempted and paused.checkpoint is not None
-    store = CheckpointStore(str(tmp_path), max_age_seconds=3600.0)
-    saved = store.save(paused.checkpoint)
+    plan = FaultPlan(faults=(Fault(site="store.write"), Fault(site="restore.tamper")))
+    store = CheckpointStore(str(tmp_path), max_age_seconds=3600.0, fault_plan=plan)
+    with pytest.raises(OSError):
+        store.save(paused.checkpoint)  # the injected disk failure
+    saved = store.save(paused.checkpoint)  # the fault is spent: this one lands
+    with pytest.raises(CheckpointCorrupt):
+        store.load(saved)  # the injected torn read, reported structurally
+    assert store.load(saved).request.request_id == "durable"
+    assert plan.fired() == {"store.write": 1, "restore.tamper": 1}
     junk = os.path.join(str(tmp_path), "torn.ckpt")
     with open(junk, "wb") as handle:
         handle.write(b"half a pickl")
@@ -633,3 +770,7 @@ def test_resume_stored_completes_consumes_and_gcs(tmp_path):
     remaining = store.paths()
     assert saved not in remaining
     assert ancient not in remaining
+    # The torn file stays for inspection until GC ages it out.
+    assert remaining == [junk]
+    assert store.gc(max_age_seconds=0.0) == [junk]
+    assert store.paths() == []
