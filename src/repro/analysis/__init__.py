@@ -10,9 +10,7 @@ One entry point, :func:`analyze_unit`, runs every analysis over a compiled
   rule that was statically baked into the compiled handler;
 * effect/purity facts and node counts (:mod:`repro.analysis.effects`);
 * the StackLang stack-effect/arity verifier's findings
-  (:mod:`repro.analysis.stack_effects`);
-* the LCVM optimizer's projected node count (:mod:`repro.analysis.optimize`)
-  — the same transform the ``cek-opt`` backend executes.
+  (:mod:`repro.analysis.stack_effects`).
 
 :func:`make_analyzer` returns two frontend hooks.  The verifier is the one
 check that can reject a program: the systems register it as ``verify`` on
@@ -37,7 +35,6 @@ from repro.analysis.effects import (
     stack_instruction_count,
     summarize,
 )
-from repro.analysis.optimize import optimize
 from repro.analysis.report import AnalysisReport, CrossingSite, EffectSummary, StackIssue
 from repro.analysis.stack_effects import (
     StackVerification,
@@ -67,7 +64,6 @@ __all__ = [
     "stack_effects",
     "stack_instruction_count",
     "summarize",
-    "optimize",
     "require_verified",
     "verify_program",
 ]
@@ -101,10 +97,6 @@ def analyze_unit(
     if target == "stacklang":
         verification = verify_program(unit.target_code)
         errors, warnings = verification.errors, verification.warnings
-        # StackLang has no optimizing backend: nothing rewrites the code.
-        optimized_count = node_count
-    else:
-        optimized_count = lcvm_node_count(optimize(unit.target_code))
     return AnalysisReport(
         language=unit.language,
         target=target,
@@ -115,7 +107,6 @@ def analyze_unit(
         verified=not errors,
         errors=errors,
         warnings=warnings,
-        optimized_node_count=optimized_count,
     )
 
 

@@ -122,11 +122,6 @@ class AnalysisReport:
     verified: bool = True
     errors: Tuple[StackIssue, ...] = ()
     warnings: Tuple[StackIssue, ...] = ()
-    #: Node count after the ``cek-opt`` optimization pipeline (constant
-    #: folding, dead-binding elimination) — ``node_count`` minus this is the
-    #: statically provable work reduction (none on StackLang, which has no
-    #: optimizing backend).
-    optimized_node_count: int = 0
 
     @property
     def crossing_count(self) -> int:
@@ -157,8 +152,7 @@ class AnalysisReport:
         ]
         lines = [
             f"language {self.language} -> target {self.target}",
-            f"nodes {self.node_count} (optimized {self.optimized_node_count}),"
-            f" estimated steps >= {self.estimated_steps}",
+            f"nodes {self.node_count}, estimated steps >= {self.estimated_steps}",
             f"crossings {self.crossing_count}",
             "effects " + (", ".join(effect_bits) if effect_bits else "none"),
             f"verified {self.verified}",

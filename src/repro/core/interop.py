@@ -116,8 +116,8 @@ class InteropSystem:
     ) -> RunResult:
         """Compile and execute a program; return its observable outcome.
 
-        ``backend`` selects an evaluator from the target's backend registry
-        (``None`` runs the target's default backend, normally ``cek``).
+        ``backend`` names one of the target's engines (``None`` runs the
+        target's default, normally ``cek-compiled``).
         """
         unit = self.compile_source(language_name, source, **typecheck_kwargs)
         return self.run_unit(unit, fuel=fuel, backend=backend)
@@ -129,7 +129,7 @@ class InteropSystem:
 
     def run_compiled(self, target_code: Any, fuel: int = 100_000, backend: Optional[str] = None) -> RunResult:
         """Run bare target code; machine code is built for this run alone."""
-        return self.target.run_with(target_code, backend=backend, fuel=fuel)
+        return self.start_compiled(target_code, fuel=fuel, backend=backend).step_n(max(1, fuel))
 
     # -- resumable executions (the serving layer's entry points) --------------
 

@@ -12,11 +12,10 @@ Two performance layers live here because every case study needs them:
 * :class:`LanguageFrontend` memoizes its parse → typecheck → compile pipeline
   keyed on ``(language, source, typecheck arguments)``, so repeated boundary
   crossings (and repeated benchmark iterations) do not re-run the frontend;
-* :class:`TargetBackend` is a *registry* of named evaluators for one target
-  language (``substitution`` | ``cek-compiled`` | ``cek-opt``), with a
-  selectable default, so callers can trade the paper-faithful reference
-  machine for the fast CEK substrate — or run several backends for
-  differential testing.
+* :class:`TargetBackend` names the two engines of one target language
+  (``substitution`` | ``cek-compiled``) and its default, so callers can
+  trade the paper-faithful reference machine for the fast CEK substrate —
+  or run both for differential testing.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import dataclasses
 import enum
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.errors import ReproError
 from repro.core.snapshots import snapshot_backend_name
@@ -33,7 +32,6 @@ from repro.core.snapshots import snapshot_backend_name
 ParseFn = Callable[[str], Any]
 TypecheckFn = Callable[..., Any]
 CompileFn = Callable[..., Any]
-RunFn = Callable[..., Any]
 #: ``start_fn(unit, fuel=...) -> execution`` where ``unit`` is the
 #: :class:`CompiledUnit` to run and the execution exposes
 #: ``step_n(limit) -> Optional[result]`` (None while still running).
@@ -254,41 +252,13 @@ class LanguageFrontend:
         }
 
 
-class BlockingExecution:
-    """Compatibility shim giving non-resumable backends the ``step_n`` protocol.
-
-    The wrapped backend runs to completion inside the first ``step_n`` call —
-    one oversized slice that ignores ``limit``.  Every *built-in* backend in
-    all three systems now registers a genuinely resumable execution factory
-    (the oracles included), so nothing in this repository takes this path
-    anymore; it remains only so third-party ``register_backend`` callers get
-    a working (if latency-unbounded) execution without writing a factory,
-    and it is pinned by a regression test.  Backend choice and fuel stay
-    per-execution, exactly as for the resumable machines.
-    """
-
-    __slots__ = ("_run", "_target_code", "_fuel", "result")
-
-    def __init__(self, run_fn: RunFn, target_code: Any, fuel: int):
-        self._run = run_fn
-        self._target_code = target_code
-        self._fuel = fuel
-        self.result: Optional[Any] = None
-
-    def step_n(self, limit: int) -> Any:
-        if self.result is None:
-            self.result = self._run(self._target_code, fuel=self._fuel)
-        return self.result
-
-
 class ResumableExecution:
     """A machine-level resumable execution plus a result normalizer.
 
     Machine ``step_n`` slices yield native ``MachineResult`` objects;
     ``normalize`` rewrites the final one into the framework's uniform result
-    shape (the same normalization the one-shot backend wrappers apply), so a
-    scheduler observes identical outcomes whether a program ran sliced or
-    uninterrupted.
+    shape, so a scheduler observes identical outcomes whether a program ran
+    sliced or uninterrupted.
     """
 
     __slots__ = ("_execution", "_normalize", "result")
@@ -333,106 +303,40 @@ class ResumableExecution:
         return self._execution.snapshot()
 
 
+class Engine(NamedTuple):
+    """One backend of a target: how to start a unit on it, and how to
+    restore an execution it paused."""
+
+    start: StartFn
+    restore: RestoreFn
+
+
 @dataclass
 class TargetBackend:
-    """A target language together with its registry of evaluator backends.
+    """A target language and its engines, by backend name.
 
-    The common shape is one reference and one fast engine per target:
-    ``substitution`` (the paper-faithful reference machine) and
-    ``cek-compiled`` (the fast production machine), plus ``cek-opt`` on LCVM
-    (the fast machine over statically optimized code).  ``run``
-    remains the default-backend runner for backward compatibility, so
-    ``backend.run(code, fuel=...)`` keeps working.
-
-    ``executions`` is the *resumable* side of the registry: backends whose
-    machines support bounded-slice stepping register a ``start_fn`` here, and
-    :meth:`start` hands out per-request execution objects (falling back to a
-    :class:`BlockingExecution` wrapper for one-shot backends), which is what
-    the serving layer interleaves.
+    Every target has two: ``substitution`` (the paper-faithful reference
+    machine, the differential oracle) and ``cek-compiled`` (the fast
+    machine, normally the default).  :meth:`start` hands out per-request
+    resumable executions, which is what the serving layer interleaves; a
+    whole run is one slice of one (see
+    :meth:`~repro.core.interop.InteropSystem.run_unit`).
     """
 
     name: str
-    run: Optional[RunFn] = None
-    pretty: Optional[Callable[[Any], str]] = None
-    backends: Dict[str, RunFn] = field(default_factory=dict)
-    default_backend: Optional[str] = None
-    executions: Dict[str, StartFn] = field(default_factory=dict)
-    restores: Dict[str, RestoreFn] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.run is not None and not self.backends:
-            self.backends["substitution"] = self.run
-        if self.default_backend is None and self.backends:
-            self.default_backend = next(iter(self.backends))
-        if self.default_backend is not None and self.default_backend not in self.backends:
-            raise ReproError(
-                f"target {self.name!r} has no backend {self.default_backend!r}; "
-                f"registered: {sorted(self.backends)}"
-            )
-        if self.run is None:
-            if not self.backends:
-                raise ReproError(f"target {self.name!r} needs a runner or at least one backend")
-            self.run = self.backends[self.default_backend]
-        unknown = set(self.executions) - set(self.backends)
-        if unknown:
-            raise ReproError(
-                f"target {self.name!r} registers executions for unknown backends "
-                f"{sorted(unknown)}; registered: {sorted(self.backends)}"
-            )
-        unknown_restores = set(self.restores) - set(self.backends)
-        if unknown_restores:
-            raise ReproError(
-                f"target {self.name!r} registers snapshot restorers for unknown backends "
-                f"{sorted(unknown_restores)}; registered: {sorted(self.backends)}"
-            )
-
-    # -- registry -------------------------------------------------------------
-
-    def register_backend(self, name: str, run_fn: RunFn, default: bool = False) -> None:
-        self.backends[name] = run_fn
-        if default or self.default_backend is None:
-            self.select_backend(name)
-
-    def register_execution(self, name: str, start_fn: StartFn) -> None:
-        """Register a resumable-execution factory for backend ``name``."""
-        if name not in self.backends:
-            raise ReproError(
-                f"target {self.name!r} has no backend {name!r}; registered: {sorted(self.backends)}"
-            )
-        self.executions[name] = start_fn
-
-    def register_restore(self, name: str, restore_fn: RestoreFn) -> None:
-        """Register a snapshot restorer for backend ``name``."""
-        if name not in self.backends:
-            raise ReproError(
-                f"target {self.name!r} has no backend {name!r}; registered: {sorted(self.backends)}"
-            )
-        self.restores[name] = restore_fn
-
-    def select_backend(self, name: str) -> None:
-        """Make ``name`` the default backend (used by ``run`` / ``run_with``)."""
-        if name not in self.backends:
-            raise ReproError(
-                f"target {self.name!r} has no backend {name!r}; registered: {sorted(self.backends)}"
-            )
-        self.default_backend = name
-        self.run = self.backends[name]
-
-    def backend(self, name: Optional[str] = None) -> RunFn:
-        """Resolve a backend by name (``None`` means the default backend)."""
-        resolved = name if name is not None else self.default_backend
-        if resolved is None or resolved not in self.backends:
-            raise ReproError(
-                f"target {self.name!r} has no backend {resolved!r}; registered: {sorted(self.backends)}"
-            )
-        return self.backends[resolved]
+    engines: Dict[str, Engine]
+    default_backend: str
 
     def backend_names(self) -> List[str]:
-        return list(self.backends)
+        return list(self.engines)
 
-    def run_with(self, target_code: Any, backend: Optional[str] = None, **kwargs: Any) -> Any:
-        """Run compiled code on a named backend (default backend when None)."""
-        return self.backend(backend)(target_code, **kwargs)
+    def _engine(self, name: str) -> Engine:
+        engine = self.engines.get(name)
+        if engine is None:
+            raise ReproError(
+                f"target {self.name!r} has no backend {name!r}; registered: {sorted(self.engines)}"
+            )
+        return engine
 
     def start(self, unit: "CompiledUnit", backend: Optional[str] = None, fuel: int = 100_000) -> Any:
         """Start a resumable execution of ``unit`` on a named backend (default when None).
@@ -442,25 +346,16 @@ class TargetBackend:
         The returned object exposes ``step_n(limit)``: run at most ``limit``
         machine transitions, returning the backend-normalized result when the
         program halts (including on fuel exhaustion) or ``None`` while it can
-        still make progress.  Every built-in backend registers a genuinely
-        resumable factory (no backend may exceed the caller's slice budget
-        per turn); only third-party backends registered without a factory
-        fall back to the :class:`BlockingExecution` shim, which completes in
-        its first slice.
+        still make progress.
         """
-        resolved = backend if backend is not None else self.default_backend
-        run_fn = self.backend(resolved)  # raises ReproError for unknown names
-        factory = self.executions.get(resolved)
-        if factory is not None:
-            return factory(unit, fuel=fuel)
-        return BlockingExecution(run_fn, unit.target_code, fuel)
+        return self._engine(backend if backend is not None else self.default_backend).start(unit, fuel=fuel)
 
     def restore(self, snapshot: dict, backend: Optional[str] = None) -> Any:
         """Rebuild a paused resumable execution from a machine-state snapshot.
 
         ``backend`` defaults to the backend the snapshot itself names: by
-        convention every snapshot ``kind`` tag ends in the registry name of
-        the backend that wrote it (``"lcvm/cek-compiled"`` → backend
+        convention every snapshot ``kind`` tag ends in the name of the
+        backend that wrote it (``"lcvm/cek-compiled"`` → backend
         ``cek-compiled``), so a bare snapshot dict routes itself.  The
         restorer recompiles any process-local machine artifacts (compiled
         handler graphs, op arrays) deterministically, so the resumed run is
@@ -468,13 +363,7 @@ class TargetBackend:
         one.
         """
         resolved = backend if backend is not None else snapshot_backend_name(snapshot)
-        restore_fn = self.restores.get(resolved)
-        if restore_fn is None:
-            raise ReproError(
-                f"target {self.name!r} has no snapshot restorer for backend {resolved!r}; "
-                f"registered: {sorted(self.restores)}"
-            )
-        return restore_fn(snapshot)
+        return self._engine(resolved).restore(snapshot)
 
 
 @dataclass

@@ -14,10 +14,13 @@ convention, ends in the backend name it is registered under — e.g.
 ``"lcvm/cek-compiled"`` restores through the lcvm registry's
 ``"cek-compiled"`` backend.  :func:`snapshot_backend_name` relies on that
 convention so a :meth:`repro.core.language.TargetBackend.restore` call can
-route a bare snapshot without being told the backend.  A kind whose backend
-is not registered — such as one written by a removed machine
-(``lcvm/bigstep``, ``lcvm/cek``, ``stacklang/cek``, ``stacklang/cek-opt``) —
-routes nowhere and is refused with a :class:`~repro.core.errors.ReproError`.
+route a bare snapshot without being told the backend.  Each target has
+two engines, so there are four live kinds: ``lcvm/substitution``,
+``lcvm/cek-compiled``, ``stacklang/substitution`` and
+``stacklang/cek-compiled``.  A kind whose backend is not registered — such
+as one written by a removed machine (``lcvm/bigstep``, ``lcvm/cek``,
+``lcvm/cek-opt``, ``stacklang/cek``) — routes nowhere and is refused with a
+:class:`~repro.core.errors.ReproError`.
 
 Two copy disciplines, both built on one pickle round-trip
 (:func:`plain_copy`):

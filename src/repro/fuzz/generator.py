@@ -42,9 +42,8 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 #: Fuel for ordinary generated cases: generous, the bounded sizes stay far
 #: below it on every backend granularity.
 DEFAULT_FUEL = 250_000
-#: Fuel for divergent cases: small enough that every backend — the
-#: constant-folding ``cek-opt`` included, which cannot fold a genuine loop —
-#: runs out, large enough to take several scheduler slices first.
+#: Fuel for divergent cases: small enough that every backend runs out,
+#: large enough to take several scheduler slices first.
 DIVERGENT_FUEL = 2_000
 
 #: Node-count ceiling for generated trees.  The crossing templates nest a
@@ -150,8 +149,7 @@ TEMPLATES: Dict[str, Tuple[Template, ...]] = {
 HOST_LANGUAGE = {"refs": "RefLL", "affine": "MiniML", "l3": "MiniML"}
 
 #: Landin's knot per target: a function cell rewired to call through itself,
-#: then forced — well-typed, genuinely divergent on every backend (the
-#: optimizer folds constants, not loops).
+#: then forced — well-typed, genuinely divergent on every backend.
 _REFLL_KNOT = (
     "((lam (r (ref (-> int int)))"
     " ((lam (u int) ((! r) 0))"

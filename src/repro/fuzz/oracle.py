@@ -6,25 +6,24 @@ comparison discipline of) the repo's hand-written differential gates:
 1. **Frontend contract** — expected-failure cases must make
    ``compile_source`` raise exactly the tagged structured error class;
    everything else must compile.
-2. **Cross-backend observables** — the compiled program runs on *every*
-   backend in the target registry (``substitution``/``cek-compiled``, plus
-   ``cek-opt`` on LCVM); values and failure codes must match the
-   substitution oracle.  Divergent cases must exhaust fuel on every backend.
-   Step counts are deliberately *not* compared across backends — fuel
+2. **Cross-backend observables** — the compiled program runs on both of
+   the target's engines (``substitution`` and ``cek-compiled``); values and
+   failure codes must match the substitution oracle.  Divergent cases must
+   exhaust fuel on every backend.  Step counts are deliberately *not* compared across backends — fuel
    granularity is a per-backend notion (a compiled dispatch transition is
    coarser than a substitution rewrite).
-3. **Snapshot/restore fuel accounting** — for every backend with a
-   registered restorer, the program is run sliced, snapshotted at a
-   seeded-random slice boundary, restored, and driven to completion; the
+3. **Snapshot/restore fuel accounting** — on every backend, the program
+   is run sliced, snapshotted at a seeded-random slice boundary, restored,
+   and driven to completion; the
    restored run's ``(value, failure, steps)`` must equal the uninterrupted
    run of the *same* backend exactly.  This is where step counts *are*
    compared: restore must not leak or invent fuel.  A sliced or restored
    run that raises is a ``crash`` disagreement, not a raw exception.
 4. **Raw post-``callgc`` heaps** — at the machine level, below the
-   ``RunResult`` normalization.  The compiled machine and the optimizer's
-   output (which is raw-heap-preserving) are compared with the substitution
-   reference address-for-address: exact cells, exact collection counts,
-   exact reclaim counts on LCVM, and the exact final heap on StackLang.
+   ``RunResult`` normalization.  The compiled machine is compared with the
+   substitution reference address-for-address: exact cells, exact
+   collection counts, exact reclaim counts on LCVM, and the exact final
+   heap on StackLang.
 
 Any deviation becomes a :class:`Disagreement` — the currency the shrinker
 minimizes and the corpus persists.
@@ -155,10 +154,10 @@ class DifferentialOracle:
     ) -> Optional[Disagreement]:
         slice_width = self.rng.choice(SLICE_WIDTHS)
         boundary = self.rng.randint(1, 3)
-        for backend in sorted(system.target.restores):
+        for backend in sorted(system.target.backend_names()):
             straight = outcomes[backend]
             try:
-                result = self._run_with_restore(case, system, code, backend, slice_width, boundary)
+                result = self._run_restored(case, system, code, backend, slice_width, boundary)
             except Exception as error:
                 return Disagreement(
                     case,
@@ -186,7 +185,7 @@ class DifferentialOracle:
         return None
 
     @staticmethod
-    def _run_with_restore(case: FuzzCase, system, code, backend: str, slice_width: int, boundary: int):
+    def _run_restored(case: FuzzCase, system, code, backend: str, slice_width: int, boundary: int):
         """Run sliced, snapshot and restore after ``boundary`` slices, then finish."""
         execution = system.start_compiled(code, fuel=case.fuel, backend=backend)
         result = None
@@ -230,8 +229,7 @@ class DifferentialOracle:
         return None
 
     def _check_lcvm_heaps(self, case: FuzzCase, code) -> Optional[Disagreement]:
-        """Compiled and optimized LCVM runs match the oracle's raw heap."""
-        from repro.analysis import optimize
+        """The compiled LCVM run matches the oracle's raw heap."""
         from repro.lcvm import cek
         from repro.lcvm import machine as lcvm_machine
         from repro.lcvm.machine import Status
@@ -240,15 +238,13 @@ class DifferentialOracle:
         if reference.status is Status.OUT_OF_FUEL:
             return None  # observables already agreed; nothing post-run to root
 
-        raw_expected = (reference.heap.cells, reference.heap.collections, reference.heap.reclaimed)
-        precise = {
-            "cek-compiled": cek.run_compiled(code, fuel=case.fuel),
-            "cek-opt": cek.run_compiled(optimize(code), fuel=case.fuel),
-        }
-        for name, result in precise.items():
-            raw = (result.heap.cells, result.heap.collections, result.heap.reclaimed)
-            if raw != raw_expected:
-                return Disagreement(
-                    case, "heap", {"engine": name, "got": str(raw), "expected": str(raw_expected)}
-                )
+        def raw(result):
+            return (result.heap.cells, result.heap.collections, result.heap.reclaimed)
+
+        expected = raw(reference)
+        got = raw(cek.run_compiled(code, fuel=case.fuel))
+        if got != expected:
+            return Disagreement(
+                case, "heap", {"engine": "cek-compiled", "got": str(got), "expected": str(expected)}
+            )
         return None

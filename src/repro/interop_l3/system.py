@@ -157,12 +157,11 @@ def make_system(
         analyze=analyze,
         take_records=hooks.take_records,
     )
-    # The three LCVM backends; the compiled-dispatch CEK machine is the
-    # default, the substitution machine is the differential-testing oracle,
-    # and ``cek-opt`` runs the compiled machine over statically optimized
-    # code.  Every backend registers a resumable-execution factory, so the
-    # serving layer can step-slice per-request runs of this system.
-    backend = make_lcvm_backend(name="LCVM+memory", default="cek-compiled")
+    # The two LCVM engines: the compiled-dispatch CEK machine is the
+    # default and the substitution machine is the differential-testing
+    # oracle.  Both start resumable executions, so the serving layer can
+    # step-slice per-request runs of this system.
+    backend = make_lcvm_backend(name="LCVM+memory")
 
     system = InteropSystem(
         name="memory management & polymorphism (§5)",

@@ -21,7 +21,7 @@ from repro import analysis
 from repro.core.convertibility import ConvertibilityRelation
 from repro.core.errors import ConvertibilityError
 from repro.core.interop import BoundaryRecorder, InteropSystem, RunResult
-from repro.core.language import LanguageFrontend, ResumableExecution, TargetBackend
+from repro.core.language import Engine, LanguageFrontend, ResumableExecution, TargetBackend
 from repro.interop_refs.conversions import LANGUAGE_A, LANGUAGE_B, make_convertibility
 from repro.refhl import compiler as hl_compiler
 from repro.refhl import parser as hl_parser
@@ -144,16 +144,6 @@ def _stacklang_result(result) -> RunResult:
     return RunResult(failure=result.failure_code or result.status.value, steps=result.steps)
 
 
-def _run_stacklang(compiled, fuel: int = 100_000) -> RunResult:
-    """The substitution-based reference machine (Fig. 2)."""
-    return _stacklang_result(stack_machine.run(compiled, fuel=fuel))
-
-
-def _run_stacklang_compiled(compiled, fuel: int = 100_000) -> RunResult:
-    """The pc-threaded compiled machine (the fast default)."""
-    return _stacklang_result(stack_cek.run_compiled(compiled, fuel=fuel))
-
-
 def _start_stacklang(unit, fuel: int = 100_000) -> ResumableExecution:
     """Start a resumable Fig. 2 reference-machine execution (oracle, sliced)."""
     return ResumableExecution(stack_machine.SubstitutionExecution(unit.target_code, fuel=fuel), _stacklang_result)
@@ -212,26 +202,18 @@ def make_system(
         analyze=analyze,
         take_records=hooks.take_records,
     )
-    # StackLang has two evaluator backends: the pc-threaded compiled machine
-    # is the default, and the substitution machine is the differential-testing
-    # oracle.  Both register a resumable-execution factory, so the serving
-    # layer step-slices the oracle with the same bounded per-turn latency as
-    # the compiled machine.
+    # StackLang has two engines: the pc-threaded compiled machine is the
+    # default, and the substitution machine is the differential-testing
+    # oracle.  Both start resumable executions, so the serving layer
+    # step-slices the oracle with the same bounded per-turn latency as the
+    # compiled machine.
     backend = TargetBackend(
         name="StackLang",
-        backends={
-            "substitution": _run_stacklang,
-            "cek-compiled": _run_stacklang_compiled,
+        engines={
+            "substitution": Engine(_start_stacklang, _restore_stacklang),
+            "cek-compiled": Engine(_start_stacklang_compiled, _restore_stacklang_compiled),
         },
         default_backend="cek-compiled",
-        executions={
-            "substitution": _start_stacklang,
-            "cek-compiled": _start_stacklang_compiled,
-        },
-        restores={
-            "substitution": _restore_stacklang,
-            "cek-compiled": _restore_stacklang_compiled,
-        },
     )
 
     system = InteropSystem(

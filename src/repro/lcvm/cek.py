@@ -59,7 +59,6 @@ __all__ = [
     "CClosure",
     "Code",
     "CompiledExecution",
-    "OptimizedExecution",
     "compiled_cache_stats",
     "run_compiled",
     "unit_code",
@@ -599,10 +598,10 @@ def _compile(e: s.Expr, code: Code) -> _Compiled:
 _UNIT_CODE = UnitCode()
 
 
-def unit_code(unit, backend: str, build: Callable[[s.Expr], Code] = Code) -> Code:
-    """``unit``'s code for ``backend``, built by ``build(unit.target_code)``
-    the first time the unit starts there and kept on the unit after that."""
-    return _UNIT_CODE.get(unit, backend, build)
+def unit_code(unit) -> Code:
+    """``unit``'s code, compiled the first time the unit starts and kept on
+    the unit after that."""
+    return _UNIT_CODE.get(unit, "cek-compiled", Code)
 
 
 def compiled_cache_stats() -> dict:
@@ -956,22 +955,6 @@ class CompiledExecution:
         execution._env = _thaw_env(state["env"], memo, code_of)
         execution._kont = [_thaw_frame(frame, memo, code_of) for frame in state["kont"]]
         return execution
-
-
-class OptimizedExecution(CompiledExecution):
-    """A compiled-dispatch execution whose snapshots are tagged ``cek-opt``.
-
-    The machine is byte-for-byte :class:`CompiledExecution` — callers hand it
-    the *already optimized* root (:func:`repro.analysis.optimize` runs
-    strictly before execution starts) and the snapshot carries that optimized
-    root as its syntax handle.  The distinct kind tag exists so bare
-    snapshots route back to the ``cek-opt`` restorer, keeping the backend
-    name observable across a migration.
-    """
-
-    __slots__ = ()
-
-    SNAPSHOT_KIND = "lcvm/cek-opt"
 
 
 def run_compiled(expr: s.Expr, heap: Optional[Heap] = None, fuel: int = 100_000) -> MachineResult:

@@ -64,7 +64,7 @@ from repro.serve.checkpoint import Checkpoint, CheckpointCorrupt, CheckpointStor
 from repro.serve.driver import DrivenResult, StepSlicedDriver
 from repro.serve.faults import FAULT_SITES, Fault, FaultPlan
 from repro.serve.net import NetClient, NetRouter, NetWorker
-from repro.serve.pool import WorkerPool, default_scheduler_factory, shard_of
+from repro.serve.pool import WorkerPool, default_scheduler_factory
 from repro.serve.reliability import (
     AdmissionController,
     BreakerPolicy,
@@ -120,5 +120,4 @@ __all__ = [
     "default_scheduler_factory",
     "make_default_scheduler",
     "priority_weight",
-    "shard_of",
 ]

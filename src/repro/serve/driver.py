@@ -12,8 +12,8 @@ The module's contract is the bounded-latency invariant: for every driven
 execution, ``steps ≤ slices × slice_steps`` — a backend can never advance
 more machine transitions than the turns it was granted allow, whatever its
 neighbours do.  The serving tests assert the inequality per response; a
-backend that runs to completion inside one slice (the old
-``BlockingExecution`` behaviour) violates it on any deep program.
+backend that ran to completion inside one slice would violate it on any
+deep program.
 
 There is one entry point, :meth:`StepSlicedDriver.run_batch`, a weighted
 round-robin loop.  Each turn grants an execution up to its integer

@@ -30,58 +30,21 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.serve.dispatch import Dispatcher, exchange_all, handle_work
 from repro.serve.faults import FaultPlan
 from repro.serve.reliability import AdmissionController, BreakerPolicy, DispatchPolicy, RetryPolicy
 from repro.serve.request import Request, Response
-from repro.serve.ring import DEFAULT_VIRTUAL_NODES, HashRing
+from repro.serve.ring import DEFAULT_VIRTUAL_NODES
 from repro.serve.scheduler import Scheduler, make_default_scheduler
 
-__all__ = ["WorkerPool", "default_scheduler_factory", "shard_of"]
+__all__ = ["WorkerPool", "default_scheduler_factory"]
 
 
 def default_scheduler_factory(slice_steps: int) -> Scheduler:
     """The stock per-worker scheduler: all three case-study systems."""
     return make_default_scheduler(slice_steps=slice_steps)
-
-
-def _shard_key(request: Request, router: Optional[Scheduler] = None) -> str:
-    """The router's :meth:`~repro.serve.scheduler.Scheduler.placement_key`;
-    without a router, the raw ``system`` spelling is hashed as-is."""
-    if router is not None:
-        return router.placement_key(request)
-    if request.affinity is not None:
-        return request.affinity
-    return "\x00".join((request.system or "", request.language, request.source))
-
-
-@lru_cache(maxsize=32)
-def _ring_for(workers: int, virtual_nodes: int) -> "HashRing[int]":
-    """The shared read-only ring for a fixed worker count (rings are pure)."""
-    return HashRing(range(workers), virtual_nodes=virtual_nodes)
-
-
-def shard_of(
-    request: Request,
-    workers: int,
-    router: Optional[Scheduler] = None,
-    virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
-) -> int:
-    """The deterministic shard for ``request`` among ``workers`` workers.
-
-    Placement is consistent hashing over a :class:`~repro.serve.ring.HashRing`
-    of the worker indices (sha256 virtual nodes, never built-in ``hash`` —
-    ``PYTHONHASHSEED`` randomizes ``hash`` per process, which would defeat
-    warm-worker affinity): growing the pool moves only the keys the new
-    worker inherits, not everything, and the same ring drives the network
-    router's endpoint placement.  Pass a routing scheduler to canonicalize
-    the system name before hashing (the pool always does); without one, the
-    raw ``request.system`` spelling is hashed as-is.
-    """
-    return _ring_for(workers, virtual_nodes).node_for(_shard_key(request, router))
 
 
 # -- the worker side ----------------------------------------------------------
@@ -301,7 +264,7 @@ class WorkerPool:
 
     def shard_of(self, request: Request) -> int:
         """The worker index ``request`` is routed to (deterministic)."""
-        return self._dispatcher.ring.node_for(_shard_key(request, self._router))
+        return self._dispatcher.ring.node_for(self._router.placement_key(request))
 
     def run_batch(self, requests: Sequence[Request], sequential_shards: bool = False) -> List[Response]:
         """Shard a batch across the workers; responses in request order.

@@ -5,9 +5,9 @@ registered systems' languages plus the execution policy for *this request
 only* — which evaluator backend runs it, how much fuel it may burn, and
 which typechecking environments the frontend threads through.  Nothing in a
 request touches process-global state: backend choice and fuel budget ride
-through :meth:`repro.core.language.TargetBackend.start` (and, for one-shot
-runs, ``run_with``) per call, so one process serves an oracle-backed
-differential request next to compiled fast-path requests.
+through :meth:`repro.core.language.TargetBackend.start` per call, so one
+process serves an oracle-backed differential request next to compiled
+fast-path requests.
 
 A :class:`Response` pairs the request with its observable outcome and the
 per-request accounting: the resolved system/backend, machine step count,
@@ -102,8 +102,8 @@ class Request:
     #: Worker-pool placement override.  ``None`` shards by a deterministic
     #: sha256 of ``(system, language, source)`` — repeat submissions of a
     #: program land on the same, already-warm worker.  Setting a key makes
-    #: :func:`repro.serve.pool.shard_of` hash the sha256 of ``affinity``
-    #: instead (deliberately *not* built-in ``hash``, which
+    #: :meth:`repro.serve.pool.WorkerPool.shard_of` hash the sha256 of
+    #: ``affinity`` instead (deliberately *not* built-in ``hash``, which
     #: ``PYTHONHASHSEED`` randomizes per process — placement must be stable
     #: across interpreter runs): give related requests one key to pin them
     #: together, or distinct keys to spread a hot program across workers.

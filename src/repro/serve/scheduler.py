@@ -189,9 +189,10 @@ class Scheduler:
         that spells its system explicitly and one that routes there
         implicitly are the same program and must land on the same warm
         worker.  Unroutable requests keep the raw spelling (they fail
-        identically anywhere).  Both :func:`repro.serve.pool.shard_of` and
-        the network router's :class:`~repro.serve.ring.HashRing` hash this
-        exact string, so in-process and over-the-wire placement agree.
+        identically anywhere).  The worker pool's and the network router's
+        :class:`~repro.serve.ring.HashRing` both hash this exact string
+        (:meth:`repro.serve.pool.WorkerPool.shard_of`), so in-process and
+        over-the-wire placement agree.
         """
         if request.affinity is not None:
             return request.affinity
@@ -514,13 +515,10 @@ class Scheduler:
         Two requests may share one VM instance only when *everything* that
         determines the run is identical: the routed system, the pipeline
         cache key (language, source, frozen typecheck kwargs), the resolved
-        backend, and the fuel budget.  The backend must also have a
-        registered resumable-execution factory — that marks the built-in
-        deterministic machines, whereas a third-party backend registered
-        without one makes no determinism promise, so its requests never
-        coalesce.  Analyze-only requests never coalesce either: they start
-        no VM instance, so there is nothing to share (and their compiles
-        already dedupe through the pipeline LRU).
+        backend, and the fuel budget.  Every engine is a deterministic
+        machine, so such requests share one outcome.  Analyze-only requests
+        never coalesce: they start no VM instance, so there is nothing to
+        share (and their compiles already dedupe through the pipeline LRU).
         """
         if request.analyze_only:
             return None
@@ -533,8 +531,6 @@ class Scheduler:
         if key is None:
             return None
         backend = request.backend if request.backend is not None else system.target.default_backend
-        if backend not in system.target.executions:
-            return None
         return ((system_name, key), backend, request.fuel)
 
     # -- cross-process cache sharing ------------------------------------------

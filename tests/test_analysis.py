@@ -1,4 +1,4 @@
-"""The static-analysis tier: analyses, verified optimizing backend, serving.
+"""The static-analysis tier: analyses, verification, fast-engine agreement, serving.
 
 Four layers of guarantees:
 
@@ -10,11 +10,10 @@ Four layers of guarantees:
   definite underflow with a structured error (and that rejection surfaces as
   a *frontend* error through the pipeline, like a typecheck failure), while
   never rejecting any known-good corpus program (no false positives);
-* **the optimizing backend** — ``cek-opt`` agrees with the substitution
-  oracle on values, failures, *and* fuel exhaustion (hypothesis-driven over
-  random programs in both LCVM systems), and the LCVM source-to-source
-  optimizer is raw-heap-preserving: the optimized program's post-``callgc``
-  heap equals the original's address-for-address on the GC-precision suite;
+* **the fast engine** — ``cek-compiled`` agrees with the substitution
+  oracle on values and failures (hypothesis-driven over random programs in
+  both LCVM systems) *and* on fuel exhaustion (all three systems), and every
+  target keeps exactly those two engines;
 * **glue pre-resolution + serving** — the compile phase performs zero
   dynamic convertibility lookups when pre-resolution is on (counter
   differential against the ``preresolve=False`` baseline, at the workload
@@ -36,33 +35,14 @@ from repro.analysis import (
     StaticVerificationError,
     enumerate_crossings,
     lcvm_effects,
-    optimize,
     verify_program,
 )
 from repro.core.errors import SourceError
 from repro.interop_affine import make_system as make_affine_system
 from repro.interop_l3 import make_system as make_l3_system
 from repro.interop_refs import make_system as make_refs_system
-from repro.lcvm import cek as lcvm_cek
-from repro.lcvm import machine as lcvm_machine
 from repro.lcvm.machine import Status
-from repro.lcvm.syntax import (
-    App,
-    Assign,
-    BinOp,
-    CallGc,
-    Deref,
-    Fst,
-    If,
-    Inl,
-    Int,
-    Lam,
-    Let,
-    Match,
-    NewRef,
-    Pair,
-    Var,
-)
+from repro.lcvm.syntax import App, Assign, BinOp, CallGc, Deref, Int, Lam, NewRef, Var
 from repro.serve import Request, Scheduler, StepSlicedDriver, make_default_scheduler
 from repro.serve.dispatch import weight
 from repro.serve.pool import WorkerPool
@@ -126,8 +106,6 @@ def test_pure_program_reports_no_crossings_and_no_effects():
     assert not report.effects.allocates
     assert not report.effects.may_diverge
     assert report.verified
-    # Constant folding collapses pure arithmetic to a single literal.
-    assert report.optimized_node_count < report.node_count
 
 
 def test_lcvm_effect_summary_flags_each_operation():
@@ -209,7 +187,7 @@ def test_verifier_handles_branches_and_thunks():
 
 
 # ---------------------------------------------------------------------------
-# cek-opt == substitution oracle (values, failures, fuel exhaustion)
+# cek-compiled == substitution oracle (values, failures, fuel exhaustion)
 # ---------------------------------------------------------------------------
 
 
@@ -226,14 +204,14 @@ def _sources(system_name):
     return st.recursive(leaves, extend, max_leaves=5)
 
 
-#: The systems that register ``cek-opt`` (the LCVM targets).
-_OPT_SYSTEMS = ["affine", "l3"]
+#: The LCVM systems, whose generators ``_sources`` draws from.
+_LCVM_SYSTEMS = ["affine", "l3"]
 
 
-@pytest.mark.parametrize("system_name", _OPT_SYSTEMS)
+@pytest.mark.parametrize("system_name", _LCVM_SYSTEMS)
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
-def test_cek_opt_matches_substitution_oracle(system_name, data):
+def test_cek_compiled_matches_substitution_oracle(system_name, data):
     system = _SYSTEMS[system_name]
     _generator, language, _per_depth = _WORKLOADS[system_name]
     source = data.draw(_sources(system_name))
@@ -242,111 +220,40 @@ def test_cek_opt_matches_substitution_oracle(system_name, data):
     except SourceError:
         return  # frontend rejection is backend-independent by construction
     oracle = system.run_compiled(unit.target_code, fuel=500_000, backend="substitution")
-    opt = system.run_compiled(unit.target_code, fuel=500_000, backend="cek-opt")
-    assert opt.value == oracle.value, source
-    assert opt.failure == oracle.failure, source
+    fast = system.run_compiled(unit.target_code, fuel=500_000, backend="cek-compiled")
+    assert fast.value == oracle.value, source
+    assert fast.failure == oracle.failure, source
 
 
-@pytest.mark.parametrize("system_name", _OPT_SYSTEMS)
+@pytest.mark.parametrize("system_name", [*_LCVM_SYSTEMS, "refs"])
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(fuel=st.integers(min_value=1, max_value=40))
-def test_cek_opt_fuel_exhaustion_is_structured(system_name, fuel):
-    """Starved of fuel, cek-opt either finishes with the oracle's exact
+def test_cek_compiled_fuel_exhaustion_is_structured(system_name, fuel):
+    """Starved of fuel, cek-compiled either finishes with the oracle's exact
     outcome or reports structured fuel exhaustion — never a wrong answer."""
     generator, language, _per_depth = _WORKLOADS[system_name]
     system = _SYSTEMS[system_name]
     unit = system.compile_source(language, generator(6))
     oracle = system.run_compiled(unit.target_code, fuel=500_000, backend="substitution")
-    opt = system.run_compiled(unit.target_code, fuel=fuel, backend="cek-opt")
-    if opt.failure == Status.OUT_OF_FUEL.value:
-        assert opt.steps <= fuel
+    fast = system.run_compiled(unit.target_code, fuel=fuel, backend="cek-compiled")
+    if fast.failure == Status.OUT_OF_FUEL.value:
+        assert fast.steps <= fuel
     else:
-        assert (opt.value, opt.failure) == (oracle.value, oracle.failure)
-
-
-def test_cek_opt_registered_in_both_lcvm_systems_without_changing_default():
-    for name in _OPT_SYSTEMS:
-        system = _SYSTEMS[name]
-        assert "cek-opt" in system.target.backend_names()
-        assert "cek-opt" in system.target.executions
-        assert "cek-opt" in system.target.restores
-        assert system.target.default_backend == "cek-compiled"
+        assert (fast.value, fast.failure) == (oracle.value, oracle.failure)
 
 
 def test_each_target_keeps_one_reference_and_one_fast_engine():
-    assert _SYSTEMS["refs"].target.backend_names() == ["substitution", "cek-compiled"]
-    for name in _OPT_SYSTEMS:
-        assert _SYSTEMS[name].target.backend_names() == ["substitution", "cek-compiled", "cek-opt"]
+    for system in _SYSTEMS.values():
+        assert system.target.backend_names() == ["substitution", "cek-compiled"]
+        assert system.target.default_backend == "cek-compiled"
 
 
 def test_typecheck_failure_path_is_backend_independent():
     system = _SYSTEMS["affine"]
     with pytest.raises(SourceError):
-        system.run_source("MiniML", "(boundary int (ref 1))", backend="cek-opt")
+        system.run_source("MiniML", "(boundary int (ref 1))", backend="cek-compiled")
     with pytest.raises(SourceError):
         system.run_source("MiniML", "(boundary int (ref 1))", backend="substitution")
-
-
-# ---------------------------------------------------------------------------
-# The LCVM optimizer is raw-heap-preserving
-# ---------------------------------------------------------------------------
-
-_GC_PROGRAMS = [
-    Let(
-        "keep",
-        NewRef(Int(1)),
-        Let("dead", NewRef(Int(2)), Let("_", CallGc(), Deref(Var("keep")))),
-    ),
-    Let(
-        "dead",
-        NewRef(Int(7)),
-        Let("f", Lam("x", Var("x")), Let("_", CallGc(), App(Var("f"), Int(3)))),
-    ),
-    Let(
-        "a",
-        NewRef(Int(1)),
-        Match(Inl(Int(0)), "x", Let("_", CallGc(), Int(9)), "y", Deref(Var("a"))),
-    ),
-    Let("p", Pair(NewRef(Int(4)), Int(0)), Let("_", CallGc(), Deref(Fst(Var("p"))))),
-    Let("c", If(Int(0), NewRef(Int(5)), NewRef(Int(6))), Let("_", CallGc(), Deref(Var("c")))),
-]
-
-
-@pytest.mark.parametrize(
-    "expr", _GC_PROGRAMS, ids=[str(expr)[:48] for expr in _GC_PROGRAMS]
-)
-def test_optimizer_preserves_raw_postgc_heaps(expr):
-    base = lcvm_machine.run(expr, fuel=500_000)
-    opt = lcvm_machine.run(optimize(expr), fuel=500_000)
-    assert opt.value == base.value
-    assert dict(opt.heap.cells) == dict(base.heap.cells)
-    assert opt.heap.collections == base.heap.collections
-    assert opt.heap.reclaimed == base.heap.reclaimed
-
-
-@pytest.mark.parametrize(
-    "expr,expected",
-    [
-        (BinOp("+", Int(2), Int(3)), Int(5)),
-        (BinOp("<", Int(1), Int(2)), Int(0)),
-        (If(Int(0), Int(7), Int(8)), Int(7)),
-        (Let("x", Int(4), BinOp("*", Var("x"), Var("x"))), Int(16)),
-        (Match(Inl(Int(3)), "x", Var("x"), "y", Int(0)), Int(3)),
-    ],
-)
-def test_optimizer_folds_closed_constants(expr, expected):
-    assert optimize(expr) == expected
-
-
-def test_optimizer_keeps_effectful_bindings():
-    expr = Let("dead", NewRef(Int(1)), Int(2))
-    assert optimize(expr) == expr  # the allocation is observable (heap shape)
-
-
-def test_optimizer_declines_open_scrutinee_match_fold():
-    open_match = Match(Inl(Lam("x", Var("free"))), "l", Var("l"), "r", Int(0))
-    optimized = optimize(open_match)
-    assert isinstance(optimized, Match)  # capture-unsafe fold must not fire
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import optimize
 from repro.core.errors import ErrorCode
 from repro.interop_affine import DOUBLE_FORCE_PROGRAM
 from repro.interop_affine import make_system as make_affine_system
@@ -307,7 +306,6 @@ _FAILING_LCVM_PROGRAMS = [
 def test_failure_codes_agree_on_all_lcvm_backends(program, code):
     assert lcvm_machine.run(program).failure_code is code
     assert cek.run_compiled(program).failure_code is code
-    assert cek.run_compiled(optimize(program)).failure_code is code  # cek-opt
 
 
 def test_conv_failure_agrees_across_affine_backends():
@@ -408,22 +406,6 @@ def test_compiled_machine_collects_dead_lets_like_oracle(program):
     assert compiled.heap.cells == reference.heap.cells  # no normalization
     assert compiled.heap.collections == reference.heap.collections
     assert compiled.heap.reclaimed == reference.heap.reclaimed
-
-
-@pytest.mark.parametrize(
-    "program", _DEAD_LET_PROGRAMS, ids=[str(p)[:56] for p in _DEAD_LET_PROGRAMS]
-)
-def test_cek_opt_collects_dead_lets_like_oracle(program):
-    """The optimizer drops only dead *value* bindings, so the dead ``ref``
-    cells stay allocated and the optimized run's raw heap still equals the
-    oracle's — exact cells, addresses, and GC statistics."""
-    reference = lcvm_machine.run(program, fuel=MACHINE_FUEL)
-    optimized = cek.run_compiled(optimize(program), fuel=FAST_FUEL)
-    assert optimized.status == reference.status
-    assert optimized.value == reference.value
-    assert optimized.heap.cells == reference.heap.cells  # no normalization
-    assert optimized.heap.collections == reference.heap.collections
-    assert optimized.heap.reclaimed == reference.heap.reclaimed
 
 
 def test_compiled_machine_drops_dead_binding_mid_run():

@@ -17,7 +17,7 @@ from repro.core import (
     merge_disjoint,
 )
 from repro.core.errors import ModelError, ReproError
-from repro.core.language import LanguageFrontend, TargetBackend, pipeline_cache_key
+from repro.core.language import Engine, LanguageFrontend, TargetBackend, pipeline_cache_key
 from repro.core.worlds import USED, affine_extends, fresh_location, world_flags
 
 
@@ -365,33 +365,28 @@ def test_imports_respect_capacity_and_eviction_accounting():
 
 
 def test_target_backend_registry_dispatch():
+    def engine(label):
+        return Engine(
+            start=lambda unit, fuel: (label, "start", unit, fuel),
+            restore=lambda snapshot: (label, "restore", snapshot["state"]),
+        )
+
     backend = TargetBackend(
         name="T",
-        backends={"substitution": lambda code, **kw: ("slow", code), "cek": lambda code, **kw: ("fast", code)},
+        engines={"substitution": engine("slow"), "cek": engine("fast")},
         default_backend="cek",
     )
     assert backend.backend_names() == ["substitution", "cek"]
-    assert backend.run_with("p") == ("fast", "p")
-    assert backend.run_with("p", backend="substitution") == ("slow", "p")
-    assert backend.run("p") == ("fast", "p")  # legacy entry point follows the default
-    backend.select_backend("substitution")
-    assert backend.run("p") == ("slow", "p")
-    with pytest.raises(ReproError):
-        backend.run_with("p", backend="warp-drive")
-
-
-def test_target_backend_legacy_single_runner():
-    backend = TargetBackend(name="T", run=lambda code, **kw: ("only", code))
-    assert backend.backend_names() == ["substitution"]
-    assert backend.default_backend == "substitution"
-    assert backend.run_with("p") == ("only", "p")
-
-
-def test_target_backend_register_backend():
-    backend = TargetBackend(name="T", run=lambda code, **kw: ("old", code))
-    backend.register_backend("cek", lambda code, **kw: ("new", code), default=True)
-    assert backend.run("p") == ("new", "p")
-    assert backend.run_with("p", backend="substitution") == ("old", "p")
+    assert backend.start("u", fuel=7) == ("fast", "start", "u", 7)
+    assert backend.start("u", backend="substitution", fuel=7) == ("slow", "start", "u", 7)
+    # A bare snapshot routes by its kind's tail; an explicit name wins.
+    snapshot = {"kind": "t/substitution", "state": 1}
+    assert backend.restore(snapshot) == ("slow", "restore", 1)
+    assert backend.restore(snapshot, backend="cek") == ("fast", "restore", 1)
+    with pytest.raises(ReproError, match="warp-drive"):
+        backend.start("u", backend="warp-drive")
+    with pytest.raises(ReproError, match="bigstep"):
+        backend.restore({"kind": "t/bigstep", "state": 1})
 
 
 # -- misc -----------------------------------------------------------------------

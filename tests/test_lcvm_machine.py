@@ -1,5 +1,4 @@
-"""Tests for the LCVM machine (Fig. 6 + Fig. 12), heap, GC, and the compiled CEK machine
-(run directly, and over statically optimized code as the ``cek-opt`` backend does)."""
+"""Tests for the LCVM machine (Fig. 6 + Fig. 12), heap, GC, and the compiled CEK machine."""
 
 import sys
 import threading
@@ -8,7 +7,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis import optimize
 from repro.core.errors import ErrorCode, MachineFailure
 from repro.core.language import CompiledUnit
 from repro.lcvm import (
@@ -46,6 +44,7 @@ from repro.lcvm import (
     run,
     substitute,
 )
+from repro.lcvm.backends import make_lcvm_backend
 
 
 # -- core evaluation -----------------------------------------------------------
@@ -318,13 +317,24 @@ def test_cek_agrees_with_smallstep(program):
     assert len(fast.heap.manual_fragment()) == len(small.heap.manual_fragment())
 
 
+_TARGET = make_lcvm_backend()
+
+
+@pytest.mark.parametrize("backend", _TARGET.backend_names())
 @pytest.mark.parametrize("program", _CLOSED_PROGRAMS, ids=[str(p)[:40] for p in _CLOSED_PROGRAMS])
-def test_cek_opt_agrees_with_smallstep(program):
+def test_every_engine_agrees_with_smallstep_one_step_per_slice(program, backend):
+    # The engines are the only way a system runs code; sliced at a single
+    # transition they still reach the reference machine's outcome.
     small = run(program)
-    optimized = cek.run_compiled(optimize(program))
-    assert optimized.status is small.status
-    assert optimized.value == small.value
-    assert optimized.failure_code == small.failure_code
+    unit = CompiledUnit(language="LCVM", term=None, type=None, target_code=program)
+    execution = _TARGET.start(unit, backend=backend, fuel=10_000)
+    result = None
+    while result is None:
+        result = execution.step_n(1)
+    if small.status is Status.VALUE:
+        assert (result.value, result.failure) == (small.value, None)
+    else:
+        assert result.failure == (small.failure_code or small.status.value)
 
 
 def test_cek_reifies_closures_with_captured_environment():
@@ -372,7 +382,6 @@ def test_dangling_operations_fail_ptr_on_every_backend(program):
     assert run(program).failure_code is ErrorCode.PTR
     # Must be fail Ptr, never a raw KeyError from the heap.
     assert cek.run_compiled(program).failure_code is ErrorCode.PTR
-    assert cek.run_compiled(optimize(program)).failure_code is ErrorCode.PTR  # cek-opt
 
 
 def test_binop_failure_in_right_operand_outranks_type_error():
@@ -381,7 +390,6 @@ def test_binop_failure_in_right_operand_outranks_type_error():
     program = BinOp("+", NewRef(Int(0)), Fail(ErrorCode.CONV))
     assert run(program).failure_code is ErrorCode.CONV
     assert cek.run_compiled(program).failure_code is ErrorCode.CONV
-    assert cek.run_compiled(optimize(program)).failure_code is ErrorCode.CONV  # cek-opt
 
 
 # -- compiled CEK: concurrent compiles -----------------------------------------
@@ -411,7 +419,7 @@ def test_compiled_cek_compiles_safely_from_concurrent_threads():
             for round_ in range(150):
                 expr = program(1000 * thread + round_)
                 check(cek.Code(expr), expr)
-                check(cek.unit_code(shared, "cek-compiled"), shared.target_code)
+                check(cek.unit_code(shared), shared.target_code)
         except Exception as error:  # surfaced by the assertion below
             failures.append(error)
 

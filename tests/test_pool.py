@@ -25,8 +25,8 @@ import pickle
 
 import pytest
 
-from repro.serve import Request, Scheduler, WorkerPool, make_default_scheduler
-from repro.serve.pool import shard_of
+from repro.core.language import Engine
+from repro.serve import HashRing, Request, Scheduler, WorkerPool, make_default_scheduler
 from repro.util.workloads import (
     nested_ml_affi_boundary,
     nested_ml_l3_boundary,
@@ -115,6 +115,15 @@ def test_single_worker_pool_still_serves():
 # -- sharding policy ----------------------------------------------------------
 
 
+#: Routes requests to their placement key, as a pool's parent scheduler does.
+_ROUTER = make_default_scheduler()
+
+
+def shard_of(request, workers):
+    """The worker a ``workers``-wide pool places ``request`` on."""
+    return HashRing(range(workers)).node_for(_ROUTER.placement_key(request))
+
+
 def test_sharding_is_deterministic_and_program_keyed():
     request = Request(language="RefLL", source=nested_refll_boundary(4))
     again = Request(language="RefLL", source=nested_refll_boundary(4))
@@ -148,6 +157,25 @@ def test_affinity_overrides_program_sharding():
         != shard_of(base, workers)
     ]
     assert moved, "no affinity key ever changed the placement"
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 7])
+def test_pool_places_a_request_on_the_ring_node_of_its_placement_key(workers):
+    # One placement function: the pool hashes its router's placement key on
+    # a ring of its worker indices, so implicit and explicit system
+    # spellings of one program share a worker.  No worker is started.
+    requests = [
+        Request(language="RefLL", source=nested_refll_boundary(4)),
+        Request(language="RefLL", system="refs", source=nested_refll_boundary(4)),
+        Request(language="MiniML", system="affine", source=nested_ml_affi_boundary(3)),
+        Request(language="MiniML", system="l3", source=nested_ml_l3_boundary(3)),
+        Request(language="RefLL", source=nested_refll_boundary(4), affinity="a"),
+        Request(language="Klingon", source="(x)"),
+    ]
+    with WorkerPool(workers=workers, slice_steps=128) as pool:
+        shards = [pool.shard_of(request) for request in requests]
+    assert shards == [shard_of(request, workers) for request in requests]
+    assert shards[0] == shards[1]
 
 
 # -- cross-process pipeline-cache sharing -------------------------------------
@@ -283,31 +311,30 @@ def test_serve_batched_coalesces_identical_requests():
     assert str(batched[4].result.failure) == "out_of_fuel"
 
 
-def _not_a_machine(code, fuel: int = 100_000):
-    raise AssertionError("factoryless backends must never coalesce")
-
-
-def test_factoryless_backends_never_coalesce():
+def test_unroutable_requests_never_coalesce():
     scheduler = make_default_scheduler(slice_steps=128)
-    target = scheduler.systems["refs"].target
-    target.register_backend("thirdparty", _not_a_machine)
-    request = Request(language="RefLL", source=nested_refll_boundary(3), backend="thirdparty")
-    assert scheduler.batch_key(request) is None
-    # And requests that do not route at all get no key either.
     assert scheduler.batch_key(Request(language="Klingon", source="(x)")) is None
 
 
 # -- crash isolation ----------------------------------------------------------
 
 
-def _exit_hard(code, fuel: int = 100_000):
-    os._exit(13)  # simulate a segfaulting backend: no exception, no cleanup
+class _Crash:
+    """An execution that kills its process: no exception, no cleanup."""
+
+    def step_n(self, limit):
+        os._exit(13)  # simulate a segfaulting backend
+
+
+def _no_snapshots(snapshot):
+    raise AssertionError("the crashing engine never pauses")
 
 
 def _crashing_factory(slice_steps: int) -> Scheduler:
     """Default scheduler plus a 'crash' backend that kills the process."""
     scheduler = make_default_scheduler(slice_steps=slice_steps)
-    scheduler.systems["refs"].target.register_backend("crash", _exit_hard)
+    engine = Engine(start=lambda unit, fuel: _Crash(), restore=_no_snapshots)
+    scheduler.systems["refs"].target.engines["crash"] = engine
     return scheduler
 
 
@@ -329,9 +356,9 @@ def test_worker_crash_migrates_inflight_requests_and_respawns():
         ]
         responses = pool.run_batch(requests)
         by_id = {response.request.request_id: response for response in responses}
-        # The crashing request itself fails: its backend is a factoryless
-        # third-party runner (a BlockingExecution), so there is no snapshot
-        # to resume from -- and its budget is zero, so no redispatch either.
+        # The crashing request itself fails: its execution cannot snapshot,
+        # so there is nothing to resume from -- and its budget is zero, so
+        # no redispatch either.
         assert "crashed" in by_id["boom"].error
         # But the snapshot-capable request sharing the shard is *migrated*:
         # resumed from its last streamed checkpoint on the surviving shard,

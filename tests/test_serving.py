@@ -25,6 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.language import Engine
 from repro.lcvm import cek as lcvm_cek
 from repro.lcvm import machine as lcvm_machine
 from repro.lcvm.machine import Status
@@ -139,7 +140,7 @@ def _observe(response):
 
 
 def _isolated(request):
-    """The request run alone through the one-shot ``run_with`` path."""
+    """The request run alone, uninterrupted, through ``InteropSystem.run_source``."""
     _name, system = SCHEDULER.route(request)
     return system.run_source(
         request.language,
@@ -281,8 +282,8 @@ def test_no_backend_exceeds_the_slice_budget():
 
     Each ``step_n`` call may advance at most ``slice_steps`` machine
     transitions, so every response must satisfy ``steps ≤ slices ×
-    slice_steps`` — a ``BlockingExecution``-style backend (whole program in
-    its first slice) breaks this immediately for any deep request.
+    slice_steps`` — a backend that ran the whole program in its first slice
+    would break this immediately for any deep request.
     """
     responses = SCHEDULER.serve(REQUESTS)
     for response in responses:
@@ -341,14 +342,39 @@ def test_rejections_are_isolated_and_admitted_requests_still_run():
     assert by_id["good"].ok
 
 
+@pytest.mark.parametrize(
+    "request_",
+    [
+        Request(language="RefLL", source=_nested_refll_boundary(3), backend="cek-opt"),
+        Request(language="MiniML", system="affine", source=_nested_ml_affi_boundary(3), backend="cek-opt"),
+        Request(language="MiniML", system="l3", source=_nested_ml_l3_boundary(3), backend="cek-opt"),
+    ],
+    ids=["refs", "affine", "l3"],
+)
+def test_request_for_a_retired_backend_gets_a_structured_error(request_):
+    # Every target has two engines; naming the retired optimizing backend
+    # fails that request alone, with the registered names in the message.
+    good = Request(language="RefLL", source=_nested_refll_boundary(3), request_id="good")
+    retired, served = SCHEDULER.serve([request_, good])
+    assert retired.result is None
+    assert retired.error.startswith("ReproError: ") and "'cek-opt'" in retired.error
+    assert "'cek-compiled'" in retired.error and "'substitution'" in retired.error
+    assert served.ok
+
+
 def test_backend_crash_is_isolated_to_its_own_request():
     """A backend that raises mid-run fails its request, not the batch."""
     scheduler = make_default_scheduler(slice_steps=32)
 
-    def exploding_backend(target_code, fuel=100_000):
-        raise RuntimeError("engine bug")
+    class Exploding:
+        def step_n(self, limit):
+            raise RuntimeError("engine bug")
 
-    scheduler.systems["refs"].target.register_backend("exploding", exploding_backend)
+    def no_snapshots(snapshot):
+        raise AssertionError("the exploding engine never pauses")
+
+    target = scheduler.systems["refs"].target
+    target.engines["exploding"] = Engine(start=lambda unit, fuel: Exploding(), restore=no_snapshots)
     responses = scheduler.serve(
         [
             Request(language="RefLL", source=_nested_refll_boundary(3), request_id="healthy"),
@@ -452,7 +478,7 @@ def test_compiled_divergence_burns_fuel_not_the_python_stack():
 
 
 # ---------------------------------------------------------------------------
-# Timing split, async entry points, and the BlockingExecution shim
+# Timing split and async entry points
 # ---------------------------------------------------------------------------
 
 
@@ -492,42 +518,6 @@ def test_run_batch_works_from_inside_a_running_event_loop():
 
     responses = asyncio.run(_from_coroutine())
     assert [_observe(response) for response in responses] == expected
-
-
-def test_blocking_execution_shim_still_serves_factoryless_backends():
-    """Third-party backends without an execution factory keep working.
-
-    ``register_backend`` without ``register_execution`` falls back to the
-    ``BlockingExecution`` compatibility shim: one oversized slice, correct
-    result.  (Every built-in backend registers a real factory; the shim is
-    kept for extension code.)
-    """
-    scheduler = make_default_scheduler(slice_steps=16)
-    target = scheduler.systems["refs"].target
-
-    def third_party(target_code, fuel=100_000):
-        return target.backends["substitution"](target_code, fuel=fuel)
-
-    target.register_backend("third-party", third_party)
-    assert "third-party" not in target.executions
-    deep = Request(
-        language="RefLL",
-        source=_nested_refll_boundary(4),
-        backend="third-party",
-        request_id="shim",
-    )
-    oracle = Request(
-        language="RefLL",
-        source=_nested_refll_boundary(4),
-        backend="substitution",
-        request_id="resumable",
-    )
-    responses = scheduler.serve([deep, oracle])
-    by_id = {response.request.request_id: response for response in responses}
-    assert by_id["shim"].ok and by_id["resumable"].ok
-    assert by_id["shim"].result.value == by_id["resumable"].result.value
-    assert by_id["shim"].slices == 1  # the shim ignores the slice budget...
-    assert by_id["resumable"].slices > 1  # ...the registered oracle does not
 
 
 def test_warm_cache_prepopulates_the_pipeline_lru():

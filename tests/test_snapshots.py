@@ -37,7 +37,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import optimize
 from repro.core.errors import ReproError
 from repro.core.snapshots import SNAPSHOT_VERSION, snapshot_backend_name
 from repro.interop_affine import make_system as make_affine_system
@@ -108,26 +107,20 @@ def _fuel(system_name, backend, starved):
     return _baseline(system_name, backend, 1)[1] - 1 if starved else FUEL
 
 
-# Every snapshot-capable backend in every system: the restorer registry *is*
-# the capability list, so a backend gaining snapshots is tested automatically.
+# Every backend in every system (each engine restores its own snapshots).
 # Each backend runs the workload with ample fuel (to a value), and again as
 # ``-starved`` with one step less than the run needs, so a restored run must
 # carry its remaining fuel exactly to run out on the last step instead of
-# finishing.  The starved case is left out where the starved run is too short
-# to pause after three steps (``cek-opt`` folds the affine workload to two
-# transitions).
+# finishing.
 _BACKENDS = [
     (system_name, backend)
     for system_name in sorted(_SYSTEMS)
-    for backend in sorted(_SYSTEMS[system_name].target.restores)
+    for backend in sorted(_SYSTEMS[system_name].target.backend_names())
 ]
 CASES = [
-    pytest.param(system_name, backend, False, id=f"{system_name}-{backend}")
+    pytest.param(system_name, backend, starved, id=f"{system_name}-{backend}" + ("-starved" if starved else ""))
+    for starved in (False, True)
     for system_name, backend in _BACKENDS
-] + [
-    pytest.param(system_name, backend, True, id=f"{system_name}-{backend}-starved")
-    for system_name, backend in _BACKENDS
-    if _fuel(system_name, backend, starved=True) > 3
 ]
 
 
@@ -144,10 +137,7 @@ def _round_trip(snapshot):
 @pytest.mark.parametrize("system_name,backend,starved", CASES)
 def test_restore_at_every_slice_boundary_is_invisible(system_name, backend, starved):
     system = _SYSTEMS[system_name]
-    # The optimizing backend folds these arithmetic workloads down to a
-    # handful of transitions, so probe it at the finest slice granularity to
-    # still cross at least one boundary.
-    slice_steps = 1 if backend == "cek-opt" else 3
+    slice_steps = 3
     fuel = _fuel(system_name, backend, starved)
     base_str, base_steps = _baseline(system_name, backend, slice_steps, fuel)
     if starved:
@@ -166,11 +156,7 @@ def test_restore_at_every_slice_boundary_is_invisible(system_name, backend, star
         finished = _finish(restored, slice_steps)
         assert str(finished) == base_str
         assert finished.steps == base_steps
-    # A fully constant-folded run can finish inside its first slice (the
-    # affine workload optimizes to a literal); the boundary guard only
-    # applies when the uninterrupted run outlasts one slice.
-    if base_steps > slice_steps:
-        assert boundaries >= 1, "workload too shallow to cross a slice boundary"
+    assert boundaries >= 1, "workload too shallow to cross a slice boundary"
     # Snapshotting copied state out without perturbing the probed execution.
     assert str(result) == base_str
     assert result.steps == base_steps
@@ -252,12 +238,9 @@ _GC_PROGRAMS = [
     ),
 ]
 
-# (machine class, program preparation): ``cek-opt`` runs the optimized
-# program on the compiled machine under its own snapshot kind.
 _LCVM_MACHINES = [
-    pytest.param(lcvm_machine.SubstitutionExecution, None, id="substitution"),
-    pytest.param(lcvm_cek.CompiledExecution, None, id="cek-compiled"),
-    pytest.param(lcvm_cek.OptimizedExecution, optimize, id="cek-opt"),
+    pytest.param(lcvm_machine.SubstitutionExecution, id="substitution"),
+    pytest.param(lcvm_cek.CompiledExecution, id="cek-compiled"),
 ]
 
 
@@ -268,13 +251,11 @@ def _raw_observables(result):
     return str(result.value), result.steps, dict(heap.cells), heap.collections, heap.reclaimed
 
 
-@pytest.mark.parametrize("machine_class,prepare", _LCVM_MACHINES)
+@pytest.mark.parametrize("machine_class", _LCVM_MACHINES)
 @pytest.mark.parametrize(
     "program", _GC_PROGRAMS, ids=[str(program)[:48] for program in _GC_PROGRAMS]
 )
-def test_lcvm_restore_preserves_raw_postgc_heap(machine_class, prepare, program):
-    if prepare is not None:
-        program = prepare(program)
+def test_lcvm_restore_preserves_raw_postgc_heap(machine_class, program):
     base = _raw_observables(_finish(machine_class(program, fuel=MACHINE_FUEL), 2))
     probe = machine_class(program, fuel=MACHINE_FUEL)
     boundaries = 0
@@ -383,9 +364,7 @@ def test_restore_in_fresh_spawned_process(system_name, backend, starved):
     fuel = _fuel(system_name, backend, starved)
     base_str, base_steps = _baseline(system_name, backend, 64, fuel)
     probe = system.start_compiled(_target_code(system_name), fuel=fuel, backend=backend)
-    # The optimizing backend folds the workload to a couple of transitions;
-    # pause after a single step so there is still mid-run state to snapshot.
-    assert probe.step_n(1 if backend == "cek-opt" else 3) is None, (
+    assert probe.step_n(3) is None, (
         "workload too shallow to snapshot mid-run"
     )
     payload = pickle.dumps(probe.snapshot())
@@ -436,7 +415,7 @@ def test_version_and_kind_tampering_is_refused():
     with pytest.raises(ReproError):
         system.restore_execution(dict(snapshot, kind="garbage"))
     # Explicitly routing to the wrong restorer trips the kind check.
-    wrong = [name for name in system.target.restores if name != snapshot_backend_name(snapshot)]
+    wrong = [name for name in system.target.backend_names() if name != snapshot_backend_name(snapshot)]
     with pytest.raises(ValueError):
         system.target.restore(snapshot, backend=wrong[0])
     # An unregistered backend name is refused before any restore runs.
@@ -444,13 +423,55 @@ def test_version_and_kind_tampering_is_refused():
         system.target.restore(snapshot, backend="no-such-backend")
 
 
+@pytest.mark.parametrize("system_name,backend,starved", CASES)
+def test_run_compiled_is_one_slice_of_start_compiled(system_name, backend, starved):
+    # The one-shot entry point is the resumable execution run in a single
+    # slice: same outcome and step count as the run sliced at every step,
+    # and a starved run reports fuel exhaustion on exactly its last step.
+    fuel = _fuel(system_name, backend, starved)
+    whole = _SYSTEMS[system_name].run_compiled(_target_code(system_name), fuel=fuel, backend=backend)
+    assert (str(whole), whole.steps) == _baseline(system_name, backend, 1, fuel)
+    assert (whole.failure == "out_of_fuel") is starved
+    if starved:
+        assert whole.steps == fuel
+
+
+@pytest.mark.parametrize(
+    "system_name,backend", _BACKENDS, ids=[f"{name}-{backend}" for name, backend in _BACKENDS]
+)
+def test_each_engine_restores_exactly_the_kind_it_writes(system_name, backend):
+    system = _SYSTEMS[system_name]
+    snapshot = _round_trip(_mid_run_snapshot(system_name, backend=backend))
+    assert snapshot_backend_name(snapshot) == backend
+    # A bare snapshot routes itself to the engine that wrote it...
+    result = _finish(system.restore_execution(snapshot), 3)
+    assert (str(result), result.steps) == _baseline(system_name, backend, 3)
+    # ...and every other engine refuses it rather than misreading it.
+    for other in system.target.backend_names():
+        if other != backend:
+            with pytest.raises(ValueError):
+                system.target.restore(snapshot, backend=other)
+
+
+@pytest.mark.parametrize("system_name", sorted(_SYSTEMS))
+@pytest.mark.parametrize("backend", ["cek-opt", "bigstep"])
+def test_retired_backend_names_are_refused_before_any_run(system_name, backend):
+    system = _SYSTEMS[system_name]
+    with pytest.raises(ReproError, match=backend):
+        system.start_compiled(_target_code(system_name), fuel=FUEL, backend=backend)
+    with pytest.raises(ReproError, match=backend):
+        system.run_compiled(_target_code(system_name), fuel=FUEL, backend=backend)
+
+
 @pytest.mark.parametrize(
     "system_name,kind",
     [
         ("affine", "lcvm/bigstep"),
         ("affine", "lcvm/cek"),
+        ("affine", "lcvm/cek-opt"),
         ("l3", "lcvm/bigstep"),
         ("l3", "lcvm/cek"),
+        ("l3", "lcvm/cek-opt"),
         ("refs", "stacklang/cek"),
         ("refs", "stacklang/cek-opt"),
     ],
@@ -463,26 +484,32 @@ def test_version_and_kind_tampering_refuses_retired_kinds(system_name, kind):
         _SYSTEMS[system_name].restore_execution(dict(live, kind=kind))
 
 
-def test_resume_reports_a_retired_backend_checkpoint_and_finishes_the_rest():
-    # A checkpoint saved by an earlier build under the removed big-step
-    # evaluator: its plain-data state, tagged ``lcvm/bigstep``.
-    code = _target_code("affine")
+#: Checkpoint states saved by earlier builds under removed backends: the
+#: big-step evaluator's own plain data, and the optimizing ``cek-opt``
+#: backend's, which was the compiled machine's state under its own tag.
+_RETIRED_STATES = {
+    "lcvm/bigstep": lambda: {
+        "program": _target_code("affine"),
+        "fuel": FUEL,
+        "remaining": FUEL - 3,
+        "work": [],
+        "values": [],
+        "heap": None,
+    },
+    "lcvm/cek-opt": lambda: _mid_run_snapshot("affine", backend="cek-compiled"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_RETIRED_STATES))
+def test_resume_reports_a_retired_backend_checkpoint_and_finishes_the_rest(kind):
+    backend = kind.rsplit("/", 1)[1]
     retired = Checkpoint(
         request=Request(
             language="MiniML", system="affine", source=_WORKLOADS["affine"][1], request_id="retired"
         ),
         system="affine",
-        backend="bigstep",
-        snapshot={
-            "version": SNAPSHOT_VERSION,
-            "kind": "lcvm/bigstep",
-            "program": code,
-            "fuel": FUEL,
-            "remaining": FUEL - 3,
-            "work": [],
-            "values": [],
-            "heap": None,
-        },
+        backend=backend,
+        snapshot={**_RETIRED_STATES[kind](), "version": SNAPSHOT_VERSION, "kind": kind},
         slices=1,
     )
     live = Checkpoint(
@@ -496,7 +523,7 @@ def test_resume_reports_a_retired_backend_checkpoint_and_finishes_the_rest():
     by_id = {response.request.request_id: response for response in responses}
     assert by_id["retired"].result is None
     assert by_id["retired"].error.startswith("ReproError: ")
-    assert "bigstep" in by_id["retired"].error
+    assert repr(backend) in by_id["retired"].error
     base_str, base_steps = _baseline("refs", "cek-compiled", 3)
     assert by_id["live"].error is None
     assert (str(by_id["live"].result), by_id["live"].result.steps) == (base_str, base_steps)
