@@ -6,8 +6,8 @@ One entry point, :func:`analyze_unit`, runs every analysis over a compiled
 
 * crossing-site enumeration (:mod:`repro.analysis.crossings`) joined with
   the boundary records the unit's own typecheck wrote, so each site carries
-  its type pair and — when glue pre-resolution is on — the convertibility
-  rule that was statically baked into the compiled handler;
+  its type pair and the convertibility rule whose glue was baked into the
+  compiled handler;
 * effect/purity facts and node counts (:mod:`repro.analysis.effects`);
 * the StackLang stack-effect/arity verifier's findings
   (:mod:`repro.analysis.stack_effects`).

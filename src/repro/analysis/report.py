@@ -5,7 +5,7 @@ of strings, ints, bools, and tuples.  A report pickles (so it rides inside
 :class:`~repro.core.language.CompiledUnit` through the pipeline LRU and the
 cross-process artifact store) and serializes to JSON (``to_dict``), and it
 never holds live objects — types are stringified, glue closures stay in the
-boundary hooks where they belong.
+system's :class:`~repro.core.boundary.Boundaries` where they belong.
 
 Three result families:
 
@@ -40,8 +40,8 @@ class CrossingSite:
     #: The foreign type the embedded term was checked at (stringified;
     #: ``"?"`` when enumeration ran without typechecker records).
     foreign_type: str
-    #: Name of the convertibility rule witnessing the crossing, when the
-    #: glue was statically pre-resolved (``None`` otherwise).
+    #: Name of the convertibility rule witnessing the crossing (``None``
+    #: when enumeration ran without typechecker records).
     rule: Optional[str] = None
     #: Boundary nesting depth: 0 for a top-level crossing, 1 for a crossing
     #: inside another boundary's foreign term, and so on.

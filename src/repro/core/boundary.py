@@ -1,82 +1,92 @@
-"""Generic support for Matthews–Findler-style boundary terms (§2.1).
+"""The Matthews–Findler boundary rule (§2.1), implemented once for every system.
 
 Each source language in this repository embeds terms of the *other* language
-via a boundary form written ``(boundary τ e)`` in the surface syntax: the
-embedded term ``e`` is typechecked by the foreign language's typechecker, the
-pair of types is looked up in the convertibility relation, and at compile time
-the foreign compiler output is wrapped with the conversion glue code.
+via a boundary form written ``(boundary τ e)`` in the surface syntax.  The
+paper gives one rule for such a term ``⦇e⦈^τ``: the embedded term ``e`` is
+typechecked by the foreign language's typechecker, the host type ``τ`` and
+the foreign type must satisfy ``τ_A ∼ τ_B``, and the compiled foreign term is
+wrapped in that conversion's glue.
 
 The boundary AST node lives in each language's syntax module (so that the
-language's own visitors see it), but they all carry the same payload, which
-this module defines, together with helpers used by the typecheckers and
-compilers to process boundaries uniformly.
+language's own visitors see it); every node carries a ``foreign_term`` and
+the host-type ``annotation``.  :class:`Boundaries` is the rule itself: each
+system's typecheck hooks call :meth:`Boundaries.resolve` once they know the
+foreign type, and its compile hooks call :meth:`Boundaries.compile` once the
+foreign term is compiled.  What differs per system — which typechecker and
+compiler run the foreign term, and any extra side condition — stays in the
+system's ``make_system``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, Dict, NamedTuple
 
-from repro.core.convertibility import Conversion, ConvertibilityRelation
-from repro.core.errors import ConvertibilityError
+from repro.core.convertibility import ConvertibilityRelation, GlueFn
+from repro.core.errors import CompileError, ConvertibilityError
 
 
-@dataclass
-class BoundaryPayload:
-    """The information every boundary term carries.
+class BoundaryRecords(NamedTuple):
+    """What one pipeline's typecheck recorded, keyed by ``id(boundary)``."""
 
-    * ``foreign_term`` — the embedded term, an AST of the other language.
-    * ``annotation`` — the *host* type ascribed to the boundary (``τ_A`` in
-      ``⦇e⦈^{τ_A}``); the foreign type is inferred by the foreign typechecker.
+    #: The foreign type each embedded term was checked at.
+    types: Dict[int, Any]
+    #: The convertibility rule behind each boundary site.
+    rules: Dict[int, str]
+
+
+class Boundaries:
+    """One system's boundary sites: resolved at typecheck, glued at compile.
+
+    Typechecking a boundary derives its conversion, so :meth:`resolve` keeps
+    the glue oriented toward the host (plus the foreign type and rule name
+    the analysis tier reports) under ``id(boundary)``; :meth:`compile` pops
+    that glue, so compiling a site performs no relation lookup at all.  The
+    frontends call :meth:`take_records` at the end of every pipeline,
+    rejected ones included, so no pipeline's records stay behind: they live
+    exactly as long as the unit they describe, and an id a later program
+    reuses never meets a stale entry.
     """
 
-    foreign_term: Any
-    annotation: Any
+    def __init__(self, relation: ConvertibilityRelation) -> None:
+        self.relation = relation
+        self.boundary_types: Dict[int, Any] = {}
+        self.resolved_rules: Dict[int, str] = {}
+        #: Oriented glue per boundary site (compiled foreign term → host term).
+        self.resolved_glue: Dict[int, GlueFn] = {}
 
+    def resolve(self, boundary: Any, host_language: str, foreign_type: Any) -> Any:
+        """Require ``τ_A ∼ τ_B`` for a boundary whose foreign term has
+        ``foreign_type``; return the boundary's host type, its annotation."""
+        relation = self.relation
+        annotation = boundary.annotation
+        host_is_a = host_language == relation.language_a
+        if host_is_a:
+            foreign_language, pair = relation.language_b, (annotation, foreign_type)
+        else:
+            foreign_language, pair = relation.language_a, (foreign_type, annotation)
+        conversion = relation.query(*pair)
+        if conversion is None:
+            raise ConvertibilityError(
+                f"{host_language} boundary at type {annotation} embeds a foreign {foreign_language} "
+                f"term of type {foreign_type}, but {pair[0]} ~ {pair[1]} is not derivable"
+            )
+        key = id(boundary)
+        self.boundary_types[key] = foreign_type
+        self.resolved_rules[key] = conversion.rule_name
+        self.resolved_glue[key] = conversion.apply_b_to_a if host_is_a else conversion.apply_a_to_b
+        return annotation
 
-def check_boundary(
-    relation: ConvertibilityRelation,
-    host_language: str,
-    host_type: Any,
-    foreign_type: Any,
-) -> Conversion:
-    """Validate a boundary's types against the convertibility relation.
+    def compile(self, boundary: Any, compiled_foreign: Any) -> Any:
+        """Wrap the compiled foreign term in the glue :meth:`resolve` kept:
+        ``C[τ_foreign ↦ τ_host](e⁺)`` exactly as in Fig. 3 / Fig. 13."""
+        glue = self.resolved_glue.pop(id(boundary), None)
+        if glue is None:
+            raise CompileError(f"boundary at type {boundary.annotation} compiled before it was typechecked")
+        self.relation.count_preresolved()
+        return glue(compiled_foreign)
 
-    Returns the conversion oriented so that ``apply_a_to_b`` converts *from
-    the foreign type to the host type* (the direction a boundary needs when
-    compiling: the embedded foreign term produces a foreign-type value that
-    must be converted for the host context).
-    """
-    if host_language == relation.language_a:
-        conversion = relation.query(host_type, foreign_type)
-        if conversion is not None:
-            return conversion.flipped()
-        raise ConvertibilityError(
-            f"boundary requires {relation.language_a} type {host_type} ~ "
-            f"{relation.language_b} type {foreign_type}, which is not derivable"
-        )
-    if host_language == relation.language_b:
-        conversion = relation.query(foreign_type, host_type)
-        if conversion is not None:
-            return conversion
-        raise ConvertibilityError(
-            f"boundary requires {relation.language_a} type {foreign_type} ~ "
-            f"{relation.language_b} type {host_type}, which is not derivable"
-        )
-    raise ConvertibilityError(
-        f"language {host_language!r} is not part of the relation "
-        f"({relation.language_a}, {relation.language_b})"
-    )
-
-
-def compile_boundary(
-    conversion: Conversion,
-    compiled_foreign_term: Any,
-) -> Any:
-    """Apply the conversion glue to the compiled foreign term.
-
-    ``check_boundary`` orients the conversion so the foreign→host direction is
-    ``apply_a_to_b``; compilation of ``⦇e⦈^{τ}`` is then
-    ``C[τ_foreign ↦ τ_host](e⁺)`` exactly as in Fig. 3 / Fig. 13.
-    """
-    return conversion.apply_a_to_b(compiled_foreign_term)
+    def take_records(self) -> BoundaryRecords:
+        records = BoundaryRecords(self.boundary_types, self.resolved_rules)
+        self.boundary_types, self.resolved_rules = {}, {}
+        self.resolved_glue.clear()
+        return records

@@ -45,16 +45,6 @@ class Conversion:
     apply_b_to_a: GlueFn
     rule_name: str = "<anonymous>"
 
-    def flipped(self) -> "Conversion":
-        """Return the same conversion with the roles of A and B swapped."""
-        return Conversion(
-            type_a=self.type_b,
-            type_b=self.type_a,
-            apply_a_to_b=self.apply_b_to_a,
-            apply_b_to_a=self.apply_a_to_b,
-            rule_name=self.rule_name,
-        )
-
 
 class ConvertibilityRule:
     """One schematic rule of the convertibility judgment.
@@ -83,13 +73,12 @@ class ConvertibilityRule:
 class ConvertibilityRelation:
     """The extensible judgment ``τ_A ∼ τ_B`` for a fixed pair of languages.
 
-    Every :meth:`query` is a *dynamic glue lookup* — the per-crossing cost
-    the static-analysis tier's glue pre-resolution eliminates — so the
-    relation counts them: ``hits`` (memo dict hits), ``misses`` (full rule
-    derivations), and ``preresolved`` (boundary compilations served from a
-    statically baked conversion with **no** query at all, reported by the
-    boundary hooks via :meth:`count_preresolved`).  :meth:`stats` surfaces
-    the counters through ``InteropSystem.cache_stats()``.
+    Every :meth:`query` is a glue lookup, and the relation counts them:
+    ``hits`` (memo dict hits) and ``misses`` (full rule derivations).
+    Boundaries query it once, while typechecking; compiling a boundary uses
+    the glue that query resolved, with **no** query at all, and reports it
+    via :meth:`count_preresolved`.  :meth:`stats` surfaces the counters
+    through ``InteropSystem.cache_stats()``.
     """
 
     language_a: str
@@ -180,16 +169,15 @@ class ConvertibilityRelation:
         """Return the concrete pairs successfully queried so far (for reports)."""
         return [pair for pair, conv in self._memo.items() if conv is not None]
 
-    # -- glue-lookup accounting (the static pre-resolution differential) ------
+    # -- glue-lookup accounting ------------------------------------------------
 
     def count_preresolved(self) -> None:
-        """Record one boundary compiled from a statically pre-resolved glue.
+        """Record one boundary compiled from the glue its typecheck resolved.
 
-        Called by the boundary hooks when a crossing site's conversion was
-        baked in at typecheck time, so compiling the site performed **zero**
-        dynamic :meth:`query` lookups.  The tier-1 analysis tests compare
-        this counter against ``lookups`` to prove per-crossing lookups are
-        gone.
+        Called by :meth:`repro.core.boundary.Boundaries.compile`, so
+        compiling the site performed **zero** :meth:`query` lookups.  The
+        tier-1 analysis tests compare this counter against ``lookups`` to
+        prove the compile phase makes none.
         """
         self.preresolved += 1
 

@@ -136,7 +136,7 @@ class LanguageFrontend:
     #: with the compiled code it describes.
     analyze: Optional[Callable[["CompiledUnit"], Any]] = None
     #: Optional ``take_records() -> records``: hands over, and forgets, what
-    #: the boundary hooks recorded while this pipeline typechecked and
+    #: the system's boundaries recorded while this pipeline typechecked and
     #: compiled.  The unit keeps the records as the input of its report.
     take_records: Optional[Callable[[], Any]] = None
     cache_enabled: bool = True

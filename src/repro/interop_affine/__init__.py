@@ -19,7 +19,7 @@ from repro.interop_affine.soundness import (
     check_phantom_erasure_agreement,
     check_type_safety,
 )
-from repro.interop_affine.system import AffineBoundaryHooks, make_system
+from repro.interop_affine.system import make_system
 
 __all__ = [
     "LANGUAGE_A",
@@ -43,6 +43,5 @@ __all__ = [
     "check_convertibility_soundness",
     "check_phantom_erasure_agreement",
     "check_type_safety",
-    "AffineBoundaryHooks",
     "make_system",
 ]

@@ -10,13 +10,12 @@ The boundary hooks implement the Fig. 7 boundary rules:
   ``τ̄ ∼ τ``.
 
 Compilation of a boundary compiles the foreign term with the foreign compiler
-and applies the conversion wrapper for the appropriate direction.
+and applies the glue typechecking resolved (:mod:`repro.core.boundary`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Optional
 
 from repro import analysis
 from repro.affi import compiler as affi_compiler
@@ -25,9 +24,10 @@ from repro.affi import syntax as affi_syntax
 from repro.affi import typechecker as affi_typechecker
 from repro.affi import types as affi_types
 from repro.affi.types import Mode
+from repro.core.boundary import Boundaries, BoundaryRecords
 from repro.core.convertibility import ConvertibilityRelation
-from repro.core.errors import ConvertibilityError, LinearityError
-from repro.core.interop import BoundaryRecorder, BoundaryRecords, InteropSystem
+from repro.core.errors import LinearityError
+from repro.core.interop import InteropSystem
 from repro.core.language import LanguageFrontend
 from repro.interop_affine.conversions import LANGUAGE_A, LANGUAGE_B, make_convertibility
 from repro.lcvm.backends import make_lcvm_backend
@@ -38,19 +38,12 @@ from repro.miniml import typechecker as ml_typechecker
 from repro.miniml import types as ml_types
 
 
-@dataclass
-class AffineBoundaryHooks(BoundaryRecorder):
-    """Mutually recursive typecheck/compile hooks for Affi and MiniML."""
+class _AffiBoundaries(Boundaries):
+    """Boundaries plus the Affi compiler's side table, reset with the records."""
 
-    relation: ConvertibilityRelation
-    annotations: affi_typechecker.Annotations = field(default_factory=affi_typechecker.Annotations)
-    boundary_types: Dict[int, object] = field(default_factory=dict)
-    #: Static glue pre-resolution (see :class:`BoundaryHooks` in §3): when on,
-    #: typechecking captures the oriented conversion closure per boundary and
-    #: compilation bakes it in without a dynamic relation lookup.
-    preresolve: bool = True
-    resolved_glue: Dict[int, Callable] = field(default_factory=dict)
-    resolved_rules: Dict[int, str] = field(default_factory=dict)
+    def __init__(self, relation: ConvertibilityRelation) -> None:
+        super().__init__(relation)
+        self.annotations = affi_typechecker.Annotations()
 
     def take_records(self) -> BoundaryRecords:
         # The compiler has consumed the Affi annotations by the time a
@@ -59,9 +52,15 @@ class AffineBoundaryHooks(BoundaryRecorder):
         self.annotations.application_modes.clear()
         return super().take_records()
 
-    # -- typechecking ---------------------------------------------------------
 
-    def ml_boundary_type(self, boundary: ml_syntax.Boundary, env, type_vars, foreign_env):
+def make_system(relation: Optional[ConvertibilityRelation] = None) -> InteropSystem:
+    """Build the complete §4 interoperability system."""
+    relation = relation or make_convertibility()
+    boundaries = _AffiBoundaries(relation)
+    annotations = boundaries.annotations
+    analyze, _ = analysis.make_analyzer("lcvm", (LANGUAGE_A, LANGUAGE_B))
+
+    def ml_boundary_type(boundary: ml_syntax.Boundary, env, type_vars, foreign_env):
         """Type a MiniML boundary embedding an Affi term."""
         affine_env = dict(foreign_env or {})
         affi_type, usage = affi_typechecker.check_with_usage(
@@ -69,8 +68,8 @@ class AffineBoundaryHooks(BoundaryRecorder):
             unrestricted={},
             affine=affine_env,
             foreign_env=env,
-            boundary_hook=self.affi_boundary_type,
-            annotations=self.annotations,
+            boundary_hook=affi_boundary_type,
+            annotations=annotations,
         )
         static_usage = {
             name for name in usage if name in affine_env and affine_env[name][1] is Mode.STATIC
@@ -80,82 +79,27 @@ class AffineBoundaryHooks(BoundaryRecorder):
                 "an Affi term embedded in MiniML may not consume static affine variables "
                 f"(no•(Ω) in Fig. 7): {sorted(static_usage)}"
             )
-        conversion = self.relation.query(affi_type, boundary.annotation)
-        if conversion is None:
-            raise ConvertibilityError(
-                f"MiniML boundary at type {boundary.annotation} embeds an Affi term of type "
-                f"{affi_type}, but {affi_type} ~ {boundary.annotation} is not derivable"
-            )
-        self.boundary_types[id(boundary)] = affi_type
-        if self.preresolve:
-            self.resolved_glue[id(boundary)] = conversion.apply_a_to_b
-            self.resolved_rules[id(boundary)] = conversion.rule_name
-        return boundary.annotation, usage
+        return boundaries.resolve(boundary, LANGUAGE_B, affi_type), usage
 
-    def affi_boundary_type(self, boundary: affi_syntax.Boundary, unrestricted, affine, foreign_env):
+    def affi_boundary_type(boundary: affi_syntax.Boundary, unrestricted, affine, foreign_env):
         """Type an Affi boundary embedding a MiniML term."""
         ml_type, usage = ml_typechecker.check_with_usage(
             boundary.foreign_term,
             env=dict(foreign_env or {}),
             foreign_env=affine,
-            boundary_hook=self.ml_boundary_type,
+            boundary_hook=ml_boundary_type,
         )
-        conversion = self.relation.query(boundary.annotation, ml_type)
-        if conversion is None:
-            raise ConvertibilityError(
-                f"Affi boundary at type {boundary.annotation} embeds a MiniML term of type "
-                f"{ml_type}, but {boundary.annotation} ~ {ml_type} is not derivable"
-            )
-        self.boundary_types[id(boundary)] = ml_type
-        if self.preresolve:
-            self.resolved_glue[id(boundary)] = conversion.apply_b_to_a
-            self.resolved_rules[id(boundary)] = conversion.rule_name
-        return boundary.annotation, usage
+        return boundaries.resolve(boundary, LANGUAGE_A, ml_type), usage
 
-    # -- compilation ----------------------------------------------------------
-
-    def ml_compile_boundary(self, boundary: ml_syntax.Boundary):
+    def ml_compile_boundary(boundary: ml_syntax.Boundary):
         compiled = affi_compiler.compile_expr(
-            boundary.foreign_term, annotations=self.annotations, boundary_hook=self.affi_compile_boundary
+            boundary.foreign_term, annotations=annotations, boundary_hook=affi_compile_boundary
         )
-        glue = self.resolved_glue.pop(id(boundary), None)
-        if glue is not None:
-            self.relation.count_preresolved()
-            return glue(compiled)
-        affi_type = self.boundary_types.get(id(boundary))
-        if affi_type is None:
-            affi_type, _usage = affi_typechecker.check_with_usage(
-                boundary.foreign_term,
-                boundary_hook=self.affi_boundary_type,
-                annotations=self.annotations,
-            )
-        conversion = self.relation.require(affi_type, boundary.annotation)
-        return conversion.apply_a_to_b(compiled)
+        return boundaries.compile(boundary, compiled)
 
-    def affi_compile_boundary(self, boundary: affi_syntax.Boundary):
-        compiled = ml_compiler.compile_expr(boundary.foreign_term, boundary_hook=self.ml_compile_boundary)
-        glue = self.resolved_glue.pop(id(boundary), None)
-        if glue is not None:
-            self.relation.count_preresolved()
-            return glue(compiled)
-        ml_type = self.boundary_types.get(id(boundary))
-        if ml_type is None:
-            ml_type = ml_typechecker.typecheck(boundary.foreign_term, boundary_hook=self.ml_boundary_type)
-        conversion = self.relation.require(boundary.annotation, ml_type)
-        return conversion.apply_b_to_a(compiled)
-
-
-def make_system(
-    relation: Optional[ConvertibilityRelation] = None, preresolve: bool = True
-) -> InteropSystem:
-    """Build the complete §4 interoperability system.
-
-    ``preresolve=False`` disables static glue pre-resolution (the benchmark's
-    counter/wall-clock differential baseline).
-    """
-    relation = relation or make_convertibility()
-    hooks = AffineBoundaryHooks(relation, preresolve=preresolve)
-    analyze, _ = analysis.make_analyzer("lcvm", (LANGUAGE_A, LANGUAGE_B))
+    def affi_compile_boundary(boundary: affi_syntax.Boundary):
+        compiled = ml_compiler.compile_expr(boundary.foreign_term, boundary_hook=ml_compile_boundary)
+        return boundaries.compile(boundary, compiled)
 
     # Mutually recursive boundary parsers: an Affi boundary embeds a MiniML
     # term whose own boundaries embed Affi terms, and so on.
@@ -174,14 +118,14 @@ def make_system(
             unrestricted=unrestricted,
             affine=affine,
             foreign_env=foreign_env,
-            boundary_hook=hooks.affi_boundary_type,
-            annotations=hooks.annotations,
+            boundary_hook=affi_boundary_type,
+            annotations=annotations,
         ),
         compile=lambda term: affi_compiler.compile_expr(
-            term, annotations=hooks.annotations, boundary_hook=hooks.affi_compile_boundary
+            term, annotations=annotations, boundary_hook=affi_compile_boundary
         ),
         analyze=analyze,
-        take_records=hooks.take_records,
+        take_records=boundaries.take_records,
     )
     ml_frontend = LanguageFrontend(
         name=LANGUAGE_B,
@@ -192,11 +136,11 @@ def make_system(
             env=env,
             type_vars=type_vars,
             foreign_env=foreign_env,
-            boundary_hook=hooks.ml_boundary_type,
+            boundary_hook=ml_boundary_type,
         ),
-        compile=lambda term: ml_compiler.compile_expr(term, boundary_hook=hooks.ml_compile_boundary),
+        compile=lambda term: ml_compiler.compile_expr(term, boundary_hook=ml_compile_boundary),
         analyze=analyze,
-        take_records=hooks.take_records,
+        take_records=boundaries.take_records,
     )
     # The two LCVM engines: the compiled-dispatch CEK machine is the
     # default and the substitution machine is the differential-testing

@@ -9,7 +9,7 @@ from repro.interop_l3.soundness import (
     check_ownership_transfer,
     check_type_safety,
 )
-from repro.interop_l3.system import L3BoundaryHooks, make_system
+from repro.interop_l3.system import make_system
 
 __all__ = [
     "LANGUAGE_A",
@@ -21,6 +21,5 @@ __all__ = [
     "check_foreign_type_discipline",
     "check_ownership_transfer",
     "check_type_safety",
-    "L3BoundaryHooks",
     "make_system",
 ]

@@ -17,7 +17,7 @@ from repro.interop_refs.soundness import (
     check_reference_sharing_requires_identical_interpretations,
     check_type_safety,
 )
-from repro.interop_refs.system import BoundaryHooks, make_system
+from repro.interop_refs.system import make_system
 
 __all__ = [
     "LANGUAGE_A",
@@ -35,6 +35,5 @@ __all__ = [
     "check_fundamental_property",
     "check_reference_sharing_requires_identical_interpretations",
     "check_type_safety",
-    "BoundaryHooks",
     "make_system",
 ]

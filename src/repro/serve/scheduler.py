@@ -513,8 +513,8 @@ class Scheduler:
         """The coalescing key for ``request``, or ``None`` when it must run alone.
 
         Two requests may share one VM instance only when *everything* that
-        determines the run is identical: the routed system, the pipeline
-        cache key (language, source, frozen typecheck kwargs), the resolved
+        determines the run is identical: the :meth:`pipeline_key` (routed
+        system, language, source, frozen typecheck kwargs), the resolved
         backend, and the fuel budget.  Every engine is a deterministic
         machine, so such requests share one outcome.  Analyze-only requests
         never coalesce: they start no VM instance, so there is nothing to
@@ -522,16 +522,13 @@ class Scheduler:
         """
         if request.analyze_only:
             return None
-        try:
-            system_name, system = self.route(request)
-        except ReproError:
+        store_key = self.pipeline_key(request)
+        if store_key is None:
             return None
-        frontend = system.frontend(request.language)
-        key = frontend.cache_key(request.source, dict(request.typecheck_kwargs))
-        if key is None:
-            return None
-        backend = request.backend if request.backend is not None else system.target.default_backend
-        return ((system_name, key), backend, request.fuel)
+        backend = request.backend
+        if backend is None:
+            backend = self.systems[store_key[0]].target.default_backend
+        return (store_key, backend, request.fuel)
 
     # -- cross-process cache sharing ------------------------------------------
 

@@ -15,9 +15,9 @@ Four layers of guarantees:
   both LCVM systems) *and* on fuel exhaustion (all three systems), and every
   target keeps exactly those two engines;
 * **glue pre-resolution + serving** — the compile phase performs zero
-  dynamic convertibility lookups when pre-resolution is on (counter
-  differential against the ``preresolve=False`` baseline, at the workload
-  depths and at the deep-crossing depth the benchmarks time), ``analyze_only``
+  convertibility lookups, every crossing being compiled from the glue its
+  typecheck resolved (at the workload depth and at the deep-crossing depth
+  the benchmarks time), ``analyze_only``
   requests return the cached report without starting an execution (and
   without consuming admission slots), and cost hints weigh the pool's
   load-aware placement deterministically.
@@ -273,24 +273,15 @@ _FACTORIES = {
 @pytest.mark.parametrize("system_name", sorted(_FACTORIES))
 def test_preresolution_eliminates_compile_phase_lookups(system_name, depth):
     generator, language, per_depth = _WORKLOADS[system_name]
-    source = generator(depth)
-
-    def compile_phase_stats(preresolve):
-        system = _FACTORIES[system_name](preresolve=preresolve)
-        frontend = system.frontend(language)
-        term = frontend.parse_expr(source)
-        frontend.typecheck(term)
-        system.convertibility.reset_stats()
-        frontend.compile(term)
-        return system.convertibility.stats()
-
-    on = compile_phase_stats(True)
-    off = compile_phase_stats(False)
-    crossings = depth * per_depth
-    assert on["lookups"] == 0  # zero per-crossing dynamic lookups
-    assert on["preresolved"] == crossings
-    assert off["preresolved"] == 0
-    assert off["lookups"] == crossings  # the dynamic baseline pays per site
+    system = _FACTORIES[system_name]()
+    frontend = system.frontend(language)
+    term = frontend.parse_expr(generator(depth))
+    frontend.typecheck(term)
+    system.convertibility.reset_stats()
+    frontend.compile(term)
+    stats = system.convertibility.stats()
+    assert stats["lookups"] == 0  # zero per-crossing lookups
+    assert stats["preresolved"] == depth * per_depth
 
 
 @pytest.mark.parametrize("system_name", sorted(_FACTORIES))
@@ -302,15 +293,6 @@ def test_cache_stats_surface_convertibility_counters(system_name):
     for key in ("entries", "hits", "misses", "lookups", "preresolved"):
         assert key in stats
     assert stats["preresolved"] > 0
-
-
-@pytest.mark.parametrize("system_name", sorted(_FACTORIES))
-def test_preresolve_off_is_observation_equivalent(system_name):
-    generator, language, _per_depth = _WORKLOADS[system_name]
-    source = generator(3)
-    on = _FACTORIES[system_name]().run_source(language, source)
-    off = _FACTORIES[system_name](preresolve=False).run_source(language, source)
-    assert (on.value, on.failure, on.steps) == (off.value, off.failure, off.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +377,7 @@ _TARGETS = {"refs": "stacklang", "affine": "lcvm", "l3": "lcvm"}
 @pytest.mark.parametrize("depth", [1, 3, 6])
 def test_lazy_report_equals_the_eager_one(system_name, depth):
     """A report built long after its pipeline, once 300 other programs have
-    churned through the boundary hooks, equals one built right away."""
+    churned through the system's boundaries, equals one built right away."""
     generator, language, per_depth = _WORKLOADS[system_name]
     system = _FACTORIES[system_name]()
     unit = system.compile_source(language, generator(depth))
@@ -443,7 +425,7 @@ def test_boundary_record_maps_stay_bounded_under_cold_traffic(system_name):
     system = _FACTORIES[system_name]()
     for frontend in (system.language_a, system.language_b):
         frontend.cache_capacity = 8
-    hooks = system.frontend(language).take_records.__self__
+    boundaries = system.frontend(language).take_records.__self__
     scheduler = Scheduler({system_name: system}, driver=StepSlicedDriver(512))
     tail = generator(1)
     largest = 0
@@ -455,9 +437,9 @@ def test_boundary_record_maps_stay_bounded_under_cold_traffic(system_name):
             ]
         )
         assert all(response.error is None for response in responses)
-        maps = [hooks.boundary_types, hooks.resolved_glue, hooks.resolved_rules]
+        maps = [boundaries.boundary_types, boundaries.resolved_glue, boundaries.resolved_rules]
         if system_name == "affine":
-            maps += [hooks.annotations.variable_resolutions, hooks.annotations.application_modes]
+            maps += [boundaries.annotations.variable_resolutions, boundaries.annotations.application_modes]
         largest = max([largest] + [len(records) for records in maps])
     assert system.frontend(language).cache_stats()["entries"] <= 8
     assert largest <= per_depth  # at most one program's worth, never growing

@@ -1,8 +1,11 @@
 """Tests for the generic framework pieces in ``repro.core``."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core import (
+    Boundaries,
     CheckReport,
     Conversion,
     ConvertibilityError,
@@ -12,13 +15,15 @@ from repro.core import (
     NameSupply,
     TypeTag,
     World,
-    check_boundary,
     is_generated_name,
     merge_disjoint,
 )
-from repro.core.errors import ModelError, ReproError
+from repro.core.errors import CompileError, ModelError, ReproError
 from repro.core.language import Engine, LanguageFrontend, TargetBackend, pipeline_cache_key
 from repro.core.worlds import USED, affine_extends, fresh_location, world_flags
+from repro.interop_affine import make_system as make_affine_system
+from repro.interop_l3 import make_system as make_l3_system
+from repro.interop_refs import make_system as make_refs_system
 
 
 # -- convertibility registry ---------------------------------------------------
@@ -132,24 +137,51 @@ def test_cycle_cutoff_taint_is_transient():
     assert ("a", "b") in relation._memo
 
 
-def test_flipped_conversion_swaps_directions():
-    conversion = Conversion("a", "b", lambda t: ("ab", t), lambda t: ("ba", t))
-    flipped = conversion.flipped()
-    assert flipped.type_a == "b"
-    assert flipped.apply_a_to_b("v") == ("ba", "v")
+# -- boundaries ------------------------------------------------------------------
 
 
-def test_check_boundary_orients_conversion_toward_host():
+def test_boundaries_orient_glue_toward_host():
     relation = ConvertibilityRelation("A", "B")
-    relation.register_pair("ta", "tb", lambda t: ("to_b", t), lambda t: ("to_a", t))
-    toward_a = check_boundary(relation, "A", "ta", "tb")
-    assert toward_a.apply_a_to_b("v") == ("to_a", "v")
-    toward_b = check_boundary(relation, "B", "tb", "ta")
-    assert toward_b.apply_a_to_b("v") == ("to_b", "v")
-    with pytest.raises(ConvertibilityError):
-        check_boundary(relation, "A", "ta", "unknown")
-    with pytest.raises(ConvertibilityError):
-        check_boundary(relation, "C", "ta", "tb")
+    relation.register_pair("ta", "tb", lambda t: ("to_b", t), lambda t: ("to_a", t), name="ta~tb")
+    boundaries = Boundaries(relation)
+    host_a, host_b = SimpleNamespace(annotation="ta"), SimpleNamespace(annotation="tb")
+    assert boundaries.resolve(host_a, "A", "tb") == "ta"
+    assert boundaries.resolve(host_b, "B", "ta") == "tb"
+    assert boundaries.compile(host_a, "v") == ("to_a", "v")
+    assert boundaries.compile(host_b, "v") == ("to_b", "v")
+    assert relation.stats()["preresolved"] == 2
+    records = boundaries.take_records()
+    assert records.types == {id(host_a): "tb", id(host_b): "ta"}
+    assert records.rules == {id(host_a): "ta~tb", id(host_b): "ta~tb"}
+    with pytest.raises(ConvertibilityError, match="A boundary at type ta .* B term of type unknown"):
+        boundaries.resolve(host_a, "A", "unknown")
+    with pytest.raises(CompileError):
+        boundaries.compile(host_a, "v")  # a rejected boundary keeps no glue
+
+
+#: One underivable boundary per (system, host) direction:
+#: (factory, host, foreign, source, annotation, foreign type).
+_REJECTED_BOUNDARIES = [
+    (make_refs_system, "RefHL", "RefLL", "(boundary bool (ref 0))", "bool", "(ref int)"),
+    (make_refs_system, "RefLL", "RefHL", "(boundary (ref int) (ref unit))", "(ref int)", "(ref unit)"),
+    (make_affine_system, "Affi", "MiniML", "(boundary int (lam (x int) x))", "int", "(int -> int)"),
+    (make_affine_system, "MiniML", "Affi", "(boundary (prod int int) true)", "(int * int)", "bool"),
+    (make_l3_system, "MiniML", "L3", "(boundary int (new true))", "int", "(∃z. ((cap z bool) ⊗ !(ptr z)))"),
+    (make_l3_system, "L3", "MiniML", "(boundary (-o bool bool) 5)", "(bool ⊸ bool)", "int"),
+]
+
+
+@pytest.mark.parametrize(
+    "factory, host, foreign, source, annotation, foreign_type",
+    _REJECTED_BOUNDARIES,
+    ids=["refs-RefHL", "refs-RefLL", "affine-Affi", "affine-MiniML", "l3-MiniML", "l3-L3"],
+)
+def test_every_boundary_direction_rejects_an_underivable_pair(factory, host, foreign, source, annotation, foreign_type):
+    with pytest.raises(ConvertibilityError) as caught:
+        factory().compile_source(host, source)
+    message = str(caught.value)
+    for part in (host, foreign, annotation, foreign_type):
+        assert part in message
 
 
 # -- worlds ---------------------------------------------------------------------
