@@ -33,7 +33,7 @@ over, and ``value`` is an already-computed runtime value.
 from __future__ import annotations
 
 from sys import intern
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.errors import ErrorCode, StuckError
 from repro.core.language import UnitCode
@@ -43,6 +43,8 @@ from repro.lcvm.heap import CellKind, Heap, HeapCell
 from repro.lcvm.machine import Config, MachineResult, Status
 from repro.lcvm.syntax import mentioned_locations
 from repro.lcvm.values import (
+    CClosure,
+    Env,
     InlV,
     InrV,
     IntV,
@@ -63,11 +65,6 @@ __all__ = [
     "run_compiled",
     "unit_code",
 ]
-
-
-#: Environments are immutable cons cells ``(name, value, parent)`` with
-#: ``None`` as the empty environment — extension and capture are O(1).
-Env = Optional[Tuple[str, RuntimeValue, "Env"]]
 
 
 class _Failure(Exception):
@@ -126,6 +123,17 @@ def _finalize_heap(heap: Heap) -> Heap:
 # can therefore compare *raw* post-``callgc`` heap fragments against the
 # oracle, with no final result-rooted normalization.
 #
+# The root scan walks the current environment and every frame, and each value
+# it meets costs O(1) after its first scan: a closure caches its distinct
+# roots (``CClosure.roots``, filled in by
+# :func:`~repro.lcvm.values.locations_of`), because nothing a closure holds
+# can change once it is built.  A ``callgc`` under closures nested *k* deep
+# therefore does not re-walk *k* environments, and closures sharing a
+# sub-closure give a tuple of distinct locations, not an exponential one.
+# Pruning returns an environment that is already exact (each needed name
+# bound once, nothing else) as it is, so frames and closures share its cells
+# instead of copying them.
+#
 # Node records are ``(handler, index, pending, *constants)``:
 #
 # * ``handler(node, env, kont, heap) -> (control, evaluating, env)``,
@@ -149,43 +157,25 @@ CFrame = Tuple[str, Tuple[str, ...], Node, "Env", Optional[RuntimeValue]]
 _NO_SITE: Node = (None, -1, ())
 
 
-class CClosure:
-    """A closure over a pruned environment, with a pre-compiled body."""
-
-    __slots__ = ("parameter", "body", "node", "environment", "needs_param", "static_locations")
-
-    def __init__(
-        self,
-        parameter: str,
-        body: s.Expr,
-        node: Node,
-        environment: Env,
-        needs_param: bool,
-        static_locations: Tuple[int, ...],
-    ):
-        self.parameter = parameter
-        self.body = body  # syntax, so reify() works unchanged
-        self.node = node
-        self.environment = environment
-        self.needs_param = needs_param
-        self.static_locations = static_locations
-
-    def env_bindings(self) -> Iterator[Tuple[str, RuntimeValue]]:
-        cell = self.environment
-        while cell is not None:
-            yield cell[0], cell[1]
-            cell = cell[2]
-
-    def __str__(self) -> str:
-        return f"<closure λ{self.parameter}>"
-
-
 def _prune(env: Env, needed: Tuple[str, ...]) -> Env:
-    """Restrict ``env`` to the innermost binding of each name in ``needed``."""
+    """Restrict ``env`` to the innermost binding of each name in ``needed``.
+
+    An environment that already holds exactly those names, once each, is
+    returned as it is: cells never change, so sharing one is safe.
+    """
     if env is None or not needed:
+        return None
+    if len(needed) == 1:
+        name = needed[0]
+        cell = env
+        while cell is not None:
+            if cell[0] == name:
+                return cell if cell[2] is None else (name, cell[1], None)
+            cell = cell[2]
         return None
     kept: List[Env] = []
     remaining = set(needed)
+    exact = True
     cell = env
     while cell is not None:
         if cell[0] in remaining:
@@ -193,7 +183,11 @@ def _prune(env: Env, needed: Tuple[str, ...]) -> Env:
             kept.append(cell)
             if not remaining:
                 break
+        else:
+            exact = False
         cell = cell[2]
+    if exact and (cell is None or cell[2] is None):
+        return env
     pruned: Env = None
     for cell in reversed(kept):
         pruned = (cell[0], cell[1], pruned)
@@ -203,23 +197,18 @@ def _prune(env: Env, needed: Tuple[str, ...]) -> Env:
 def _compiled_roots(env: Env, kont: List[CFrame]) -> List[int]:
     """GC roots of the compiled machine state (pruned env + continuation)."""
     roots: List[int] = []
-    seen_envs: set = set()
-
-    def walk_env(cell: Env) -> None:
+    extend = roots.extend
+    cell = env
+    while cell is not None:
+        extend(locations_of(cell[1]))
+        cell = cell[2]
+    for _apply, _names, site, cell, value in kont:
+        extend(site[2])
         while cell is not None:
-            marker = id(cell)
-            if marker in seen_envs:
-                return
-            seen_envs.add(marker)
-            roots.extend(locations_of(cell[1]))
+            extend(locations_of(cell[1]))
             cell = cell[2]
-
-    walk_env(env)
-    for _apply, _names, site, frame_env, value in kont:
-        roots.extend(site[2])
-        walk_env(frame_env)
         if value is not None:
-            roots.extend(locations_of(value))
+            extend(locations_of(value))
     return roots
 
 

@@ -6,22 +6,22 @@ machine (:mod:`repro.lcvm.cek`) instead uses runtime values with closures,
 which is what makes it fast.  This module
 holds the value representation plus the three bridges between the worlds:
 
-* :func:`locations_of` — the GC trace function for heaps storing runtime
-  values (plugged into :class:`repro.lcvm.heap.Heap` via its ``trace`` hook);
+* :func:`locations_of` — the GC roots inside a runtime value, used both by
+  the machine's root scan and as the trace function of heaps storing
+  runtime values (plugged into :class:`repro.lcvm.heap.Heap` via its
+  ``trace`` hook);
 * :func:`inject` — syntax value → runtime value (for pre-seeded heaps);
 * :func:`reify` — runtime value → syntax value (for observable results).
 
-Closures are the CEK machine's own (:class:`repro.lcvm.cek.CClosure`, which
-:func:`inject` builds through a callback so this module need not import the
-machine), so they are handled structurally: any value with an
-``env_bindings()`` method iterating ``(name, value)`` pairs innermost-first
-is treated as a closure over ``parameter``/``body``.
+A :class:`CClosure` carries the machine's compiled body, so :func:`inject`
+builds closures through a callback and this module need not import the
+machine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Union
+from typing import Callable, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.lcvm import syntax as s
 
@@ -73,45 +73,130 @@ class InrV:
         return f"(inr {self.body})"
 
 
-#: Closures are handled structurally; see the module docstring.
-RuntimeValue = Union[UnitV, IntV, LocV, PairV, InlV, InrV, object]
+#: Environments are immutable cons cells ``(name, value, parent)`` with
+#: ``None`` as the empty environment — extension and capture are O(1).
+Env = Optional[Tuple[str, "RuntimeValue", "Env"]]
 
 
-def _is_closure(value: object) -> bool:
-    return hasattr(value, "env_bindings")
+class CClosure:
+    """A closure over a pruned environment, with a pre-compiled body.
 
-
-def locations_of(value: RuntimeValue) -> List[int]:
-    """All heap locations reachable inside a runtime value (GC roots).
-
-    Shared closure environments are visited once (keyed by identity), keeping
-    the walk linear even when many closures capture the same environment.
+    ``roots`` caches :func:`locations_of` of the closure: ``None`` until the
+    first scan reaches it, then the distinct locations it holds.  A closure
+    never changes once built, so neither does that tuple.
     """
-    locations: List[int] = []
-    seen_envs: set = set()
-    stack = [value]
+
+    __slots__ = ("parameter", "body", "node", "environment", "needs_param", "static_locations", "roots")
+
+    def __init__(
+        self,
+        parameter: str,
+        body: s.Expr,
+        node: tuple,
+        environment: Env,
+        needs_param: bool,
+        static_locations: Tuple[int, ...],
+    ):
+        self.parameter = parameter
+        self.body = body  # syntax, so reify() works unchanged
+        self.node = node
+        self.environment = environment
+        self.needs_param = needs_param
+        self.static_locations = static_locations
+        self.roots: Optional[Tuple[int, ...]] = None
+
+    def env_bindings(self) -> Iterator[Tuple[str, "RuntimeValue"]]:
+        cell = self.environment
+        while cell is not None:
+            yield cell[0], cell[1]
+            cell = cell[2]
+
+    def __str__(self) -> str:
+        return f"<closure λ{self.parameter}>"
+
+
+RuntimeValue = Union[UnitV, IntV, LocV, PairV, InlV, InrV, CClosure]
+
+
+def _gather(stack: List[RuntimeValue], locations: Set[int], uncached: List[CClosure]) -> None:
+    """Add the locations inside the values on ``stack`` to ``locations``.
+
+    Closures contribute their cached roots; a closure whose roots are not
+    cached yet goes on ``uncached`` instead.  Consumes ``stack``.
+    """
     while stack:
-        current = stack.pop()
-        if isinstance(current, LocV):
-            locations.append(current.address)
-        elif isinstance(current, PairV):
-            stack.append(current.first)
-            stack.append(current.second)
-        elif isinstance(current, (InlV, InrV)):
-            stack.append(current.body)
-        elif _is_closure(current):
-            # Compiled closures precompute the locations literally mentioned
-            # by their body syntax (the substitution oracle counts those as
-            # roots because they sit in the substituted program text).
-            static = getattr(current, "static_locations", None)
-            if static:
-                locations.extend(static)
-            marker = id(current.environment)
-            if marker not in seen_envs:
-                seen_envs.add(marker)
-                for _name, bound in current.env_bindings():
-                    stack.append(bound)
-    return locations
+        value = stack.pop()
+        kind = type(value)
+        if kind is LocV:
+            locations.add(value.address)
+        elif kind is CClosure:
+            if value.roots is None:
+                uncached.append(value)
+            else:
+                locations.update(value.roots)
+        elif kind is PairV:
+            stack.append(value.first)
+            stack.append(value.second)
+        elif kind is InlV or kind is InrV:
+            stack.append(value.body)
+
+
+def _closure_roots(closure: CClosure, uncached: List[CClosure]) -> Optional[Tuple[int, ...]]:
+    """The distinct locations ``closure`` holds: its body's
+    ``static_locations`` plus the roots of every value in its environment.
+
+    The body's literal locations count because the substitution oracle
+    finds them in its substituted program text.  ``None`` if a closure in that environment is not cached yet; those
+    closures are pushed on ``uncached``.
+    """
+    locations = set(closure.static_locations)
+    waiting = len(uncached)
+    stack = []
+    cell = closure.environment
+    while cell is not None:
+        stack.append(cell[1])
+        cell = cell[2]
+    _gather(stack, locations, uncached)
+    return tuple(locations) if len(uncached) == waiting else None
+
+
+def _cache_roots(uncached: List[CClosure]) -> None:
+    """Cache the roots of every closure on ``uncached``.
+
+    Closures nested in an environment are cached before the closure holding
+    them, off an explicit stack, so nesting depth costs no Python recursion,
+    and each closure is cached once.  Closures are immutable and built from
+    older values, so the nesting has no cycles.
+    """
+    while uncached:
+        closure = uncached[-1]
+        if closure.roots is None:
+            closure.roots = _closure_roots(closure, uncached)
+            if closure.roots is None:
+                continue
+        uncached.pop()
+
+
+def locations_of(value: RuntimeValue) -> Tuple[int, ...]:
+    """The distinct heap locations held by a runtime value (its GC roots).
+
+    A closure's are cached on it by the first call that reaches it, so a
+    later scan costs one attribute read however deeply closures nest.
+    """
+    kind = type(value)
+    if kind is LocV:
+        return (value.address,)
+    if kind is CClosure and value.roots is not None:
+        return value.roots
+    if kind is IntV or kind is UnitV:
+        return ()
+    locations: Set[int] = set()
+    uncached: List[CClosure] = []
+    _gather([value], locations, uncached)
+    if uncached:
+        _cache_roots(uncached)
+        _gather([value], locations, uncached)
+    return tuple(locations)
 
 
 def inject(expr: s.Expr, closure: Callable[[str, s.Expr], RuntimeValue]) -> RuntimeValue:
@@ -156,7 +241,7 @@ def reify(value: RuntimeValue) -> s.Expr:
         return s.Inl(reify(value.body))
     if isinstance(value, InrV):
         return s.Inr(reify(value.body))
-    if _is_closure(value):
+    if type(value) is CClosure:
         reified: s.Expr = s.Lam(value.parameter, value.body)
         # Only the free variables of the body need substituting; reified
         # runtime values are closed, so the set never grows.

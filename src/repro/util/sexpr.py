@@ -32,7 +32,8 @@ class SAtom:
         text = self.text
         if text.startswith("-") and len(text) > 1:
             text = text[1:]
-        return text.isdigit()
+        # ASCII only: ``int`` would also read ``٣`` as 3 and fail on ``²``.
+        return text.isascii() and text.isdigit()
 
     @property
     def int_value(self) -> int:
@@ -141,6 +142,8 @@ class _Reader:
                 items.append(self.read())
         if token.text == ")":
             raise ParseError(f"unexpected ')' at offset {token.start}")
+        if not token.text.isascii() and token.text.removeprefix("-").isdigit():
+            raise ParseError(f"integer literal {token.text!r} at offset {token.start} is not ASCII digits 0-9")
         span = Span(token.start, token.end, self._source_name)
         return SAtom(token.text, span)
 

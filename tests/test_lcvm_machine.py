@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 from repro.core.errors import ErrorCode, MachineFailure
 from repro.core.language import CompiledUnit
+from repro.interop_affine import make_system as make_affine_system
+from repro.interop_l3 import make_system as make_l3_system
+from repro.lcvm import values as values_module
 from repro.lcvm import (
     HeapCell,
     cek,
@@ -475,3 +478,164 @@ def test_seeded_closure_keeps_the_locations_its_body_mentions():
     compiled = cek.run_compiled(program, heap=_seeded_heap())
     assert oracle.value == compiled.value == Int(6)
     assert dict(compiled.heap.cells) == dict(oracle.heap.cells)
+
+
+# -- compiled CEK: cached closure roots and exact-environment pruning ------------
+
+_TWICE = "(lam (g (-> int int)) (lam (x int) (g (g x))))"
+
+#: ``warm-loop``'s first l3 step function, and its first affine one reading a
+#: fresh MiniML ``ref``: the affine ``warm-loop`` programs allocate nothing,
+#: so without the ``ref`` no ``callgc`` would run under the nested ``twice``.
+_WARM_STEPS = {
+    "l3": "(lam (y int) (+ y (! (boundary (ref int) (new false)))))",
+    "affine": "(lam (y int) (boundary int (boundary int (+ y (! (ref 1))))))",
+}
+
+
+def _warm_code(system: str, depth: int):
+    """The LCVM code of a ``warm-loop`` program: ``twice`` nested ``depth`` deep."""
+    applied = _WARM_STEPS[system]
+    for _ in range(depth):
+        applied = f"({_TWICE} {applied})"
+    make_system = {"l3": make_l3_system, "affine": make_affine_system}[system]
+    return make_system().compile_source("MiniML", f"({applied} 3)").target_code
+
+
+def _closures_in(values):
+    """Every closure reachable from ``values`` through values and environments."""
+    found, stack, seen = [], list(values), set()
+    while stack:
+        value = stack.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        if type(value) is cek.CClosure:
+            found.append(value)
+            stack.extend(bound for _name, bound in value.env_bindings())
+        elif isinstance(value, values_module.PairV):
+            stack.extend((value.first, value.second))
+        elif isinstance(value, (values_module.InlV, values_module.InrV)):
+            stack.append(value.body)
+    return found
+
+
+def _state_closures(execution):
+    values = [cell.value for cell in execution.heap.cells.values()]
+    envs = [execution._env] + [frame[3] for frame in execution._kont]
+    values.extend(frame[4] for frame in execution._kont if frame[4] is not None)
+    if not execution._evaluating:
+        values.append(execution._control)
+    for cell in envs:
+        while cell is not None:
+            values.append(cell[1])
+            cell = cell[2]
+    return _closures_in(values)
+
+
+def test_closure_root_cache_is_deduplicated_and_iterative():
+    # 2,000 levels, each capturing the previous closure twice: without
+    # deduplication the top's roots would be 2**2000 long, and a recursive
+    # walk would overflow the Python stack.
+    closure = cek.CClosure("x", Var("x"), None, ("seed", values_module.LocV(0), None), True, ())
+    for level in range(1, 2000):
+        environment = ("a", closure, ("b", closure, None))
+        closure = cek.CClosure("x", Var("x"), None, environment, True, (level % 16,))
+    expected = set(range(16))
+    assert sorted(values_module.locations_of(closure)) == sorted(expected)
+    assert set(cek._compiled_roots(("f", closure, None), [])) == expected
+    for nested in _closures_in([closure]):
+        assert nested.roots is not None
+        assert len(nested.roots) == len(set(nested.roots))
+
+
+def test_warm_loop_closure_roots_are_computed_at_most_once(monkeypatch):
+    computed = {}
+    keep_alive = []
+    original = values_module._closure_roots
+
+    def counting(closure, uncached):
+        roots = original(closure, uncached)
+        if roots is not None:
+            keep_alive.append(closure)
+            computed[id(closure)] = computed.get(id(closure), 0) + 1
+        return roots
+
+    monkeypatch.setattr(values_module, "_closure_roots", counting)
+    result = cek.run_compiled(_warm_code("l3", 7), fuel=10**6)
+    assert result.value == Int(3 + 2**7)
+    assert result.heap.collections == 2**7
+    assert computed and max(computed.values()) == 1
+
+
+def _reference_prune(env, needed):
+    kept, remaining = [], set(needed)
+    cell = env
+    while cell is not None and remaining:
+        if cell[0] in remaining:
+            remaining.discard(cell[0])
+            kept.append(cell)
+        cell = cell[2]
+    pruned = None
+    for cell in reversed(kept):
+        pruned = (cell[0], cell[1], pruned)
+    return pruned
+
+
+def _bindings(env):
+    out = []
+    while env is not None:
+        out.append((env[0], env[1]))
+        env = env[2]
+    return out
+
+
+_NAMES = ("a", "b", "c", "d")
+
+
+@given(
+    names=st.lists(st.sampled_from(_NAMES), max_size=7),
+    needed=st.lists(st.sampled_from(_NAMES), unique=True).map(tuple),
+)
+def test_prune_matches_a_reference_rebuild(names, needed):
+    env = None
+    for position, name in enumerate(reversed(names)):
+        env = (name, values_module.IntV(position), env)
+    pruned = cek._prune(env, needed)
+    assert _bindings(pruned) == _bindings(_reference_prune(env, needed))
+    if names and len(set(names)) == len(names) and set(names) == set(needed):
+        assert pruned is env
+
+
+def _substitution_observables(code):
+    reference = run(code, fuel=10**7)
+    assert reference.status is Status.VALUE
+    return reference.value, dict(reference.heap.cells), reference.heap.collections
+
+
+def _observables(result):
+    assert result.status is Status.VALUE
+    return result.value, dict(result.heap.cells), result.heap.collections
+
+
+@pytest.mark.parametrize("system", ["l3", "affine"])
+def test_root_cache_stays_out_of_snapshots_and_slicing(system):
+    code = _warm_code(system, 5)
+    expected = _substitution_observables(code)
+
+    execution = cek.CompiledExecution(code, fuel=10**6)
+    while execution.heap.collections == 0:
+        assert execution.step_n(1) is None
+    assert any(closure.roots is not None for closure in _state_closures(execution))
+    restored = cek.CompiledExecution.from_snapshot(execution.snapshot())
+    restored_closures = _state_closures(restored)
+    assert restored_closures and all(closure.roots is None for closure in restored_closures)
+    assert _observables(restored.run()) == expected
+    assert _observables(execution.run()) == expected
+
+    for width in (1, 7, 512):
+        sliced = cek.CompiledExecution(code, fuel=10**6)
+        result = None
+        while result is None:
+            result = sliced.step_n(width)
+        assert _observables(result) == expected, width

@@ -342,6 +342,23 @@ def test_rejections_are_isolated_and_admitted_requests_still_run():
     assert by_id["good"].ok
 
 
+def test_non_ascii_digits_end_in_a_parse_error():
+    # ``str.isdigit`` holds for ``²`` and ``٣``; ``int`` then raised a raw
+    # ValueError on the first and silently read the second as 3.
+    requests = [
+        Request(language="RefLL", source="²"),
+        Request(language="RefLL", source="(push ²)"),
+        Request(language="Affi", system="affine", source="²"),
+        Request(language="MiniML", system="affine", source="²"),
+        Request(language="MiniML", system="l3", source="²"),
+        Request(language="MiniML", system="affine", source="٣"),
+        Request(language="MiniML", system="l3", source="(+ 1 ٣)"),
+    ]
+    for response in SCHEDULER.serve(requests):
+        assert response.result is None
+        assert response.error.startswith("ParseError: "), (response.request.source, response.error)
+
+
 @pytest.mark.parametrize(
     "request_",
     [

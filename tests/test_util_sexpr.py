@@ -121,3 +121,25 @@ def test_parse_str_roundtrip(text):
     """Printing a parsed s-expression and reparsing yields an equal tree."""
     parsed = parse_sexpr(text)
     assert parse_sexpr(str(parsed)) == parsed
+
+
+@pytest.mark.parametrize("text", ["²", "-²", "٣", "1²", "-١٢"])
+def test_non_ascii_digits_are_a_parse_error(text):
+    with pytest.raises(ParseError, match="ASCII"):
+        parse_sexpr(text)
+    with pytest.raises(ParseError, match="ASCII"):
+        parse_sexpr(f"(push {text})")
+
+
+@pytest.mark.parametrize("text", ["²", "٣", "-٣"])
+def test_only_ascii_digits_make_an_integer_atom(text):
+    atom = SAtom(text)
+    assert not atom.is_int
+    with pytest.raises(ParseError):
+        atom.int_value
+
+
+def test_symbols_mentioning_non_ascii_digits_stay_symbols():
+    atom = parse_sexpr("x²")
+    assert not atom.is_int
+    assert atom.text == "x²"
