@@ -66,17 +66,6 @@ class EffectSummary:
     may_fail: bool = False
     may_diverge: bool = False
 
-    def effect_free(self) -> bool:
-        """True when the program provably has no effect of any kind."""
-        return not (
-            self.allocates
-            or self.reads_refs
-            or self.writes_refs
-            or self.calls_gc
-            or self.may_fail
-            or self.may_diverge
-        )
-
 
 @dataclass(frozen=True)
 class StackIssue:

@@ -21,22 +21,13 @@ from repro.core.errors import (
 from repro.core.interop import InteropSystem, RunResult
 from repro.core.language import CompiledUnit, LanguageFrontend, TargetBackend
 from repro.core.names import NameSupply, Span, is_generated_name
-from repro.core.realizability import (
-    BoundedQuantifier,
-    CheckReport,
-    Counterexample,
-    SampleSpace,
-    ValueRelation,
-    check_all,
-)
+from repro.core.realizability import CheckReport, Counterexample
 from repro.core.worlds import (
     USED,
     TypeTag,
     World,
     affine_extends,
-    canonical_heap_for,
     fresh_location,
-    heap_satisfies,
     merge_disjoint,
     world_flags,
 )
@@ -69,19 +60,13 @@ __all__ = [
     "NameSupply",
     "Span",
     "is_generated_name",
-    "BoundedQuantifier",
     "CheckReport",
     "Counterexample",
-    "SampleSpace",
-    "ValueRelation",
-    "check_all",
     "USED",
     "TypeTag",
     "World",
     "affine_extends",
-    "canonical_heap_for",
     "fresh_location",
-    "heap_satisfies",
     "merge_disjoint",
     "world_flags",
 ]

@@ -99,15 +99,6 @@ class ConvertibilityRelation:
         self._memo.clear()
         return rule
 
-    def register_function(self, name: str):
-        """Decorator form of :meth:`register` for matcher functions."""
-
-        def decorator(matcher):
-            self.register(ConvertibilityRule(name, matcher))
-            return matcher
-
-        return decorator
-
     def register_pair(self, type_a: Any, type_b: Any, a_to_b: GlueFn, b_to_a: GlueFn, name: Optional[str] = None) -> None:
         """Register a non-schematic rule for one concrete pair of types."""
         rule_name = name or f"{type_a} ~ {type_b}"
@@ -164,10 +155,6 @@ class ConvertibilityRelation:
                 f"with {self.language_b} type {type_b}"
             )
         return conversion
-
-    def known_pairs(self) -> List[Tuple[Any, Any]]:
-        """Return the concrete pairs successfully queried so far (for reports)."""
-        return [pair for pair, conv in self._memo.items() if conv is not None]
 
     # -- glue-lookup accounting ------------------------------------------------
 

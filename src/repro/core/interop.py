@@ -102,24 +102,6 @@ class InteropSystem:
 
     # -- resumable executions (the serving layer's entry points) --------------
 
-    def start_source(
-        self,
-        language_name: str,
-        source: str,
-        fuel: int = 100_000,
-        backend: Optional[str] = None,
-        **typecheck_kwargs: Any,
-    ):
-        """Compile ``source`` and start a resumable execution for it.
-
-        Returns ``(unit, execution)``: the memoized :class:`CompiledUnit`
-        plus an execution object whose ``step_n(limit)`` runs bounded slices
-        under *this request's own* backend choice and fuel budget — the
-        building block the serving layer interleaves on one loop.
-        """
-        unit = self.compile_source(language_name, source, **typecheck_kwargs)
-        return unit, self.target.start(unit, backend=backend, fuel=fuel)
-
     def start_compiled(self, target_code: Any, fuel: int = 100_000, backend: Optional[str] = None):
         """Start a resumable execution of bare target code; its machine code
         lives in a unit of its own, as long as the execution."""
@@ -138,11 +120,6 @@ class InteropSystem:
         return self.target.restore(snapshot, backend=backend)
 
     # -- caches ---------------------------------------------------------------
-
-    def clear_caches(self) -> None:
-        """Drop the memoized pipelines of both frontends."""
-        self.language_a.clear_cache()
-        self.language_b.clear_cache()
 
     def cache_stats(self) -> Dict[str, Dict[str, int]]:
         """Pipeline-cache statistics per frontend (for benchmarks/diagnostics).
@@ -167,7 +144,3 @@ class InteropSystem:
     def run_soundness_checks(self, **kwargs: Any) -> Dict[str, CheckReport]:
         """Run every registered bounded soundness check and collect reports."""
         return {name: check(**kwargs) for name, check in self.soundness_checks.items()}
-
-    def soundness_summary(self, **kwargs: Any) -> str:
-        reports = self.run_soundness_checks(**kwargs)
-        return "\n".join(report.summary() for report in reports.values())

@@ -45,10 +45,6 @@ class NameSupply:
         base = hint if hint else self.prefix
         return f"{base}{RESERVED_SEPARATOR}{next(self._counter)}"
 
-    def fresh_many(self, count: int, hint: Optional[str] = None) -> list:
-        """Return ``count`` distinct fresh names."""
-        return [self.fresh(hint) for _ in range(count)]
-
 
 def is_generated_name(name: str) -> bool:
     """Return True if ``name`` was produced by a :class:`NameSupply`."""

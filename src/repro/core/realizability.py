@@ -11,52 +11,14 @@ terms.  Concretely every case-study model in this repository provides:
   statements of Lemma 3.1 (convertibility soundness) and Theorems 3.2–3.4
   (fundamental property and type safety) up to a bound.
 
-This module provides the shared scaffolding: the registry that maps source
-types to value-relation implementations, the result record returned by the
-bounded checkers, and helpers for enumerating small sample values.
+This module provides the shared scaffolding: the result record returned by
+the bounded checkers and the counterexamples it collects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
-
-from repro.core.errors import ModelError
-from repro.core.worlds import World
-
-ValuePredicate = Callable[[World, Any], bool]
-
-
-@dataclass
-class ValueRelation:
-    """A type-indexed family of value interpretations for one source language.
-
-    Interpretations are registered per type *constructor* (the Python class of
-    the source type); each handler receives the model, the world, the source
-    type instance, and the candidate target value.  This mirrors the
-    case-by-case definition of ``V[[·]]`` in Figs. 5, 10, and 14.
-    """
-
-    language: str
-    handlers: Dict[type, Callable[..., bool]] = field(default_factory=dict)
-
-    def register(self, type_constructor: type):
-        """Decorator: register the handler for one source type constructor."""
-
-        def decorator(handler):
-            self.handlers[type_constructor] = handler
-            return handler
-
-        return decorator
-
-    def contains(self, model: Any, world: World, source_type: Any, value: Any) -> bool:
-        handler = self.handlers.get(type(source_type))
-        if handler is None:
-            raise ModelError(
-                f"no value interpretation registered for {self.language} type "
-                f"constructor {type(source_type).__name__}"
-            )
-        return handler(model, world, source_type, value)
+from typing import Any, List
 
 
 @dataclass
@@ -97,12 +59,6 @@ class CheckReport:
     def record_failure(self, counterexample: Counterexample) -> None:
         self.counterexamples.append(counterexample)
 
-    def merge(self, other: "CheckReport") -> "CheckReport":
-        merged = CheckReport(name=f"{self.name}+{other.name}")
-        merged.checked = self.checked + other.checked
-        merged.counterexamples = list(self.counterexamples) + list(other.counterexamples)
-        return merged
-
     def summary(self) -> str:
         status = "OK" if self.ok else f"FAILED ({len(self.counterexamples)} counterexamples)"
         return f"[{status}] {self.name}: {self.checked} membership checks"
@@ -111,48 +67,3 @@ class CheckReport:
         lines = [self.summary()]
         lines.extend(f"  - {ce}" for ce in self.counterexamples)
         return "\n".join(lines)
-
-
-@dataclass
-class SampleSpace:
-    """A finite sampling of source values used to drive bounded checks.
-
-    The paper's statements quantify over *all* inhabitants of the relations.
-    The executable checkers instead enumerate a structured finite subset:
-    small integers, both booleans, short arrays, and representative functions.
-    Property-based tests (hypothesis) then widen the sampling randomly.
-    """
-
-    integers: Sequence[int] = (-3, -1, 0, 1, 2, 7)
-    array_lengths: Sequence[int] = (0, 1, 3)
-    max_depth: int = 3
-
-    def small_integers(self) -> Iterable[int]:
-        return self.integers
-
-    def booleans(self) -> Iterable[bool]:
-        return (True, False)
-
-
-def check_all(reports: Iterable[CheckReport]) -> CheckReport:
-    """Combine several reports into one (used by the CLI-style harness)."""
-    combined = CheckReport(name="all")
-    for report in reports:
-        combined.checked += report.checked
-        combined.counterexamples.extend(report.counterexamples)
-    return combined
-
-
-@dataclass
-class BoundedQuantifier:
-    """Helper that applies a check across a finite enumeration and records results."""
-
-    report: CheckReport
-
-    def for_each(self, items: Iterable[Any], check: Callable[[Any], Optional[Counterexample]]) -> None:
-        for item in items:
-            counterexample = check(item)
-            if counterexample is None:
-                self.report.record_success()
-            else:
-                self.report.record_failure(counterexample)

@@ -22,39 +22,35 @@ as one written by a removed machine (``lcvm/bigstep``, ``lcvm/cek``,
 ``lcvm/cek-opt``, ``stacklang/cek``) — routes nowhere and is refused with a
 :class:`~repro.core.errors.ReproError`.
 
-Two copy disciplines, both built on one pickle round-trip
-(:func:`plain_copy`):
+Two copy disciplines, both built on one codec round-trip
+(``decode(encode(state))``, :mod:`repro.core.codec`):
 
 * ``snapshot()`` copies its state *out* so the snapshot never aliases the
   live machine (stepping on after a snapshot must not mutate it);
 * ``from_snapshot()`` copies the state *in* again, so one snapshot restores
   any number of independent executions — two restores never share a heap.
 
-A single ``pickle.dumps`` of the whole state dict preserves the object
-graph's internal sharing (a subtree reachable twice stays one object after
-the round-trip), so a compiled-CEK restore finds every address into one root
-under that one root object and compiles it once.
+A single :func:`~repro.core.codec.encode` of the whole state dict preserves
+the object graph's internal sharing (a subtree reachable twice stays one
+object after the round-trip), so a compiled-CEK restore finds every address
+into one root under that one root object and compiles it once.
 """
 
 from __future__ import annotations
 
-import pickle
 from typing import Any, Dict
+
+from repro.core.codec import decode, encode
 
 #: Bump when the snapshot state layout changes incompatibly; restores check
 #: it and refuse snapshots written by a different layout.
 SNAPSHOT_VERSION = 2
 
 
-def plain_copy(state: Any) -> Any:
-    """One pickle round-trip: a deep copy preserving internal sharing."""
-    return pickle.loads(pickle.dumps(state))
-
-
 def make_snapshot(kind: str, state: Dict[str, Any]) -> Dict[str, Any]:
     """Assemble a versioned snapshot dict around a *copy* of ``state``."""
     snapshot = {"version": SNAPSHOT_VERSION, "kind": kind}
-    snapshot.update(plain_copy(state))
+    snapshot.update(decode(encode(state)))
     return snapshot
 
 
@@ -75,7 +71,7 @@ def check_snapshot(snapshot: Any, kind: str) -> Dict[str, Any]:
         raise ValueError(
             f"unsupported snapshot version {version!r} (this build reads version {SNAPSHOT_VERSION})"
         )
-    return plain_copy(snapshot)
+    return decode(encode(snapshot))
 
 
 def snapshot_backend_name(snapshot: Any) -> str:

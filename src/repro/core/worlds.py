@@ -89,11 +89,6 @@ class World:
     def with_affine_store(self, affine_store: Mapping[int, Any]) -> "World":
         return replace(self, affine_store=dict(affine_store))
 
-    def set_affine_entry(self, location: int, value: Any) -> "World":
-        new_store = dict(self.affine_store)
-        new_store[location] = value
-        return replace(self, affine_store=new_store)
-
     # -- extension relation ---------------------------------------------------
 
     def extends(self, earlier: "World") -> bool:
@@ -149,38 +144,6 @@ def world_flags(world: World) -> frozenset:
         if entry != USED:
             flags.update(entry)
     return frozenset(flags)
-
-
-def heap_satisfies(heap: Mapping[int, Any], world: World, value_in_type) -> bool:
-    """Check ``H : W`` — every location typed by ``W`` holds a value in its type.
-
-    ``value_in_type(tag, world, value)`` decides membership of a target value
-    in the value interpretation named by ``tag``; it is supplied by the
-    per-case-study model.  Per the standard definition, the values stored in
-    the heap only need to inhabit their types at the *later* world (one step
-    fewer), which is what makes the circularity between worlds and heaps
-    well-founded.
-    """
-    later_world = world.later() if world.step_budget > 0 else world
-    for location, tag in world.heap_typing.items():
-        if location not in heap:
-            return False
-        if world.step_budget == 0:
-            continue
-        if not value_in_type(tag, later_world, heap[location]):
-            return False
-    return True
-
-
-def canonical_heap_for(world: World, canonical_value) -> Dict[int, Any]:
-    """Build a concrete heap satisfying ``W`` from a canonical-value oracle.
-
-    ``canonical_value(tag)`` returns some target value inhabiting the type
-    named by ``tag``.  Used by the bounded expression-relation checkers, which
-    must quantify over heaps satisfying the world; sampling starts from the
-    canonical heap and is extended by the property-based tests.
-    """
-    return {location: canonical_value(tag) for location, tag in world.heap_typing.items()}
 
 
 def fresh_location(*heaps: Mapping[int, Any]) -> int:

@@ -23,7 +23,7 @@ multi-tenant service front:
 * :class:`~repro.serve.pool.WorkerPool` — the multi-*process* layer:
   request batches sharded across N worker processes (deterministic
   program-hash placement, per-request ``affinity`` override), with a
-  parent-owned store sharing pickled pipeline artifacts between workers so
+  parent-owned store sharing encoded pipeline artifacts between workers so
   a program compiled on one worker warms all of them, and per-shard crash
   isolation upgraded to mid-run *migration*: workers stream slice-boundary
   checkpoints, so requests in flight on a crashed shard resume on a
@@ -34,11 +34,11 @@ multi-tenant service front:
 * :class:`~repro.serve.checkpoint.Checkpoint` / ``CheckpointStore`` — a
   paused request reified as versioned plain data (machine snapshot plus
   routing context), movable across processes and — via the store's atomic
-  on-disk pickles — across process restarts; the substrate for the
+  on-disk files — across process restarts; the substrate for the
   scheduler's preemption (``serve(..., max_slices=...)``) and ``resume``,
   and for the pool's migration.
   The store is hardened (structured :class:`CheckpointCorrupt` instead of
-  raw pickle errors) and garbage-collected (age + size eviction);
+  raw codec errors) and garbage-collected (age + size eviction);
 * :mod:`~repro.serve.reliability` / :mod:`~repro.serve.faults` — the failure
   *policy* layer: per-request deadlines checked at slice boundaries
   (``DeadlineExceeded``), bounded retries with exponential backoff + seeded
@@ -49,7 +49,8 @@ multi-tenant service front:
   recovery path deterministically in the tier-1 tests;
 * :mod:`~repro.serve.net` / :mod:`~repro.serve.wire` /
   :mod:`~repro.serve.ring` — the network tier: a length-prefixed, versioned
-  framed wire protocol carrying the workers' conversation over TCP, a
+  framed wire protocol (the one the pool speaks over its socket pairs)
+  carrying the members' conversation over TCP, a
   consistent-hash ring with virtual nodes for placement
   (:class:`~repro.serve.ring.HashRing`), and the router/worker/client trio
   (:class:`~repro.serve.net.NetRouter` /

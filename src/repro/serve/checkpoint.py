@@ -10,18 +10,18 @@ move a paused run anywhere a scheduler exists — another worker process
 under fuel accounting), or a future incarnation of the whole process
 (:class:`CheckpointStore`).
 
-The :class:`CheckpointStore` is the durability layer: a directory of pickled
-checkpoints, written atomically (temp file + ``os.replace``) so a crash
-mid-write can never leave a truncated checkpoint where a loadable one should
-be.  Checkpoints are plain data end to end — the snapshot inside references
-compiled code by its syntax handle and every restorer recompiles
-deterministically — so a store written by one process restores in any other,
-including across interpreter restarts.
+The :class:`CheckpointStore` is the durability layer: a directory of
+checkpoints encoded by :mod:`repro.core.codec`, written atomically (temp
+file + ``os.replace``) so a crash mid-write can never leave a truncated
+checkpoint where a loadable one should be.  Checkpoints are plain data end
+to end — the snapshot inside references compiled code by its syntax handle
+and every restorer recompiles deterministically — so a store written by one
+process restores in any other, including across interpreter restarts.
 
 The store is also hardened against the failures a durability layer exists
 for: a truncated, tampered, or wrong-version file raises a structured
-:class:`CheckpointCorrupt` (naming its path) rather than a raw
-``pickle``/``EOFError``, and :meth:`CheckpointStore.scan` /
+:class:`CheckpointCorrupt` (naming its path) rather than the codec's
+``CodecError``, and :meth:`CheckpointStore.scan` /
 :meth:`CheckpointStore.load_all` never let one corrupt file break listing
 the rest.  :meth:`CheckpointStore.gc` ages out stale checkpoints by
 ``max_age_seconds`` and bounds the directory by ``max_total_bytes``
@@ -33,12 +33,12 @@ after dropping each consumed checkpoint.
 from __future__ import annotations
 
 import os
-import pickle
 import tempfile
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.core.codec import CodecError, decode, encode
 from repro.core.errors import ReproError
 from repro.serve.faults import FaultPlan
 from repro.serve.request import Request
@@ -89,7 +89,7 @@ class Checkpoint:
 
 
 class CheckpointStore:
-    """A directory of pickled checkpoints with atomic writes.
+    """A directory of encoded checkpoints with atomic writes.
 
     ``save`` returns the file path; ``load`` takes one back.  Filenames embed
     the request label, the writing process id, and a per-store counter, so
@@ -133,7 +133,7 @@ class CheckpointStore:
             "store.write", request_id=checkpoint.request.request_id
         ):
             raise OSError(f"injected checkpoint-store write failure: {path}")
-        payload = pickle.dumps(checkpoint)
+        payload = encode(checkpoint)
         # Write-then-rename: a reader (or a restarted process) either sees
         # the complete checkpoint or nothing — never a torn file.
         descriptor, temporary = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
@@ -153,19 +153,19 @@ class CheckpointStore:
         """Read one checkpoint back, validating its shape and version.
 
         Anything short of a well-formed, current-version :class:`Checkpoint`
-        — a truncated write from a dying process, bytes that unpickle to the
+        — a truncated write from a dying process, bytes that decode to the
         wrong type, a version from a different era — raises
-        :class:`CheckpointCorrupt` naming the path; no raw ``pickle`` or
-        ``EOFError`` escapes.
+        :class:`CheckpointCorrupt` naming the path; no raw codec error
+        escapes.
         """
         with open(path, "rb") as handle:
             payload = handle.read()
         if self.fault_plan is not None and self.fault_plan.fire("restore.tamper"):
             payload = payload[: len(payload) // 2]
         try:
-            checkpoint = pickle.loads(payload)
-        except Exception as error:
-            raise CheckpointCorrupt(path, f"{type(error).__name__}: {error}") from error
+            checkpoint = decode(payload)
+        except CodecError as error:
+            raise CheckpointCorrupt(path, str(error)) from error
         if not isinstance(checkpoint, Checkpoint):
             raise CheckpointCorrupt(path, f"holds {type(checkpoint).__name__}, not a Checkpoint")
         if checkpoint.version != CHECKPOINT_VERSION:
@@ -220,16 +220,6 @@ class CheckpointStore:
         except FileNotFoundError:
             pass
 
-    def total_bytes(self) -> int:
-        """Bytes currently held by the store's checkpoint files."""
-        total = 0
-        for path in self.paths():
-            try:
-                total += os.stat(path).st_size
-            except OSError:
-                continue
-        return total
-
     def gc(
         self,
         max_age_seconds: Optional[float] = None,
@@ -240,7 +230,7 @@ class CheckpointStore:
 
         Age first: every file older than ``max_age_seconds`` (by mtime,
         against ``now``/wall clock) is removed — corrupt leftovers included;
-        age needs no successful unpickle.  Then size: while the survivors
+        age needs no successful decode.  Then size: while the survivors
         total more than ``max_total_bytes``, the oldest file goes first.
         Limits default to the store's configured ones; ``None`` disables
         that dimension.  Returns the paths removed, oldest first.

@@ -2,9 +2,10 @@
 
 Serving compiled target code across processes is one job whatever carries
 the bytes, so :class:`Dispatcher` does it once over a narrow
-:class:`Transport`: :class:`~repro.serve.pool.WorkerPool` (pipes to spawned
-processes) and :class:`~repro.serve.net.NetRouter` (framed TCP) are thin
-front ends that supply one.  The dispatcher owns:
+:class:`Transport`: :class:`~repro.serve.pool.WorkerPool` (socket pairs to
+spawned processes) and :class:`~repro.serve.net.NetRouter` (TCP to
+endpoints) are thin front ends that supply one.  Both speak the same
+:mod:`repro.serve.wire` frames.  The dispatcher owns:
 
 * **Admission** — the batch cutoff and per-member queue limits, shedding
   a deterministic tail as ``rejected_overload``.
@@ -17,20 +18,21 @@ front ends that supply one.  The dispatcher owns:
   (:meth:`Dispatcher._recover`).
 
 Both ends of the member protocol live here too, once for both transports:
-:func:`handle_work` serves one work tuple on a member's scheduler (pipe
-workers and network endpoints alike), and :func:`exchange_all` is the
-parent's send-all-then-drain loop over the members' pipes or
-:class:`~repro.serve.wire.FrameConnection` sockets.
+:func:`serve_member` is the loop every pool worker and network endpoint
+runs over its :class:`~repro.serve.wire.FrameConnection` (``REQUEST``
+frames served by :func:`handle_work`, heartbeats answered, until ``BYE``),
+and :func:`exchange_all` is the parent's send-all-then-drain loop over the
+members' connections.
 """
 
 from __future__ import annotations
 
-import pickle
 import random
 import time
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Set, Tuple
 
+from repro.core.codec import CodecError, decode, encode
 from repro.serve.reliability import (
     AdmissionController,
     BreakerPolicy,
@@ -41,7 +43,20 @@ from repro.serve.reliability import (
 from repro.serve.request import Request, Response
 from repro.serve.ring import DEFAULT_VIRTUAL_NODES, HashRing
 from repro.serve.scheduler import Scheduler, StoreKey
-from repro.serve.wire import ConnectionDropped, WireError
+from repro.serve.wire import (
+    BYE,
+    CHECKPOINT,
+    ERROR,
+    HEARTBEAT,
+    REQUEST,
+    RESPONSE,
+    STATS,
+    ConnectionDropped,
+    FrameConnection,
+    WireError,
+    expect_frame,
+    unexpected_frame,
+)
 
 __all__ = [
     "POLICY_COUNTERS",
@@ -50,6 +65,8 @@ __all__ = [
     "Transport",
     "exchange_all",
     "handle_work",
+    "load_report",
+    "serve_member",
     "weight",
 ]
 
@@ -65,12 +82,57 @@ POLICY_COUNTERS = ("migrations", "retries", "redispatches", "reroutes", "diverte
 # -- the worker side ----------------------------------------------------------
 
 
+def load_report(member: int) -> Dict[str, int]:
+    """A member's fresh ``HEARTBEAT`` body, which :func:`serve_member` keeps current."""
+    return {"endpoint": member, "inflight": 0, "queue_depth": 0, "served": 0}
+
+
+def serve_member(
+    scheduler: Scheduler, member: int, connection: FrameConnection, load: Dict[str, int]
+) -> None:
+    """The member side of the protocol: serve ``connection`` until ``BYE``.
+
+    Pool workers and network endpoints both run this loop.  Each
+    ``REQUEST`` is served by :func:`handle_work`, which streams
+    ``CHECKPOINT`` frames while the batch runs, then answered with one
+    ``RESPONSE``.  ``HEARTBEAT`` and ``STATS`` are answered with ``load``
+    (see :func:`load_report`), which the loop keeps current.  Any other
+    frame is refused with ``ERROR`` and ends the conversation.  A
+    :class:`~repro.serve.wire.ConnectionDropped` — the parent gone, or an
+    injected ``net.drop`` — propagates and ends it too; the caller closes
+    the socket, and the parent recovers the batch from the checkpoints
+    streamed so far.
+    """
+    while True:
+        frame_type, body = connection.read()
+        if frame_type == BYE:
+            return
+        if frame_type in (HEARTBEAT, STATS):
+            connection.send(frame_type, dict(load))
+            continue
+        if frame_type != REQUEST:
+            connection.send(ERROR, unexpected_frame(frame_type))
+            return
+        # A malformed body counts as no work; handle_work answers it with an error.
+        batch = body[1] if isinstance(body, tuple) and len(body) > 1 else None
+        load["inflight"] = load["queue_depth"] = len(batch) if isinstance(batch, list) else 0
+        try:
+            reply = handle_work(scheduler, member, body, connection)
+        finally:
+            load["inflight"] = load["queue_depth"] = 0
+        plan = scheduler.fault_plan
+        slow = plan.fire("net.slow") if plan is not None else None
+        if slow is not None:
+            # The slow link: the batch is done but its terminal RESPONSE
+            # dawdles — exactly what attempt_timeout_seconds exists for.
+            time.sleep(slow.delay_seconds)
+        connection.send(RESPONSE, reply)
+        if reply[0] in ("ok", "resumed"):
+            load["served"] += len(reply[1])
+
+
 def handle_work(
-    scheduler: Scheduler,
-    member: int,
-    message: Tuple[Any, ...],
-    connection: Any = None,
-    abandon_on_drop: bool = False,
+    scheduler: Scheduler, member: int, message: Tuple[Any, ...], connection: Any = None
 ) -> Tuple[Any, ...]:
     """Serve one work tuple on a member's scheduler; returns the terminal reply.
 
@@ -81,10 +143,9 @@ def handle_work(
     ``("resume", items)`` resumes a crashed member's streamed checkpoints and
     replies ``("resumed", results, failures)``.  Slice-boundary checkpoints
     stream over ``connection`` while a batch runs.  Any exception becomes an
-    ``("error", message)`` reply — a batch bug must not kill the worker —
-    except a :class:`~repro.serve.wire.ConnectionDropped` when
-    ``abandon_on_drop`` is set: a network endpoint re-raises it to abandon
-    the connection, while a pipe worker reports it like any other error.
+    ``("error", message)`` reply — a batch bug must not kill the member —
+    except :class:`~repro.serve.wire.ConnectionDropped`, which always ends
+    the conversation.
     """
     try:
         if message[0] == "resume":
@@ -92,9 +153,9 @@ def handle_work(
         if message[0] == "serve":
             return _serve_shard(scheduler, member, message, connection)
         return ("error", f"unknown work tag {message[0]!r}")
-    except Exception as error:  # noqa: BLE001 — a batch bug must not kill the worker
-        if abandon_on_drop and isinstance(error, ConnectionDropped):
-            raise
+    except ConnectionDropped:
+        raise
+    except Exception as error:  # noqa: BLE001 — a batch bug must not kill the member
         return ("error", f"{type(error).__name__}: {error}")
 
 
@@ -108,7 +169,7 @@ def _serve_shard(
     payload)``, ``covered`` listing the original batch indices of the whole
     coalesced group.  If this worker then dies mid-batch, the parent resumes
     each in-flight group from its last boundary on a surviving member.  A
-    checkpoint that fails to pickle — or is suppressed by an injected
+    checkpoint that fails to encode — or is suppressed by an injected
     ``checkpoint.pickle`` fault — is simply not streamed: its requests fall
     back to retry-from-scratch, never to a wrong resume.
     """
@@ -116,8 +177,8 @@ def _serve_shard(
     imported: Set[StoreKey] = set()
     for store_key, payload in warm:
         try:
-            unit = pickle.loads(payload)
-        except Exception:  # a stale/foreign payload falls back to compilation
+            unit = decode(payload)
+        except CodecError:  # a stale/foreign payload falls back to compilation
             continue
         if scheduler.import_cache_entry(store_key, unit):
             imported.add(store_key)
@@ -132,19 +193,18 @@ def _serve_shard(
         ):
             return  # injected serialization failure: this boundary is lost
         try:
-            payload = pickle.dumps(checkpoint)
-        except Exception:  # unpicklable snapshot: skip, never stream junk
+            payload = encode(checkpoint)
+        except CodecError:  # unencodable snapshot: skip, never stream junk
             return
         covered = [entries[position][0] for position in positions]
-        connection.send(("checkpoint", covered, payload))
+        connection.send(CHECKPOINT, (covered, payload))
         if plan is not None and plan.fire(
             "net.drop", request_id=checkpoint.request.request_id, slices=checkpoint.slices
         ):
             # The connection dies *after* this boundary's checkpoint frame is
-            # on the wire: the parent/router holds exactly the state it needs
-            # to migrate this group.  On a network worker the exception
-            # abandons the connection abruptly (the router sees EOF); on a
-            # pipe worker it degrades to a whole-batch error reply.
+            # on the wire: the parent holds exactly the state it needs to
+            # migrate this group.  The exception ends the conversation
+            # abruptly, so the parent sees EOF on either tier.
             raise ConnectionDropped("injected net.drop fault")
 
     streaming = checkpoint_every is not None and connection is not None
@@ -157,7 +217,7 @@ def _serve_shard(
     )
 
     publishes: List[Tuple[StoreKey, Optional[bytes]]] = []
-    # Keys the store already holds must not be re-exported, re-pickled, or
+    # Keys the store already holds must not be re-exported, re-encoded, or
     # re-flagged as published — the parent would only discard them.
     already_published: Set[StoreKey] = set(known)
     for response, store_key in zip(responses, keys):
@@ -172,8 +232,8 @@ def _serve_shard(
                 continue
             already_published.add(store_key)
             try:
-                shared: Optional[bytes] = pickle.dumps(unit)
-            except Exception:  # unpicklable artifact: others recompile from source
+                shared: Optional[bytes] = encode(unit)
+            except CodecError:  # unencodable artifact: others recompile from source
                 shared = None
             publishes.append((store_key, shared))
             response.published = shared is not None
@@ -203,9 +263,9 @@ def _resume_shard(
     failures: List[Tuple[List[int], str]] = []
     for covered, payload in items:
         try:
-            checkpoint = pickle.loads(payload)
-        except Exception as error:
-            failures.append((list(covered), f"{type(error).__name__}: {error}"))
+            checkpoint = decode(payload)
+        except CodecError as error:
+            failures.append((list(covered), str(error)))
             continue
         covered_groups.append(list(covered))
         checkpoints.append(checkpoint)
@@ -225,26 +285,27 @@ def _resume_shard(
 # -- the parent side ----------------------------------------------------------
 
 
-def exchange_all(work: Sequence[Tuple[Any, Tuple[Any, ...]]]) -> List[Tuple[Any, ...]]:
+def exchange_all(
+    work: Sequence[Tuple[Optional[FrameConnection], Tuple[Any, ...]]]
+) -> List[Tuple[Any, ...]]:
     """Send every member its work first, then drain each member's stream.
 
-    ``work`` pairs a member's connection — a worker pipe or a
-    :class:`~repro.serve.wire.FrameConnection`, ``None`` if it could not be
-    reached — with its work tuple.  Sending everything before reading
-    anything lets the members run in parallel; the streams are then drained
-    in order.  A stream is zero or more ``("checkpoint", covered, payload)``
-    events, each superseding the last for its group, then the terminal
-    reply, and becomes one :class:`Transport` outcome.  A failed send or
-    read ends the member in ``("crashed", checkpoints)``: messages a member
+    ``work`` pairs a member's :class:`~repro.serve.wire.FrameConnection` —
+    ``None`` if it could not be reached — with its work tuple.  Sending
+    everything before reading anything lets the members run in parallel;
+    the streams are then drained in order.  A stream is zero or more
+    ``CHECKPOINT`` frames, each superseding the last for its group, then the
+    ``RESPONSE``, and becomes one :class:`Transport` outcome.  A failed send
+    or read ends the member in ``("crashed", checkpoints)``: frames a member
     wrote before dying stay readable after its death, so the checkpoints
     that make its requests migratable survive the crash itself.
     """
-    reached: List[Any] = []
+    reached: List[Optional[FrameConnection]] = []
     for connection, message in work:
         if connection is not None:
             try:
-                connection.send(message)
-            except (OSError, WireError):
+                connection.send(REQUEST, message)
+            except WireError:
                 connection = None
         reached.append(connection)
     return [
@@ -252,16 +313,17 @@ def exchange_all(work: Sequence[Tuple[Any, Tuple[Any, ...]]]) -> List[Tuple[Any,
     ]
 
 
-def _drain(connection: Any) -> Tuple[Any, ...]:
-    """One member's stream, read to its terminal reply, as an outcome."""
+def _drain(connection: FrameConnection) -> Tuple[Any, ...]:
+    """One member's stream, read to its ``RESPONSE``, as an outcome."""
     checkpoints: Checkpoints = {}
     try:
-        reply = connection.recv()
-        while reply[0] == "checkpoint":
-            _tag, covered, payload = reply
+        frame_type, body = connection.read()
+        while frame_type == CHECKPOINT:
+            covered, payload = body
             checkpoints[tuple(covered)] = payload
-            reply = connection.recv()
-    except (EOFError, OSError, WireError):
+            frame_type, body = connection.read()
+        reply = expect_frame((frame_type, body), RESPONSE)
+    except WireError:
         return ("crashed", checkpoints)
     return ("reply", reply, checkpoints)
 
@@ -284,7 +346,7 @@ def weight(request: Request, slice_steps: int) -> int:
 
 @dataclass
 class _StoreEntry:
-    """One shared-store artifact: the pickled unit plus its publisher."""
+    """One shared-store artifact: the encoded unit plus its publisher."""
 
     payload: bytes
     publisher: int
@@ -335,7 +397,6 @@ class Dispatcher:
         placement: Optional[DispatchPolicy] = None,
         virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
         retry_policy: Optional[RetryPolicy] = None,
-        retry_seed: int = 0,
         breaker_policy: Optional[BreakerPolicy] = None,
         admission: Optional[AdmissionController] = None,
         clock: Callable[[], float] = time.monotonic,
@@ -355,13 +416,13 @@ class Dispatcher:
         self.breakers: Dict[int, CircuitBreaker] = {}
         self.admission = admission or AdmissionController()
         self.store: Dict[StoreKey, _StoreEntry] = {}
-        #: Keys whose artifact failed to pickle: workers are told not to try
+        #: Keys whose artifact failed to encode: workers are told not to try
         #: exporting them again, and each counts once in ``unpicklable``.
         self.unpicklable: Set[StoreKey] = set()
         self.stats = dict.fromkeys(STORE_COUNTERS + POLICY_COUNTERS, 0)
         self._breaker_policy = breaker_policy or BreakerPolicy()
         self._clock = clock
-        self._retry_rng = random.Random(retry_seed)
+        self._retry_rng = random.Random(0)
         self._sleeper = sleeper
         self._fallback = fallback
         #: Artifacts already shipped to a member are not re-sent every batch;
@@ -687,7 +748,7 @@ class Dispatcher:
             if entry is None:
                 if store_key in self.unpicklable:
                     # Known-unshareable: the member recompiles from source and
-                    # must not waste a failing export/pickle attempt on it.
+                    # must not waste a failing export/encode attempt on it.
                     known.append(store_key)
                 else:
                     self.stats["misses"] += 1
@@ -718,7 +779,7 @@ class Dispatcher:
 
     def _account(self, response: Response, member: int, store_key: Optional[StoreKey]) -> None:
         """Store-hit accounting for one reply: a member whose publish the
-        store discarded (another published the key first, or the pickle
+        store discarded (another published the key first, or the encode
         failed) did not publish; a hit on another member's artifact is a
         cross-worker hit."""
         entry = self.store.get(store_key) if store_key is not None else None
@@ -739,7 +800,7 @@ class Dispatcher:
         member than the one serving — the pure cross-process wins);
         ``misses`` counts unique store lookups that found nothing,
         ``publishes`` artifacts accepted into the store, ``unpicklable``
-        publish attempts dropped because the artifact would not pickle,
+        publish attempts dropped because the artifact would not encode,
         ``migrations`` coalesced request groups resumed elsewhere from a
         crashed member's streamed checkpoints, ``retries`` recovery attempts
         consumed (``redispatches``: the from-scratch subset), ``reroutes``

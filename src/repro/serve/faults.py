@@ -32,15 +32,17 @@ site                      effect when it fires
                           handed to ``resume`` — are corrupted before
                           restore, exercising the ``CheckpointCorrupt`` /
                           version-check rejection paths
-``net.drop``              a network worker's connection dies abruptly at the
-                          targeted slice boundary, *after* that boundary's
-                          checkpoint frame was written — the router sees EOF
-                          mid-batch and must recover by checkpoint migration
-                          (breaker quarantine included); in a pipe-based
-                          worker the site degrades to a whole-batch error
-``net.slow``              a network worker stalls ``delay_seconds`` before
-                          writing its terminal RESPONSE frame (a slow link /
-                          wedged peer; pairs with the router's
+``net.drop``              a member's connection — a pool worker's socket
+                          pair or an endpoint's TCP link — dies abruptly at
+                          the targeted slice boundary, *after* that
+                          boundary's checkpoint frame was written: the parent
+                          sees EOF mid-batch and recovers by checkpoint
+                          migration (breaker quarantine included); a pool
+                          worker exits and is respawned, an endpoint keeps
+                          listening
+``net.slow``              a member stalls ``delay_seconds`` before writing
+                          its terminal RESPONSE frame (a slow link / wedged
+                          peer; pairs with the router's
                           ``attempt_timeout_seconds`` per-attempt deadline)
 ========================  =====================================================
 
@@ -48,7 +50,7 @@ Faults are matched *structurally*, not probabilistically: a fault with
 ``request_id="refs-deep"``, ``at_slice=2`` fires exactly when that request
 finishes its second slice, every run.  ``times`` bounds repetition per
 process (``None`` = unlimited); counters live in plan instances, so a
-respawned worker (which receives a fresh unpickled copy) starts over — target
+respawned worker (which receives a fresh copy) starts over — target
 faults by shard/request so recovered work on *other* shards does not
 re-trigger them.
 """
@@ -128,7 +130,7 @@ class FaultPlan:
 
     The parent builds one plan and hands it to the :class:`WorkerPool` (or a
     :class:`~repro.serve.scheduler.Scheduler` / ``CheckpointStore``
-    directly); each worker receives a pickled copy :meth:`bind`-bound to its
+    directly); each worker receives its own copy :meth:`bind`-bound to its
     shard index, so shard-targeted faults fire only where they were aimed.
     ``seed`` exists for plans that want reproducible randomness via
     :meth:`rng`; the built-in sites are fully structural and ignore it.

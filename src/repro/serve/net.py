@@ -1,21 +1,20 @@
 """The network serving tier: framed router, worker endpoints, client.
 
 :class:`~repro.serve.pool.WorkerPool` scales serving across processes on one
-host; this module lifts the same protocol onto TCP so it scales across
+host; this module carries the same frames over TCP so it scales across
 machines.  Three pieces, one wire format (:mod:`repro.serve.wire`), one I/O
 model — blocking sockets, one thread per conversation:
 
 * :class:`NetWorker` — one serving endpoint: a blocking-socket server
-  wrapping a per-host :class:`~repro.serve.scheduler.Scheduler`.  It speaks
-  the exact worker protocol the pool's pipe workers speak — ``("serve",
-  ...)`` / ``("resume", ...)`` work tuples in ``REQUEST`` frames,
-  slice-boundary ``CHECKPOINT`` frames streamed while a batch runs, one
-  terminal ``RESPONSE`` — by running the shared worker-side handler
-  (:func:`~repro.serve.dispatch.handle_work`) over a
-  :class:`~repro.serve.wire.FrameConnection`.  Blocking sockets are a
-  deliberate choice here: ``sendall`` puts every checkpoint frame on the
-  wire *before* the next slice runs, so the router holds each in-flight
-  request's last boundary even if this worker dies abruptly mid-batch.
+  wrapping a per-host :class:`~repro.serve.scheduler.Scheduler`.  After the
+  ``HELLO``/``WELCOME`` handshake it runs the member loop every pool worker
+  runs (:func:`~repro.serve.dispatch.serve_member`): ``("serve", ...)`` /
+  ``("resume", ...)`` work tuples in ``REQUEST`` frames, slice-boundary
+  ``CHECKPOINT`` frames streamed while a batch runs, one terminal
+  ``RESPONSE``.  Blocking sockets are a deliberate choice here: ``sendall``
+  puts every checkpoint frame on the wire *before* the next slice runs, so
+  the router holds each in-flight request's last boundary even if this
+  worker dies abruptly mid-batch.
 
 * :class:`NetRouter` — the framed-TCP transport of the
   :class:`~repro.serve.dispatch.Dispatcher` the pool also runs, so
@@ -55,7 +54,8 @@ from repro.serve.dispatch import (
     STORE_COUNTERS,
     Dispatcher,
     exchange_all,
-    handle_work,
+    load_report,
+    serve_member,
 )
 from repro.serve.faults import FaultPlan
 from repro.serve.pool import default_scheduler_factory
@@ -81,8 +81,6 @@ from repro.serve.wire import (
     WireError,
     expect_frame,
     hello_rejection,
-    recv_frame,
-    send_frame,
     unexpected_frame,
 )
 
@@ -95,22 +93,23 @@ EXTERNAL_PUBLISHER = -1
 
 def _dial(
     host: str, port: int, role: str, timeout: Optional[float], version: int = WIRE_VERSION
-) -> Tuple[socket.socket, Dict[str, Any]]:
+) -> Tuple[FrameConnection, Dict[str, Any]]:
     """Connect and negotiate: ``HELLO`` offering ``version``, then the peer's
     ``WELCOME`` body.  ``timeout`` bounds the connect and every read, and
-    stays set on the returned socket; a refusal raises
+    stays set on the returned connection's socket; a refusal raises
     :class:`~repro.serve.wire.ProtocolError` carrying the peer's reason."""
     sock = socket.create_connection((host, port), timeout=timeout)
+    connection = FrameConnection(sock)
     try:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        send_frame(sock, HELLO, {"version": version, "role": role})
-        welcome = expect_frame(recv_frame(sock), WELCOME)
+        connection.send(HELLO, {"version": version, "role": role})
+        welcome = expect_frame(connection.read(), WELCOME)
         if not isinstance(welcome, dict) or welcome.get("version") != version:
             raise ProtocolError(f"{host}:{port} sent a bad WELCOME")
     except BaseException:
-        sock.close()
+        connection.close()
         raise
-    return sock, welcome
+    return connection, welcome
 
 
 class _Listener:
@@ -214,34 +213,35 @@ class _Listener:
         # Registered before the stop check: stop() sets the flag before it
         # severs, so a conversation is either severed or never served.
         self._conversations.add(sock)
+        connection = FrameConnection(sock)
         try:
             if self._stopping.is_set():
                 return
-            frame_type, body = recv_frame(sock)
+            frame_type, body = connection.read()
             rejection = hello_rejection(frame_type, body, self._speaker)
             if rejection is not None:
-                send_frame(sock, ERROR, rejection)
+                connection.send(ERROR, rejection)
                 return
-            send_frame(sock, WELCOME, {"version": WIRE_VERSION, **self._welcome()})
-            self._serve_connection(sock)
+            connection.send(WELCOME, {"version": WIRE_VERSION, **self._welcome()})
+            self._serve_connection(connection)
         except ConnectionDropped:
             # Peer gone, stop() severed it, or an injected net.drop unwound
             # a batch: either way the conversation is over.
             pass
         except ProtocolError:
             try:
-                send_frame(sock, ERROR, {"code": "protocol", "message": "malformed frame"})
+                connection.send(ERROR, {"code": "protocol", "message": "malformed frame"})
             except ConnectionDropped:
                 pass
         finally:
             self._conversations.discard(sock)
-            sock.close()
+            connection.close()
 
     def _welcome(self) -> Dict[str, Any]:
         """The ``WELCOME`` body after its ``version``."""
         raise NotImplementedError
 
-    def _serve_connection(self, sock: socket.socket) -> None:
+    def _serve_connection(self, connection: FrameConnection) -> None:
         """Serve a welcomed peer's frames until ``BYE`` or a rejection."""
         raise NotImplementedError
 
@@ -274,18 +274,17 @@ class NetWorker(_Listener):
         port: int = 0,
         slice_steps: int = 512,
         scheduler_factory: Callable[[int], Scheduler] = default_scheduler_factory,
-        checkpoint_every_default: Optional[int] = 1,
         fault_plan: Optional[FaultPlan] = None,
     ):
         super().__init__(host, port, f"endpoint {endpoint_id}", threaded=False)
         self.endpoint_id = endpoint_id
         self.slice_steps = slice_steps
         self.fault_plan = fault_plan
-        self.checkpoint_every_default = checkpoint_every_default
         self._factory = scheduler_factory
         self._scheduler: Optional[Scheduler] = None
-        self._served = 0
-        self._inflight = 0
+        #: The heartbeat body, kept current by the member loop across
+        #: conversations.
+        self._load = load_report(endpoint_id)
 
     def _accept_loop(self) -> None:
         # Built here, on the serving thread, so start() returns the address
@@ -295,52 +294,11 @@ class NetWorker(_Listener):
             self._scheduler.fault_plan = self.fault_plan.bind(self.endpoint_id)
         super()._accept_loop()
 
-    def _load_stats(self) -> Dict[str, Any]:
-        """The heartbeat body: who this is and how loaded it is."""
-        return {
-            "endpoint": self.endpoint_id,
-            "inflight": self._inflight,
-            "queue_depth": self._inflight,
-            "served": self._served,
-        }
-
     def _welcome(self) -> Dict[str, Any]:
-        return {"endpoint": self.endpoint_id, "stats": self._load_stats()}
+        return {"endpoint": self.endpoint_id, "stats": dict(self._load)}
 
-    def _serve_connection(self, sock: socket.socket) -> None:
-        connection = FrameConnection(sock)
-        while True:
-            frame_type, body = recv_frame(sock)
-            if frame_type == BYE:
-                return
-            if frame_type in (HEARTBEAT, STATS):
-                send_frame(sock, frame_type, self._load_stats())
-                continue
-            if frame_type != REQUEST:
-                send_frame(sock, ERROR, unexpected_frame(frame_type))
-                return
-            self._handle_work(body, connection)
-
-    def _handle_work(self, message: tuple, connection: FrameConnection) -> None:
-        scheduler = self._scheduler
-        self._inflight = len(message[1]) if message[0] in ("serve", "resume") else 0
-        try:
-            # An injected net.drop / a vanished router abandons the connection.
-            reply = handle_work(
-                scheduler, self.endpoint_id, message, connection, abandon_on_drop=True
-            )
-        finally:
-            self._inflight = 0
-        plan = scheduler.fault_plan
-        if plan is not None:
-            slow = plan.fire("net.slow")
-            if slow is not None:
-                # The slow link: the batch is done but its terminal RESPONSE
-                # dawdles — exactly what attempt_timeout_seconds exists for.
-                time.sleep(slow.delay_seconds)
-        connection.send(reply)
-        if reply[0] in ("ok", "resumed"):
-            self._served += len(reply[1])
+    def _serve_connection(self, connection: FrameConnection) -> None:
+        serve_member(self._scheduler, self.endpoint_id, connection, self._load)
 
 
 # -- the router ----------------------------------------------------------------
@@ -390,7 +348,6 @@ class NetRouter(_Listener):
         dispatch: Optional[DispatchPolicy] = None,
         virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
         retry_policy: Optional[RetryPolicy] = None,
-        retry_seed: int = 0,
         breaker_policy: Optional[BreakerPolicy] = None,
         max_batch: Optional[int] = None,
         max_inflight_per_endpoint: Optional[int] = None,
@@ -414,7 +371,6 @@ class NetRouter(_Listener):
             placement=self.dispatch,
             virtual_nodes=virtual_nodes,
             retry_policy=retry_policy,
-            retry_seed=retry_seed,
             breaker_policy=breaker_policy,
             admission=AdmissionController(max_batch, max_inflight_per_endpoint),
             clock=clock,
@@ -471,24 +427,18 @@ class NetRouter(_Listener):
     def _connect(self, endpoint: _Endpoint) -> FrameConnection:
         """The endpoint's live connection, dialing + handshaking if needed."""
         if endpoint.connection is None:
-            sock, welcome = _dial(
+            connection, welcome = _dial(
                 endpoint.host, endpoint.port, "router", self.dispatch.attempt_timeout_seconds
             )
             endpoint.endpoint_id = welcome.get("endpoint", endpoint.endpoint_id)
             endpoint.queue_depth = (welcome.get("stats") or {}).get("queue_depth", 0)
-            endpoint.connection = FrameConnection(sock)
+            endpoint.connection = connection
         return endpoint.connection
 
     def _close(self, endpoint: _Endpoint, farewell: bool = False) -> None:
         connection, endpoint.connection = endpoint.connection, None
-        if connection is None:
-            return
-        if farewell:
-            try:
-                send_frame(connection.sock, BYE, None)
-            except ConnectionDropped:
-                pass
-        connection.sock.close()
+        if connection is not None:
+            connection.close(farewell)
 
     # -- the framed-TCP transport ----------------------------------------------
 
@@ -570,7 +520,7 @@ class NetRouter(_Listener):
                 if connection is None:
                     continue  # not connected: nothing to probe
                 try:
-                    send_frame(connection.sock, HEARTBEAT, {"role": "router"})
+                    connection.send(HEARTBEAT, {"role": "router"})
                     body = expect_frame(connection.read(), HEARTBEAT)
                 except WireError:
                     body = None
@@ -638,29 +588,29 @@ class NetRouter(_Listener):
     def _welcome(self) -> Dict[str, Any]:
         return {"endpoint": "router", "stats": {}}
 
-    def _serve_connection(self, sock: socket.socket) -> None:
+    def _serve_connection(self, connection: FrameConnection) -> None:
         while True:
-            frame_type, body = recv_frame(sock)
+            frame_type, body = connection.read()
             if frame_type == BYE:
                 return
             if frame_type == REQUEST:
-                send_frame(sock, RESPONSE, self.run_batch(list(body)))
+                connection.send(RESPONSE, self.run_batch(list(body)))
             elif frame_type == STATS:
-                send_frame(sock, STATS, self.stats())
+                connection.send(STATS, self.stats())
             elif frame_type == HEARTBEAT:
-                send_frame(sock, HEARTBEAT, {"role": "router", "endpoints": len(self._endpoints)})
+                connection.send(HEARTBEAT, {"role": "router", "endpoints": len(self._endpoints)})
             elif frame_type == FETCH:
                 entry = self._dispatcher.store.get(body)
-                send_frame(sock, PUBLISH, (body, entry.payload if entry is not None else None))
+                connection.send(PUBLISH, (body, entry.payload if entry is not None else None))
             elif frame_type == PUBLISH:
                 store_key, payload = body
                 with self._lock:  # a batch may be absorbing publishes
                     stored = payload is not None and self._dispatcher.publish(
                         store_key, payload, EXTERNAL_PUBLISHER
                     )
-                send_frame(sock, PUBLISH, (store_key, stored))
+                connection.send(PUBLISH, (store_key, stored))
             else:
-                send_frame(sock, ERROR, unexpected_frame(frame_type))
+                connection.send(ERROR, unexpected_frame(frame_type))
                 return
 
 
@@ -684,9 +634,9 @@ class NetClient:
         version: int = WIRE_VERSION,
         connect_timeout: float = 10.0,
     ):
-        self._sock, _welcome = _dial(host, port, "client", connect_timeout, version)
+        self._connection, _welcome = _dial(host, port, "client", connect_timeout, version)
         # Batches may legitimately run long; only the handshake is timed.
-        self._sock.settimeout(None)
+        self._connection.sock.settimeout(None)
 
     def __enter__(self) -> "NetClient":
         return self
@@ -695,18 +645,11 @@ class NetClient:
         self.close()
 
     def close(self) -> None:
-        try:
-            send_frame(self._sock, BYE, None)
-        except ConnectionDropped:
-            pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        self._connection.close(farewell=True)
 
     def _roundtrip(self, frame_type: int, body: Any, expected: int) -> Any:
-        send_frame(self._sock, frame_type, body)
-        return expect_frame(recv_frame(self._sock), expected)
+        self._connection.send(frame_type, body)
+        return expect_frame(self._connection.read(), expected)
 
     def run_batch(self, requests: Sequence[Request]) -> List[Response]:
         """Serve a batch through the router; responses in request order."""

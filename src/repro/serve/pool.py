@@ -8,15 +8,21 @@ the GIL, with backend heaps and pipeline LRUs confined to that process.  The
 each running its own ``Scheduler`` + ``StepSlicedDriver`` loop, and keeps
 the hot-program pipeline cache *shared* between them.
 
-The pool is the pipe transport of :class:`~repro.serve.dispatch.Dispatcher`:
-it spawns the workers, runs the dispatcher's send-all-then-drain exchange
-over their pipes (so shards run in parallel), and reaps and respawns dead
-workers.
+The pool is the socket-pair transport of
+:class:`~repro.serve.dispatch.Dispatcher`: each worker gets one
+``socket.socketpair()``, over which the parent and the worker speak the
+same :mod:`repro.serve.wire` frames as the network tier.  The worker runs
+the shared member loop (:func:`~repro.serve.dispatch.serve_member`) and the
+parent runs the dispatcher's send-all-then-drain exchange over its ends
+(so shards run in parallel), says ``BYE`` on close, and reaps and respawns
+dead workers.
 The dispatcher shards over a consistent-hash ring of the worker indices,
 so repeat submissions of a program return to the same warm worker, shares
 compiled artifacts between workers through a parent-owned store, and
 recovers a crashed shard's requests from the checkpoints its worker
-streamed.  Inside each worker, identical requests coalesce onto one VM
+streamed.  A worker whose connection drops (an injected ``net.drop``
+included) ends its conversation and exits, and its requests recover the
+same way.  Inside each worker, identical requests coalesce onto one VM
 instance (``response.coalesced``).  A
 :class:`~repro.serve.faults.FaultPlan` handed to the pool rides into every
 worker, bound to its shard, for the chaos harness.
@@ -29,15 +35,17 @@ module-level callable; the default builds the stock three-system scheduler.
 from __future__ import annotations
 
 import multiprocessing
+import socket
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.serve.dispatch import Dispatcher, exchange_all, handle_work
+from repro.serve.dispatch import Dispatcher, exchange_all, load_report, serve_member
 from repro.serve.faults import FaultPlan
 from repro.serve.reliability import AdmissionController, BreakerPolicy, DispatchPolicy, RetryPolicy
 from repro.serve.request import Request, Response
 from repro.serve.ring import DEFAULT_VIRTUAL_NODES
 from repro.serve.scheduler import Scheduler, make_default_scheduler
+from repro.serve.wire import ConnectionDropped, FrameConnection
 
 __all__ = ["WorkerPool", "default_scheduler_factory"]
 
@@ -50,39 +58,37 @@ def default_scheduler_factory(slice_steps: int) -> Scheduler:
 # -- the worker side ----------------------------------------------------------
 
 
-def _worker_main(connection, slice_steps: int, scheduler_factory, shard: int, fault_plan=None) -> None:
-    """One worker process: serve work tuples until told to stop.
-
-    Each message is a :func:`~repro.serve.dispatch.handle_work` work tuple
-    (``("serve", ...)`` or ``("resume", ...)``); while it runs, zero or more
-    ``("checkpoint", indices, payload)`` events stream back, then its
-    terminal reply.  ``("stop",)`` exits the loop.  An exception escaping
-    one batch — an injected ``net.drop`` included — becomes an ``("error",
-    message)`` reply that fails that batch, not the worker.
+def _worker_main(
+    sock: socket.socket, slice_steps: int, scheduler_factory, shard: int, fault_plan=None
+) -> None:
+    """One worker process: the shared member loop over its end of the pair.
 
     ``fault_plan`` is this worker's copy of the pool's
     :class:`~repro.serve.faults.FaultPlan`, bound to ``shard`` so
-    shard-targeted faults (injected crashes included) fire only here.
+    shard-targeted faults (injected crashes included) fire only here.  The
+    process exits when the parent says ``BYE`` or the connection drops.
     """
     scheduler = scheduler_factory(slice_steps)
     if fault_plan is not None:
         scheduler.fault_plan = fault_plan.bind(shard)
-    while True:
-        message = connection.recv()
-        if message[0] == "stop":
-            break
-        connection.send(handle_work(scheduler, shard, message, connection))
+    connection = FrameConnection(sock)
+    try:
+        serve_member(scheduler, shard, connection, load_report(shard))
+    except ConnectionDropped:
+        pass  # the parent went away, or an injected net.drop: the conversation is over
+    finally:
+        connection.close()
 
 
 # -- the parent side ----------------------------------------------------------
 
 
 class _Worker:
-    """Parent-side handle for one worker process."""
+    """Parent-side handle for one worker process and its end of the pair."""
 
     __slots__ = ("process", "connection")
 
-    def __init__(self, process, connection):
+    def __init__(self, process, connection: FrameConnection):
         self.process = process
         self.connection = connection
 
@@ -107,9 +113,9 @@ class WorkerPool:
     * ``checkpoint_every`` — slice-boundary cadence at which workers stream
       each in-flight request's checkpoint (the migration safety net);
       ``None`` disables streaming, leaving from-scratch redispatch.
-    * ``retry_policy`` / ``retry_seed`` — backoff schedule and jitter seed
-      for crash recovery; ``sleeper`` replaces :func:`time.sleep` in tests
-      so backoff costs no wall clock.
+    * ``retry_policy`` — backoff schedule for crash recovery (its jitter is
+      seeded, so recovery timing is reproducible); ``sleeper`` replaces
+      :func:`time.sleep` in tests so backoff costs no wall clock.
     * ``breaker_policy`` / ``clock`` — per-shard circuit-breaker tuning and
       time source (fake time makes quarantine transitions deterministic).
     * ``max_batch`` / ``max_inflight_per_shard`` — admission limits; the
@@ -125,10 +131,8 @@ class WorkerPool:
         slice_steps: int = 512,
         scheduler_factory=default_scheduler_factory,
         batched: bool = True,
-        start_method: str = "spawn",
         checkpoint_every: Optional[int] = 1,
         retry_policy: Optional[RetryPolicy] = None,
-        retry_seed: int = 0,
         breaker_policy: Optional[BreakerPolicy] = None,
         max_batch: Optional[int] = None,
         max_inflight_per_shard: Optional[int] = None,
@@ -147,7 +151,7 @@ class WorkerPool:
         self.slice_steps = slice_steps
         self.fault_plan = fault_plan
         self._factory = scheduler_factory
-        self._context = multiprocessing.get_context(start_method)
+        self._context = multiprocessing.get_context("spawn")
         self._router = scheduler_factory(slice_steps)
         self._pool: List[Optional[_Worker]] = [None] * workers
         self._crashes = 0
@@ -163,7 +167,6 @@ class WorkerPool:
             placement=DispatchPolicy(top_k=top_k, balance_load=balance_load),
             virtual_nodes=virtual_nodes,
             retry_policy=retry_policy,
-            retry_seed=retry_seed,
             breaker_policy=breaker_policy,
             admission=AdmissionController(max_batch, max_inflight_per_shard),
             clock=clock,
@@ -199,23 +202,16 @@ class WorkerPool:
 
         Idempotent and crash-safe: closing twice is a no-op (the first call
         leaves no workers behind), and a worker that already died — crashed
-        mid-batch, killed at idle, pipe half-closed — is torn down without
-        raising.  A worker that ignores the stop message *and* ``terminate``
-        is ``kill``-ed, so ``close`` always returns with the pool stopped.
+        mid-batch, killed at idle, socket half-closed — is torn down without
+        raising.  A worker that ignores ``BYE`` *and* ``terminate`` is
+        ``kill``-ed, so ``close`` always returns with the pool stopped.
         """
         self._closed = True
         for shard, worker in enumerate(self._pool):
             if worker is None:
                 continue
             self._pool[shard] = None
-            try:
-                worker.connection.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-            try:
-                worker.connection.close()
-            except OSError:
-                pass
+            worker.connection.close(farewell=True)
             self._reap(worker.process)
 
     def _worker(self, shard: int) -> _Worker:
@@ -224,29 +220,34 @@ class WorkerPool:
             raise RuntimeError("WorkerPool is closed")
         worker = self._pool[shard]
         if worker is None:
-            parent_end, child_end = self._context.Pipe()
-            process = self._context.Process(
-                target=_worker_main,
-                args=(child_end, self.slice_steps, self._factory, shard, self.fault_plan),
-                daemon=True,
-            )
-            process.start()
-            child_end.close()
-            worker = _Worker(process, parent_end)
+            parent_end, child_end = socket.socketpair()
+            try:
+                process = self._context.Process(
+                    target=_worker_main,
+                    args=(child_end, self.slice_steps, self._factory, shard, self.fault_plan),
+                    daemon=True,
+                )
+                process.start()
+            except BaseException:
+                parent_end.close()
+                raise
+            finally:
+                child_end.close()
+            worker = _Worker(process, FrameConnection(parent_end))
             self._pool[shard] = worker
         return worker
 
-    # -- the pipe transport ----------------------------------------------------
+    # -- the socket-pair transport -----------------------------------------------
 
     def alive(self, shard: int) -> bool:
         worker = self._pool[shard]
         return worker is not None and worker.process.is_alive()
 
     def load(self, shard: int) -> int:
-        return 0  # pipe workers report no queue of their own
+        return 0  # the parent's batch is a worker's whole queue
 
     def exchange(self, work):
-        """:func:`~repro.serve.dispatch.exchange_all` over the shards' pipes."""
+        """:func:`~repro.serve.dispatch.exchange_all` over the shards' connections."""
         return exchange_all([(self._worker(shard).connection, message) for shard, message in work])
 
     def teardown(self, shard: int) -> None:

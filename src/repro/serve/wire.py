@@ -1,13 +1,12 @@
-"""The network serving tier's framed wire protocol.
+"""The serving tier's framed wire protocol, shared by the pool and the network.
 
-Every message on a serving connection — router ⇄ worker and client ⇄
-router — is one *frame*: a fixed 5-byte header (4-byte big-endian body
-length + 1-byte frame type) followed by a pickled body.  Length-prefixing
-makes framing trivial over the blocking sockets every side of the tier
-uses; pickle is the payload codec because every value that crosses the
-wire is already a picklable serving-layer object — the same work and
-reply tuples the :class:`~repro.serve.dispatch.Dispatcher` exchanges with
-pool workers over ``multiprocessing`` pipes, lifted onto TCP.
+Every message on a serving connection — pool parent ⇄ pool worker over a
+socket pair, router ⇄ endpoint and client ⇄ router over TCP — is one
+*frame*: a fixed 5-byte header (4-byte big-endian body length + 1-byte
+frame type) followed by a body encoded by :mod:`repro.core.codec`.
+Length-prefixing makes framing trivial over the blocking sockets every
+side of both tiers uses, and the :class:`~repro.serve.dispatch.Dispatcher`'s
+work and reply tuples travel as they are.
 
 Frame catalog (full spec with per-type body schemas in
 ``docs/networking.md``):
@@ -15,14 +14,14 @@ Frame catalog (full spec with per-type body schemas in
 ==============  ====  =======================================================
 frame           type  body / purpose
 ==============  ====  =======================================================
-``HELLO``       0x01  ``{"version", "role"}`` — first frame on every
+``HELLO``       0x01  ``{"version", "role"}`` — first frame on every TCP
                       connection, sent by the dialing side
 ``WELCOME``     0x02  ``{"version", "endpoint", "stats"}`` — the accepting
                       side's half of version negotiation
 ``ERROR``       0x03  ``{"code", "message"}`` — structured rejection (e.g.
                       version mismatch); the connection closes after it
 ``REQUEST``     0x04  a work message: ``("serve", ...)`` /
-                      ``("resume", ...)`` on router→worker hops, a list of
+                      ``("resume", ...)`` on parent→member hops, a list of
                       :class:`~repro.serve.request.Request` on client→router
 ``RESPONSE``    0x05  the terminal reply to a ``REQUEST``
 ``CHECKPOINT``  0x06  ``(covered, payload)`` — one streamed slice-boundary
@@ -37,27 +36,29 @@ frame           type  body / purpose
 ``BYE``         0x0b  orderly close
 ==============  ====  =======================================================
 
-Version negotiation: the dialer's ``HELLO`` carries :data:`WIRE_VERSION`;
+A pool worker's socket pair is born inside one build, so it skips
+``HELLO``/``WELCOME`` and starts at the first ``REQUEST``.  Version
+negotiation on TCP: the dialer's ``HELLO`` carries :data:`WIRE_VERSION`;
 an accepter that cannot speak it answers ``ERROR {"code": "version"}`` and
 closes, so incompatible peers fail fast with a structured reason instead of
-a mid-stream unpickling error.  Oversized frames (> :data:`MAX_FRAME_BYTES`)
+a mid-stream decoding error.  Oversized frames (> :data:`MAX_FRAME_BYTES`)
 are a protocol error on both send and receive — a corrupt length prefix
 must not look like a 4 GiB allocation.
 
 Two exception families: :class:`ProtocolError` means the peer spoke the
 protocol wrong (bad magic, bad version, oversized frame) — not retryable;
 :class:`ConnectionDropped` means the peer went away (EOF, reset, or an
-injected ``net.drop`` fault) — exactly the event the router's breaker
-quarantine and checkpoint-migration recovery consume.
+injected ``net.drop`` fault) — exactly the event the dispatcher's breaker
+quarantine and checkpoint-migration recovery consume, on either tier.
 """
 
 from __future__ import annotations
 
-import pickle
 import socket
 import struct
 from typing import Any, Dict, Optional, Tuple
 
+from repro.core.codec import CodecError, decode, encode
 from repro.core.errors import ReproError
 
 __all__ = [
@@ -143,10 +144,10 @@ class ConnectionDropped(WireError):
 
 
 def encode_frame(frame_type: int, body: Any) -> bytes:
-    """One wire frame: 5-byte header + pickled body."""
+    """One wire frame: 5-byte header + encoded body."""
     if frame_type not in FRAME_NAMES:
         raise ProtocolError(f"unknown frame type 0x{frame_type:02x}")
-    payload = pickle.dumps(body)
+    payload = encode(body)
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"{FRAME_NAMES[frame_type]} body is {len(payload)} bytes "
@@ -170,12 +171,9 @@ def decode_header(header: bytes) -> Tuple[int, int]:
 
 def _decode_body(frame_type: int, payload: bytes) -> Any:
     try:
-        return pickle.loads(payload)
-    except Exception as error:
-        raise ProtocolError(
-            f"undecodable {FRAME_NAMES[frame_type]} body: "
-            f"{type(error).__name__}: {error}"
-        ) from error
+        return decode(payload)
+    except CodecError as error:
+        raise ProtocolError(f"undecodable {FRAME_NAMES[frame_type]} body: {error}") from error
 
 
 # -- the blocking-socket codec ------------------------------------------------
@@ -246,23 +244,18 @@ def unexpected_frame(frame_type: int) -> Dict[str, str]:
     return {"code": "protocol", "message": f"unexpected {FRAME_NAMES.get(frame_type, frame_type)}"}
 
 
-# -- the pipe-shaped adapter ---------------------------------------------------
+# -- one end of a conversation -------------------------------------------------
 
 
 class FrameConnection:
-    """A blocking socket wearing the worker pipe's ``send``/``recv`` surface.
+    """One end of a framed conversation over a blocking socket.
 
-    The worker side (:func:`~repro.serve.dispatch.handle_work`) and the
-    parent side (:func:`~repro.serve.dispatch.exchange_all`) of the serving
-    protocol speak ``multiprocessing.Pipe`` message tuples.  This adapter
-    maps them onto wire frames in both directions, so the pool's code runs
-    unchanged over TCP: a ``("serve", ...)`` / ``("resume", ...)`` work
-    tuple travels as a ``REQUEST`` frame; ``("checkpoint", covered,
-    payload)`` as a ``CHECKPOINT`` frame with body ``(covered, payload)``;
-    every terminal reply tuple (``("ok", ...)`` / ``("resumed", ...)`` /
-    ``("error", ...)``) as a ``RESPONSE`` frame carrying the tuple verbatim.
-    :meth:`recv`, the parent's end, turns ``CHECKPOINT`` and ``RESPONSE``
-    frames back into their tuples.
+    Both tiers talk through it: the pool parent holds one per worker socket
+    pair, the router one per endpoint, and the member loop
+    (:func:`~repro.serve.dispatch.serve_member`) serves one in every pool
+    worker and network endpoint.  A work exchange is one ``REQUEST`` frame,
+    zero or more ``CHECKPOINT`` frames with body ``(covered, payload)``,
+    then one ``RESPONSE`` carrying the reply tuple.
 
     A read that outlasts the socket's timeout raises
     :class:`ConnectionDropped` like any other lost peer and sets
@@ -275,26 +268,23 @@ class FrameConnection:
         self.sock = sock
         self.timed_out = False
 
-    def send(self, message: Tuple[Any, ...]) -> None:
-        tag = message[0]
-        if tag == "checkpoint":
-            send_frame(self.sock, CHECKPOINT, message[1:])
-        else:
-            send_frame(self.sock, REQUEST if tag in ("serve", "resume") else RESPONSE, message)
+    def send(self, frame_type: int, body: Any) -> None:
+        send_frame(self.sock, frame_type, body)
 
     def read(self) -> Tuple[int, Any]:
-        """One raw ``(frame_type, body)``; records a timed-out read."""
+        """One ``(frame_type, body)``; records a timed-out read."""
         try:
             return recv_frame(self.sock)
         except ConnectionDropped as error:
             self.timed_out = isinstance(error.__cause__, socket.timeout)
             raise
 
-    def recv(self) -> Tuple[Any, ...]:
-        frame_type, body = self.read()
-        if frame_type == CHECKPOINT:
-            covered, payload = body
-            return ("checkpoint", covered, payload)
-        if frame_type == RESPONSE:
-            return body
-        raise ProtocolError(f"unexpected {FRAME_NAMES[frame_type]} in a work exchange")
+    def close(self, farewell: bool = False) -> None:
+        """Close the socket, saying ``BYE`` first when ``farewell`` is set;
+        a peer that is already gone is not an error."""
+        if farewell:
+            try:
+                send_frame(self.sock, BYE, None)
+            except ConnectionDropped:
+                pass
+        self.sock.close()

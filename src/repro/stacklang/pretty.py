@@ -25,7 +25,6 @@ from repro.stacklang.syntax import (
     Var,
     Write,
 )
-from repro.util.pretty import INDENT
 
 
 def format_value(value: Value) -> str:
@@ -78,11 +77,6 @@ def format_instruction(instruction: Instruction) -> str:
 def format_program(program: Program) -> str:
     """Render a program on one line."""
     return ", ".join(format_instruction(instruction) for instruction in program)
-
-
-def format_program_block(program: Program) -> str:
-    """Render a program one instruction per line (for long compiler output)."""
-    return "\n".join(INDENT + format_instruction(instruction) for instruction in program)
 
 
 def format_config(config: Config) -> str:

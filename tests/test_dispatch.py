@@ -28,6 +28,7 @@ from repro.serve import (
     make_default_scheduler,
 )
 from repro.serve.dispatch import Dispatcher, handle_work
+from repro.serve.wire import CHECKPOINT
 from repro.util.workloads import nested_refll_boundary
 
 SLICE_STEPS = 16
@@ -264,8 +265,8 @@ class RecordingConnection:
     def __init__(self):
         self.frames = []
 
-    def send(self, frame):
-        self.frames.append(frame)
+    def send(self, frame_type, body):
+        self.frames.append((frame_type, body))
 
 
 def test_streaming_worker_honours_request_priority():
@@ -277,7 +278,7 @@ def test_streaming_worker_honours_request_priority():
     work = ("serve", [(0, low), (1, high)], [], [], False, True, 1)
     reply = handle_work(make_default_scheduler(slice_steps=4), 0, work, connection)
     assert reply[0] == "ok"
-    order = [covered for tag, covered, _payload in connection.frames if tag == "checkpoint"]
+    order = [covered for frame_type, (covered, _payload) in connection.frames if frame_type == CHECKPOINT]
     # Both slice-0 checkpoints, then one best-effort turn of 1 slice and one
     # high-priority turn of 8.
     assert order[:11] == [[0], [1], [0]] + [[1]] * 8

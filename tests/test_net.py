@@ -7,7 +7,8 @@ What is pinned here:
 * **the wire format** — frame encode/decode round-trips, oversized and
   truncated frames are structured errors, and HELLO/WELCOME version
   negotiation rejects a mismatched peer with an ``ERROR`` frame (surfaced
-  to clients as :class:`~repro.serve.wire.ProtocolError`);
+  to clients as :class:`~repro.serve.wire.ProtocolError`); an endpoint
+  answers a malformed work body with an error reply and keeps serving;
 * **placement** — ring placement is deterministic and affinity acts as a
   locality hint; load-aware dispatch spreads a hot key over its top-k
   candidates;
@@ -25,9 +26,10 @@ What is pinned here:
 * **the store as a service** — artifacts published by one endpoint warm
   others (``shared_cache_hit``), and clients can FETCH/PUBLISH directly.
 
-Everything runs on localhost with in-process worker threads — no worker
-*processes* here (test_pool.py owns that axis); the network tier reuses the
-pool's shard helpers, so process isolation composes unchanged.
+Everything runs on localhost with in-process worker threads — test_pool.py
+owns the worker-process axis.  The one exception is the pool twin of the
+``net.drop`` test: both tiers run the same member loop, so the fault must
+mean the same thing on a spawned pool worker as on an endpoint.
 """
 
 import pickle
@@ -50,6 +52,7 @@ from repro.serve import (
     Request,
     WIRE_VERSION,
     WireError,
+    WorkerPool,
     make_default_scheduler,
 )
 from repro.serve.wire import (
@@ -58,6 +61,7 @@ from repro.serve.wire import (
     MAX_FRAME_BYTES,
     ProtocolError,
     REQUEST,
+    RESPONSE,
     decode_header,
     encode_frame,
     recv_frame,
@@ -179,6 +183,27 @@ def test_worker_rejects_mismatched_router_version():
             assert str(WIRE_VERSION) in body["message"]
         finally:
             sock.close()
+    finally:
+        worker.stop()
+
+
+def test_endpoint_answers_a_malformed_work_body_and_keeps_serving():
+    # A REQUEST whose body is not a work tuple gets a structured error reply;
+    # the endpoint's serving thread survives it and welcomes the next peer.
+    worker = NetWorker(endpoint_id=0, slice_steps=SLICE_STEPS)
+    worker.start()
+    try:
+        for _attempt in range(2):
+            sock = socket.create_connection(worker.address, timeout=5)
+            try:
+                send_frame(sock, HELLO, {"version": WIRE_VERSION, "role": "router"})
+                recv_frame(sock)
+                send_frame(sock, REQUEST, None)
+                frame_type, body = recv_frame(sock)
+                assert frame_type == RESPONSE
+                assert body[0] == "error" and body[1].startswith("TypeError: ")
+            finally:
+                sock.close()
     finally:
         worker.stop()
 
@@ -390,6 +415,39 @@ def test_net_drop_recovers_by_checkpoint_migration():
             assert _observable(expected) == _observable(actual)
     finally:
         _shutdown(router, workers)
+
+
+def test_pool_net_drop_recovers_by_checkpoint_migration():
+    # The same fault on a pool worker: its connection ends after the
+    # checkpoint frame, the worker exits, and the shard recovers exactly as
+    # an endpoint's does, by migration onto the surviving worker.
+    scheduler = make_default_scheduler(slice_steps=SLICE_STEPS)
+    requests = _mixed_requests()
+    victim = HashRing([0, 1]).node_for(scheduler.placement_key(requests[0]))
+    plan = FaultPlan(
+        [Fault(site="net.drop", request_id="refs-deep", at_slice=2, times=1, shard=victim)]
+    )
+    with WorkerPool(workers=2, slice_steps=SLICE_STEPS, fault_plan=plan) as pool:
+        baseline = pool.run_sequential(requests)
+        served = pool.run_batch(requests)
+        for expected, actual in zip(baseline, served):
+            assert _observable(expected) == _observable(actual)
+        survivor = 1 - victim
+        migrated = [r for r in served if r.migrated_from is not None]
+        assert migrated, "the dropped dispatch must recover by migration"
+        assert all(r.migrated_from == victim and r.shard == survivor for r in migrated)
+        assert any(r.request.request_id == "refs-deep" for r in migrated)
+        assert all(r.attempts == 2 for r in migrated)
+        stats = pool.cache_stats()
+        assert stats["worker_crashes"] == 1
+        assert 1 <= stats["migrations"] <= len(migrated)
+        assert pool.health_stats()["shards"][victim]["window_failures"] >= 1
+        # The respawned victim holds a fresh copy of the plan, so the fault
+        # fires again, and the batch recovers again.
+        again = pool.run_batch(requests)
+        for expected, actual in zip(baseline, again):
+            assert _observable(expected) == _observable(actual)
+        assert pool.cache_stats()["worker_crashes"] == 2
 
 
 def test_slow_link_times_out_and_recovers():

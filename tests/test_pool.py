@@ -426,7 +426,7 @@ def test_close_is_idempotent_and_safe_after_worker_crash():
         ]
         pool.run_batch(requests)
         # Kill the surviving worker too, without telling the pool: close()
-        # must cope with a dead process behind a half-broken pipe.
+        # must cope with a dead process behind a half-broken socket pair.
         survivor = pool._pool[1]
         assert survivor is not None
         survivor.process.terminate()
