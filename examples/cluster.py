@@ -147,11 +147,11 @@ def main() -> None:
             )
         counters = router.stats()["counters"]
         print(
-            f"  router counters: {counters['drops']} drop(s), "
+            f"  router counters: {counters['crashes']} crash(es), "
             f"{counters['migrations']} migration(s), "
             f"{counters['redispatches']} redispatch(es)"
         )
-        assert counters["drops"] >= 1 and counters["migrations"] >= 1
+        assert counters["crashes"] >= 1 and counters["migrations"] >= 1
     finally:
         router.stop()
         for process in processes:

@@ -30,7 +30,8 @@ multi-tenant service front:
   surviving one;
 * :class:`~repro.serve.dispatch.Dispatcher` — the placement, admission,
   shared-store, and recovery logic the pool and the network router both
-  run, each over its own narrow :class:`~repro.serve.dispatch.Transport`;
+  run, each over its own narrow :class:`~repro.serve.dispatch.Transport`,
+  and the one ``stats()`` snapshot both return;
 * :class:`~repro.serve.checkpoint.Checkpoint` / ``CheckpointStore`` — a
   paused request reified as versioned plain data (machine snapshot plus
   routing context), movable across processes and — via the store's atomic

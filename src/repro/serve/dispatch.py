@@ -7,8 +7,8 @@ spawned processes) and :class:`~repro.serve.net.NetRouter` (TCP to
 endpoints) are thin front ends that supply one.  Both speak the same
 :mod:`repro.serve.wire` frames.  The dispatcher owns:
 
-* **Admission** — the batch cutoff and per-member queue limits, shedding
-  a deterministic tail as ``rejected_overload``.
+* **Admission** — the ``max_batch`` cutoff, shedding a deterministic tail
+  as ``rejected_overload``.
 * **Placement** — consistent-hash ring order with per-member circuit-breaker
   quarantine and load-aware top-k choice (:meth:`Dispatcher._place`).
 * **The shared artifact store** — first publisher wins, and each artifact
@@ -16,6 +16,9 @@ endpoints) are thin front ends that supply one.  Both speak the same
 * **Recovery** — migrate a crashed member's streamed checkpoints, then
   redispatch the rest from scratch under each request's ``retry_budget``
   (:meth:`Dispatcher._recover`).
+* **The stats** — :meth:`Dispatcher.stats`, the one snapshot both front
+  ends return: every member's breaker and traffic, the ring, the store,
+  the fleet counters, admission.
 
 Both ends of the member protocol live here too, once for both transports:
 :func:`serve_member` is the loop every pool worker and network endpoint
@@ -30,7 +33,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Protocol, Sequence, Set, Tuple
 
 from repro.core.codec import CodecError, decode, encode
 from repro.serve.reliability import (
@@ -41,7 +44,7 @@ from repro.serve.reliability import (
     RetryPolicy,
 )
 from repro.serve.request import Request, Response
-from repro.serve.ring import DEFAULT_VIRTUAL_NODES, HashRing
+from repro.serve.ring import HashRing
 from repro.serve.scheduler import Scheduler, StoreKey
 from repro.serve.wire import (
     BYE,
@@ -59,11 +62,12 @@ from repro.serve.wire import (
 )
 
 __all__ = [
-    "POLICY_COUNTERS",
+    "FLEET_COUNTERS",
     "STORE_COUNTERS",
     "Dispatcher",
     "Transport",
     "exchange_all",
+    "flat_stats",
     "handle_work",
     "load_report",
     "serve_member",
@@ -74,9 +78,16 @@ __all__ = [
 Entries = List[Tuple[int, Request]]
 #: The last streamed checkpoint payload per coalesced group of batch indices.
 Checkpoints = Dict[Tuple[int, ...], bytes]
-#: Shared-store counters, then recovery and placement counters.
+#: Shared-store counters, then the fleet's failure, recovery and placement
+#: counters, then each member's traffic: the counter names of
+#: :meth:`Dispatcher.stats`.
 STORE_COUNTERS = ("hits", "cross_worker_hits", "misses", "publishes", "unpicklable")
-POLICY_COUNTERS = ("migrations", "retries", "redispatches", "reroutes", "diverted")
+FLEET_COUNTERS = (
+    "crashes", "served_locally", "migrations", "retries", "redispatches", "reroutes", "diverted"
+)
+MEMBER_COUNTERS = ("inflight", "dispatches", "served")
+#: The backoff schedule of every recovery wave.
+RETRY_POLICY = RetryPolicy()
 
 
 # -- the worker side ----------------------------------------------------------
@@ -132,12 +143,12 @@ def serve_member(
 
 
 def handle_work(
-    scheduler: Scheduler, member: int, message: Tuple[Any, ...], connection: Any = None
+    scheduler: Scheduler, member: int, message: Tuple[Any, ...], connection: Any
 ) -> Tuple[Any, ...]:
     """Serve one work tuple on a member's scheduler; returns the terminal reply.
 
-    ``("serve", entries, warm, known, sequential, batched, checkpoint_every)``
-    serves index-tagged requests after importing the ``warm`` store
+    ``("serve", entries, warm, known)`` serves index-tagged requests,
+    coalescing identical ones, after importing the ``warm`` store
     artifacts (``known`` lists the keys the store already holds, so they are
     never re-published) and replies ``("ok", results, publishes)``;
     ``("resume", items)`` resumes a crashed member's streamed checkpoints and
@@ -164,16 +175,16 @@ def _serve_shard(
 ) -> Tuple[Any, ...]:
     """Serve one shard batch and report responses plus publishable artifacts.
 
-    With a cadence and a connection, every snapshot-capable run streams its
-    slice-boundary checkpoints upstream as ``("checkpoint", covered,
-    payload)``, ``covered`` listing the original batch indices of the whole
-    coalesced group.  If this worker then dies mid-batch, the parent resumes
-    each in-flight group from its last boundary on a surviving member.  A
+    Every snapshot-capable run streams a checkpoint upstream at each slice
+    boundary as a ``CHECKPOINT`` frame ``(covered, payload)``, ``covered``
+    listing the original batch indices of the whole coalesced group.  If
+    this worker then dies mid-batch, the parent resumes each in-flight
+    group from its last boundary on a surviving member.  A
     checkpoint that fails to encode — or is suppressed by an injected
     ``checkpoint.pickle`` fault — is simply not streamed: its requests fall
     back to retry-from-scratch, never to a wrong resume.
     """
-    _tag, entries, warm, known, sequential, batched, checkpoint_every = message
+    _tag, entries, warm, known = message
     imported: Set[StoreKey] = set()
     for store_key, payload in warm:
         try:
@@ -207,14 +218,7 @@ def _serve_shard(
             # abruptly, so the parent sees EOF on either tier.
             raise ConnectionDropped("injected net.drop fault")
 
-    streaming = checkpoint_every is not None and connection is not None
-    responses = scheduler.serve(
-        requests,
-        sequential=sequential,
-        batched=batched,
-        checkpoint_every=checkpoint_every or 1,
-        on_checkpoint=stream if streaming else None,
-    )
+    responses = scheduler.serve(requests, batched=True, on_checkpoint=stream)
 
     publishes: List[Tuple[StoreKey, Optional[bytes]]] = []
     # Keys the store already holds must not be re-exported, re-encoded, or
@@ -374,6 +378,10 @@ class Transport(Protocol):
     def teardown(self, member: int) -> None:
         """Release a crashed member; the next exchange respawns/redials it."""
 
+    def describe(self, member: int) -> Dict[str, Any]:
+        """The member's transport fields in :meth:`Dispatcher.stats`:
+        ``address``, ``connected`` and ``queue_depth``."""
+
 
 class Dispatcher:
     """Admission, placement, the shared store, and recovery over a transport.
@@ -382,7 +390,8 @@ class Dispatcher:
     keys.  A request its member failed gets ``error="{label} {member}:
     {message}"``, with ``lost`` as the message once a crash exhausts its
     retry budget.  With no members, :meth:`run_batch` hands the admitted
-    requests to ``fallback``.  Synchronous: callers serialize batches.
+    requests to ``fallback`` (counted in ``served_locally``).  Synchronous:
+    callers serialize batches.
     """
 
     def __init__(
@@ -392,13 +401,9 @@ class Dispatcher:
         slice_steps: int,
         label: str,
         lost: str,
-        batched: bool = True,
-        checkpoint_every: Optional[int] = 1,
         placement: Optional[DispatchPolicy] = None,
-        virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
-        retry_policy: Optional[RetryPolicy] = None,
         breaker_policy: Optional[BreakerPolicy] = None,
-        admission: Optional[AdmissionController] = None,
+        max_batch: Optional[int] = None,
         clock: Callable[[], float] = time.monotonic,
         sleeper: Callable[[float], None] = time.sleep,
         fallback: Optional[Callable[[List[Request]], List[Response]]] = None,
@@ -408,18 +413,17 @@ class Dispatcher:
         self.slice_steps = slice_steps
         self.label = label
         self.lost = lost
-        self.batched = batched
-        self.checkpoint_every = checkpoint_every
         self.placement = placement or DispatchPolicy(top_k=1, balance_load=False)
-        self.retry_policy = retry_policy or RetryPolicy()
-        self.ring: HashRing[int] = HashRing(virtual_nodes=virtual_nodes)
+        self.ring: HashRing[int] = HashRing()
         self.breakers: Dict[int, CircuitBreaker] = {}
-        self.admission = admission or AdmissionController()
+        self.admission = AdmissionController(max_batch)
         self.store: Dict[StoreKey, _StoreEntry] = {}
         #: Keys whose artifact failed to encode: workers are told not to try
         #: exporting them again, and each counts once in ``unpicklable``.
         self.unpicklable: Set[StoreKey] = set()
-        self.stats = dict.fromkeys(STORE_COUNTERS + POLICY_COUNTERS, 0)
+        self.counters = dict.fromkeys(STORE_COUNTERS + FLEET_COUNTERS, 0)
+        #: Per-member traffic, kept across a leave and rejoin.
+        self.traffic: Dict[int, Dict[str, int]] = {}
         self._breaker_policy = breaker_policy or BreakerPolicy()
         self._clock = clock
         self._retry_rng = random.Random(0)
@@ -438,6 +442,7 @@ class Dispatcher:
 
     def add_member(self, member: int) -> None:
         self.ring.add(member)
+        self.traffic.setdefault(member, dict.fromkeys(MEMBER_COUNTERS, 0))
         self.breakers[member] = CircuitBreaker(self._breaker_policy, self._clock)
 
     def remove_member(self, member: int) -> None:
@@ -446,7 +451,9 @@ class Dispatcher:
         self._forget(member)
 
     def crashed(self, member: int) -> None:
-        """Account one member failure: breaker, deliveries, transport teardown."""
+        """Account one member failure: ``crashes``, breaker, deliveries, and
+        the transport's teardown."""
+        self.counters["crashes"] += 1
         self.breakers[member].record_failure()
         self._forget(member)
         self.transport.teardown(member)
@@ -457,7 +464,7 @@ class Dispatcher:
 
     # -- serving --------------------------------------------------------------
 
-    def run_batch(self, requests: Sequence[Request], sequential: bool = False) -> List[Response]:
+    def run_batch(self, requests: Sequence[Request]) -> List[Response]:
         """Place, dispatch, collect, and recover one batch; request order kept.
 
         Every member's share goes out in one :meth:`Transport.exchange`;
@@ -469,6 +476,7 @@ class Dispatcher:
         for index in range(admitted, len(requests)):
             responses[index] = self._shed(requests[index])
         if not len(self.ring) and self._fallback is not None:
+            self.counters["served_locally"] += admitted
             responses[:admitted] = self._fallback(list(requests[:admitted]))
             return responses  # type: ignore[return-value]
 
@@ -478,17 +486,13 @@ class Dispatcher:
         for index, request in enumerate(requests[:admitted]):
             order = self.ring.candidates(self.router.placement_key(request))
             member, rerouted_from = self._place(order, loads)
-            queue = queues.setdefault(member, [])
-            if not self.admission.admit_to_shard(len(queue)):
-                responses[index] = self._shed(request)
-                continue
             if rerouted_from is not None:
                 rerouted[index] = rerouted_from
-            queue.append((index, request))
+            queues.setdefault(member, []).append((index, request))
             loads[member] = loads.get(member, 0) + weight(request, self.slice_steps)
 
         groups = [(member, queues[member]) for member in sorted(queues)]
-        for member, entries, checkpoints in self._serve(responses, groups, sequential, None):
+        for member, entries, checkpoints in self._serve(responses, groups, None):
             self._recover(responses, member, entries, checkpoints, {})
         for index, home in rerouted.items():
             response = responses[index]
@@ -532,7 +536,7 @@ class Dispatcher:
         if not admitted:
             for member in order[k:]:
                 if self.breakers[member].allow():
-                    self.stats["reroutes"] += 1
+                    self.counters["reroutes"] += 1
                     return member, home
             return home, None
         if len(admitted) == 1:
@@ -548,9 +552,9 @@ class Dispatcher:
         if chosen == home:
             return home, None
         if home not in admitted:  # quarantined home inside the balanced head
-            self.stats["reroutes"] += 1
+            self.counters["reroutes"] += 1
             return chosen, home
-        self.stats["diverted"] += 1
+        self.counters["diverted"] += 1
         return chosen, None
 
     def _settle(self, members: Sequence[int]) -> None:
@@ -565,7 +569,6 @@ class Dispatcher:
         self,
         responses: List[Optional[Response]],
         groups: List[Tuple[int, Entries]],
-        sequential: bool,
         attempts: Optional[Dict[int, int]],
     ) -> List[Tuple[int, Entries, Checkpoints]]:
         """Dispatch ``serve`` work to each member, record the replies, and
@@ -578,10 +581,9 @@ class Dispatcher:
         for member, entries in groups:
             warm, known = self._warm_entries(member, entries, keymap)
             self._delivered.update((member, store_key) for store_key, _payload in warm)
-            job = ("serve", entries, warm, known, sequential, self.batched, self.checkpoint_every)
-            work.append((member, job))
+            work.append((member, ("serve", entries, warm, known)))
         crashed: List[Tuple[int, Entries, Checkpoints]] = []
-        for (member, entries), outcome in zip(groups, self.transport.exchange(work)):
+        for (member, entries), outcome in zip(groups, self._exchange(work)):
             if outcome[0] == "crashed":
                 self.crashed(member)
                 crashed.append((member, entries, outcome[1]))
@@ -599,6 +601,21 @@ class Dispatcher:
                 self._account(response, member, keymap.get(index))
                 responses[index] = response
         return crashed
+
+    def _exchange(self, work: List[Tuple[int, Tuple[Any, ...]]]) -> List[Tuple[Any, ...]]:
+        """:meth:`Transport.exchange`, with each member's traffic counted."""
+        for member, job in work:
+            self.traffic[member]["inflight"] = len(job[1])
+            self.traffic[member]["dispatches"] += 1
+        try:
+            outcomes = self.transport.exchange(work)
+        finally:
+            for member, _job in work:
+                self.traffic[member]["inflight"] = 0
+        for (member, _job), outcome in zip(work, outcomes):
+            if outcome[0] == "reply" and outcome[1][0] in ("ok", "resumed"):
+                self.traffic[member]["served"] += len(outcome[1][1])
+        return outcomes
 
     # -- crash recovery: migration, then redispatch ----------------------------
 
@@ -625,7 +642,7 @@ class Dispatcher:
 
     def _backoff(self, wave: int) -> None:
         if wave > 1:
-            self._sleeper(self.retry_policy.delay_seconds(wave - 1, self._retry_rng))
+            self._sleeper(RETRY_POLICY.delay_seconds(wave - 1, self._retry_rng))
 
     def _recover(
         self,
@@ -670,12 +687,12 @@ class Dispatcher:
         while eligible:
             for covered, _payload in eligible:
                 spend(covered)
-            self.stats["retries"] += len(eligible)
+            self.counters["retries"] += len(eligible)
             self._backoff(max(attempts[covered[0]] for covered, _payload in eligible))
             target = self._recovery_target(crashed)
             self._settle([target])
             resume = ("resume", [(list(covered), payload) for covered, payload in eligible])
-            (outcome,) = self.transport.exchange([(target, resume)])
+            (outcome,) = self._exchange([(target, resume)])
             if outcome[0] == "crashed":
                 self.crashed(target)
                 eligible = [group for group in eligible if budget(group[0][0]) >= 1]
@@ -692,7 +709,7 @@ class Dispatcher:
                         responses[index] = response
                     else:
                         responses[index] = replace(response, request=requests[index])
-                self.stats["migrations"] += 1
+                self.counters["migrations"] += 1
             break  # groups that failed to restore stay unresolved for phase 2
 
         # -- phase 2: redispatch everything still unresolved from scratch -----
@@ -702,11 +719,11 @@ class Dispatcher:
             if not retryable:
                 break
             spend([index for index, _request in retryable])
-            self.stats["retries"] += len(retryable)
-            self.stats["redispatches"] += len(retryable)
+            self.counters["retries"] += len(retryable)
+            self.counters["redispatches"] += len(retryable)
             self._backoff(max(attempts[index] for index, _request in retryable))
             target = self._recovery_target(crashed)
-            failed = self._serve(responses, [(target, retryable)], False, attempts)
+            failed = self._serve(responses, [(target, retryable)], attempts)
             if failed:
                 # The redispatch target died too: recurse with whatever it
                 # streamed, so its partial progress is not thrown away.
@@ -751,7 +768,7 @@ class Dispatcher:
                     # must not waste a failing export/encode attempt on it.
                     known.append(store_key)
                 else:
-                    self.stats["misses"] += 1
+                    self.counters["misses"] += 1
                 continue
             known.append(store_key)
             if (member, store_key) not in self._delivered:
@@ -764,7 +781,7 @@ class Dispatcher:
                 self.publish(store_key, payload, member)
             elif store_key not in self.unpicklable:
                 self.unpicklable.add(store_key)
-                self.stats["unpicklable"] += 1
+                self.counters["unpicklable"] += 1
 
     def publish(self, store_key: StoreKey, payload: bytes, publisher: int) -> bool:
         """Offer an artifact to the store; False if the key is already held
@@ -774,7 +791,7 @@ class Dispatcher:
             return False
         self.store[store_key] = _StoreEntry(payload, publisher)
         self._delivered.add((publisher, store_key))
-        self.stats["publishes"] += 1
+        self.counters["publishes"] += 1
         return True
 
     def _account(self, response: Response, member: int, store_key: Optional[StoreKey]) -> None:
@@ -786,33 +803,64 @@ class Dispatcher:
         if response.published:
             response.published = entry is not None and entry.publisher == member
         if response.shared_cache_hit:
-            self.stats["hits"] += 1
+            self.counters["hits"] += 1
             if entry is not None and entry.publisher != member:
-                self.stats["cross_worker_hits"] += 1
+                self.counters["cross_worker_hits"] += 1
 
     # -- stats ----------------------------------------------------------------
 
-    def cache_stats(self) -> Dict[str, int]:
-        """Store entries, every counter, and the admission shed count.
+    def stats(self) -> Dict[str, Any]:
+        """The operator snapshot both front ends return (docs/operations.md).
 
-        ``hits`` counts requests whose compile was served by an artifact from
-        the shared store (``cross_worker_hits``: published by a *different*
-        member than the one serving — the pure cross-process wins);
-        ``misses`` counts unique store lookups that found nothing,
-        ``publishes`` artifacts accepted into the store, ``unpicklable``
-        publish attempts dropped because the artifact would not encode,
-        ``migrations`` coalesced request groups resumed elsewhere from a
-        crashed member's streamed checkpoints, ``retries`` recovery attempts
-        consumed (``redispatches``: the from-scratch subset), ``reroutes``
-        placements moved off quarantined members, ``diverted`` placements
-        moved to a less-loaded ring candidate, and ``shed`` requests
-        rejected by admission control.
+        ``members`` maps each member to its circuit breaker, its transport's
+        :meth:`Transport.describe` fields and its traffic (``inflight``
+        requests right now, ``dispatches`` sent, requests ``served``);
+        ``ring`` is the placement ring; ``store`` the shared store's
+        ``entries`` and :data:`STORE_COUNTERS`; ``counters`` the
+        :data:`FLEET_COUNTERS`; ``admission`` the ``max_batch`` limit and the
+        ``shed`` count.  Takes no lock, so it answers while a batch is in
+        flight.
         """
-        return {"entries": len(self.store), **self.stats, "shed": self.admission.shed_count}
-
-    def health_stats(self) -> Dict[str, Any]:
-        """Admission limits plus the recovery and placement counters."""
         return {
+            "members": {
+                member: {
+                    "breaker": breaker.stats(),
+                    **self.transport.describe(member),
+                    **self.traffic[member],
+                }
+                for member, breaker in sorted(dict(self.breakers).items())
+            },
+            "ring": {"virtual_nodes": self.ring.virtual_nodes, "members": self.ring.nodes()},
+            "store": {
+                "entries": len(self.store),
+                **{key: self.counters[key] for key in STORE_COUNTERS},
+            },
+            "counters": {key: self.counters[key] for key in FLEET_COUNTERS},
             "admission": self.admission.stats(),
-            **{key: self.stats[key] for key in POLICY_COUNTERS},
         }
+
+    def cache_stats(self) -> Dict[str, int]:
+        """:func:`flat_stats` of :meth:`stats`."""
+        return flat_stats(self.stats())
+
+
+def flat_stats(snapshot: Mapping[str, Any]) -> Dict[str, int]:
+    """A :meth:`Dispatcher.stats` snapshot's numbers as one flat dict: the
+    ``store`` section, the ``counters`` section and the ``shed`` count — the
+    front ends' ``cache_stats()``.
+
+    ``hits`` counts requests whose compile was served by an artifact from
+    the shared store (``cross_worker_hits``: published by a *different*
+    member than the one serving); ``misses`` counts unique store lookups
+    that found nothing, ``publishes`` artifacts accepted into the store,
+    ``unpicklable`` publish attempts dropped because the artifact would not
+    encode; ``crashes`` member failures (a dead process, a dropped or
+    timed-out connection), ``served_locally`` requests a member-less front
+    end served on its own scheduler, ``migrations`` coalesced request groups
+    resumed elsewhere from a crashed member's streamed checkpoints,
+    ``retries`` recovery attempts consumed (``redispatches``: the
+    from-scratch subset), ``reroutes`` placements moved off quarantined
+    members, ``diverted`` placements moved to a less-loaded ring candidate,
+    and ``shed`` requests rejected by admission control.
+    """
+    return {**snapshot["store"], **snapshot["counters"], "shed": snapshot["admission"]["shed"]}

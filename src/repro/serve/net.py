@@ -45,23 +45,14 @@ from __future__ import annotations
 
 import socket
 import threading
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.serve.dispatch import (
-    POLICY_COUNTERS,
-    STORE_COUNTERS,
-    Dispatcher,
-    exchange_all,
-    load_report,
-    serve_member,
-)
+from repro.serve.dispatch import Dispatcher, exchange_all, flat_stats, load_report, serve_member
 from repro.serve.faults import FaultPlan
 from repro.serve.pool import default_scheduler_factory
-from repro.serve.reliability import AdmissionController, BreakerPolicy, DispatchPolicy, RetryPolicy
+from repro.serve.reliability import DispatchPolicy
 from repro.serve.request import Request, Response
-from repro.serve.ring import DEFAULT_VIRTUAL_NODES
 from repro.serve.scheduler import Scheduler, StoreKey
 from repro.serve.wire import (
     BYE,
@@ -312,14 +303,10 @@ class _Endpoint:
     host: str
     port: int
     connection: Optional[FrameConnection] = None
-    #: Requests this router has in flight on the endpoint right now.
-    inflight: int = 0
     #: The endpoint's own last heartbeat-reported queue depth (work this
     #: router does not know about: other routers, local submissions) —
     #: the load its transport reports to placement.
     queue_depth: int = 0
-    served: int = 0
-    dispatches: int = 0
 
 
 class NetRouter(_Listener):
@@ -332,33 +319,25 @@ class NetRouter(_Listener):
     client's batch on that client's connection thread — so batches run one
     at a time.  None of them needs :meth:`start`, which only opens the
     client-facing listener; :meth:`stop` also says ``BYE`` to every
-    endpoint.  Constructor knobs match the pool's where the concept carries
-    over and add the network-tier
-    :class:`~repro.serve.reliability.DispatchPolicy`.
+    endpoint.  ``dispatch`` is the network-tier
+    :class:`~repro.serve.reliability.DispatchPolicy`; the router's own
+    scheduler is the stock three-system one.
     """
 
     def __init__(
         self,
         slice_steps: int = 512,
-        scheduler_factory: Callable[[int], Scheduler] = default_scheduler_factory,
         host: str = "127.0.0.1",
         port: int = 0,
-        batched: bool = True,
-        checkpoint_every: Optional[int] = 1,
         dispatch: Optional[DispatchPolicy] = None,
-        virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
-        retry_policy: Optional[RetryPolicy] = None,
-        breaker_policy: Optional[BreakerPolicy] = None,
-        max_batch: Optional[int] = None,
-        max_inflight_per_endpoint: Optional[int] = None,
-        clock: Callable[[], float] = time.monotonic,
     ):
         super().__init__(host, port, "router", threaded=True)
         self.slice_steps = slice_steps
         self.dispatch = dispatch or DispatchPolicy()
-        self._scheduler = scheduler_factory(slice_steps)
+        self._scheduler = default_scheduler_factory(slice_steps)
         self._endpoints: Dict[int, _Endpoint] = {}
-        self._counters = {"drops": 0, "timeouts": 0, "served_locally": 0}
+        #: Endpoint reads (or WELCOMEs) that outlasted the attempt deadline.
+        self._timeouts = 0
         self._lock = threading.Lock()
         self._dispatcher = Dispatcher(
             self,
@@ -366,15 +345,8 @@ class NetRouter(_Listener):
             slice_steps,
             label="endpoint",
             lost="connection lost while serving the batch",
-            batched=batched,
-            checkpoint_every=checkpoint_every,
             placement=self.dispatch,
-            virtual_nodes=virtual_nodes,
-            retry_policy=retry_policy,
-            breaker_policy=breaker_policy,
-            admission=AdmissionController(max_batch, max_inflight_per_endpoint),
-            clock=clock,
-            fallback=self._serve_local,
+            fallback=self._scheduler.serve,
         )
 
     def stop(self) -> None:
@@ -416,8 +388,10 @@ class NetRouter(_Listener):
     def remove_worker(self, endpoint_id: int) -> None:
         """Deregister an endpoint; its ring arcs fall to their next owners."""
         with self._lock:
-            endpoint = self._endpoints.pop(endpoint_id, None)
+            # Off the dispatcher first: a lock-free stats() never sees a
+            # member without its endpoint.
             self._dispatcher.remove_member(endpoint_id)
+            endpoint = self._endpoints.pop(endpoint_id, None)
             if endpoint is not None:
                 self._close(endpoint, farewell=True)
 
@@ -451,37 +425,35 @@ class NetRouter(_Listener):
     def exchange(self, work):
         """:func:`~repro.serve.dispatch.exchange_all` over the endpoints'
         connections, redialing dropped ones; a failed dial is a crash."""
-        endpoints = [self._endpoints[endpoint_id] for endpoint_id, _job in work]
         pairs = []
-        for endpoint, (_endpoint_id, job) in zip(endpoints, work):
-            endpoint.inflight = len(job[1])
+        for endpoint_id, job in work:
             try:
-                connection: Optional[FrameConnection] = self._connect(endpoint)
-                endpoint.dispatches += 1
+                connection: Optional[FrameConnection] = self._connect(self._endpoints[endpoint_id])
             except (OSError, WireError) as error:
                 connection = None
                 if isinstance(error.__cause__, socket.timeout):  # no WELCOME in time
-                    self._counters["timeouts"] += 1
+                    self._timeouts += 1
             pairs.append((connection, job))
-        try:
-            outcomes = exchange_all(pairs)
-        finally:
-            for endpoint in endpoints:
-                endpoint.inflight = 0
-        for endpoint, outcome in zip(endpoints, outcomes):
-            if outcome[0] == "reply" and outcome[1][0] in ("ok", "resumed"):
-                endpoint.served += len(outcome[1][1])
-        return outcomes
+        return exchange_all(pairs)
 
     def teardown(self, endpoint_id: int) -> None:
-        """Count one dead/abandoned connection — and a timeout, if a read
-        outlasted the deadline — and close it; the next exchange redials."""
-        self._counters["drops"] += 1
+        """Close a dead/abandoned connection — counting a timeout, if a read
+        outlasted the deadline; the next exchange redials."""
         endpoint = self._endpoints.get(endpoint_id)
         if endpoint is not None and endpoint.connection is not None:
             if endpoint.connection.timed_out:
-                self._counters["timeouts"] += 1
+                self._timeouts += 1
             self._close(endpoint)
+
+    def describe(self, endpoint_id: int) -> Dict[str, Any]:
+        endpoint = self._endpoints.get(endpoint_id)
+        if endpoint is None:  # left while a lock-free stats() was reading
+            return {"address": None, "connected": False, "queue_depth": 0}
+        return {
+            "address": f"{endpoint.host}:{endpoint.port}",
+            "connected": endpoint.connection is not None,
+            "queue_depth": endpoint.queue_depth,
+        }
 
     # -- placement and dispatch --------------------------------------------------
 
@@ -497,11 +469,6 @@ class NetRouter(_Listener):
     def run_sequential(self, requests: Sequence[Request]) -> List[Response]:
         """The differential baseline: the router's own scheduler, no network."""
         return self._scheduler.serve_sequential(requests)
-
-    def _serve_local(self, requests: List[Request]) -> List[Response]:
-        """No endpoints registered: the router's scheduler serves directly."""
-        self._counters["served_locally"] += len(requests)
-        return self._scheduler.serve(requests)
 
     # -- heartbeats ------------------------------------------------------------
 
@@ -527,7 +494,6 @@ class NetRouter(_Listener):
                 alive[endpoint_id] = isinstance(body, dict)
                 if alive[endpoint_id]:
                     endpoint.queue_depth = body.get("queue_depth", 0)
-                    endpoint.served = body.get("served", endpoint.served)
                 else:
                     self._dispatcher.crashed(endpoint_id)
             return alive
@@ -535,55 +501,17 @@ class NetRouter(_Listener):
     # -- stats / the client-facing server --------------------------------------
 
     def stats(self) -> Dict[str, Any]:
-        """The full operator snapshot (documented in docs/operations.md).
-
-        Takes no lock, so it answers while a batch is in flight."""
-        dispatcher = self._dispatcher
-        counters = dispatcher.cache_stats()
-        breakers = dict(dispatcher.breakers)
-        return {
-            "endpoints": {
-                endpoint_id: {
-                    "address": f"{endpoint.host}:{endpoint.port}",
-                    "connected": endpoint.connection is not None,
-                    "breaker": breakers[endpoint_id].stats(),
-                    "inflight": endpoint.inflight,
-                    "queue_depth": endpoint.queue_depth,
-                    "served": endpoint.served,
-                    "dispatches": endpoint.dispatches,
-                }
-                for endpoint_id, endpoint in sorted(self._endpoints.items())
-                if endpoint_id in breakers  # not a join or leave caught halfway
-            },
-            "ring": {
-                "virtual_nodes": dispatcher.ring.virtual_nodes,
-                "members": dispatcher.ring.nodes(),
-            },
-            "placement": {
-                "top_k": self.dispatch.top_k,
-                "balance_load": self.dispatch.balance_load,
-                "attempt_timeout_seconds": self.dispatch.attempt_timeout_seconds,
-            },
-            "store": {key: counters[key] for key in ("entries",) + STORE_COUNTERS},
-            "counters": {**self._counters, **{key: counters[key] for key in POLICY_COUNTERS}},
-            "admission": dispatcher.admission.stats(),
-        }
+        """The operator snapshot (:meth:`~repro.serve.dispatch.Dispatcher.stats`),
+        plus the router's ``timeouts`` counter: endpoint reads or WELCOMEs
+        that outlasted ``attempt_timeout_seconds``.  Takes no lock, so it
+        answers while a batch is in flight."""
+        snapshot = self._dispatcher.stats()
+        snapshot["counters"]["timeouts"] = self._timeouts
+        return snapshot
 
     def cache_stats(self) -> Dict[str, int]:
-        """Shared-store counters, pool-compatible field names."""
-        snapshot = self.stats()
-        return {**snapshot["store"], "shed": snapshot["admission"]["shed"]}
-
-    def health_stats(self) -> Dict[str, Any]:
-        """Breakers, admission, and reliability counters, pool-shaped."""
-        snapshot = self.stats()
-        return {
-            "endpoints": {
-                eid: info["breaker"] for eid, info in snapshot["endpoints"].items()
-            },
-            "admission": snapshot["admission"],
-            **snapshot["counters"],
-        }
+        """:meth:`stats`' numbers, flat (:func:`~repro.serve.dispatch.flat_stats`)."""
+        return flat_stats(self.stats())
 
     def _welcome(self) -> Dict[str, Any]:
         return {"endpoint": "router", "stats": {}}
@@ -593,8 +521,12 @@ class NetRouter(_Listener):
             frame_type, body = connection.read()
             if frame_type == BYE:
                 return
+            malformed = _malformed(frame_type, body)
+            if malformed is not None:
+                connection.send(ERROR, {"code": "protocol", "message": malformed})
+                return
             if frame_type == REQUEST:
-                connection.send(RESPONSE, self.run_batch(list(body)))
+                connection.send(RESPONSE, self.run_batch(body))
             elif frame_type == STATS:
                 connection.send(STATS, self.stats())
             elif frame_type == HEARTBEAT:
@@ -605,13 +537,39 @@ class NetRouter(_Listener):
             elif frame_type == PUBLISH:
                 store_key, payload = body
                 with self._lock:  # a batch may be absorbing publishes
-                    stored = payload is not None and self._dispatcher.publish(
-                        store_key, payload, EXTERNAL_PUBLISHER
-                    )
+                    stored = self._dispatcher.publish(store_key, payload, EXTERNAL_PUBLISHER)
                 connection.send(PUBLISH, (store_key, stored))
             else:
                 connection.send(ERROR, unexpected_frame(frame_type))
                 return
+
+
+def _malformed(frame_type: int, body: Any) -> Optional[str]:
+    """Why a client frame's body cannot be served, or ``None`` if it can."""
+    if frame_type == REQUEST:
+        if isinstance(body, list) and all(isinstance(request, Request) for request in body):
+            return None
+        return "REQUEST body must be a list of Request"
+    if frame_type == FETCH:
+        return None if _hashable(body) else "FETCH body must be a hashable store key"
+    if frame_type == PUBLISH:
+        if (
+            isinstance(body, tuple)
+            and len(body) == 2
+            and _hashable(body[0])
+            and isinstance(body[1], bytes)
+        ):
+            return None
+        return "PUBLISH body must be a (store key, bytes) pair"
+    return None
+
+
+def _hashable(value: Any) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
 
 
 # -- the client ----------------------------------------------------------------

@@ -41,9 +41,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.serve.dispatch import Dispatcher, exchange_all, load_report, serve_member
 from repro.serve.faults import FaultPlan
-from repro.serve.reliability import AdmissionController, BreakerPolicy, DispatchPolicy, RetryPolicy
+from repro.serve.reliability import BreakerPolicy, DispatchPolicy
 from repro.serve.request import Request, Response
-from repro.serve.ring import DEFAULT_VIRTUAL_NODES
 from repro.serve.scheduler import Scheduler, make_default_scheduler
 from repro.serve.wire import ConnectionDropped, FrameConnection
 
@@ -105,22 +104,20 @@ class WorkerPool:
     are respawned transparently if they crash.  Use as a context manager or
     call :meth:`close`.
 
+    Workers coalesce identical requests and stream every in-flight
+    request's checkpoint at each slice boundary (the migration safety net).
     Knobs (all deterministic under injection):
 
     * ``top_k`` / ``balance_load`` — with ``balance_load`` on, a request may
       land on the least-loaded of its first ``top_k`` ring candidates.  Off
       by default: the pool's differential gates pin pure consistent hashing.
-    * ``checkpoint_every`` — slice-boundary cadence at which workers stream
-      each in-flight request's checkpoint (the migration safety net);
-      ``None`` disables streaming, leaving from-scratch redispatch.
-    * ``retry_policy`` — backoff schedule for crash recovery (its jitter is
-      seeded, so recovery timing is reproducible); ``sleeper`` replaces
-      :func:`time.sleep` in tests so backoff costs no wall clock.
+    * ``sleeper`` replaces :func:`time.sleep` in tests so crash-recovery
+      backoff costs no wall clock.
     * ``breaker_policy`` / ``clock`` — per-shard circuit-breaker tuning and
       time source (fake time makes quarantine transitions deterministic).
-    * ``max_batch`` / ``max_inflight_per_shard`` — admission limits; the
-      overflow tail of a batch (or of one hot shard's queue) is shed with
-      ``rejected_overload`` responses instead of degrading everyone.
+    * ``max_batch`` — the admission limit; the overflow tail of a batch is
+      shed with ``rejected_overload`` responses instead of degrading
+      everyone.
     * ``fault_plan`` — a :class:`~repro.serve.faults.FaultPlan` copied into
       every worker (bound to its shard) for deterministic fault injection.
     """
@@ -130,23 +127,16 @@ class WorkerPool:
         workers: int = 2,
         slice_steps: int = 512,
         scheduler_factory=default_scheduler_factory,
-        batched: bool = True,
-        checkpoint_every: Optional[int] = 1,
-        retry_policy: Optional[RetryPolicy] = None,
         breaker_policy: Optional[BreakerPolicy] = None,
         max_batch: Optional[int] = None,
-        max_inflight_per_shard: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
         clock: Callable[[], float] = time.monotonic,
         sleeper: Callable[[float], None] = time.sleep,
-        virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
         top_k: int = 1,
         balance_load: bool = False,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ValueError(f"checkpoint_every must be >= 1 or None, got {checkpoint_every}")
         self.workers = workers
         self.slice_steps = slice_steps
         self.fault_plan = fault_plan
@@ -154,7 +144,6 @@ class WorkerPool:
         self._context = multiprocessing.get_context("spawn")
         self._router = scheduler_factory(slice_steps)
         self._pool: List[Optional[_Worker]] = [None] * workers
-        self._crashes = 0
         self._closed = False
         self._dispatcher = Dispatcher(
             self,
@@ -162,13 +151,9 @@ class WorkerPool:
             slice_steps,
             label="shard",
             lost="worker crashed while serving the batch",
-            batched=batched,
-            checkpoint_every=checkpoint_every,
             placement=DispatchPolicy(top_k=top_k, balance_load=balance_load),
-            virtual_nodes=virtual_nodes,
-            retry_policy=retry_policy,
             breaker_policy=breaker_policy,
-            admission=AdmissionController(max_batch, max_inflight_per_shard),
+            max_batch=max_batch,
             clock=clock,
             sleeper=sleeper,
         )
@@ -251,8 +236,7 @@ class WorkerPool:
         return exchange_all([(self._worker(shard).connection, message) for shard, message in work])
 
     def teardown(self, shard: int) -> None:
-        """Count the crash and reap the worker; the next use respawns it."""
-        self._crashes += 1
+        """Reap a crashed worker; the next use respawns it."""
         worker = self._pool[shard]
         if worker is not None:
             worker.connection.close()
@@ -261,25 +245,31 @@ class WorkerPool:
             self._reap(worker.process)
         self._pool[shard] = None
 
+    def describe(self, shard: int) -> Dict[str, Any]:
+        worker = self._pool[shard]
+        return {
+            "address": None if worker is None else f"pid {worker.process.pid}",
+            "connected": self.alive(shard),
+            "queue_depth": 0,
+        }
+
     # -- serving --------------------------------------------------------------
 
     def shard_of(self, request: Request) -> int:
         """The worker index ``request`` is routed to (deterministic)."""
         return self._dispatcher.ring.node_for(self._router.placement_key(request))
 
-    def run_batch(self, requests: Sequence[Request], sequential_shards: bool = False) -> List[Response]:
+    def run_batch(self, requests: Sequence[Request]) -> List[Response]:
         """Shard a batch across the workers; responses in request order.
 
         The shards execute in parallel across processes.  Within a shard the
-        worker interleaves its requests on one loop (or serves them
-        sequentially with ``sequential_shards=True`` — the per-shard
-        differential baseline) and coalesces identical requests onto one VM
-        instance when the pool was built with ``batched=True``.  Shedding,
-        quarantine reroutes, and crash recovery are
+        worker interleaves its requests on one loop and coalesces identical
+        requests onto one VM instance.  Shedding, quarantine reroutes, and
+        crash recovery are
         :meth:`~repro.serve.dispatch.Dispatcher.run_batch`'s: a worker that
         crashes mid-batch touches only its own shard's requests.
         """
-        return self._dispatcher.run_batch(requests, sequential=sequential_shards)
+        return self._dispatcher.run_batch(requests)
 
     def run_sequential(self, requests: Sequence[Request]) -> List[Response]:
         """The single-process differential baseline: the parent's own
@@ -287,27 +277,11 @@ class WorkerPool:
         cache sharing, no coalescing."""
         return self._router.serve_sequential(requests)
 
+    def stats(self) -> Dict[str, Any]:
+        """The operator snapshot (:meth:`~repro.serve.dispatch.Dispatcher.stats`):
+        ``members`` are the shards, each ``address`` the worker's pid."""
+        return self._dispatcher.stats()
+
     def cache_stats(self) -> Dict[str, int]:
-        """Shared pipeline-cache counters, pool-wide: the dispatcher's
-        (:meth:`~repro.serve.dispatch.Dispatcher.cache_stats`) plus
-        ``worker_crashes``, shard failures that triggered a respawn or
-        quarantine."""
-        return {**self._dispatcher.cache_stats(), "worker_crashes": self._crashes}
-
-    def health_stats(self) -> Dict[str, Any]:
-        """The pool's reliability picture: breakers, admission, counters.
-
-        ``shards`` maps each shard index to its circuit breaker's state,
-        lifetime failure/success counts, current windowed failures, and full
-        transition history (``closed → open → half_open → closed`` is the
-        quarantine round-trip); ``admission`` reports the configured limits
-        and shed count; the top-level counters mirror
-        :meth:`cache_stats`'s reliability subset.
-        """
-        return {
-            "shards": {
-                shard: breaker.stats() for shard, breaker in self._dispatcher.breakers.items()
-            },
-            "worker_crashes": self._crashes,
-            **self._dispatcher.health_stats(),
-        }
+        """:meth:`stats`' numbers, flat (:func:`~repro.serve.dispatch.flat_stats`)."""
+        return self._dispatcher.cache_stats()

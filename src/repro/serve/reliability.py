@@ -16,7 +16,7 @@ supplies the *policy* that decides when to use it:
   tracker with the classic closed → open → half-open → closed state machine
   over a sliding failure window, so a crash-looping worker is quarantined
   instead of respawned forever.
-* :class:`AdmissionController` — queue-depth/inflight load shedding, so an
+* :class:`AdmissionController` — batch-size load shedding, so an
   oversized batch degrades *some* requests deterministically
   (``rejected_overload``) instead of degrading everyone.
 * :class:`DispatchPolicy` — the network router's placement/liveness knobs:
@@ -143,8 +143,8 @@ class CircuitBreaker:
     the cooldown elapses) → **half_open** (a bounded number of probe
     dispatches are admitted) → **closed** on a probe success, or back to
     **open** on a probe failure.  All transitions are appended (with their
-    timestamp) to a bounded :attr:`transitions` log so
-    ``pool.health_stats()`` can show the full history deterministically.
+    timestamp) to a bounded :attr:`transitions` log so a front end's
+    ``stats()["members"]`` can show the full history deterministically.
 
     The clock is injected (default :func:`time.monotonic`) so tests and the
     fault harness can drive cooldowns with fake time.
@@ -243,7 +243,7 @@ class CircuitBreaker:
         self._prune(now)
 
     def stats(self) -> Dict[str, object]:
-        """A plain-data view of this breaker for ``health_stats()``."""
+        """A plain-data view of this breaker for ``stats()["members"]``."""
         return {
             "state": self.state(),
             "failures": self.failure_count,
@@ -259,8 +259,8 @@ class DispatchPolicy:
 
     ``top_k`` / ``balance_load`` shape placement: a request's consistent-hash
     ring order is computed as always, but with ``balance_load`` on the router
-    picks the *least-loaded* (router-tracked inflight plus heartbeat-reported
-    queue depth) among the first ``top_k`` ring candidates, so a hot program
+    picks the *least-loaded* (the batch's placed load plus the member's
+    reported queue depth) among the first ``top_k`` ring candidates, so a hot program
     spreads over exactly ``k`` warm-ish endpoints instead of queueing on one
     — ``Request.affinity`` still chooses the candidate *set* (it is the
     placement key), which is what demotes it from a pin to a locality hint.
@@ -289,23 +289,18 @@ class DispatchPolicy:
 
 
 class AdmissionController:
-    """Deterministic load shedding by batch size and per-shard queue depth.
+    """Deterministic load shedding by batch size.
 
-    ``max_batch`` caps how many requests of one batch are admitted at all
-    (the rest — always the *tail* of the batch, so shedding is deterministic
-    and order-preserving) are rejected with ``rejected_overload``.
-    ``max_inflight`` caps how many admitted requests may queue on one shard;
-    overflow requests for a hot shard are shed rather than degrading every
-    request behind them.  ``None`` disables a limit.
+    ``max_batch`` caps how many requests of one batch are admitted at all;
+    the rest — always the *tail* of the batch, so shedding is deterministic
+    and order-preserving — are rejected with ``rejected_overload``.  ``None``
+    disables the limit.
     """
 
-    def __init__(self, max_batch: Optional[int] = None, max_inflight: Optional[int] = None):
+    def __init__(self, max_batch: Optional[int] = None):
         if max_batch is not None and max_batch < 1:
             raise ValueError(f"max_batch must be >= 1 or None, got {max_batch}")
-        if max_inflight is not None and max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1 or None, got {max_inflight}")
         self.max_batch = max_batch
-        self.max_inflight = max_inflight
         self.shed_count = 0
 
     def batch_cutoff(self, size: int) -> int:
@@ -314,16 +309,8 @@ class AdmissionController:
             return size
         return min(size, self.max_batch)
 
-    def admit_to_shard(self, depth: int) -> bool:
-        """May another request join a shard queue already ``depth`` deep?"""
-        return self.max_inflight is None or depth < self.max_inflight
-
     def count_shed(self, count: int = 1) -> None:
         self.shed_count += count
 
     def stats(self) -> Dict[str, Optional[int]]:
-        return {
-            "max_batch": self.max_batch,
-            "max_inflight": self.max_inflight,
-            "shed": self.shed_count,
-        }
+        return {"max_batch": self.max_batch, "shed": self.shed_count}

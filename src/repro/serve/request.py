@@ -11,8 +11,8 @@ fast-path requests.
 
 A :class:`Response` pairs the request with its observable outcome and the
 per-request accounting: the resolved system/backend, machine step count,
-scheduler slice count, pipeline/run timings, and the frontend cache's view
-of the compile (hit or miss, plus a stats snapshot taken right after it).
+scheduler slice count, pipeline/run timings, and whether the frontend cache
+served the compile.
 
 Multi-process serving (:mod:`repro.serve.pool`) adds two knobs and four
 accounting fields.  ``Request.affinity`` overrides the pool's deterministic
@@ -127,9 +127,8 @@ class Request:
     #: Run the frontend pipeline (parse → typecheck → compile → verify) and
     #: return the unit's static-analysis report (built on its first read) on
     #: ``Response.report`` *without ever starting an execution*.
-    #: Analyze-only requests do not count against
-    #: the scheduler's ``max_inflight`` admission limit (there is nothing in
-    #: flight) and never coalesce (there is no VM instance to share).
+    #: Analyze-only requests never coalesce (there is no VM instance to
+    #: share).
     analyze_only: bool = False
     #: Estimated machine-step cost of this request, used by the worker pool's
     #: load-aware placement as a queue-depth *weight* (an expensive request
@@ -183,7 +182,6 @@ class Response:
     #: client would observe it, not its exclusive machine time.
     run_seconds: float = 0.0
     cache_hit: bool = False
-    cache_stats: Dict[str, int] = field(default_factory=dict)
     #: Index of the worker-pool shard that served the request (``None`` when
     #: served in-process by a :class:`~repro.serve.scheduler.Scheduler`).
     shard: Optional[int] = None
@@ -224,8 +222,8 @@ class Response:
     #: snapshot-capable backends ``checkpoint`` holds the paused state, so a
     #: caller that wants to grant more time resumes instead of restarting.
     deadline_exceeded: bool = False
-    #: True when admission control shed this request (batch or shard queue
-    #: over its limit) without running it — the structured alternative to
+    #: True when admission control shed this request (past the batch's
+    #: ``max_batch`` limit) without running it — the structured alternative to
     #: degrading every request in an overloaded batch.  Deterministic: the
     #: *tail* of an oversized batch is shed, never a random subset.
     rejected_overload: bool = False

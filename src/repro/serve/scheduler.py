@@ -124,28 +124,16 @@ class _GuardedExecution:
 class Scheduler:
     """Admits batches of requests against a registry of interop systems.
 
-    ``max_inflight`` is this scheduler's admission limit: at most that many
-    requests of one batch are started; the rest come back immediately with
-    ``rejected_overload=True`` (always the batch *tail* — shedding is
-    deterministic).  ``fault_plan`` threads a
-    :class:`~repro.serve.faults.FaultPlan` through admission and resume so
-    the seeded faults fire at this scheduler's slice boundaries; worker
-    processes set it after construction (the attribute is plain).
+    ``fault_plan`` threads a :class:`~repro.serve.faults.FaultPlan` through
+    admission and resume so the seeded faults fire at this scheduler's
+    slice boundaries; pool workers and network endpoints set it, bound to
+    their member id, after construction.
     """
 
-    def __init__(
-        self,
-        systems: Dict[str, InteropSystem],
-        driver: Optional[StepSlicedDriver] = None,
-        max_inflight: Optional[int] = None,
-        fault_plan: Optional[FaultPlan] = None,
-    ):
-        if max_inflight is not None and max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1 or None, got {max_inflight}")
+    def __init__(self, systems: Dict[str, InteropSystem], driver: Optional[StepSlicedDriver] = None):
         self.systems = dict(systems)
         self.driver = driver or StepSlicedDriver()
-        self.max_inflight = max_inflight
-        self.fault_plan = fault_plan
+        self.fault_plan: Optional[FaultPlan] = None
         self._systems_by_language: Dict[str, List[str]] = {}
         for name, system in self.systems.items():
             for frontend in (system.language_a, system.language_b):
@@ -239,7 +227,6 @@ class Scheduler:
             return PreparedRequest(response)
         response.compile_seconds = time.perf_counter() - start
         response.cache_hit = frontend.cache_hits > hits_before
-        response.cache_stats = frontend.cache_stats()
         if request.analyze_only:
             # The unit builds its report on this first read and caches it,
             # riding the LRU with the compiled code — a repeated analyze-only
@@ -310,7 +297,7 @@ class Scheduler:
             key = self.batch_key(request) if batched else None
             groups.setdefault(("solo", index) if key is None else key, []).append(index)
         members = list(groups.values())
-        prepared = self._admit([requests[group[0]] for group in members])
+        prepared = [self.prepare(requests[group[0]]) for group in members]
         hook = None
         if on_checkpoint is not None:
             def hook(position: int, checkpoint: Checkpoint) -> None:
@@ -327,23 +314,6 @@ class Scheduler:
 
     def serve_sequential(self, requests: Sequence[Request]) -> List[Response]:
         return self.serve(requests, sequential=True)
-
-    def _admit(self, requests: Sequence[Request]) -> List[PreparedRequest]:
-        """Prepare a batch, shedding requests past the ``max_inflight``
-        admission limit with ``rejected_overload`` (never prepared, never run)."""
-        prepared = []
-        admitted = 0
-        for request in requests:
-            if self.max_inflight is not None and admitted >= self.max_inflight:
-                prepared.append(
-                    PreparedRequest(Response(request=request, rejected_overload=True))
-                )
-                continue
-            entry = self.prepare(request)
-            if entry.execution is not None:
-                admitted += 1
-            prepared.append(entry)
-        return prepared
 
     def _drive(
         self,
@@ -612,10 +582,7 @@ class Scheduler:
 
 
 def make_default_scheduler(
-    slice_steps: int = 512,
-    driver: Optional[StepSlicedDriver] = None,
-    max_inflight: Optional[int] = None,
-    fault_plan: Optional[FaultPlan] = None,
+    slice_steps: int = 512, driver: Optional[StepSlicedDriver] = None
 ) -> Scheduler:
     """A scheduler over all three case-study systems (§3 refs, §4 affine, §5 l3)."""
     from repro.interop_affine import make_system as make_affine_system
@@ -627,9 +594,4 @@ def make_default_scheduler(
         "affine": make_affine_system(),
         "l3": make_l3_system(),
     }
-    return Scheduler(
-        systems,
-        driver=driver or StepSlicedDriver(slice_steps),
-        max_inflight=max_inflight,
-        fault_plan=fault_plan,
-    )
+    return Scheduler(systems, driver=driver or StepSlicedDriver(slice_steps))

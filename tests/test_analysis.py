@@ -18,8 +18,8 @@ Four layers of guarantees:
   convertibility lookups, every crossing being compiled from the glue its
   typecheck resolved (at the workload depth and at the deep-crossing depth
   the benchmarks time), ``analyze_only``
-  requests return the cached report without starting an execution (and
-  without consuming admission slots), and cost hints weigh the pool's
+  requests return the cached report without starting an execution, and
+  cost hints weigh the pool's
   load-aware placement deterministically.
 """
 
@@ -296,7 +296,7 @@ def test_cache_stats_surface_convertibility_counters(system_name):
 
 
 # ---------------------------------------------------------------------------
-# Serving integration: analyze_only, admission, cost-weighted placement
+# Serving integration: analyze_only, cost-weighted placement
 # ---------------------------------------------------------------------------
 
 
@@ -316,20 +316,6 @@ def test_analyze_only_returns_report_without_executing():
     # The report is exactly the pipeline-cached unit's analysis.
     unit = scheduler.systems["affine"].compile_source("MiniML", nested_ml_affi_boundary(3))
     assert response.report == unit.analysis.to_dict()
-
-
-def test_analyze_only_requests_do_not_consume_admission_slots():
-    scheduler = make_default_scheduler(slice_steps=16, max_inflight=1)
-    responses = scheduler.serve(
-        [
-            Request(language="RefLL", source="(+ 1 1)", analyze_only=True),
-            Request(language="RefLL", source="(+ 1 2)"),
-            Request(language="RefLL", source="(+ 1 3)"),
-        ]
-    )
-    assert responses[0].report is not None and not responses[0].rejected_overload
-    assert responses[1].result is not None  # the single inflight slot
-    assert responses[2].rejected_overload  # the true overflow tail
 
 
 def test_analyze_only_never_coalesces_and_frontend_errors_stay_structured():

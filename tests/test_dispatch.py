@@ -12,7 +12,7 @@ so each recovery path is pinned exactly:
   shipped its own artifact back;
 * **placement** — an open breaker reroutes with ``rerouted_from``, and load
   is reported queue depth plus the batch's cost-hint-weighted load;
-* **admission** — the batch tail and per-member overflow are shed;
+* **admission** — the tail past ``max_batch`` is shed;
 * **idle death** — a member found dead before dispatch is crash-accounted
   before its warm set is computed, so its replacement is re-warmed;
 * **the worker side** — :func:`handle_work` streams checkpoints in the
@@ -20,7 +20,6 @@ so each recovery path is pinned exactly:
 """
 
 from repro.serve import (
-    AdmissionController,
     BreakerPolicy,
     DispatchPolicy,
     Request,
@@ -72,6 +71,9 @@ class FakeTransport:
         self.torn_down.append(member)
         self.up[member] = False
 
+    def describe(self, member):
+        return {"address": f"fake {member}", "connected": self.up[member], "queue_depth": self.depth[member]}
+
     def _serve(self, member, message):
         if message[0] == "resume":
             results = [
@@ -79,7 +81,7 @@ class FakeTransport:
                 for covered, payload in message[1]
             ]
             return ("reply", ("resumed", results, []), {})
-        _tag, entries, warm, known, _sequential, _batched, _every = message
+        _tag, entries, warm, known = message
         warmed = {store_key for store_key, _payload in warm}
         results, publishes = [], []
         for index, request in entries:
@@ -147,6 +149,11 @@ def test_crash_with_streamed_checkpoints_migrates():
     assert dispatcher.breakers[0].failure_count == 1
     stats = dispatcher.cache_stats()
     assert stats["migrations"] == 1 and stats["retries"] == 1 and stats["redispatches"] == 0
+    assert stats["crashes"] == 1
+    members = dispatcher.stats()["members"]
+    assert [members[0][key] for key in ("dispatches", "served", "inflight")] == [1, 0, 0]
+    assert [members[1][key] for key in ("dispatches", "served", "inflight")] == [1, 1, 0]
+    assert members[0]["breaker"]["failures"] == 1 and members[0]["address"] == "fake 0"
 
 
 def test_redispatch_target_crash_recurses_with_its_own_checkpoints():
@@ -244,18 +251,20 @@ def test_load_is_reported_depth_plus_weighted_batch_load():
 # -- admission ----------------------------------------------------------------
 
 
-def test_admission_sheds_the_tail_and_member_overflow():
-    dispatcher, _transport = _dispatcher(admission=AdmissionController(max_batch=3, max_inflight=1))
+def test_admission_sheds_the_batch_tail():
+    dispatcher, _transport = _dispatcher(max_batch=3)
     requests = [
         _pinned(dispatcher, 0, "r0"),
-        _pinned(dispatcher, 0, "r1"),  # member 0's queue is full
+        _pinned(dispatcher, 0, "r1"),
         _pinned(dispatcher, 1, "r2"),
         _pinned(dispatcher, 1, "r3"),  # past max_batch
+        _pinned(dispatcher, 0, "r4"),  # past max_batch
     ]
     responses = dispatcher.run_batch(requests)
-    assert [response.rejected_overload for response in responses] == [False, True, False, True]
-    assert [response.shard for response in responses] == [0, None, 1, None]
+    assert [response.rejected_overload for response in responses] == [False] * 3 + [True] * 2
+    assert [response.shard for response in responses] == [0, 0, 1, None, None]
     assert dispatcher.cache_stats()["shed"] == 2
+    assert dispatcher.stats()["admission"] == {"max_batch": 3, "shed": 2}
 
 
 # -- the worker side ----------------------------------------------------------
@@ -275,7 +284,7 @@ def test_streaming_worker_honours_request_priority():
     )
     high = Request(language="RefLL", source=nested_refll_boundary(13), priority="high", request_id="high")
     connection = RecordingConnection()
-    work = ("serve", [(0, low), (1, high)], [], [], False, True, 1)
+    work = ("serve", [(0, low), (1, high)], [], [])
     reply = handle_work(make_default_scheduler(slice_steps=4), 0, work, connection)
     assert reply[0] == "ok"
     order = [covered for frame_type, (covered, _payload) in connection.frames if frame_type == CHECKPOINT]

@@ -8,7 +8,8 @@ What is pinned here:
   truncated frames are structured errors, and HELLO/WELCOME version
   negotiation rejects a mismatched peer with an ``ERROR`` frame (surfaced
   to clients as :class:`~repro.serve.wire.ProtocolError`); an endpoint
-  answers a malformed work body with an error reply and keeps serving;
+  answers a malformed work body with an error reply and keeps serving, and
+  a router answers a malformed client body with a ``protocol`` ``ERROR``;
 * **placement** — ring placement is deterministic and affinity acts as a
   locality hint; load-aware dispatch spreads a hot key over its top-k
   candidates;
@@ -18,18 +19,21 @@ What is pinned here:
 * **reliability over the wire** — an injected ``net.drop`` recovers by
   checkpoint migration onto a surviving endpoint (``migrated_from``,
   breaker accounting); ``net.slow`` plus a per-attempt deadline turns a
-  wedged link into the same recovery path; a router with no workers serves
-  locally;
+  wedged link into the same recovery path, and moves the same counters
+  on a pool as on a router; a router with no workers serves locally;
 * **listener lifecycle** — ``stop()`` releases a router's endpoint
   connections (started or not) and severs idle clients; ``start()`` on a
   held port raises ``OSError`` and leaves the holder serving;
 * **the store as a service** — artifacts published by one endpoint warm
-  others (``shared_cache_hit``), and clients can FETCH/PUBLISH directly.
+  others (``shared_cache_hit``), and clients can FETCH/PUBLISH directly;
+* **one stats shape** — a pool and a router report ``stats()`` with the
+  same sections and keys.
 
 Everything runs on localhost with in-process worker threads — test_pool.py
-owns the worker-process axis.  The one exception is the pool twin of the
-``net.drop`` test: both tiers run the same member loop, so the fault must
-mean the same thing on a spawned pool worker as on an endpoint.
+owns the worker-process axis.  The exceptions compare the tiers: the pool
+twin of the ``net.drop`` test (both tiers run the same member loop, so the
+fault must mean the same thing on a spawned pool worker as on an endpoint),
+the counter deltas that fault leaves, and the shared ``stats()`` shape.
 """
 
 import pickle
@@ -57,8 +61,10 @@ from repro.serve import (
 )
 from repro.serve.wire import (
     ERROR,
+    FETCH,
     HELLO,
     MAX_FRAME_BYTES,
+    PUBLISH,
     ProtocolError,
     REQUEST,
     RESPONSE,
@@ -206,6 +212,33 @@ def test_endpoint_answers_a_malformed_work_body_and_keeps_serving():
                 sock.close()
     finally:
         worker.stop()
+
+
+def test_router_answers_malformed_client_bodies_with_protocol_errors():
+    # Each body once made the router's conversation thread raise (TypeError,
+    # AttributeError, an unhashable store key) and drop the client.
+    router = NetRouter(slice_steps=SLICE_STEPS)
+    router.start()
+    try:
+        for frame_type, body in ((REQUEST, 5), (REQUEST, [5]), (PUBLISH, 5), (FETCH, [1])):
+            sock = socket.create_connection(router.address, timeout=5)
+            try:
+                send_frame(sock, HELLO, {"version": WIRE_VERSION, "role": "client"})
+                recv_frame(sock)
+                send_frame(sock, frame_type, body)
+                reply_type, reply = recv_frame(sock)
+                assert reply_type == ERROR, (frame_type, body)
+                assert reply["code"] == "protocol"
+            finally:
+                sock.close()
+        with NetClient(*router.address) as client:
+            requests = _mixed_requests()
+            served = client.run_batch(requests)
+        assert [_observable(r) for r in served] == [
+            _observable(r) for r in router.run_sequential(requests)
+        ]
+    finally:
+        router.stop()
 
 
 # -- serving ------------------------------------------------------------------
@@ -402,13 +435,12 @@ def test_net_drop_recovers_by_checkpoint_migration():
         assert all(r.migrated_from == victim and r.shard == survivor for r in migrated)
         assert any(r.request.request_id == "refs-deep" for r in migrated)
         assert all(r.attempts == 2 for r in migrated)
-        counters = router.stats()["counters"]
-        assert counters["drops"] == 1
+        snapshot = router.stats()
+        assert snapshot["counters"]["crashes"] == 1
         # migrations counts checkpoint *groups* — coalesced duplicates
         # (affine-a / affine-dup) migrate as one group, answer as two.
-        assert 1 <= counters["migrations"] <= len(migrated)
-        health = router.health_stats()
-        assert health["endpoints"][victim]["window_failures"] >= 1
+        assert 1 <= snapshot["counters"]["migrations"] <= len(migrated)
+        assert snapshot["members"][victim]["breaker"]["window_failures"] >= 1
         # The victim reconnects for the next batch: the fault was one-shot.
         again = router.run_batch(requests)
         for expected, actual in zip(baseline, again):
@@ -438,16 +470,45 @@ def test_pool_net_drop_recovers_by_checkpoint_migration():
         assert all(r.migrated_from == victim and r.shard == survivor for r in migrated)
         assert any(r.request.request_id == "refs-deep" for r in migrated)
         assert all(r.attempts == 2 for r in migrated)
-        stats = pool.cache_stats()
-        assert stats["worker_crashes"] == 1
-        assert 1 <= stats["migrations"] <= len(migrated)
-        assert pool.health_stats()["shards"][victim]["window_failures"] >= 1
+        snapshot = pool.stats()
+        assert snapshot["counters"]["crashes"] == 1
+        assert 1 <= snapshot["counters"]["migrations"] <= len(migrated)
+        assert snapshot["members"][victim]["breaker"]["window_failures"] >= 1
         # The respawned victim holds a fresh copy of the plan, so the fault
         # fires again, and the batch recovers again.
         again = pool.run_batch(requests)
         for expected, actual in zip(baseline, again):
             assert _observable(expected) == _observable(actual)
-        assert pool.cache_stats()["worker_crashes"] == 2
+        assert pool.cache_stats()["crashes"] == 2
+
+
+def test_net_drop_moves_the_same_counters_on_a_pool_and_a_router():
+    scheduler = make_default_scheduler(slice_steps=SLICE_STEPS)
+    requests = _mixed_requests()
+    victim = HashRing([0, 1]).node_for(scheduler.placement_key(requests[0]))
+    plan = FaultPlan(
+        [Fault(site="net.drop", request_id="refs-deep", at_slice=2, times=1, shard=victim)]
+    )
+
+    def deltas(front_end):
+        before = front_end.stats()["counters"]
+        front_end.run_batch(requests)
+        after = front_end.stats()["counters"]
+        return {key: after[key] - before[key] for key in ("crashes", "migrations", "retries")}
+
+    with WorkerPool(workers=2, slice_steps=SLICE_STEPS, fault_plan=plan) as pool:
+        pooled = deltas(pool)
+    router, workers = _fleet(
+        worker_count=2,
+        fault_plans={victim: plan},
+        dispatch=DispatchPolicy(top_k=1, balance_load=False),
+    )
+    try:
+        networked = deltas(router)
+    finally:
+        _shutdown(router, workers)
+    assert pooled == networked
+    assert pooled["crashes"] == 1 and pooled["migrations"] >= 1 and pooled["retries"] >= 1
 
 
 def test_slow_link_times_out_and_recovers():
@@ -543,7 +604,7 @@ def test_poll_workers_reports_liveness_and_refreshes_load():
         alive = router.poll_workers()
         assert alive[0] is True
         assert alive.get(1, True) is False or 1 not in alive
-        assert router.stats()["counters"]["drops"] >= 1
+        assert router.stats()["counters"]["crashes"] >= 1
     finally:
         _shutdown(router, workers)
 
@@ -710,24 +771,33 @@ def test_client_fetch_and_publish():
 
 
 def test_stats_snapshot_shape():
+    # One batch through a 2-member router and a 2-member pool: one shape.
+    requests = _mixed_requests()
     router, workers = _fleet(worker_count=2)
     try:
-        router.run_batch(_mixed_requests())
-        snapshot = router.stats()
-        assert set(snapshot) == {
-            "endpoints",
-            "ring",
-            "placement",
-            "store",
-            "counters",
-            "admission",
-        }
-        assert snapshot["ring"]["members"] == [0, 1]
-        for info in snapshot["endpoints"].values():
-            assert info["connected"] is True
-            assert info["breaker"]["state"] == "closed"
-        health = router.health_stats()
-        assert set(health["endpoints"]) == {0, 1}
-        assert "shed" in router.cache_stats()
+        router.run_batch(requests)
+        net, net_flat = router.stats(), router.cache_stats()
     finally:
         _shutdown(router, workers)
+    with WorkerPool(workers=2, slice_steps=SLICE_STEPS) as pool:
+        pool.run_batch(requests)
+        local, local_flat = pool.stats(), pool.cache_stats()
+
+    sections = {"members", "ring", "store", "counters", "admission"}
+    assert set(net) == set(local) == sections
+    assert net["ring"] == local["ring"]
+    assert net["ring"]["members"] == [0, 1]
+    assert set(net["store"]) == set(local["store"])
+    assert net["admission"] == local["admission"] == {"max_batch": None, "shed": 0}
+    assert set(net["counters"]) == set(local["counters"]) | {"timeouts"}
+    for snapshot in (net, local):
+        members = snapshot["members"]
+        assert set(members) == {0, 1}
+        assert set(members[0]) == set(members[1]) == set(net["members"][0])
+        for info in members.values():
+            assert info["connected"] is True and info["inflight"] == 0
+            assert info["breaker"]["state"] == "closed"
+        assert sum(info["served"] for info in members.values()) == len(requests)
+        assert snapshot["counters"]["crashes"] == 0
+    for snapshot, flat in ((net, net_flat), (local, local_flat)):
+        assert flat == {**snapshot["store"], **snapshot["counters"], "shed": 0}

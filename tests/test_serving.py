@@ -272,7 +272,8 @@ def test_per_request_accounting():
         assert response.compile_seconds >= 0.0
         assert response.start_seconds >= 0.0
         assert response.run_seconds >= 0.0
-        assert response.cache_stats["capacity"] > 0
+        stats = SCHEDULER.cache_stats()[response.system][response.request.language]
+        assert stats["capacity"] > 0
     # The batch has been served before in this module: every pipeline is hot.
     assert all(response.cache_hit for response in responses)
 
@@ -583,9 +584,6 @@ def test_warm_cache_accounting_across_warm_serve_evict_sequences():
     assert stats["misses"] == 4
     assert stats["evictions"] == 2
     assert stats["entries"] == 2
-
-    # The per-response snapshot taken at admission matches the live counters.
-    assert evicted.cache_stats["misses"] == 4
 
 
 def test_warm_cache_rejects_malformed_hot_entries():
