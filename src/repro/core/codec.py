@@ -1,12 +1,12 @@
 """The one byte codec for everything that leaves a process.
 
-Wire frame bodies, streamed and stored checkpoints, shared-store artifacts
-and machine snapshot copies all become bytes here and nowhere else, so the
-serialization format is a one-module decision.  The format is ``pickle``:
-every value that crosses is a serving-layer object (requests, responses,
-compiled units, checkpoints) that pickles as it stands.  A single
-:func:`encode` call preserves the object graph's internal sharing, which
-the snapshot copies in :mod:`repro.core.snapshots` rely on.
+Wire frame bodies, streamed and stored checkpoints and shared-store
+artifacts all become bytes here and nowhere else, so the serialization
+format is a one-module decision.  The format is ``pickle``: every value that
+crosses is a serving-layer object (requests, responses, compiled units,
+checkpoints) that pickles as it stands.  A single :func:`encode` call
+preserves the object graph's internal sharing, so a checkpoint's snapshot
+still restores each compiled root once after the trip.
 
 Both directions fail with :class:`CodecError`, never with a raw ``pickle``,
 ``EOFError`` or ``AttributeError``: callers choose their own structured

@@ -279,27 +279,14 @@ class ResumableExecution:
 
     # -- snapshots (the serving layer's migration/checkpoint hooks) -----------
 
-    @property
-    def machine(self) -> Any:
-        """The underlying machine-level execution object."""
-        return self._execution
-
-    def can_snapshot(self) -> bool:
-        """True when the wrapped machine reifies its paused state as data."""
-        return hasattr(self._execution, "snapshot")
-
     def snapshot(self) -> dict:
         """Reify the paused machine as a versioned, process-portable dict.
 
-        Delegates to the machine's own ``snapshot()`` (every built-in backend
-        has one); restore the result through the owning target's
+        Delegates to the machine's own ``snapshot()`` (every engine has one);
+        restore the result through the owning target's
         :meth:`TargetBackend.restore`, which re-wraps the rebuilt machine
         with this backend's normalizer.
         """
-        if not self.can_snapshot():
-            raise ReproError(
-                f"{type(self._execution).__name__} does not support machine-state snapshots"
-            )
         return self._execution.snapshot()
 
 

@@ -193,7 +193,7 @@ class DifferentialOracle:
             result = execution.step_n(slice_width)
             if result is not None:
                 break
-        if result is None and execution.can_snapshot():
+        if result is None:
             snapshot = execution.snapshot()
             execution = system.restore_execution(snapshot, backend=backend)
         # Drive (the restored execution) to completion.

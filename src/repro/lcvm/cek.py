@@ -612,9 +612,10 @@ def compiled_cache_stats() -> dict:
 # values, env cons cells, frame tuples, heap cells) is plain data already.
 # Restoring resolves each address by compiling its root once — the walk is
 # deterministic, so the node at the same index is the same handler over the
-# same constants — which is exactly the recompile-on-restore contract
-# ``stacklang.cek.CompiledExecution`` pioneered for mid-run pickling.  Both
-# directions memoize by object identity so shared structure (environment
+# same constants — the same recompile-on-restore contract as
+# ``stacklang.cek.CompiledExecution``.  Freezing and thawing each build fresh
+# data, so they are this machine's snapshot copies too.  Both directions
+# memoize by object identity so shared structure (environment
 # tails, values parked in several frames) stays shared and the codec never
 # re-walks it.
 

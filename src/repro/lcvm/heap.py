@@ -21,6 +21,7 @@ the collector how to find the locations inside whatever is stored.
 
 from __future__ import annotations
 
+import copy
 import enum
 import heapq
 from dataclasses import dataclass, field
@@ -157,9 +158,10 @@ class Heap:
         return {address: HeapCell(cell.value, cell.kind) for address, cell in self.cells.items()}
 
     def copy(self) -> "Heap":
-        heap = Heap(self.snapshot(), trace=self.trace)
-        heap.collections = self.collections
-        heap.reclaimed = self.reclaimed
+        """An independent heap with fresh cells and the exact allocator state."""
+        heap = copy.copy(self)  # no __post_init__: the free list is not rebuilt
+        heap.cells = self.snapshot()
+        heap._free = list(self._free)
         return heap
 
     # -- garbage collection -----------------------------------------------------

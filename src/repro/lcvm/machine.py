@@ -297,6 +297,10 @@ def run_config(config: Config, fuel: int = 100_000) -> MachineResult:
     return execution.run()
 
 
+def _copy_config(config: Config) -> Config:
+    return Config(config.heap.copy(), config.expr, config.failure)
+
+
 class SubstitutionExecution:
     """A resumable substitution machine: run in bounded slices.
 
@@ -334,13 +338,14 @@ class SubstitutionExecution:
 
         The substitution machine's whole state is a configuration (heap +
         value-substituted remaining program, both plain syntax) plus the step
-        count and fuel budget, so the state pickles as-is.
+        count and fuel budget.  Only the heap is mutable, so only the heap is
+        copied, allocator state included.
         """
         if self.result is not None:
             raise ValueError("cannot snapshot a finished execution")
         return make_snapshot(
             self.SNAPSHOT_KIND,
-            {"config": self.config, "fuel": self.fuel, "steps": self.steps},
+            {"config": _copy_config(self.config), "fuel": self.fuel, "steps": self.steps},
         )
 
     @classmethod
@@ -348,7 +353,7 @@ class SubstitutionExecution:
         """Rebuild a paused machine from :meth:`snapshot` output."""
         state = check_snapshot(snapshot, cls.SNAPSHOT_KIND)
         execution = cls.__new__(cls)
-        execution.config = state["config"]
+        execution.config = _copy_config(state["config"])
         execution.fuel = state["fuel"]
         execution.steps = state["steps"]
         execution.result = None

@@ -95,7 +95,7 @@ RETRY_POLICY = RetryPolicy()
 
 def load_report(member: int) -> Dict[str, int]:
     """A member's fresh ``HEARTBEAT`` body, which :func:`serve_member` keeps current."""
-    return {"endpoint": member, "inflight": 0, "queue_depth": 0, "served": 0}
+    return {"endpoint": member, "queue_depth": 0}
 
 
 def serve_member(
@@ -126,11 +126,11 @@ def serve_member(
             return
         # A malformed body counts as no work; handle_work answers it with an error.
         batch = body[1] if isinstance(body, tuple) and len(body) > 1 else None
-        load["inflight"] = load["queue_depth"] = len(batch) if isinstance(batch, list) else 0
+        load["queue_depth"] = len(batch) if isinstance(batch, list) else 0
         try:
             reply = handle_work(scheduler, member, body, connection)
         finally:
-            load["inflight"] = load["queue_depth"] = 0
+            load["queue_depth"] = 0
         plan = scheduler.fault_plan
         slow = plan.fire("net.slow") if plan is not None else None
         if slow is not None:
@@ -138,8 +138,6 @@ def serve_member(
             # dawdles — exactly what attempt_timeout_seconds exists for.
             time.sleep(slow.delay_seconds)
         connection.send(RESPONSE, reply)
-        if reply[0] in ("ok", "resumed"):
-            load["served"] += len(reply[1])
 
 
 def handle_work(

@@ -380,12 +380,9 @@ class Scheduler:
 
     def _reify_checkpoint(self, entry: PreparedRequest, slices: int) -> Optional[Checkpoint]:
         """The entry's paused state as a checkpoint, or ``None`` when the
-        backend has no snapshots (or the snapshot itself fails)."""
-        execution = entry.execution
-        if not getattr(execution, "can_snapshot", None) or not execution.can_snapshot():
-            return None
+        machine cannot snapshot (no ``snapshot``, or the snapshot fails)."""
         try:
-            snapshot = execution.snapshot()
+            snapshot = entry.execution.snapshot()
         except Exception:  # a snapshot bug must not take down the batch
             return None
         return Checkpoint(

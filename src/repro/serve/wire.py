@@ -26,9 +26,8 @@ frame           type  body / purpose
 ``RESPONSE``    0x05  the terminal reply to a ``REQUEST``
 ``CHECKPOINT``  0x06  ``(covered, payload)`` — one streamed slice-boundary
                       checkpoint, sent while a ``REQUEST`` is in flight
-``HEARTBEAT``   0x07  load report: ``{"endpoint", "inflight",
-                      "queue_depth", "served"}``; request and reply share
-                      the type
+``HEARTBEAT``   0x07  load report: ``{"endpoint", "queue_depth"}``;
+                      request and reply share the type
 ``STATS``       0x08  full stats snapshot request/reply
 ``FETCH``       0x09  artifact-store read: body is a store key
 ``PUBLISH``     0x0a  artifact-store write / ``FETCH`` reply:

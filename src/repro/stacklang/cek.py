@@ -458,6 +458,16 @@ def compiled_cache_stats() -> Dict[str, int]:
     return _UNIT_CODE.stats()
 
 
+def _copy_state(st: _OpState) -> _OpState:
+    """``st`` with fresh value, return and env-restore lists and heap dict;
+    environments and runtime values are immutable and shared."""
+    copied = list(st)
+    for slot in (_V, _RSTACK, _ESTACK):
+        copied[slot] = list(st[slot])
+    copied[_HEAP] = dict(st[_HEAP])
+    return copied
+
+
 class CompiledExecution:
     """A resumable pc-threaded machine: run in bounded slices.
 
@@ -473,16 +483,16 @@ class CompiledExecution:
     via :func:`unit_code`); otherwise ``program`` is compiled for this
     execution alone.
 
-    Executions are **picklable, mid-run included**: the compiled op array is
-    a graph of process-local closures and never crosses a process boundary —
-    ``__getstate__`` drops it and keeps ``program`` (plain syntax, the
-    picklable handle) plus the op-state, and ``__setstate__`` recompiles.
-    Compilation is deterministic, so the restored op array has the same
-    layout and the saved ``pc`` (and every :class:`CThunkV` entry pc in the
-    state) stays valid; the resumed run is observably identical.
+    Executions move between processes as snapshots: the compiled op array
+    is a graph of process-local closures and never leaves the process, so
+    :meth:`snapshot` keeps ``program`` (plain syntax, the handle) plus the
+    op-state, and :meth:`from_snapshot` recompiles it.  Compilation is
+    deterministic, so the restored op array has the same layout and the
+    saved ``pc`` (and every :class:`CThunkV` entry pc in the state) stays
+    valid; the resumed run is observably identical.
     """
 
-    __slots__ = ("fuel", "steps", "result", "program", "_code", "_heap_cells", "_st", "_pc")
+    __slots__ = ("fuel", "steps", "result", "program", "_code", "_st", "_pc")
 
     #: The snapshot tag this machine writes and restores (see
     #: :mod:`repro.core.snapshots` for the format contract).
@@ -499,7 +509,6 @@ class CompiledExecution:
         self.program = program if isinstance(program, tuple) else tuple(program)
         self._code = code if code is not None else compile_program(self.program)
         heap_cells: Dict[int, object] = dict(heap or {})
-        self._heap_cells = heap_cells
         self._st: _OpState = [
             list(stack if stack is not None else []),  # values
             [],  # return stack
@@ -515,50 +524,38 @@ class CompiledExecution:
         self.steps = 0
         self.result: Optional[MachineResult] = None
 
-    # -- pickling (cross-process migration of a possibly-mid-run machine) -----
-
-    def __getstate__(self) -> dict:
-        # The op array is process-local closures; the program is the handle.
-        return {
-            "program": self.program,
-            "st": self._st,
-            "pc": self._pc,
-            "fuel": self.fuel,
-            "steps": self.steps,
-            "result": self.result,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.program = state["program"]
-        self._code = compile_program(self.program)
-        self._st = state["st"]
-        self._heap_cells = self._st[_HEAP]  # preserve the __init__ aliasing
-        self._pc = state["pc"]
-        self.fuel = state["fuel"]
-        self.steps = state["steps"]
-        self.result = state["result"]
-
     def snapshot(self) -> dict:
         """Reify the paused machine as a versioned, process-portable dict.
 
-        The mid-run pickling contract above already does the heavy lifting:
-        embedding the execution itself routes through ``__getstate__`` (which
-        drops the process-local op array) and the plain-data copy inside
-        :func:`repro.core.snapshots.make_snapshot` severs every alias with
-        the live machine.  Restoring recompiles deterministically, so the
-        saved ``pc`` and every ``CThunkV`` entry pc stay valid.
+        The op array stays behind (``program`` is its handle); the op-state
+        is copied by :func:`_copy_state`.
         """
         if self.result is not None:
             raise ValueError("cannot snapshot a finished execution")
-        return make_snapshot(self.SNAPSHOT_KIND, {"execution": self})
+        return make_snapshot(
+            self.SNAPSHOT_KIND,
+            {
+                "program": self.program,
+                "pc": self._pc,
+                "fuel": self.fuel,
+                "steps": self.steps,
+                "st": _copy_state(self._st),
+            },
+        )
 
     @classmethod
     def from_snapshot(cls, snapshot: dict) -> "CompiledExecution":
-        """Rebuild a paused machine from :meth:`snapshot` output."""
+        """Rebuild a paused machine from :meth:`snapshot` output, compiling
+        its program once."""
         state = check_snapshot(snapshot, cls.SNAPSHOT_KIND)
-        execution = state["execution"]
-        if not isinstance(execution, cls):
-            raise ValueError(f"snapshot does not hold a {cls.__name__}")
+        execution = cls.__new__(cls)
+        execution.program = state["program"]
+        execution._code = compile_program(execution.program)
+        execution._st = _copy_state(state["st"])
+        execution._pc = state["pc"]
+        execution.fuel = state["fuel"]
+        execution.steps = state["steps"]
+        execution.result = None
         return execution
 
     def step_n(self, limit: int) -> Optional[MachineResult]:
@@ -578,7 +575,7 @@ class CompiledExecution:
                 self._pc, self.steps = pc, steps
                 if steps < fuel:
                     return None
-                final = Config(dict(self._heap_cells), [_reify(v) for v in st[_V]], ())
+                final = Config(dict(st[_HEAP]), [_reify(v) for v in st[_V]], ())
                 self.result = MachineResult(Status.OUT_OF_FUEL, final, steps)
                 return self.result
             steps += 1
@@ -589,7 +586,7 @@ class CompiledExecution:
 
     def _halt(self) -> MachineResult:
         st = self._st
-        heap_cells = self._heap_cells
+        heap_cells = st[_HEAP]
         if st[_STUCK]:
             # Stuck configurations keep the raw (unreified) heap.
             final = Config(dict(heap_cells), [_reify(v) for v in st[_V]], ())

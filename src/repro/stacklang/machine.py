@@ -255,6 +255,11 @@ def run_config(config: Config, fuel: int = 100_000) -> MachineResult:
     return SubstitutionExecution(config=config, fuel=fuel).run()
 
 
+def _copy_config(config: Config) -> Config:
+    # A paused configuration's stack is a value list, never ``Fail c``.
+    return Config(dict(config.heap), list(config.stack), config.program)
+
+
 class SubstitutionExecution:
     """A resumable Fig. 2 machine: run in bounded slices.
 
@@ -293,13 +298,13 @@ class SubstitutionExecution:
         """Reify the paused machine as a versioned, process-portable dict.
 
         A Fig. 2 configuration is heap + stack + remaining program, all plain
-        syntax — the state pickles as-is.
+        syntax; the heap dict and the stack list are copied, the rest shared.
         """
         if self.result is not None:
             raise ValueError("cannot snapshot a finished execution")
         return make_snapshot(
             self.SNAPSHOT_KIND,
-            {"config": self.config, "fuel": self.fuel, "steps": self.steps},
+            {"config": _copy_config(self.config), "fuel": self.fuel, "steps": self.steps},
         )
 
     @classmethod
@@ -307,7 +312,7 @@ class SubstitutionExecution:
         """Rebuild a paused machine from :meth:`snapshot` output."""
         state = check_snapshot(snapshot, cls.SNAPSHOT_KIND)
         execution = cls.__new__(cls)
-        execution.config = state["config"]
+        execution.config = _copy_config(state["config"])
         execution.fuel = state["fuel"]
         execution.steps = state["steps"]
         execution.result = None

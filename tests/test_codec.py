@@ -9,7 +9,7 @@ What is pinned here:
   turns it into its own structured error (``ProtocolError`` on the wire,
   ``CheckpointCorrupt`` in the checkpoint store);
 * **sharing** — a round trip keeps a subtree reachable twice as one object,
-  which the snapshot copies rely on.
+  so an encoded checkpoint's snapshot still compiles each root once.
 """
 
 import ast

@@ -216,11 +216,20 @@ def test_endpoint_answers_a_malformed_work_body_and_keeps_serving():
 
 def test_router_answers_malformed_client_bodies_with_protocol_errors():
     # Each body once made the router's conversation thread raise (TypeError,
-    # AttributeError, an unhashable store key) and drop the client.
-    router = NetRouter(slice_steps=SLICE_STEPS)
-    router.start()
+    # AttributeError, an unhashable store key) and drop the client; a
+    # wrongly typed Request field raised only once an endpoint was there to
+    # place it on.
+    router, workers = _fleet(worker_count=1)
+    bodies = (
+        (REQUEST, 5),
+        (REQUEST, [5]),
+        (REQUEST, [Request(language=5, source="x")]),
+        (REQUEST, [Request(language="RefLL", source="1", typecheck_kwargs=5)]),
+        (PUBLISH, 5),
+        (FETCH, [1]),
+    )
     try:
-        for frame_type, body in ((REQUEST, 5), (REQUEST, [5]), (PUBLISH, 5), (FETCH, [1])):
+        for frame_type, body in bodies:
             sock = socket.create_connection(router.address, timeout=5)
             try:
                 send_frame(sock, HELLO, {"version": WIRE_VERSION, "role": "client"})
@@ -238,7 +247,7 @@ def test_router_answers_malformed_client_bodies_with_protocol_errors():
             _observable(r) for r in router.run_sequential(requests)
         ]
     finally:
-        router.stop()
+        _shutdown(router, workers)
 
 
 # -- serving ------------------------------------------------------------------

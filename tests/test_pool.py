@@ -25,6 +25,7 @@ import pickle
 
 import pytest
 
+from repro.core.codec import decode, encode
 from repro.core.language import Engine
 from repro.serve import (
     Fault,
@@ -486,6 +487,7 @@ def test_compiled_units_round_trip_pickle_in_all_three_systems():
 
 
 def test_stacklang_compiled_execution_pickles_mid_run():
+    # A mid-run execution moves as its snapshot's bytes, never as itself.
     from repro.stacklang.cek import CompiledExecution
 
     scheduler = make_default_scheduler(slice_steps=128)
@@ -493,9 +495,10 @@ def test_stacklang_compiled_execution_pickles_mid_run():
     reference = CompiledExecution(unit.target_code, fuel=100_000).run()
     for split in (1, 9, 40):
         execution = CompiledExecution(unit.target_code, fuel=100_000)
-        early = execution.step_n(split)
-        migrated = pickle.loads(pickle.dumps(execution))
-        result = early if early is not None else migrated.run()
+        result = execution.step_n(split)
+        if result is None:
+            migrated = CompiledExecution.from_snapshot(decode(encode(execution.snapshot())))
+            result = migrated.run()
         assert result.status == reference.status
         assert result.steps == reference.steps
         assert str(result.config) == str(reference.config)
