@@ -95,3 +95,7 @@ class OutOfFuelError(TargetError):
 
 class ModelError(ReproError):
     """A logical-relation membership check was invoked incorrectly."""
+
+
+class RequestError(ReproError):
+    """A serving request has a field of the wrong type or out of range."""

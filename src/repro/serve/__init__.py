@@ -4,8 +4,10 @@ This package turns the single-program execution substrate into a
 multi-tenant service front:
 
 * :class:`~repro.serve.request.Request` / ``Response`` — one submission with
-  its own language, backend choice, fuel budget, and typecheck environments,
-  answered with per-request accounting (steps, slices, timings, cache hits);
+  its own language, backend choice, and fuel budget, answered with
+  per-request accounting (steps, slices, timings, cache hits);
+  :func:`~repro.serve.request.check_request` checks every field of a
+  request where it enters, and refuses it alone with a ``RequestError``;
 * :class:`~repro.serve.driver.StepSlicedDriver` — the synchronous slice
   loop: every admitted program becomes a resumable execution (every
   registered backend is ``step_n``-capable — the substitution oracles
@@ -81,7 +83,7 @@ from repro.serve.request import (
     PRIORITY_WEIGHTS,
     Request,
     Response,
-    priority_weight,
+    check_request,
 )
 from repro.serve.ring import DEFAULT_VIRTUAL_NODES, HashRing
 from repro.serve.scheduler import PreparedRequest, Scheduler, make_default_scheduler
@@ -120,6 +122,6 @@ __all__ = [
     "WireError",
     "WorkerPool",
     "default_scheduler_factory",
+    "check_request",
     "make_default_scheduler",
-    "priority_weight",
 ]

@@ -48,7 +48,7 @@ __all__ = ["CHECKPOINT_VERSION", "Checkpoint", "CheckpointCorrupt", "CheckpointS
 #: Bump when the Checkpoint shape changes incompatibly; the store refuses to
 #: load checkpoints written under a different version (the snapshot inside
 #: carries its own version, checked by the machine-level restorers).
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointCorrupt(ReproError, ValueError):

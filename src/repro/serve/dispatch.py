@@ -8,7 +8,8 @@ endpoints) are thin front ends that supply one.  Both speak the same
 :mod:`repro.serve.wire` frames.  The dispatcher owns:
 
 * **Admission** — the ``max_batch`` cutoff, shedding a deterministic tail
-  as ``rejected_overload``.
+  as ``rejected_overload``, and :func:`~repro.serve.request.check_request`,
+  which answers a refused request here, never placing it.
 * **Placement** — consistent-hash ring order with per-member circuit-breaker
   quarantine and load-aware top-k choice (:meth:`Dispatcher._place`).
 * **The shared artifact store** — first publisher wins, and each artifact
@@ -31,11 +32,13 @@ members' connections.
 from __future__ import annotations
 
 import random
+import reprlib
 import time
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Protocol, Sequence, Set, Tuple
 
 from repro.core.codec import CodecError, decode, encode
+from repro.core.errors import RequestError
 from repro.serve.reliability import (
     AdmissionController,
     BreakerPolicy,
@@ -43,7 +46,7 @@ from repro.serve.reliability import (
     DispatchPolicy,
     RetryPolicy,
 )
-from repro.serve.request import Request, Response
+from repro.serve.request import Request, Response, check_request
 from repro.serve.ring import HashRing
 from repro.serve.scheduler import Scheduler, StoreKey
 from repro.serve.wire import (
@@ -70,6 +73,7 @@ __all__ = [
     "flat_stats",
     "handle_work",
     "load_report",
+    "parse_work",
     "serve_member",
     "weight",
 ]
@@ -104,11 +108,13 @@ def serve_member(
     """The member side of the protocol: serve ``connection`` until ``BYE``.
 
     Pool workers and network endpoints both run this loop.  Each
-    ``REQUEST`` is served by :func:`handle_work`, which streams
-    ``CHECKPOINT`` frames while the batch runs, then answered with one
-    ``RESPONSE``.  ``HEARTBEAT`` and ``STATS`` are answered with ``load``
-    (see :func:`load_report`), which the loop keeps current.  Any other
-    frame is refused with ``ERROR`` and ends the conversation.  A
+    ``REQUEST`` body is parsed once by :func:`parse_work` and served by
+    :func:`handle_work`, which streams ``CHECKPOINT`` frames while the
+    batch runs, then answered with one ``RESPONSE`` (a malformed body's is
+    ``("error", "malformed work body: …")``).  ``HEARTBEAT`` and ``STATS``
+    are answered with ``load`` (see :func:`load_report`), which the loop
+    keeps current.  Any other frame is refused with ``ERROR`` and ends the
+    conversation.  A
     :class:`~repro.serve.wire.ConnectionDropped` — the parent gone, or an
     injected ``net.drop`` — propagates and ends it too; the caller closes
     the socket, and the parent recovers the batch from the checkpoints
@@ -124,13 +130,16 @@ def serve_member(
         if frame_type != REQUEST:
             connection.send(ERROR, unexpected_frame(frame_type))
             return
-        # A malformed body counts as no work; handle_work answers it with an error.
-        batch = body[1] if isinstance(body, tuple) and len(body) > 1 else None
-        load["queue_depth"] = len(batch) if isinstance(batch, list) else 0
         try:
-            reply = handle_work(scheduler, member, body, connection)
-        finally:
-            load["queue_depth"] = 0
+            work = parse_work(body)
+        except ValueError as error:
+            reply: Tuple[Any, ...] = ("error", str(error))
+        else:
+            load["queue_depth"] = len(work[1])
+            try:
+                reply = handle_work(scheduler, member, work, connection)
+            finally:
+                load["queue_depth"] = 0
         plan = scheduler.fault_plan
         slow = plan.fire("net.slow") if plan is not None else None
         if slow is not None:
@@ -140,28 +149,55 @@ def serve_member(
         connection.send(RESPONSE, reply)
 
 
+def parse_work(body: Any) -> Tuple[Any, ...]:
+    """``body`` if it is a work tuple :func:`handle_work` can serve, else
+    ``ValueError("malformed work body: …")``: ``("serve", entries, warm,
+    known)`` with ``(int, Request)`` entries, ``(store key, bytes)`` warm
+    pairs and a list of store keys, or ``("resume", items)`` with ``(list
+    of int, bytes)`` items.  Request fields are ``Scheduler.serve``'s check.
+    """
+    if isinstance(body, tuple) and len(body) == 4 and body[0] == "serve":
+        if _pairs(body[1], int, Request) and _pairs(body[2], tuple, bytes) and _list_of(body[3], tuple):
+            return body
+    elif isinstance(body, tuple) and len(body) == 2 and body[0] == "resume":
+        if _pairs(body[1], list, bytes) and all(_list_of(covered, int) for covered, _payload in body[1]):
+            return body
+    raise ValueError(
+        "malformed work body: expected ('serve', entries, warm, known) or"
+        f" ('resume', items), got {reprlib.repr(body)}"
+    )
+
+
+def _list_of(items: Any, kind: type) -> bool:
+    return isinstance(items, list) and all(isinstance(item, kind) for item in items)
+
+
+def _pairs(items: Any, first: type, second: type) -> bool:
+    return _list_of(items, tuple) and all(
+        len(item) == 2 and isinstance(item[0], first) and isinstance(item[1], second) for item in items
+    )
+
+
 def handle_work(
-    scheduler: Scheduler, member: int, message: Tuple[Any, ...], connection: Any
+    scheduler: Scheduler, member: int, work: Tuple[Any, ...], connection: Any
 ) -> Tuple[Any, ...]:
-    """Serve one work tuple on a member's scheduler; returns the terminal reply.
+    """Serve one :func:`parse_work` tuple on a member's scheduler; returns
+    the terminal reply.
 
     ``("serve", entries, warm, known)`` serves index-tagged requests,
-    coalescing identical ones, after importing the ``warm`` store
-    artifacts (``known`` lists the keys the store already holds, so they are
-    never re-published) and replies ``("ok", results, publishes)``;
-    ``("resume", items)`` resumes a crashed member's streamed checkpoints and
-    replies ``("resumed", results, failures)``.  Slice-boundary checkpoints
+    coalescing identical ones, after importing the ``warm`` store artifacts
+    (``known`` keys are never re-published), and replies ``("ok", results,
+    publishes)``; ``("resume", items)`` resumes a crashed member's streamed
+    checkpoints and replies ``("resumed", results, failures)``.  Checkpoints
     stream over ``connection`` while a batch runs.  Any exception becomes an
     ``("error", message)`` reply — a batch bug must not kill the member —
-    except :class:`~repro.serve.wire.ConnectionDropped`, which always ends
-    the conversation.
+    except :class:`~repro.serve.wire.ConnectionDropped`, which ends the
+    conversation.
     """
     try:
-        if message[0] == "resume":
-            return _resume_shard(scheduler, member, message[1])
-        if message[0] == "serve":
-            return _serve_shard(scheduler, member, message, connection)
-        return ("error", f"unknown work tag {message[0]!r}")
+        if work[0] == "resume":
+            return _resume_shard(scheduler, member, work[1])
+        return _serve_shard(scheduler, member, work, connection)
     except ConnectionDropped:
         raise
     except Exception as error:  # noqa: BLE001 — a batch bug must not kill the member
@@ -176,11 +212,10 @@ def _serve_shard(
     Every snapshot-capable run streams a checkpoint upstream at each slice
     boundary as a ``CHECKPOINT`` frame ``(covered, payload)``, ``covered``
     listing the original batch indices of the whole coalesced group.  If
-    this worker then dies mid-batch, the parent resumes each in-flight
-    group from its last boundary on a surviving member.  A
-    checkpoint that fails to encode — or is suppressed by an injected
-    ``checkpoint.pickle`` fault — is simply not streamed: its requests fall
-    back to retry-from-scratch, never to a wrong resume.
+    this worker then dies mid-batch, the parent resumes each in-flight group
+    from its last boundary on a surviving member.  A checkpoint that fails
+    to encode — or an injected ``checkpoint.pickle`` fault — is not
+    streamed: its requests fall back to retry-from-scratch.
     """
     _tag, entries, warm, known = message
     imported: Set[StoreKey] = set()
@@ -193,7 +228,6 @@ def _serve_shard(
             imported.add(store_key)
 
     requests = [request for _index, request in entries]
-    keys = [scheduler.pipeline_key(request) for request in requests]
     plan = scheduler.fault_plan
 
     def stream(positions: List[int], checkpoint: Any) -> None:
@@ -222,8 +256,10 @@ def _serve_shard(
     # Keys the store already holds must not be re-exported, re-encoded, or
     # re-flagged as published — the parent would only discard them.
     already_published: Set[StoreKey] = set(known)
-    for response, store_key in zip(responses, keys):
+    for response in responses:
         response.shard = shard
+        # Only a routed request has a store key; a refused one never routed.
+        store_key = scheduler.pipeline_key(response.request) if response.system else None
         if store_key is None:
             continue
         if store_key in imported:
@@ -463,11 +499,11 @@ class Dispatcher:
     # -- serving --------------------------------------------------------------
 
     def run_batch(self, requests: Sequence[Request]) -> List[Response]:
-        """Place, dispatch, collect, and recover one batch; request order kept.
-
-        Every member's share goes out in one :meth:`Transport.exchange`;
-        crashed shares recover only after all replies are in, so a recovery
-        exchange never interleaves with a pending reply.
+        """Check, place, dispatch, collect, and recover one batch; request
+        order kept.  Every member's share goes out in one
+        :meth:`Transport.exchange`; crashed shares recover only after all
+        replies are in, so a recovery exchange never interleaves with a
+        pending reply.
         """
         responses: List[Optional[Response]] = [None] * len(requests)
         admitted = self.admission.batch_cutoff(len(requests))
@@ -482,6 +518,11 @@ class Dispatcher:
         rerouted: Dict[int, int] = {}
         loads: Dict[int, int] = {}
         for index, request in enumerate(requests[:admitted]):
+            try:
+                check_request(request)
+            except RequestError as error:  # answered here, never placed
+                responses[index] = Response(request, error=f"RequestError: {error}")
+                continue
             order = self.ring.candidates(self.router.placement_key(request))
             member, rerouted_from = self._place(order, loads)
             if rerouted_from is not None:

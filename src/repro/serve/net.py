@@ -544,30 +544,12 @@ class NetRouter(_Listener):
                 return
 
 
-#: The ``Request`` fields the dispatcher reads, and the types each may hold.
-_REQUEST_FIELD_TYPES = {
-    "language": str,
-    "source": str,
-    "system": (str, type(None)),
-    "affinity": (str, type(None)),
-    "cost_hint": (int, type(None)),
-    "retry_budget": int,
-    "typecheck_kwargs": dict,
-}
-
-
-def _well_typed(request: Any) -> bool:
-    return isinstance(request, Request) and all(
-        isinstance(getattr(request, name), types) for name, types in _REQUEST_FIELD_TYPES.items()
-    )
-
-
 def _malformed(frame_type: int, body: Any) -> Optional[str]:
     """Why a client frame's body cannot be served, or ``None`` if it can."""
     if frame_type == REQUEST:
-        if isinstance(body, list) and all(_well_typed(request) for request in body):
-            return None
-        return "REQUEST body must be a list of Request with well-typed " + ", ".join(_REQUEST_FIELD_TYPES)
+        if isinstance(body, list) and all(isinstance(request, Request) for request in body):
+            return None  # each request's fields are check_request's, in run_batch
+        return "REQUEST body must be a list of Request"
     if frame_type == FETCH:
         return None if _hashable(body) else "FETCH body must be a hashable store key"
     if frame_type == PUBLISH:

@@ -1,52 +1,43 @@
-"""The serving layer's request/response model.
+"""The serving layer's request/response model, and the one check of a request.
 
 A :class:`Request` is one user submission: a source program in one of the
 registered systems' languages plus the execution policy for *this request
-only* — which evaluator backend runs it, how much fuel it may burn, and
-which typechecking environments the frontend threads through.  Nothing in a
-request touches process-global state: backend choice and fuel budget ride
-through :meth:`repro.core.language.TargetBackend.start` per call, so one
-process serves an oracle-backed differential request next to compiled
-fast-path requests.
+only* — which evaluator backend runs it and how much fuel it may burn.
+Nothing in a request touches process-global state: backend choice and fuel
+budget ride through :meth:`repro.core.language.TargetBackend.start` per
+call, so one process serves an oracle-backed differential request next to
+compiled fast-path requests.
+
+:func:`check_request` is where a request enters: :meth:`Scheduler.serve
+<repro.serve.scheduler.Scheduler.serve>`, :meth:`Scheduler.resume
+<repro.serve.scheduler.Scheduler.resume>` (on a checkpoint's request) and
+:meth:`Dispatcher.run_batch <repro.serve.dispatch.Dispatcher.run_batch>`
+call it before they read a field, and code past them trusts every field.  A
+request it refuses is answered alone, with ``Response.error`` reading
+``"RequestError: <field> …"``; the rest of its batch is served.
 
 A :class:`Response` pairs the request with its observable outcome and the
 per-request accounting: the resolved system/backend, machine step count,
 scheduler slice count, pipeline/run timings, and whether the frontend cache
-served the compile.
-
-Multi-process serving (:mod:`repro.serve.pool`) adds two knobs and four
-accounting fields.  ``Request.affinity`` overrides the pool's deterministic
-program-hash sharding so a caller can pin related requests to one worker (or
-deliberately spread a hot program across workers).  On the response side,
-``shard`` records the worker that served the request, ``shared_cache_hit`` /
-``published`` record this request's traffic against the cross-process
-pipeline-cache store, and ``coalesced`` records how many identical requests
-shared one VM instance with this one.  All four stay at their defaults for
-single-process serving, so a :class:`Response` reads the same either way.
-
-Machine-state snapshots add four more: ``preempted`` / ``checkpoint`` record
-a run stopped at a slice boundary with its paused state reified for later,
-``resumed`` marks a response produced by continuing such a checkpoint, and
-``migrated_from`` names the crashed shard an in-flight request was moved off
-mid-run.  All four likewise default to the no-snapshot reading.
-
-The reliability layer (:mod:`repro.serve.reliability`) adds the failure
-*policy* knobs and their accounting.  On the request: ``deadline_seconds``
-(a per-attempt run budget, checked at every slice boundary) and
-``retry_budget`` (how many recovery attempts a failed or migrated request
-may consume).  On the response: ``deadline_exceeded`` and
-``rejected_overload`` are the two structured policy outcomes — neither is an
-``error``; both mean the *policy* stopped the request, deliberately and
-deterministically — while ``attempts`` counts total dispatches (1 = no
-recovery needed) and ``rerouted_from`` names the quarantined home shard a
-request was placed away from.
+served the compile.  The multi-process fields (``shard``,
+``shared_cache_hit``, ``published``, ``coalesced``), the snapshot fields
+(``preempted``, ``checkpoint``, ``resumed``, ``migrated_from``) and the
+reliability outcomes (``deadline_exceeded``, ``rejected_overload``,
+``attempts``, ``rerouted_from``) all default to the single-process,
+no-snapshot, no-failure reading, so a :class:`Response` reads the same
+however it was served.  ``deadline_exceeded`` and ``rejected_overload`` are
+not errors: the *policy* stopped the request, deliberately and
+deterministically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Union
+import math
+import reprlib
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro.core.errors import RequestError
 from repro.core.interop import RunResult
 
 #: The default per-request fuel budget (matches the backend runners).
@@ -64,28 +55,6 @@ PRIORITY_WEIGHTS: Dict[str, int] = {"high": 8, "standard": 2, "best-effort": 1}
 DEFAULT_PRIORITY = "standard"
 
 
-def priority_weight(priority: Union[int, str]) -> int:
-    """The scheduling weight of a priority class (or a raw positive weight).
-
-    Accepts a class name from :data:`PRIORITY_WEIGHTS` or a positive integer
-    used directly as the weight.  Raises ``ValueError`` for anything else,
-    at admission time, so a typo'd class fails the one request loudly rather
-    than silently scheduling it round-robin.
-    """
-    if isinstance(priority, bool):  # bool is an int subclass; reject explicitly
-        raise ValueError(f"priority must be a class name or positive int, got {priority!r}")
-    if isinstance(priority, int):
-        if priority < 1:
-            raise ValueError(f"integer priority must be >= 1, got {priority}")
-        return priority
-    try:
-        return PRIORITY_WEIGHTS[priority]
-    except KeyError:
-        raise ValueError(
-            f"unknown priority class {priority!r}; known: {sorted(PRIORITY_WEIGHTS)} or a positive int"
-        ) from None
-
-
 @dataclass
 class Request:
     """One program submission with its own execution policy."""
@@ -93,68 +62,91 @@ class Request:
     language: str
     source: str
     backend: Optional[str] = None  # None → the routed system's default backend
+    #: The machine-transition budget; exhausting it fails this request only.
     fuel: int = DEFAULT_FUEL
-    typecheck_kwargs: Dict[str, Any] = field(default_factory=dict)
     #: Required when ``language`` is served by more than one registered
     #: system (MiniML appears in both the §4 and §5 case studies).
     system: Optional[str] = None
     request_id: Optional[str] = None
-    #: Worker-pool placement override.  ``None`` shards by a deterministic
-    #: sha256 of ``(system, language, source)`` — repeat submissions of a
-    #: program land on the same, already-warm worker.  Setting a key makes
-    #: :meth:`repro.serve.pool.WorkerPool.shard_of` hash the sha256 of
-    #: ``affinity`` instead (deliberately *not* built-in ``hash``, which
-    #: ``PYTHONHASHSEED`` randomizes per process — placement must be stable
-    #: across interpreter runs): give related requests one key to pin them
-    #: together, or distinct keys to spread a hot program across workers.
-    #: Single-process scheduling ignores it.
+    #: Placement override.  ``None`` places by the sha256 of the routed
+    #: ``(system, language, source)``, so repeat submissions of a program
+    #: land on the same, already-warm member; a key is hashed instead (never
+    #: built-in ``hash``, which ``PYTHONHASHSEED`` randomizes per process):
+    #: one key pins related requests together, distinct keys spread a hot
+    #: program.  Single-process scheduling ignores it.
     affinity: Optional[str] = None
-    #: Per-attempt wall-clock budget for the *run* phase, measured from the
-    #: request's first slice (compile/start time is accounted separately and
-    #: not charged against it).  Checked at every slice boundary — the
-    #: bounded-latency invariant makes that both cheap and precise — and on
-    #: expiry the response carries ``deadline_exceeded=True`` with, for
-    #: snapshot-capable backends, a resumable ``checkpoint`` of exactly the
-    #: stopped state.  Each retry attempt gets the full budget again.
-    #: ``None`` means no deadline.
+    #: Per-attempt wall-clock budget for the *run* phase, from the request's
+    #: first slice, checked at every slice boundary.  On expiry the response
+    #: carries ``deadline_exceeded=True`` with, for snapshot-capable
+    #: backends, a resumable ``checkpoint`` of the stopped state.  Each retry
+    #: attempt gets the full budget again.  ``None`` means no deadline.
     deadline_seconds: Optional[float] = None
     #: How many *recovery* attempts this request may consume after its first
     #: dispatch fails out from under it (worker crash, pipe death): each
-    #: checkpoint migration or from-scratch redispatch costs one.  The
-    #: default of 1 preserves the pool's one-migration-attempt behaviour;
-    #: 0 pins the old whole-shard-failure semantics.
+    #: checkpoint migration or from-scratch redispatch costs one.  0 pins
+    #: whole-shard-failure semantics.
     retry_budget: int = 1
     #: Run the frontend pipeline (parse → typecheck → compile → verify) and
-    #: return the unit's static-analysis report (built on its first read) on
-    #: ``Response.report`` *without ever starting an execution*.
-    #: Analyze-only requests never coalesce (there is no VM instance to
-    #: share).
+    #: return the unit's static-analysis report on ``Response.report``
+    #: *without ever starting an execution*.  Analyze-only requests never
+    #: coalesce (there is no VM instance to share).
     analyze_only: bool = False
-    #: Estimated machine-step cost of this request, used by the worker pool's
-    #: load-aware placement as a queue-depth *weight* (an expensive request
-    #: loads its shard more than a cheap one).  Callers typically feed back
-    #: ``estimated_steps`` from an earlier analyze-only response for the same
-    #: program.  ``None`` weighs the request as 1; the hint never changes
-    #: *where* a request may run, only how loaded its candidates look.
+    #: Estimated machine-step cost, which load-aware placement uses as the
+    #: request's queue-depth *weight* — typically ``estimated_steps`` from an
+    #: earlier analyze-only response.  ``None`` weighs the request as 1; the
+    #: hint never changes *where* a request may run.
     cost_hint: Optional[int] = None
-    #: The request's QoS class — ``"high"`` | ``"standard"`` |
-    #: ``"best-effort"`` (see :data:`PRIORITY_WEIGHTS`) or a raw positive
-    #: integer weight.  Under contention the driver grants each execution
-    #: ``priority_weight`` consecutive slices per round-robin turn, so a high
-    #: tenant's p99 stays low while best-effort work soaks up the remainder.
-    #: Priority shapes *latency*, never results: the bounded-latency
-    #: invariant still holds per slice and interleaved results must equal
-    #: sequential ones whatever the weights (checked by the QoS tests in
-    #: ``tests/test_fuzz.py``).
-    priority: Union[int, str] = DEFAULT_PRIORITY
+    #: The request's QoS class, a key of :data:`PRIORITY_WEIGHTS`.  Under
+    #: contention the driver grants each execution its class's weight in
+    #: consecutive slices per round-robin turn, so a high tenant's p99 stays
+    #: low while best-effort work soaks up the remainder.  Priority shapes
+    #: *latency*, never results: interleaved results must equal sequential
+    #: ones whatever the weights (the QoS tests in ``tests/test_fuzz.py``).
+    priority: str = DEFAULT_PRIORITY
 
     def label(self) -> str:
         return self.request_id or f"{self.system or '?'}/{self.language}"
 
-    @property
-    def priority_weight(self) -> int:
-        """The driver weight this request's ``priority`` resolves to."""
-        return priority_weight(self.priority)
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_STR = (lambda value: isinstance(value, str), "a str")
+_STR_OR_NONE = (lambda value: value is None or isinstance(value, str), "a str or None")
+_COUNT = (lambda value: _is_int(value) and value >= 0, "an int >= 0")
+
+#: One rule per :class:`Request` field: its test, and what the field must be.
+_RULES: Dict[str, Tuple[Callable[[Any], bool], str]] = {
+    "language": _STR,
+    "source": _STR,
+    "backend": _STR_OR_NONE,
+    "fuel": _COUNT,
+    "system": _STR_OR_NONE,
+    "request_id": _STR_OR_NONE,
+    "affinity": _STR_OR_NONE,
+    "deadline_seconds": (
+        lambda value: value is None or ((_is_int(value) or isinstance(value, float)) and 0 < value < math.inf),
+        "None or a finite number > 0",
+    ),
+    "retry_budget": _COUNT,
+    "analyze_only": (lambda value: isinstance(value, bool), "a bool"),
+    "cost_hint": (lambda value: value is None or _is_int(value), "an int or None"),
+    "priority": (
+        lambda value: isinstance(value, str) and value in PRIORITY_WEIGHTS, f"one of {sorted(PRIORITY_WEIGHTS)}"
+    ),
+}
+
+
+def check_request(request: Request) -> Request:
+    """``request``, once every field has passed its rule; raises
+    :class:`~repro.core.errors.RequestError` naming the first field that
+    does not."""
+    for name, (accepts, wanted) in _RULES.items():
+        value = getattr(request, name)
+        if not accepts(value):
+            raise RequestError(f"{name} must be {wanted}, got {reprlib.repr(value)}")
+    return request
 
 
 @dataclass
@@ -165,8 +157,9 @@ class Response:
     system: str = ""
     backend: Optional[str] = None
     result: Optional[RunResult] = None
-    #: Frontend-stage failure (parse/typecheck/convertibility/routing); when
-    #: set, the request never reached a machine and ``result`` is ``None``.
+    #: A refused request (:func:`check_request`) or a frontend-stage failure
+    #: (parse/typecheck/convertibility/routing); when set, the request never
+    #: reached a machine and ``result`` is ``None``.
     error: Optional[str] = None
     slices: int = 0
     #: Frontend pipeline time only (parse → typecheck → compile) — exactly
@@ -176,38 +169,32 @@ class Response:
     #: state), accounted separately so compile-time savings from a warm
     #: pipeline cache are not diluted by per-request start-up work.
     start_seconds: float = 0.0
-    #: Wall-clock latency from the request's first slice to its last one.
-    #: Under interleaving this includes time spent advancing *other*
-    #: requests on the shared loop — i.e. it is the request's latency as a
-    #: client would observe it, not its exclusive machine time.
+    #: Wall-clock latency from the request's first slice to its last, other
+    #: requests' turns on the shared loop included: what a client observes.
     run_seconds: float = 0.0
     cache_hit: bool = False
     #: Index of the worker-pool shard that served the request (``None`` when
     #: served in-process by a :class:`~repro.serve.scheduler.Scheduler`).
     shard: Optional[int] = None
     #: True when this request's compile was satisfied by an artifact another
-    #: worker process compiled and published to the pool's shared store (the
-    #: cross-process cache *hit* counter; ``cache_hit`` then reports the
+    #: member published to the shared store (``cache_hit`` then reports the
     #: resulting in-process LRU hit).  False + ``cache_hit`` False = miss.
     shared_cache_hit: bool = False
     #: True when this request's compile produced a new artifact that was
     #: published to the pool's shared store (the *publish* counter).
     published: bool = False
-    #: Number of identical requests (same system, program, typecheck
-    #: environments, backend, and fuel) served by the one VM instance that
-    #: produced this response — 1 means the request ran alone.  Coalesced
-    #: responses share the representative run's result and accounting.
+    #: Number of identical requests (same system, program, backend, and
+    #: fuel) served by the one VM instance that produced this response — 1
+    #: means it ran alone.  Coalesced responses share the representative
+    #: run's result and accounting.
     coalesced: int = 1
-    #: True when the request was stopped at a slice boundary before it
-    #: finished (the ``max_slices`` ceiling of
-    #: :meth:`~repro.serve.scheduler.Scheduler.serve`).  ``result`` is then ``None`` and — for
-    #: snapshot-capable backends — ``checkpoint`` holds the paused state.
+    #: True when the request was stopped at ``serve``'s ``max_slices``
+    #: ceiling.  ``result`` is then ``None`` and — for snapshot-capable
+    #: backends — ``checkpoint`` holds the paused state.
     preempted: bool = False
-    #: The :class:`~repro.serve.checkpoint.Checkpoint` reified at the last
-    #: slice boundary of a preempted run (``None`` for finished requests and
-    #: for backends without machine-state snapshots).  Feed it to
-    #: :meth:`~repro.serve.scheduler.Scheduler.resume` — in this process or
-    #: any other — to continue the run where it stopped.
+    #: The :class:`~repro.serve.checkpoint.Checkpoint` of a stopped run
+    #: (``None`` for finished requests and backends without snapshots); feed
+    #: it to :meth:`~repro.serve.scheduler.Scheduler.resume` anywhere.
     checkpoint: Optional[Any] = None
     #: True when this response continues a checkpoint instead of a fresh
     #: admission; ``slices`` then counts post-restore slices only (the
@@ -223,9 +210,8 @@ class Response:
     #: caller that wants to grant more time resumes instead of restarting.
     deadline_exceeded: bool = False
     #: True when admission control shed this request (past the batch's
-    #: ``max_batch`` limit) without running it — the structured alternative to
-    #: degrading every request in an overloaded batch.  Deterministic: the
-    #: *tail* of an oversized batch is shed, never a random subset.
+    #: ``max_batch`` limit) without running it.  Deterministic: the *tail*
+    #: of an oversized batch is shed, never a random subset.
     rejected_overload: bool = False
     #: Total dispatch attempts this response consumed: 1 for a request that
     #: never needed recovery, +1 for every checkpoint migration or
@@ -235,10 +221,9 @@ class Response:
     #: healthy worker instead (its circuit breaker was open).  ``shard``
     #: records where it actually ran; ``None`` means it ran at home.
     rerouted_from: Optional[int] = None
-    #: The static-analysis report for an ``analyze_only`` request (the
-    #: plain-dict form of :class:`repro.analysis.AnalysisReport`: crossing
-    #: sites, effect summary, divergence possibility, estimated step cost).
-    #: ``result`` is then ``None`` — the program was analyzed, never run.
+    #: The static-analysis report of an ``analyze_only`` request, as the
+    #: plain-dict form of :class:`repro.analysis.AnalysisReport`; ``result``
+    #: is then ``None`` — the program was analyzed, never run.
     report: Optional[dict] = None
 
     @property

@@ -6,50 +6,39 @@ routes each :class:`~repro.serve.request.Request` by language — explicitly
 via ``request.system`` when a language is served by more than one system
 (MiniML lives in both §4 and §5).
 
-``serve`` admits a batch: every request is compiled through its frontend's
-memoized pipeline (timed, with cache-hit accounting), started as a resumable
-execution under *its own* backend choice and fuel budget, and the whole
-batch is driven by the synchronous slice loop of
+``serve`` admits a batch: every request passes
+:func:`~repro.serve.request.check_request`, is compiled through its
+frontend's memoized pipeline (timed, with cache-hit accounting), started as
+a resumable execution under *its own* backend choice and fuel budget, and
+the whole batch is driven by the synchronous slice loop of
 :class:`~repro.serve.driver.StepSlicedDriver` — interleaved by priority
 weight, or one at a time with ``sequential=True``, the differential twin
-the serving tests compare against.  The same call coalesces
-identical requests (``batched``), preempts at a slice ceiling
+the serving tests compare against.  The same call coalesces identical
+requests onto one VM instance (``batched``), preempts at a slice ceiling
 (``max_slices``), and streams slice-boundary checkpoints
 (``on_checkpoint``); :meth:`Scheduler.resume` continues checkpointed runs
-through the same drive step.
+through the same drive step, and :meth:`Scheduler.warm_cache` fills the
+pipeline LRUs ahead of traffic.
 
-Per-request failures are isolated by construction: frontend errors (parse,
-typecheck, convertibility, routing, unknown backend) land in that request's
-:class:`~repro.serve.request.Response` as ``error``; runtime failures
-(including fuel exhaustion of that request's own budget) land in its
-``result``; a backend that *raises* mid-run (an engine bug) is caught per
-execution and surfaced as that response's ``error``.  None of them touches
-any other request in the batch.
+Per-request failures are isolated by construction: a refused request and
+frontend errors (parse, typecheck, convertibility, routing, unknown
+backend) land in that request's :class:`~repro.serve.request.Response` as
+``error``; runtime failures (including fuel exhaustion of that request's
+own budget) land in its ``result``; a backend that *raises* mid-run (an
+engine bug) is caught per execution and surfaced as that response's
+``error``.  None of them touches any other request in the batch.
 
-Bounded per-turn latency: every registered backend in every system — the
-substitution oracles and the compiled CEK machines — is a genuinely
-resumable execution, so no request (oracle-backed
-differential requests included) advances more than the driver's
-``slice_steps`` machine transitions per scheduler turn.
-
-Cross-request cache warming: :meth:`Scheduler.warm_cache` pushes a
-hot-program list through the pipelines ahead of traffic, so the first real
-request for a hot program hits the LRU instead of re-running
-parse → typecheck → compile.
-
-Batched boundary crossings: ``serve(..., batched=True)`` coalesces
-requests that agree on system, program, typecheck environments, backend,
-and fuel onto one VM instance per group — the built-in machines are
-deterministic, so outcomes equal the uncoalesced run's while duplicates
-skip the pipeline, start, and run cost.
+Bounded per-turn latency: every registered backend in every system is a
+resumable execution, so no request (oracle-backed differential requests
+included) advances more than the driver's ``slice_steps`` machine
+transitions per scheduler turn.
 
 Cross-process sharing hooks: :meth:`Scheduler.pipeline_key` /
 :meth:`Scheduler.export_cache_entry` / :meth:`Scheduler.import_cache_entry`
-address the frontend LRUs by ``(system, frontend cache key)`` — the store
-key format of :class:`repro.serve.pool.WorkerPool`'s parent-owned shared
-cache.  The system name is part of the key on purpose: two systems may
-serve one language name with different compilers, and an artifact must
-never cross that namespace.
+address the frontend LRUs by ``(system, frontend cache key)``, the key of
+the members' shared store.  The system name is part of the key on purpose:
+two systems may serve one language name with different compilers, and an
+artifact must never cross that namespace.
 """
 
 from __future__ import annotations
@@ -59,14 +48,14 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.core.errors import ReproError
+from repro.core.errors import ReproError, RequestError
 from repro.core.interop import InteropSystem
 from repro.core.language import CacheKey, CompiledUnit
 from repro.serve.checkpoint import Checkpoint, CheckpointStore
 from repro.serve.driver import StepSlicedDriver
 from repro.serve.faults import FaultPlan
 from repro.serve.reliability import DeadlineExceeded
-from repro.serve.request import Request, Response
+from repro.serve.request import PRIORITY_WEIGHTS, Request, Response, check_request
 
 #: A cross-process pipeline-cache store key: the frontend LRU key paired with
 #: the *system* name — two systems may serve the same language name with
@@ -74,9 +63,8 @@ from repro.serve.request import Request, Response
 #: key must never be shared across systems.
 StoreKey = Tuple[str, CacheKey]
 
-#: A warm-list entry: a full request or a bare ``(language, source)`` pair
-#: (optionally ``(language, source, typecheck_kwargs)``).
-HotProgram = Union[Request, Tuple[str, str], Tuple[str, str, Dict[str, Any]]]
+#: A warm-list entry: a full request or a bare ``(language, source)`` pair.
+HotProgram = Union[Request, Tuple[str, str]]
 
 
 @dataclass
@@ -204,11 +192,6 @@ class Scheduler:
         """
         response = Response(request=request)
         try:
-            request.priority_weight  # validate the QoS class at admission
-        except ValueError as error:
-            response.error = str(error)
-            return PreparedRequest(response)
-        try:
             system_name, system = self.route(request)
         except ReproError as error:
             response.error = str(error)
@@ -218,9 +201,7 @@ class Scheduler:
         hits_before = frontend.cache_hits
         start = time.perf_counter()
         try:
-            unit = system.compile_source(
-                request.language, request.source, **dict(request.typecheck_kwargs)
-            )
+            unit = system.compile_source(request.language, request.source)
         except Exception as error:  # a bad request must not take down the batch
             response.compile_seconds = time.perf_counter() - start
             response.error = f"{type(error).__name__}: {error}"
@@ -269,16 +250,17 @@ class Scheduler:
         The default interleaves every admitted execution, each request
         weighted by its ``priority`` class; ``sequential=True`` drives them
         one at a time instead (the differential baseline).  Either way each
-        request runs under its own backend and fuel budget.
+        request runs under its own backend and fuel budget, once it passes
+        :func:`~repro.serve.request.check_request`; a request that does not
+        is answered alone, with a ``RequestError``.
 
         ``batched=True`` coalesces requests that agree on system, program,
-        typecheck environments, backend, and fuel (:meth:`batch_key`): one
-        *representative* per group is compiled, started, and driven, and the
-        other members receive a copy of its response, with ``coalesced``
-        recording the group size on every member.  Built-in backends are
-        deterministic machines, so outcomes are identical to the uncoalesced
-        run; what the batch saves is the duplicates' pipeline, start, and
-        run cost.
+        backend, and fuel (:meth:`batch_key`): one *representative* per
+        group is compiled, started, and driven, and the other members
+        receive a copy of its response, with ``coalesced`` recording the
+        group size on every member.  Built-in backends are deterministic,
+        so outcomes equal the uncoalesced run's; the batch saves the
+        duplicates' pipeline, start, and run cost.
 
         ``on_checkpoint(indices, checkpoint)`` observes each snapshot-capable
         run's paused state as a :class:`~repro.serve.checkpoint.Checkpoint`
@@ -293,11 +275,16 @@ class Scheduler:
         deadline-stopped request carries its checkpoint the same way.
         """
         groups: "OrderedDict[Any, List[int]]" = OrderedDict()
+        refused: Dict[int, PreparedRequest] = {}
         for index, request in enumerate(requests):
-            key = self.batch_key(request) if batched else None
+            try:
+                check_request(request)
+            except RequestError as error:
+                refused[index] = PreparedRequest(Response(request, error=f"RequestError: {error}"))
+            key = self.batch_key(request) if batched and index not in refused else None
             groups.setdefault(("solo", index) if key is None else key, []).append(index)
         members = list(groups.values())
-        prepared = [self.prepare(requests[group[0]]) for group in members]
+        prepared = [refused.get(group[0]) or self.prepare(requests[group[0]]) for group in members]
         hook = None
         if on_checkpoint is not None:
             def hook(position: int, checkpoint: Checkpoint) -> None:
@@ -343,10 +330,7 @@ class Scheduler:
             if self.fault_plan is not None:
                 execution = self.fault_plan.instrument(execution, request_id=request.request_id)
             executions.append(_GuardedExecution(execution))
-            try:  # a foreign checkpoint may carry a priority this build rejects
-                weights.append(request.priority_weight)
-            except ValueError:
-                weights.append(1)
+            weights.append(PRIORITY_WEIGHTS[request.priority])
         hook = None
         if on_checkpoint is not None:
             def hook(index: int, slices: int) -> None:
@@ -414,8 +398,9 @@ class Scheduler:
         ``resumed=True``; ``slices`` counts post-restore slices only, while
         the checkpoint's own ``slices`` field preserves the earlier count.
         The combined outcome is observably identical to never having stopped.
-        A checkpoint that fails to restore (unknown system, version skew,
-        tampered snapshot) fails alone, as its response's ``error``.
+        A checkpoint whose request :func:`~repro.serve.request.check_request`
+        refuses, or that fails to restore (unknown system, version skew,
+        tampered snapshot), fails alone, as its response's ``error``.
 
         A resumed request's ``deadline_seconds`` applies afresh to this
         attempt — the per-attempt reading, so granting a retry means
@@ -430,6 +415,12 @@ class Scheduler:
                 backend=checkpoint.backend,
                 resumed=True,
             )
+            try:
+                check_request(checkpoint.request)
+            except RequestError as error:
+                response.error = f"RequestError: {error}"
+                prepared.append(PreparedRequest(response))
+                continue
             if self.fault_plan is not None and self.fault_plan.fire(
                 "restore.tamper", request_id=checkpoint.request.request_id
             ):
@@ -481,8 +472,8 @@ class Scheduler:
 
         Two requests may share one VM instance only when *everything* that
         determines the run is identical: the :meth:`pipeline_key` (routed
-        system, language, source, frozen typecheck kwargs), the resolved
-        backend, and the fuel budget.  Every engine is a deterministic
+        system, language, source), the resolved backend, and the fuel
+        budget.  Every engine is a deterministic
         machine, so such requests share one outcome.  Analyze-only requests
         never coalesce: they start no VM instance, so there is nothing to
         share (and their compiles already dedupe through the pipeline LRU).
@@ -502,17 +493,15 @@ class Scheduler:
     def pipeline_key(self, request: Request) -> Optional[StoreKey]:
         """The shared-store key for ``request``'s compile, or ``None``.
 
-        ``None`` means the request cannot participate in cross-process cache
-        sharing — it does not route, or a typecheck argument has no reliable
-        value-equality surrogate — and must be compiled from source wherever
-        it lands.
+        ``None`` means the request does not route, so it cannot share a
+        compile across processes.
         """
         try:
             system_name, system = self.route(request)
         except ReproError:
             return None
         frontend = system.frontend(request.language)
-        key = frontend.cache_key(request.source, dict(request.typecheck_kwargs))
+        key = frontend.cache_key(request.source)
         if key is None:
             return None
         return (system_name, key)
@@ -551,23 +540,19 @@ class Scheduler:
         """Pre-populate the pipeline LRUs from a hot-program list.
 
         Each entry is compiled through its frontend's memoized pipeline (and
-        discarded), so later requests for the same ``(language, source,
-        typecheck kwargs)`` key hit the cache.  Returns the number of entries
+        discarded), so later requests for the same ``(language, source)``
+        hit the cache.  Returns the number of entries
         warmed; a malformed hot-list entry raises — the warm list is operator
         configuration, not user traffic, and silently skipping it would hide
         the misconfiguration until the cache misses show up in production.
         """
         warmed = 0
         for entry in hot_programs:
-            if isinstance(entry, Request):
-                language, source = entry.language, entry.source
-                kwargs = dict(entry.typecheck_kwargs)
-                _name, system = self.route(entry)
-            else:
-                language, source = entry[0], entry[1]
-                kwargs = dict(entry[2]) if len(entry) > 2 else {}
-                _name, system = self.route(Request(language=language, source=source))
-            system.compile_source(language, source, **kwargs)
+            if not isinstance(entry, Request):
+                language, source = entry
+                entry = Request(language=language, source=source)
+            _name, system = self.route(entry)
+            system.compile_source(entry.language, entry.source)
             warmed += 1
         return warmed
 

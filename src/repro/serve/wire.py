@@ -90,7 +90,7 @@ __all__ = [
 
 #: The protocol version this build speaks.  Bump on any incompatible frame
 #: or body-schema change; negotiation happens in HELLO/WELCOME.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 #: Ceiling on one frame's body size.  Large enough for any realistic batch
 #: (bodies are compiled units, checkpoints, and request lists), small enough

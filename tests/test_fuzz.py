@@ -44,7 +44,6 @@ from repro.serve import (
     Request,
     StepSlicedDriver,
     make_default_scheduler,
-    priority_weight,
 )
 
 SEED = 20260808
@@ -293,14 +292,9 @@ def test_legacy_workloads_agree_on_all_backends(oracle):
 
 
 def test_priority_classes_map_to_documented_weights():
-    assert priority_weight("high") == PRIORITY_WEIGHTS["high"] == 8
-    assert priority_weight("standard") == PRIORITY_WEIGHTS["standard"] == 2
-    assert priority_weight("best-effort") == PRIORITY_WEIGHTS["best-effort"] == 1
-    assert priority_weight(5) == 5
-    assert Request(language="RefLL", source="1").priority_weight == 2  # default class
-    for bad in ("urgent", 0, -1, True):
-        with pytest.raises(ValueError):
-            priority_weight(bad)
+    # Unknown classes are refused per request: tests/test_requests.py.
+    assert PRIORITY_WEIGHTS == {"high": 8, "standard": 2, "best-effort": 1}
+    assert PRIORITY_WEIGHTS[Request(language="RefLL", source="1").priority] == 2  # default class
 
 
 class _CountingExecution:

@@ -198,16 +198,17 @@ def test_endpoint_answers_a_malformed_work_body_and_keeps_serving():
     # the endpoint's serving thread survives it and welcomes the next peer.
     worker = NetWorker(endpoint_id=0, slice_steps=SLICE_STEPS)
     worker.start()
+    bodies = (None, ("serve",), ("serve", [(0, 5)], [], []), ("resume", 5))
     try:
-        for _attempt in range(2):
+        for work in bodies + bodies[:1]:
             sock = socket.create_connection(worker.address, timeout=5)
             try:
                 send_frame(sock, HELLO, {"version": WIRE_VERSION, "role": "router"})
                 recv_frame(sock)
-                send_frame(sock, REQUEST, None)
+                send_frame(sock, REQUEST, work)
                 frame_type, body = recv_frame(sock)
                 assert frame_type == RESPONSE
-                assert body[0] == "error" and body[1].startswith("TypeError: ")
+                assert body[0] == "error" and body[1].startswith("malformed work body: ")
             finally:
                 sock.close()
     finally:
@@ -218,17 +219,25 @@ def test_router_answers_malformed_client_bodies_with_protocol_errors():
     # Each body once made the router's conversation thread raise (TypeError,
     # AttributeError, an unhashable store key) and drop the client; a
     # wrongly typed Request field raised only once an endpoint was there to
-    # place it on.
+    # place it on, and is now refused alone inside a normal RESPONSE.
     router, workers = _fleet(worker_count=1)
-    bodies = (
-        (REQUEST, 5),
-        (REQUEST, [5]),
-        (REQUEST, [Request(language=5, source="x")]),
-        (REQUEST, [Request(language="RefLL", source="1", typecheck_kwargs=5)]),
-        (PUBLISH, 5),
-        (FETCH, [1]),
+    bodies = ((REQUEST, 5), (REQUEST, [5]), (PUBLISH, 5), (FETCH, [1]))
+    wrongly_typed = (
+        Request(language=5, source="x"),
+        Request(language="RefLL", source="1", retry_budget="x"),
     )
     try:
+        for request in wrongly_typed:
+            sock = socket.create_connection(router.address, timeout=5)
+            try:
+                send_frame(sock, HELLO, {"version": WIRE_VERSION, "role": "client"})
+                recv_frame(sock)
+                send_frame(sock, REQUEST, [request])
+                reply_type, reply = recv_frame(sock)
+                assert reply_type == RESPONSE, request
+                assert reply[0].error.startswith("RequestError: ")
+            finally:
+                sock.close()
         for frame_type, body in bodies:
             sock = socket.create_connection(router.address, timeout=5)
             try:

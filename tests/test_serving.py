@@ -147,7 +147,6 @@ def _isolated(request):
         request.source,
         fuel=request.fuel,
         backend=request.backend,
-        **dict(request.typecheck_kwargs),
     )
 
 
