@@ -52,7 +52,7 @@ from repro.serve.dispatch import Dispatcher, exchange_all, flat_stats, load_repo
 from repro.serve.faults import FaultPlan
 from repro.serve.pool import default_scheduler_factory
 from repro.serve.reliability import DispatchPolicy
-from repro.serve.request import Request, Response
+from repro.serve.request import Request, Response, check_request
 from repro.serve.scheduler import Scheduler, StoreKey
 from repro.serve.wire import (
     BYE,
@@ -458,8 +458,9 @@ class NetRouter(_Listener):
     # -- placement and dispatch --------------------------------------------------
 
     def endpoint_for(self, request: Request) -> int:
-        """Pure ring placement preview (no load, no quarantine, no dispatch)."""
-        return self._dispatcher.ring.node_for(self._scheduler.placement_key(request))
+        """Pure ring placement preview (no load, no quarantine, no dispatch).
+        Raises :func:`~repro.serve.request.check_request`'s ``RequestError``."""
+        return self._dispatcher.ring.node_for(self._scheduler.placement_key(check_request(request)))
 
     def run_batch(self, requests: Sequence[Request]) -> List[Response]:
         """Serve a batch through the fleet; responses in request order."""

@@ -42,7 +42,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.serve.dispatch import Dispatcher, exchange_all, load_report, serve_member
 from repro.serve.faults import FaultPlan
 from repro.serve.reliability import BreakerPolicy, DispatchPolicy
-from repro.serve.request import Request, Response
+from repro.serve.request import Request, Response, check_request
 from repro.serve.scheduler import Scheduler, make_default_scheduler
 from repro.serve.wire import ConnectionDropped, FrameConnection
 
@@ -256,8 +256,9 @@ class WorkerPool:
     # -- serving --------------------------------------------------------------
 
     def shard_of(self, request: Request) -> int:
-        """The worker index ``request`` is routed to (deterministic)."""
-        return self._dispatcher.ring.node_for(self._router.placement_key(request))
+        """The worker index ``request`` is routed to (deterministic).
+        Raises :func:`~repro.serve.request.check_request`'s ``RequestError``."""
+        return self._dispatcher.ring.node_for(self._router.placement_key(check_request(request)))
 
     def run_batch(self, requests: Sequence[Request]) -> List[Response]:
         """Shard a batch across the workers; responses in request order.

@@ -14,7 +14,9 @@ compiled fast-path requests.
 :meth:`Dispatcher.run_batch <repro.serve.dispatch.Dispatcher.run_batch>`
 call it before they read a field, and code past them trusts every field.  A
 request it refuses is answered alone, with ``Response.error`` reading
-``"RequestError: <field> …"``; the rest of its batch is served.
+``"RequestError: <field> …"``; the rest of its batch is served.  The
+placement previews ``WorkerPool.shard_of`` and ``NetRouter.endpoint_for``
+raise it.
 
 A :class:`Response` pairs the request with its observable outcome and the
 per-request accounting: the resolved system/backend, machine step count,

@@ -1,7 +1,6 @@
-"""Shared utilities: s-expression reading and pretty printing."""
+"""Shared utilities: s-expression reading and the deep-crossing workloads."""
 
 from repro.util.sexpr import SAtom, SExpr, SList, parse_many, parse_sexpr, tokenize
-from repro.util.pretty import commas, indent_block, parens, truncate
 
 __all__ = [
     "SAtom",
@@ -10,8 +9,4 @@ __all__ = [
     "parse_many",
     "parse_sexpr",
     "tokenize",
-    "commas",
-    "indent_block",
-    "parens",
-    "truncate",
 ]

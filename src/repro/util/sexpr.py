@@ -2,17 +2,19 @@
 
 All the surface syntaxes in this reproduction are written as s-expressions,
 e.g. ``(if true (inl ()) (inr false))`` for RefHL or
-``(lam (x int) (+ x 1))`` for RefLL.  This module tokenizes and reads the
-generic tree structure; each language's parser then interprets the trees.
+``(lam (x int) (+ x 1))`` for RefLL.  This module reads the generic tree
+structure; each language's parser then interprets the trees.
 
-The reader produces :class:`SAtom` and :class:`SList` nodes carrying source
-spans so that parse/type errors can point back at the offending text.
+The reader is one scan of a compiled regex with an explicit stack of open
+lists, so it does not recurse and reads any nesting depth.  It produces
+:class:`SAtom` and :class:`SList` nodes carrying source offsets so that
+parse/type errors can point back at the offending text.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Sequence, Union
+import re
+from typing import List, NamedTuple, Union
 
 from repro.core.errors import ParseError
 from repro.core.names import Span
@@ -20,12 +22,23 @@ from repro.core.names import Span
 __all__ = ["SAtom", "SList", "SExpr", "tokenize", "parse_sexpr", "parse_many"]
 
 
-@dataclass(frozen=True)
 class SAtom:
-    """An atomic token: a symbol or an integer literal."""
+    """An atomic token: a symbol or an integer literal.
 
-    text: str
-    span: Span = field(default_factory=Span, compare=False)
+    Equality and hashing look only at ``text``, never at the position.
+    """
+
+    __slots__ = ("text", "start", "end", "source_name")
+
+    def __init__(self, text: str, start: int = 0, end: int = 0, source_name: str = "<input>"):
+        self.text = text
+        self.start = start
+        self.end = end
+        self.source_name = source_name
+
+    @property
+    def span(self) -> Span:
+        return Span(self.start, self.end, self.source_name)
 
     @property
     def is_int(self) -> bool:
@@ -41,16 +54,38 @@ class SAtom:
             raise ParseError(f"expected integer literal, got {self.text!r}")
         return int(self.text)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SAtom):
+            return NotImplemented
+        return self.text == other.text
+
+    def __hash__(self) -> int:
+        return hash(self.text)
+
+    def __repr__(self) -> str:
+        return f"SAtom({self.text!r})"
+
     def __str__(self) -> str:
         return self.text
 
 
-@dataclass(frozen=True)
 class SList:
-    """A parenthesized list of sub-expressions."""
+    """A parenthesized list of sub-expressions.
 
-    items: tuple
-    span: Span = field(default_factory=Span, compare=False)
+    Equality and hashing look only at ``items``, never at the position.
+    """
+
+    __slots__ = ("items", "start", "end", "source_name")
+
+    def __init__(self, items: tuple, start: int = 0, end: int = 0, source_name: str = "<input>"):
+        self.items = items
+        self.start = start
+        self.end = end
+        self.source_name = source_name
+
+    @property
+    def span(self) -> Span:
+        return Span(self.start, self.end, self.source_name)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -61,109 +96,92 @@ class SList:
     def __iter__(self):
         return iter(self.items)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SList):
+            return NotImplemented
+        return self.items == other.items
+
+    def __hash__(self) -> int:
+        return hash(self.items)
+
+    def __repr__(self) -> str:
+        return f"SList({self.items!r})"
+
     def __str__(self) -> str:
         return "(" + " ".join(str(item) for item in self.items) + ")"
 
 
 SExpr = Union[SAtom, SList]
 
-_PUNCTUATION = "()"
-_LINE_COMMENT = ";"
+# One token per match: skip whitespace and ``;`` line comments, then match
+# ``(`` (group 1), ``)`` (group 2), an atom (group 3), or the end of the text
+# (no group).  The end alternative makes every search succeed on its first,
+# greedy path, so trailing whitespace or comments never backtrack.
+_TOKEN = re.compile(r"\s*(?:;[^\n]*\s*)*(?:(\()|(\))|([^\s();]+)|\Z)")
 
 
-@dataclass(frozen=True)
-class _Token:
+class Token(NamedTuple):
+    """One parenthesis or atom and its ``[start, end)`` offsets."""
+
     text: str
     start: int
     end: int
 
 
-def tokenize(text: str, source_name: str = "<input>") -> List[_Token]:
+def tokenize(text: str) -> List[Token]:
     """Split ``text`` into parenthesis and atom tokens.
 
     Line comments start with ``;`` and run to the end of the line.
     """
-    tokens: List[_Token] = []
-    index = 0
-    length = len(text)
-    while index < length:
-        char = text[index]
-        if char.isspace():
-            index += 1
-        elif char == _LINE_COMMENT:
-            while index < length and text[index] != "\n":
-                index += 1
-        elif char in _PUNCTUATION:
-            tokens.append(_Token(char, index, index + 1))
-            index += 1
-        else:
-            start = index
-            while (
-                index < length
-                and not text[index].isspace()
-                and text[index] not in _PUNCTUATION
-                and text[index] != _LINE_COMMENT
-            ):
-                index += 1
-            tokens.append(_Token(text[start:index], start, index))
-    return tokens
+    return [Token(m[m.lastindex], m.start(m.lastindex), m.end()) for m in _TOKEN.finditer(text) if m.lastindex]
 
 
-class _Reader:
-    def __init__(self, tokens: Sequence[_Token], source_name: str):
-        self._tokens = list(tokens)
-        self._position = 0
-        self._source_name = source_name
-
-    def at_end(self) -> bool:
-        return self._position >= len(self._tokens)
-
-    def peek(self) -> _Token:
-        if self.at_end():
-            raise ParseError("unexpected end of input")
-        return self._tokens[self._position]
-
-    def advance(self) -> _Token:
-        token = self.peek()
-        self._position += 1
-        return token
-
-    def read(self) -> SExpr:
-        token = self.advance()
-        if token.text == "(":
+def _read(text: str, source_name: str, one: bool) -> List[SExpr]:
+    """Read the forms of ``text``; with ``one``, stop after the first form
+    and refuse any token after it as trailing input."""
+    forms: List[SExpr] = []
+    items: List[SExpr] = forms
+    stack: List[tuple] = []  # (offset of the '(', items of the enclosing list)
+    matches = _TOKEN.finditer(text)
+    for match in matches:
+        group = match.lastindex
+        if group == 3:
+            atom = match[3]
+            end = match.end()
+            if not atom.isascii() and atom.removeprefix("-").isdigit():
+                raise ParseError(f"integer literal {atom!r} at offset {end - len(atom)} is not ASCII digits 0-9")
+            items.append(SAtom(atom, end - len(atom), end, source_name))
+        elif group == 1:
+            stack.append((match.end() - 1, items))
             items = []
-            while True:
-                if self.at_end():
-                    raise ParseError("unclosed '(' in input")
-                if self.peek().text == ")":
-                    closing = self.advance()
-                    span = Span(token.start, closing.end, self._source_name)
-                    return SList(tuple(items), span)
-                items.append(self.read())
-        if token.text == ")":
-            raise ParseError(f"unexpected ')' at offset {token.start}")
-        if not token.text.isascii() and token.text.removeprefix("-").isdigit():
-            raise ParseError(f"integer literal {token.text!r} at offset {token.start} is not ASCII digits 0-9")
-        span = Span(token.start, token.end, self._source_name)
-        return SAtom(token.text, span)
+        elif group == 2:
+            end = match.end()
+            if not stack:
+                raise ParseError(f"unexpected ')' at offset {end - 1}")
+            start, enclosing = stack.pop()
+            enclosing.append(SList(tuple(items), start, end, source_name))
+            items = enclosing
+        else:
+            break
+        if one and not stack:
+            extra = next(matches)
+            group = extra.lastindex
+            if group is not None:
+                raise ParseError(f"trailing input starting at offset {extra.start(group)}: {extra[group]!r}")
+            break
+    if stack:
+        raise ParseError("unclosed '(' in input")
+    return forms
 
 
 def parse_sexpr(text: str, source_name: str = "<input>") -> SExpr:
     """Parse exactly one s-expression from ``text``."""
-    reader = _Reader(tokenize(text, source_name), source_name)
-    if reader.at_end():
+    forms = _read(text, source_name, one=True)
+    if not forms:
         raise ParseError("empty input")
-    expr = reader.read()
-    if not reader.at_end():
-        extra = reader.peek()
-        raise ParseError(f"trailing input starting at offset {extra.start}: {extra.text!r}")
-    return expr
+    return forms[0]
 
 
 def parse_many(text: str, source_name: str = "<input>") -> List[SExpr]:
     """Parse a sequence of s-expressions (e.g. a whole file)."""
-    reader = _Reader(tokenize(text, source_name), source_name)
-    forms: List[SExpr] = []
-    while not reader.at_end():
-        forms.append(reader.read())
-    return forms
+    return _read(text, source_name, one=False)

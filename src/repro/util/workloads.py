@@ -6,8 +6,9 @@ backend comparisons, the serving benchmark, and the serving tests.  Keeping
 them here (rather than copied per call site) guarantees every consumer
 measures the *same* program family.
 
-Keep ``depth`` ≤ ~80: the recursive parsers hit Python's recursion limit
-past that.
+Keep ``depth`` ≤ ~80: the per-language parsers, typecheckers and compilers
+recurse on the tree and hit Python's recursion limit past that (the shared
+s-expression reader does not recurse).
 """
 
 from __future__ import annotations

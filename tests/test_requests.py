@@ -13,7 +13,9 @@ What is pinned here:
 * **the probes** that once leaked a raw ``TypeError`` string, raised out of
   ``serve``/``run_batch``, or were accepted silently;
 * **a foreign checkpoint** whose request is malformed fails alone in
-  ``Scheduler.resume``.
+  ``Scheduler.resume``;
+* **the placement previews** ``WorkerPool.shard_of`` and
+  ``NetRouter.endpoint_for`` raise ``RequestError`` for a malformed request.
 """
 
 from dataclasses import fields, replace
@@ -102,6 +104,8 @@ def tiers():
             "serve-batched": lambda batch: scheduler.serve(batch, batched=True),
             "pool": pool.run_batch,
             "router": client.run_batch,
+            "shard_of": pool.shard_of,
+            "endpoint_for": router.endpoint_for,
         }
     finally:
         pool.close()
@@ -146,6 +150,19 @@ def test_a_wrong_field_fails_alone(tiers, tier, case, position):
 @pytest.mark.parametrize("name, value", PROBES, ids=[name for name, _value in PROBES])
 def test_probe_fails_alone(tiers, tier, name, value):
     _check_batch(tiers[tier], tier, name, value, 1)
+
+
+#: Requests the placement previews once answered with a raw ``TypeError``,
+#: or (``affinity=3``) with the int itself as the ring key.
+PREVIEW_PROBES = [("system", [1]), ("language", 5), ("source", None), ("affinity", 3)]
+
+
+@pytest.mark.parametrize("preview", ["shard_of", "endpoint_for"])
+@pytest.mark.parametrize("name, value", PREVIEW_PROBES, ids=[name for name, _value in PREVIEW_PROBES])
+def test_placement_preview_refuses_a_wrong_field(tiers, preview, name, value):
+    with pytest.raises(RequestError, match=f"^{name} "):
+        tiers[preview](replace(BASE, **{name: value}))
+    assert isinstance(tiers[preview](BASE), int)
 
 
 def test_a_foreign_checkpoint_with_a_wrong_field_fails_alone():

@@ -143,3 +143,91 @@ def test_symbols_mentioning_non_ascii_digits_stay_symbols():
     atom = parse_sexpr("x²")
     assert not atom.is_int
     assert atom.text == "x²"
+
+
+@pytest.mark.parametrize(
+    "read, text, message",
+    [
+        (parse_sexpr, "", "empty input"),
+        (parse_sexpr, "  ; only a comment", "empty input"),
+        (parse_sexpr, "(a (b c)", "unclosed '(' in input"),
+        (parse_many, "(a) (b", "unclosed '(' in input"),
+        (parse_sexpr, "  )", "unexpected ')' at offset 2"),
+        (parse_many, "(a) )", "unexpected ')' at offset 4"),
+        (parse_sexpr, "(push -٣)", "integer literal '-٣' at offset 6 is not ASCII digits 0-9"),
+        (parse_sexpr, "(a) (b", "trailing input starting at offset 4: '('"),
+        (parse_sexpr, "(a) )", "trailing input starting at offset 4: ')'"),
+        (parse_sexpr, "(a) b", "trailing input starting at offset 4: 'b'"),
+        (parse_sexpr, "a ; x\n ²", "trailing input starting at offset 7: '²'"),
+    ],
+)
+def test_malformed_input_messages(read, text, message):
+    with pytest.raises(ParseError) as raised:
+        read(text)
+    assert str(raised.value) == message
+
+
+_atom = st.one_of(
+    _symbol,
+    st.sampled_from(["+", "-", "set!", "let-tensor", "x²"]),
+    st.integers(-999, 999).map(str),
+)
+_gap = st.lists(
+    st.sampled_from([" ", "\n", "\t", "\r\n", "; note (a\n", ";)(;\n", "\u00a0"]), min_size=1, max_size=3
+).map("".join)
+_maybe_gap = st.one_of(st.just(""), _gap)
+
+
+@st.composite
+def _spaced_text(draw, depth=3):
+    """Source text with whitespace, newlines and ``;`` comments between tokens."""
+    if depth == 0 or draw(st.booleans()):
+        return draw(_atom)
+    children = draw(st.lists(_spaced_text(depth=depth - 1), max_size=4))
+    inner = "".join(draw(_gap) + child for child in children)
+    return "(" + draw(_maybe_gap) + inner + draw(_maybe_gap) + ")"
+
+
+def _nodes(root):
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, SList):
+            stack.extend(node)
+
+
+@given(_maybe_gap, _spaced_text(), st.one_of(_maybe_gap, st.just(" ; trailing comment")))
+def test_spans_reread_and_match_tokenize(before, body, after):
+    text = before + body + after
+    root = parse_sexpr(text)
+    assert parse_many(text) == [root]
+    tokens = []
+    for node in _nodes(root):
+        assert parse_sexpr(text[node.span.start : node.span.end]) == node
+        if isinstance(node, SAtom):
+            tokens.append((node.text, node.span.start, node.span.end))
+        else:
+            start, end = node.span.start, node.span.end
+            tokens += [("(", start, start + 1), (")", end - 1, end)]
+    assert sorted(tokens, key=lambda token: token[1]) == [
+        (token.text, token.start, token.end) for token in tokenize(text)
+    ]
+
+
+def test_deep_nesting_reads_without_recursion():
+    depth = 100_000
+    node = parse_sexpr("(" * depth + "x" + ")" * depth)
+    for level in range(depth):
+        assert isinstance(node, SList) and len(node) == 1
+        assert (node.span.start, node.span.end) == (level, 2 * depth + 1 - level)
+        node = node[0]
+    assert node == SAtom("x")
+    with pytest.raises(ParseError, match="unclosed"):
+        parse_sexpr("(" * depth)
+
+
+def test_equality_ignores_position():
+    assert parse_sexpr("(a  b)") == parse_sexpr("( a b )") == SList((SAtom("a"), SAtom("b")))
+    assert hash(parse_sexpr(" (a b)")) == hash(parse_sexpr("(a b)"))
+    assert parse_sexpr("a") != parse_sexpr("(a)")
