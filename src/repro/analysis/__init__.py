@@ -19,12 +19,14 @@ underflow with a structured :class:`StaticVerificationError` instead of
 letting the machine crash at runtime.  The analyzer is registered as
 ``analyze``; the pipeline defers it to the first read of
 ``CompiledUnit.analysis``, so the report is built only for its readers (the
-serving layer's ``analyze_only`` mode and ``tools/analyze.py``) and for
-units pickled into the cross-process artifact store.
+serving layer's ``analyze_only`` mode and ``tools/analyze.py``).  A unit
+pickled into the cross-process artifact store carries the hook and its
+boundary records instead, and builds its report on its first read there.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, Mapping, Optional, Tuple
 
 from repro.analysis.crossings import crossing_histogram, enumerate_crossings
@@ -114,27 +116,31 @@ def _verify_stacklang(unit: Any) -> None:
     require_verified(unit.target_code)
 
 
+def _analyze(target: str, languages: Tuple[str, str], unit: Any) -> AnalysisReport:
+    records = unit.records
+    return analyze_unit(
+        unit,
+        target=target,
+        languages=languages,
+        boundary_types=None if records is None else records.types,
+        resolved_rules=None if records is None else records.rules,
+    )
+
+
 def make_analyzer(
     target: str, languages: Tuple[str, str]
 ) -> Tuple[Callable[[Any], AnalysisReport], Optional[Callable[[Any], None]]]:
     """The ``(analyze, verify)`` hooks for a system's frontends.
 
-    ``analyze`` reads the unit's own boundary records (``unit.records``, a
-    ``(boundary_types, resolved_rules)`` pair the pipeline took from the
-    hooks), so a report built long after the pipeline still sees exactly
-    what that unit's typecheck recorded.  ``verify`` raises
-    :class:`StaticVerificationError` on definite StackLang underflow; LCVM
-    programs are tree-structured and always verify, so it is ``None`` there.
+    ``analyze`` reads the unit's own boundary records (``unit.records``,
+    the :class:`~repro.core.boundary.BoundaryRecords` the pipeline took from
+    the hooks), so a report built long after the pipeline still sees exactly
+    what that unit's typecheck recorded.  It is a module-level function bound
+    to ``(target, languages)``, so it pickles with a unit whose report is
+    not built yet.  ``verify`` raises :class:`StaticVerificationError` on
+    definite StackLang underflow; LCVM programs are tree-structured and
+    always verify, so it is ``None`` there.
     """
-
-    def analyze(unit: Any) -> AnalysisReport:
-        boundary_types, resolved_rules = unit.records or (None, None)
-        return analyze_unit(
-            unit,
-            target=target,
-            languages=languages,
-            boundary_types=boundary_types,
-            resolved_rules=resolved_rules,
-        )
-
-    return analyze, (_verify_stacklang if target == "stacklang" else None)
+    return functools.partial(_analyze, target, languages), (
+        _verify_stacklang if target == "stacklang" else None
+    )

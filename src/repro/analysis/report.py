@@ -1,11 +1,12 @@
 """The structured results of the per-node static-analysis framework.
 
 Everything in this module is deliberately *plain data*: frozen dataclasses
-of strings, ints, bools, and tuples.  A report pickles (so it rides inside
-:class:`~repro.core.language.CompiledUnit` through the pipeline LRU and the
-cross-process artifact store) and serializes to JSON (``to_dict``), and it
-never holds live objects — types are stringified, glue closures stay in the
-system's :class:`~repro.core.boundary.Boundaries` where they belong.
+of strings, ints, bools, and tuples.  A report pickles (so a
+:class:`~repro.core.language.CompiledUnit` whose report is already built
+carries it through the cross-process artifact store) and serializes to JSON
+(``to_dict``), and it never holds live objects — types are stringified,
+glue closures stay in the system's :class:`~repro.core.boundary.Boundaries`
+where they belong.
 
 Three result families:
 

@@ -19,19 +19,42 @@ system's ``make_system``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, NamedTuple
+from typing import Any, Dict, Iterable, NamedTuple, Tuple
 
 from repro.core.convertibility import ConvertibilityRelation, GlueFn
 from repro.core.errors import CompileError, ConvertibilityError
 
 
 class BoundaryRecords(NamedTuple):
-    """What one pipeline's typecheck recorded, keyed by ``id(boundary)``."""
+    """What one pipeline's typecheck recorded, keyed by ``id(boundary)``.
+
+    Ids mean nothing in another process, so the records pickle as
+    ``(boundary node, foreign type, rule)`` triples and re-key themselves
+    on load.  Pickled with the unit's term, each node is the very object
+    the unpickled term holds (pickle's memo keeps one copy), so the
+    importer's report joins exactly as the publisher's would.
+    """
 
     #: The foreign type each embedded term was checked at.
     types: Dict[int, Any]
     #: The convertibility rule behind each boundary site.
     rules: Dict[int, str]
+    #: The boundary node itself, kept for the trip between processes.
+    nodes: Dict[int, Any]
+
+    @classmethod
+    def from_sites(cls, sites: Iterable[Tuple[Any, Any, str]]) -> "BoundaryRecords":
+        records = cls({}, {}, {})
+        for node, foreign_type, rule in sites:
+            key = id(node)
+            records.types[key] = foreign_type
+            records.rules[key] = rule
+            records.nodes[key] = node
+        return records
+
+    def __reduce__(self) -> Tuple[Any, Tuple[Any, ...]]:
+        sites = [(node, self.types[key], self.rules[key]) for key, node in self.nodes.items()]
+        return (BoundaryRecords.from_sites, (sites,))
 
 
 class Boundaries:
@@ -39,18 +62,20 @@ class Boundaries:
 
     Typechecking a boundary derives its conversion, so :meth:`resolve` keeps
     the glue oriented toward the host (plus the foreign type and rule name
-    the analysis tier reports) under ``id(boundary)``; :meth:`compile` pops
-    that glue, so compiling a site performs no relation lookup at all.  The
-    frontends call :meth:`take_records` at the end of every pipeline,
-    rejected ones included, so no pipeline's records stay behind: they live
-    exactly as long as the unit they describe, and an id a later program
-    reuses never meets a stale entry.
+    the analysis tier reports, and the node they describe) under
+    ``id(boundary)``; :meth:`compile` pops that glue, so compiling a site
+    performs no relation lookup at all.  The frontends call
+    :meth:`take_records` at the end of every pipeline, rejected ones
+    included, so no pipeline's records stay behind: they live exactly as
+    long as the unit they describe, and an id a later program reuses never
+    meets a stale entry.
     """
 
     def __init__(self, relation: ConvertibilityRelation) -> None:
         self.relation = relation
         self.boundary_types: Dict[int, Any] = {}
         self.resolved_rules: Dict[int, str] = {}
+        self.boundary_nodes: Dict[int, Any] = {}
         #: Oriented glue per boundary site (compiled foreign term → host term).
         self.resolved_glue: Dict[int, GlueFn] = {}
 
@@ -73,6 +98,7 @@ class Boundaries:
         key = id(boundary)
         self.boundary_types[key] = foreign_type
         self.resolved_rules[key] = conversion.rule_name
+        self.boundary_nodes[key] = boundary
         self.resolved_glue[key] = conversion.apply_b_to_a if host_is_a else conversion.apply_a_to_b
         return annotation
 
@@ -86,7 +112,7 @@ class Boundaries:
         return glue(compiled_foreign)
 
     def take_records(self) -> BoundaryRecords:
-        records = BoundaryRecords(self.boundary_types, self.resolved_rules)
-        self.boundary_types, self.resolved_rules = {}, {}
+        records = BoundaryRecords(self.boundary_types, self.resolved_rules, self.boundary_nodes)
+        self.boundary_types, self.resolved_rules, self.boundary_nodes = {}, {}, {}
         self.resolved_glue.clear()
         return records

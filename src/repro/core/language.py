@@ -131,9 +131,10 @@ class LanguageFrontend:
     #: Optional static-analysis pass, run on demand: the pipeline hands the
     #: hook to the unit, and the first read of ``CompiledUnit.analysis``
     #: calls ``analyze(unit) -> report`` and caches the (picklable) result on
-    #: the unit.  A unit is analyzed before it is pickled, so the report
-    #: rides the cross-process artifact store, wire frames and checkpoints
-    #: with the compiled code it describes.
+    #: the unit.  Pickling a unit does not read it: the hook (which must
+    #: pickle) and the boundary records ride the cross-process artifact
+    #: store and wire frames with the compiled code, and the importing
+    #: process builds the report on its own first read.
     analyze: Optional[Callable[["CompiledUnit"], Any]] = None
     #: Optional ``take_records() -> records``: hands over, and forgets, what
     #: the system's boundaries recorded while this pipeline typechecked and
@@ -362,9 +363,11 @@ class CompiledUnit:
     read, from the pending ``analyze`` hook and the boundary ``records`` the
     pipeline took; both are dropped once the report is cached, so a program
     that only runs never pays for it.  The report is plain data (see
-    :mod:`repro.analysis.report`), and pickling a unit builds it first, so a
-    unit exported through the cross-process cache hooks carries its analysis
-    with it and an unpickled unit holds no hook.
+    :mod:`repro.analysis.report`).  Pickling a unit leaves it as it is: a
+    unit exported through the cross-process cache hooks carries the pending
+    hook and records (which re-key themselves to the unpickled term), or
+    the report when it was already built, so an importer builds the same
+    report on its own first read.
 
     ``machine_code`` maps backend names to the machine code built for this
     unit: process-local, never pickled or compared, it dies with the unit
@@ -391,9 +394,8 @@ class CompiledUnit:
         return self._analysis
 
     def __getstate__(self) -> Dict[str, Any]:
-        # The hook, the id-keyed records and the machine code mean nothing
-        # outside this process: the report is built, the code left behind.
-        return {**self.__dict__, "_analysis": self.analysis, "analyze": None, "records": None, "machine_code": None}
+        # Machine code means nothing outside this process: it is left behind.
+        return {**self.__dict__, "machine_code": None}
 
 
 class UnitCode:

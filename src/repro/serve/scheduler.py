@@ -212,7 +212,13 @@ class Scheduler:
             # The unit builds its report on this first read and caches it,
             # riding the LRU with the compiled code — a repeated analyze-only
             # request for a cached program touches no frontend stage at all.
-            analysis = getattr(unit, "analysis", None)
+            # An imported unit builds it here too, so a failing analyzer
+            # fails this response alone, never the batch.
+            try:
+                analysis = unit.analysis
+            except Exception as error:
+                response.error = f"{type(error).__name__}: {error}"
+                return PreparedRequest(response)
             if analysis is None:
                 response.error = (
                     f"system {system_name!r} registered no analyzer for "

@@ -37,6 +37,7 @@ from repro.analysis import (
     lcvm_effects,
     verify_program,
 )
+from repro.core.codec import decode, encode
 from repro.core.errors import SourceError
 from repro.interop_affine import make_system as make_affine_system
 from repro.interop_l3 import make_system as make_l3_system
@@ -342,18 +343,37 @@ def test_analysis_rides_the_cross_process_artifact_hooks():
 
 
 def test_analysis_rides_the_artifact_hooks_when_pickled_before_its_first_read():
+    """Encoding ships the pending hook and the boundary records, not a
+    report: the publisher's stays unbuilt, and the clone's first read builds
+    one equal to the publisher's."""
     scheduler = make_default_scheduler(slice_steps=16)
-    request = Request(language="RefLL", source=nested_refll_boundary(2))
-    scheduler.systems["refs"].compile_source("RefLL", request.source)
-    unit = scheduler.export_cache_entry(scheduler.pipeline_key(request))
-    assert unit is not None and unit.analyze is not None  # not analyzed yet
-    clone = pickle.loads(pickle.dumps(unit))  # what the pool actually ships
-    assert clone.analyze is None and clone.records is None
-    assert unit.analyze is None  # pickling built and cached the report
-    report = clone.analysis.to_dict()
-    assert report == unit.analysis.to_dict()
-    assert report["crossing_count"] == 4
-    assert all(site["foreign_type"] != "?" and site["rule"] for site in report["crossings"])
+    for system_name, (generator, language, per_depth) in sorted(_WORKLOADS.items()):
+        request = Request(language=language, system=system_name, source=generator(2))
+        scheduler.systems[system_name].compile_source(language, request.source)
+        unit = scheduler.export_cache_entry(scheduler.pipeline_key(request))
+        assert unit is not None and unit.analyze is not None  # not analyzed yet
+        clone = decode(encode(unit))  # what the pool and the net tier ship
+        assert unit.analyze is not None and unit.records is not None  # still unbuilt
+        assert clone.analyze is not None and clone.records is not None
+        report = clone.analysis.to_dict()
+        assert clone.analyze is None and clone.records is None
+        assert report == unit.analysis.to_dict()
+        assert report["crossing_count"] == 2 * per_depth
+        assert all(site["foreign_type"] != "?" and site["rule"] for site in report["crossings"])
+
+
+@pytest.mark.parametrize("error_type", [ValueError, AttributeError])
+def test_a_failing_analyzer_fails_only_its_own_request(error_type):
+    def failing_analyzer(unit):
+        raise error_type("analyzer bug")
+
+    scheduler = make_default_scheduler(slice_steps=16)
+    scheduler.systems["refs"].frontend("RefLL").analyze = failing_analyzer
+    bad = Request(language="RefLL", source=nested_refll_boundary(2), analyze_only=True)
+    good = Request(language="RefLL", source="(+ 1 2)")
+    analyzed, ran = scheduler.serve([bad, good])
+    assert analyzed.error == f"{error_type.__name__}: analyzer bug" and analyzed.report is None
+    assert ran.error is None and str(ran.result.value) == "3"
 
 
 _TARGETS = {"refs": "stacklang", "affine": "lcvm", "l3": "lcvm"}
@@ -423,7 +443,10 @@ def test_boundary_record_maps_stay_bounded_under_cold_traffic(system_name):
             ]
         )
         assert all(response.error is None for response in responses)
-        maps = [boundaries.boundary_types, boundaries.resolved_glue, boundaries.resolved_rules]
+        maps = [
+            boundaries.boundary_types, boundaries.resolved_glue, boundaries.resolved_rules,
+            boundaries.boundary_nodes,
+        ]
         if system_name == "affine":
             maps += [boundaries.annotations.variable_resolutions, boundaries.annotations.application_modes]
         largest = max([largest] + [len(records) for records in maps])

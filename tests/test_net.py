@@ -36,6 +36,7 @@ fault must mean the same thing on a spawned pool worker as on an endpoint),
 the counter deltas that fault leaves, and the shared ``stats()`` shape.
 """
 
+import dataclasses
 import pickle
 import socket
 import struct
@@ -45,6 +46,7 @@ import time
 
 import pytest
 
+from repro import analysis
 from repro.serve import (
     DispatchPolicy,
     Fault,
@@ -733,6 +735,42 @@ def test_cross_endpoint_cache_warming():
         assert store["publishes"] >= 1
         assert store["cross_worker_hits"] >= 1
         assert router.cache_stats()["hits"] >= 1
+    finally:
+        _shutdown(router, workers)
+
+
+def _other_endpoint(router, request, home):
+    """``request`` with an affinity that lands it on any endpoint but ``home``."""
+    for attempt in range(256):
+        candidate = dataclasses.replace(request, affinity=f"spin-{attempt}")
+        if router.endpoint_for(candidate) != home:
+            return candidate
+    raise AssertionError(f"no affinity key leaves endpoint {home}")
+
+
+def test_publishing_never_runs_the_analyzer_and_importers_report_like_in_process(monkeypatch):
+    calls = []
+    analyze_unit = analysis.analyze_unit
+    monkeypatch.setattr(
+        analysis, "analyze_unit", lambda unit, **kwargs: calls.append(unit) or analyze_unit(unit, **kwargs)
+    )
+    router, workers = _fleet()
+    try:
+        programs = [
+            Request(language="RefLL", source=nested_refll_boundary(3)),
+            Request(language="MiniML", system="affine", source=nested_ml_affi_boundary(3)),
+            Request(language="MiniML", system="l3", source=nested_ml_l3_boundary(3)),
+        ]
+        published = router.run_batch(programs)
+        assert all(response.published for response in published)
+        assert calls == []  # publishing ships the pending hook, not a report
+        for response in published:
+            request = dataclasses.replace(response.request, analyze_only=True)
+            imported = router.run_batch([_other_endpoint(router, request, response.shard)])[0]
+            assert imported.shared_cache_hit and imported.shard != response.shard
+            local = make_default_scheduler(slice_steps=SLICE_STEPS).submit(request)
+            assert imported.report is not None and imported.report == local.report
+        assert len(calls) == 2 * len(published)  # once per importer, once per in-process check
     finally:
         _shutdown(router, workers)
 

@@ -20,6 +20,8 @@ The spawn start method requires the custom scheduler factories below to be
 module-level (pickled by reference and re-imported in the child).
 """
 
+import dataclasses
+import functools
 import os
 import pickle
 
@@ -72,11 +74,11 @@ def _mixed_requests():
     ]
 
 
-def _affinity_for_shard(pool, shard, language="RefLL", source="x"):
+def _affinity_for_shard(pool, shard, language="RefLL", source="x", system=None):
     """An affinity key that lands a request on ``shard``."""
     for attempt in range(64):
         key = f"pin-{shard}-{attempt}"
-        if pool.shard_of(Request(language=language, source=source, affinity=key)) == shard:
+        if pool.shard_of(Request(language=language, source=source, system=system, affinity=key)) == shard:
             return key
     raise AssertionError(f"no affinity key found for shard {shard}")
 
@@ -280,6 +282,49 @@ def test_unpicklable_artifacts_fall_back_to_recompilation():
         stats = pool.cache_stats()
         assert stats["unpicklable"] >= 1
         assert stats["publishes"] == 0 and stats["entries"] == 0
+
+
+def _counted_analyze(log_path, analyze, unit):
+    """``analyze(unit)``, appending one line to ``log_path`` per call."""
+    with open(log_path, "a") as log:
+        log.write(f"{unit.language}\n")
+    return analyze(unit)
+
+
+def _counting_factory(log_path, slice_steps: int) -> Scheduler:
+    """Default scheduler whose analyzers log every call, in whatever process
+    builds a report (the hook is picklable, so it travels with the unit)."""
+    scheduler = make_default_scheduler(slice_steps=slice_steps)
+    for system in scheduler.systems.values():
+        for frontend in (system.language_a, system.language_b):
+            frontend.analyze = functools.partial(_counted_analyze, log_path, frontend.analyze)
+    return scheduler
+
+
+def test_publishing_never_runs_the_analyzer_and_importers_report_like_in_process(tmp_path):
+    log_path = tmp_path / "analyzer-calls"
+    log_path.touch()
+    factory = functools.partial(_counting_factory, str(log_path))
+    programs = [
+        Request(language="RefLL", source=nested_refll_boundary(3)),
+        Request(language="MiniML", system="affine", source=nested_ml_affi_boundary(3)),
+        Request(language="MiniML", system="l3", source=nested_ml_l3_boundary(3)),
+    ]
+    with WorkerPool(workers=2, slice_steps=128, scheduler_factory=factory) as pool:
+        published = pool.run_batch(programs)
+        assert all(response.error is None and response.published for response in published)
+        assert log_path.read_text() == ""  # publishing ships the pending hook, not a report
+        for response in published:
+            other = 1 - response.shard
+            program = response.request
+            affinity = _affinity_for_shard(pool, other, program.language, program.source, program.system)
+            request = dataclasses.replace(program, analyze_only=True, affinity=affinity)
+            imported = pool.run_batch([request])[0]
+            assert imported.shared_cache_hit and imported.shard == other
+            local = make_default_scheduler(slice_steps=128).submit(request)
+            assert imported.report is not None and imported.report == local.report
+        # One report per importer, each built on its first read.
+        assert sorted(log_path.read_text().split()) == sorted(r.request.language for r in published)
 
 
 # -- batched boundary crossings (scheduler-level, in-process) ------------------

@@ -2,12 +2,14 @@
 
 Covers ``tools/check_doc_links.py`` (GitHub anchor slugification, duplicate
 anchor suffixing, broken relative-link and fragment detection),
-``tools/analyze.py``'s corpus smoke gate, and ``tools/fuzz.py``'s CLI entry
+``tools/analyze.py``'s corpus smoke gate, ``tools/fuzz.py``'s CLI entry
 points (generate, corpus replay, and the replay regression on a planted bad
-corpus entry).
+corpus entry), and how ``tools/ab.py`` summarizes paired runs.
 """
 
 import importlib.util
+import json
+import platform
 import sys
 from pathlib import Path
 
@@ -27,6 +29,7 @@ def _load_tool(name):
 doc_links = _load_tool("check_doc_links")
 analyze = _load_tool("analyze")
 fuzz_cli = _load_tool("fuzz")
+ab = _load_tool("ab")
 
 
 # ---------------------------------------------------------------------------
@@ -211,3 +214,56 @@ def test_fuzz_cli_replay_flags_a_planted_bad_corpus_entry(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "corpus replay failure" in captured.err
     assert "1 disagreement(s)" in captured.out
+
+
+# ---------------------------------------------------------------------------
+# ab.py: paired-run summary
+# ---------------------------------------------------------------------------
+
+_SPEC = {
+    "end_to_end": [
+        {"name": "throughput_rps", "better": "higher", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+    ],
+    "per_layer": [{"name": "net.retries", "better": "lower"}],
+}
+
+
+def _pair(a, b):
+    return (a, 400.0), (b, 410.0)
+
+
+def test_ab_summary_counts_pairs_won_and_flags_only_end_to_end_metrics_past_their_bound():
+    pairs = [
+        _pair({"throughput_rps": 100.0, "peak_rss_mb": 30.0, "net.retries": 0.0, "extra": 1.0},
+              {"throughput_rps": 120.0, "peak_rss_mb": 34.0, "net.retries": 5.0, "extra": 2.0}),
+        _pair({"throughput_rps": 110.0, "peak_rss_mb": 30.0, "net.retries": 0.0, "extra": 1.0},
+              {"throughput_rps": 105.0, "peak_rss_mb": 34.0, "net.retries": 5.0, "extra": 2.0}),
+        _pair({"throughput_rps": 90.0, "peak_rss_mb": 30.0, "net.retries": 0.0, "extra": 1.0},
+              {"throughput_rps": 130.0, "peak_rss_mb": 34.0, "net.retries": 5.0, "extra": 2.0}),
+    ]
+    rows, flagged = ab.summarize(pairs, _SPEC)
+    by_name = {row["metric"]: row for row in rows}
+    assert by_name["throughput_rps"]["a"] == 100.0 and by_name["throughput_rps"]["b"] == 120.0
+    assert by_name["throughput_rps"]["b_won"] == 2
+    assert by_name["throughput_rps"]["a_quartiles"] == (95.0, 105.0)
+    assert by_name["peak_rss_mb"]["b_won"] == 0
+    assert by_name["extra"]["b_won"] is None  # undeclared: no direction
+    # RSS grew 13% against a 10% bound; retries got worse, but a per-layer
+    # metric has no bound.
+    assert len(flagged) == 1 and flagged[0].startswith("peak_rss_mb")
+    assert by_name["peak_rss_mb"]["b_quartiles"] == (34.0, 34.0)
+    table = ab.render(rows, len(pairs))
+    assert "| `throughput_rps` | 100 | 95–105 | 120 | 112.5–125 | +20.0% | 2/3 |" in table
+
+
+def test_ab_baseline_keeps_other_workloads(tmp_path):
+    path = tmp_path / "baseline.json"
+    path.write_text(json.dumps({"python": "3.9.0", "workloads": {"warm-loop": {"medians": {}}}}))
+    rows, _flagged = ab.summarize([_pair({"throughput_rps": 1.0}, {"throughput_rps": 2.0})], _SPEC)
+    ab.write_baseline(path, "cold-mix", rows, [400.0, 420.0], pairs=1, seconds=20)
+    baseline = json.loads(path.read_text())
+    assert list(baseline["workloads"]) == ["cold-mix", "warm-loop"]
+    assert baseline["workloads"]["cold-mix"]["medians"] == {"throughput_rps": 2.0}
+    assert baseline["workloads"]["cold-mix"]["probe_median_us"] == 410.0
+    assert baseline["python"] == platform.python_version()
