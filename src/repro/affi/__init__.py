@@ -2,7 +2,7 @@
 
 from repro.affi import syntax, types
 from repro.affi.compiler import STATIC_SUFFIX, compile_expr, is_static_name, static_name, thunk_guard
-from repro.affi.parser import make_parser, parse_expr
+from repro.affi.parser import parse_expr, parse_type
 from repro.affi.typechecker import UNRESTRICTED, Annotations, check_with_usage, typecheck
 from repro.affi.types import (
     BOOL,
@@ -18,7 +18,6 @@ from repro.affi.types import (
     Type,
     UnitType,
     WithType,
-    parse_type,
 )
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "is_static_name",
     "static_name",
     "thunk_guard",
-    "make_parser",
     "parse_expr",
     "UNRESTRICTED",
     "Annotations",

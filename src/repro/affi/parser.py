@@ -1,161 +1,62 @@
-"""S-expression surface syntax for Affi.
+"""S-expression surface syntax for Affi: its grammar as two tables.
 
-Grammar::
-
-    e ::= () | unit | true | false | n | x
-        | (dlam (a τ) e)            ; λa◦:τ. e   (dynamic affine arrow ⊸)
-        | (slam (a τ) e)            ; λa•:τ. e   (static affine arrow ⊸•)
-        | (e e)
-        | (bang e) | (let! (x e) e)
-        | (with e e) | (proj1 e) | (proj2 e)
-        | (tensor e e) | (let-tensor (a b) e e)
-        | (if e e e)
-        | (boundary τ e-MiniML)
+Each key is a shape read by :mod:`repro.util.grammar`.  ``dlam`` is
+λa◦:τ. e, the dynamic affine arrow ``-o`` (⊸); ``slam`` is λa•:τ. e, the
+static one ``-*`` (⊸•); ``&`` is the with-type.  ``ē`` is a MiniML
+expression, read only once the §4 system wires the pair.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from functools import partial
 
 from repro.affi import syntax as ast
-from repro.affi.types import Mode, parse_type_sexpr
-from repro.core.errors import ParseError
-from repro.util.sexpr import SAtom, SExpr, SList, parse_sexpr
+from repro.affi.types import (
+    BangType,
+    BoolType,
+    DynLolliType,
+    IntType,
+    Mode,
+    StatLolliType,
+    TensorType,
+    UnitType,
+    WithType,
+)
+from repro.util.grammar import Grammar
 
-ForeignParser = Callable[[SExpr], object]
-
-KEYWORDS = {
-    "unit",
-    "true",
-    "false",
-    "dlam",
-    "slam",
-    "bang",
-    "let!",
-    "with",
-    "proj1",
-    "proj2",
-    "tensor",
-    "let-tensor",
-    "if",
-    "boundary",
+EXPRS = {
+    "()": ast.UnitLit,
+    "unit": ast.UnitLit,
+    "true": lambda: ast.BoolLit(True),
+    "false": lambda: ast.BoolLit(False),
+    "n": ast.IntLit,
+    "x": ast.Var,
+    "(dlam (a τ) e)": partial(ast.Lam, Mode.DYNAMIC),
+    "(slam (a τ) e)": partial(ast.Lam, Mode.STATIC),
+    "(e e)": ast.App,
+    "(bang e)": ast.Bang,
+    "(let! (x e) e)": ast.LetBang,
+    "(with e e)": ast.WithPair,
+    "(proj1 e)": ast.Proj1,
+    "(proj2 e)": ast.Proj2,
+    "(tensor e e)": ast.TensorPair,
+    "(let-tensor (a b) e e)": ast.LetTensor,
+    "(if e e e)": ast.If,
+    "(boundary τ ē)": ast.Boundary,
 }
 
+TYPES = {
+    "unit": UnitType,
+    "bool": BoolType,
+    "int": IntType,
+    "(-o τ τ)": DynLolliType,
+    "(-* τ τ)": StatLolliType,
+    "(! τ)": BangType,
+    "(& τ τ)": WithType,
+    "(tensor τ τ)": TensorType,
+}
 
-def parse_expr(text: str, foreign_parser: Optional[ForeignParser] = None) -> ast.Expr:
-    """Parse an Affi expression from surface text."""
-    return parse_expr_sexpr(parse_sexpr(text), foreign_parser)
+GRAMMAR = Grammar("Affi", EXPRS, TYPES)
 
-
-def parse_expr_sexpr(sexpr: SExpr, foreign_parser: Optional[ForeignParser] = None) -> ast.Expr:
-    if isinstance(sexpr, SAtom):
-        return _parse_atom(sexpr)
-    if isinstance(sexpr, SList):
-        return _parse_list(sexpr, foreign_parser)
-    raise ParseError(f"malformed Affi expression: {sexpr}")
-
-
-def _parse_atom(atom: SAtom) -> ast.Expr:
-    if atom.text == "unit":
-        return ast.UnitLit()
-    if atom.text == "true":
-        return ast.BoolLit(True)
-    if atom.text == "false":
-        return ast.BoolLit(False)
-    if atom.is_int:
-        return ast.IntLit(atom.int_value)
-    return ast.Var(atom.text)
-
-
-def _parse_list(form: SList, foreign_parser: Optional[ForeignParser]) -> ast.Expr:
-    if len(form) == 0:
-        return ast.UnitLit()
-    head = form[0]
-    if isinstance(head, SAtom) and head.text in KEYWORDS:
-        return _parse_keyword_form(head.text, form, foreign_parser)
-    if len(form) == 2:
-        return ast.App(
-            parse_expr_sexpr(form[0], foreign_parser),
-            parse_expr_sexpr(form[1], foreign_parser),
-        )
-    raise ParseError(f"malformed Affi expression: {form}")
-
-
-def _parse_binder(form: SExpr):
-    if not (isinstance(form, SList) and len(form) == 2 and isinstance(form[0], SAtom)):
-        raise ParseError("binder must look like (x τ)")
-    return form[0].text, parse_type_sexpr(form[1])
-
-
-def _parse_keyword_form(keyword: str, form: SList, foreign_parser: Optional[ForeignParser]) -> ast.Expr:
-    recur = lambda sub: parse_expr_sexpr(sub, foreign_parser)  # noqa: E731 - local shorthand
-
-    if keyword in ("dlam", "slam"):
-        _expect_arity(form, 3, f"({keyword} (a τ) e)")
-        name, parameter_type = _parse_binder(form[1])
-        mode = Mode.DYNAMIC if keyword == "dlam" else Mode.STATIC
-        return ast.Lam(mode, name, parameter_type, recur(form[2]))
-
-    if keyword == "bang":
-        _expect_arity(form, 2, "(bang e)")
-        return ast.Bang(recur(form[1]))
-
-    if keyword == "let!":
-        _expect_arity(form, 3, "(let! (x e) e)")
-        binding = form[1]
-        if not (isinstance(binding, SList) and len(binding) == 2 and isinstance(binding[0], SAtom)):
-            raise ParseError("let! binding must look like (x e)")
-        return ast.LetBang(binding[0].text, recur(binding[1]), recur(form[2]))
-
-    if keyword == "with":
-        _expect_arity(form, 3, "(with e e)")
-        return ast.WithPair(recur(form[1]), recur(form[2]))
-
-    if keyword == "proj1":
-        _expect_arity(form, 2, "(proj1 e)")
-        return ast.Proj1(recur(form[1]))
-
-    if keyword == "proj2":
-        _expect_arity(form, 2, "(proj2 e)")
-        return ast.Proj2(recur(form[1]))
-
-    if keyword == "tensor":
-        _expect_arity(form, 3, "(tensor e e)")
-        return ast.TensorPair(recur(form[1]), recur(form[2]))
-
-    if keyword == "let-tensor":
-        _expect_arity(form, 4, "(let-tensor (a b) e e)")
-        names = form[1]
-        if not (isinstance(names, SList) and len(names) == 2 and all(isinstance(item, SAtom) for item in names)):
-            raise ParseError("let-tensor binder must look like (a b)")
-        return ast.LetTensor(names[0].text, names[1].text, recur(form[2]), recur(form[3]))
-
-    if keyword == "if":
-        _expect_arity(form, 4, "(if e e e)")
-        return ast.If(recur(form[1]), recur(form[2]), recur(form[3]))
-
-    if keyword == "boundary":
-        _expect_arity(form, 3, "(boundary τ e)")
-        annotation = parse_type_sexpr(form[1])
-        if foreign_parser is None:
-            raise ParseError("Affi boundary encountered but no foreign-language parser is configured")
-        return ast.Boundary(annotation, foreign_parser(form[2]))
-
-    if keyword in ("unit", "true", "false"):
-        raise ParseError(f"{keyword!r} does not take arguments")
-
-    raise ParseError(f"unrecognized Affi form {keyword!r}")
-
-
-def _expect_arity(form: SList, arity: int, shape: str) -> None:
-    if len(form) != arity:
-        raise ParseError(f"expected {shape}, got {form}")
-
-
-def make_parser(foreign_parser: ForeignParser) -> Callable[[str], ast.Expr]:
-    """Return a ``parse_expr`` specialized to one foreign language."""
-
-    def parse(text: str) -> ast.Expr:
-        return parse_expr(text, foreign_parser)
-
-    return parse
+parse_expr = GRAMMAR.parse_expr
+parse_type = GRAMMAR.parse_type

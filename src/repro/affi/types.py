@@ -15,8 +15,6 @@ import enum
 from dataclasses import dataclass
 from typing import Union
 
-from repro.core.errors import ParseError
-from repro.util.sexpr import SAtom, SExpr, SList, parse_sexpr
 
 
 class Mode(enum.Enum):
@@ -106,37 +104,3 @@ Type = Union[UnitType, BoolType, IntType, DynLolliType, StatLolliType, BangType,
 UNIT = UnitType()
 BOOL = BoolType()
 INT = IntType()
-
-
-def parse_type_sexpr(sexpr: SExpr) -> Type:
-    """Interpret an s-expression as an Affi type.
-
-    Surface syntax: ``unit``, ``bool``, ``int``, ``(-o τ τ)`` for ⊸,
-    ``(-* τ τ)`` for ⊸•, ``(! τ)``, ``(& τ τ)``, ``(tensor τ τ)``.
-    """
-    if isinstance(sexpr, SAtom):
-        if sexpr.text == "unit":
-            return UNIT
-        if sexpr.text == "bool":
-            return BOOL
-        if sexpr.text == "int":
-            return INT
-        raise ParseError(f"unknown Affi type {sexpr.text!r}")
-    if isinstance(sexpr, SList) and len(sexpr) > 0 and isinstance(sexpr[0], SAtom):
-        head = sexpr[0].text
-        if head == "-o" and len(sexpr) == 3:
-            return DynLolliType(parse_type_sexpr(sexpr[1]), parse_type_sexpr(sexpr[2]))
-        if head == "-*" and len(sexpr) == 3:
-            return StatLolliType(parse_type_sexpr(sexpr[1]), parse_type_sexpr(sexpr[2]))
-        if head == "!" and len(sexpr) == 2:
-            return BangType(parse_type_sexpr(sexpr[1]))
-        if head == "&" and len(sexpr) == 3:
-            return WithType(parse_type_sexpr(sexpr[1]), parse_type_sexpr(sexpr[2]))
-        if head == "tensor" and len(sexpr) == 3:
-            return TensorType(parse_type_sexpr(sexpr[1]), parse_type_sexpr(sexpr[2]))
-    raise ParseError(f"malformed Affi type: {sexpr}")
-
-
-def parse_type(text: str) -> Type:
-    """Parse an Affi type from surface text."""
-    return parse_type_sexpr(parse_sexpr(text))

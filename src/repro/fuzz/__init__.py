@@ -16,6 +16,7 @@ from repro.fuzz.corpus import (
     DEFAULT_CORPUS_DIR,
     LEGACY_DEPTHS,
     case_filename,
+    depth_contract_entries,
     legacy_corpus_entries,
     load_corpus,
     save_counterexample,
@@ -52,6 +53,7 @@ __all__ = [
     "Node",
     "Template",
     "case_filename",
+    "depth_contract_entries",
     "leaf",
     "legacy_corpus_entries",
     "load_corpus",

@@ -26,14 +26,27 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.fuzz.generator import DEFAULT_FUEL, FuzzCase
 from repro.fuzz.oracle import Disagreement
+from repro.util.workloads import nested_ml_affi_boundary, nested_ml_l3_boundary, nested_refll_boundary
 
 #: Default corpus directory, relative to the invoking working directory.
 DEFAULT_CORPUS_DIR = "fuzz_corpus"
 
 #: Depths at which the legacy hand-written workloads enter the corpus: the
-#: shallow/deep pair the benches always used plus two deeper rungs (the
-#: recursive frontends parse comfortably to ~depth 80).
+#: shallow/deep pair the benches always used plus two deeper rungs (every
+#: frontend reads nesting up to ``repro.util.grammar.MAX_NESTING``, depth 90
+#: on refs, 120 on affine and 357 on l3).
 LEGACY_DEPTHS = (2, 6, 12, 24)
+
+#: The workload depth of the depth-contract replay entries: nesting 3,000 or
+#: more, far past ``MAX_NESTING``.
+DEPTH_CONTRACT_DEPTH = 1_000
+
+#: ``(system, host language, generator)`` for each ``util.workloads`` family.
+_WORKLOADS = (
+    ("refs", "RefLL", nested_refll_boundary),
+    ("affine", "MiniML", nested_ml_affi_boundary),
+    ("l3", "MiniML", nested_ml_l3_boundary),
+)
 
 
 def case_filename(case: FuzzCase) -> str:
@@ -77,20 +90,9 @@ def legacy_corpus_entries(depths: Sequence[int] = LEGACY_DEPTHS, fuel: Optional[
     the regression guarantee that the original scenario suite still agrees
     on every backend.
     """
-    from repro.util.workloads import (
-        nested_ml_affi_boundary,
-        nested_ml_l3_boundary,
-        nested_refll_boundary,
-    )
-
-    builders = (
-        ("refs", "RefLL", nested_refll_boundary),
-        ("affine", "MiniML", nested_ml_affi_boundary),
-        ("l3", "MiniML", nested_ml_l3_boundary),
-    )
     entries = []
     for index, depth in enumerate(depths):
-        for system, language, builder in builders:
+        for system, language, builder in _WORKLOADS:
             entries.append(
                 FuzzCase(
                     system=system,
@@ -103,3 +105,25 @@ def legacy_corpus_entries(depths: Sequence[int] = LEGACY_DEPTHS, fuel: Optional[
                 )
             )
     return entries
+
+
+def depth_contract_entries() -> List[FuzzCase]:
+    """One ``static-error`` case per system, too deep to read.
+
+    Each ``util.workloads`` program at :data:`DEPTH_CONTRACT_DEPTH` nests past
+    ``MAX_NESTING``, so its frontend must refuse it with a ``ParseError``,
+    never a raw ``RecursionError``.  These stay out of
+    :func:`legacy_corpus_entries`, whose callers choose their own depths.
+    """
+    return [
+        FuzzCase(
+            system=system,
+            language=language,
+            source=builder(DEPTH_CONTRACT_DEPTH),
+            kind="static-error",
+            expected_error="ParseError",
+            seed=-1,  # not generator-derived
+            index=0,
+        )
+        for system, language, builder in _WORKLOADS
+    ]

@@ -47,9 +47,9 @@ DEFAULT_FUEL = 250_000
 DIVERGENT_FUEL = 2_000
 
 #: Node-count ceiling for generated trees.  The crossing templates nest a
-#: handful of parser levels per node and the recursive per-language parsers,
-#: typecheckers and compilers cap out near depth ~80, so this stays
-#: comfortably below that.
+#: handful of list levels per node, and every frontend refuses nesting past
+#: ``repro.util.grammar.MAX_NESTING`` (360) with a ``ParseError``, so this
+#: stays comfortably below that.
 MAX_NODES = 14
 
 SYSTEM_NAMES = ("refs", "affine", "l3")

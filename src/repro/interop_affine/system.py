@@ -22,7 +22,6 @@ from repro.affi import compiler as affi_compiler
 from repro.affi import parser as affi_parser
 from repro.affi import syntax as affi_syntax
 from repro.affi import typechecker as affi_typechecker
-from repro.affi import types as affi_types
 from repro.affi.types import Mode
 from repro.core.boundary import Boundaries, BoundaryRecords
 from repro.core.convertibility import ConvertibilityRelation
@@ -35,7 +34,7 @@ from repro.miniml import compiler as ml_compiler
 from repro.miniml import parser as ml_parser
 from repro.miniml import syntax as ml_syntax
 from repro.miniml import typechecker as ml_typechecker
-from repro.miniml import types as ml_types
+from repro.util.grammar import wire
 
 
 class _AffiBoundaries(Boundaries):
@@ -101,18 +100,13 @@ def make_system(relation: Optional[ConvertibilityRelation] = None) -> InteropSys
         compiled = ml_compiler.compile_expr(boundary.foreign_term, boundary_hook=ml_compile_boundary)
         return boundaries.compile(boundary, compiled)
 
-    # Mutually recursive boundary parsers: an Affi boundary embeds a MiniML
-    # term whose own boundaries embed Affi terms, and so on.
-    def _parse_ml_inside_affi(sexpr):
-        return ml_parser.parse_expr_sexpr(sexpr, _parse_affi_inside_ml)
-
-    def _parse_affi_inside_ml(sexpr):
-        return affi_parser.parse_expr_sexpr(sexpr, _parse_ml_inside_affi)
-
+    affi_grammar, ml_grammar = wire(affi_parser.GRAMMAR, ml_parser.GRAMMAR)
+    # ⟨τ⟩ embeds an L3 type, and §4 has no L3: its MiniML refuses (foreign τ̄).
+    ml_grammar.foreign = None
     affi_frontend = LanguageFrontend(
         name=LANGUAGE_A,
-        parse_expr=affi_parser.make_parser(_parse_ml_inside_affi),
-        parse_type=affi_types.parse_type,
+        parse_expr=affi_grammar.parse_expr,
+        parse_type=affi_grammar.parse_type,
         typecheck=lambda term, unrestricted=None, affine=None, foreign_env=None: affi_typechecker.typecheck(
             term,
             unrestricted=unrestricted,
@@ -129,8 +123,8 @@ def make_system(relation: Optional[ConvertibilityRelation] = None) -> InteropSys
     )
     ml_frontend = LanguageFrontend(
         name=LANGUAGE_B,
-        parse_expr=ml_parser.make_parser(_parse_affi_inside_ml),
-        parse_type=ml_types.parse_type,
+        parse_expr=ml_grammar.parse_expr,
+        parse_type=ml_grammar.parse_type,
         typecheck=lambda term, env=None, type_vars=None, foreign_env=None: ml_typechecker.typecheck(
             term,
             env=env,

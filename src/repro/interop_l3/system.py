@@ -21,12 +21,11 @@ from repro.l3 import compiler as l3_compiler
 from repro.l3 import parser as l3_parser
 from repro.l3 import syntax as l3_syntax
 from repro.l3 import typechecker as l3_typechecker
-from repro.l3 import types as l3_types
 from repro.miniml import compiler as ml_compiler
 from repro.miniml import parser as ml_parser
 from repro.miniml import syntax as ml_syntax
 from repro.miniml import typechecker as ml_typechecker
-from repro.miniml import types as ml_types
+from repro.util.grammar import wire
 
 
 def make_system(relation: Optional[ConvertibilityRelation] = None) -> InteropSystem:
@@ -63,16 +62,11 @@ def make_system(relation: Optional[ConvertibilityRelation] = None) -> InteropSys
         compiled = ml_compiler.compile_expr(boundary.foreign_term, boundary_hook=ml_compile_boundary)
         return boundaries.compile(boundary, compiled)
 
-    def _parse_l3_inside_ml(sexpr):
-        return l3_parser.parse_expr_sexpr(sexpr, _parse_ml_inside_l3)
-
-    def _parse_ml_inside_l3(sexpr):
-        return ml_parser.parse_expr_sexpr(sexpr, _parse_l3_inside_ml)
-
+    ml_grammar, l3_grammar = wire(ml_parser.GRAMMAR, l3_parser.GRAMMAR)
     ml_frontend = LanguageFrontend(
         name=LANGUAGE_A,
-        parse_expr=ml_parser.make_parser(_parse_l3_inside_ml),
-        parse_type=ml_types.parse_type,
+        parse_expr=ml_grammar.parse_expr,
+        parse_type=ml_grammar.parse_type,
         typecheck=lambda term, env=None, type_vars=None, foreign_env=None: ml_typechecker.typecheck(
             term,
             env=env,
@@ -86,8 +80,8 @@ def make_system(relation: Optional[ConvertibilityRelation] = None) -> InteropSys
     )
     l3_frontend = LanguageFrontend(
         name=LANGUAGE_B,
-        parse_expr=l3_parser.make_parser(_parse_ml_inside_l3),
-        parse_type=l3_types.parse_type,
+        parse_expr=l3_grammar.parse_expr,
+        parse_type=l3_grammar.parse_type,
         typecheck=lambda term, linear=None, unrestricted=None, locations=None, foreign_env=None: l3_typechecker.typecheck(
             term,
             linear=linear,

@@ -35,6 +35,7 @@ from repro.refll import types as ll_types
 from repro.stacklang import cek as stack_cek
 from repro.stacklang import machine as stack_machine
 from repro.stacklang.machine import Status
+from repro.util.grammar import wire
 
 
 def _stacklang_result(result) -> RunResult:
@@ -92,10 +93,11 @@ def make_system(relation: Optional[ConvertibilityRelation] = None) -> InteropSys
         compiled = hl_compiler.compile_expr(boundary.foreign_term, boundary_hook=refhl_compile_boundary)
         return boundaries.compile(boundary, compiled)
 
+    hl_grammar, ll_grammar = wire(hl_parser.GRAMMAR, ll_parser.GRAMMAR)
     refhl_frontend = LanguageFrontend(
         name=LANGUAGE_A,
-        parse_expr=hl_parser.parse_expr,
-        parse_type=hl_types.parse_type,
+        parse_expr=hl_grammar.parse_expr,
+        parse_type=hl_grammar.parse_type,
         typecheck=lambda term, env=None, foreign_env=None: hl_typechecker.typecheck(
             term, env=env, foreign_env=foreign_env, boundary_hook=refhl_boundary_type
         ),
@@ -106,8 +108,8 @@ def make_system(relation: Optional[ConvertibilityRelation] = None) -> InteropSys
     )
     refll_frontend = LanguageFrontend(
         name=LANGUAGE_B,
-        parse_expr=ll_parser.parse_expr,
-        parse_type=ll_types.parse_type,
+        parse_expr=ll_grammar.parse_expr,
+        parse_type=ll_grammar.parse_type,
         typecheck=lambda term, env=None, foreign_env=None: ll_typechecker.typecheck(
             term, env=env, foreign_env=foreign_env, boundary_hook=refll_boundary_type
         ),

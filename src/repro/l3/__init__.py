@@ -2,7 +2,7 @@
 
 from repro.l3 import syntax, types
 from repro.l3.compiler import compile_expr
-from repro.l3.parser import make_parser, parse_expr
+from repro.l3.parser import parse_expr, parse_type
 from repro.l3.typechecker import check_with_usage, typecheck, unused_linear_variables
 from repro.l3.types import (
     BOOL,
@@ -19,7 +19,6 @@ from repro.l3.types import (
     UnitType,
     free_locations,
     is_duplicable,
-    parse_type,
     reference_package,
     substitute_location,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "syntax",
     "types",
     "compile_expr",
-    "make_parser",
     "parse_expr",
     "check_with_usage",
     "typecheck",

@@ -1,202 +1,76 @@
-"""S-expression surface syntax for L3.
+"""S-expression surface syntax for L3: its grammar as two tables.
 
-Grammar::
-
-    e ::= () | unit | true | false | x
-        | (lam (x τ) e) | (e e)
-        | (tensor e e) | (let-unit e e) | (let-tensor (x y) e e)
-        | (if e e e)
-        | (bang e) | (let! (x e) e) | (dupl e) | (drop e)
-        | (new e) | (free e) | (swap e e e)
-        | (loclam z e) | (locapp e z)
-        | (pack z e (exists z τ)) | (unpack (z x) e e)
-        | (boundary τ e-MiniML)
+Each key is a shape read by :mod:`repro.util.grammar`.  ``(-o τ τ)`` is ⊸,
+``(refpkg τ)`` is sugar for ``REF τ``, and ``ē`` is a MiniML expression,
+read only once the §5 system wires the pair.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 from repro.core.errors import ParseError
 from repro.l3 import syntax as ast
-from repro.l3.types import ExistsLocType, parse_type_sexpr
-from repro.util.sexpr import SAtom, SExpr, SList, parse_sexpr
+from repro.l3.types import (
+    BangType,
+    BoolType,
+    CapType,
+    ExistsLocType,
+    ForallLocType,
+    LolliType,
+    PtrType,
+    TensorType,
+    UnitType,
+    reference_package,
+)
+from repro.util.grammar import Grammar
 
-ForeignParser = Callable[[SExpr], object]
 
-KEYWORDS = {
-    "unit",
-    "true",
-    "false",
-    "lam",
-    "tensor",
-    "let-unit",
-    "let-tensor",
-    "if",
-    "bang",
-    "let!",
-    "dupl",
-    "drop",
-    "new",
-    "free",
-    "swap",
-    "loclam",
-    "locapp",
-    "pack",
-    "unpack",
-    "boundary",
+def _pack(witness: str, body: ast.Expr, annotation) -> ast.Pack:
+    # An existential written out, ``(exists z τ)``, or as ``(refpkg τ)``.
+    if not isinstance(annotation, ExistsLocType):
+        raise ParseError(f"pack annotation must be an existential type, got {annotation}")
+    return ast.Pack(witness, body, annotation)
+
+
+EXPRS = {
+    "()": ast.UnitLit,
+    "unit": ast.UnitLit,
+    "true": lambda: ast.BoolLit(True),
+    "false": lambda: ast.BoolLit(False),
+    "x": ast.Var,
+    "(lam (x τ) e)": ast.Lam,
+    "(e e)": ast.App,
+    "(tensor e e)": ast.TensorPair,
+    "(let-unit e e)": ast.LetUnit,
+    "(let-tensor (x y) e e)": ast.LetTensor,
+    "(if e e e)": ast.If,
+    "(bang e)": ast.Bang,
+    "(let! (x e) e)": ast.LetBang,
+    "(dupl e)": ast.Dupl,
+    "(drop e)": ast.Drop,
+    "(new e)": ast.New,
+    "(free e)": ast.FreePkg,
+    "(swap e e e)": ast.Swap,
+    "(loclam z e)": ast.LocLam,
+    "(locapp e z)": ast.LocApp,
+    "(pack z e τ)": _pack,
+    "(unpack (z x) e e)": ast.Unpack,
+    "(boundary τ ē)": ast.Boundary,
 }
 
+TYPES = {
+    "unit": UnitType,
+    "bool": BoolType,
+    "(tensor τ τ)": TensorType,
+    "(-o τ τ)": LolliType,
+    "(! τ)": BangType,
+    "(ptr z)": PtrType,
+    "(cap z τ)": CapType,
+    "(forall z τ)": ForallLocType,
+    "(exists z τ)": ExistsLocType,
+    "(refpkg τ)": reference_package,
+}
 
-def parse_expr(text: str, foreign_parser: Optional[ForeignParser] = None) -> ast.Expr:
-    """Parse an L3 expression from surface text."""
-    return parse_expr_sexpr(parse_sexpr(text), foreign_parser)
+GRAMMAR = Grammar("L3", EXPRS, TYPES)
 
-
-def parse_expr_sexpr(sexpr: SExpr, foreign_parser: Optional[ForeignParser] = None) -> ast.Expr:
-    if isinstance(sexpr, SAtom):
-        return _parse_atom(sexpr)
-    if isinstance(sexpr, SList):
-        return _parse_list(sexpr, foreign_parser)
-    raise ParseError(f"malformed L3 expression: {sexpr}")
-
-
-def _parse_atom(atom: SAtom) -> ast.Expr:
-    if atom.text == "unit":
-        return ast.UnitLit()
-    if atom.text == "true":
-        return ast.BoolLit(True)
-    if atom.text == "false":
-        return ast.BoolLit(False)
-    if atom.is_int:
-        raise ParseError("L3 has no integer literals")
-    return ast.Var(atom.text)
-
-
-def _parse_list(form: SList, foreign_parser: Optional[ForeignParser]) -> ast.Expr:
-    if len(form) == 0:
-        return ast.UnitLit()
-    head = form[0]
-    if isinstance(head, SAtom) and head.text in KEYWORDS:
-        return _parse_keyword_form(head.text, form, foreign_parser)
-    if len(form) == 2:
-        return ast.App(
-            parse_expr_sexpr(form[0], foreign_parser),
-            parse_expr_sexpr(form[1], foreign_parser),
-        )
-    raise ParseError(f"malformed L3 expression: {form}")
-
-
-def _parse_keyword_form(keyword: str, form: SList, foreign_parser: Optional[ForeignParser]) -> ast.Expr:
-    recur = lambda sub: parse_expr_sexpr(sub, foreign_parser)  # noqa: E731 - local shorthand
-
-    if keyword == "lam":
-        _expect_arity(form, 3, "(lam (x τ) e)")
-        binder = form[1]
-        if not (isinstance(binder, SList) and len(binder) == 2 and isinstance(binder[0], SAtom)):
-            raise ParseError("lam binder must look like (x τ)")
-        return ast.Lam(binder[0].text, parse_type_sexpr(binder[1]), recur(form[2]))
-
-    if keyword == "tensor":
-        _expect_arity(form, 3, "(tensor e e)")
-        return ast.TensorPair(recur(form[1]), recur(form[2]))
-
-    if keyword == "let-unit":
-        _expect_arity(form, 3, "(let-unit e e)")
-        return ast.LetUnit(recur(form[1]), recur(form[2]))
-
-    if keyword == "let-tensor":
-        _expect_arity(form, 4, "(let-tensor (x y) e e)")
-        names = form[1]
-        if not (isinstance(names, SList) and len(names) == 2 and all(isinstance(item, SAtom) for item in names)):
-            raise ParseError("let-tensor binder must look like (x y)")
-        return ast.LetTensor(names[0].text, names[1].text, recur(form[2]), recur(form[3]))
-
-    if keyword == "if":
-        _expect_arity(form, 4, "(if e e e)")
-        return ast.If(recur(form[1]), recur(form[2]), recur(form[3]))
-
-    if keyword == "bang":
-        _expect_arity(form, 2, "(bang e)")
-        return ast.Bang(recur(form[1]))
-
-    if keyword == "let!":
-        _expect_arity(form, 3, "(let! (x e) e)")
-        binding = form[1]
-        if not (isinstance(binding, SList) and len(binding) == 2 and isinstance(binding[0], SAtom)):
-            raise ParseError("let! binding must look like (x e)")
-        return ast.LetBang(binding[0].text, recur(binding[1]), recur(form[2]))
-
-    if keyword == "dupl":
-        _expect_arity(form, 2, "(dupl e)")
-        return ast.Dupl(recur(form[1]))
-
-    if keyword == "drop":
-        _expect_arity(form, 2, "(drop e)")
-        return ast.Drop(recur(form[1]))
-
-    if keyword == "new":
-        _expect_arity(form, 2, "(new e)")
-        return ast.New(recur(form[1]))
-
-    if keyword == "free":
-        _expect_arity(form, 2, "(free e)")
-        return ast.FreePkg(recur(form[1]))
-
-    if keyword == "swap":
-        _expect_arity(form, 4, "(swap e e e)")
-        return ast.Swap(recur(form[1]), recur(form[2]), recur(form[3]))
-
-    if keyword == "loclam":
-        _expect_arity(form, 3, "(loclam z e)")
-        if not isinstance(form[1], SAtom):
-            raise ParseError("loclam binder must be a location variable name")
-        return ast.LocLam(form[1].text, recur(form[2]))
-
-    if keyword == "locapp":
-        _expect_arity(form, 3, "(locapp e z)")
-        if not isinstance(form[2], SAtom):
-            raise ParseError("locapp argument must be a location variable name")
-        return ast.LocApp(recur(form[1]), form[2].text)
-
-    if keyword == "pack":
-        _expect_arity(form, 4, "(pack z e (exists z τ))")
-        if not isinstance(form[1], SAtom):
-            raise ParseError("pack witness must be a location variable name")
-        annotation = parse_type_sexpr(form[3])
-        if not isinstance(annotation, ExistsLocType):
-            raise ParseError("pack annotation must be an existential type")
-        return ast.Pack(form[1].text, recur(form[2]), annotation)
-
-    if keyword == "unpack":
-        _expect_arity(form, 4, "(unpack (z x) e e)")
-        names = form[1]
-        if not (isinstance(names, SList) and len(names) == 2 and all(isinstance(item, SAtom) for item in names)):
-            raise ParseError("unpack binder must look like (z x)")
-        return ast.Unpack(names[0].text, names[1].text, recur(form[2]), recur(form[3]))
-
-    if keyword == "boundary":
-        _expect_arity(form, 3, "(boundary τ e)")
-        annotation = parse_type_sexpr(form[1])
-        if foreign_parser is None:
-            raise ParseError("L3 boundary encountered but no foreign-language parser is configured")
-        return ast.Boundary(annotation, foreign_parser(form[2]))
-
-    if keyword in ("unit", "true", "false"):
-        raise ParseError(f"{keyword!r} does not take arguments")
-
-    raise ParseError(f"unrecognized L3 form {keyword!r}")
-
-
-def _expect_arity(form: SList, arity: int, shape: str) -> None:
-    if len(form) != arity:
-        raise ParseError(f"expected {shape}, got {form}")
-
-
-def make_parser(foreign_parser: ForeignParser) -> Callable[[str], ast.Expr]:
-    """Return a ``parse_expr`` specialized to one foreign language."""
-
-    def parse(text: str) -> ast.Expr:
-        return parse_expr(text, foreign_parser)
-
-    return parse
+parse_expr = GRAMMAR.parse_expr
+parse_type = GRAMMAR.parse_type

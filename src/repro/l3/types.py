@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Union
 
 from repro.core.errors import ParseError
-from repro.util.sexpr import SAtom, SExpr, SList, parse_sexpr
 
 
 @dataclass(frozen=True)
@@ -154,42 +153,3 @@ def free_locations(in_type: Type) -> frozenset:
     if isinstance(in_type, (ForallLocType, ExistsLocType)):
         return free_locations(in_type.body) - {in_type.binder}
     raise ParseError(f"unknown L3 type {in_type!r}")
-
-
-def parse_type_sexpr(sexpr: SExpr) -> Type:
-    """Interpret an s-expression as an L3 type.
-
-    Surface syntax: ``unit``, ``bool``, ``(tensor τ τ)``, ``(-o τ τ)``,
-    ``(! τ)``, ``(ptr z)``, ``(cap z τ)``, ``(forall z τ)``, ``(exists z τ)``,
-    and ``(refpkg τ)`` as sugar for ``REF τ``.
-    """
-    if isinstance(sexpr, SAtom):
-        if sexpr.text == "unit":
-            return UNIT
-        if sexpr.text == "bool":
-            return BOOL
-        raise ParseError(f"unknown L3 type {sexpr.text!r}")
-    if isinstance(sexpr, SList) and len(sexpr) > 0 and isinstance(sexpr[0], SAtom):
-        head = sexpr[0].text
-        if head == "tensor" and len(sexpr) == 3:
-            return TensorType(parse_type_sexpr(sexpr[1]), parse_type_sexpr(sexpr[2]))
-        if head == "-o" and len(sexpr) == 3:
-            return LolliType(parse_type_sexpr(sexpr[1]), parse_type_sexpr(sexpr[2]))
-        if head == "!" and len(sexpr) == 2:
-            return BangType(parse_type_sexpr(sexpr[1]))
-        if head == "ptr" and len(sexpr) == 2 and isinstance(sexpr[1], SAtom):
-            return PtrType(sexpr[1].text)
-        if head == "cap" and len(sexpr) == 3 and isinstance(sexpr[1], SAtom):
-            return CapType(sexpr[1].text, parse_type_sexpr(sexpr[2]))
-        if head == "forall" and len(sexpr) == 3 and isinstance(sexpr[1], SAtom):
-            return ForallLocType(sexpr[1].text, parse_type_sexpr(sexpr[2]))
-        if head == "exists" and len(sexpr) == 3 and isinstance(sexpr[1], SAtom):
-            return ExistsLocType(sexpr[1].text, parse_type_sexpr(sexpr[2]))
-        if head == "refpkg" and len(sexpr) == 2:
-            return reference_package(parse_type_sexpr(sexpr[1]))
-    raise ParseError(f"malformed L3 type: {sexpr}")
-
-
-def parse_type(text: str) -> Type:
-    """Parse an L3 type from surface text."""
-    return parse_type_sexpr(parse_sexpr(text))

@@ -2,7 +2,7 @@
 
 from repro.miniml import syntax, types
 from repro.miniml.compiler import compile_expr
-from repro.miniml.parser import make_parser, parse_expr
+from repro.miniml.parser import parse_expr, parse_type
 from repro.miniml.typechecker import check_with_usage, typecheck
 from repro.miniml.types import (
     INT,
@@ -17,7 +17,6 @@ from repro.miniml.types import (
     Type,
     TypeVar,
     UnitType,
-    parse_type,
     substitute_type,
 )
 
@@ -25,7 +24,6 @@ __all__ = [
     "syntax",
     "types",
     "compile_expr",
-    "make_parser",
     "parse_expr",
     "check_with_usage",
     "typecheck",

@@ -1,183 +1,64 @@
-"""S-expression surface syntax for MiniML.
+"""S-expression surface syntax for MiniML: its grammar as two tables.
 
-Grammar::
-
-    e ::= () | unit | n | x
-        | (pair e e) | (fst e) | (snd e)
-        | (inl (sum τ τ) e) | (inr (sum τ τ) e)
-        | (match e (x e) (y e))
-        | (lam (x τ) e) | (e e)
-        | (tylam a e) | (tyapp e τ)
-        | (+ e e) | (let (x e) e)
-        | (ref e) | (! e) | (set! e e)
-        | (boundary τ e-foreign)
-
-The foreign-language parser used inside boundaries is configurable: §4 plugs
-in the Affi parser and §5 the L3 parser.
+Each key is a shape read by :mod:`repro.util.grammar`.  ``ē`` is the paired
+language's expression: Affi in §4, L3 in §5, read only once a system wires
+the pair.  ``(foreign τ̄)`` is §5's foreign type ⟨τ⟩, whose ``τ̄`` is an L3
+type; standalone MiniML reads it too, and §4's MiniML refuses it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
-from repro.core.errors import ParseError
+from repro.l3 import parser as l3_parser
 from repro.miniml import syntax as ast
-from repro.miniml.types import SumType, parse_type_sexpr
-from repro.util.sexpr import SAtom, SExpr, SList, parse_sexpr
+from repro.miniml.types import (
+    ForallType,
+    ForeignType,
+    FunType,
+    IntType,
+    ProdType,
+    RefType,
+    SumType,
+    TypeVar,
+    UnitType,
+)
+from repro.util.grammar import Grammar
 
-ForeignParser = Callable[[SExpr], object]
-
-KEYWORDS = {
-    "unit",
-    "pair",
-    "fst",
-    "snd",
-    "inl",
-    "inr",
-    "match",
-    "lam",
-    "tylam",
-    "tyapp",
-    "+",
-    "let",
-    "ref",
-    "!",
-    "set!",
-    "boundary",
+EXPRS = {
+    "()": ast.UnitLit,
+    "unit": ast.UnitLit,
+    "n": ast.IntLit,
+    "x": ast.Var,
+    "(pair e e)": ast.Pair,
+    "(fst e)": ast.Fst,
+    "(snd e)": ast.Snd,
+    "(inl (sum τ τ) e)": lambda left, right, body: ast.Inl(SumType(left, right), body),
+    "(inr (sum τ τ) e)": lambda left, right, body: ast.Inr(SumType(left, right), body),
+    "(match e (x e) (y e))": ast.Match,
+    "(lam (x τ) e)": ast.Lam,
+    "(e e)": ast.App,
+    "(tylam a e)": ast.TyLam,
+    "(tyapp e τ)": ast.TyApp,
+    "(+ e e)": ast.Add,
+    "(let (x e) e)": ast.LetIn,
+    "(ref e)": ast.NewRef,
+    "(! e)": ast.Deref,
+    "(set! e e)": ast.Assign,
+    "(boundary τ ē)": ast.Boundary,
 }
 
+TYPES = {
+    "unit": UnitType,
+    "int": IntType,
+    "a": TypeVar,
+    "(prod τ τ)": ProdType,
+    "(sum τ τ)": SumType,
+    "(-> τ τ)": FunType,
+    "(forall a τ)": ForallType,
+    "(ref τ)": RefType,
+    "(foreign τ̄)": ForeignType,
+}
 
-def parse_expr(text: str, foreign_parser: Optional[ForeignParser] = None) -> ast.Expr:
-    """Parse a MiniML expression from surface text."""
-    return parse_expr_sexpr(parse_sexpr(text), foreign_parser)
+GRAMMAR = Grammar("MiniML", EXPRS, TYPES, foreign=l3_parser.GRAMMAR)
 
-
-def parse_expr_sexpr(sexpr: SExpr, foreign_parser: Optional[ForeignParser] = None) -> ast.Expr:
-    if isinstance(sexpr, SAtom):
-        return _parse_atom(sexpr)
-    if isinstance(sexpr, SList):
-        return _parse_list(sexpr, foreign_parser)
-    raise ParseError(f"malformed MiniML expression: {sexpr}")
-
-
-def _parse_atom(atom: SAtom) -> ast.Expr:
-    if atom.text == "unit":
-        return ast.UnitLit()
-    if atom.is_int:
-        return ast.IntLit(atom.int_value)
-    return ast.Var(atom.text)
-
-
-def _parse_list(form: SList, foreign_parser: Optional[ForeignParser]) -> ast.Expr:
-    if len(form) == 0:
-        return ast.UnitLit()
-    head = form[0]
-    if isinstance(head, SAtom) and head.text in KEYWORDS:
-        return _parse_keyword_form(head.text, form, foreign_parser)
-    if len(form) == 2:
-        return ast.App(parse_expr_sexpr(form[0], foreign_parser), parse_expr_sexpr(form[1], foreign_parser))
-    raise ParseError(f"malformed MiniML expression: {form}")
-
-
-def _parse_keyword_form(keyword: str, form: SList, foreign_parser: Optional[ForeignParser]) -> ast.Expr:
-    recur = lambda sub: parse_expr_sexpr(sub, foreign_parser)  # noqa: E731 - local shorthand
-
-    if keyword == "pair":
-        _expect_arity(form, 3, "(pair e e)")
-        return ast.Pair(recur(form[1]), recur(form[2]))
-
-    if keyword == "fst":
-        _expect_arity(form, 2, "(fst e)")
-        return ast.Fst(recur(form[1]))
-
-    if keyword == "snd":
-        _expect_arity(form, 2, "(snd e)")
-        return ast.Snd(recur(form[1]))
-
-    if keyword in ("inl", "inr"):
-        _expect_arity(form, 3, f"({keyword} (sum τ τ) e)")
-        annotation = parse_type_sexpr(form[1])
-        if not isinstance(annotation, SumType):
-            raise ParseError(f"{keyword} annotation must be a sum type, got {annotation}")
-        body = recur(form[2])
-        return ast.Inl(annotation, body) if keyword == "inl" else ast.Inr(annotation, body)
-
-    if keyword == "match":
-        _expect_arity(form, 4, "(match e (x e) (y e))")
-        left = _parse_branch(form[2], foreign_parser)
-        right = _parse_branch(form[3], foreign_parser)
-        return ast.Match(recur(form[1]), left[0], left[1], right[0], right[1])
-
-    if keyword == "lam":
-        _expect_arity(form, 3, "(lam (x τ) e)")
-        binder = form[1]
-        if not (isinstance(binder, SList) and len(binder) == 2 and isinstance(binder[0], SAtom)):
-            raise ParseError("lam binder must look like (x τ)")
-        return ast.Lam(binder[0].text, parse_type_sexpr(binder[1]), recur(form[2]))
-
-    if keyword == "tylam":
-        _expect_arity(form, 3, "(tylam a e)")
-        if not isinstance(form[1], SAtom):
-            raise ParseError("tylam binder must be a type variable name")
-        return ast.TyLam(form[1].text, recur(form[2]))
-
-    if keyword == "tyapp":
-        _expect_arity(form, 3, "(tyapp e τ)")
-        return ast.TyApp(recur(form[1]), parse_type_sexpr(form[2]))
-
-    if keyword == "+":
-        _expect_arity(form, 3, "(+ e e)")
-        return ast.Add(recur(form[1]), recur(form[2]))
-
-    if keyword == "let":
-        _expect_arity(form, 3, "(let (x e) e)")
-        binding = form[1]
-        if not (isinstance(binding, SList) and len(binding) == 2 and isinstance(binding[0], SAtom)):
-            raise ParseError("let binding must look like (x e)")
-        return ast.LetIn(binding[0].text, recur(binding[1]), recur(form[2]))
-
-    if keyword == "ref":
-        _expect_arity(form, 2, "(ref e)")
-        return ast.NewRef(recur(form[1]))
-
-    if keyword == "!":
-        _expect_arity(form, 2, "(! e)")
-        return ast.Deref(recur(form[1]))
-
-    if keyword == "set!":
-        _expect_arity(form, 3, "(set! e e)")
-        return ast.Assign(recur(form[1]), recur(form[2]))
-
-    if keyword == "boundary":
-        _expect_arity(form, 3, "(boundary τ e)")
-        annotation = parse_type_sexpr(form[1])
-        if foreign_parser is None:
-            raise ParseError(
-                "MiniML boundary encountered but no foreign-language parser is configured"
-            )
-        return ast.Boundary(annotation, foreign_parser(form[2]))
-
-    if keyword == "unit":
-        raise ParseError("'unit' does not take arguments")
-
-    raise ParseError(f"unrecognized MiniML form {keyword!r}")
-
-
-def _parse_branch(form: SExpr, foreign_parser: Optional[ForeignParser]):
-    if not (isinstance(form, SList) and len(form) == 2 and isinstance(form[0], SAtom)):
-        raise ParseError("match branch must look like (x e)")
-    return form[0].text, parse_expr_sexpr(form[1], foreign_parser)
-
-
-def _expect_arity(form: SList, arity: int, shape: str) -> None:
-    if len(form) != arity:
-        raise ParseError(f"expected {shape}, got {form}")
-
-
-def make_parser(foreign_parser: ForeignParser) -> Callable[[str], ast.Expr]:
-    """Return a ``parse_expr`` specialized to one foreign language."""
-
-    def parse(text: str) -> ast.Expr:
-        return parse_expr(text, foreign_parser)
-
-    return parse
+parse_expr = GRAMMAR.parse_expr
+parse_type = GRAMMAR.parse_type

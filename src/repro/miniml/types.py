@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Any, Union
 
 from repro.core.errors import ParseError
-from repro.util.sexpr import SAtom, SExpr, SList, parse_sexpr
 
 
 @dataclass(frozen=True)
@@ -131,44 +130,3 @@ def free_type_variables(in_type: Type) -> frozenset:
     if isinstance(in_type, ForallType):
         return free_type_variables(in_type.body) - {in_type.binder}
     raise ParseError(f"unknown MiniML type {in_type!r}")
-
-
-def parse_type_sexpr(sexpr: SExpr, foreign_type_parser=None) -> Type:
-    """Interpret an s-expression as a MiniML type.
-
-    Surface syntax: ``unit``, ``int``, ``(prod τ τ)``, ``(sum τ τ)``,
-    ``(-> τ τ)``, ``(forall a τ)``, ``(ref τ)``, type variables as bare
-    symbols, and ``(foreign τ_L3)`` (parsed with ``foreign_type_parser``).
-    """
-    if isinstance(sexpr, SAtom):
-        if sexpr.text == "unit":
-            return UNIT
-        if sexpr.text == "int":
-            return INT
-        if sexpr.text.isidentifier():
-            return TypeVar(sexpr.text)
-        raise ParseError(f"malformed MiniML type {sexpr.text!r}")
-    if isinstance(sexpr, SList) and len(sexpr) > 0 and isinstance(sexpr[0], SAtom):
-        head = sexpr[0].text
-        if head == "prod" and len(sexpr) == 3:
-            return ProdType(parse_type_sexpr(sexpr[1], foreign_type_parser), parse_type_sexpr(sexpr[2], foreign_type_parser))
-        if head == "sum" and len(sexpr) == 3:
-            return SumType(parse_type_sexpr(sexpr[1], foreign_type_parser), parse_type_sexpr(sexpr[2], foreign_type_parser))
-        if head == "->" and len(sexpr) == 3:
-            return FunType(parse_type_sexpr(sexpr[1], foreign_type_parser), parse_type_sexpr(sexpr[2], foreign_type_parser))
-        if head == "forall" and len(sexpr) == 3 and isinstance(sexpr[1], SAtom):
-            return ForallType(sexpr[1].text, parse_type_sexpr(sexpr[2], foreign_type_parser))
-        if head == "ref" and len(sexpr) == 2:
-            return RefType(parse_type_sexpr(sexpr[1], foreign_type_parser))
-        if head == "foreign" and len(sexpr) == 2:
-            if foreign_type_parser is None:
-                from repro.l3.types import parse_type_sexpr as parse_l3_type
-
-                foreign_type_parser = parse_l3_type
-            return ForeignType(foreign_type_parser(sexpr[1]))
-    raise ParseError(f"malformed MiniML type: {sexpr}")
-
-
-def parse_type(text: str) -> Type:
-    """Parse a MiniML type from surface text."""
-    return parse_type_sexpr(parse_sexpr(text))

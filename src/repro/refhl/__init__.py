@@ -2,7 +2,7 @@
 
 from repro.refhl import syntax
 from repro.refhl.compiler import compile_expr
-from repro.refhl.parser import parse_expr
+from repro.refhl.parser import GRAMMAR
 from repro.refhl.typechecker import typecheck
 from repro.refhl.types import (
     BOOL,
@@ -14,8 +14,13 @@ from repro.refhl.types import (
     SumType,
     Type,
     UnitType,
-    parse_type,
 )
+from repro.refll.parser import GRAMMAR as _REFLL
+from repro.util.grammar import wire
+
+# Standalone RefHL reads its boundary payloads as RefLL, as in §3.
+parse_expr = wire(GRAMMAR, _REFLL)[0].parse_expr
+parse_type = GRAMMAR.parse_type
 
 __all__ = [
     "syntax",

@@ -1,159 +1,43 @@
-"""S-expression surface syntax for RefHL.
+"""S-expression surface syntax for RefHL: its grammar as two tables.
 
-Grammar (types are parsed by :mod:`repro.refhl.types`)::
-
-    e ::= () | unit | true | false | x
-        | (inl (sum τ τ) e) | (inr (sum τ τ) e)
-        | (pair e e) | (fst e) | (snd e)
-        | (if e e e)
-        | (lam (x τ) e) | (e e)
-        | (match e (x e) (y e))
-        | (ref e) | (! e) | (set! e e)
-        | (boundary τ e-RefLL)
-
-Boundary payloads are parsed with the RefLL parser (imported lazily to keep
-the two front ends independent).
+Each key is a shape read by :mod:`repro.util.grammar`; ``ē`` is a RefLL
+expression.  The package's ``parse_expr`` pairs this grammar with RefLL's.
 """
 
 from __future__ import annotations
 
-from repro.core.errors import ParseError
 from repro.refhl import syntax as ast
-from repro.refhl.types import SumType, parse_type_sexpr
-from repro.util.sexpr import SAtom, SExpr, SList, parse_sexpr
+from repro.refhl.types import BoolType, FunType, ProdType, RefType, SumType, UnitType
+from repro.util.grammar import Grammar
 
-KEYWORDS = {
-    "unit",
-    "true",
-    "false",
-    "inl",
-    "inr",
-    "pair",
-    "fst",
-    "snd",
-    "if",
-    "lam",
-    "match",
-    "ref",
-    "!",
-    "set!",
-    "boundary",
+EXPRS = {
+    "()": ast.UnitLit,
+    "unit": ast.UnitLit,
+    "true": lambda: ast.BoolLit(True),
+    "false": lambda: ast.BoolLit(False),
+    "x": ast.Var,
+    "(inl (sum τ τ) e)": lambda left, right, body: ast.Inl(SumType(left, right), body),
+    "(inr (sum τ τ) e)": lambda left, right, body: ast.Inr(SumType(left, right), body),
+    "(pair e e)": ast.Pair,
+    "(fst e)": ast.Fst,
+    "(snd e)": ast.Snd,
+    "(if e e e)": ast.If,
+    "(lam (x τ) e)": ast.Lam,
+    "(e e)": ast.App,
+    "(match e (x e) (y e))": ast.Match,
+    "(ref e)": ast.NewRef,
+    "(! e)": ast.Deref,
+    "(set! e e)": ast.Assign,
+    "(boundary τ ē)": ast.Boundary,
 }
 
+TYPES = {
+    "unit": UnitType,
+    "bool": BoolType,
+    "(sum τ τ)": SumType,
+    "(prod τ τ)": ProdType,
+    "(-> τ τ)": FunType,
+    "(ref τ)": RefType,
+}
 
-def parse_expr(text: str) -> ast.Expr:
-    """Parse a RefHL expression from surface text."""
-    return parse_expr_sexpr(parse_sexpr(text))
-
-
-def parse_expr_sexpr(sexpr: SExpr) -> ast.Expr:
-    """Interpret an already-read s-expression as a RefHL expression."""
-    if isinstance(sexpr, SAtom):
-        return _parse_atom(sexpr)
-    if isinstance(sexpr, SList):
-        return _parse_list(sexpr)
-    raise ParseError(f"malformed RefHL expression: {sexpr}")
-
-
-def _parse_atom(atom: SAtom) -> ast.Expr:
-    if atom.text == "unit":
-        return ast.UnitLit()
-    if atom.text == "true":
-        return ast.BoolLit(True)
-    if atom.text == "false":
-        return ast.BoolLit(False)
-    if atom.is_int:
-        raise ParseError("RefHL has no integer literals (did you mean a RefLL boundary?)")
-    return ast.Var(atom.text)
-
-
-def _parse_list(form: SList) -> ast.Expr:
-    if len(form) == 0:
-        return ast.UnitLit()
-    head = form[0]
-    if isinstance(head, SAtom) and head.text in KEYWORDS:
-        return _parse_keyword_form(head.text, form)
-    if len(form) == 2:
-        return ast.App(parse_expr_sexpr(form[0]), parse_expr_sexpr(form[1]))
-    raise ParseError(f"malformed RefHL expression: {form}")
-
-
-def _parse_keyword_form(keyword: str, form: SList) -> ast.Expr:
-    if keyword in ("inl", "inr"):
-        _expect_arity(form, 3, f"({keyword} (sum τ τ) e)")
-        annotation = parse_type_sexpr(form[1])
-        if not isinstance(annotation, SumType):
-            raise ParseError(f"{keyword} annotation must be a sum type, got {annotation}")
-        body = parse_expr_sexpr(form[2])
-        return ast.Inl(annotation, body) if keyword == "inl" else ast.Inr(annotation, body)
-
-    if keyword == "pair":
-        _expect_arity(form, 3, "(pair e e)")
-        return ast.Pair(parse_expr_sexpr(form[1]), parse_expr_sexpr(form[2]))
-
-    if keyword == "fst":
-        _expect_arity(form, 2, "(fst e)")
-        return ast.Fst(parse_expr_sexpr(form[1]))
-
-    if keyword == "snd":
-        _expect_arity(form, 2, "(snd e)")
-        return ast.Snd(parse_expr_sexpr(form[1]))
-
-    if keyword == "if":
-        _expect_arity(form, 4, "(if e e e)")
-        return ast.If(
-            parse_expr_sexpr(form[1]),
-            parse_expr_sexpr(form[2]),
-            parse_expr_sexpr(form[3]),
-        )
-
-    if keyword == "lam":
-        _expect_arity(form, 3, "(lam (x τ) e)")
-        binder = form[1]
-        if not (isinstance(binder, SList) and len(binder) == 2 and isinstance(binder[0], SAtom)):
-            raise ParseError("lam binder must look like (x τ)")
-        parameter = binder[0].text
-        parameter_type = parse_type_sexpr(binder[1])
-        return ast.Lam(parameter, parameter_type, parse_expr_sexpr(form[2]))
-
-    if keyword == "match":
-        _expect_arity(form, 4, "(match e (x e) (y e))")
-        scrutinee = parse_expr_sexpr(form[1])
-        left = _parse_branch(form[2])
-        right = _parse_branch(form[3])
-        return ast.Match(scrutinee, left[0], left[1], right[0], right[1])
-
-    if keyword == "ref":
-        _expect_arity(form, 2, "(ref e)")
-        return ast.NewRef(parse_expr_sexpr(form[1]))
-
-    if keyword == "!":
-        _expect_arity(form, 2, "(! e)")
-        return ast.Deref(parse_expr_sexpr(form[1]))
-
-    if keyword == "set!":
-        _expect_arity(form, 3, "(set! e e)")
-        return ast.Assign(parse_expr_sexpr(form[1]), parse_expr_sexpr(form[2]))
-
-    if keyword == "boundary":
-        _expect_arity(form, 3, "(boundary τ e)")
-        annotation = parse_type_sexpr(form[1])
-        from repro.refll.parser import parse_expr_sexpr as parse_refll_expr
-
-        return ast.Boundary(annotation, parse_refll_expr(form[2]))
-
-    if keyword in ("unit", "true", "false"):
-        raise ParseError(f"{keyword!r} does not take arguments")
-
-    raise ParseError(f"unrecognized RefHL form {keyword!r}")
-
-
-def _parse_branch(form: SExpr):
-    if not (isinstance(form, SList) and len(form) == 2 and isinstance(form[0], SAtom)):
-        raise ParseError("match branch must look like (x e)")
-    return form[0].text, parse_expr_sexpr(form[1])
-
-
-def _expect_arity(form: SList, arity: int, shape: str) -> None:
-    if len(form) != arity:
-        raise ParseError(f"expected {shape}, got {form}")
+GRAMMAR = Grammar("RefHL", EXPRS, TYPES)

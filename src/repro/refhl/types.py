@@ -8,8 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from repro.core.errors import ParseError
-from repro.util.sexpr import SAtom, SExpr, SList, parse_sexpr
 
 
 @dataclass(frozen=True)
@@ -63,33 +61,3 @@ Type = Union[UnitType, BoolType, SumType, ProdType, FunType, RefType]
 
 UNIT = UnitType()
 BOOL = BoolType()
-
-
-def parse_type_sexpr(sexpr: SExpr) -> Type:
-    """Interpret an s-expression as a RefHL type.
-
-    Surface syntax: ``unit``, ``bool``, ``(sum τ τ)``, ``(prod τ τ)``,
-    ``(-> τ τ)``, ``(ref τ)``.
-    """
-    if isinstance(sexpr, SAtom):
-        if sexpr.text == "unit":
-            return UNIT
-        if sexpr.text == "bool":
-            return BOOL
-        raise ParseError(f"unknown RefHL type {sexpr.text!r}")
-    if isinstance(sexpr, SList) and len(sexpr) > 0 and isinstance(sexpr[0], SAtom):
-        head = sexpr[0].text
-        if head == "sum" and len(sexpr) == 3:
-            return SumType(parse_type_sexpr(sexpr[1]), parse_type_sexpr(sexpr[2]))
-        if head == "prod" and len(sexpr) == 3:
-            return ProdType(parse_type_sexpr(sexpr[1]), parse_type_sexpr(sexpr[2]))
-        if head == "->" and len(sexpr) == 3:
-            return FunType(parse_type_sexpr(sexpr[1]), parse_type_sexpr(sexpr[2]))
-        if head == "ref" and len(sexpr) == 2:
-            return RefType(parse_type_sexpr(sexpr[1]))
-    raise ParseError(f"malformed RefHL type: {sexpr}")
-
-
-def parse_type(text: str) -> Type:
-    """Parse a RefHL type from surface text."""
-    return parse_type_sexpr(parse_sexpr(text))

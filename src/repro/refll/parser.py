@@ -1,101 +1,35 @@
-"""S-expression surface syntax for RefLL.
+"""S-expression surface syntax for RefLL: its grammar as two tables.
 
-Grammar (types are parsed by :mod:`repro.refll.types`)::
-
-    e ::= n | x
-        | (array e ...) | (idx e e)
-        | (lam (x τ) e) | (e e)
-        | (+ e e) | (if0 e e e)
-        | (ref e) | (! e) | (set! e e)
-        | (boundary τ e-RefHL)
+Each key is a shape read by :mod:`repro.util.grammar`; ``ē`` is a RefHL
+expression.  The package's ``parse_expr`` pairs this grammar with RefHL's.
 """
 
 from __future__ import annotations
 
-from repro.core.errors import ParseError
 from repro.refll import syntax as ast
-from repro.refll.types import parse_type_sexpr
-from repro.util.sexpr import SAtom, SExpr, SList, parse_sexpr
+from repro.refll.types import ArrayType, FunType, IntType, RefType
+from repro.util.grammar import Grammar
 
-KEYWORDS = {"array", "idx", "lam", "+", "if0", "ref", "!", "set!", "boundary"}
+EXPRS = {
+    "n": ast.IntLit,
+    "x": ast.Var,
+    "(array e ...)": ast.ArrayLit,
+    "(idx e e)": ast.Index,
+    "(lam (x τ) e)": ast.Lam,
+    "(e e)": ast.App,
+    "(+ e e)": ast.Add,
+    "(if0 e e e)": ast.If0,
+    "(ref e)": ast.NewRef,
+    "(! e)": ast.Deref,
+    "(set! e e)": ast.Assign,
+    "(boundary τ ē)": ast.Boundary,
+}
 
+TYPES = {
+    "int": IntType,
+    "(array τ)": ArrayType,
+    "(-> τ τ)": FunType,
+    "(ref τ)": RefType,
+}
 
-def parse_expr(text: str) -> ast.Expr:
-    """Parse a RefLL expression from surface text."""
-    return parse_expr_sexpr(parse_sexpr(text))
-
-
-def parse_expr_sexpr(sexpr: SExpr) -> ast.Expr:
-    """Interpret an already-read s-expression as a RefLL expression."""
-    if isinstance(sexpr, SAtom):
-        if sexpr.is_int:
-            return ast.IntLit(sexpr.int_value)
-        return ast.Var(sexpr.text)
-    if isinstance(sexpr, SList):
-        return _parse_list(sexpr)
-    raise ParseError(f"malformed RefLL expression: {sexpr}")
-
-
-def _parse_list(form: SList) -> ast.Expr:
-    if len(form) == 0:
-        raise ParseError("RefLL has no unit value; () is not an expression")
-    head = form[0]
-    if isinstance(head, SAtom) and head.text in KEYWORDS:
-        return _parse_keyword_form(head.text, form)
-    if len(form) == 2:
-        return ast.App(parse_expr_sexpr(form[0]), parse_expr_sexpr(form[1]))
-    raise ParseError(f"malformed RefLL expression: {form}")
-
-
-def _parse_keyword_form(keyword: str, form: SList) -> ast.Expr:
-    if keyword == "array":
-        return ast.ArrayLit(tuple(parse_expr_sexpr(element) for element in form[1:]))
-
-    if keyword == "idx":
-        _expect_arity(form, 3, "(idx e e)")
-        return ast.Index(parse_expr_sexpr(form[1]), parse_expr_sexpr(form[2]))
-
-    if keyword == "lam":
-        _expect_arity(form, 3, "(lam (x τ) e)")
-        binder = form[1]
-        if not (isinstance(binder, SList) and len(binder) == 2 and isinstance(binder[0], SAtom)):
-            raise ParseError("lam binder must look like (x τ)")
-        return ast.Lam(binder[0].text, parse_type_sexpr(binder[1]), parse_expr_sexpr(form[2]))
-
-    if keyword == "+":
-        _expect_arity(form, 3, "(+ e e)")
-        return ast.Add(parse_expr_sexpr(form[1]), parse_expr_sexpr(form[2]))
-
-    if keyword == "if0":
-        _expect_arity(form, 4, "(if0 e e e)")
-        return ast.If0(
-            parse_expr_sexpr(form[1]),
-            parse_expr_sexpr(form[2]),
-            parse_expr_sexpr(form[3]),
-        )
-
-    if keyword == "ref":
-        _expect_arity(form, 2, "(ref e)")
-        return ast.NewRef(parse_expr_sexpr(form[1]))
-
-    if keyword == "!":
-        _expect_arity(form, 2, "(! e)")
-        return ast.Deref(parse_expr_sexpr(form[1]))
-
-    if keyword == "set!":
-        _expect_arity(form, 3, "(set! e e)")
-        return ast.Assign(parse_expr_sexpr(form[1]), parse_expr_sexpr(form[2]))
-
-    if keyword == "boundary":
-        _expect_arity(form, 3, "(boundary τ e)")
-        annotation = parse_type_sexpr(form[1])
-        from repro.refhl.parser import parse_expr_sexpr as parse_refhl_expr
-
-        return ast.Boundary(annotation, parse_refhl_expr(form[2]))
-
-    raise ParseError(f"unrecognized RefLL form {keyword!r}")
-
-
-def _expect_arity(form: SList, arity: int, shape: str) -> None:
-    if len(form) != arity:
-        raise ParseError(f"expected {shape}, got {form}")
+GRAMMAR = Grammar("RefLL", EXPRS, TYPES)

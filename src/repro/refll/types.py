@@ -8,8 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from repro.core.errors import ParseError
-from repro.util.sexpr import SAtom, SExpr, SList, parse_sexpr
 
 
 @dataclass(frozen=True)
@@ -46,28 +44,3 @@ class RefType:
 Type = Union[IntType, ArrayType, FunType, RefType]
 
 INT = IntType()
-
-
-def parse_type_sexpr(sexpr: SExpr) -> Type:
-    """Interpret an s-expression as a RefLL type.
-
-    Surface syntax: ``int``, ``(array τ)``, ``(-> τ τ)``, ``(ref τ)``.
-    """
-    if isinstance(sexpr, SAtom):
-        if sexpr.text == "int":
-            return INT
-        raise ParseError(f"unknown RefLL type {sexpr.text!r}")
-    if isinstance(sexpr, SList) and len(sexpr) > 0 and isinstance(sexpr[0], SAtom):
-        head = sexpr[0].text
-        if head == "array" and len(sexpr) == 2:
-            return ArrayType(parse_type_sexpr(sexpr[1]))
-        if head == "->" and len(sexpr) == 3:
-            return FunType(parse_type_sexpr(sexpr[1]), parse_type_sexpr(sexpr[2]))
-        if head == "ref" and len(sexpr) == 2:
-            return RefType(parse_type_sexpr(sexpr[1]))
-    raise ParseError(f"malformed RefLL type: {sexpr}")
-
-
-def parse_type(text: str) -> Type:
-    """Parse a RefLL type from surface text."""
-    return parse_type_sexpr(parse_sexpr(text))

@@ -108,7 +108,23 @@ class SList:
         return f"SList({self.items!r})"
 
     def __str__(self) -> str:
-        return "(" + " ".join(str(item) for item in self.items) + ")"
+        # Iterative, like the reader, so error messages print any depth.
+        parts: List[str] = []
+        pending: List[Union[str, SExpr]] = [self]
+        while pending:
+            item = pending.pop()
+            if isinstance(item, str):
+                parts.append(item)
+            elif isinstance(item, SList):
+                parts.append("(")
+                pending.append(")")
+                for index in range(len(item.items) - 1, -1, -1):
+                    pending.append(item.items[index])
+                    if index:
+                        pending.append(" ")
+            else:
+                parts.append(item.text)
+        return "".join(parts)
 
 
 SExpr = Union[SAtom, SList]

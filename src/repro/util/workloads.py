@@ -6,9 +6,10 @@ backend comparisons, the serving benchmark, and the serving tests.  Keeping
 them here (rather than copied per call site) guarantees every consumer
 measures the *same* program family.
 
-Keep ``depth`` ≤ ~80: the per-language parsers, typecheckers and compilers
-recurse on the tree and hit Python's recursion limit past that (the shared
-s-expression reader does not recurse).
+Keep ``depth`` within ``repro.util.grammar.MAX_NESTING``, the deepest list
+nesting any frontend reads: depth 90 on refs, 120 on affine and 357 on l3.
+Deeper programs end in a ``ParseError``, because the typecheckers and
+compilers after the reader recurse on the tree too.
 """
 
 from __future__ import annotations

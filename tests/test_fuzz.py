@@ -30,6 +30,7 @@ from repro.fuzz import (
     FuzzCase,
     FuzzGenerator,
     Node,
+    depth_contract_entries,
     leaf,
     legacy_corpus_entries,
     load_corpus,
@@ -284,6 +285,20 @@ def test_legacy_workloads_agree_on_all_backends(oracle):
     for entry in entries:
         disagreement = oracle.check(entry)
         assert disagreement is None, disagreement.summary()
+
+
+def test_depth_contract_entries_end_in_a_parse_error(oracle):
+    """The replay's depth half: one program per system nested far past
+    ``MAX_NESTING`` is refused with a ``ParseError``, and none of them is a
+    legacy entry, whose depths the QoS batches choose."""
+    entries = depth_contract_entries()
+    assert {entry.system for entry in entries} == {"refs", "affine", "l3"}
+    for entry in entries:
+        assert (entry.kind, entry.expected_error) == ("static-error", "ParseError")
+        disagreement = oracle.check(entry)
+        assert disagreement is None, disagreement.summary()
+    legacy = {entry.source for entry in legacy_corpus_entries()}
+    assert not legacy & {entry.source for entry in entries}
 
 
 # ---------------------------------------------------------------------------

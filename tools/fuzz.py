@@ -10,7 +10,9 @@ directory, print a triage report, and exit nonzero.
 Replay mode (``--replay``): re-judge every persisted corpus counterexample
 plus the promoted legacy ``util.workloads`` entries — the regression gate
 that previously-minimized bugs stay fixed and the original scenario suite
-still agrees everywhere.
+still agrees everywhere — and one ``util.workloads`` program per system
+nested far past ``MAX_NESTING``, which each frontend must refuse with a
+``ParseError``.
 
 CI runs ``--check --seed <fixed> --count 210 --time-budget 300``: a bounded,
 deterministic smoke gate (the time budget stops generation early on slow
@@ -33,6 +35,7 @@ from repro.fuzz import (  # noqa: E402
     SYSTEM_NAMES,
     DifferentialOracle,
     FuzzGenerator,
+    depth_contract_entries,
     legacy_corpus_entries,
     load_corpus,
     same_axis_predicate,
@@ -98,8 +101,9 @@ def run_replay(arguments) -> int:
     oracle = DifferentialOracle(rng=random.Random(arguments.seed ^ 0x5EED))
     persisted = load_corpus(arguments.corpus)
     legacy = legacy_corpus_entries()
+    deep = depth_contract_entries()
     failures = 0
-    for origin, cases in (("corpus", persisted), ("legacy", legacy)):
+    for origin, cases in (("corpus", persisted), ("legacy", legacy), ("depth-contract", deep)):
         for case in cases:
             disagreement = oracle.check(case)
             if disagreement is not None:
@@ -107,7 +111,7 @@ def run_replay(arguments) -> int:
                 print(f"fuzz: {origin} replay failure:", file=sys.stderr)
                 _triage(disagreement)
     print(
-        f"fuzz: replayed {len(persisted)} corpus + {len(legacy)} legacy entries, "
+        f"fuzz: replayed {len(persisted)} corpus + {len(legacy)} legacy + {len(deep)} depth-contract entries, "
         f"{failures} disagreement(s)"
     )
     return 1 if failures else 0
