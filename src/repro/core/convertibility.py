@@ -1,29 +1,45 @@
-"""The convertibility relation ``τ_A ∼ τ_B`` (§2.2).
+"""The convertibility relation ``τ_A ∼ τ_B`` (§2.2), and its rules as rows.
 
 The framework requires the designer of an interoperability system to specify,
 explicitly and extensibly, which types of language ``A`` are interconvertible
 with which types of language ``B``, and to supply target-level glue code
 witnessing each direction of the conversion.
 
-This module provides the generic registry.  It is deliberately agnostic about
-what "glue code" is: for the StackLang case study glue is a program suffix
-(instructions appended after the producer), while for the LCVM case studies
-glue is a function from target expressions to target expressions.  Both are
-packaged as callables ``apply_a_to_b`` / ``apply_b_to_a`` that take the
-compiled target term and return the converted target term.
+:class:`ConvertibilityRelation` is the generic registry.  A rule is any
+named partial function from a pair of types to a :class:`Conversion`, whose
+glue is a pair of callables ``apply_a_to_b`` / ``apply_b_to_a`` from the
+compiled target term to the converted target term.  Rules are *schematic*:
+``τ₁ + τ₂ ∼ [int]`` only applies when its premises ``τ₁ ∼ int`` and
+``τ₂ ∼ int`` hold, so rules receive the whole relation and may query it
+recursively.  The registry memoizes queries and guards against cycles
+introduced by recursive rules.
 
-Rules are *schematic*: a rule such as ``τ₁ + τ₂ ∼ [int]`` only applies when
-its premises (``τ₁ ∼ int`` and ``τ₂ ∼ int``) hold, so rules receive the whole
-relation and may query it recursively.  The registry memoizes queries and
-guards against cycles introduced by recursive rules.
+Each case study writes its rules as rows of a :class:`RuleTable`, the way
+the paper states them as inference rules::
+
+    rule("tensor ~ prod", "(tensor τ1 τ2)", "(prod σ1 σ2)", "τ1 ~ σ1", "τ2 ~ σ2",
+         a_to_b="(let (p e⁺) (pair (conv τ1 σ1 (fst p)) (conv τ2 σ2 (snd p))))", ...)
+
+* The A and B patterns are types in each language's own syntax, read once
+  by its :class:`~repro.util.grammar.Grammar`, where atoms starting with
+  ``τ`` or ``σ`` are metavariables.  Every other name in a pattern, such as
+  the ``α`` of ``(forall α (-> α (-> α α)))``, matches any name, the same
+  one at each occurrence.
+* Premises ``"τ1 ~ σ1"`` are instances of the relation, queried in order.
+* ``side`` is an optional named predicate on the metavariables' values.
+* A glue template is a term of the target machine, read by that machine's
+  glue grammar: ``e⁺`` is the compiled term being converted, and
+  ``(conv τ1 σ1 e)`` converts ``e`` with premise ``τ1 ~ σ1``, from ``τ1``
+  to ``σ1``; ``(conv σ1 τ1 e)`` is the premise's backward direction.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.errors import ConvertibilityError
+from repro.core.errors import ConvertibilityError, ParseError
 
 GlueFn = Callable[[Any], Any]
 
@@ -43,7 +59,7 @@ class Conversion:
     type_b: Any
     apply_a_to_b: GlueFn
     apply_b_to_a: GlueFn
-    rule_name: str = "<anonymous>"
+    rule_name: str
 
 
 class ConvertibilityRule:
@@ -60,10 +76,7 @@ class ConvertibilityRule:
         self._matcher = matcher
 
     def try_apply(self, type_a: Any, type_b: Any, relation: "ConvertibilityRelation") -> Optional[Conversion]:
-        conversion = self._matcher(type_a, type_b, relation)
-        if conversion is not None and conversion.rule_name == "<anonymous>":
-            conversion.rule_name = self.name
-        return conversion
+        return self._matcher(type_a, type_b, relation)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ConvertibilityRule({self.name!r})"
@@ -183,3 +196,183 @@ class ConvertibilityRelation:
         self.hits = 0
         self.misses = 0
         self.preresolved = 0
+
+
+# -- rules as rows ---------------------------------------------------------------
+
+
+class Premise:
+    """``(conv x y e)`` in a glue template: convert ``arg`` from ``x`` to ``y``."""
+
+    __slots__ = ("source", "target", "arg")
+
+    def __init__(self, source: str, target: str, arg: Any) -> None:
+        self.source, self.target, self.arg = source, target, arg
+
+
+#: ``e⁺`` in a glue template: the compiled term being converted.
+HOLE = object()
+
+
+def hole_or(variable: Callable[[str], Any]) -> Callable[[str], Any]:
+    """A glue grammar's variable entry: ``e⁺`` reads as :data:`HOLE`."""
+    return lambda name: HOLE if name == "e⁺" else variable(name)
+
+
+Bindings = Dict[str, Any]
+Builder = Callable[[Any, List[Conversion]], Any]
+
+
+def _pattern_grammar(grammar: Any) -> Any:
+    """A copy of ``grammar`` whose types read ``τ…``/``σ…`` atoms as
+    metavariables, which are their names: a pattern binds every name it holds."""
+    patterns = copy.copy(grammar)
+    patterns.types = copy.copy(grammar.types)
+    plain = grammar.types.variable
+
+    def variable(text: str) -> Any:
+        if text[0] in "τσ":
+            return text
+        if plain is None:
+            raise ParseError(f"unknown {grammar.name} type {text!r} in a rule pattern")
+        return plain(text)
+
+    patterns.types.variable = variable
+    if grammar.foreign is not None:
+        patterns.foreign = _pattern_grammar(grammar.foreign)
+    return patterns
+
+
+def _match(pattern: Any, value: Any, bound: Bindings) -> bool:
+    """Match ``value`` against ``pattern``, extending ``bound``."""
+    if isinstance(pattern, str):  # a metavariable or a bound name
+        if pattern in bound:
+            return bound[pattern] == value
+        bound[pattern] = value
+        return True
+    if pattern.__class__ is not value.__class__:
+        return False
+    return all(_match(p, v, bound) for p, v in zip(vars(pattern).values(), vars(value).values()))
+
+
+def _instantiate(pattern: Any, bound: Bindings) -> Any:
+    if isinstance(pattern, str):
+        return bound.get(pattern, pattern)
+    fields = vars(pattern).values()
+    return pattern.__class__(*[_instantiate(field, bound) for field in fields]) if fields else pattern
+
+
+def _builder(node: Any, premises: Dict[Tuple[str, str], Tuple[int, bool]]) -> Optional[Builder]:
+    """A function ``(e⁺, premise conversions) → term`` rebuilding ``node``,
+    or None when ``node`` holds no hole and no premise call, so is its own value.
+
+    A tuple is a StackLang program: a hole or premise value inside one, itself
+    a program, is spliced in.
+    """
+    if node is HOLE:
+        return lambda hole, glue: hole
+    if node.__class__ is Premise:
+        key = (node.source, node.target)
+        if key not in premises:
+            raise ParseError(f"glue template converts {key[0]} to {key[1]}, which no premise relates")
+        index, forward = premises[key]
+        arg = _builder(node.arg, premises) or (lambda hole, glue, value=node.arg: value)
+        if forward:
+            return lambda hole, glue: glue[index].apply_a_to_b(arg(hole, glue))
+        return lambda hole, glue: glue[index].apply_b_to_a(arg(hole, glue))
+    if node.__class__ is tuple:
+        builds = [_builder(item, premises) for item in node]
+        if not any(builds):
+            return None
+        parts: List[Any] = []  # builders, and runs of constant items as lists
+        for build, item in zip(builds, node):
+            if build is not None:
+                parts.append(build)
+            elif parts and parts[-1].__class__ is list:
+                parts[-1].append(item)
+            else:
+                parts.append([item])
+
+        def splice(hole: Any, glue: List[Conversion]) -> Tuple[Any, ...]:
+            out: List[Any] = []
+            for part in parts:
+                if part.__class__ is list:
+                    out.extend(part)
+                else:
+                    value = part(hole, glue)
+                    if value.__class__ is tuple:
+                        out.extend(value)
+                    else:
+                        out.append(value)
+            return tuple(out)
+
+        return splice
+    if not hasattr(node, "__dataclass_fields__"):
+        return None
+    fields = list(vars(node).values())
+    builds = [_builder(field, premises) for field in fields]
+    if not any(builds):
+        return None
+    cls = node.__class__
+    parts = [build or (lambda hole, glue, value=field: value) for build, field in zip(builds, fields)]
+    return lambda hole, glue: cls(*[part(hole, glue) for part in parts])
+
+
+def _glue(template: Builder, premises: List[Conversion]) -> GlueFn:
+    """Instantiate ``template`` with the premises' glue, once; the result
+    puts each compiled term where the template has ``e⁺``."""
+    term = template(HOLE, premises)
+    fill = _builder(term, {})
+    if fill is None:
+        return lambda compiled: term
+    return lambda compiled: fill(compiled, premises)
+
+
+class RuleTable:
+    """Reads one system's rules, written as rows, into :class:`ConvertibilityRule` s.
+
+    ``grammar_a`` and ``grammar_b`` read the two languages' type patterns;
+    ``glue`` is the target machine's glue grammar, which reads templates.
+    Calling the table with one row returns that row's rule.
+    """
+
+    def __init__(self, grammar_a: Any, grammar_b: Any, glue: Any) -> None:
+        self.patterns_a = _pattern_grammar(grammar_a)
+        self.patterns_b = _pattern_grammar(grammar_b)
+        self.glue = glue
+
+    def __call__(
+        self,
+        name: str,
+        type_a: str,
+        type_b: str,
+        *premises: str,
+        side: Optional[Callable[[Bindings], bool]] = None,
+        a_to_b: str = "e⁺",
+        b_to_a: str = "e⁺",
+    ) -> ConvertibilityRule:
+        pattern_a = self.patterns_a.parse_type(type_a)
+        pattern_b = self.patterns_b.parse_type(type_b)
+        pairs = [premise.split(" ~ ") for premise in premises]
+        premise_patterns = [(self.patterns_a.parse_type(a), self.patterns_b.parse_type(b)) for a, b in pairs]
+        directions: Dict[Tuple[str, str], Tuple[int, bool]] = {}
+        for index, (a, b) in enumerate(pairs):
+            directions[(a, b)], directions[(b, a)] = (index, True), (index, False)
+        forward, backward = (self._template(template, directions) for template in (a_to_b, b_to_a))
+
+        def matcher(query_a: Any, query_b: Any, relation: ConvertibilityRelation) -> Optional[Conversion]:
+            bound: Bindings = {}
+            if not (_match(pattern_a, query_a, bound) and _match(pattern_b, query_b, bound)):
+                return None
+            if side is not None and not side(bound):
+                return None
+            glue = [relation.query(_instantiate(a, bound), _instantiate(b, bound)) for a, b in premise_patterns]
+            if any(conversion is None for conversion in glue):
+                return None
+            return Conversion(query_a, query_b, _glue(forward, glue), _glue(backward, glue), name)
+
+        return ConvertibilityRule(name, matcher)
+
+    def _template(self, text: str, directions: Dict[Tuple[str, str], Tuple[int, bool]]) -> Builder:
+        term = self.glue.parse_expr(text)
+        return _builder(term, directions) or (lambda hole, glue: term)

@@ -3,7 +3,6 @@
 from repro.interop_affine.conversions import (
     LANGUAGE_A,
     LANGUAGE_B,
-    LcvmConversion,
     make_convertibility,
 )
 from repro.interop_affine.model import AffineModel, affi_tag, ml_tag
@@ -24,7 +23,6 @@ from repro.interop_affine.system import make_system
 __all__ = [
     "LANGUAGE_A",
     "LANGUAGE_B",
-    "LcvmConversion",
     "make_convertibility",
     "AffineModel",
     "affi_tag",

@@ -1,211 +1,81 @@
-"""Convertibility rules and glue code for Affi ∼ MiniML (Fig. 9).
+"""Convertibility rules and glue code for Affi ∼ MiniML (Fig. 9): :data:`RULES`.
 
-Glue code for the LCVM-targeting case studies is a *wrapper*: a function from
-target expressions to target expressions (``C[τ̄ ↦ τ](e)``).
+Glue code for the LCVM-targeting case studies is a *wrapper*, a term around
+the compiled term ``e⁺``: ``C[τ̄ ↦ τ](e⁺)``.  :data:`LCVM` reads it, and the
+rows of :data:`RULES` are the rules.
 
-Rules reproduced from the paper:
-
-* ``bool ∼ int`` — Affi→MiniML is the identity (booleans compile to 0/1);
-  MiniML→Affi normalizes any integer into {0, 1} with ``if e 0 1``.
-* ``unit ∼ unit`` — both directions are identities.
-* ``τ̄₁ ⊗ τ̄₂ ∼ τ₁ × τ₂`` — convert the components.
-* ``τ̄₁ ⊸ τ̄₂ ∼ (unit → τ₁) → τ₂`` — the central rule: an Affi affine function
-  is exposed to MiniML as a function expecting a *thunk* of its argument, and
-  a MiniML function of that shape can be used as an Affi affine function; in
-  both directions the argument is re-protected with the ``thunk`` guard so it
-  can be forced at most once.
-
-Extensions (documented, in the spirit of the extensible judgment):
-
-* ``int ∼ int`` — identity.
-* ``!τ̄ ∼ τ`` when ``τ̄ ∼ τ`` — an unrestricted Affi value converts like its
-  payload (it owns no affine resources by construction).
+From the paper: ``bool ∼ int`` is the identity from Affi (booleans compile
+to 0/1) and normalizes any integer into {0, 1} with ``if e⁺ 0 1`` from
+MiniML; ``unit ∼ unit`` is the identity; ``τ̄₁ ⊗ τ̄₂ ∼ τ₁ × τ₂`` converts the
+components.  The central rule ``τ̄₁ ⊸ τ̄₂ ∼ (unit → τ₁) → τ₂`` exposes an
+affine function to MiniML as one expecting a *thunk* of its argument, and
+uses a MiniML function of that shape as an affine one; both directions
+re-protect the argument with the ``thunk`` guard, so it is forced at most
+once.  Extensions: ``int ∼ int`` is the identity, and ``!τ̄ ∼ τ`` converts
+like its payload, since an unrestricted value owns no affine resources.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
-
 from repro.affi import thunk_guard
-from repro.affi import types as affi_ty
-from repro.core.convertibility import Conversion, ConvertibilityRelation, ConvertibilityRule
+from repro.affi.parser import GRAMMAR as AFFI
+from repro.core.convertibility import ConvertibilityRelation, Premise, RuleTable, hole_or
 from repro.lcvm import syntax as t
-from repro.miniml import types as ml_ty
+from repro.miniml.parser import GRAMMAR as MINIML
+from repro.util.grammar import Grammar
 
 LANGUAGE_A = "Affi"
 LANGUAGE_B = "MiniML"
 
-Wrapper = Callable[[t.Expr], t.Expr]
+#: LCVM glue, shared with §5; ``(thunk e)`` is Affi's guard macro.
+LCVM = Grammar(
+    "LCVM glue",
+    {
+        "()": t.Unit,
+        "n": t.Int,
+        "x": hole_or(t.Var),
+        "(let (x e) e)": t.Let,
+        "(lam x e)": t.Lam,
+        "(e e)": t.App,
+        "(pair e e)": t.Pair,
+        "(fst e)": t.Fst,
+        "(snd e)": t.Snd,
+        "(if e e e)": t.If,
+        "(! e)": t.Deref,
+        "(set! e e)": t.Assign,
+        "(alloc e)": t.Alloc,
+        "(gcmov e)": t.GcMov,
+        "(thunk e)": thunk_guard,
+        "(conv x y e)": Premise,
+    },
+    {},
+)
 
+rule = RuleTable(AFFI, MINIML, LCVM)
 
-def identity_wrapper(expr: t.Expr) -> t.Expr:
-    return expr
-
-
-@dataclass
-class LcvmConversion(Conversion):
-    """A conversion whose glue wraps LCVM expressions."""
-
-    wrap_a_to_b: Wrapper = identity_wrapper
-    wrap_b_to_a: Wrapper = identity_wrapper
-
-    @staticmethod
-    def from_wrappers(type_a, type_b, a_to_b: Wrapper, b_to_a: Wrapper, rule_name: str = "<anonymous>") -> "LcvmConversion":
-        return LcvmConversion(
-            type_a=type_a,
-            type_b=type_b,
-            apply_a_to_b=a_to_b,
-            apply_b_to_a=b_to_a,
-            rule_name=rule_name,
-            wrap_a_to_b=a_to_b,
-            wrap_b_to_a=b_to_a,
-        )
-
-
-def _premise(relation: ConvertibilityRelation, type_a, type_b) -> Optional[Tuple[Wrapper, Wrapper]]:
-    conversion = relation.query(type_a, type_b)
-    if isinstance(conversion, LcvmConversion):
-        return conversion.wrap_a_to_b, conversion.wrap_b_to_a
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Base rules
-# ---------------------------------------------------------------------------
-
-
-def _rule_bool_int(type_a, type_b, _relation) -> Optional[LcvmConversion]:
-    if isinstance(type_a, affi_ty.BoolType) and isinstance(type_b, ml_ty.IntType):
-        return LcvmConversion.from_wrappers(
-            type_a,
-            type_b,
-            identity_wrapper,
-            lambda expr: t.If(expr, t.Int(0), t.Int(1)),
-        )
-    return None
-
-
-def _rule_unit_unit(type_a, type_b, _relation) -> Optional[LcvmConversion]:
-    if isinstance(type_a, affi_ty.UnitType) and isinstance(type_b, ml_ty.UnitType):
-        return LcvmConversion.from_wrappers(type_a, type_b, identity_wrapper, identity_wrapper)
-    return None
-
-
-def _rule_int_int(type_a, type_b, _relation) -> Optional[LcvmConversion]:
-    if isinstance(type_a, affi_ty.IntType) and isinstance(type_b, ml_ty.IntType):
-        return LcvmConversion.from_wrappers(type_a, type_b, identity_wrapper, identity_wrapper)
-    return None
-
-
-def _rule_tensor_prod(type_a, type_b, relation) -> Optional[LcvmConversion]:
-    if not (isinstance(type_a, affi_ty.TensorType) and isinstance(type_b, ml_ty.ProdType)):
-        return None
-    left = _premise(relation, type_a.left, type_b.left)
-    right = _premise(relation, type_a.right, type_b.right)
-    if left is None or right is None:
-        return None
-    left_ab, left_ba = left
-    right_ab, right_ba = right
-
-    def tensor_to_prod(expr: t.Expr) -> t.Expr:
-        return t.Let(
-            "pair%conv",
-            expr,
-            t.Pair(left_ab(t.Fst(t.Var("pair%conv"))), right_ab(t.Snd(t.Var("pair%conv")))),
-        )
-
-    def prod_to_tensor(expr: t.Expr) -> t.Expr:
-        return t.Let(
-            "pair%conv",
-            expr,
-            t.Pair(left_ba(t.Fst(t.Var("pair%conv"))), right_ba(t.Snd(t.Var("pair%conv")))),
-        )
-
-    return LcvmConversion.from_wrappers(type_a, type_b, tensor_to_prod, prod_to_tensor)
-
-
-def _rule_bang(type_a, type_b, relation) -> Optional[LcvmConversion]:
-    if not isinstance(type_a, affi_ty.BangType):
-        return None
-    payload = _premise(relation, type_a.body, type_b)
-    if payload is None:
-        return None
-    payload_ab, payload_ba = payload
-    return LcvmConversion.from_wrappers(type_a, type_b, payload_ab, payload_ba)
-
-
-def _expected_ml_shape(type_b) -> Optional[Tuple[ml_ty.Type, ml_ty.Type]]:
-    """Match ``(unit → τ₁) → τ₂`` and return (τ₁, τ₂)."""
-    if not isinstance(type_b, ml_ty.FunType):
-        return None
-    argument = type_b.argument
-    if not (isinstance(argument, ml_ty.FunType) and isinstance(argument.argument, ml_ty.UnitType)):
-        return None
-    return argument.result, type_b.result
-
-
-def _rule_lolli_fun(type_a, type_b, relation) -> Optional[LcvmConversion]:
-    if not isinstance(type_a, affi_ty.DynLolliType):
-        return None
-    shape = _expected_ml_shape(type_b)
-    if shape is None:
-        return None
-    ml_argument, ml_result = shape
-    argument = _premise(relation, type_a.argument, ml_argument)
-    result = _premise(relation, type_a.result, ml_result)
-    if argument is None or result is None:
-        return None
-    argument_to_ml, ml_to_argument = argument
-    result_to_ml, ml_to_result = result
-
-    def lolli_to_fun(expr: t.Expr) -> t.Expr:
-        # C[τ̄₁⊸τ̄₂ ↦ (unit→τ₁)→τ₂](e) ≜ let x = e in λx_thnk.
-        #   let x_conv = C[τ₁ ↦ τ̄₁](x_thnk ()) in
-        #   let x_acc  = thunk(x_conv) in C[τ̄₂ ↦ τ₂](x x_acc)
-        return t.Let(
-            "fun%x",
-            expr,
-            t.Lam(
-                "fun%thnk",
-                t.Let(
-                    "fun%conv",
-                    ml_to_argument(t.App(t.Var("fun%thnk"), t.Unit())),
-                    t.Let(
-                        "fun%acc",
-                        thunk_guard(t.Var("fun%conv")),
-                        result_to_ml(t.App(t.Var("fun%x"), t.Var("fun%acc"))),
-                    ),
-                ),
-            ),
-        )
-
-    def fun_to_lolli(expr: t.Expr) -> t.Expr:
-        # C[(unit→τ₁)→τ₂ ↦ τ̄₁⊸τ̄₂](e) ≜ let x = e in λx_thnk.
-        #   let x_acc = thunk(C[τ̄₁ ↦ τ₁](x_thnk ())) in C[τ₂ ↦ τ̄₂](x x_acc)
-        return t.Let(
-            "fun%x",
-            expr,
-            t.Lam(
-                "fun%thnk",
-                t.Let(
-                    "fun%acc",
-                    thunk_guard(argument_to_ml(t.App(t.Var("fun%thnk"), t.Unit()))),
-                    ml_to_result(t.App(t.Var("fun%x"), t.Var("fun%acc"))),
-                ),
-            ),
-        )
-
-    return LcvmConversion.from_wrappers(type_a, type_b, lolli_to_fun, fun_to_lolli)
+RULES = (
+    rule("bool ~ int", "bool", "int", b_to_a="(if e⁺ 0 1)"),
+    rule("unit ~ unit", "unit", "unit"),
+    rule("int ~ int (extension)", "int", "int"),
+    rule(
+        "tensor ~ prod", "(tensor τ1 τ2)", "(prod σ1 σ2)", "τ1 ~ σ1", "τ2 ~ σ2",
+        a_to_b="(let (pair%conv e⁺) (pair (conv τ1 σ1 (fst pair%conv)) (conv τ2 σ2 (snd pair%conv))))",
+        b_to_a="(let (pair%conv e⁺) (pair (conv σ1 τ1 (fst pair%conv)) (conv σ2 τ2 (snd pair%conv))))",
+    ),
+    rule("!τ ~ τ (extension)", "(! τ)", "σ", "τ ~ σ", a_to_b="(conv τ σ e⁺)", b_to_a="(conv σ τ e⁺)"),
+    rule(
+        # MiniML passes a thunk of the argument: force it, convert the value
+        # and guard it for the affine callee; the result converts back out.
+        "⊸ ~ (unit→τ)→τ", "(-o τ1 τ2)", "(-> (-> unit σ1) σ2)", "τ1 ~ σ1", "τ2 ~ σ2",
+        a_to_b="""(let (fun%x e⁺) (lam fun%thnk
+                    (let (fun%conv (conv σ1 τ1 (fun%thnk ())))
+                      (let (fun%acc (thunk fun%conv)) (conv τ2 σ2 (fun%x fun%acc))))))""",
+        b_to_a="""(let (fun%x e⁺) (lam fun%thnk
+                    (let (fun%acc (thunk (conv τ1 σ1 (fun%thnk ())))) (conv σ2 τ2 (fun%x fun%acc)))))""",
+    ),
+)
 
 
 def make_convertibility() -> ConvertibilityRelation:
     """Build the Affi ∼ MiniML convertibility relation (Fig. 9 plus extensions)."""
-    relation = ConvertibilityRelation(LANGUAGE_A, LANGUAGE_B)
-    relation.register(ConvertibilityRule("bool ~ int", _rule_bool_int))
-    relation.register(ConvertibilityRule("unit ~ unit", _rule_unit_unit))
-    relation.register(ConvertibilityRule("int ~ int (extension)", _rule_int_int))
-    relation.register(ConvertibilityRule("tensor ~ prod", _rule_tensor_prod))
-    relation.register(ConvertibilityRule("!τ ~ τ (extension)", _rule_bang))
-    relation.register(ConvertibilityRule("⊸ ~ (unit→τ)→τ", _rule_lolli_fun))
-    return relation
+    return ConvertibilityRelation(LANGUAGE_A, LANGUAGE_B, list(RULES))

@@ -1,206 +1,71 @@
-"""Convertibility rules and glue code for MiniML ∼ L3 (§5).
+"""Convertibility rules and glue code for MiniML ∼ L3 (§5): :data:`RULES`.
 
-The relation is oriented MiniML-type ∼ L3-type.  Rules reproduced from the
-paper:
+The relation is oriented MiniML-type ∼ L3-type, and its glue is LCVM, read
+by §4's :data:`~repro.interop_affine.conversions.LCVM`.  The rows of
+:data:`RULES` are the rules.  From the paper:
 
-* ``ref τ ∼ ∃ζ. cap ζ τ̄ ⊗ !ptr ζ`` (written ``REF τ̄``), when ``τ ∼ τ̄``:
-  - L3 → MiniML converts **in place** and transfers ownership with ``gcmov``
-    (no copy — the L3 type system guarantees the capability is unique);
-  - MiniML → L3 cannot know whether aliases exist, so it copies into a fresh
-    manually-managed cell.
-* ``⟨τ̄⟩ ∼ τ̄`` for ``τ̄ ∈ Duplicable`` — both directions are identities; the
-  restriction to duplicable types is a purely static side condition.
+* ``ref τ ∼ ∃ζ. cap ζ τ̄ ⊗ !ptr ζ`` (written ``REF τ̄``), when ``τ ∼ τ̄``.
+  L3 → MiniML converts **in place** and transfers ownership with ``gcmov``:
+  the unique capability guarantees no other alias exists, so nothing is
+  copied.  MiniML → L3 cannot know whether aliases exist, so it copies the
+  contents into a fresh manually managed cell.
+* ``⟨τ̄⟩ ∼ τ̄`` for ``τ̄ ∈ Duplicable`` — identities both ways; the
+  restriction is a purely static side condition.
 * ``(∀α. α → α → α) ∼ bool`` — Church booleans against L3 booleans.
 * ``τ₁ → τ₂ ∼ !(!τ̄₁ ⊸ τ̄₂)`` when ``τ₁ ∼ τ̄₁`` and ``τ₂ ∼ τ̄₂``.
 
-Extensions (documented): ``unit ∼ unit`` and ``int ∼ bool`` (the §4-style
-boolean/integer bridge, which gives the reference rule a simple payload to
-exercise).
+Extensions: ``unit ∼ unit`` and ``int ∼ bool`` (the §4-style bridge, which
+gives the reference rule a simple payload to exercise).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
-from repro.core.convertibility import ConvertibilityRelation, ConvertibilityRule
-from repro.interop_affine.conversions import LcvmConversion, Wrapper, identity_wrapper
+from repro.core.convertibility import Bindings, ConvertibilityRelation, RuleTable
+from repro.interop_affine.conversions import LCVM
 from repro.l3 import types as l3_ty
-from repro.lcvm import syntax as t
-from repro.miniml import types as ml_ty
+from repro.l3.parser import GRAMMAR as L3
+from repro.miniml.parser import GRAMMAR as MINIML
 
 LANGUAGE_A = "MiniML"
 LANGUAGE_B = "L3"
 
 
-def _premise(relation: ConvertibilityRelation, type_a, type_b) -> Optional[Tuple[Wrapper, Wrapper]]:
-    conversion = relation.query(type_a, type_b)
-    if isinstance(conversion, LcvmConversion):
-        return conversion.wrap_a_to_b, conversion.wrap_b_to_a
-    return None
+def _duplicable(bound: Bindings) -> bool:
+    """``τ̄ ∈ Duplicable``, for ``⟨τ̄⟩ ∼ τ̄``."""
+    return l3_ty.is_duplicable(bound["σ"])
 
 
-def _rule_unit_unit(type_a, type_b, _relation) -> Optional[LcvmConversion]:
-    if isinstance(type_a, ml_ty.UnitType) and isinstance(type_b, l3_ty.UnitType):
-        return LcvmConversion.from_wrappers(type_a, type_b, identity_wrapper, identity_wrapper)
-    return None
+def _pointer_to_binder(bound: Bindings) -> bool:
+    """``σ2`` is ``!ptr ζ`` or ``ptr ζ``: the pointer half of a ``REF τ̄`` package."""
+    pointer = l3_ty.PtrType(bound["ζ"])
+    return bound["σ2"] in (pointer, l3_ty.BangType(pointer))
 
 
-def _rule_int_bool(type_a, type_b, _relation) -> Optional[LcvmConversion]:
-    if isinstance(type_a, ml_ty.IntType) and isinstance(type_b, l3_ty.BoolType):
-        return LcvmConversion.from_wrappers(
-            type_a,
-            type_b,
-            lambda expr: t.If(expr, t.Int(0), t.Int(1)),
-            identity_wrapper,
-        )
-    return None
+rule = RuleTable(MINIML, L3, LCVM)
 
-
-def _rule_foreign(type_a, type_b, _relation) -> Optional[LcvmConversion]:
-    """``⟨τ̄⟩ ∼ τ̄`` for duplicable τ̄ — identities, with a static side condition."""
-    if not isinstance(type_a, ml_ty.ForeignType):
-        return None
-    if type_a.embedded != type_b:
-        return None
-    if not l3_ty.is_duplicable(type_b):
-        return None
-    return LcvmConversion.from_wrappers(type_a, type_b, identity_wrapper, identity_wrapper)
-
-
-def _is_church_bool(type_a) -> bool:
-    """Match ``∀α. α → α → α``."""
-    if not isinstance(type_a, ml_ty.ForallType):
-        return False
-    body = type_a.body
-    alpha = ml_ty.TypeVar(type_a.binder)
-    return body == ml_ty.FunType(alpha, ml_ty.FunType(alpha, alpha))
-
-
-def _rule_church_bool(type_a, type_b, _relation) -> Optional[LcvmConversion]:
-    if not (_is_church_bool(type_a) and isinstance(type_b, l3_ty.BoolType)):
-        return None
-
-    def church_to_bool(expr: t.Expr) -> t.Expr:
-        # C[BOOL ↦ bool](e) ≜ e () 0 1
-        return t.App(t.App(t.App(expr, t.Unit()), t.Int(0)), t.Int(1))
-
-    def bool_to_church(expr: t.Expr) -> t.Expr:
-        # C[bool ↦ BOOL](e) ≜ if0 e {Λα.λx.λy.x} {Λα.λx.λy.y}
-        church_true = t.Lam("_", t.Lam("x", t.Lam("y", t.Var("x"))))
-        church_false = t.Lam("_", t.Lam("x", t.Lam("y", t.Var("y"))))
-        return t.If(expr, church_true, church_false)
-
-    return LcvmConversion.from_wrappers(type_a, type_b, church_to_bool, bool_to_church)
-
-
-def _reference_payload(type_b) -> Optional[l3_ty.Type]:
-    """Match ``∃ζ. cap ζ τ̄ ⊗ !ptr ζ`` (with or without !) and return ``τ̄``."""
-    from repro.l3.typechecker import _reference_package_payload
-
-    return _reference_package_payload(type_b)
-
-
-def _rule_reference(type_a, type_b, relation) -> Optional[LcvmConversion]:
-    if not isinstance(type_a, ml_ty.RefType):
-        return None
-    payload_type = _reference_payload(type_b)
-    if payload_type is None:
-        return None
-    payload = _premise(relation, type_a.referent, payload_type)
-    if payload is None:
-        return None
-    payload_ml_to_l3, payload_l3_to_ml = payload
-
-    def ref_to_package(expr: t.Expr) -> t.Expr:
-        # C[ref τ ↦ REF τ̄](e) ≜ let x = alloc C[τ ↦ τ̄](!e) in ((), x)
-        # MiniML cannot prove the reference unaliased, so the data is copied
-        # into a fresh manually managed cell.
-        return t.Let(
-            "refconv%x",
-            t.Alloc(payload_ml_to_l3(t.Deref(expr))),
-            t.Pair(t.Unit(), t.Var("refconv%x")),
-        )
-
-    def package_to_ref(expr: t.Expr) -> t.Expr:
-        # C[REF τ̄ ↦ ref τ](e) ≜ let x = snd e in
-        #   let _ = (x := C[τ̄ ↦ τ](!x)) in gcmov x
-        # Ownership is transferred without copying: the unique capability
-        # guarantees no other alias exists, so the very same cell is handed to
-        # the garbage collector.
-        return t.Let(
-            "refconv%x",
-            t.Snd(expr),
-            t.Let(
-                "_",
-                t.Assign(t.Var("refconv%x"), payload_l3_to_ml(t.Deref(t.Var("refconv%x")))),
-                t.GcMov(t.Var("refconv%x")),
-            ),
-        )
-
-    return LcvmConversion.from_wrappers(type_a, type_b, ref_to_package, package_to_ref)
-
-
-def _bang_lolli_shape(type_b) -> Optional[Tuple[l3_ty.Type, l3_ty.Type]]:
-    """Match ``!(!τ̄₁ ⊸ τ̄₂)`` and return (τ̄₁, τ̄₂)."""
-    if not isinstance(type_b, l3_ty.BangType):
-        return None
-    inner = type_b.body
-    if not isinstance(inner, l3_ty.LolliType):
-        return None
-    argument = inner.argument
-    if not isinstance(argument, l3_ty.BangType):
-        return None
-    return argument.body, inner.result
-
-
-def _rule_function(type_a, type_b, relation) -> Optional[LcvmConversion]:
-    if not isinstance(type_a, ml_ty.FunType):
-        return None
-    shape = _bang_lolli_shape(type_b)
-    if shape is None:
-        return None
-    l3_argument, l3_result = shape
-    argument = _premise(relation, type_a.argument, l3_argument)
-    result = _premise(relation, type_a.result, l3_result)
-    if argument is None or result is None:
-        return None
-    argument_ml_to_l3, argument_l3_to_ml = argument
-    result_ml_to_l3, result_l3_to_ml = result
-
-    def fun_to_lolli(expr: t.Expr) -> t.Expr:
-        return t.Let(
-            "funconv%f",
-            expr,
-            t.Lam(
-                "funconv%x",
-                result_ml_to_l3(
-                    t.App(t.Var("funconv%f"), argument_l3_to_ml(t.Var("funconv%x")))
-                ),
-            ),
-        )
-
-    def lolli_to_fun(expr: t.Expr) -> t.Expr:
-        return t.Let(
-            "funconv%f",
-            expr,
-            t.Lam(
-                "funconv%x",
-                result_l3_to_ml(
-                    t.App(t.Var("funconv%f"), argument_ml_to_l3(t.Var("funconv%x")))
-                ),
-            ),
-        )
-
-    return LcvmConversion.from_wrappers(type_a, type_b, fun_to_lolli, lolli_to_fun)
+RULES = (
+    rule("unit ~ unit", "unit", "unit"),
+    rule("int ~ bool (extension)", "int", "bool", a_to_b="(if e⁺ 0 1)"),
+    rule("foreign ⟨τ⟩ ~ τ (Duplicable)", "(foreign σ)", "σ", side=_duplicable),
+    rule(
+        "Church BOOL ~ bool", "(forall α (-> α (-> α α)))", "bool",
+        a_to_b="(((e⁺ ()) 0) 1)",
+        b_to_a="(if e⁺ (lam _ (lam x (lam y x))) (lam _ (lam x (lam y y))))",
+    ),
+    rule(
+        "ref τ ~ REF τ̄", "(ref τ1)", "(exists ζ (tensor (cap ζ σ1) σ2))", "τ1 ~ σ1", side=_pointer_to_binder,
+        a_to_b="(let (refconv%x (alloc (conv τ1 σ1 (! e⁺)))) (pair () refconv%x))",
+        b_to_a="""(let (refconv%x (snd e⁺))
+                    (let (_ (set! refconv%x (conv σ1 τ1 (! refconv%x)))) (gcmov refconv%x)))""",
+    ),
+    rule(
+        "τ→τ ~ !(!τ̄ ⊸ τ̄)", "(-> τ1 τ2)", "(! (-o (! σ1) σ2))", "τ1 ~ σ1", "τ2 ~ σ2",
+        a_to_b="(let (funconv%f e⁺) (lam funconv%x (conv τ2 σ2 (funconv%f (conv σ1 τ1 funconv%x)))))",
+        b_to_a="(let (funconv%f e⁺) (lam funconv%x (conv σ2 τ2 (funconv%f (conv τ1 σ1 funconv%x)))))",
+    ),
+)
 
 
 def make_convertibility() -> ConvertibilityRelation:
     """Build the MiniML ∼ L3 convertibility relation (§5)."""
-    relation = ConvertibilityRelation(LANGUAGE_A, LANGUAGE_B)
-    relation.register(ConvertibilityRule("unit ~ unit", _rule_unit_unit))
-    relation.register(ConvertibilityRule("int ~ bool (extension)", _rule_int_bool))
-    relation.register(ConvertibilityRule("foreign ⟨τ⟩ ~ τ (Duplicable)", _rule_foreign))
-    relation.register(ConvertibilityRule("Church BOOL ~ bool", _rule_church_bool))
-    relation.register(ConvertibilityRule("ref τ ~ REF τ̄", _rule_reference))
-    relation.register(ConvertibilityRule("τ→τ ~ !(!τ̄ ⊸ τ̄)", _rule_function))
-    return relation
+    return ConvertibilityRelation(LANGUAGE_A, LANGUAGE_B, list(RULES))

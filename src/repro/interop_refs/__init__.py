@@ -4,7 +4,6 @@ from repro.interop_refs.conversions import (
     LANGUAGE_A,
     LANGUAGE_B,
     NO_OP,
-    StackConversion,
     make_convertibility,
 )
 from repro.interop_refs.model import RefsModel, hl_tag, ll_tag
@@ -23,7 +22,6 @@ __all__ = [
     "LANGUAGE_A",
     "LANGUAGE_B",
     "NO_OP",
-    "StackConversion",
     "make_convertibility",
     "RefsModel",
     "hl_tag",

@@ -1,45 +1,35 @@
-"""Convertibility rules and glue code for RefHL ∼ RefLL (Fig. 4).
+"""Convertibility rules and glue code for RefHL ∼ RefLL (Fig. 4): :data:`RULES`.
 
 Glue code for this case study is a StackLang *program suffix*: applying the
-conversion ``C[τ ↦ τ̄]`` to a compiled term ``e⁺`` simply appends the suffix,
-``e⁺, C[τ ↦ τ̄]`` (Fig. 3).  :class:`StackConversion` keeps the raw suffixes
-around so that schematic rules (sums, products, functions) can splice the
-suffixes of their premises into larger suffixes.
+conversion ``C[τ ↦ τ̄]`` to a compiled term ``e⁺`` appends the suffix,
+``e⁺, C[τ ↦ τ̄]`` (Fig. 3).  So every template below starts with ``e⁺``, and
+``(conv τ σ)`` splices in the suffix of a premise.  The rows of
+:data:`RULES` are the rules; :class:`~repro.core.convertibility.RuleTable`
+reads them.
 
-Rules reproduced from the paper:
+From the paper: ``bool ∼ int`` and ``ref bool ∼ ref int`` are no-ops both
+ways (booleans compile to integers; sharing the cell is sound because
+``V[[bool]] = V[[int]]``); ``τ₁ + τ₂ ∼ [int]`` re-tags the payload and fails
+with ``Conv`` on an array shorter than two elements or with an unknown tag;
+``τ₁ × τ₂ ∼ [τ̄]`` is elided in the figure and reconstructed in its style.
+Extensions (§3 "Convertibility" makes the judgment extensible):
+``unit ∼ int`` collapses every integer to 0, and ``(τ₁ → τ₂) ∼ (τ̄₁ → τ̄₂)``
+wraps the function in a thunk converting its argument in and its result out.
 
-* ``bool ∼ int`` — both directions are no-ops (booleans compile to integers
-  and the compiler treats every non-zero integer as false).
-* ``ref bool ∼ ref int`` — both directions are no-ops; soundness requires
-  ``V[[bool]] = V[[int]]`` (the point of the case study).
-* ``τ₁ + τ₂ ∼ [int]`` when ``τ₁ ∼ int`` and ``τ₂ ∼ int`` — converts the
-  payload and re-tags; the array→sum direction fails with ``Conv`` on arrays
-  shorter than two elements or with an unknown tag.
-* ``τ₁ × τ₂ ∼ [τ̄]`` when ``τ₁ ∼ τ̄`` and ``τ₂ ∼ τ̄`` — elided in the paper's
-  figure; reconstructed in the same style.
-
-Extensions beyond the paper's figure (the judgment is explicitly designed to
-be extended, §3 "Convertibility"):
-
-* ``unit ∼ int`` — unit→int is a no-op (unit compiles to 0); int→unit
-  collapses every integer to 0.
-* ``(τ₁ → τ₂) ∼ (τ̄₁ → τ̄₂)`` when the arguments and results are convertible —
-  wraps the function in a thunk that converts the argument on the way in and
-  the result on the way out.
+:data:`SHARE_COPY` and :data:`SHARE_PROXY` are the other two ways §3's
+"Discussion" shares a reference; the default relation does not register them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
-
-from repro.core.convertibility import Conversion, ConvertibilityRelation, ConvertibilityRule
+from repro.core.convertibility import ConvertibilityRelation, Premise, RuleTable, hole_or
 from repro.core.errors import ErrorCode
-from repro.refhl import types as hl
-from repro.refll import types as ll
+from repro.refhl.parser import GRAMMAR as REFHL
+from repro.refll.parser import GRAMMAR as REFLL
 from repro.stacklang.macros import dup, swap
 from repro.stacklang.syntax import (
     Add,
+    Alloc,
     Arr,
     Call,
     Fail,
@@ -51,10 +41,13 @@ from repro.stacklang.syntax import (
     Num,
     Program,
     Push,
+    Read,
     Thunk,
     Var,
+    Write,
     program,
 )
+from repro.util.grammar import Grammar
 
 LANGUAGE_A = "RefHL"
 LANGUAGE_B = "RefLL"
@@ -62,242 +55,95 @@ LANGUAGE_B = "RefLL"
 #: The empty program — the no-op conversion ``·`` of Fig. 4.
 NO_OP: Program = ()
 
+#: StackLang glue: every expression is a program, an instruction or a value;
+#: ``(lam x,y P …)`` is Fig. 3's ``lam x, y. P``.
+STACKLANG = Grammar(
+    "StackLang glue",
+    {
+        "()": tuple,
+        "n": Num,
+        "x": hole_or(Var),
+        "add": Add,
+        "less?": Less,
+        "call": Call,
+        "idx": Idx,
+        "len": Len,
+        "alloc": Alloc,
+        "read": Read,
+        "write": Write,
+        "(push e)": Push,
+        "(arr e ...)": Arr,
+        "(thunk e ...)": lambda body: Thunk(program(*body)),
+        "(lam x e ...)": lambda binders, body: Lam(tuple(binders.split(",")), program(*body)),
+        "(if0 e e)": lambda then, otherwise: If0(program(then), program(otherwise)),
+        "(do e ...)": lambda body: program(*body),
+        "(fail x)": lambda code: Fail(ErrorCode(code)),
+        "(dup x)": dup,
+        "(swap x)": swap,
+        "(conv x y)": lambda source, target: Premise(source, target, NO_OP),
+    },
+    {},
+)
 
-@dataclass
-class StackConversion(Conversion):
-    """A conversion whose glue is a pair of StackLang program suffixes."""
+rule = RuleTable(REFHL, REFLL, STACKLANG)
 
-    suffix_a_to_b: Program = ()
-    suffix_b_to_a: Program = ()
+#: Fail with ``Conv`` unless the array on top has at least two elements.
+_AT_LEAST_TWO = "(dup _guard) len (push 2) (swap _guard) less? (if0 (fail Conv) ())"
+#: ``lam xv, xt. push [xt, xv]`` — reassemble a [tag, payload] array.
+_RETAG = "(lam conv_xv,conv_xt (push (arr conv_xt conv_xv)))"
 
-    @staticmethod
-    def from_suffixes(type_a, type_b, suffix_a_to_b: Program, suffix_b_to_a: Program, rule_name: str = "<anonymous>") -> "StackConversion":
-        return StackConversion(
-            type_a=type_a,
-            type_b=type_b,
-            apply_a_to_b=lambda compiled: program(compiled, suffix_a_to_b),
-            apply_b_to_a=lambda compiled: program(compiled, suffix_b_to_a),
-            rule_name=rule_name,
-            suffix_a_to_b=suffix_a_to_b,
-            suffix_b_to_a=suffix_b_to_a,
-        )
+RULES = (
+    rule("bool ~ int", "bool", "int"),
+    rule("unit ~ int (extension)", "unit", "int", b_to_a="(do e⁺ (lam conv_u (push 0)))"),
+    rule("ref bool ~ ref int", "(ref bool)", "(ref int)"),
+    rule(
+        "sum ~ [int]", "(sum τ1 τ2)", "(array int)", "τ1 ~ int", "τ2 ~ int",
+        a_to_b=f"""(do e⁺ (dup _sum) (push 1) idx (swap _sum) (push 0) idx (dup _sumtag)
+                   (if0 (do (swap _suml) (conv τ1 int)) (do (swap _sumr) (conv τ2 int)))
+                   {_RETAG})""",
+        b_to_a=f"""(do e⁺ {_AT_LEAST_TWO} (dup _arr) (push 1) idx (swap _arr) (push 0) idx (dup _arrtag)
+                   (if0 (do (swap _arrl) (conv int τ1))
+                        (do (dup _arrtag2) (push -1) add
+                            (if0 (do (swap _arrr) (conv int τ2)) (fail Conv))))
+                   {_RETAG})""",
+    ),
+    rule(
+        "prod ~ [elem] (elided in Fig. 4)", "(prod τ1 τ2)", "(array σ)", "τ1 ~ σ", "τ2 ~ σ",
+        a_to_b="""(do e⁺ (dup _pair) (push 1) idx (swap _pair) (push 0) idx (conv τ1 σ) (swap _pair2) (conv τ2 σ)
+                   (lam conv_p2,conv_p1 (push (arr conv_p1 conv_p2))))""",
+        b_to_a=f"""(do e⁺ {_AT_LEAST_TWO} (dup _arrp) (push 1) idx (swap _arrp) (push 0) idx
+                   (conv σ τ1) (swap _arrp2) (conv σ τ2) (lam conv_q2,conv_q1 (push (arr conv_q1 conv_q2))))""",
+    ),
+    rule(
+        # Arguments arrive in the other language, so they convert backward.
+        "fun ~ fun (extension)", "(-> τ1 τ2)", "(-> σ1 σ2)", "τ1 ~ σ1", "τ2 ~ σ2",
+        a_to_b="""(do e⁺ (lam conv_fun (push (thunk (lam conv_arg
+                   (push conv_arg) (conv σ1 τ1) (push conv_fun) call (conv τ2 σ2))))))""",
+        b_to_a="""(do e⁺ (lam conv_fun (push (thunk (lam conv_arg
+                   (push conv_arg) (conv τ1 σ1) (push conv_fun) call (conv σ2 τ2))))))""",
+    ),
+)
 
+#: Copy-and-convert: read the cell, convert its contents, allocate a fresh cell.
+SHARE_COPY = rule(
+    "ref τ ~ ref τ̄ (copy)", "(ref τ)", "(ref σ)", "τ ~ σ",
+    a_to_b="(do e⁺ read (conv τ σ) alloc)",
+    b_to_a="(do e⁺ read (conv σ τ) alloc)",
+)
 
-def _retag_suffix() -> Program:
-    """``lam xv. lam xt. push [xt, xv]`` — reassemble a [tag, payload] array."""
-    return (Lam(("conv_xv", "conv_xt"), (Push(Arr((Var("conv_xt"), Var("conv_xv")))),)),)
-
-
-def _length_guard(minimum: int) -> Program:
-    """Fail with ``Conv`` unless the array on top has at least ``minimum`` elements."""
-    return program(
-        dup("_guard"),
-        Len(),
-        Push(Num(minimum)),
-        swap("_guard"),
-        Less(),
-        If0((Fail(ErrorCode.CONV),), ()),
-    )
-
-
-def _sum_to_array_suffix(payload_left: Program, payload_right: Program) -> Program:
-    """``C[τ₁+τ₂ ↦ [int]]`` parameterized by the payload conversions."""
-    return program(
-        dup("_sum"),
-        Push(Num(1)),
-        Idx(),
-        swap("_sum"),
-        Push(Num(0)),
-        Idx(),
-        dup("_sumtag"),
-        If0(
-            program(swap("_suml"), payload_left),
-            program(swap("_sumr"), payload_right),
-        ),
-        _retag_suffix(),
-    )
-
-
-def _array_to_sum_suffix(payload_left: Program, payload_right: Program) -> Program:
-    """``C[[int] ↦ τ₁+τ₂]`` parameterized by the payload conversions."""
-    return program(
-        _length_guard(2),
-        dup("_arr"),
-        Push(Num(1)),
-        Idx(),
-        swap("_arr"),
-        Push(Num(0)),
-        Idx(),
-        dup("_arrtag"),
-        If0(
-            program(swap("_arrl"), payload_left),
-            program(
-                dup("_arrtag2"),
-                Push(Num(-1)),
-                Add(),
-                If0(
-                    program(swap("_arrr"), payload_right),
-                    (Fail(ErrorCode.CONV),),
-                ),
-            ),
-        ),
-        _retag_suffix(),
-    )
-
-
-def _pair_to_array_suffix(first: Program, second: Program) -> Program:
-    """``C[τ₁×τ₂ ↦ [τ̄]]`` parameterized by the component conversions."""
-    return program(
-        dup("_pair"),
-        Push(Num(1)),
-        Idx(),
-        swap("_pair"),
-        Push(Num(0)),
-        Idx(),
-        first,
-        swap("_pair2"),
-        second,
-        (Lam(("conv_p2", "conv_p1"), (Push(Arr((Var("conv_p1"), Var("conv_p2")))),)),),
-    )
-
-
-def _array_to_pair_suffix(first: Program, second: Program) -> Program:
-    """``C[[τ̄] ↦ τ₁×τ₂]``: guard the length, then convert both components."""
-    return program(
-        _length_guard(2),
-        dup("_arrp"),
-        Push(Num(1)),
-        Idx(),
-        swap("_arrp"),
-        Push(Num(0)),
-        Idx(),
-        first,
-        swap("_arrp2"),
-        second,
-        (Lam(("conv_q2", "conv_q1"), (Push(Arr((Var("conv_q1"), Var("conv_q2")))),)),),
-    )
-
-
-def _function_wrapper_suffix(argument_in: Program, result_out: Program) -> Program:
-    """Wrap the function on top of the stack so arguments/results are converted.
-
-    Given a thunk ``f`` behaving as a function from ``σ_in`` to ``σ_out``,
-    produce a thunk that converts its argument with ``argument_in`` before
-    calling ``f`` and converts the result with ``result_out`` afterwards.
-    """
-    wrapper_body: Program = program(
-        Push(Var("conv_arg")),
-        argument_in,
-        Push(Var("conv_fun")),
-        Call(),
-        result_out,
-    )
-    return (
-        Lam(
-            ("conv_fun",),
-            (Push(Thunk((Lam(("conv_arg",), wrapper_body),))),),
-        ),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Rule matchers
-# ---------------------------------------------------------------------------
-
-
-def _rule_bool_int(type_a, type_b, _relation) -> Optional[StackConversion]:
-    if isinstance(type_a, hl.BoolType) and isinstance(type_b, ll.IntType):
-        return StackConversion.from_suffixes(type_a, type_b, NO_OP, NO_OP)
-    return None
-
-
-def _rule_unit_int(type_a, type_b, _relation) -> Optional[StackConversion]:
-    if isinstance(type_a, hl.UnitType) and isinstance(type_b, ll.IntType):
-        collapse = (Lam(("conv_u",), (Push(Num(0)),)),)
-        return StackConversion.from_suffixes(type_a, type_b, NO_OP, collapse)
-    return None
-
-
-def _rule_ref_bool_ref_int(type_a, type_b, _relation) -> Optional[StackConversion]:
-    if (
-        isinstance(type_a, hl.RefType)
-        and isinstance(type_b, ll.RefType)
-        and isinstance(type_a.referent, hl.BoolType)
-        and isinstance(type_b.referent, ll.IntType)
-    ):
-        return StackConversion.from_suffixes(type_a, type_b, NO_OP, NO_OP)
-    return None
-
-
-def _premise(relation: ConvertibilityRelation, type_a, type_b) -> Optional[Tuple[Program, Program]]:
-    conversion = relation.query(type_a, type_b)
-    if isinstance(conversion, StackConversion):
-        return conversion.suffix_a_to_b, conversion.suffix_b_to_a
-    return None
-
-
-def _rule_sum_array_int(type_a, type_b, relation) -> Optional[StackConversion]:
-    if not (isinstance(type_a, hl.SumType) and isinstance(type_b, ll.ArrayType)):
-        return None
-    if not isinstance(type_b.element, ll.IntType):
-        return None
-    left = _premise(relation, type_a.left, type_b.element)
-    right = _premise(relation, type_a.right, type_b.element)
-    if left is None or right is None:
-        return None
-    left_to_int, int_to_left = left
-    right_to_int, int_to_right = right
-    return StackConversion.from_suffixes(
-        type_a,
-        type_b,
-        _sum_to_array_suffix(left_to_int, right_to_int),
-        _array_to_sum_suffix(int_to_left, int_to_right),
-    )
-
-
-def _rule_prod_array(type_a, type_b, relation) -> Optional[StackConversion]:
-    if not (isinstance(type_a, hl.ProdType) and isinstance(type_b, ll.ArrayType)):
-        return None
-    left = _premise(relation, type_a.left, type_b.element)
-    right = _premise(relation, type_a.right, type_b.element)
-    if left is None or right is None:
-        return None
-    left_to_elem, elem_to_left = left
-    right_to_elem, elem_to_right = right
-    return StackConversion.from_suffixes(
-        type_a,
-        type_b,
-        _pair_to_array_suffix(left_to_elem, right_to_elem),
-        _array_to_pair_suffix(elem_to_left, elem_to_right),
-    )
-
-
-def _rule_function(type_a, type_b, relation) -> Optional[StackConversion]:
-    if not (isinstance(type_a, hl.FunType) and isinstance(type_b, ll.FunType)):
-        return None
-    argument = _premise(relation, type_a.argument, type_b.argument)
-    result = _premise(relation, type_a.result, type_b.result)
-    if argument is None or result is None:
-        return None
-    argument_to_ll, argument_to_hl = argument
-    result_to_ll, result_to_hl = result
-    # A→B wrapper: arguments arrive as τ̄₁ (convert to τ₁), results leave as τ₂
-    # (convert to τ̄₂); and symmetrically for B→A.
-    return StackConversion.from_suffixes(
-        type_a,
-        type_b,
-        _function_wrapper_suffix(argument_to_hl, result_to_ll),
-        _function_wrapper_suffix(argument_to_ll, result_to_hl),
-    )
+#: Read/write proxies: wrap the cell in ``[reader-thunk, writer-thunk]``, which
+#: convert on every access; the writer stores the value on top and pushes 0.
+SHARE_PROXY = rule(
+    "ref τ ~ ref τ̄ (proxy)", "(ref τ)", "(ref σ)", "τ ~ σ",
+    a_to_b="""(do e⁺ (lam proxy_loc (push (arr
+               (thunk (push proxy_loc) read (conv τ σ))
+               (thunk (lam proxy_value (push proxy_loc) (push proxy_value) (conv σ τ) write (push 0)))))))""",
+    b_to_a="""(do e⁺ (lam proxy_loc (push (arr
+               (thunk (push proxy_loc) read (conv σ τ))
+               (thunk (lam proxy_value (push proxy_loc) (push proxy_value) (conv τ σ) write (push 0)))))))""",
+)
 
 
 def make_convertibility() -> ConvertibilityRelation:
     """Build the RefHL ∼ RefLL convertibility relation with all rules of Fig. 4."""
-    relation = ConvertibilityRelation(LANGUAGE_A, LANGUAGE_B)
-    relation.register(ConvertibilityRule("bool ~ int", _rule_bool_int))
-    relation.register(ConvertibilityRule("unit ~ int (extension)", _rule_unit_int))
-    relation.register(ConvertibilityRule("ref bool ~ ref int", _rule_ref_bool_ref_int))
-    relation.register(ConvertibilityRule("sum ~ [int]", _rule_sum_array_int))
-    relation.register(ConvertibilityRule("prod ~ [elem] (elided in Fig. 4)", _rule_prod_array))
-    relation.register(ConvertibilityRule("fun ~ fun (extension)", _rule_function))
-    return relation
+    return ConvertibilityRelation(LANGUAGE_A, LANGUAGE_B, list(RULES))

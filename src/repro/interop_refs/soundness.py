@@ -25,7 +25,7 @@ from repro.core.errors import ErrorCode
 from repro.core.interop import InteropSystem
 from repro.core.realizability import CheckReport, Counterexample
 from repro.core.worlds import World
-from repro.interop_refs.conversions import LANGUAGE_A, LANGUAGE_B, StackConversion, make_convertibility
+from repro.interop_refs.conversions import LANGUAGE_A, LANGUAGE_B, make_convertibility
 from repro.interop_refs.model import RefsModel, hl_tag, ll_tag
 from repro.refhl import parse_type as parse_hl_type
 from repro.refhl import types as hl
@@ -123,7 +123,7 @@ def check_convertibility_soundness(
 
     for type_a, type_b in parse_pairs(pairs or DEFAULT_CONVERTIBLE_PAIRS):
         conversion = relation.query(type_a, type_b)
-        if not isinstance(conversion, StackConversion):
+        if conversion is None:
             report.record_failure(
                 Counterexample(
                     description="expected a derivable convertibility pair",
@@ -134,7 +134,7 @@ def check_convertibility_soundness(
         for candidate in _sample_programs(model, LANGUAGE_A, type_a, world):
             if not model.expression_in_type(LANGUAGE_A, type_a, world, candidate):
                 continue  # not a valid sample; skip rather than misreport
-            converted = program(candidate, conversion.suffix_a_to_b)
+            converted = conversion.apply_a_to_b(candidate)
             if model.expression_in_type(LANGUAGE_B, type_b, world, converted):
                 report.record_success()
             else:
@@ -148,7 +148,7 @@ def check_convertibility_soundness(
         for candidate in _sample_programs(model, LANGUAGE_B, type_b, world):
             if not model.expression_in_type(LANGUAGE_B, type_b, world, candidate):
                 continue
-            converted = program(candidate, conversion.suffix_b_to_a)
+            converted = conversion.apply_b_to_a(candidate)
             if model.expression_in_type(LANGUAGE_A, type_a, world, converted):
                 report.record_success()
             else:

@@ -14,9 +14,12 @@ be realized three ways, with different soundness requirements and costs:
    any convertible referents and preserves aliasing, but every read and write
    pays for a call and a conversion.
 
-This module builds StackLang programs realizing each strategy so that the
-benchmark harness (``benchmarks/bench_ref_sharing_strategies.py``) can
-measure the trade-off the paper argues qualitatively.
+The glue of each is a row of the refs rule table: Fig. 4's
+``ref bool ∼ ref int``, :data:`~repro.interop_refs.conversions.SHARE_COPY` and
+:data:`~repro.interop_refs.conversions.SHARE_PROXY`.  This module runs a
+foreign language's accesses through each, so that the exact step-count laws
+in ``tests/test_cost_laws.py`` can pin the trade-off the paper argues
+qualitatively.
 """
 
 from __future__ import annotations
@@ -24,24 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+from repro.core.convertibility import ConvertibilityRule
+from repro.interop_refs.conversions import SHARE_COPY, SHARE_PROXY, make_convertibility
+from repro.refhl import types as hl
+from repro.refll import types as ll
 from repro.stacklang.machine import MachineResult, run
 from repro.stacklang.macros import drop, dup, swap
-from repro.stacklang.syntax import (
-    Alloc,
-    Arr,
-    Call,
-    Idx,
-    Lam,
-    Num,
-    Program,
-    Push,
-    Read,
-    Thunk,
-    Value,
-    Var,
-    Write,
-    program,
-)
+from repro.stacklang.syntax import Alloc, Call, Idx, Num, Program, Push, Read, Value, Write, program
 
 #: Index of the reader thunk inside a proxy array.
 PROXY_READER = 0
@@ -54,44 +46,27 @@ def allocate_reference(initial: Value) -> Program:
     return program(Push(initial), Alloc())
 
 
-# ---------------------------------------------------------------------------
-# Conversion glue for each strategy (applied to a program leaving a location)
-# ---------------------------------------------------------------------------
+def _sharing_glue(*rows: ConvertibilityRule) -> Program:
+    """The RefHL → RefLL glue of ``ref bool ∼ ref int``, with ``rows`` registered."""
+    relation = make_convertibility()
+    for row in rows:
+        relation.register(row)
+    return relation.require(hl.RefType(hl.BOOL), ll.RefType(ll.INT)).apply_a_to_b(())
 
 
 def share_direct() -> Program:
     """Strategy 1: the no-op conversion of Fig. 4 (``ref bool ∼ ref int``)."""
-    return ()
+    return _sharing_glue()
 
 
-def share_copy(payload_conversion: Program = ()) -> Program:
+def share_copy() -> Program:
     """Strategy 2: read the cell, convert the payload, allocate a fresh cell."""
-    return program(Read(), payload_conversion, Alloc())
+    return _sharing_glue(SHARE_COPY)
 
 
-def share_proxy(payload_read_conversion: Program = (), payload_write_conversion: Program = ()) -> Program:
-    """Strategy 3: wrap the location in ``[reader-thunk, writer-thunk]``.
-
-    The reader thunk pushes the (converted) contents; the writer thunk takes
-    the value to store on top of the stack, converts it, stores it, and pushes
-    0 (mirroring the compilation of assignment).
-    """
-    reader = Thunk(program(Push(Var("proxy_loc")), Read(), payload_read_conversion))
-    writer = Thunk(
-        (
-            Lam(
-                ("proxy_value",),
-                program(
-                    Push(Var("proxy_loc")),
-                    Push(Var("proxy_value")),
-                    payload_write_conversion,
-                    Write(),
-                    Push(Num(0)),
-                ),
-            ),
-        )
-    )
-    return (Lam(("proxy_loc",), (Push(Arr((reader, writer))),)),)
+def share_proxy() -> Program:
+    """Strategy 3: wrap the location in ``[reader-thunk, writer-thunk]``."""
+    return _sharing_glue(SHARE_PROXY)
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ class Heap:
     """
 
     cells: Dict[int, HeapCell] = field(default_factory=dict)
-    #: Statistics exposed for the benchmarks (collections run, cells reclaimed).
+    #: Statistics for tests and diagnostics (collections run, cells reclaimed).
     collections: int = 0
     reclaimed: int = 0
     #: Extracts the locations mentioned by a stored value; evaluators that

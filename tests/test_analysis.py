@@ -16,8 +16,8 @@ Four layers of guarantees:
   target keeps exactly those two engines;
 * **glue pre-resolution + serving** — the compile phase performs zero
   convertibility lookups, every crossing being compiled from the glue its
-  typecheck resolved (at the workload depth and at the deep-crossing depth
-  the benchmarks time), ``analyze_only``
+  typecheck resolved (at the workload depth and at a deep-crossing depth
+  of 40), ``analyze_only``
   requests return the cached report without starting an execution, and
   cost hints weigh the pool's
   load-aware placement deterministically.
@@ -268,8 +268,7 @@ _FACTORIES = {
 }
 
 
-#: 4 is the workload depth; 40 is the deep crossing that
-#: ``benchmarks/bench_boundary_crossing.py`` times its backends at.
+#: 4 is the workload depth; 40 is a deep crossing.
 @pytest.mark.parametrize("depth", [4, 40])
 @pytest.mark.parametrize("system_name", sorted(_FACTORIES))
 def test_preresolution_eliminates_compile_phase_lookups(system_name, depth):

@@ -2,7 +2,7 @@
 and interleaving a serving batch costs at most 2× running it sequentially.
 
 These are coarse wall-clock guards, not benchmarks (the real measurements
-live in ``benchmarks/bench_boundary_crossing.py`` and ``perfbench/``); the
+live in ``perfbench/``); the
 workloads are sized so the observed ratios sit well inside their bars,
 keeping the assertions robust on slow CI machines.
 

@@ -10,8 +10,10 @@ from repro.interop_l3 import (
     check_type_safety,
     make_system,
 )
+from repro.l3 import parse_type as parse_l3_type
 from repro.lcvm import CellKind, Int, Loc, Status
 from repro.lcvm import machine as lcvm_machine
+from repro.miniml import parse_type as parse_ml_type
 
 
 @pytest.fixture(scope="module")
@@ -107,3 +109,38 @@ def test_registered_checks_run_through_the_system(system):
         "foreign-types",
     }
     assert all(report.ok for report in reports.values())
+
+
+# -- glue that a program can observe ----------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", ["substitution", "cek-compiled"])
+def test_function_glue_converts_the_argument_toward_miniml(system, backend):
+    """MiniML → L3 function glue converts the L3 argument ``bool`` to a Church
+    boolean (``C[bool ↦ BOOL]``) before the MiniML body applies it."""
+    source = (
+        "(let! (f (boundary (! (-o (! bool) bool))"
+        " (lam (b (forall a (-> a (-> a a)))) (((tyapp b int) 0) 1))))"
+        " (f (bang true)))"
+    )
+    assert system.run_source("L3", source, backend=backend).value == Int(0)
+
+
+# -- rule patterns: a name matches the same name at each occurrence -----------------------
+
+
+@pytest.mark.parametrize(
+    "ml_type,l3_type,rule",
+    [
+        ("(forall b (-> b (-> b b)))", "bool", "Church BOOL ~ bool"),
+        ("(forall a (-> b (-> a a)))", "bool", None),
+        ("(ref int)", "(exists y (tensor (cap y bool) (ptr y)))", "ref τ ~ REF τ̄"),
+        ("(ref int)", "(exists y (tensor (cap y bool) (! (ptr z))))", None),
+        ("(ref int)", "(exists y (tensor (cap z bool) (! (ptr y))))", None),
+        ("(foreign (! bool))", "(! bool)", "foreign ⟨τ⟩ ~ τ (Duplicable)"),
+        ("(foreign (tensor bool bool))", "(tensor bool bool)", None),
+    ],
+)
+def test_rule_patterns_match_binders_and_side_conditions(system, ml_type, l3_type, rule):
+    conversion = system.convertibility.query(parse_ml_type(ml_type), parse_l3_type(l3_type))
+    assert (conversion.rule_name if conversion else None) == rule

@@ -12,7 +12,7 @@ from repro.interop_refs import (
     make_convertibility,
     make_system,
 )
-from repro.interop_refs.conversions import StackConversion
+from repro.interop_refs.conversions import rule
 from repro.interop_refs.model import LANGUAGE_A, LANGUAGE_B
 from repro.refhl import parse_type as parse_hl_type
 from repro.refll import parse_type as parse_ll_type
@@ -66,19 +66,8 @@ def test_unsound_glue_is_detected_by_the_checker(model):
     contains only 0.
     """
     relation = make_convertibility()
-    unit_type = parse_hl_type("unit")
-    int_type = parse_ll_type("int")
-    bogus = StackConversion.from_suffixes(unit_type, int_type, (), (), rule_name="bogus unit ~ int")
-    relation.register_pair(unit_type, int_type, bogus.apply_a_to_b, bogus.apply_b_to_a, name="bogus")
-    # Overwrite with a StackConversion-producing rule so the checker sees suffixes.
-    from repro.core.convertibility import ConvertibilityRule
-
-    def matcher(query_a, query_b, _relation):
-        if query_a == unit_type and query_b == int_type:
-            return StackConversion.from_suffixes(unit_type, int_type, (), (), rule_name="bogus")
-        return None
-
-    relation.register(ConvertibilityRule("bogus", matcher))
+    # A bogus row: no-op glue both ways, registered last so it takes precedence.
+    relation.register(rule("bogus", "unit", "int"))
     report = check_convertibility_soundness(relation=relation, model=model, pairs=[("unit", "int")])
     assert not report.ok
     assert any("int -> unit" in str(ce) or "unit" in str(ce.source_type) for ce in report.counterexamples)

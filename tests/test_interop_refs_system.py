@@ -157,3 +157,14 @@ def test_shared_reference_aliases_not_copies(system):
     assert isinstance(result.value, Loc)
     # Exactly one heap cell was allocated: sharing did not copy.
     assert len(result.heap) == 1
+
+
+# -- glue that a program can observe -------------------------------------------
+
+
+@pytest.mark.parametrize("backend", ["substitution", "cek-compiled"])
+def test_function_glue_converts_the_argument_toward_refhl(system, backend):
+    """RefHL → RefLL function glue converts an incoming ``int`` to ``unit``
+    (``C[int ↦ unit]`` collapses it to 0) before the RefHL body sees it."""
+    result = system.run_source(LANGUAGE_B, "((boundary (-> int int) (lam (x unit) x)) 5)", backend=backend)
+    assert result.value == Num(0)
