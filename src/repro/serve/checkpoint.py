@@ -68,7 +68,16 @@ class CheckpointCorrupt(ReproError, ValueError):
 
 @dataclass
 class Checkpoint:
-    """One paused request: its snapshot plus everything needed to resume it."""
+    """One paused request: its snapshot plus everything needed to resume it.
+
+    ``snapshot`` is ``None`` only for a checkpoint taken before the run's
+    first slice (``slices == 0``) that a member streamed upstream: the
+    paused state is then the request's initial state, so the request itself
+    is the whole checkpoint, and
+    :meth:`~repro.serve.scheduler.Scheduler.resume` starts it afresh.
+    In-process ``on_checkpoint`` observers and preempted responses always
+    carry a full snapshot.
+    """
 
     #: The original submission (its fuel/typecheck policy already lives in
     #: the snapshot; kept whole so the resumed Response reads identically).
@@ -78,8 +87,9 @@ class Checkpoint:
     #: The resolved backend name (never ``None`` — resolution happened at
     #: admission), routing straight to the target's snapshot restorer.
     backend: str
-    #: The versioned plain-data machine snapshot from the last slice boundary.
-    snapshot: dict
+    #: The versioned plain-data machine snapshot from the last slice
+    #: boundary, or ``None`` for a streamed slice-0 checkpoint.
+    snapshot: Optional[dict]
     #: Scheduler slices granted before this checkpoint was taken.
     slices: int = 0
     version: int = CHECKPOINT_VERSION

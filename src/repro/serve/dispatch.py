@@ -39,6 +39,8 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Protocol, Seque
 
 from repro.core.codec import CodecError, decode, encode
 from repro.core.errors import RequestError
+from repro.core.language import CompiledUnit
+from repro.serve.checkpoint import Checkpoint
 from repro.serve.reliability import (
     AdmissionController,
     BreakerPolicy,
@@ -215,7 +217,13 @@ def _serve_shard(
     this worker then dies mid-batch, the parent resumes each in-flight group
     from its last boundary on a surviving member.  A checkpoint that fails
     to encode — or an injected ``checkpoint.pickle`` fault — is not
-    streamed: its requests fall back to retry-from-scratch.
+    streamed: its requests fall back to retry-from-scratch.  A slice-0
+    checkpoint is streamed without its snapshot: the paused state is the
+    request's initial state, which the parent already holds.
+
+    A ``warm`` payload that does not decode to a
+    :class:`~repro.core.language.CompiledUnit` is not imported: its
+    requests compile from source, as if the store had missed.
     """
     _tag, entries, warm, known = message
     imported: Set[StoreKey] = set()
@@ -224,7 +232,7 @@ def _serve_shard(
             unit = decode(payload)
         except CodecError:  # a stale/foreign payload falls back to compilation
             continue
-        if scheduler.import_cache_entry(store_key, unit):
+        if isinstance(unit, CompiledUnit) and scheduler.import_cache_entry(store_key, unit):
             imported.add(store_key)
 
     requests = [request for _index, request in entries]
@@ -235,6 +243,8 @@ def _serve_shard(
             "checkpoint.pickle", request_id=checkpoint.request.request_id
         ):
             return  # injected serialization failure: this boundary is lost
+        if checkpoint.slices == 0:
+            checkpoint = replace(checkpoint, snapshot=None)
         try:
             payload = encode(checkpoint)
         except CodecError:  # unencodable snapshot: skip, never stream junk
@@ -288,8 +298,9 @@ def _resume_shard(
     last streamed checkpoint payload.  Every checkpoint restores through the
     scheduler's registered snapshot restorer — recompiling machine artifacts
     locally — and runs to completion; outcomes are observably identical to
-    the crashed worker having finished.  A payload that fails to decode or
-    restore fails only its own group, reported in ``failures``.
+    the crashed worker having finished.  A payload that fails to decode, is
+    not a :class:`~repro.serve.checkpoint.Checkpoint`, or fails to restore
+    fails only its own group, reported in ``failures``.
 
     Migrated responses keep *cumulative* slice accounting: the checkpoint's
     pre-crash slices are folded into ``response.slices``, so the
@@ -304,6 +315,9 @@ def _resume_shard(
             checkpoint = decode(payload)
         except CodecError as error:
             failures.append((list(covered), str(error)))
+            continue
+        if not isinstance(checkpoint, Checkpoint):
+            failures.append((list(covered), f"payload holds {type(checkpoint).__name__}, not a Checkpoint"))
             continue
         covered_groups.append(list(covered))
         checkpoints.append(checkpoint)

@@ -34,6 +34,7 @@ module-level callable; the default builds the stock three-system scheduler.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import socket
 import time
@@ -66,8 +67,15 @@ def _worker_main(
     :class:`~repro.serve.faults.FaultPlan`, bound to ``shard`` so
     shard-targeted faults (injected crashes included) fire only here.  The
     process exits when the parent says ``BYE`` or the connection drops.
+
+    The worker runs without the cycle collector: the member path makes no
+    reference cycles (``tests/test_member_path.py`` pins that), so every
+    collection would scan the caches and free nothing.  Reference counting
+    still frees all of its garbage.  The process is the pool's own, so no
+    caller's GC settings change.
     """
     scheduler = scheduler_factory(slice_steps)
+    gc.disable()
     if fault_plan is not None:
         scheduler.fault_plan = fault_plan.bind(shard)
     connection = FrameConnection(sock)

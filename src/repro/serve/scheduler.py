@@ -404,9 +404,12 @@ class Scheduler:
         ``resumed=True``; ``slices`` counts post-restore slices only, while
         the checkpoint's own ``slices`` field preserves the earlier count.
         The combined outcome is observably identical to never having stopped.
-        A checkpoint whose request :func:`~repro.serve.request.check_request`
-        refuses, or that fails to restore (unknown system, version skew,
-        tampered snapshot), fails alone, as its response's ``error``.
+        A checkpoint without a snapshot (streamed before its first slice)
+        starts its request afresh through :meth:`prepare`, which is what
+        restoring its initial state would do.  A checkpoint whose request
+        :func:`~repro.serve.request.check_request` refuses, or that fails to
+        restore (unknown system, version skew, tampered snapshot), fails
+        alone, as its response's ``error``.
 
         A resumed request's ``deadline_seconds`` applies afresh to this
         attempt — the per-attempt reading, so granting a retry means
@@ -430,9 +433,15 @@ class Scheduler:
             if self.fault_plan is not None and self.fault_plan.fire(
                 "restore.tamper", request_id=checkpoint.request.request_id
             ):
-                tampered = dict(checkpoint.snapshot)
+                tampered = dict(checkpoint.snapshot or {})
                 tampered["version"] = -1
                 checkpoint = replace(checkpoint, snapshot=tampered)
+            if checkpoint.snapshot is None:
+                # A slice-0 checkpoint: restarting its request is restoring it.
+                entry = self.prepare(checkpoint.request)
+                entry.response.resumed = True
+                prepared.append(entry)
+                continue
             try:
                 execution = self.restore_execution(checkpoint)
             except Exception as error:  # a bad checkpoint must not take down the batch

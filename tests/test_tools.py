@@ -267,3 +267,19 @@ def test_ab_baseline_keeps_other_workloads(tmp_path):
     assert baseline["workloads"]["cold-mix"]["medians"] == {"throughput_rps": 2.0}
     assert baseline["workloads"]["cold-mix"]["probe_median_us"] == 410.0
     assert baseline["python"] == platform.python_version()
+
+
+def test_ab_trace_tabulates_only_declared_per_layer_metrics():
+    pairs = [_pair({"throughput_rps": 1.0, "net.retries": 2.0, "extra": 1.0},
+                   {"throughput_rps": 2.0, "net.retries": 1.0, "extra": 3.0})]
+    rows, _flagged = ab.summarize(pairs, _SPEC)
+    (row,) = ab.per_layer_rows(rows, _SPEC)
+    assert row["metric"] == "net.retries" and row["b_won"] == 1
+
+
+def test_ab_refuses_a_traced_baseline(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exited:
+        ab.main(["HEAD~1", "HEAD", "--workload", "net-mix", "--trace", "--baseline", str(tmp_path / "b.json")])
+    assert exited.value.code == 2
+    assert "--trace cannot write a --baseline" in capsys.readouterr().err
+    assert not (tmp_path / "b.json").exists()

@@ -5,6 +5,7 @@ Usage:
     python tools/ab.py REV_A REV_B --workload pool-mix --pairs 5
     python tools/ab.py HEAD~1 HEAD --workload cold-mix --pairs 10
     python tools/ab.py HEAD~1 HEAD --workload net-mix --pairs 5 --baseline benchmarks/baseline.json
+    python tools/ab.py HEAD~1 HEAD --workload net-mix --pairs 3 --trace
 
 Both revisions are checked out with ``git worktree`` under one temporary
 directory (removed afterwards), and ``perfbench/run.py`` runs from each
@@ -20,6 +21,11 @@ median moved the wrong way by more than its ``BENCHMARK.json`` bound is
 flagged.  ``--baseline PATH`` writes B's medians for the workload, the
 median host-speed probe and the Python version into ``PATH`` (other
 workloads already in the file are kept).
+
+``--trace`` runs every side with ``--trace 1`` instead and tabulates the
+per-layer metrics ``BENCHMARK.json`` declares (a traced run reports no
+end-to-end metric, so nothing is flagged).  It cannot be combined with
+``--baseline``: a baseline records end-to-end medians.
 
 Exit status: 0 when every run answered every request correctly and no
 end-to-end metric is outside its bound, 1 otherwise.
@@ -48,10 +54,12 @@ PROBE = re.compile(r"speed probe median ([0-9.]+) us")
 Run = Tuple[Dict[str, float], Optional[float]]
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: int) -> Run:
+def run_bench(checkout: Path, workload: str, seed: int, seconds: int, trace: bool = False) -> Run:
     """Run ``perfbench/run.py`` in ``checkout``; :class:`RuntimeError` if
     it printed no result or answered any request wrongly."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    if trace:
+        command += ["--trace", "1"]
     completed = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     lines = completed.stdout.strip().splitlines()
     try:
@@ -105,6 +113,12 @@ def summarize(
     return rows, flagged
 
 
+def per_layer_rows(rows: List[dict], spec: dict) -> List[dict]:
+    """The rows of the per-layer metrics ``spec`` declares, in its order."""
+    by_name = {row["metric"]: row for row in rows}
+    return [by_name[entry["name"]] for entry in spec["per_layer"] if entry["name"] in by_name]
+
+
 def render(rows: List[dict], pairs: int) -> str:
     lines = [
         "| metric | A median | A q1–q3 | B median | B q1–q3 | change | B won |",
@@ -141,7 +155,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--baseline", type=Path, default=None)
+    parser.add_argument("--trace", action="store_true", help="compare the per-layer metrics of traced runs")
     args = parser.parse_args(argv)
+    if args.trace and args.baseline is not None:
+        parser.error("--trace cannot write a --baseline: traced runs report no end-to-end metric")
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
 
@@ -157,23 +174,29 @@ def main(argv: Optional[List[str]] = None) -> int:
             for seed in range(1, args.pairs + 1):
                 order = ("A", "B") if seed % 2 else ("B", "A")
                 try:
-                    runs = {side: run_bench(checkouts[side], args.workload, seed, seconds) for side in order}
+                    runs = {
+                        side: run_bench(checkouts[side], args.workload, seed, seconds, args.trace)
+                        for side in order
+                    }
                 except RuntimeError as error:
                     print(f"FAILED {error}", file=sys.stderr)
                     return 1
                 pairs.append((runs["A"], runs["B"]))
-                print(f"pair {seed} ({order[0]} first): " + ", ".join(
+                progress = "traced" if args.trace else ", ".join(
                     f"{side} {runs[side][0].get('throughput_rps', 0):.1f} req/s" for side in "AB"
-                ), flush=True)
+                )
+                print(f"pair {seed} ({order[0]} first): {progress}", flush=True)
         finally:
             for checkout in checkouts.values():
                 subprocess.run(["git", "worktree", "remove", "--force", str(checkout)], cwd=REPO, capture_output=True)
             subprocess.run(["git", "worktree", "prune"], cwd=REPO, capture_output=True)
 
     rows, flagged = summarize(pairs, spec)
+    if args.trace:
+        rows = per_layer_rows(rows, spec)
     probes = {side: [pair[index][1] for pair in pairs if pair[index][1] is not None] for index, side in enumerate("AB")}
-    print(f"{args.workload}: A={args.rev_a} B={args.rev_b}, {args.pairs} pairs, {seconds} s each, "
-          f"Python {platform.python_version()}")
+    print(f"{args.workload}: A={args.rev_a} B={args.rev_b}, {args.pairs} {'traced ' if args.trace else ''}pairs, "
+          f"{seconds} s each, Python {platform.python_version()}")
     print(render(rows, args.pairs))
     for side in "AB":
         if probes[side]:
